@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test ci bench bench-json bench-engine vet lint lint-fix race soak shard-smoke verify-smoke adaptive-smoke sm-smoke
+.PHONY: build test ci bench bench-json bench-engine vet fmt-check lint lint-fix race soak verify-smoke adaptive-smoke sm-smoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,14 @@ test: build
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any tracked Go file outside testdata/ is not gofmt'd
+# (analyzer fixtures under testdata/ keep deliberate layouts) and lists the
+# files to fix with `gofmt -w`.
+GOFMT ?= gofmt
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v -e '^testdata/' -e '/testdata/' | xargs $(GOFMT) -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs ibvet: the standard go vet passes plus the repo's own
 # determinism and pooling analyzers (internal/lint). CI passes
@@ -25,13 +33,13 @@ lint:
 lint-fix: lint
 
 # race runs the race detector over the packages with internal concurrency
-# (the experiment worker pool, the sharded simulation engine and its worker
-# goroutines, the single-engine simulator) and the packages the determinism
-# analyzers guard (sm, core), whose order-sensitive paths the race pass
+# (the experiment worker pool, whose concurrent runs share read-only subnets,
+# and the parallel verifier walk it drives) and the packages the determinism
+# analyzers guard (sim, sm, core), whose order-sensitive paths the race pass
 # exercises twice via the determinism regression tests. The sim suite
-# includes the shard-determinism matrix (lanes at 2/4/8 under faults and the
-# reliable transport), the fault-injection paths (link death, SM traps,
-# staged table updates, reselection) and the quick recovery study.
+# includes the scenario fixtures (faults, reliable transport, every
+# selector), the fault-injection paths (link death, SM traps, staged table
+# updates, reselection) and the quick recovery study.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiment/... ./internal/sm/... ./internal/core/...
 
@@ -42,13 +50,6 @@ race:
 # every campaign.
 soak:
 	$(GO) test -run 'TestChaosSoakDeterminism' -count=1 ./internal/experiment/
-
-# shard-smoke is the sharded engine's bit-compare: every determinism-matrix
-# configuration (uniform, hotspot, live faults, reliable transport) run at
-# 2/4/8 lanes must equal the single-engine result exactly, plus a repeated
-# sharded run to catch run-to-run scheduling nondeterminism.
-shard-smoke:
-	$(GO) test -run 'TestShardDeterminism' -count=1 ./internal/sim/
 
 # verify-smoke proves the static guarantees on every golden fabric: ibverify
 # must find zero error-severity findings (reachability, per-VL deadlock
@@ -77,8 +78,8 @@ adaptive-smoke:
 	$(GO) run ./cmd/ibsweep -adaptive -quick
 
 # sm-smoke exercises the in-band subnet-management model: the regression
-# suite (lost-trap edge, sweep-only recovery, failover determinism across
-# shard counts on both scheduler paths, exact oracle equivalence when the
+# suite (lost-trap edge, sweep-only recovery, failover determinism run to
+# run and on both scheduler paths, exact oracle equivalence when the
 # feature is off), then the reduced FT(4,2) campaign, whose invariants —
 # exact packet conservation, one failover per in-band run, sweep-recovered
 # trap loss — are asserted inside every run.
@@ -86,10 +87,10 @@ sm-smoke:
 	$(GO) test -run 'TestInBandSM' -count=1 ./internal/sim/
 	$(GO) run ./cmd/ibsweep -smstudy -quick
 
-# ci is the gate for every change: tier-1 tests plus vet, ibvet, the race
-# pass, the chaos soak, the shard-determinism smoke, the static verification
-# smoke, the path-selection family smoke and the in-band SM smoke.
-ci: build vet lint test race soak shard-smoke verify-smoke adaptive-smoke sm-smoke
+# ci is the gate for every change: tier-1 tests plus vet, the gofmt check,
+# ibvet, the race pass, the chaos soak, the static verification smoke, the
+# path-selection family smoke and the in-band SM smoke.
+ci: build vet fmt-check lint test race soak verify-smoke adaptive-smoke sm-smoke
 
 # BENCH_TIME / BENCH_COUNT tune the figure benchmarks: the committed defaults
 # (one iteration, run once) keep `make ci` cheap, but single-iteration numbers
@@ -106,7 +107,7 @@ bench:
 # bench-json runs the figure benchmarks and records ns/op and allocs/op as
 # committed JSON (BENCH_$(BENCH_PR).json), so perf gates diff against a file
 # instead of a number in a commit message. The JSON also records GOMAXPROCS
-# and the shard count per entry, so files are comparable across machines. The
+# per entry, so files are comparable across machines. The
 # raw text lands in bench.out for inspection; only the JSON is meant to be
 # committed.
 BENCH_PR ?= 10

@@ -17,11 +17,8 @@ import (
 	"mlid"
 )
 
-// benchFigure runs a reduced version of one evaluation figure. shards is the
-// per-run lane count handed to the sharded engine (0 = the auto default,
-// min(GOMAXPROCS, leaf groups)); results are bit-identical for every value,
-// so shard-parametrized runs measure wall-clock only.
-func benchFigure(b *testing.B, id string, shards int) {
+// benchFigure runs a reduced version of one evaluation figure.
+func benchFigure(b *testing.B, id string) {
 	spec, err := mlid.EvalFigureByID(id)
 	if err != nil {
 		b.Fatal(err)
@@ -32,7 +29,6 @@ func benchFigure(b *testing.B, id string, shards int) {
 	spec.VLs = []int{1, 4}
 	spec.WarmupNs = 20_000
 	spec.MeasureNs = 60_000
-	spec.Shards = shards
 
 	var fig mlid.EvalFigure
 	b.ResetTimer()
@@ -53,23 +49,13 @@ func benchFigure(b *testing.B, id string, shards int) {
 }
 
 // BenchmarkFigUniform regenerates figures F1..F4: latency vs accepted
-// traffic under uniform traffic on the four evaluation networks. The largest
-// network (32-port 2-tree, 512 nodes, 32 leaf groups) additionally runs
-// shard-parametrized so BENCH_*.json records the sharded engine's scaling;
-// cmd/benchjson decodes the lane count from the "shards=N" name element.
+// traffic under uniform traffic on the four evaluation networks.
 func BenchmarkFigUniform(b *testing.B) {
 	for i, nw := range mlid.EvalNetworks() {
 		id := fmt.Sprintf("F%d", i+1)
 		b.Run(nw.String(), func(b *testing.B) {
-			benchFigure(b, id, 0)
+			benchFigure(b, id)
 		})
-		if nw.M == 32 && nw.N == 2 {
-			for _, shards := range []int{1, 8} {
-				b.Run(fmt.Sprintf("%s/shards=%d", nw, shards), func(b *testing.B) {
-					benchFigure(b, id, shards)
-				})
-			}
-		}
 	}
 }
 
@@ -79,7 +65,7 @@ func BenchmarkFigCentric(b *testing.B) {
 	for i, nw := range mlid.EvalNetworks() {
 		id := fmt.Sprintf("F%d", i+5)
 		b.Run(nw.String(), func(b *testing.B) {
-			benchFigure(b, id, 0)
+			benchFigure(b, id)
 		})
 	}
 }

@@ -15,9 +15,8 @@
 //
 // To keep committed files comparable across machines, each record also
 // carries the parallelism that produced it: gomaxprocs is decoded from the
-// benchmark name's standard "-N" suffix (absent means 1), shards from a
-// "shards=N" path element (the sharded-engine benchmarks encode their lane
-// count there), and the host's "cpu:" header line is preserved verbatim.
+// benchmark name's standard "-N" suffix (absent means 1), and the host's
+// "cpu:" header line is preserved verbatim.
 package main
 
 import (
@@ -30,14 +29,11 @@ import (
 )
 
 // result is one parsed benchmark line. GOMAXPROCS is the procs count go test
-// encodes as the name's trailing "-N" (1 when absent); Shards is the lane
-// count from a "shards=N" name element (0 when the benchmark is not
-// shard-parametrized).
+// encodes as the name's trailing "-N" (1 when absent).
 type result struct {
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`
 	GOMAXPROCS  int                `json:"gomaxprocs"`
-	Shards      int                `json:"shards,omitempty"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64              `json:"allocs_per_op,omitempty"`
@@ -116,7 +112,6 @@ func parseResult(line string) (result, error) {
 		Name:       fields[0],
 		Iterations: iters,
 		GOMAXPROCS: procsOf(fields[0]),
-		Shards:     shardsOf(fields[0]),
 	}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
@@ -148,24 +143,6 @@ func procsOf(name string) int {
 		}
 	}
 	return 1
-}
-
-// shardsOf decodes a "shards=N" element of a sub-benchmark name, 0 if none.
-func shardsOf(name string) int {
-	for _, part := range strings.Split(name, "/") {
-		// Strip a possible trailing GOMAXPROCS suffix off the last element.
-		if i := strings.LastIndexByte(part, '-'); i >= 0 {
-			if _, err := strconv.Atoi(part[i+1:]); err == nil {
-				part = part[:i]
-			}
-		}
-		if rest, ok := strings.CutPrefix(part, "shards="); ok {
-			if n, err := strconv.Atoi(rest); err == nil && n > 0 {
-				return n
-			}
-		}
-	}
-	return 0
 }
 
 func addMetric(r *result, name string, val float64) {

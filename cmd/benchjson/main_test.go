@@ -12,7 +12,7 @@ pkg: mlid
 cpu: shared
 BenchmarkFigUniform/4-port_4-tree         	       1	  93240227 ns/op	         1.037 mlid_over_slid	13652800 B/op	    4812 allocs/op
 BenchmarkFigUniform/32-port_2-tree        	       1	1242818469 ns/op	         1.256 mlid_over_slid	74104928 B/op	   49277 allocs/op
-BenchmarkFigUniform/32-port_2-tree/shards=8-8 	       1	 431818469 ns/op	74104928 B/op	   49277 allocs/op
+BenchmarkFigCentric/32-port_2-tree-8    	       1	 431818469 ns/op	74104928 B/op	   49277 allocs/op
 PASS
 ok  	mlid	3.781s
 `
@@ -38,14 +38,12 @@ func TestParse(t *testing.T) {
 	if r.Metrics["mlid_over_slid"] != 1.256 {
 		t.Fatalf("custom metric: %+v", r.Metrics)
 	}
-	// GOMAXPROCS defaults to 1 without the "-N" suffix ("-tree" is not one);
-	// shards stays 0 for non-sharded benchmarks.
-	if r.GOMAXPROCS != 1 || r.Shards != 0 {
+	// GOMAXPROCS defaults to 1 without the "-N" suffix ("-tree" is not one).
+	if r.GOMAXPROCS != 1 {
 		t.Fatalf("parallelism of %q: %+v", r.Name, r)
 	}
-	sh := doc.Results[2]
-	if sh.GOMAXPROCS != 8 || sh.Shards != 8 {
-		t.Fatalf("parallelism of %q: %+v", sh.Name, sh)
+	if p := doc.Results[2]; p.GOMAXPROCS != 8 {
+		t.Fatalf("parallelism of %q: %+v", p.Name, p)
 	}
 }
 

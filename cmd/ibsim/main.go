@@ -64,7 +64,6 @@ func main() {
 		hist      = flag.Bool("hist", false, "print a latency histogram")
 		topPorts  = flag.Int("ports", 0, "print the N busiest directed links")
 		tracePkts = flag.Int("trace", 0, "print hop-by-hop timelines of the first N packets")
-		shards    = flag.Int("shards", 0, "parallel simulation shards; 0 = min(GOMAXPROCS, leaf groups), 1 = the single-engine path; results are identical for every value")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile after the run to this file")
 	)
@@ -102,13 +101,6 @@ func main() {
 	if *hist {
 		latHist = mlid.NewHistogram(256, 24)
 	}
-	nshards := *shards
-	if nshards == 0 {
-		nshards = runtime.GOMAXPROCS(0)
-		if max := tree.MaxShards(); nshards > max {
-			nshards = max
-		}
-	}
 
 	stopCPU := startCPUProfile(*cpuProf)
 	res, err := mlid.Simulate(mlid.SimConfig{
@@ -127,7 +119,6 @@ func main() {
 		CollectPortStats: *topPorts > 0,
 		TracePackets:     *tracePkts,
 		Seed:             *seed,
-		Shards:           nshards,
 	})
 	stopCPU()
 	writeMemProfile(*memProf)

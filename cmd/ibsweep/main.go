@@ -48,7 +48,6 @@ func main() {
 		series   = flag.Bool("series", false, "with -fault or -smstudy and -csv, also write the per-interval recovery-tail curves (delivered/dropped/retransmits/failed/unreachable per bin)")
 		quick    = flag.Bool("quick", false, "reduced load points and windows")
 		net      = flag.String("net", "", "override the study network as MxN (e.g. 32x2 = 32-port 2-tree); applies to -fault, -chaos, -degraded, -adaptive and -smstudy")
-		shards   = flag.Int("shards", 0, "parallel shards per simulation run; 0 = min(GOMAXPROCS, leaf groups) per network, 1 = the single-engine path; results are identical for every value")
 		chart    = flag.Bool("chart", false, "render ASCII charts to stdout")
 		csvDir   = flag.String("csv", "", "directory to write per-figure CSV files into")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the sweeps to this file")
@@ -97,7 +96,6 @@ func main() {
 		if netOverride != nil {
 			spec.Network = *netOverride
 		}
-		spec.Shards = *shards
 		fmt.Printf("recovery transient: %s, link down at %d ns, uniform load %.2f B/ns/node\n",
 			spec.Network, spec.FaultNs, spec.OfferedLoad)
 		rows, err := mlid.EvalRecoveryStudy(spec)
@@ -124,7 +122,6 @@ func main() {
 		if netOverride != nil {
 			spec.Network = *netOverride
 		}
-		spec.Shards = *shards
 		fmt.Printf("chaos campaign: %s, fault rates %v, outages %d-%d ns, %d switch kill(s), seed %d\n",
 			spec.Network, spec.FaultRates, spec.MinDownNs, spec.MaxDownNs, spec.SwitchKills, spec.Seed)
 		rows, err := mlid.EvalChaosStudy(spec)
@@ -146,7 +143,6 @@ func main() {
 		if netOverride != nil {
 			spec.Network = *netOverride
 		}
-		spec.Shards = *shards
 		fmt.Printf("degraded fabric: %s, fault rates %v, uniform load %.2f B/ns/node, seed %d\n",
 			spec.Network, spec.Rates, spec.OfferedLoad, spec.Seed)
 		rows, err := mlid.EvalDegradedStudy(spec)
@@ -170,7 +166,6 @@ func main() {
 		if netOverride != nil {
 			spec.Network = *netOverride
 		}
-		spec.Shards = *shards
 		fmt.Printf("path-selection family: %s, load %.2f B/ns/node, fault rate %.2f, seed %d\n",
 			spec.Network, spec.OfferedLoad, spec.FaultRate, spec.Seed)
 		rows, err := mlid.EvalAdaptiveStudy(spec)
@@ -192,7 +187,6 @@ func main() {
 		if netOverride != nil {
 			spec.Network = *netOverride
 		}
-		spec.Shards = *shards
 		fmt.Printf("in-band subnet management: %s, trap-loss rates %v, sweep every %d ns, master-SM outage %d-%d ns, seed %d\n",
 			spec.Network, spec.TrapLossProbs, spec.SweepIntervalNs, spec.SMDownNs, spec.SMUpNs, spec.Seed)
 		rows, err := mlid.EvalSMStudy(spec)
@@ -238,7 +232,6 @@ func main() {
 	}
 
 	for _, spec := range selected {
-		spec.Shards = *shards
 		fmt.Printf("running %s ...\n", spec.Title())
 		res, err := spec.Run()
 		fatal(err)

@@ -31,7 +31,6 @@ import (
 	"mlid/internal/lint/maporder"
 	"mlid/internal/lint/pktpool"
 	"mlid/internal/lint/selectorpure"
-	"mlid/internal/lint/shardsafe"
 	"mlid/internal/lint/simdeterminism"
 	"mlid/internal/lint/smhotpath"
 )
@@ -39,7 +38,6 @@ import (
 // analyzers is the ibvet suite. Order is display order in -list.
 var analyzers = []*analysis.Analyzer{
 	simdeterminism.Analyzer,
-	shardsafe.Analyzer,
 	maporder.Analyzer,
 	pktpool.Analyzer,
 	hotpath.Analyzer,

@@ -50,9 +50,6 @@ type AdaptiveSpec struct {
 	// Transport parameterizes the degraded variant's reliable transport; the
 	// zero value takes every default.
 	Transport sim.TransportConfig
-	// Shards is the per-run parallel shard count (0 = auto); results are
-	// identical for every value.
-	Shards int
 	// Seed drives the traffic, the fault schedules, and the runs.
 	Seed int64
 	// HeapOnlyScheduler forces the engine's fallback heap path.
@@ -214,7 +211,6 @@ func AdaptiveStudy(spec AdaptiveSpec) ([]AdaptiveRow, error) {
 			return nil, fmt.Errorf("experiment: %w", err)
 		}
 	}
-	shards := ResolveShards(tr, spec.Shards)
 	var rows []AdaptiveRow
 	for wi, w := range adaptiveWorkloads(tr) {
 		variants := []bool{false}
@@ -249,7 +245,6 @@ func AdaptiveStudy(spec AdaptiveSpec) ([]AdaptiveRow, error) {
 					FaultPlan:         plan,
 					Transport:         transport,
 					VerifyEpochs:      faulted,
-					Shards:            shards,
 					Seed:              spec.Seed + int64(wi),
 					HeapOnlyScheduler: spec.HeapOnlyScheduler,
 				})

@@ -41,10 +41,6 @@ type ChaosSpec struct {
 	// Transport parameterizes the reliable transport; the zero value takes
 	// every default.
 	Transport sim.TransportConfig
-	// Shards is the per-run parallel shard count handed to sim.Config;
-	// 0 selects the auto default (see ResolveShards). Results are identical
-	// for every value.
-	Shards int
 	// Seed drives both the fault-schedule generation and the runs; the same
 	// seed reproduces the same campaign bit for bit.
 	Seed int64
@@ -205,7 +201,6 @@ func ChaosStudy(spec ChaosSpec) ([]ChaosRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := ResolveShards(tr, spec.Shards)
 	// One schedule per rate, shared by both schemes; one pristine
 	// configuration per scheme, shared read-only by every rate (chaos runs
 	// always carry a FaultPlan, so the simulator clones the tables).
@@ -250,7 +245,6 @@ func ChaosStudy(spec ChaosSpec) ([]ChaosRow, error) {
 			// logic into a loop, credit-cycle, or unexplained dead end
 			// fails the study instead of silently dropping packets.
 			VerifyEpochs:      true,
-			Shards:            shards,
 			Seed:              spec.Seed + int64(ri),
 			HeapOnlyScheduler: spec.HeapOnlyScheduler,
 		})

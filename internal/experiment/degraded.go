@@ -51,7 +51,10 @@ type DegradedSpec struct {
 	// has converged when measurement opens and the window sees the steady
 	// degraded fabric, not the transient.
 	FaultNs, WarmupNs, MeasureNs sim.Time
-	// Shards is the per-run shard count (see ResolveShards).
+	// Shards is passed through to sim.Config.Shards.
+	//
+	// Deprecated: the sharded engine was removed; sim.Config rejects any
+	// value other than 0 or 1. Leave Shards unset.
 	Shards int
 	// Seed drives the link samples and every simulation.
 	Seed int64
@@ -192,8 +195,6 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 	if spec.FaultNs <= 0 || spec.FaultNs >= spec.WarmupNs {
 		return nil, fmt.Errorf("experiment: degraded FaultNs %d must fall inside (0, WarmupNs %d)", spec.FaultNs, spec.WarmupNs)
 	}
-	shards := ResolveShards(tr, spec.Shards)
-
 	// Each scenario is one fault draw both schemes run against. The links
 	// axis samples individual inter-switch links; the switches axis takes
 	// whole non-leaf switches out, expressed to the simulator as
@@ -238,13 +239,19 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 			plan:  &sim.FaultPlan{Reselect: true},
 			seed:  spec.Seed + int64(1000+si),
 		}
+		// Each physical link counts once: a link between two sampled
+		// (adjacent) switches is named by the one drawn first.
+		out := map[int32]bool{}
 		for _, sw := range switches {
 			sc.plan.SwitchFaults = append(sc.plan.SwitchFaults, sim.SwitchFault{Switch: sw, DownNs: spec.FaultNs})
 			for port := 0; port < tr.M(); port++ {
-				if ref := tr.SwitchNeighbor(topology.SwitchID(sw), port); ref.Kind != topology.KindNone {
-					sc.links = append(sc.links, [2]int32{sw, int32(port)})
+				ref := tr.SwitchNeighbor(topology.SwitchID(sw), port)
+				if ref.Kind == topology.KindNone || ref.Kind == topology.KindSwitch && out[int32(ref.Switch)] {
+					continue
 				}
+				sc.links = append(sc.links, [2]int32{sw, int32(port)})
 			}
+			out[sw] = true
 		}
 		scenarios = append(scenarios, sc)
 	}
@@ -340,7 +347,7 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 			MeasureNs:    spec.MeasureNs,
 			FaultPlan:    plan,
 			VerifyEpochs: true,
-			Shards:       shards,
+			Shards:       spec.Shards,
 			Seed:         sc.seed,
 		})
 		if err != nil {

@@ -58,29 +58,20 @@ type FigureSpec struct {
 	// Replicas runs each point this many times with distinct seeds and
 	// averages the measurements (0 or 1 means a single run per point).
 	Replicas int
-	// Shards is the per-run parallel shard count handed to sim.Config.
-	// 0 selects the auto default min(GOMAXPROCS, leaf groups); results are
-	// bit-identical for every value, so it only affects wall-clock.
+	// Shards is passed through to sim.Config.Shards.
+	//
+	// Deprecated: the sharded engine was removed; sim.Config rejects any
+	// value other than 0 or 1. Leave Shards unset.
 	Shards int
 	// Seed drives all runs of the figure.
 	Seed int64
 }
 
-// ResolveShards maps a spec's requested shard count to sim.Config.Shards:
-// 0 selects the auto default min(GOMAXPROCS, leaf-switch groups of the tree);
-// any other value passes through unchanged (the engine clamps it to the leaf
-// count). The sharded engine is bit-for-bit deterministic across shard
-// counts, so the choice only affects wall-clock, never results.
-func ResolveShards(tr *topology.Tree, requested int) int {
-	if requested != 0 {
-		return requested
-	}
-	n := runtime.GOMAXPROCS(0)
-	if max := tr.MaxShards(); n > max {
-		n = max
-	}
-	return n
-}
+// ResolveShards returns requested unchanged.
+//
+// Deprecated: the sharded engine was removed, so there is no shard count to
+// resolve. Pass the spec's Shards field (or nothing) to sim.Config.
+func ResolveShards(_ *topology.Tree, requested int) int { return requested }
 
 // Title renders the figure caption, mirroring the paper's.
 func (f FigureSpec) Title() string {
@@ -176,7 +167,6 @@ func (f FigureSpec) Run() (Figure, error) {
 	if replicas < 1 {
 		replicas = 1
 	}
-	shards := ResolveShards(tree, f.Shards)
 	type job struct {
 		curve, point, replica int
 		cfg                   sim.Config
@@ -211,7 +201,7 @@ func (f FigureSpec) Run() (Figure, error) {
 						WarmupNs:    f.WarmupNs,
 						MeasureNs:   f.MeasureNs,
 						Reception:   f.Reception,
-						Shards:      shards,
+						Shards:      f.Shards,
 						Seed:        f.Seed + int64(ci*100_000+pi*100+r),
 					}})
 				}

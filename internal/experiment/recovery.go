@@ -32,10 +32,6 @@ type RecoverySpec struct {
 	// Reselect enables fault-avoiding source reselection after the first
 	// SM trap (it only helps schemes with multiple LIDs per destination).
 	Reselect bool
-	// Shards is the per-run parallel shard count handed to sim.Config;
-	// 0 selects the auto default (see ResolveShards). Results are identical
-	// for every value.
-	Shards int
 	// Seed drives all runs of the study.
 	Seed int64
 }
@@ -109,7 +105,6 @@ func RecoveryStudy(spec RecoverySpec) ([]RecoveryRow, error) {
 		Reselect: spec.Reselect,
 	}
 	end := spec.WarmupNs + spec.MeasureNs
-	shards := ResolveShards(tr, spec.Shards)
 	rows := make([]RecoveryRow, 0, 2*len(spec.VLs))
 	for _, scheme := range []core.Scheme{core.NewSLID(), core.NewMLID()} {
 		sn, err := (&ib.SubnetManager{Tree: tr, Engine: scheme}).Configure()
@@ -126,7 +121,6 @@ func RecoveryStudy(spec RecoverySpec) ([]RecoveryRow, error) {
 				MeasureNs:        spec.MeasureNs,
 				SeriesIntervalNs: spec.SeriesIntervalNs,
 				FaultPlan:        plan,
-				Shards:           shards,
 				Seed:             spec.Seed + int64(vi),
 			})
 			if err != nil {

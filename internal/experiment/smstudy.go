@@ -44,7 +44,10 @@ type SMSpec struct {
 	TrapLossProbs []float64
 	// VerifyEpochs re-verifies forwarding state at every applied epoch.
 	VerifyEpochs bool
-	// Shards is the per-run shard count (see ResolveShards).
+	// Shards is passed through to sim.Config.Shards.
+	//
+	// Deprecated: the sharded engine was removed; sim.Config rejects any
+	// value other than 0 or 1. Leave Shards unset.
 	Shards int
 	// Seed drives all runs of the study.
 	Seed int64
@@ -144,8 +147,6 @@ func SMStudy(spec SMSpec) ([]SMRow, error) {
 	}
 	victimLeaf, _ := tr.NodeAttachment(topology.NodeID(tr.Nodes() / 2))
 	masterLeaf, _ := tr.NodeAttachment(0) // the default master SM node
-	shards := ResolveShards(tr, spec.Shards)
-
 	type mode struct {
 		name string
 		prob float64
@@ -202,7 +203,7 @@ func SMStudy(spec SMSpec) ([]SMRow, error) {
 			FaultPlan:        plan,
 			Transport:        &sim.TransportConfig{BaseTimeoutNs: 5_000, MaxRetries: 3, MaxTimeoutNs: 20_000},
 			VerifyEpochs:     spec.VerifyEpochs,
-			Shards:           shards,
+			Shards:           spec.Shards,
 			Seed:             spec.Seed + int64(mi),
 		})
 		if err != nil {

@@ -44,11 +44,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // sinkNames are callee names (lowercased) that emit in call order. The
-// sharded engine's barrier verbs are included: insert feeds a calendar
-// bucket whose slot order is append order, and merge/distribute move window
-// buffers between lanes in their canonical (time, sequence) order — calling
-// any of them per map key would replace that order with map iteration order.
-// The subnet manager's sweep-diff verbs are included too: diff compares the
+// subnet manager's sweep-diff verbs are included: diff compares the
 // discovered port state against the SM's shadow view and reports deltas in
 // call order, observe feeds liveness samples to the failover automaton (whose
 // takeover decision follows the first observation that sees the master down),
@@ -59,7 +55,6 @@ var sinkNames = map[string]bool{
 	"emit": true, "print": true, "printf": true, "println": true,
 	"fprint": true, "fprintf": true, "fprintln": true,
 	"write": true, "writestring": true, "writebyte": true, "writerune": true,
-	"insert": true, "merge": true, "distribute": true,
 	"diff": true, "diffdeadlinks": true, "observe": true,
 	"stage": true, "reset": true, "redrive": true,
 }

@@ -104,29 +104,6 @@ func goodIntSum(hist map[string]int) int {
 	return total
 }
 
-type scheduler struct {
-	slots []int
-}
-
-func (s *scheduler) insert(t int)       { s.slots = append(s.slots, t) }
-func (s *scheduler) merge(o *scheduler) { s.slots = append(s.slots, o.slots...) }
-
-// badInsert feeds a calendar in map iteration order: bucket slot order is
-// append order, so the resulting event order follows the map.
-func badInsert(s *scheduler, pending map[int]int) {
-	for _, t := range pending {
-		s.insert(t) // want `call to s\.insert inside range over map`
-	}
-}
-
-// badMerge merges per-shard buffers in map iteration order instead of the
-// canonical lane order.
-func badMerge(dst *scheduler, lanes map[int]*scheduler) {
-	for _, l := range lanes {
-		dst.merge(l) // want `call to dst\.merge inside range over map`
-	}
-}
-
 type subnetManager struct {
 	txns    []int
 	added   [][2]int32

@@ -1,8 +1,8 @@
 // Package selectorpure enforces the path-selection purity contract: a
 // Selector's Select method must be a pure function of its SelectContext.
-// The shard-determinism matrix pins every built-in selector bit-for-bit
-// across shard counts, and that holds only because Select consults nothing
-// but the context — the candidate mask, the flow identity, the source's
+// The golden and scenario fixtures pin every built-in selector bit-for-bit
+// for a given configuration and seed, and that holds only because Select
+// consults nothing but the context — the candidate mask, the flow identity, the source's
 // seeded RNG stream, and the read-only CongestionView. The analyzer checks
 // every method named Select on a receiver type ending in "Selector" inside
 // package sim's non-test files and rejects:
@@ -10,17 +10,16 @@
 //   - calls into package time — a selector has no business on any clock;
 //     even simulated time is withheld, so policies cannot key on phase;
 //   - calls into package math/rand (including the constructors) — all
-//     randomness must be drawn from SelectContext.RNG, the lane-local
-//     seeded stream; a fresh or global generator breaks reproducibility
-//     and shard determinism;
+//     randomness must be drawn from SelectContext.RNG, the source node's
+//     seeded stream; a fresh or global generator breaks reproducibility;
 //   - any use of a value of type Sim or *Sim — the engine's state is
-//     reachable only through the CongestionView window, whose counters are
-//     mutated exclusively on the owning shard lane.
+//     reachable only through the CongestionView window, a read-only view
+//     of the candidates' first-hop port counters.
 //
 // A justified exception is suppressed the usual way, with a reasoned
 // directive:
 //
-//	//lint:ignore selectorpure <why this read is shard-deterministic>
+//	//lint:ignore selectorpure <why this read is deterministic>
 package selectorpure
 
 import (
@@ -92,7 +91,7 @@ func checkBody(pass *analysis.Pass, fn *ast.FuncDecl) {
 				case "time":
 					pass.Reportf(n.Pos(), "time.%s in Select: a selector sees no clock — key decisions on SelectContext.Seq or the CongestionView", n.Sel.Name)
 				case "math/rand", "math/rand/v2":
-					pass.Reportf(n.Pos(), "math/rand %s in Select: draw from SelectContext.RNG, the seeded lane-local stream", n.Sel.Name)
+					pass.Reportf(n.Pos(), "math/rand %s in Select: draw from SelectContext.RNG, the source node's seeded stream", n.Sel.Name)
 				}
 				return true
 			}

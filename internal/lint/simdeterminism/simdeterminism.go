@@ -17,12 +17,10 @@
 //   - process-environment entropy (os.Getpid, os.Getenv, os.Hostname, ...)
 //     and crypto/rand;
 //   - host CPU-count reads (runtime.NumCPU, runtime.GOMAXPROCS) in the
-//     simulator core (sim, sm, core): the sharded engine is bit-identical
-//     across shard counts, but that holds because the shard count flows in
-//     through sim.Config and nothing inside the engine consults the host.
-//     The experiment harness is exempt — it legitimately sizes worker pools
-//     and default shard counts from GOMAXPROCS, which affects wall-clock
-//     only, never results;
+//     simulator core (sim, sm, core): a run must be reproducible from its
+//     Config alone, so nothing inside the engine may size or branch on the
+//     host. The experiment harness is exempt — it legitimately sizes worker
+//     pools from GOMAXPROCS, which affects wall-clock only, never results;
 //   - select statements with two or more channel cases: when several cases
 //     are ready the runtime picks one uniformly at random.
 //
@@ -69,9 +67,8 @@ var osFuncs = map[string]bool{
 }
 
 // cpuFuncs read the host's CPU configuration. Forbidden in the engine core
-// (the shard count must arrive via sim.Config so a run is reproducible from
-// its configuration alone); allowed in the experiment harness, whose worker
-// pools and auto shard defaults change wall-clock but never results.
+// (a run must be reproducible from its Config alone); allowed in the
+// experiment harness, whose worker pools change wall-clock but never results.
 var cpuFuncs = map[string]bool{"NumCPU": true, "GOMAXPROCS": true}
 
 func run(pass *analysis.Pass) error {
@@ -122,7 +119,7 @@ func run(pass *analysis.Pass) error {
 					}
 				case "runtime":
 					if cpuFuncs[name] && pkg != "experiment" {
-						pass.Reportf(n.Pos(), "runtime.%s in the engine core: the shard count must flow in through sim.Config, not from the host CPU configuration", name)
+						pass.Reportf(n.Pos(), "runtime.%s in the engine core: a run must be reproducible from its Config alone, not from the host CPU configuration", name)
 					}
 				}
 			case *ast.SelectStmt:

@@ -20,8 +20,8 @@ func (s *study) badSeedPick() int64 {
 }
 
 func (s *study) goodWorkerPool() int {
-	// Negative case: the harness may size worker pools and auto shard
-	// defaults from the host — wall-clock only, results are shard-invariant.
+	// Negative case: the harness may size worker pools from the host —
+	// wall-clock only, every point is independently seeded.
 	return runtime.GOMAXPROCS(0) + runtime.NumCPU()
 }
 

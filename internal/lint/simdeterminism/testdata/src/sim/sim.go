@@ -40,9 +40,9 @@ func (e *engine) badTimers() {
 	_ = time.NewTicker(time.Second)            // want `time\.NewTicker in simulator code`
 }
 
-func (e *engine) badShardDefault() int {
-	// The engine must take its shard count from the configuration; sizing it
-	// from the host makes the partition machine-dependent.
+func (e *engine) badHostSizing() int {
+	// The engine must take every parameter from the configuration; sizing
+	// anything from the host makes a run machine-dependent.
 	n := runtime.NumCPU()      // want `runtime\.NumCPU in the engine core`
 	n += runtime.GOMAXPROCS(0) // want `runtime\.GOMAXPROCS in the engine core`
 	return n

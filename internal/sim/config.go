@@ -160,14 +160,11 @@ type Config struct {
 	VerifyEpochs bool
 	// Seed makes the run reproducible.
 	Seed int64
-	// Shards partitions the fabric into that many per-leaf-group event
-	// engines run on worker goroutines under a conservative time-window
-	// barrier (see DESIGN.md, "Sharded engine and conservative lookahead").
-	// Results are bit-for-bit identical for every value: 0 or 1 keeps the
-	// classic single-engine path, and any N is clamped to the tree's leaf
-	// group count. Configurations the sharded path cannot serve exactly
-	// (packet tracing, an external LatencyHist sink, FlyNs < 1) silently
-	// run single-engine.
+	// Shards is a compatibility field: every run uses the one event
+	// engine. 0 and 1 are accepted; any other value fails validation.
+	//
+	// Deprecated: the sharded engine was removed (see DESIGN.md, "One event
+	// engine"). Leave Shards unset.
 	Shards int
 	// HeapOnlyScheduler disables the engine's calendar-queue fast path so
 	// every event takes the fallback heap. Results must not depend on it:
@@ -279,8 +276,8 @@ func (c Config) validate() error {
 	if c.Pattern == nil {
 		return fmt.Errorf("sim: Config.Pattern is required")
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("sim: Shards must be >= 0, got %d", c.Shards)
+	if c.Shards != 0 && c.Shards != 1 {
+		return fmt.Errorf("sim: Shards=%d: the sharded engine was removed; every run uses the one event engine, so leave Shards at 0 or 1", c.Shards)
 	}
 	if c.DataVLs < 1 || c.DataVLs > 15 {
 		return fmt.Errorf("sim: DataVLs must be 1..15 (IBA allows up to 15 data VLs), got %d", c.DataVLs)

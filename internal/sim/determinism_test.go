@@ -54,6 +54,86 @@ func goldenCases(t *testing.T) []struct {
 	}
 }
 
+// scenarioCases exercise the model's stateful machinery on top of the plain
+// goldens: a hotspot under store-and-forward, a live fault plan with SM
+// repair and source reselection, the reliable transport riding over a
+// mid-run outage (retransmits, duplicates, ACK/NAK control traffic), and
+// the pluggable selectors (flowspray's per-flow pins, adaptive's congestion
+// view, pktspray's per-flow rotation). Their results are pinned in
+// testdata/golden_results.txt with scenarioFingerprint.
+func scenarioCases(t *testing.T) []struct {
+	name string
+	cfg  Config
+} {
+	t.Helper()
+	mlid82 := mustSubnet(t, 8, 2, core.NewMLID())
+	slid82 := mustSubnet(t, 8, 2, core.NewSLID())
+	return []struct {
+		name string
+		cfg  Config
+	}{
+		{"uniform", Config{
+			Subnet: mlid82, Pattern: traffic.Uniform{Nodes: mlid82.Tree.Nodes()},
+			DataVLs: 2, OfferedLoad: 0.5, WarmupNs: 10_000, MeasureNs: 40_000,
+			SeriesIntervalNs: 10_000, CollectPortStats: true, Seed: 7,
+		}},
+		{"hotspot", Config{
+			Subnet: mlid82, Pattern: traffic.Centric{Nodes: mlid82.Tree.Nodes(), Hotspot: 0, Fraction: 0.5},
+			DataVLs: 4, OfferedLoad: 0.6, WarmupNs: 10_000, MeasureNs: 40_000,
+			Switching: SwitchingSAF, Reception: ReceptionLink, Seed: 3,
+		}},
+		{"faults-reselect", Config{
+			Subnet: slid82, Pattern: traffic.Uniform{Nodes: slid82.Tree.Nodes()},
+			DataVLs: 2, OfferedLoad: 0.4, WarmupNs: 10_000, MeasureNs: 40_000,
+			SeriesIntervalNs: 10_000, Seed: 11,
+			FaultPlan: &FaultPlan{
+				Faults: []LinkFault{
+					{Switch: 0, Port: 1, DownNs: 12_000, UpNs: 32_000},
+					{Switch: 9, Port: 3, DownNs: 18_000},
+				},
+				Reselect: true,
+			},
+			VerifyEpochs: true,
+		}},
+		{"transport-fault", Config{
+			Subnet: mlid82, Pattern: traffic.Uniform{Nodes: mlid82.Tree.Nodes()},
+			DataVLs: 2, OfferedLoad: 0.5, WarmupNs: 5_000, MeasureNs: 25_000,
+			Seed: 19,
+			FaultPlan: &FaultPlan{
+				Faults: []LinkFault{{Switch: 2, Port: 0, DownNs: 8_000, UpNs: 20_000}},
+			},
+			VerifyEpochs: true,
+			Transport:    &TransportConfig{MaxRetries: 2, DrainNs: 120_000},
+		}},
+		{"flowspray", Config{
+			Subnet: mlid82, Pattern: traffic.Uniform{Nodes: mlid82.Tree.Nodes()},
+			DataVLs: 2, OfferedLoad: 0.5, WarmupNs: 10_000, MeasureNs: 40_000,
+			PathSelect: SelectFlowSpray(), Seed: 23,
+		}},
+		{"adaptive-faults", Config{
+			Subnet: mlid82, Pattern: traffic.Centric{Nodes: mlid82.Tree.Nodes(), Hotspot: 5, Fraction: 0.4},
+			DataVLs: 2, OfferedLoad: 0.5, WarmupNs: 10_000, MeasureNs: 40_000,
+			SeriesIntervalNs: 10_000, PathSelect: SelectAdaptive(), Seed: 29,
+			FaultPlan: &FaultPlan{
+				Faults:   []LinkFault{{Switch: 4, Port: 4, DownNs: 15_000, UpNs: 35_000}},
+				Reselect: true,
+			},
+			VerifyEpochs: true,
+		}},
+		{"pktspray-transport-fault", Config{
+			Subnet: mlid82, Pattern: traffic.Uniform{Nodes: mlid82.Tree.Nodes()},
+			DataVLs: 2, OfferedLoad: 0.5, WarmupNs: 5_000, MeasureNs: 25_000,
+			PathSelect: SelectPktSpray(), Seed: 31,
+			FaultPlan: &FaultPlan{
+				Faults:   []LinkFault{{Switch: 2, Port: 0, DownNs: 8_000, UpNs: 20_000}},
+				Reselect: true,
+			},
+			VerifyEpochs: true,
+			Transport:    &TransportConfig{MaxRetries: 2, DrainNs: 120_000},
+		}},
+	}
+}
+
 // fingerprint compacts a Result into a stable, human-diffable line set.
 func fingerprint(r Result) string {
 	return fmt.Sprintf(
@@ -65,8 +145,19 @@ func fingerprint(r Result) string {
 		r.Events, r.EndTime, r.OutOfOrder, r.MaxLinkUtilization, r.MeanLinkUtilization)
 }
 
+// scenarioFingerprint extends fingerprint with the fault, transport and
+// verifier counters the scenario cases drive.
+func scenarioFingerprint(r Result) string {
+	return fingerprint(r) + fmt.Sprintf(
+		" dropped=%d dropped_win=%d reroutes=%d rexmit=%d failed=%d dup=%d acks=%d naks=%d "+
+			"lft_updates=%d lft_entries=%d verified_epochs=%d verify_warnings=%d",
+		r.DroppedTotal, r.DroppedWindow, r.Reroutes, r.Retransmits, r.Failed, r.DupDeliveries,
+		r.AcksSent, r.NaksSent, r.LFTUpdates, r.LFTEntriesRewritten, r.VerifiedEpochs, r.VerifyWarnings)
+}
+
 // TestGoldenDeterminism pins simulation results against fixtures recorded
-// before the engine rewrite. Run with -update to re-record.
+// before the engine rewrite (goldenCases) and the scenario fixtures
+// (scenarioCases). Run with -update to re-record.
 func TestGoldenDeterminism(t *testing.T) {
 	var lines []string
 	for _, tc := range goldenCases(t) {
@@ -75,6 +166,13 @@ func TestGoldenDeterminism(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		lines = append(lines, tc.name+": "+fingerprint(res))
+	}
+	for _, tc := range scenarioCases(t) {
+		res, err := Run(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		lines = append(lines, tc.name+": "+scenarioFingerprint(res))
 	}
 	got := strings.Join(lines, "\n") + "\n"
 
@@ -125,6 +223,82 @@ func TestRunDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a, heapOnly) {
 		t.Errorf("calendar and heap-only scheduler paths disagree:\n cal:  %s\n heap: %s",
 			fingerprint(a), fingerprint(heapOnly))
+	}
+}
+
+// TestScenarioDeterminism requires every scenario case to produce an
+// identical Result field-by-field when run twice, and on both scheduler
+// paths (calendar+heap and heap-only).
+func TestScenarioDeterminism(t *testing.T) {
+	for _, tc := range scenarioCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(heapOnly bool) Result {
+				cfg := tc.cfg
+				cfg.HeapOnlyScheduler = heapOnly
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("heapOnly=%t: %v", heapOnly, err)
+				}
+				return res
+			}
+			a := run(false)
+			if a.TotalDelivered == 0 {
+				t.Fatal("delivered nothing")
+			}
+			if b := run(false); !reflect.DeepEqual(a, b) {
+				t.Errorf("same config, different results:\n a: %s\n b: %s",
+					scenarioFingerprint(a), scenarioFingerprint(b))
+			}
+			if h := run(true); !reflect.DeepEqual(a, h) {
+				t.Errorf("calendar and heap-only scheduler paths disagree:\n cal:  %s\n heap: %s",
+					scenarioFingerprint(a), scenarioFingerprint(h))
+			}
+		})
+	}
+}
+
+// TestShardDeterminismRepeated requires a config that still sets the
+// deprecated Shards field to repeat bit-for-bit across runs: the shim must
+// not leak any per-run state into the engine.
+func TestShardDeterminismRepeated(t *testing.T) {
+	cfg := scenarioCases(t)[0].cfg
+	cfg.Shards = 1
+	run := func() Result {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if a.TotalDelivered == 0 {
+		t.Fatal("delivered nothing")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same config with Shards=1, different results:\n a: %s\n b: %s",
+			scenarioFingerprint(a), scenarioFingerprint(b))
+	}
+}
+
+// TestDeprecatedShards pins the compatibility field: 0 and 1 run the one
+// engine with identical results, and any other value fails loudly instead of
+// being ignored.
+func TestDeprecatedShards(t *testing.T) {
+	cfg := scenarioCases(t)[0].cfg
+	cfg.Shards = 1
+	one, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Shards=1: %v", err)
+	}
+	cfg.Shards = 0
+	if zero, err := Run(cfg); err != nil || !reflect.DeepEqual(zero, one) {
+		t.Errorf("Shards=0 and Shards=1 disagree (err %v)", err)
+	}
+	for _, n := range []int{-1, 2, 8} {
+		cfg.Shards = n
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("Shards=%d: err = %v, want a rejection naming the removal", n, err)
+		}
 	}
 }
 

@@ -262,124 +262,6 @@ func (e *engine) pop(end Time) (event, bool) {
 // pending reports the number of queued events.
 func (e *engine) pending() int { return e.calCount + len(e.far) }
 
-// insert enqueues an event whose t and seq are already assigned — the sharded
-// engine's entry point, where seq is a virtual global sequence number handed
-// out by the barrier coordinator rather than this engine's own counter. The
-// caller guarantees t >= now and that insertions into any one bucket arrive
-// in ascending seq order (the barrier sorts its batch), preserving the
-// calendar's append-order-is-seq-order invariant.
-func (e *engine) insert(ev event) {
-	if !e.heapOnly && ev.t-e.now < calSize {
-		if e.buckets == nil {
-			e.buckets = make([]calBucket, calSize)
-			slab := make([]event, calSize*calSlabCap)
-			for i := range e.buckets {
-				e.buckets[i].evs = slab[i*calSlabCap : i*calSlabCap : (i+1)*calSlabCap]
-			}
-		}
-		bi := int(ev.t & calMask)
-		b := &e.buckets[bi]
-		b.evs = append(b.evs, ev)
-		e.occ[bi>>6] |= 1 << uint(bi&63)
-		e.calCount++
-		if ev.t < e.scanFrom {
-			e.scanFrom = ev.t
-		}
-		return
-	}
-	e.far.push(ev)
-}
-
-// peekKey returns the (t, seq) key of the earliest pending event without
-// removing it, or ok=false on an empty queue. Like pop it may advance the
-// calendar scan cursor, but it never moves now.
-func (e *engine) peekKey() (Time, uint64, bool) {
-	if e.calCount > 0 {
-		t := e.scanFrom
-		if t < e.now {
-			t = e.now
-		}
-		sb := int(t & calMask)
-		w := sb >> 6
-		found := e.occ[w] &^ (1<<uint(sb&63) - 1)
-		for found == 0 {
-			w = (w + 1) % (calSize / 64)
-			found = e.occ[w]
-		}
-		bi := w<<6 + bits.TrailingZeros64(found)
-		t += Time((bi - sb) & calMask)
-		e.scanFrom = t
-		b := &e.buckets[int(t&calMask)]
-		h := b.evs[b.head]
-		if len(e.far) > 0 && e.far[0].less(h) {
-			return e.far[0].t, e.far[0].seq, true
-		}
-		return h.t, h.seq, true
-	}
-	if len(e.far) > 0 {
-		return e.far[0].t, e.far[0].seq, true
-	}
-	return 0, 0, false
-}
-
-// popBound is pop with a lexicographic (t, seq) bound instead of a closed
-// time bound: it removes and returns the earliest pending event strictly
-// below (bt, bseq), or ok=false. The sharded engine's windows end either at
-// a time horizon (bseq=0: everything before bt) or just before a specific
-// coordinator event (bseq=its sequence number).
-func (e *engine) popBound(bt Time, bseq uint64) (event, bool) {
-	var calT Time
-	haveCal := e.calCount > 0
-	if haveCal {
-		t := e.scanFrom
-		if t < e.now {
-			t = e.now
-		}
-		sb := int(t & calMask)
-		w := sb >> 6
-		found := e.occ[w] &^ (1<<uint(sb&63) - 1)
-		for found == 0 {
-			w = (w + 1) % (calSize / 64)
-			found = e.occ[w]
-		}
-		bi := w<<6 + bits.TrailingZeros64(found)
-		t += Time((bi - sb) & calMask)
-		e.scanFrom = t
-		calT = t
-	}
-	useCal := haveCal
-	if haveCal && len(e.far) > 0 {
-		b := &e.buckets[int(calT&calMask)]
-		useCal = b.evs[b.head].less(e.far[0])
-	}
-	if useCal {
-		bi := int(calT & calMask)
-		b := &e.buckets[bi]
-		if calT > bt || (calT == bt && b.evs[b.head].seq >= bseq) {
-			return event{}, false
-		}
-		ev := b.evs[b.head]
-		b.head++
-		if b.head == len(b.evs) {
-			b.evs = b.evs[:0]
-			b.head = 0
-			e.occ[bi>>6] &^= 1 << uint(bi&63)
-		}
-		e.calCount--
-		e.now = calT
-		return ev, true
-	}
-	if len(e.far) == 0 {
-		return event{}, false
-	}
-	if e.far[0].t > bt || (e.far[0].t == bt && e.far[0].seq >= bseq) {
-		return event{}, false
-	}
-	ev := e.far.pop()
-	e.now = ev.t
-	return ev, true
-}
-
 // eventHeap is a monomorphic binary min-heap on (t, seq). Hand-rolled push
 // and pop avoid the interface boxing of container/heap: no per-event
 // allocation, no dynamic dispatch.

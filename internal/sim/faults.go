@@ -182,7 +182,9 @@ type FaultPlan struct {
 	Faults []LinkFault
 	// SwitchFaults take every port of a switch down/up atomically; see
 	// SwitchFault. A switch fault must not overlap a link fault naming one
-	// of the switch's links (validate rejects the ambiguity).
+	// of the switch's links (validate rejects the ambiguity). Two adjacent
+	// switches may fail together: with identical DownNs/UpNs windows their
+	// shared link goes down and up once.
 	SwitchFaults []SwitchFault
 	// TrapLatencyNs is the delay between a link event and the SM noticing it
 	// (port-down detection + trap delivery). Zero takes the default.
@@ -234,6 +236,9 @@ type faultIval struct {
 	key      [2]int32 // canonical switch-side endpoint of the link
 	down, up Time     // up == 0 means down forever
 	desc     string   // "Faults[2] (switch 3 port 1)" etc.
+	// outSwitch is the switch a SwitchFaults entry takes out, -1 for a link
+	// fault.
+	outSwitch int32
 }
 
 // canonicalLink names a physical link by one agreed switch-side endpoint, so
@@ -253,7 +258,9 @@ func canonicalLink(t *topology.Tree, sw int32, port int) [2]int32 {
 // inversions, duplicate events at the same instant, and overlapping outage
 // intervals on the same physical link (including a link fault colliding with
 // a switch fault that covers the same link) — instead of misbehaving or
-// panicking mid-run.
+// panicking mid-run. The one sanctioned overlap is the link between two
+// switch faults on adjacent switches with identical windows: both ends die
+// and revive together, so the link's state is unambiguous.
 func (p FaultPlan) validate(t *topology.Tree) error {
 	if p.TrapLatencyNs < 0 || p.SMProcessNs < 0 || p.LFTUpdateNs < 0 {
 		return fmt.Errorf("sim: negative FaultPlan timing")
@@ -279,7 +286,8 @@ func (p FaultPlan) validate(t *topology.Tree) error {
 		}
 		ivals = append(ivals, faultIval{
 			key: canonicalLink(t, f.Switch, f.Port), down: f.DownNs, up: f.UpNs,
-			desc: fmt.Sprintf("Faults[%d] (switch %d port %d)", i, f.Switch, f.Port),
+			desc:      fmt.Sprintf("Faults[%d] (switch %d port %d)", i, f.Switch, f.Port),
+			outSwitch: -1,
 		})
 	}
 	for i, f := range p.SwitchFaults {
@@ -295,7 +303,8 @@ func (p FaultPlan) validate(t *topology.Tree) error {
 		for port := 0; port < t.M(); port++ {
 			ivals = append(ivals, faultIval{
 				key: canonicalLink(t, f.Switch, port), down: f.DownNs, up: f.UpNs,
-				desc: fmt.Sprintf("SwitchFaults[%d] (switch %d, its link at port %d)", i, f.Switch, port),
+				desc:      fmt.Sprintf("SwitchFaults[%d] (switch %d, its link at port %d)", i, f.Switch, port),
+				outSwitch: f.Switch,
 			})
 		}
 	}
@@ -316,6 +325,10 @@ func (p FaultPlan) validate(t *topology.Tree) error {
 		prev, cur := ivals[i-1], ivals[i]
 		if prev.key != cur.key {
 			continue
+		}
+		if prev.outSwitch >= 0 && cur.outSwitch >= 0 && prev.outSwitch != cur.outSwitch &&
+			prev.down == cur.down && prev.up == cur.up {
+			continue // adjacent switches failing together
 		}
 		switch {
 		case prev.down == cur.down:
@@ -373,9 +386,7 @@ type faultRun struct {
 	lastRepairNs Time
 	lastBroken   int
 
-	// Config.VerifyEpochs counters. On the shared faultRun (not the Sim)
-	// because only barrier-aligned lane-0 events bump them in a sharded
-	// run, so they need no per-lane merge.
+	// Config.VerifyEpochs counters.
 	verifiedEpochs int
 	verifyWarnings int
 
@@ -384,9 +395,7 @@ type faultRun struct {
 	reselMask  []uint64
 	reselEpoch []uint32
 
-	// inband is the in-band SM state (insm.go), nil under the oracle. Like
-	// the verify counters it lives on the shared faultRun: only
-	// barrier-aligned coordinator events touch it in a sharded run.
+	// inband is the in-band SM state (insm.go), nil under the oracle.
 	inband *inbandRun
 }
 
@@ -422,16 +431,22 @@ func (s *Sim) scheduleFaults() {
 	}
 	// A switch fault is its ports' link events landing atomically: every
 	// down (or up) at the same instant, ahead of the single trap they share.
-	for _, f := range plan.SwitchFaults {
+	// A link shared with an earlier switch fault of the same window (validate
+	// admits adjacent switches failing together) is that fault's to schedule.
+	for i, f := range plan.SwitchFaults {
 		for port := 0; port < s.tree.M(); port++ {
-			s.schedule(f.DownNs, event{kind: evLinkDown, a: f.Switch, b: int32(port)})
+			if !s.sharedWithEarlier(plan.SwitchFaults, i, port) {
+				s.schedule(f.DownNs, event{kind: evLinkDown, a: f.Switch, b: int32(port)})
+			}
 		}
 		if oracle {
 			s.schedule(f.DownNs+plan.TrapLatencyNs, event{kind: evTrap})
 		}
 		if f.UpNs > 0 {
 			for port := 0; port < s.tree.M(); port++ {
-				s.schedule(f.UpNs, event{kind: evLinkUp, a: f.Switch, b: int32(port)})
+				if !s.sharedWithEarlier(plan.SwitchFaults, i, port) {
+					s.schedule(f.UpNs, event{kind: evLinkUp, a: f.Switch, b: int32(port)})
+				}
 			}
 			if oracle {
 				s.schedule(f.UpNs+plan.TrapLatencyNs, event{kind: evTrap})
@@ -441,6 +456,22 @@ func (s *Sim) scheduleFaults() {
 	if !oracle {
 		s.initInBand()
 	}
+}
+
+// sharedWithEarlier reports whether the link at port of SwitchFaults[i]'s
+// switch leads to the switch of an earlier entry with the same window.
+func (s *Sim) sharedWithEarlier(faults []SwitchFault, i, port int) bool {
+	f := faults[i]
+	ref := s.tree.SwitchNeighbor(topology.SwitchID(f.Switch), port)
+	if ref.Kind != topology.KindSwitch {
+		return false
+	}
+	for _, g := range faults[:i] {
+		if g.Switch == int32(ref.Switch) && g.DownNs == f.DownNs && g.UpNs == f.UpNs {
+			return true
+		}
+	}
+	return false
 }
 
 // linkEnds returns the global port ids of the transmitting ports of both
@@ -462,9 +493,8 @@ func (s *Sim) linkEnds(sw int32, port int) (a, b int32) {
 
 // linkDown kills both directions of the link: packets buffered on the dead
 // out-ports are dropped (their held credits return so upstream state stays
-// consistent), and the link is recorded for the next SM sweep. The sharded
-// coordinator calls the two halves — killPort on each transmitter's owning
-// lane, markLinkDown once — instead of this wrapper.
+// consistent), and the link is recorded for the next SM sweep: killPort on
+// each transmitter, then markLinkDown once for the link.
 func (s *Sim) linkDown(sw int32, port int) {
 	a, b := s.linkEnds(sw, port)
 	s.killPort(a)

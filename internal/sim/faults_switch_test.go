@@ -7,6 +7,7 @@ import (
 
 	"mlid/internal/core"
 	"mlid/internal/topology"
+	"mlid/internal/traffic"
 )
 
 // findSwitch returns the first switch of the tree at the given level.
@@ -190,5 +191,90 @@ func TestFaultPlanValidationExtended(t *testing.T) {
 	}}
 	if _, err := Run(faultCfg(t, core.NewMLID(), ok)); err != nil {
 		t.Errorf("disjoint repeated outages rejected: %v", err)
+	}
+}
+
+// TestSwitchFaultAdjacentPair fails two adjacent non-leaf switches with one
+// window, the shape the degraded study's switch axis can draw: the plan
+// validates, the shared link goes down once, and the run conserves packets
+// exactly. Every other overlap on the shared link stays rejected.
+func TestSwitchFaultAdjacentPair(t *testing.T) {
+	cfg := faultCfg(t, core.NewMLID(), nil)
+	cfg.Subnet = mustSubnet(t, 4, 3, core.NewMLID())
+	cfg.Pattern = traffic.Uniform{Nodes: cfg.Subnet.Tree.Nodes()}
+	tr := cfg.Subnet.Tree
+	mid := findSwitch(t, tr, 1)
+	top := int32(-1)
+	for port := 0; port < tr.M() && top < 0; port++ {
+		ref := tr.SwitchNeighbor(topology.SwitchID(mid), port)
+		if ref.Kind == topology.KindSwitch && tr.SwitchLevel(ref.Switch) == 0 {
+			top = int32(ref.Switch)
+		}
+	}
+	if top < 0 {
+		t.Fatalf("switch %d has no root neighbor", mid)
+	}
+	cfg.FaultPlan = &FaultPlan{
+		SwitchFaults: []SwitchFault{
+			{Switch: mid, DownNs: 30_000, UpNs: 70_000},
+			{Switch: top, DownNs: 30_000, UpNs: 70_000},
+		},
+		Reselect: true,
+	}
+
+	s := build(cfg.withDefaults())
+	s.scheduleFaults()
+	downs := 0
+	for {
+		ev, ok := s.pop(1 << 40)
+		if !ok {
+			break
+		}
+		if ev.kind == evLinkDown {
+			downs++
+		}
+	}
+	if want := 2*tr.M() - 1; downs != want {
+		t.Errorf("scheduled %d link-down events, want %d (the shared link once)", downs, want)
+	}
+
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("adjacent pair with one window rejected: %v", err)
+	}
+	if res.DroppedTotal == 0 {
+		t.Error("the outage dropped nothing")
+	}
+	if got := res.TotalDelivered + res.DroppedTotal + res.InFlightAtEnd; got != res.TotalGenerated {
+		t.Errorf("conservation: delivered+dropped+inflight = %d, generated = %d", got, res.TotalGenerated)
+	}
+	if again, err := Run(cfg); err != nil || !reflect.DeepEqual(res, again) {
+		t.Errorf("same adjacent-pair config, different results (err %v)", err)
+	}
+
+	for _, c := range []struct {
+		name   string
+		faults []SwitchFault
+		want   string
+	}{
+		{"different windows", []SwitchFault{
+			{Switch: mid, DownNs: 30_000, UpNs: 70_000},
+			{Switch: top, DownNs: 40_000, UpNs: 80_000},
+		}, "overlaps"},
+		{"same switch twice", []SwitchFault{
+			{Switch: mid, DownNs: 30_000, UpNs: 70_000},
+			{Switch: mid, DownNs: 30_000, UpNs: 70_000},
+		}, "same instant"},
+		{"pair plus a repeat", []SwitchFault{
+			{Switch: mid, DownNs: 30_000, UpNs: 70_000},
+			{Switch: top, DownNs: 30_000, UpNs: 70_000},
+			{Switch: mid, DownNs: 30_000, UpNs: 70_000},
+		}, "same instant"},
+	} {
+		bad := cfg
+		bad.FaultPlan = &FaultPlan{SwitchFaults: c.faults}
+		if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", c.name, err, c.want)
+		}
 	}
 }

@@ -49,12 +49,6 @@ package sim
 //   - Both SM instances share the trap-fed knowledge base (knownDead), the
 //     transaction table and the staged updates — SM database replication —
 //     so a takeover resumes, not restarts, recovery.
-//
-// Every handler below runs as a coordinator (barrier-aligned) event in a
-// sharded run and mutates only the shared faultRun/inbandRun state plus
-// lane-0 tables, so shard counts 1/2/4/8 stay bit-identical; the one
-// handler that touches per-lane transport state (drainUnreachable) runs on
-// the flow's owning lane under the barrier (see route's evRexmit case).
 
 import (
 	"fmt"
@@ -65,8 +59,7 @@ import (
 	"mlid/internal/topology"
 )
 
-// inbandRun is the live in-band SM state, nested in faultRun (shared across
-// a sharded run's lanes; only barrier-aligned coordinator events mutate it).
+// inbandRun is the live in-band SM state, nested in faultRun.
 type inbandRun struct {
 	cfg     InBandSMConfig
 	standby int32 // resolved standby node
@@ -477,8 +470,7 @@ func (s *Sim) refreshPartition() {
 // UnreachableDegraded — a loss the transport will not retry, kept apart from
 // Failed (budget exhaustion) — while delivered-but-unconfirmed packets
 // simply leave the sender's books (the simulator is omniscient; counting
-// them too would break conservation). Runs on the flow's owning lane under
-// the coordinator barrier in a sharded run.
+// them too would break conservation).
 func (s *Sim) drainUnreachable(idx int32, f *txFlow) {
 	ib := s.faults.inband
 	rxf := &s.transport.rx[idx]

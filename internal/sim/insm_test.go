@@ -193,21 +193,18 @@ func TestInBandSMSweepOnlyRecovery(t *testing.T) {
 // outage silences every trap (the active SM's attachment is down), the next
 // sweep fails over to the standby, which repairs what it discovers; the
 // master's later revival must NOT flap mastership back. The scenario must be
-// bit-identical across shard counts and on both scheduler paths — all SM
-// logic runs coordinator-side between barrier windows.
+// bit-identical run to run and on both scheduler paths.
 func TestInBandSMFailoverDeterminism(t *testing.T) {
 	plan := &FaultPlan{
 		SwitchFaults: []SwitchFault{{Switch: 2, DownNs: 60_000, UpNs: 90_000}},
 		Reselect:     true,
 		InBandSM:     &InBandSMConfig{},
 	}
-	base := inbandCfg(t, plan)
-	base.Transport = inbandTransport()
-	base.VerifyEpochs = false // identical across engines either way; keep the matrix fast
+	cfg := inbandCfg(t, plan)
+	cfg.Transport = inbandTransport()
+	cfg.VerifyEpochs = false // keep the repeated runs fast
 
-	run := func(shards int) Result {
-		cfg := base
-		cfg.Shards = shards
+	run := func() Result {
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +212,7 @@ func TestInBandSMFailoverDeterminism(t *testing.T) {
 		return res
 	}
 
-	ref := run(0)
+	ref := run()
 	if ref.Failovers != 1 {
 		t.Fatalf("Failovers = %d, want exactly 1 (takeover at the sweep, sticky through revival)", ref.Failovers)
 	}
@@ -230,18 +227,13 @@ func TestInBandSMFailoverDeterminism(t *testing.T) {
 			got, ref.TotalGenerated)
 	}
 
-	for _, shards := range []int{2, 4, 8} {
-		if got := run(shards); !reflect.DeepEqual(ref, got) {
-			t.Errorf("shards=%d diverged from the classic engine:\n ref: %s\n got: %s",
-				shards, fingerprint(ref), fingerprint(got))
-		}
+	if got := run(); !reflect.DeepEqual(ref, got) {
+		t.Errorf("same config, different results:\n ref: %s\n got: %s",
+			fingerprint(ref), fingerprint(got))
 	}
-	for _, shards := range []int{0, 2, 4, 8} {
-		shards := shards
-		if got := withHeapOnlyEngine(t, func() Result { return run(shards) }); !reflect.DeepEqual(ref, got) {
-			t.Errorf("heap-only engine, shards=%d diverged:\n ref: %s\n got: %s",
-				shards, fingerprint(ref), fingerprint(got))
-		}
+	if got := withHeapOnlyEngine(t, run); !reflect.DeepEqual(ref, got) {
+		t.Errorf("heap-only engine diverged:\n ref: %s\n got: %s",
+			fingerprint(ref), fingerprint(got))
 	}
 }
 
@@ -309,7 +301,7 @@ func TestInBandSMValidation(t *testing.T) {
 	// A master on the defaulted standby's leaf (but a different node)
 	// collides at the leaf-switch level, not the node level.
 	cfg := inbandCfg(t, &FaultPlan{
-		Faults:   []LinkFault{{Switch: 2, Port: 2, DownNs: 52_000}},
+		Faults: []LinkFault{{Switch: 2, Port: 2, DownNs: 52_000}},
 		// Equal fields request the default standby (node 7) — which shares
 		// leaf 5 with master node 6.
 		InBandSM: &InBandSMConfig{MasterNode: 6, StandbyNode: 6},

@@ -6,9 +6,9 @@
 // fault-filtered usable mask, the flow identity and per-packet sequence
 // number, the source node's seeded RNG stream, and a read-only CongestionView
 // over the first-hop port state — never the Sim itself, which is what keeps
-// every policy bit-for-bit deterministic across shard counts (the selectorpure
-// analyzer polices this contract; see DESIGN.md, "Path-selection policy
-// layer").
+// every policy a bit-for-bit deterministic function of the run's Config (the
+// selectorpure analyzer polices this contract; see DESIGN.md,
+// "Path-selection policy layer").
 package sim
 
 import (
@@ -26,7 +26,7 @@ import (
 // the per-flow state word stateful selectors read and write through it): no
 // wall clock, no global RNG, no simulator state beyond the CongestionView.
 // Randomness must come from SelectContext.RNG — the source node's seeded
-// stream — so a run is reproducible and identical at every shard count.
+// stream — so a run is reproducible from its Config alone.
 //
 // A Selector value is shared by concurrent runs (it is configuration, not run
 // state); per-run mutable state lives in the run's flow-state array, reached
@@ -52,8 +52,8 @@ type SelectContext struct {
 	// index for fresh packets (a retransmission carries its original index),
 	// the cumulative-acknowledgment watermark for transport control packets.
 	Seq uint32
-	// RNG is the source node's seeded lane-local stream — the only
-	// randomness a selector may draw.
+	// RNG is the source node's seeded stream — the only randomness a
+	// selector may draw.
 	RNG *rand.Rand
 	// Base..Base+Count-1 are the destination's LIDs; Count is capped at 64
 	// to match the usable mask's width.
@@ -80,10 +80,9 @@ type SelectContext struct {
 
 // CongestionView is the one window a Selector has onto live simulator state:
 // the occupancy and credit counters (the vlFlow arrays) of the ports that
-// candidate offsets route onto at the source's leaf switch. Every mutation of
-// those counters happens on the leaf switch's own shard lane — the same lane
-// that runs the source's generation events — so reads through the view are
-// bit-deterministic at every shard count.
+// candidate offsets route onto at the source's leaf switch. The counters
+// change only as events dispatch in (t, seq) order, so reads through the view
+// are bit-deterministic for a given Config.
 type CongestionView struct {
 	s *Sim
 	// fwdBase indexes the leaf switch's compiled forwarding row at the

@@ -295,7 +295,7 @@ func TestPktSprayReorders(t *testing.T) {
 
 // TestSelectorFamilyFaultDeterminism runs every selector through the faulted
 // demo scenario twice and on both scheduler paths: identical Results each
-// time. (Cross-shard determinism is covered by the sharded matrix.)
+// time.
 func TestSelectorFamilyFaultDeterminism(t *testing.T) {
 	for _, name := range SelectorNames() {
 		name := name

@@ -180,10 +180,7 @@ type Sim struct {
 	// selector is the resolved path-selection policy (Config.PathSelect,
 	// rank when nil); selState is the per-(src,dst) flow-state array
 	// stateful selectors pin choices in (flowspray's pin, adaptive's current
-	// path), allocated only when the selector needs it. Entry (src,dst) is
-	// touched only by events on src's lane, so the array — shared by a
-	// sharded run's lanes like cv — stays race-free and deterministic.
-	// selCtx is the reused per-call context: selectors receive *SelectContext
+	// path), allocated only when the selector needs it. selCtx is the reused per-call context: selectors receive *SelectContext
 	// through an interface, and a stack-local would escape to the heap on
 	// every packet.
 	selector Selector
@@ -238,16 +235,7 @@ type Sim struct {
 	// reliable-transport state (Config.Transport); nil when disabled.
 	transport *transportRun
 
-	// shard is non-nil only inside a sharded run (Config.Shards > 1): the
-	// lane's window-recording state plus its link back to the coordinator.
-	// nil on the classic single-engine path, whose schedule() then forwards
-	// straight to the embedded engine.
-	shard *shardCtx
-
-	// live-fault state and counters (Config.FaultPlan). A pointer so the
-	// sharded engine's lanes — shallow copies of one master Sim — share a
-	// single fault state, which only barrier-aligned coordinator events
-	// mutate.
+	// live-fault state and counters (Config.FaultPlan).
 	faults              *faultRun
 	droppedTotal        int64
 	droppedWindow       int64
@@ -262,28 +250,11 @@ type Sim struct {
 // nodePid returns the global port id of a node's source port.
 func (s *Sim) nodePid(node int32) int32 { return s.srcBase + node }
 
-// schedule enqueues an event, shadowing the embedded engine's method: the
-// classic path forwards straight to the engine, while a sharded lane routes
-// through its shard context (recording the call for the barrier replay, or —
-// outside a window — inserting directly with a coordinator-assigned
-// sequence). The single nil check is the sharded engine's only cost on the
-// classic hot path.
-func (s *Sim) schedule(t Time, ev event) {
-	if s.shard == nil {
-		s.engine.schedule(t, ev)
-		return
-	}
-	s.shard.scheduleSharded(s, t, ev)
-}
-
 // Run executes one simulation and returns its measurements.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
-	}
-	if n := cfg.effectiveShards(); n > 1 {
-		return runSharded(cfg, n)
 	}
 	s := build(cfg)
 	s.end = cfg.WarmupNs + cfg.MeasureNs
@@ -314,8 +285,7 @@ func Run(cfg Config) (Result, error) {
 }
 
 // buildResult assembles a finished run's Result from the Sim's accumulated
-// state. Shared by the classic path and the sharded path (which first merges
-// every lane's counters and collectors back into the master Sim).
+// state.
 func (s *Sim) buildResult(horizon Time, events int64) Result {
 	cfg := s.cfg
 	res := Result{

@@ -313,9 +313,8 @@ func (s *Sim) txTrack(node int32, p *pkt) {
 // invalidating any previously scheduled one. The timer carries its drain
 // classification (pi): whether the in-band SM considered the destination
 // unreachable when the timer armed. Like the head's attempt count, the flag
-// is frozen between arming and firing — a verdict change takes effect at the
-// next re-arm — so the sharded engine can route drain timers to the
-// coordinator at scheduling time and both engines degrade identically.
+// is frozen between arming and firing: a verdict change takes effect at the
+// next re-arm, never on a timer already in flight.
 func (s *Sim) armTimer(idx int32, f *txFlow) {
 	f.timerGen++
 	at := s.now + s.transport.cfg.timeout(f.unacked[0].attempts)

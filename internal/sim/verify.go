@@ -22,10 +22,7 @@ import (
 // reads only the compiled form) cannot hide behind a clean table.
 //
 // Everything here is cold path: it runs a handful of times per run, never
-// per packet. Under the sharded engine the caller is always lane 0 executing
-// a coordinator event under the barrier — every other lane is parked, and
-// lfts / fwd16 / faults are shared — so the pass reads a quiescent fabric
-// and its counters (kept on the shared faultRun) need no merge.
+// per packet.
 func (s *Sim) verifyEpoch() {
 	if s.err != nil {
 		return

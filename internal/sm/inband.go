@@ -3,9 +3,9 @@
 // the deterministic master/standby failover automaton, and the sweep's
 // dead-link diff. All three are pure — no clocks, no entropy, no I/O — so the
 // simulator can drive them from its event loop and stay bit-deterministic
-// across scheduler paths and shard counts; they live here (not in the
-// simulator) because they are subnet-manager policy, the in-band counterpart
-// of this package's directed-route bring-up.
+// across scheduler paths; they live here (not in the simulator) because they
+// are subnet-manager policy, the in-band counterpart of this package's
+// directed-route bring-up.
 package sm
 
 // TxnConfig parameterizes SMP set-transaction retransmission. It mirrors the

@@ -100,41 +100,6 @@ func (c *LatencyCollector) Add(ns float64) {
 	c.counts[latIndex(ns)]++
 }
 
-// Merge folds another collector's samples into c, as if every sample had
-// been Added to c directly. Count, Min, Max and the histogram are exactly
-// order-independent; Sum (and so Mean) is exact whenever the samples are
-// integer-valued with a total below 2^53 — true for the simulator, whose
-// latencies are integer nanosecond differences — which makes Merge safe for
-// combining per-shard collectors without perturbing results. Both collectors
-// must be the same mode (streaming or exact).
-func (c *LatencyCollector) Merge(o *LatencyCollector) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	if o.exact != c.exact {
-		panic("stats: merging collectors of different modes")
-	}
-	if c.count == 0 || o.max > c.max {
-		c.max = o.max
-	}
-	if c.count == 0 || o.min < c.min {
-		c.min = o.min
-	}
-	c.count += o.count
-	c.sum += o.sum
-	if c.exact {
-		c.samples = append(c.samples, o.samples...)
-		c.sorted = nil
-		return
-	}
-	if c.counts == nil {
-		c.counts = make([]int64, latBuckets)
-	}
-	for i, n := range o.counts {
-		c.counts[i] += n
-	}
-}
-
 // Count returns the number of samples.
 func (c *LatencyCollector) Count() int { return int(c.count) }
 

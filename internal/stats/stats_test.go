@@ -111,49 +111,3 @@ func TestASCIIChart(t *testing.T) {
 		t.Error("NaN peak")
 	}
 }
-
-func TestLatencyCollectorMerge(t *testing.T) {
-	samples := []float64{120, 45, 3000, 45, 990, 17, 256000, 64}
-	var whole LatencyCollector
-	for _, v := range samples {
-		whole.Add(v)
-	}
-	var a, b, empty LatencyCollector
-	for i, v := range samples {
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(&b)
-	a.Merge(&empty)
-	a.Merge(nil)
-	if a.Count() != whole.Count() || a.Mean() != whole.Mean() ||
-		a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Errorf("merged summary differs: count=%d/%d mean=%v/%v min=%v/%v max=%v/%v",
-			a.Count(), whole.Count(), a.Mean(), whole.Mean(),
-			a.Min(), whole.Min(), a.Max(), whole.Max())
-	}
-	for _, q := range []float64{0.01, 0.5, 0.9, 0.99, 1} {
-		if got, want := a.Percentile(q), whole.Percentile(q); got != want {
-			t.Errorf("p%v: merged %v, whole %v", q*100, got, want)
-		}
-	}
-	// Merging into an empty collector adopts min/max from the source.
-	var c LatencyCollector
-	c.Merge(&whole)
-	if c.Min() != whole.Min() || c.Max() != whole.Max() || c.Count() != whole.Count() {
-		t.Error("merge into empty collector lost summary state")
-	}
-
-	// Exact-mode collectors merge by sample retention.
-	ea, eb := NewExactLatencyCollector(), NewExactLatencyCollector()
-	ea.Add(10)
-	eb.Add(30)
-	eb.Add(20)
-	ea.Merge(eb)
-	if ea.Count() != 3 || ea.Percentile(0.5) != 20 {
-		t.Errorf("exact merge: count=%d p50=%v", ea.Count(), ea.Percentile(0.5))
-	}
-}

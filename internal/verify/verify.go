@@ -96,8 +96,8 @@ type Options struct {
 	// Parallelism bounds the worker count of the reachability walk, whose
 	// per-leaf sources are independent (findings merge in canonical order,
 	// so the report is byte-identical at any setting). <= 1 runs serial —
-	// the right call inside the simulator's per-epoch hook, which is itself
-	// invoked from sharded runs.
+	// the right call inside the simulator's per-epoch hook, whose caller may
+	// already be one of many concurrent campaign runs.
 	Parallelism int
 }
 
