@@ -34,14 +34,15 @@ lint-fix: lint
 
 # race runs the race detector over the packages with internal concurrency
 # (the experiment worker pool, whose concurrent runs share read-only subnets,
-# and the parallel verifier walk it drives) and the packages the determinism
+# and the parallel verifier walk, whose per-worker claim and dependency sets
+# merge after the walk) and the packages the determinism
 # analyzers guard (sim, sm, core), whose order-sensitive paths the race pass
 # exercises twice via the determinism regression tests. The sim suite
 # includes the scenario fixtures (faults, reliable transport, every
 # selector), the fault-injection paths (link death, SM traps, staged table
 # updates, reselection) and the quick recovery study.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/experiment/... ./internal/sm/... ./internal/core/...
+	$(GO) test -race ./internal/sim/... ./internal/experiment/... ./internal/sm/... ./internal/core/... ./internal/verify/...
 
 # soak runs the deterministic chaos campaigns: two seeds of link-flap
 # schedules with the reliable transport on, each executed twice per scheduler
@@ -100,9 +101,11 @@ BENCH_TIME ?= 1x
 BENCH_COUNT ?= 1
 
 # bench regenerates the figure-level benchmarks with allocation counts, plus
-# the control-plane repair benchmarks (incremental repair and SM recovery).
+# the control-plane repair benchmarks (incremental repair and SM recovery)
+# and the per-epoch static verification layer (verify.Run, healthy and
+# repaired).
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkFig|BenchmarkRepairIncremental|BenchmarkSMRecovery' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
+	$(GO) test -run xxx -bench 'BenchmarkFig|BenchmarkRepairIncremental|BenchmarkSMRecovery|BenchmarkVerifyEpoch' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
 
 # bench-json runs the figure benchmarks and records ns/op and allocs/op as
 # committed JSON (BENCH_$(BENCH_PR).json), so perf gates diff against a file
@@ -112,7 +115,7 @@ bench:
 # committed.
 BENCH_PR ?= 10
 bench-json:
-	$(GO) test -run xxx -bench 'BenchmarkFig|BenchmarkRepairIncremental|BenchmarkSMRecovery' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . | tee bench.out
+	$(GO) test -run xxx -bench 'BenchmarkFig|BenchmarkRepairIncremental|BenchmarkSMRecovery|BenchmarkVerifyEpoch' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . | tee bench.out
 	$(GO) run ./cmd/benchjson < bench.out > BENCH_$(BENCH_PR).json
 	@rm -f bench.out
 	@echo wrote BENCH_$(BENCH_PR).json

@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	"mlid"
+	"mlid/internal/ib"
+	"mlid/internal/verify"
 )
 
 // benchFigure runs a reduced version of one evaluation figure.
@@ -429,6 +431,68 @@ func BenchmarkRepairIncremental(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkVerifyEpoch measures one per-epoch static verification, the
+// pass sim.Config.VerifyEpochs runs at every SM epoch: verify.Run on
+// FT(8,3) MLID with 2 VLs mapped by DLID, quality skipped, serial walk.
+// healthy verifies the configured tables; repaired verifies the tables
+// core.RepairSubnet leaves after a fixed four-link fault, whose broken
+// descending entries are warnings. Work is one walk per (leaf, assigned
+// LID) route, reported as routes/op.
+func BenchmarkVerifyEpoch(b *testing.B) {
+	tree, err := mlid.NewTree(8, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	healthy, err := mlid.Configure(tree, mlid.MLID())
+	if err != nil {
+		b.Fatal(err)
+	}
+	repaired, err := mlid.Configure(tree, mlid.MLID())
+	if err != nil {
+		b.Fatal(err)
+	}
+	faults := mlid.NewFaultSet()
+	var dead [][2]int32
+	for _, node := range []mlid.NodeID{0, 37, 90} {
+		leaf, _ := tree.NodeAttachment(node)
+		port := tree.H() + int(node)%tree.H()
+		faults.FailLink(tree, leaf, port)
+		dead = append(dead, [2]int32{int32(leaf), int32(port)})
+	}
+	faults.FailLink(tree, 0, 3) // a root's descending link
+	dead = append(dead, [2]int32{0, 3})
+	if _, _, err := mlid.RepairSubnet(repaired, faults); err != nil {
+		b.Fatal(err)
+	}
+	degraded := verify.FromSubnet(repaired)
+	degraded.DeadLinks = dead
+
+	opt := verify.Options{
+		VLs:         2,
+		VLOf:        func(dlid ib.LID, vls int) int { return int(dlid) % vls },
+		SkipQuality: true,
+		Parallelism: 1,
+	}
+	for _, c := range []struct {
+		name string
+		in   verify.Input
+	}{{"healthy", verify.FromSubnet(healthy)}, {"repaired", degraded}} {
+		b.Run(c.name, func(b *testing.B) {
+			var rep *verify.Report
+			for i := 0; i < b.N; i++ {
+				rep, err = verify.Run(c.in, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			if rep.Errors() != 0 {
+				b.Fatalf("%d error findings", rep.Errors())
+			}
+			b.ReportMetric(float64(rep.Stats.RoutesChecked), "routes/op")
 		})
 	}
 }

@@ -102,7 +102,10 @@ type DegradedRow struct {
 	// congestion bound), StaticUnrouted the flows no surviving LID serves,
 	// StaticMeanDilation the mean path stretch vs the minimal up*/down*
 	// path. StaticWarnings counts the dead-link findings (broken
-	// descending entries); error-severity findings abort the study.
+	// descending entries) the verifier kept: at most 64 per analyzer, the
+	// default verify.Options.MaxFindings — those past the cap count in the
+	// report's Stats.Suppressed instead. Error-severity findings abort the
+	// study.
 	StaticMaxLoad      float64
 	StaticMeanLoad     float64
 	StaticMeanDilation float64

@@ -406,8 +406,11 @@ type Result struct {
 	RecoveryNs Time
 	// VerifiedEpochs counts the static-verifier passes a
 	// Config.VerifyEpochs run executed (one per SM epoch), and
-	// VerifyWarnings the warning-severity findings they reported in total —
-	// the dead-link-explained defects of mid-repair tables. Error-severity
+	// VerifyWarnings the warning-severity findings they reported, summed
+	// over the passes — the dead-link-explained defects of mid-repair
+	// tables. Each pass counts only the warnings kept under the verifier's
+	// per-analyzer cap (verify.Options.MaxFindings, 64 by default); those
+	// past it land in the pass's Stats.Suppressed, not here. Error-severity
 	// findings never reach the Result: they fail the run instead.
 	VerifiedEpochs, VerifyWarnings int
 

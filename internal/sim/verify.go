@@ -22,7 +22,9 @@ import (
 // reads only the compiled form) cannot hide behind a clean table.
 //
 // Everything here is cold path: it runs a handful of times per run, never
-// per packet.
+// per packet. The verifier walks each (leaf, assigned LID) route once for
+// both reachability and the per-lane dependency graphs, and a route that
+// hits no defect allocates nothing.
 func (s *Sim) verifyEpoch() {
 	if s.err != nil {
 		return

@@ -160,7 +160,7 @@ func TestRankIsGroupLocalIndex(t *testing.T) {
 		seen := map[string][]int64{}
 		for id := 0; id < tr.Nodes(); id++ {
 			d := tr.NodeDigits(NodeID(id))
-			key := digitString(d[:alpha])
+			key := string(appendDigits(nil, d[:alpha]))
 			seen[key] = append(seen[key], tr.Rank(NodeID(id), alpha))
 		}
 		for key, ranks := range seen {

@@ -29,6 +29,7 @@ package topology
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 )
 
 // NodeID identifies a processing node. NodeIDs are dense in [0, Tree.Nodes())
@@ -250,7 +251,13 @@ func (t *Tree) NodeFromDigits(d []int) (NodeID, error) {
 // NodeLabel renders the node label as the paper writes it, e.g. "P(010)".
 // Digits of two or more decimal places are separated by dots.
 func (t *Tree) NodeLabel(id NodeID) string {
-	return "P(" + digitString(t.NodeDigits(id)) + ")"
+	var d [32]int
+	digits := d[:t.n]
+	t.nodeDigitsInto(id, digits)
+	var buf [64]byte
+	b := append(buf[:0], "P("...)
+	b = appendDigits(b, digits)
+	return string(append(b, ')'))
 }
 
 // SwitchLevel returns the level of the switch, in [0, n).
@@ -327,11 +334,26 @@ func (t *Tree) SwitchFromDigits(d []int, level int) (SwitchID, error) {
 
 // SwitchLabel renders the switch label as the paper writes it, e.g. "SW<10,1>".
 func (t *Tree) SwitchLabel(id SwitchID) string {
-	d, l := t.SwitchDigits(id)
-	return fmt.Sprintf("SW<%s,%d>", digitString(d), l)
+	var buf [64]byte
+	return string(t.AppendSwitchLabel(buf[:0], id))
 }
 
-func digitString(d []int) string {
+// AppendSwitchLabel appends SwitchLabel(id) to b: the allocation-free form
+// for callers composing labels, such as the verifier's link names.
+func (t *Tree) AppendSwitchLabel(b []byte, id SwitchID) []byte {
+	var d [32]int
+	digits := d[:t.n-1]
+	level := t.switchDigitsInto(id, digits)
+	b = append(b, "SW<"...)
+	b = appendDigits(b, digits)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(level), 10)
+	return append(b, '>')
+}
+
+// appendDigits appends the label digits, dot-separated when any digit needs
+// two or more decimal places.
+func appendDigits(b []byte, d []int) []byte {
 	wide := false
 	for _, v := range d {
 		if v > 9 {
@@ -339,14 +361,13 @@ func digitString(d []int) string {
 			break
 		}
 	}
-	s := ""
 	for i, v := range d {
 		if wide && i > 0 {
-			s += "."
+			b = append(b, '.')
 		}
-		s += fmt.Sprintf("%d", v)
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return s
+	return b
 }
 
 // IsLeaf reports whether the switch is a leaf switch (level n-1), i.e. has

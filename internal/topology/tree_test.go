@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -315,6 +317,39 @@ func TestLabels(t *testing.T) {
 	wn, _ := wide.NodeFromDigits([]int{31, 15})
 	if got := wide.NodeLabel(wn); got != "P(31.15)" {
 		t.Errorf("wide NodeLabel = %q, want P(31.15)", got)
+	}
+}
+
+// TestLabelsMatchFmt cross-checks every label of a narrow, a wide and a
+// deep fabric against a plain fmt rendering of the digits.
+func TestLabelsMatchFmt(t *testing.T) {
+	render := func(d []int) string {
+		wide := false
+		for _, v := range d {
+			wide = wide || v > 9
+		}
+		parts := make([]string, len(d))
+		for i, v := range d {
+			parts[i] = fmt.Sprint(v)
+		}
+		if wide {
+			return strings.Join(parts, ".")
+		}
+		return strings.Join(parts, "")
+	}
+	for _, net := range [][2]int{{4, 3}, {32, 2}, {16, 3}, {4, 1}} {
+		tr := MustNew(net[0], net[1])
+		for s := 0; s < tr.Switches(); s++ {
+			d, l := tr.SwitchDigits(SwitchID(s))
+			if got, want := tr.SwitchLabel(SwitchID(s)), fmt.Sprintf("SW<%s,%d>", render(d), l); got != want {
+				t.Fatalf("%s: SwitchLabel(%d) = %q, want %q", tr, s, got, want)
+			}
+		}
+		for p := 0; p < tr.Nodes(); p++ {
+			if got, want := tr.NodeLabel(NodeID(p)), "P("+render(tr.NodeDigits(NodeID(p)))+")"; got != want {
+				t.Fatalf("%s: NodeLabel(%d) = %q, want %q", tr, p, got, want)
+			}
+		}
 	}
 }
 

@@ -59,12 +59,13 @@ func (f *fabric) checkAddressing(rep *Report) {
 		f.owner[i] = -1
 	}
 	for p, r := range f.in.Endports {
-		node := f.t.NodeLabel(topology.NodeID(p))
+		// Labels are built only for findings: a clean plan formats nothing.
+		node := func() string { return f.t.NodeLabel(topology.NodeID(p)) }
 		if r.Base == 0 {
 			rep.add(f.cap, Finding{
 				Analyzer: "addressing",
 				Severity: Error,
-				Location: node,
+				Location: node(),
 				Message:  "assigned the reserved base LID 0",
 				Witness:  nil,
 			})
@@ -76,7 +77,7 @@ func (f *fabric) checkAddressing(rep *Report) {
 				rep.add(f.cap, Finding{
 					Analyzer: "addressing",
 					Severity: Error,
-					Location: node,
+					Location: node(),
 					Message: fmt.Sprintf("LID %d beyond the forwarding-table size %d (LMC block overflows the table)",
 						lid, f.space),
 					Witness: []string{r.String()},
@@ -87,11 +88,11 @@ func (f *fabric) checkAddressing(rep *Report) {
 				rep.add(f.cap, Finding{
 					Analyzer: "addressing",
 					Severity: Error,
-					Location: node,
+					Location: node(),
 					Message:  fmt.Sprintf("LID %d already owned by %s (LMC blocks overlap)", lid, f.t.NodeLabel(topology.NodeID(prev))),
 					Witness: []string{
 						fmt.Sprintf("%s owns %s", f.t.NodeLabel(topology.NodeID(prev)), f.in.Endports[prev].String()),
-						fmt.Sprintf("%s owns %s", node, r.String()),
+						fmt.Sprintf("%s owns %s", node(), r.String()),
 					},
 				})
 				continue

@@ -2,16 +2,44 @@ package verify
 
 import (
 	"fmt"
-	"sort"
-
-	"mlid/internal/ib"
-	"mlid/internal/topology"
 )
 
-// checkDeadlock builds the channel-dependency graph each virtual lane's
+// depGraph is one lane's channel-dependency graph as the walks build it:
+// the channels some route holds, and an edge set indexed
+// prevChannel*m + nextPort — the next channel's switch is prevChannel's
+// neighbor, so the port alone names it.
+type depGraph struct {
+	m     int
+	used  bitset
+	edges bitset
+}
+
+func (f *fabric) newDepGraph() depGraph {
+	numChan := f.t.Switches() * f.m
+	return depGraph{m: f.m, used: newBitset(numChan), edges: newBitset(numChan * f.m)}
+}
+
+// dep records that a route holds channel cur, out of port, having arrived
+// holding prev (prev < 0: cur is the route's first channel).
+func (g *depGraph) dep(prev, cur int32, port int) {
+	g.used.set(int(cur))
+	if prev >= 0 {
+		g.edges.set(int(prev)*g.m + port)
+	}
+}
+
+// union folds o's channels and edges into g.
+func (g *depGraph) union(o *depGraph) {
+	g.used.or(o.used)
+	g.edges.or(o.edges)
+}
+
+// checkDeadlock searches the channel-dependency graph each virtual lane's
 // traffic induces — an edge from channel A to channel B whenever some route
-// can hold A while requesting B — and searches it for cycles (Dally &
-// Seitz: acyclic proves deadlock freedom under credit-based flow control).
+// can hold A while requesting B — for cycles (Dally & Seitz: acyclic proves
+// deadlock freedom under credit-based flow control). The reachability walks
+// built the graphs, one per lane, or one shared graph when VLOf is nil
+// (every lane carries every route, so one graph proves all lanes).
 //
 // It generalizes core.CheckDeadlockFree in two ways the fault path needs:
 // routes through broken tables contribute the dependencies of the hops they
@@ -19,125 +47,58 @@ import (
 // into a dead link drops there instantly, holding nothing further, so the
 // dead hop forms no edge), and the cycle witness is the shortest one in the
 // graph, not the first one a DFS stumbles into.
-func (f *fabric) checkDeadlock(rep *Report, opt Options) {
-	if opt.VLOf == nil {
-		// Every lane carries every route: one graph proves all lanes.
-		f.deadlockGraph(rep, -1, opt)
-		return
-	}
-	for vl := 0; vl < opt.VLs; vl++ {
-		f.deadlockGraph(rep, vl, opt)
-	}
-}
-
-// deadlockGraph accumulates and checks the dependency graph of one lane
-// (vl < 0: the shared graph of all lanes).
-func (f *fabric) deadlockGraph(rep *Report, vl int, opt Options) {
-	t := f.t
-	numChan := t.Switches() * f.m
-	edges := make(map[int64]struct{})
-	used := make([]bool, numChan)
-
-	for sw := 0; sw < t.Switches(); sw++ {
-		leaf := topology.SwitchID(sw)
-		if !t.IsLeaf(leaf) {
+func (f *fabric) checkDeadlock(rep *Report, graphs []depGraph) {
+	for vl := range graphs {
+		g := &graphs[vl]
+		if channels := g.used.count(); channels > rep.Stats.Channels {
+			rep.Stats.Channels = channels
+		}
+		adj, deps := f.buildAdjacency(g)
+		if deps > rep.Stats.Dependencies {
+			rep.Stats.Dependencies = deps
+		}
+		cycle := shortestCycle(adj, len(adj))
+		if cycle == nil {
 			continue
 		}
-		for p := 0; p < t.Nodes(); p++ {
-			r := f.in.Endports[p]
-			for off := 0; off < r.Count(); off++ {
-				lid := int(r.Base) + off
-				if lid <= 0 || lid >= f.space || f.owner[lid] != int32(p) {
-					continue
-				}
-				if vl >= 0 && opt.VLOf(ib.LID(lid), opt.VLs) != vl {
-					continue
-				}
-				f.routeDeps(leaf, lid, edges, used)
+		witness := make([]string, len(cycle))
+		for i, c := range cycle {
+			witness[i] = f.chanLabel(c)
+		}
+		lane := "every VL (no VL transitions)"
+		if f.vlOf != nil {
+			lane = fmt.Sprintf("VL %d", vl)
+		}
+		rep.add(f.cap, Finding{
+			Analyzer: "deadlock",
+			Severity: Error,
+			Location: witness[0],
+			Message:  fmt.Sprintf("channel-dependency cycle of %d links on %s: credit deadlock possible", len(cycle), lane),
+			Witness:  witness,
+		})
+	}
+}
+
+// buildAdjacency turns the edge set into adjacency lists sharing one
+// backing array, and returns them with the edge count. Scanning the set in
+// index order yields each channel's successors already ascending (they sit
+// on one neighbor switch, ordered by port), so every later traversal is
+// deterministic without a sort.
+func (f *fabric) buildAdjacency(g *depGraph) ([][]int32, int) {
+	numChan := len(f.nbr)
+	to := make([]int32, 0, g.edges.count())
+	adj := make([][]int32, numChan)
+	for a := 0; a < numChan; a++ {
+		start := len(to)
+		base := int32(f.nbr[a].Switch) * int32(f.m)
+		for p := 0; p < f.m; p++ {
+			if g.edges.has(a*f.m + p) {
+				to = append(to, base+int32(p))
 			}
 		}
+		adj[a] = to[start:len(to):len(to)]
 	}
-
-	channels := 0
-	for _, u := range used {
-		if u {
-			channels++
-		}
-	}
-	if channels > rep.Stats.Channels {
-		rep.Stats.Channels = channels
-	}
-	if len(edges) > rep.Stats.Dependencies {
-		rep.Stats.Dependencies = len(edges)
-	}
-
-	adj := buildAdjacency(edges, numChan)
-	cycle := shortestCycle(adj, numChan)
-	if cycle == nil {
-		return
-	}
-	witness := make([]string, len(cycle))
-	for i, c := range cycle {
-		witness[i] = f.linkLabel(topology.SwitchID(c/f.m), c%f.m)
-	}
-	lane := "every VL (no VL transitions)"
-	if vl >= 0 {
-		lane = fmt.Sprintf("VL %d", vl)
-	}
-	rep.add(f.cap, Finding{
-		Analyzer: "deadlock",
-		Severity: Error,
-		Location: witness[0],
-		Message:  fmt.Sprintf("channel-dependency cycle of %d links on %s: credit deadlock possible", len(cycle), lane),
-		Witness:  witness,
-	})
-}
-
-// routeDeps walks one route and records its channel dependencies: each
-// consecutive pair of live out-links forms an edge. The walk stops silently
-// at any defect — reachability owns the findings.
-func (f *fabric) routeDeps(leaf topology.SwitchID, lid int, edges map[int64]struct{}, used []bool) {
-	t := f.t
-	maxSwitches := 2*t.N() + 2
-	sw := leaf
-	prev := -1
-	for hops := 0; hops < maxSwitches; hops++ {
-		phys := f.in.LFTs[sw].Port(ib.LID(lid))
-		if phys == ib.PortNone || phys == 0 || int(phys) > f.m {
-			return
-		}
-		ab := int(phys) - 1
-		if f.deadAt(sw, ab) {
-			return // the packet drops at sw; the dead channel is never held
-		}
-		cur := int(sw)*f.m + ab
-		used[cur] = true
-		if prev >= 0 {
-			edges[int64(prev)<<32|int64(cur)] = struct{}{}
-		}
-		ref := t.SwitchNeighbor(sw, ab)
-		if ref.Kind != topology.KindSwitch {
-			return
-		}
-		sw = ref.Switch
-		prev = cur
-	}
-}
-
-// buildAdjacency turns the edge set into sorted adjacency lists, so every
-// later traversal is deterministic.
-func buildAdjacency(edges map[int64]struct{}, numChan int) [][]int32 {
-	keys := make([]int64, 0, len(edges))
-	for k := range edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	adj := make([][]int32, numChan)
-	for _, k := range keys {
-		a, b := int(k>>32), int32(k&0xffffffff)
-		adj[a] = append(adj[a], b)
-	}
-	return adj
+	return adj, len(to)
 }
 
 // shortestCycle returns the shortest directed cycle in the graph (nil if

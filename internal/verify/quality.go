@@ -103,7 +103,7 @@ func (f *fabric) qualityMatrix(rep *Report, name string, each func(func(src, dst
 		q.MeanLoad = sum / float64(usedLinks)
 	}
 	if maxAt >= 0 {
-		q.MaxLink = f.linkLabel(topology.SwitchID(maxAt/f.m), maxAt%f.m)
+		q.MaxLink = f.chanLabel(maxAt)
 	}
 
 	// Root-link balance: the descending links out of root switches, dead
@@ -171,8 +171,7 @@ func (f *fabric) tracePath(src, dst topology.NodeID, dlid ib.LID, scratch []int3
 	}
 	path := scratch[:0]
 	sw, _ := t.NodeAttachment(src)
-	maxSwitches := 2*t.N() + 2
-	for hops := 0; hops < maxSwitches; hops++ {
+	for hops := 0; hops < f.maxSwitches; hops++ {
 		phys := f.in.LFTs[sw].Port(dlid)
 		if phys == ib.PortNone || phys == 0 || int(phys) > f.m {
 			return path, false
@@ -181,8 +180,9 @@ func (f *fabric) tracePath(src, dst topology.NodeID, dlid ib.LID, scratch []int3
 		if f.deadAt(sw, ab) {
 			return path, false
 		}
-		path = append(path, int32(int(sw)*f.m+ab))
-		ref := t.SwitchNeighbor(sw, ab)
+		c := int(sw)*f.m + ab
+		path = append(path, int32(c))
+		ref := &f.nbr[c]
 		switch ref.Kind {
 		case topology.KindNone:
 			return path, false

@@ -31,37 +31,102 @@ type reachCandidate struct {
 	f      Finding
 }
 
-// reachRecorder accumulates one leaf's walk output: candidates in emission
-// order, a local first-encounter dedup (the slice of what this leaf would
-// emit if it ran first), and the routes-checked count.
-type reachRecorder struct {
-	seen   map[entryKey]bool
-	cands  []reachCandidate
-	routes int
+// reachOut is the walk output the canonical merge consumes: candidates in
+// emission order, formatted only up to the finding cap. Past the cap a
+// per-entry candidate keeps just its key (the merge still needs it for the
+// cross-leaf dedup) and a keyless one is just counted — either way it can
+// only be suppressed, because a candidate at local index >= cap lands at
+// global index >= cap: every earlier local candidate the merge drops as a
+// duplicate was kept, under a distinct key, from an earlier leaf.
+type reachOut struct {
+	cands     []reachCandidate
+	overKeys  []entryKey
+	overPlain int
+	routes    int
 }
 
-// claim reports whether (sw, lid) is new to this recorder, marking it seen.
-// Callers check claim before building a finding at all — constructing the
-// message and witness strings for an entry another route already flagged is
-// the dominant cost of a walk over a heavily-degraded fabric.
-func (r *reachRecorder) claim(sw topology.SwitchID, lid int) bool {
-	k := entryKey{int32(sw), lid}
-	if r.seen[k] {
+// walker is one worker's walk state, reused route after route: the claim
+// set of flagged (switch, LID) entries, the current route's out-channels,
+// and the channel-dependency graph of every lane the walks feed. A route
+// that hits no defect allocates nothing.
+type walker struct {
+	f       *fabric
+	claimed bitset     // switch*space + LID -> entry already flagged
+	hops    []int32    // current route's out-channels (sw*m+port)
+	path    []int32    // the switches hops leave from, for the loop check
+	graphs  []depGraph // one per lane; a single shared one when VLOf is nil
+	out     *reachOut
+}
+
+func (f *fabric) newWalker() *walker {
+	lanes := 1
+	if f.vlOf != nil {
+		lanes = f.vls
+	}
+	w := &walker{
+		f:       f,
+		claimed: newBitset(f.t.Switches() * f.space),
+		hops:    make([]int32, 0, f.maxSwitches),
+		path:    make([]int32, 0, f.maxSwitches),
+		graphs:  make([]depGraph, lanes),
+	}
+	for i := range w.graphs {
+		w.graphs[i] = f.newDepGraph()
+	}
+	return w
+}
+
+// full reports whether the finding cap is reached, so the next candidate
+// is counted instead of formatted.
+func (w *walker) full() bool {
+	return w.f.cap > 0 && len(w.out.cands) >= w.f.cap
+}
+
+// claim reports whether the caller should format a finding for (sw, lid),
+// marking the entry flagged. It returns false when a route already flagged
+// the entry, and when the cap is full — then only the key is kept, for the
+// merge's cross-leaf dedup and suppressed count. Formatting the message and
+// witness strings is the dominant cost of a walk over a heavily degraded
+// fabric, so nothing is built that could not reach the report.
+func (w *walker) claim(sw topology.SwitchID, lid int) bool {
+	i := int(sw)*w.f.space + lid
+	if w.claimed.has(i) {
 		return false
 	}
-	r.seen[k] = true
+	w.claimed.set(i)
+	if w.full() {
+		w.out.overKeys = append(w.out.overKeys, entryKey{int32(sw), lid})
+		return false
+	}
 	return true
 }
 
 // entry records a claimed per-entry finding.
-func (r *reachRecorder) entry(sw topology.SwitchID, lid int, f Finding) {
-	k := entryKey{int32(sw), lid}
-	r.cands = append(r.cands, reachCandidate{hasKey: true, key: k, f: f})
+func (w *walker) entry(sw topology.SwitchID, lid int, f Finding) {
+	w.out.cands = append(w.out.cands, reachCandidate{hasKey: true, key: entryKey{int32(sw), lid}, f: f})
 }
 
-// plain records an undeduped finding (the aggregate unreachability warning).
-func (r *reachRecorder) plain(f Finding) {
-	r.cands = append(r.cands, reachCandidate{f: f})
+// unclaimAll empties the claim set of the entries the current output
+// holds, readying the walker for the next leaf's independent dedup.
+func (w *walker) unclaimAll() {
+	out := w.out
+	for _, c := range out.cands {
+		if c.hasKey {
+			w.claimed.clear(int(c.key.sw)*w.f.space + c.key.lid)
+		}
+	}
+	for _, k := range out.overKeys {
+		w.claimed.clear(int(k.sw)*w.f.space + k.lid)
+	}
+}
+
+// witness renders the current route's hops.
+func (w *walker) witness(from int) []string {
+	out := make([]string, 0, len(w.hops)-from)
+	for _, c := range w.hops[from:] {
+		out = append(out, w.f.chanLabel(int(c)))
+	}
+	return out
 }
 
 // checkReachability walks every (leaf switch, assigned LID) route through
@@ -70,49 +135,48 @@ func (r *reachRecorder) plain(f Finding) {
 // misdeliveries and fall-offs are errors with the walked path as witness;
 // entries pointing at recorded dead links are warnings (the drop is the
 // documented fate of an unrepaireable entry); a destination whose every LID
-// is dead from some leaf gets one aggregated unreachability warning.
+// is dead from some leaf gets one aggregated unreachability warning. The
+// same walks build the channel-dependency graphs checkDeadlock searches,
+// which it returns, one per lane.
 //
 // Leaves are independent sources, so with par > 1 their walks run on a
 // worker pool; each leaf records into its own slot and a serial merge in
 // ascending-leaf order applies the global first-leaf-wins dedup and the
 // finding cap, so the report is byte-identical to the serial walk no matter
-// the worker count or scheduling.
-func (f *fabric) checkReachability(rep *Report, par int) {
-	t := f.t
-	var leaves []topology.SwitchID
-	for sw := 0; sw < t.Switches(); sw++ {
-		if t.IsLeaf(topology.SwitchID(sw)) {
-			leaves = append(leaves, topology.SwitchID(sw))
-		}
-	}
+// the worker count or scheduling. The dependency graphs are edge sets, so
+// the workers' graphs merge by union.
+func (f *fabric) checkReachability(rep *Report, par int) []depGraph {
+	leaves := f.leaves
 	if par > len(leaves) {
 		par = len(leaves)
 	}
 	if par <= 1 {
-		// Serial: one recorder shared by every leaf, so the global
-		// first-encounter dedup gates finding construction itself — a
-		// duplicate entry never builds its witness strings at all.
-		rec := &reachRecorder{seen: make(map[entryKey]bool)}
+		// Serial: one walker and one output for every leaf, so the
+		// global first-encounter dedup gates finding construction itself
+		// — a duplicate entry never builds its witness strings at all.
+		w := f.newWalker()
+		outs := []reachOut{{}}
+		w.out = &outs[0]
 		for _, leaf := range leaves {
-			f.walkLeaf(rec, leaf)
+			w.walkLeaf(leaf)
 		}
-		rep.Stats.RoutesChecked += rec.routes
-		for _, c := range rec.cands {
-			rep.add(f.cap, c.f)
-		}
-		return
+		f.mergeReach(rep, outs)
+		return w.graphs
 	}
-	recs := make([]*reachRecorder, len(leaves))
+	outs := make([]reachOut, len(leaves))
+	walkers := make([]*walker, par)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
+	for i := range walkers {
+		w := f.newWalker()
+		walkers[i] = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				rec := &reachRecorder{seen: make(map[entryKey]bool)}
-				f.walkLeaf(rec, leaves[i])
-				recs[i] = rec
+			for j := range jobs {
+				w.out = &outs[j]
+				w.walkLeaf(leaves[j])
+				w.unclaimAll()
 			}
 		}()
 	}
@@ -121,25 +185,48 @@ func (f *fabric) checkReachability(rep *Report, par int) {
 	}
 	close(jobs)
 	wg.Wait()
-	// Canonical merge: ascending leaves, per-leaf emission order, global
-	// first-leaf-wins dedup.
-	seen := make(map[entryKey]bool)
-	for _, rec := range recs {
-		rep.Stats.RoutesChecked += rec.routes
-		for _, c := range rec.cands {
-			if c.hasKey {
-				if seen[c.key] {
-					continue
-				}
-				seen[c.key] = true
-			}
-			rep.add(f.cap, c.f)
+	f.mergeReach(rep, outs)
+	graphs := walkers[0].graphs
+	for _, w := range walkers[1:] {
+		for l := range graphs {
+			graphs[l].union(&w.graphs[l])
 		}
+	}
+	return graphs
+}
+
+// mergeReach is the canonical merge: outputs in ascending-leaf order,
+// per-leaf emission order, global first-leaf-wins dedup, the finding cap.
+func (f *fabric) mergeReach(rep *Report, outs []reachOut) {
+	seen := newBitset(f.t.Switches() * f.space)
+	first := func(k entryKey) bool {
+		i := int(k.sw)*f.space + k.lid
+		if seen.has(i) {
+			return false
+		}
+		seen.set(i)
+		return true
+	}
+	for i := range outs {
+		out := &outs[i]
+		rep.Stats.RoutesChecked += out.routes
+		for _, c := range out.cands {
+			if !c.hasKey || first(c.key) {
+				rep.add(f.cap, c.f)
+			}
+		}
+		for _, k := range out.overKeys {
+			if first(k) {
+				rep.Stats.Suppressed++
+			}
+		}
+		rep.Stats.Suppressed += out.overPlain
 	}
 }
 
 // walkLeaf walks every (node, assigned LID offset) route out of one leaf.
-func (f *fabric) walkLeaf(rec *reachRecorder, leaf topology.SwitchID) {
+func (w *walker) walkLeaf(leaf topology.SwitchID) {
+	f := w.f
 	t := f.t
 	for p := 0; p < t.Nodes(); p++ {
 		r := f.in.Endports[p]
@@ -150,8 +237,8 @@ func (f *fabric) walkLeaf(rec *reachRecorder, leaf topology.SwitchID) {
 				continue // addressing already flagged the inconsistency
 			}
 			routes++
-			rec.routes++
-			switch f.walkRoute(rec, leaf, lid, int32(p)) {
+			w.out.routes++
+			switch w.walkRoute(leaf, lid, int32(p)) {
 			case walkReached:
 				reached++
 			case walkDeadLink:
@@ -161,42 +248,50 @@ func (f *fabric) walkLeaf(rec *reachRecorder, leaf topology.SwitchID) {
 		// Aggregate unreachability: only when every failure is
 		// fault-explained (defects already carry their own errors).
 		if routes > 0 && reached == 0 && deadBlocked == routes {
-			rec.plain(Finding{
+			if w.full() {
+				w.out.overPlain++
+				continue
+			}
+			w.out.cands = append(w.out.cands, reachCandidate{f: Finding{
 				Analyzer: "reachability",
 				Severity: Warning,
 				Location: t.SwitchLabel(leaf),
 				Message: fmt.Sprintf("destination %s unreachable: all %d of its LIDs hit dead links from this leaf",
 					t.NodeLabel(topology.NodeID(p)), routes),
 				Witness: nil,
-			})
+			}})
 		}
 	}
 }
 
 // walkRoute follows one (leaf, LID) route hop by hop and reports its
-// outcome, recording findings for defects along the way.
-func (f *fabric) walkRoute(rec *reachRecorder, leaf topology.SwitchID, lid int, dst int32) int {
+// outcome, recording findings for defects along the way. Every live hop
+// also feeds the dependency graph of the LID's lane: a packet holding one
+// out-channel while requesting the next forms an edge, a packet heading
+// into a dead link drops there holding nothing further (no edge), and a
+// forwarding loop closes its cycle of edges — exactly the hops a packet
+// following the tables for maxSwitches switches would traverse.
+func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
+	f := w.f
 	t := f.t
-	maxSwitches := 2*t.N() + 2 // longest legal up*/down* path, plus slack
-	var path []topology.SwitchID
-	var ports []int
-	witness := func() []string {
-		out := make([]string, len(path))
-		for i, sw := range path {
-			out[i] = f.linkLabel(sw, ports[i])
-		}
-		return out
-	}
+	m := int32(f.m)
+	g := w.laneGraph(lid)
+	w.hops, w.path = w.hops[:0], w.path[:0]
+	prev := int32(-1)
 	sw := leaf
 	for {
-		for i, prev := range path {
-			if prev == sw {
-				cyc := make([]string, 0, len(path)-i+1)
-				for j := i; j < len(path); j++ {
-					cyc = append(cyc, f.linkLabel(path[j], ports[j]))
+		for i, s := range w.path {
+			if s == int32(sw) {
+				// The packet re-enters sw and leaves on the same channel
+				// again — unless it would by then have crossed maxSwitches
+				// switches.
+				if g != nil && len(w.hops) < f.maxSwitches {
+					c := w.hops[i]
+					g.dep(prev, c, int(c-s*m))
 				}
-				if rec.claim(sw, lid) {
-					rec.entry(sw, lid, Finding{
+				if w.claim(sw, lid) {
+					cyc := w.witness(i)
+					w.entry(sw, lid, Finding{
 						Analyzer: "reachability",
 						Severity: Error,
 						Location: t.SwitchLabel(sw),
@@ -207,81 +302,86 @@ func (f *fabric) walkRoute(rec *reachRecorder, leaf topology.SwitchID, lid int, 
 				return walkDefect
 			}
 		}
-		if len(path) >= maxSwitches {
-			if rec.claim(sw, lid) {
-				rec.entry(sw, lid, Finding{
+		if len(w.hops) >= f.maxSwitches {
+			if w.claim(sw, lid) {
+				w.entry(sw, lid, Finding{
 					Analyzer: "reachability",
 					Severity: Error,
 					Location: t.SwitchLabel(sw),
-					Message:  fmt.Sprintf("route for DLID %d exceeds %d switches without delivery", lid, maxSwitches),
-					Witness:  witness(),
+					Message:  fmt.Sprintf("route for DLID %d exceeds %d switches without delivery", lid, f.maxSwitches),
+					Witness:  w.witness(0),
 				})
 			}
 			return walkDefect
 		}
 		phys := f.in.LFTs[sw].Port(ib.LID(lid))
 		if phys == ib.PortNone {
-			if rec.claim(sw, lid) {
-				rec.entry(sw, lid, Finding{
+			if w.claim(sw, lid) {
+				w.entry(sw, lid, Finding{
 					Analyzer: "reachability",
 					Severity: Error,
 					Location: t.SwitchLabel(sw),
 					Message:  fmt.Sprintf("dead end: no forwarding entry for assigned DLID %d", lid),
-					Witness:  witness(),
+					Witness:  w.witness(0),
 				})
 			}
 			return walkDefect
 		}
 		if phys == 0 || int(phys) > f.m {
-			if rec.claim(sw, lid) {
-				rec.entry(sw, lid, Finding{
+			if w.claim(sw, lid) {
+				w.entry(sw, lid, Finding{
 					Analyzer: "reachability",
 					Severity: Error,
 					Location: t.SwitchLabel(sw),
 					Message:  fmt.Sprintf("DLID %d routed to invalid physical port %d", lid, phys),
-					Witness:  witness(),
+					Witness:  w.witness(0),
 				})
 			}
 			return walkDefect
 		}
 		ab := int(phys) - 1
-		path = append(path, sw)
-		ports = append(ports, ab)
-		if f.deadAt(sw, ab) {
-			if rec.claim(sw, lid) {
-				rec.entry(sw, lid, Finding{
+		cur := int32(sw)*m + int32(ab)
+		w.hops = append(w.hops, cur)
+		w.path = append(w.path, int32(sw))
+		if f.dead[cur] {
+			if w.claim(sw, lid) {
+				w.entry(sw, lid, Finding{
 					Analyzer: "reachability",
 					Severity: Warning,
 					Location: f.linkLabel(sw, ab),
 					Message:  fmt.Sprintf("entry for DLID %d points at a down link (packets drop here)", lid),
-					Witness:  witness(),
+					Witness:  w.witness(0),
 				})
 			}
 			return walkDeadLink
 		}
-		ref := t.SwitchNeighbor(sw, ab)
+		if g != nil {
+			g.dep(prev, cur, ab)
+		}
+		prev = cur
+		ref := &f.nbr[cur]
 		switch ref.Kind {
 		case topology.KindNone:
-			if rec.claim(sw, lid) {
-				rec.entry(sw, lid, Finding{
+			if w.claim(sw, lid) {
+				w.entry(sw, lid, Finding{
 					Analyzer: "reachability",
 					Severity: Error,
 					Location: f.linkLabel(sw, ab),
 					Message:  fmt.Sprintf("route for DLID %d falls off the fabric (unwired port)", lid),
-					Witness:  witness(),
+					Witness:  w.witness(0),
 				})
 			}
 			return walkDefect
 		case topology.KindNode:
 			if int32(ref.Node) != dst {
-				if rec.claim(sw, lid) {
-					rec.entry(sw, lid, Finding{
+				if w.claim(sw, lid) {
+					w.entry(sw, lid, Finding{
 						Analyzer: "reachability",
 						Severity: Error,
 						Location: f.linkLabel(sw, ab),
 						Message: fmt.Sprintf("misdelivery: DLID %d owned by %s delivered to %s",
 							lid, t.NodeLabel(topology.NodeID(dst)), t.NodeLabel(ref.Node)),
-						Witness: witness(),
+						Witness: w.witness(0),
 					})
 				}
 				return walkDefect
@@ -290,4 +390,18 @@ func (f *fabric) walkRoute(rec *reachRecorder, leaf topology.SwitchID, lid int, 
 		}
 		sw = ref.Switch
 	}
+}
+
+// laneGraph returns the dependency graph a route to lid feeds: the shared
+// graph when every lane carries every route, else the graph of the lane
+// VLOf maps lid to (nil for a lane outside [0, VLs), which no graph covers).
+func (w *walker) laneGraph(lid int) *depGraph {
+	if w.f.vlOf == nil {
+		return &w.graphs[0]
+	}
+	vl := w.f.vlOf(ib.LID(lid), w.f.vls)
+	if vl < 0 || vl >= len(w.graphs) {
+		return nil
+	}
+	return &w.graphs[vl]
 }

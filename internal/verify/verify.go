@@ -34,6 +34,8 @@ package verify
 
 import (
 	"fmt"
+	"math/bits"
+	"strconv"
 
 	"mlid/internal/core"
 	"mlid/internal/ib"
@@ -91,7 +93,8 @@ type Options struct {
 	// simulator's per-epoch hook, where only the safety properties matter.
 	SkipQuality bool
 	// MaxFindings caps findings per analyzer (excess is counted in
-	// Stats.Suppressed); zero means 64.
+	// Stats.Suppressed, never formatted); zero means 64 and a negative
+	// value means unlimited.
 	MaxFindings int
 	// Parallelism bounds the worker count of the reachability walk, whose
 	// per-leaf sources are independent (findings merge in canonical order,
@@ -109,12 +112,22 @@ type fabric struct {
 	space int     // LID table size
 	owner []int32 // LID -> owning node, or -1
 	dead  []bool  // global port id (sw*m+port) -> endpoint of a dead link
-	cap   int     // per-analyzer finding cap
+	// nbr[sw*m+port] is what the port is wired to: the walks' neighbor
+	// table, resolved once per Run instead of per hop.
+	nbr    []topology.PortRef
+	leaves []topology.SwitchID
+	// maxSwitches bounds a walk: the longest legal up*/down* path, plus
+	// slack.
+	maxSwitches int
+	cap         int // per-analyzer finding cap
+	vls         int
+	vlOf        func(dlid ib.LID, vls int) int
 }
 
 // Run executes every analyzer over the input and returns the combined
 // report. The error covers unusable input only (nil tree, mismatched table
-// set); defects in the forwarding state itself are findings, never errors.
+// set, a dead link naming no switch port); defects in the forwarding state
+// itself are findings, never errors.
 func Run(in Input, opt Options) (*Report, error) {
 	if in.Tree == nil {
 		return nil, fmt.Errorf("verify: Input.Tree is required")
@@ -131,6 +144,13 @@ func Run(in Input, opt Options) (*Report, error) {
 			return nil, fmt.Errorf("verify: switch %d has no forwarding table", s)
 		}
 	}
+	m := t.M()
+	for i, e := range in.DeadLinks {
+		if !t.ValidSwitch(topology.SwitchID(e[0])) || e[1] < 0 || int(e[1]) >= m {
+			return nil, fmt.Errorf("verify: dead link %d (switch %d, port %d) names no switch port: the fabric has %d switches of %d ports",
+				i, e[0], e[1], t.Switches(), m)
+		}
+	}
 	if opt.VLs <= 0 {
 		opt.VLs = 1
 	}
@@ -138,30 +158,36 @@ func Run(in Input, opt Options) (*Report, error) {
 		opt.MaxFindings = 64
 	}
 
-	f := &fabric{in: in, t: t, m: t.M(), cap: opt.MaxFindings}
-	f.space = 0
+	f := &fabric{in: in, t: t, m: m, maxSwitches: 2*t.N() + 2, cap: opt.MaxFindings, vls: opt.VLs, vlOf: opt.VLOf}
 	for _, lft := range in.LFTs {
 		if lft.Size() > f.space {
 			f.space = lft.Size()
 		}
 	}
-	f.dead = make([]bool, t.Switches()*f.m)
-	for _, e := range in.DeadLinks {
-		sw, port := topology.SwitchID(e[0]), int(e[1])
-		if !t.ValidSwitch(sw) || port < 0 || port >= f.m {
-			continue
+	f.nbr = make([]topology.PortRef, t.Switches()*m)
+	for sw := 0; sw < t.Switches(); sw++ {
+		id := topology.SwitchID(sw)
+		if t.IsLeaf(id) {
+			f.leaves = append(f.leaves, id)
 		}
-		f.dead[int(sw)*f.m+port] = true
-		if ref := t.SwitchNeighbor(sw, port); ref.Kind == topology.KindSwitch {
-			f.dead[int(ref.Switch)*f.m+ref.Port] = true
+		for p := 0; p < m; p++ {
+			f.nbr[sw*m+p] = t.SwitchNeighbor(id, p)
+		}
+	}
+	f.dead = make([]bool, t.Switches()*m)
+	for _, e := range in.DeadLinks {
+		c := int(e[0])*m + int(e[1])
+		f.dead[c] = true
+		if ref := f.nbr[c]; ref.Kind == topology.KindSwitch {
+			f.dead[int(ref.Switch)*m+ref.Port] = true
 		}
 	}
 
 	rep := &Report{}
 	rep.Stats.VLs = opt.VLs
 	f.checkAddressing(rep)
-	f.checkReachability(rep, opt.Parallelism)
-	f.checkDeadlock(rep, opt)
+	graphs := f.checkReachability(rep, opt.Parallelism)
+	f.checkDeadlock(rep, graphs)
 	if !opt.SkipQuality {
 		f.checkQuality(rep, opt)
 	}
@@ -175,5 +201,38 @@ func (f *fabric) deadAt(sw topology.SwitchID, port int) bool {
 
 // linkLabel names a directed link by its transmitting switch endpoint.
 func (f *fabric) linkLabel(sw topology.SwitchID, port int) string {
-	return fmt.Sprintf("%s:%d", f.t.SwitchLabel(sw), port)
+	var buf [64]byte
+	b := append(f.t.AppendSwitchLabel(buf[:0], sw), ':')
+	return string(strconv.AppendInt(b, int64(port), 10))
+}
+
+// chanLabel names channel c (sw*m+port) by its transmitting endpoint.
+func (f *fabric) chanLabel(c int) string {
+	return f.linkLabel(topology.SwitchID(c/f.m), c%f.m)
+}
+
+// bitset is a dense set of small non-negative integers: the walks' claim
+// and dependency sets, which a map would make the dominant allocation.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
+
+// or folds o into b (same length).
+func (b bitset) or(o bitset) {
+	for i, w := range o {
+		b[i] |= w
+	}
+}
+
+// count returns the number of members.
+func (b bitset) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }

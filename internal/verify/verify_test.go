@@ -102,26 +102,7 @@ func TestVerifyDeterministic(t *testing.T) {
 // TestForwardingLoopFinding corrupts a spine entry to bounce a DLID between
 // a leaf and a root and expects a loop finding with the cycle as witness.
 func TestForwardingLoopFinding(t *testing.T) {
-	sn := configured(t, 4, 2, core.NewMLID())
-	tr := sn.Tree
-	// dst on a different leaf than node 0's.
-	leaf0, _ := tr.NodeAttachment(0)
-	dst := topology.NodeID(tr.Nodes() - 1)
-	leafD, _ := tr.NodeAttachment(dst)
-	lid := sn.Endports[dst].Base
-	var root topology.SwitchID
-	for sw := 0; sw < tr.Switches(); sw++ {
-		if tr.IsRoot(topology.SwitchID(sw)) {
-			root = topology.SwitchID(sw)
-			break
-		}
-	}
-	// leaf0 -> root -> leaf0 -> ... : a two-switch forwarding loop.
-	mustSet(t, sn.LFTs[leaf0], lid, portTo(tr, leaf0, root))
-	mustSet(t, sn.LFTs[root], lid, portTo(tr, root, leaf0))
-	_ = leafD
-
-	rep, err := verify.Run(verify.FromSubnet(sn), verify.Options{})
+	rep, err := verify.Run(verify.FromSubnet(loopFixture(t)), verify.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,17 +115,32 @@ func TestForwardingLoopFinding(t *testing.T) {
 	}
 }
 
+// loopFixture corrupts FT(4,2) MLID tables so one DLID bounces between a
+// leaf and a root.
+func loopFixture(t *testing.T) *ib.Subnet {
+	sn := configured(t, 4, 2, core.NewMLID())
+	tr := sn.Tree
+	// dst on a different leaf than node 0's.
+	leaf0, _ := tr.NodeAttachment(0)
+	dst := topology.NodeID(tr.Nodes() - 1)
+	lid := sn.Endports[dst].Base
+	var root topology.SwitchID
+	for sw := 0; sw < tr.Switches(); sw++ {
+		if tr.IsRoot(topology.SwitchID(sw)) {
+			root = topology.SwitchID(sw)
+			break
+		}
+	}
+	// leaf0 -> root -> leaf0 -> ... : a two-switch forwarding loop.
+	mustSet(t, sn.LFTs[leaf0], lid, portTo(tr, leaf0, root))
+	mustSet(t, sn.LFTs[root], lid, portTo(tr, root, leaf0))
+	return sn
+}
+
 // TestDeadEndFinding erases the destination leaf's entry for an assigned
 // LID and expects a dead-end error.
 func TestDeadEndFinding(t *testing.T) {
-	sn := configured(t, 4, 2, core.NewSLID())
-	dst := topology.NodeID(0)
-	leaf, _ := sn.Tree.NodeAttachment(dst)
-	lid := sn.Endports[dst].Base
-	if err := sn.LFTs[leaf].Set(lid, ib.PortNone); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := verify.Run(verify.FromSubnet(sn), verify.Options{})
+	rep, err := verify.Run(verify.FromSubnet(deadEndFixture(t)), verify.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +153,33 @@ func TestDeadEndFinding(t *testing.T) {
 	}
 }
 
+// deadEndFixture erases the FT(4,2) SLID destination leaf's entry for node
+// 0's LID.
+func deadEndFixture(t *testing.T) *ib.Subnet {
+	sn := configured(t, 4, 2, core.NewSLID())
+	dst := topology.NodeID(0)
+	leaf, _ := sn.Tree.NodeAttachment(dst)
+	if err := sn.LFTs[leaf].Set(sn.Endports[dst].Base, ib.PortNone); err != nil {
+		t.Fatal(err)
+	}
+	return sn
+}
+
 // TestMisdeliveryFinding points a destination leaf's entry at the wrong
 // node and expects a misdelivery error.
 func TestMisdeliveryFinding(t *testing.T) {
+	rep, err := verify.Run(verify.FromSubnet(misdeliveryFixture(t)), verify.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, ok := findingWith(rep, "reachability", "misdelivery"); !ok || f.Severity != verify.Error {
+		t.Fatalf("no misdelivery error in %+v", rep.Findings)
+	}
+}
+
+// misdeliveryFixture points the FT(4,2) SLID destination leaf's entry for
+// node 0 at its neighbor's port.
+func misdeliveryFixture(t *testing.T) *ib.Subnet {
 	sn := configured(t, 4, 2, core.NewSLID())
 	tr := sn.Tree
 	dst := topology.NodeID(0)
@@ -173,19 +193,37 @@ func TestMisdeliveryFinding(t *testing.T) {
 		}
 	}
 	mustSet(t, sn.LFTs[leaf], sn.Endports[dst].Base, wrong)
-	rep, err := verify.Run(verify.FromSubnet(sn), verify.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f, ok := findingWith(rep, "reachability", "misdelivery"); !ok || f.Severity != verify.Error {
-		t.Fatalf("no misdelivery error in %+v", rep.Findings)
-	}
+	return sn
 }
 
 // TestCreditCycleFinding rewires two DLIDs into down-up kinks that deliver
 // correctly (reachability stays clean) but close a channel-dependency
 // cycle; the deadlock analyzer must report the shortest witness cycle.
 func TestCreditCycleFinding(t *testing.T) {
+	rep, err := verify.Run(verify.FromSubnet(creditCycleFixture(t)), verify.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range rep.Findings {
+		if f.Analyzer == "reachability" && f.Severity == verify.Error {
+			t.Fatalf("corruption was meant to deliver correctly, got %+v", f)
+		}
+	}
+	f, ok := findingWith(rep, "deadlock", "channel-dependency cycle")
+	if !ok {
+		t.Fatalf("no deadlock finding in %+v", rep.Findings)
+	}
+	if f.Severity != verify.Error {
+		t.Fatalf("deadlock finding not an error: %+v", f)
+	}
+	if len(f.Witness) != 4 {
+		t.Fatalf("expected the shortest (4-channel) witness cycle, got %d: %v", len(f.Witness), f.Witness)
+	}
+}
+
+// creditCycleFixture rewires two FT(4,2) MLID DLIDs into down-up kinks
+// that deliver correctly but close a four-channel dependency cycle.
+func creditCycleFixture(t *testing.T) *ib.Subnet {
 	sn := configured(t, 4, 2, core.NewMLID())
 	tr := sn.Tree
 	var leaves, roots []topology.SwitchID
@@ -223,26 +261,7 @@ func TestCreditCycleFinding(t *testing.T) {
 	mustSet(t, sn.LFTs[R1], lid2, portTo(tr, R1, B))
 	mustSet(t, sn.LFTs[B], lid2, portTo(tr, B, R0))
 	mustSet(t, sn.LFTs[R0], lid2, portTo(tr, R0, C))
-
-	rep, err := verify.Run(verify.FromSubnet(sn), verify.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range rep.Findings {
-		if f.Analyzer == "reachability" && f.Severity == verify.Error {
-			t.Fatalf("corruption was meant to deliver correctly, got %+v", f)
-		}
-	}
-	f, ok := findingWith(rep, "deadlock", "channel-dependency cycle")
-	if !ok {
-		t.Fatalf("no deadlock finding in %+v", rep.Findings)
-	}
-	if f.Severity != verify.Error {
-		t.Fatalf("deadlock finding not an error: %+v", f)
-	}
-	if len(f.Witness) != 4 {
-		t.Fatalf("expected the shortest (4-channel) witness cycle, got %d: %v", len(f.Witness), f.Witness)
-	}
+	return sn
 }
 
 // TestLIDOverflowFinding: MLID on FT(16,3) needs 65,537 LIDs — one past the

@@ -1,0 +1,251 @@
+package verify_test
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"mlid/internal/core"
+	"mlid/internal/ib"
+	"mlid/internal/topology"
+	"mlid/internal/verify"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/defect_reports.golden")
+
+// vlByDLID is the simulator's static DLID-to-lane mapping.
+func vlByDLID(dlid ib.LID, vls int) int { return int(dlid) % vls }
+
+// reportJSON renders a report the way ibverify -json does.
+func reportJSON(t *testing.T, rep *verify.Report) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestDefectReportsPinned pins the complete JSON report of every defect
+// fixture, with VLOf nil (one shared dependency graph) and set (one graph
+// per lane), serial and parallel: findings, their order, witnesses and
+// Stats must stay byte for byte what testdata/defect_reports.golden holds.
+func TestDefectReportsPinned(t *testing.T) {
+	fixtures := []struct {
+		name string
+		in   func(*testing.T) verify.Input
+	}{
+		{"loop", func(t *testing.T) verify.Input { return verify.FromSubnet(loopFixture(t)) }},
+		{"dead-end", func(t *testing.T) verify.Input { return verify.FromSubnet(deadEndFixture(t)) }},
+		{"misdelivery", func(t *testing.T) verify.Input { return verify.FromSubnet(misdeliveryFixture(t)) }},
+		{"credit-cycle", func(t *testing.T) verify.Input { return verify.FromSubnet(creditCycleFixture(t)) }},
+		{"spine-loop", func(t *testing.T) verify.Input { return verify.FromSubnet(spineLoopFixture(t)) }},
+		{"dead-link", func(t *testing.T) verify.Input {
+			sn := configured(t, 4, 2, core.NewMLID())
+			leaf, _ := sn.Tree.NodeAttachment(0)
+			in := verify.FromSubnet(sn)
+			in.DeadLinks = [][2]int32{{int32(leaf), int32(sn.Tree.DownPorts(leaf))}}
+			return in
+		}},
+	}
+	var got bytes.Buffer
+	for _, fx := range fixtures {
+		for _, vlOf := range []func(ib.LID, int) int{nil, vlByDLID} {
+			name := fmt.Sprintf("%s vlof=%v", fx.name, vlOf != nil)
+			var serial string
+			for _, par := range []int{1, 4} {
+				rep, err := verify.Run(fx.in(t), verify.Options{VLs: 2, VLOf: vlOf, Parallelism: par})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				js := reportJSON(t, rep)
+				if par == 1 {
+					serial = js
+				} else if js != serial {
+					t.Fatalf("%s: parallel report differs from serial:\n%s\nvs\n%s", name, js, serial)
+				}
+			}
+			fmt.Fprintf(&got, "== %s\n%s", name, serial)
+		}
+	}
+	path := filepath.Join("testdata", "defect_reports.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("defect reports drifted from %s:\ngot:\n%s\nwant:\n%s", path, got.String(), want)
+	}
+}
+
+// spineLoopFixture corrupts FT(4,3) MLID tables so one DLID bounces
+// between a mid-level switch and a root no other route reaches for that
+// DLID. The loop's closing dependency (root -> mid, then mid -> root again)
+// is recorded only by the walk that detects the loop, so the credit cycle
+// the fixture reports exists only if that walk records the closing edge.
+func spineLoopFixture(t *testing.T) *ib.Subnet {
+	sn := configured(t, 4, 3, core.NewMLID())
+	tr := sn.Tree
+	dst := topology.NodeID(tr.Nodes() - 1) // in another pod than node 0
+	lid := sn.Endports[dst].Base
+	leaf, _ := tr.NodeAttachment(0)
+	mid := tr.SwitchNeighbor(leaf, int(sn.LFTs[leaf].Port(lid))-1).Switch
+	up := int(sn.LFTs[mid].Port(lid)) - 1
+	if up < tr.DownPorts(mid) {
+		t.Fatalf("mid switch %s routes DLID %d down", tr.SwitchLabel(mid), lid)
+	}
+	// The mid switch's other up-link leads to a root the DLID never uses.
+	other := tr.DownPorts(mid) + (up-tr.DownPorts(mid)+1)%tr.H()
+	root := tr.SwitchNeighbor(mid, other).Switch
+	mustSet(t, sn.LFTs[mid], lid, other)
+	mustSet(t, sn.LFTs[root], lid, portTo(tr, root, mid))
+	return sn
+}
+
+// degradedFT83 is an FT(8,3) MLID fabric with eight dead up-links and
+// unrepaired tables: every entry routed onto a dead link is a warning,
+// hundreds of them, so the finding cap binds.
+func degradedFT83(t *testing.T) verify.Input {
+	sn := configured(t, 8, 3, core.NewMLID())
+	tr := sn.Tree
+	in := verify.FromSubnet(sn)
+	for i := 0; i < 8; i++ {
+		leaf, _ := tr.NodeAttachment(topology.NodeID(i * 16))
+		in.DeadLinks = append(in.DeadLinks, [2]int32{int32(leaf), int32(tr.H() + i%tr.H())})
+	}
+	return in
+}
+
+// TestCapAndParallelEquivalence: at every finding cap the serial and
+// parallel walks produce equal reports, the capped findings are the
+// per-analyzer in-order prefix of the unlimited run's, and every finding
+// the cap drops is counted in Suppressed.
+func TestCapAndParallelEquivalence(t *testing.T) {
+	in := degradedFT83(t)
+	run := func(maxFindings, par int) *verify.Report {
+		rep, err := verify.Run(in, verify.Options{VLs: 2, VLOf: vlByDLID, SkipQuality: true,
+			MaxFindings: maxFindings, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	all := run(-1, 1)
+	if all.Stats.Suppressed != 0 {
+		t.Fatalf("unlimited run suppressed %d findings", all.Stats.Suppressed)
+	}
+	if all.Errors() != 0 || all.Warnings() < 4*64 {
+		t.Fatalf("fixture should yield many warnings and no errors, got %d warnings, %d errors",
+			all.Warnings(), all.Errors())
+	}
+	for _, maxFindings := range []int{1, 64, -1} {
+		serial := run(maxFindings, 1)
+		if par := run(maxFindings, 4); !reflect.DeepEqual(serial, par) {
+			t.Fatalf("MaxFindings %d: parallel report differs from serial:\n%+v\n%+v", maxFindings, serial.Stats, par.Stats)
+		}
+		var want []verify.Finding
+		kept := map[string]int{}
+		for _, f := range all.Findings {
+			if maxFindings < 0 || kept[f.Analyzer] < maxFindings {
+				kept[f.Analyzer]++
+				want = append(want, f)
+			}
+		}
+		if !reflect.DeepEqual(serial.Findings, want) {
+			t.Fatalf("MaxFindings %d: %d findings are not the in-order prefix (%d) of the unlimited run's",
+				maxFindings, len(serial.Findings), len(want))
+		}
+		if got, wantN := serial.Stats.Suppressed, len(all.Findings)-len(want); got != wantN {
+			t.Fatalf("MaxFindings %d: Suppressed %d, want %d", maxFindings, got, wantN)
+		}
+		stats := serial.Stats
+		stats.Suppressed = 0
+		if !reflect.DeepEqual(stats, all.Stats) {
+			t.Fatalf("MaxFindings %d: stats %+v, unlimited %+v", maxFindings, serial.Stats, all.Stats)
+		}
+	}
+}
+
+// TestVerifyAllocs: the safety pass allocates per switch and per formatted
+// finding, never per route walked — at most one allocation per hundred
+// routes on a healthy FT(8,3) MLID fabric and on a repaired degraded one.
+func TestVerifyAllocs(t *testing.T) {
+	opt := verify.Options{VLs: 2, VLOf: vlByDLID, SkipQuality: true}
+	healthy := configured(t, 8, 3, core.NewMLID())
+	repaired := configured(t, 8, 3, core.NewMLID())
+	tr := repaired.Tree
+	fs := core.NewFaultSet()
+	var dead [][2]int32
+	for _, node := range []topology.NodeID{0, 37, 90} {
+		leaf, _ := tr.NodeAttachment(node)
+		port := tr.H() + int(node)%tr.H()
+		fs.FailLink(tr, leaf, port)
+		dead = append(dead, [2]int32{int32(leaf), int32(port)})
+	}
+	fs.FailLink(tr, 0, 3) // a root's descending link
+	dead = append(dead, [2]int32{0, 3})
+	if _, _, err := core.RepairSubnet(repaired, fs); err != nil {
+		t.Fatal(err)
+	}
+	degraded := verify.FromSubnet(repaired)
+	degraded.DeadLinks = dead
+
+	for _, c := range []struct {
+		name string
+		in   verify.Input
+	}{{"healthy", verify.FromSubnet(healthy)}, {"repaired", degraded}} {
+		rep, err := verify.Run(c.in, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.name == "repaired" && rep.Warnings() == 0 {
+			t.Fatal("repaired fabric should keep broken-entry warnings")
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := verify.Run(c.in, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if bound := float64(rep.Stats.RoutesChecked / 100); allocs > bound {
+			t.Errorf("%s: %.0f allocations per Run over %d routes and %d findings, want <= %.0f",
+				c.name, allocs, rep.Stats.RoutesChecked, len(rep.Findings), bound)
+		}
+	}
+}
+
+// TestDeadLinkInputRejected: a dead link naming no switch, or a port past
+// the switch's radix, is an input error naming the entry — never silently
+// skipped, which would verify a typo'd fault as a healthy fabric.
+func TestDeadLinkInputRejected(t *testing.T) {
+	sn := configured(t, 4, 2, core.NewMLID())
+	for _, bad := range [][2]int32{
+		{int32(sn.Tree.Switches()), 0},
+		{-1, 0},
+		{0, int32(sn.Tree.M())},
+		{0, -1},
+	} {
+		in := verify.FromSubnet(sn)
+		in.DeadLinks = [][2]int32{{0, 0}, bad}
+		_, err := verify.Run(in, verify.Options{})
+		if err == nil {
+			t.Fatalf("dead link %v accepted", bad)
+		}
+		if want := fmt.Sprintf("dead link 1 (switch %d, port %d)", bad[0], bad[1]); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name the entry (%q)", err, want)
+		}
+	}
+}
