@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test ci bench bench-json bench-engine vet fmt-check lint lint-fix race soak verify-smoke adaptive-smoke sm-smoke
+.PHONY: build test ci bench bench-check bench-json bench-engine vet fmt-check lint lint-fix race soak verify-smoke adaptive-smoke sm-smoke
 
 build:
 	$(GO) build ./...
@@ -33,11 +33,11 @@ lint:
 lint-fix: lint
 
 # race runs the race detector over the packages with internal concurrency
-# (the experiment worker pool, whose concurrent runs share read-only subnets,
-# and the parallel verifier walk, whose per-worker claim and dependency sets
-# merge after the walk) and the packages the determinism
-# analyzers guard (sim, sm, core), whose order-sensitive paths the race pass
-# exercises twice via the determinism regression tests. The sim suite
+# (the experiment campaign runner, whose concurrent figure and study runs
+# share read-only subnets, and the parallel verifier walk, whose per-worker
+# claim and dependency sets merge after the walk) and the packages the
+# determinism analyzers guard (sim, sm, core), whose order-sensitive paths
+# the race pass exercises twice via the determinism regression tests. The sim suite
 # includes the scenario fixtures (faults, reliable transport, every
 # selector), the fault-injection paths (link death, SM traps, staged table
 # updates, reselection) and the quick recovery study.
@@ -88,10 +88,17 @@ sm-smoke:
 	$(GO) test -run 'TestInBandSM' -count=1 ./internal/sim/
 	$(GO) run ./cmd/ibsweep -smstudy -quick
 
+# bench-check vets and tests the nested benchmark module (bench/, module
+# mlid/bench), which the root `go test ./...` never builds: renaming an
+# identifier bench/ uses must fail here, not in `bash bench/run.sh`.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # ci is the gate for every change: tier-1 tests plus vet, the gofmt check,
 # ibvet, the race pass, the chaos soak, the static verification smoke, the
-# path-selection family smoke and the in-band SM smoke.
-ci: build vet fmt-check lint test race soak verify-smoke adaptive-smoke sm-smoke
+# path-selection family smoke, the in-band SM smoke and the benchmark
+# module check.
+ci: build vet fmt-check lint test race soak verify-smoke adaptive-smoke sm-smoke bench-check
 
 # BENCH_TIME / BENCH_COUNT tune the figure benchmarks: the committed defaults
 # (one iteration, run once) keep `make ci` cheap, but single-iteration numbers

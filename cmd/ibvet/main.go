@@ -30,9 +30,7 @@ import (
 	"mlid/internal/lint/load"
 	"mlid/internal/lint/maporder"
 	"mlid/internal/lint/pktpool"
-	"mlid/internal/lint/selectorpure"
 	"mlid/internal/lint/simdeterminism"
-	"mlid/internal/lint/smhotpath"
 )
 
 // analyzers is the ibvet suite. Order is display order in -list.
@@ -41,8 +39,8 @@ var analyzers = []*analysis.Analyzer{
 	maporder.Analyzer,
 	pktpool.Analyzer,
 	hotpath.Analyzer,
-	smhotpath.Analyzer,
-	selectorpure.Analyzer,
+	hotpath.SMAnalyzer,
+	hotpath.SelectorAnalyzer,
 	goldendrift.Analyzer,
 	findingfmt.Analyzer,
 }

@@ -6,12 +6,9 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"mlid/internal/core"
 	"mlid/internal/ib"
@@ -150,10 +147,19 @@ func (f FigureSpec) pattern(nodes int) (traffic.Pattern, error) {
 }
 
 // Run executes the figure's sweep: for each scheme and VL count, one
-// simulation per load point. Runs execute in parallel across the machine's
-// cores; results are deterministic regardless of scheduling because every
-// run is independently seeded.
+// simulation per load point and replica. The runs are independent campaign
+// points (campaignRun): every run is independently seeded and results come
+// back in point order, so the figure does not depend on scheduling, and a
+// failing sweep returns the lowest-indexed run's error.
 func (f FigureSpec) Run() (Figure, error) {
+	// Run r of load pi on curve ci is seeded Seed + ci*100_000 + pi*100 + r;
+	// past these bounds two runs would share a seed.
+	if f.Replicas > 100 {
+		return Figure{}, fmt.Errorf("experiment: %s: Replicas %d > 100 reuses seeds across load points", f.ID, f.Replicas)
+	}
+	if len(f.Loads) > 1000 {
+		return Figure{}, fmt.Errorf("experiment: %s: %d Loads > 1000 reuses seeds across curves", f.ID, len(f.Loads))
+	}
 	tree, err := topology.New(f.Network.M, f.Network.N)
 	if err != nil {
 		return Figure{}, err
@@ -163,22 +169,9 @@ func (f FigureSpec) Run() (Figure, error) {
 		return Figure{}, err
 	}
 
-	replicas := f.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	type job struct {
-		curve, point, replica int
-		cfg                   sim.Config
-	}
-	var jobs []job
+	replicas := max(f.Replicas, 1)
+	var cfgs []sim.Config
 	var curves []stats.Curve
-	// (curve, point) -> per-replica results. Slots are preallocated and each
-	// worker stores at its job's replica index, so the slice order — and
-	// therefore meanPoint's float accumulation order — does not depend on
-	// goroutine completion order.
-	acc := make(map[[2]int][]stats.Point)
-	var accMu sync.Mutex
 	for _, scheme := range []core.Scheme{core.NewSLID(), core.NewMLID()} {
 		sn, err := (&ib.SubnetManager{Tree: tree, Engine: scheme}).Configure()
 		if err != nil {
@@ -191,9 +184,8 @@ func (f FigureSpec) Run() (Figure, error) {
 				Points: make([]stats.Point, len(f.Loads)),
 			})
 			for pi, load := range f.Loads {
-				acc[[2]int{ci, pi}] = make([]stats.Point, replicas)
 				for r := 0; r < replicas; r++ {
-					jobs = append(jobs, job{curve: ci, point: pi, replica: r, cfg: sim.Config{
+					cfgs = append(cfgs, sim.Config{
 						Subnet:      sn,
 						Pattern:     pat,
 						DataVLs:     vls,
@@ -203,82 +195,39 @@ func (f FigureSpec) Run() (Figure, error) {
 						Reception:   f.Reception,
 						Shards:      f.Shards,
 						Seed:        f.Seed + int64(ci*100_000+pi*100+r),
-					}})
+					})
 				}
 			}
 		}
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	jobCh := make(chan job)
-	errCh := make(chan error, len(jobs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				res, err := sim.Run(j.cfg)
-				if err != nil {
-					errCh <- err
-					continue
-				}
-				p := stats.Point{
-					OfferedLoad:   res.OfferedLoad,
-					Accepted:      res.Accepted,
-					MeanLatencyNs: res.MeanLatencyNs,
-					P99LatencyNs:  res.P99LatencyNs,
-					Delivered:     res.DeliveredWindow,
-					Generated:     res.GeneratedWindow,
-					Saturated:     res.Saturated,
-				}
-				accMu.Lock()
-				acc[[2]int{j.curve, j.point}][j.replica] = p
-				accMu.Unlock()
-			}
-		}()
-	}
-	for _, j := range jobs {
-		jobCh <- j
-	}
-	close(jobCh)
-	wg.Wait()
-	close(errCh)
-	if err := joinWorkerErrors(errCh); err != nil {
+	runs, err := campaignRun(len(cfgs), campaignWorkers(len(cfgs)), func(i int) (stats.Point, error) {
+		res, err := sim.Run(cfgs[i])
+		if err != nil {
+			return stats.Point{}, err
+		}
+		return stats.Point{
+			OfferedLoad:   res.OfferedLoad,
+			Accepted:      res.Accepted,
+			MeanLatencyNs: res.MeanLatencyNs,
+			P99LatencyNs:  res.P99LatencyNs,
+			Delivered:     res.DeliveredWindow,
+			Generated:     res.GeneratedWindow,
+			Saturated:     res.Saturated,
+		}, nil
+	})
+	if err != nil {
 		return Figure{}, err
 	}
-	for key, results := range acc {
-		curves[key[0]].Points[key[1]] = meanPoint(results)
-	}
-	return Figure{Spec: f, Curves: curves}, nil
-}
-
-// joinWorkerErrors drains a closed error channel and joins every distinct
-// failure. Workers keep pulling jobs after an error, so several load points
-// can fail in one sweep; reporting only the first (the old behavior) hid the
-// rest, and which one arrived first depended on goroutine scheduling. Errors
-// are deduplicated by message and sorted so the joined error is deterministic.
-func joinWorkerErrors(errCh <-chan error) error {
-	seen := map[string]bool{}
-	var msgs []string
-	for err := range errCh {
-		if msg := err.Error(); !seen[msg] {
-			seen[msg] = true
-			msgs = append(msgs, msg)
+	// Runs are ordered (curve, load, replica): each point's replicas are
+	// one contiguous block, averaged in replica order.
+	for i := range curves {
+		for pi := range curves[i].Points {
+			k := (i*len(f.Loads) + pi) * replicas
+			curves[i].Points[pi] = meanPoint(runs[k : k+replicas])
 		}
 	}
-	if len(msgs) == 0 {
-		return nil
-	}
-	sort.Strings(msgs)
-	errs := make([]error, len(msgs))
-	for i, msg := range msgs {
-		errs[i] = errors.New(msg)
-	}
-	return errors.Join(errs...)
+	return Figure{Spec: f, Curves: curves}, nil
 }
 
 // meanPoint averages replica measurements; the point is flagged saturated

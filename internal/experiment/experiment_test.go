@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -169,20 +168,33 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadSpec: a spec that cannot run returns an error naming the
+// cause. A sweep whose runs fail reports the lowest-indexed run's error, and
+// a spec whose runs would share a seed is rejected before any run.
 func TestRunRejectsBadSpec(t *testing.T) {
-	bad := FigureSpec{Network: Network{3, 2}, Pattern: "uniform", Loads: []float64{0.1}, VLs: []int{1}}
-	if _, err := bad.Run(); err == nil {
-		t.Error("invalid network accepted")
-	}
-	bad2 := FigureSpec{Network: Network{4, 2}, Pattern: "weird", Loads: []float64{0.1}, VLs: []int{1}}
-	if _, err := bad2.Run(); err == nil {
-		t.Error("invalid pattern accepted")
-	}
-	// MLID on FT(8,5) needs LMC 8 > 7: the sweep must surface the SM error.
-	bad3 := FigureSpec{Network: Network{8, 5}, Pattern: "uniform", Loads: []float64{0.1}, VLs: []int{1},
+	ok := FigureSpec{Network: Network{4, 2}, Pattern: "uniform", Loads: []float64{0.1}, VLs: []int{1},
 		WarmupNs: 1000, MeasureNs: 1000}
-	if _, err := bad3.Run(); err == nil {
-		t.Error("LMC-overflow network accepted")
+	with := func(edit func(*FigureSpec)) FigureSpec {
+		f := ok
+		edit(&f)
+		return f
+	}
+	for _, tc := range []struct {
+		name, want string
+		spec       FigureSpec
+	}{
+		{"invalid network", "", with(func(f *FigureSpec) { f.Network = Network{3, 2} })},
+		{"invalid pattern", "unknown pattern", with(func(f *FigureSpec) { f.Pattern = "weird" })},
+		// MLID on FT(8,5) needs LMC 8 > 7: the sweep must surface the SM error.
+		{"LMC overflow", "MLID on 8-port 5-tree", with(func(f *FigureSpec) { f.Network = Network{8, 5} })},
+		{"failing runs", "OfferedLoad must be positive, got -1", with(func(f *FigureSpec) { f.Loads = []float64{-1, -2, -3} })},
+		{"replica seeds", "Replicas 101", with(func(f *FigureSpec) { f.Replicas = 101 })},
+		{"load seeds", "1001 Loads", with(func(f *FigureSpec) { f.Loads = make([]float64, 1001) })},
+	} {
+		_, err := tc.spec.Run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -233,31 +245,5 @@ func TestReplicasAveraging(t *testing.T) {
 	}
 	if one.Curves[0].Points[0].MeanLatencyNs == p.MeanLatencyNs {
 		t.Log("averaged equals single run (possible but unlikely); not failing")
-	}
-}
-
-func TestJoinWorkerErrors(t *testing.T) {
-	empty := make(chan error, 1)
-	close(empty)
-	if err := joinWorkerErrors(empty); err != nil {
-		t.Fatalf("empty channel: %v", err)
-	}
-
-	// Three failures from two distinct causes, delivered out of order: the
-	// join must surface both, once each, in sorted order — not just whichever
-	// worker lost the race.
-	ch := make(chan error, 3)
-	ch <- errors.New("sim: vl out of range")
-	ch <- errors.New("sim: bad load 2.0")
-	ch <- errors.New("sim: vl out of range")
-	close(ch)
-	err := joinWorkerErrors(ch)
-	if err == nil {
-		t.Fatal("joined error is nil")
-	}
-	got := err.Error()
-	want := "sim: bad load 2.0\nsim: vl out of range"
-	if got != want {
-		t.Fatalf("joined error:\n%q\nwant\n%q", got, want)
 	}
 }

@@ -7,12 +7,12 @@ import (
 	"mlid/internal/ib"
 )
 
-// Campaign runner: the sweep studies (-degraded, -smstudy, -chaos,
-// -recovery) are lists of independent sweep points — (scenario, scheme) or
-// (scheme, mode) cells — whose outputs must not depend on execution order.
+// Campaign runner: every sweep — the figures (FigureSpec.Run) and the
+// studies (-degraded, -smstudy, -chaos, -recovery) — is a list of
+// independent points, (curve, load, replica) runs or (scenario, scheme) and
+// (scheme, mode) cells, whose outputs must not depend on execution order.
 // campaignRun executes the points on a bounded worker pool with
-// point-indexed result assembly, the same determinism contract as
-// FigureSpec.Run's replica slots: every point writes only results[i], rows
+// point-indexed result assembly: every point writes only results[i], rows
 // come out in serial-loop order, and the first error by point index is
 // returned, so serial (workers=1) and parallel runs are byte-identical.
 

@@ -99,4 +99,8 @@ func TestCampaignSerialParallelIdentity(t *testing.T) {
 	check("chaos", func() (any, error) { return ChaosStudy(cspec) })
 
 	check("sm", func() (any, error) { return SMStudy(QuickSMSpec()) })
+
+	fig := FigureSpec{ID: "PAR", Network: Network{4, 2}, Pattern: "centric", Loads: []float64{0.2, 0.6},
+		VLs: []int{1, 2}, Replicas: 2, WarmupNs: 5_000, MeasureNs: 20_000, Seed: 5}
+	check("figure", func() (any, error) { return fig.Run() })
 }

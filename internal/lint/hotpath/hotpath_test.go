@@ -7,5 +7,13 @@ import (
 )
 
 func TestHotPath(t *testing.T) {
-	linttest.Run(t, Analyzer, "sim")
+	linttest.Run(t, Analyzer, "hotpath/sim")
+}
+
+func TestSMHotPath(t *testing.T) {
+	linttest.Run(t, SMAnalyzer, "smhotpath/sim")
+}
+
+func TestSelectorPure(t *testing.T) {
+	linttest.Run(t, SelectorAnalyzer, "selectorpure/sim")
 }

@@ -41,8 +41,7 @@ func (g *depGraph) union(o *depGraph) {
 // built the graphs, one per lane, or one shared graph when VLOf is nil
 // (every lane carries every route, so one graph proves all lanes).
 //
-// It generalizes core.CheckDeadlockFree in two ways the fault path needs:
-// routes through broken tables contribute the dependencies of the hops they
+// Routes through broken tables contribute the dependencies of the hops they
 // actually traverse instead of failing the whole check (a packet heading
 // into a dead link drops there instantly, holding nothing further, so the
 // dead hop forms no edge), and the cycle witness is the shortest one in the

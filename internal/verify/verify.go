@@ -13,9 +13,10 @@
 //     dead-end entries, entries pointing at down links, misdeliveries, and
 //     destinations left unreachable.
 //   - deadlock: builds the per-virtual-lane channel-dependency graph from
-//     the same walks — generalizing core.CheckDeadlockFree to arbitrary
-//     fault-repaired tables, which may legally contain broken entries —
-//     and reports the shortest witness cycle if one exists.
+//     the same walks — for arbitrary fault-repaired tables too, which may
+//     legally contain broken entries — and reports the shortest witness
+//     cycle if one exists. It is the repo's one credit-loop checker:
+//     mlid.CheckDeadlockFree wraps it.
 //   - addressing: LID-space exhaustion (MLID on FT(16,3) needs 65,537
 //     LIDs, one past the 16-bit space), LMC-block overlap, duplicate and
 //     orphaned LID assignments.

@@ -35,6 +35,8 @@
 package mlid
 
 import (
+	"fmt"
+
 	"mlid/internal/core"
 	"mlid/internal/experiment"
 	"mlid/internal/ib"
@@ -43,6 +45,7 @@ import (
 	"mlid/internal/stats"
 	"mlid/internal/topology"
 	"mlid/internal/traffic"
+	"mlid/internal/verify"
 )
 
 // Tree is an m-port n-tree fat-tree, FT(m, n). See NewTree.
@@ -220,12 +223,38 @@ func TraceSubnet(sn *Subnet, src NodeID, dlid LID) (Path, error) {
 }
 
 // DeadlockReport is the outcome of a channel-dependency analysis.
-type DeadlockReport = core.DeadlockReport
+type DeadlockReport struct {
+	// Channels and Dependencies count the graph's size.
+	Channels, Dependencies int
+	// Cycle, when non-nil, lists a dependency cycle's channels in order —
+	// a potential deadlock under blocking flow control.
+	Cycle []string
+}
+
+// Free reports whether no cycle was found.
+func (r *DeadlockReport) Free() bool { return len(r.Cycle) == 0 }
 
 // CheckDeadlockFree builds the exact channel-dependency graph induced by
 // the subnet's forwarding tables and searches it for cycles (Dally-Seitz).
+// It is the static verifier's credit-loop proof for one virtual lane; the
+// reported cycle is the verifier's shortest witness. Tables that fail to
+// route an assigned DLID (an unprogrammed entry, a route off the fabric, a
+// forwarding loop) are an error, not a report.
 func CheckDeadlockFree(sn *Subnet) (*DeadlockReport, error) {
-	return core.CheckDeadlockFree(sn)
+	rep, err := verify.Run(verify.FromSubnet(sn), verify.Options{SkipQuality: true})
+	if err != nil {
+		return nil, err
+	}
+	out := &DeadlockReport{Channels: rep.Stats.Channels, Dependencies: rep.Stats.Dependencies}
+	for _, f := range rep.Findings {
+		switch {
+		case f.Analyzer == "deadlock":
+			out.Cycle = f.Witness
+		case f.Severity == verify.Error:
+			return nil, fmt.Errorf("mlid: deadlock check: %s", f)
+		}
+	}
+	return out, nil
 }
 
 // FamilyStats summarizes an interconnect family instance for hardware-cost
