@@ -40,9 +40,13 @@ lint-fix: lint
 # the race pass exercises twice via the determinism regression tests. The sim suite
 # includes the scenario fixtures (faults, reliable transport, every
 # selector), the fault-injection paths (link death, SM traps, staged table
-# updates, reselection) and the quick recovery study.
+# updates, reselection) and the quick recovery study. The second line
+# repeats the recycled-run-state test ten times: concurrent runs share
+# simPool, so a run that leaks state into the next, or two runs that share
+# one arena, shows up as a race or a result that depends on run order.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiment/... ./internal/sm/... ./internal/core/... ./internal/verify/...
+	$(GO) test -race -count=10 -run TestRunIndependentOfPriorRuns ./internal/sim/
 
 # soak runs the deterministic chaos campaigns: two seeds of link-flap
 # schedules with the reliable transport on, each executed twice per scheduler

@@ -36,61 +36,130 @@ import (
 	"mlid"
 )
 
+// options are the parsed command-line flags run acts on.
+type options struct {
+	table1, fault, chaos, degraded, adaptive, smstudy bool
+	series, quick, chart                              bool
+	fig, net, csvDir                                  string
+}
+
+// errUsage asks main to print the usage text and exit 2.
+var errUsage = errors.New("no action selected")
+
 func main() {
-	var (
-		table1   = flag.Bool("table1", false, "print Table 1 (network configurations)")
-		fig      = flag.String("fig", "", "figure to run: F1..F8, a short name like c-16x2, or 'all'")
-		fault    = flag.Bool("fault", false, "run the recovery-transient study: a live link failure mid-measurement, SLID vs MLID")
-		chaos    = flag.Bool("chaos", false, "run the seeded chaos campaign: link flaps and switch kills with the reliable transport, SLID vs MLID")
-		degraded = flag.Bool("degraded", false, "run the degraded-fabric quality study: static verifier predictions vs simulated throughput across fault rates, SLID vs MLID")
-		adaptive = flag.Bool("adaptive", false, "run the path-selection family study: every pluggable selector on policy-separating workloads over the MLID fabric, with a degraded-fabric axis")
-		smstudy  = flag.Bool("smstudy", false, "run the in-band subnet-management study: oracle vs in-band SM across trap-loss rates and routing schemes, with a master-SM outage forcing standby failover")
-		series   = flag.Bool("series", false, "with -fault or -smstudy and -csv, also write the per-interval recovery-tail curves (delivered/dropped/retransmits/failed/unreachable per bin)")
-		quick    = flag.Bool("quick", false, "reduced load points and windows")
-		net      = flag.String("net", "", "override the study network as MxN (e.g. 32x2 = 32-port 2-tree); applies to -fault, -chaos, -degraded, -adaptive and -smstudy")
-		chart    = flag.Bool("chart", false, "render ASCII charts to stdout")
-		csvDir   = flag.String("csv", "", "directory to write per-figure CSV files into")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the sweeps to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile after the sweeps to this file")
-	)
+	var o options
+	flag.BoolVar(&o.table1, "table1", false, "print Table 1 (network configurations)")
+	flag.StringVar(&o.fig, "fig", "", "figure to run: F1..F8, a short name like c-16x2, or 'all'")
+	flag.BoolVar(&o.fault, "fault", false, "run the recovery-transient study: a live link failure mid-measurement, SLID vs MLID")
+	flag.BoolVar(&o.chaos, "chaos", false, "run the seeded chaos campaign: link flaps and switch kills with the reliable transport, SLID vs MLID")
+	flag.BoolVar(&o.degraded, "degraded", false, "run the degraded-fabric quality study: static verifier predictions vs simulated throughput across fault rates, SLID vs MLID")
+	flag.BoolVar(&o.adaptive, "adaptive", false, "run the path-selection family study: every pluggable selector on policy-separating workloads over the MLID fabric, with a degraded-fabric axis")
+	flag.BoolVar(&o.smstudy, "smstudy", false, "run the in-band subnet-management study: oracle vs in-band SM across trap-loss rates and routing schemes, with a master-SM outage forcing standby failover")
+	flag.BoolVar(&o.series, "series", false, "with -fault or -smstudy and -csv, also write the per-interval recovery-tail curves (delivered/dropped/retransmits/failed/unreachable per bin)")
+	flag.BoolVar(&o.quick, "quick", false, "reduced load points and windows")
+	flag.StringVar(&o.net, "net", "", "override the study network as MxN (e.g. 32x2 = 32-port 2-tree); applies to -fault, -chaos, -degraded, -adaptive and -smstudy")
+	flag.BoolVar(&o.chart, "chart", false, "render ASCII charts to stdout")
+	flag.StringVar(&o.csvDir, "csv", "", "directory to write per-figure CSV files into")
+	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the sweeps to this file")
+	memProf := flag.String("memprofile", "", "write a heap profile after the sweeps to this file")
 	flag.Parse()
 
+	// The profiles cover the sweeps whether or not they succeed: a failing
+	// sweep is exactly the one worth profiling, so they are finished before
+	// main exits, never skipped by an early os.Exit.
+	stopCPU, err := startCPUProfile(*cpuProf)
+	if err != nil {
+		exit(err)
+	}
+	err = run(o)
+	if perr := stopCPU(); err == nil {
+		err = perr
+	}
+	if perr := writeMemProfile(*memProf); err == nil {
+		err = perr
+	}
+	if errors.Is(err, errUsage) {
+		flag.Usage()
+		os.Exit(2)
+	}
+	exit(err)
+}
+
+// startCPUProfile begins CPU profiling into path ("" disables) and returns
+// the function that stops it and closes the file.
+func startCPUProfile(path string) (func() error, error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+// writeMemProfile records a heap profile to path ("" disables).
+func writeMemProfile(path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // up-to-date allocation statistics
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeCSV writes one CSV file into dir and reports its path; an empty dir
+// (no -csv flag) writes nothing.
+func writeCSV(dir, name, content string) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
+}
+
+// run executes the selected tables, studies and figures in flag order.
+func run(o options) error {
 	var netOverride *mlid.EvalNetwork
-	if *net != "" {
+	if o.net != "" {
 		var m, n int
-		if k, err := fmt.Sscanf(*net, "%dx%d", &m, &n); err != nil || k != 2 {
-			fatal(fmt.Errorf("-net %q: want MxN, e.g. 32x2", *net))
+		if k, err := fmt.Sscanf(o.net, "%dx%d", &m, &n); err != nil || k != 2 {
+			return fmt.Errorf("-net %q: want MxN, e.g. 32x2", o.net)
 		}
 		netOverride = &mlid.EvalNetwork{M: m, N: n}
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		fatal(err)
-		fatal(pprof.StartCPUProfile(f))
-		defer func() {
-			pprof.StopCPUProfile()
-			fatal(f.Close())
-		}()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			fatal(err)
-			runtime.GC() // up-to-date allocation statistics
-			fatal(pprof.WriteHeapProfile(f))
-			fatal(f.Close())
-		}()
-	}
-
-	if *table1 {
+	if o.table1 {
 		rows, err := mlid.EvalTable1(mlid.EvalNetworks())
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		printTable1(rows)
 	}
-	if *fault {
+	if o.fault {
 		spec := mlid.EvalRecoverySpecDefault()
-		if *quick {
+		if o.quick {
 			spec = mlid.EvalRecoverySpecQuick()
 		}
 		if netOverride != nil {
@@ -99,24 +168,23 @@ func main() {
 		fmt.Printf("recovery transient: %s, link down at %d ns, uniform load %.2f B/ns/node\n",
 			spec.Network, spec.FaultNs, spec.OfferedLoad)
 		rows, err := mlid.EvalRecoveryStudy(spec)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		fmt.Print(mlid.FormatRecovery(rows))
-		if *csvDir != "" {
-			fatal(os.MkdirAll(*csvDir, 0o755))
-			path := filepath.Join(*csvDir, "recovery.csv")
-			fatal(os.WriteFile(path, []byte(mlid.RecoveryCSV(rows)), 0o644))
-			fmt.Printf("wrote %s\n", path)
-			if *series {
-				path := filepath.Join(*csvDir, "recovery_series.csv")
-				fatal(os.WriteFile(path, []byte(mlid.RecoverySeriesCSV(rows)), 0o644))
-				fmt.Printf("wrote %s\n", path)
+		if err := writeCSV(o.csvDir, "recovery.csv", mlid.RecoveryCSV(rows)); err != nil {
+			return err
+		}
+		if o.series {
+			if err := writeCSV(o.csvDir, "recovery_series.csv", mlid.RecoverySeriesCSV(rows)); err != nil {
+				return err
 			}
 		}
 		fmt.Println()
 	}
-	if *chaos {
+	if o.chaos {
 		spec := mlid.EvalChaosSpecDefault()
-		if *quick {
+		if o.quick {
 			spec = mlid.EvalChaosSpecQuick()
 		}
 		if netOverride != nil {
@@ -125,19 +193,18 @@ func main() {
 		fmt.Printf("chaos campaign: %s, fault rates %v, outages %d-%d ns, %d switch kill(s), seed %d\n",
 			spec.Network, spec.FaultRates, spec.MinDownNs, spec.MaxDownNs, spec.SwitchKills, spec.Seed)
 		rows, err := mlid.EvalChaosStudy(spec)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		fmt.Print(mlid.FormatChaos(rows))
-		if *csvDir != "" {
-			fatal(os.MkdirAll(*csvDir, 0o755))
-			path := filepath.Join(*csvDir, "chaos.csv")
-			fatal(os.WriteFile(path, []byte(mlid.ChaosCSV(rows)), 0o644))
-			fmt.Printf("wrote %s\n", path)
+		if err := writeCSV(o.csvDir, "chaos.csv", mlid.ChaosCSV(rows)); err != nil {
+			return err
 		}
 		fmt.Println()
 	}
-	if *degraded {
+	if o.degraded {
 		spec := mlid.EvalDegradedSpecDefault()
-		if *quick {
+		if o.quick {
 			spec = mlid.EvalDegradedSpecQuick()
 		}
 		if netOverride != nil {
@@ -146,21 +213,22 @@ func main() {
 		fmt.Printf("degraded fabric: %s, fault rates %v, uniform load %.2f B/ns/node, seed %d\n",
 			spec.Network, spec.Rates, spec.OfferedLoad, spec.Seed)
 		rows, err := mlid.EvalDegradedStudy(spec)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		fmt.Print(mlid.FormatDegraded(rows))
-		fatal(mlid.DegradedOrderingConsistent(rows))
+		if err := mlid.DegradedOrderingConsistent(rows); err != nil {
+			return err
+		}
 		fmt.Println("ordering: static predicted-accepted ranking matches simulated accepted throughput at every rate")
-		if *csvDir != "" {
-			fatal(os.MkdirAll(*csvDir, 0o755))
-			path := filepath.Join(*csvDir, "degraded.csv")
-			fatal(os.WriteFile(path, []byte(mlid.DegradedCSV(rows)), 0o644))
-			fmt.Printf("wrote %s\n", path)
+		if err := writeCSV(o.csvDir, "degraded.csv", mlid.DegradedCSV(rows)); err != nil {
+			return err
 		}
 		fmt.Println()
 	}
-	if *adaptive {
+	if o.adaptive {
 		spec := mlid.EvalAdaptiveSpecDefault()
-		if *quick {
+		if o.quick {
 			spec = mlid.EvalAdaptiveSpecQuick()
 		}
 		if netOverride != nil {
@@ -169,19 +237,18 @@ func main() {
 		fmt.Printf("path-selection family: %s, load %.2f B/ns/node, fault rate %.2f, seed %d\n",
 			spec.Network, spec.OfferedLoad, spec.FaultRate, spec.Seed)
 		rows, err := mlid.EvalAdaptiveStudy(spec)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		fmt.Print(mlid.FormatAdaptive(rows))
-		if *csvDir != "" {
-			fatal(os.MkdirAll(*csvDir, 0o755))
-			path := filepath.Join(*csvDir, "adaptive.csv")
-			fatal(os.WriteFile(path, []byte(mlid.AdaptiveCSV(rows)), 0o644))
-			fmt.Printf("wrote %s\n", path)
+		if err := writeCSV(o.csvDir, "adaptive.csv", mlid.AdaptiveCSV(rows)); err != nil {
+			return err
 		}
 		fmt.Println()
 	}
-	if *smstudy {
+	if o.smstudy {
 		spec := mlid.EvalSMSpecDefault()
-		if *quick {
+		if o.quick {
 			spec = mlid.EvalSMSpecQuick()
 		}
 		if netOverride != nil {
@@ -190,40 +257,40 @@ func main() {
 		fmt.Printf("in-band subnet management: %s, trap-loss rates %v, sweep every %d ns, master-SM outage %d-%d ns, seed %d\n",
 			spec.Network, spec.TrapLossProbs, spec.SweepIntervalNs, spec.SMDownNs, spec.SMUpNs, spec.Seed)
 		rows, err := mlid.EvalSMStudy(spec)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		fmt.Print(mlid.FormatSM(rows))
 		fmt.Println("invariants: packet conservation exact on every run; each in-band run lost traps, recovered them by sweep, and failed over to the standby SM exactly once")
-		if *csvDir != "" {
-			fatal(os.MkdirAll(*csvDir, 0o755))
-			path := filepath.Join(*csvDir, "sm.csv")
-			fatal(os.WriteFile(path, []byte(mlid.SMCSV(rows)), 0o644))
-			fmt.Printf("wrote %s\n", path)
-			if *series {
-				path := filepath.Join(*csvDir, "sm_series.csv")
-				fatal(os.WriteFile(path, []byte(mlid.SMSeriesCSV(rows)), 0o644))
-				fmt.Printf("wrote %s\n", path)
+		if err := writeCSV(o.csvDir, "sm.csv", mlid.SMCSV(rows)); err != nil {
+			return err
+		}
+		if o.series {
+			if err := writeCSV(o.csvDir, "sm_series.csv", mlid.SMSeriesCSV(rows)); err != nil {
+				return err
 			}
 		}
 		fmt.Println()
 	}
-	if *fig == "" {
-		if !*table1 && !*fault && !*chaos && !*degraded && !*adaptive && !*smstudy {
-			flag.Usage()
-			os.Exit(2)
+	if o.fig == "" {
+		if !o.table1 && !o.fault && !o.chaos && !o.degraded && !o.adaptive && !o.smstudy {
+			return errUsage
 		}
-		return
+		return nil
 	}
 
 	specs := mlid.EvalFigures()
-	if *quick {
+	if o.quick {
 		specs = mlid.EvalQuickFigures()
 	}
 	var selected []mlid.EvalFigureSpec
-	if *fig == "all" {
+	if o.fig == "all" {
 		selected = specs
 	} else {
-		want, err := mlid.EvalFigureByID(*fig)
-		fatal(err)
+		want, err := mlid.EvalFigureByID(o.fig)
+		if err != nil {
+			return err
+		}
 		for _, s := range specs {
 			if s.ID == want.ID {
 				selected = append(selected, s)
@@ -234,19 +301,19 @@ func main() {
 	for _, spec := range selected {
 		fmt.Printf("running %s ...\n", spec.Title())
 		res, err := spec.Run()
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		fmt.Print(res.Summary())
-		if *chart {
+		if o.chart {
 			fmt.Println(res.Chart())
 		}
-		if *csvDir != "" {
-			fatal(os.MkdirAll(*csvDir, 0o755))
-			path := filepath.Join(*csvDir, spec.ID+".csv")
-			fatal(os.WriteFile(path, []byte(res.CSV()), 0o644))
-			fmt.Printf("wrote %s\n", path)
+		if err := writeCSV(o.csvDir, spec.ID+".csv", res.CSV()); err != nil {
+			return err
 		}
 		fmt.Println()
 	}
+	return nil
 }
 
 func printTable1(rows []mlid.EvalTable1Row) {
@@ -260,7 +327,8 @@ func printTable1(rows []mlid.EvalTable1Row) {
 	fmt.Println()
 }
 
-func fatal(err error) {
+// exit reports err, if any, and exits non-zero.
+func exit(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ibsweep:", err)
 		if errors.Is(err, mlid.ErrLIDSpaceExhausted) {

@@ -90,6 +90,7 @@ func RunBatch(bc BatchConfig) (BatchResult, error) {
 		return BatchResult{}, err
 	}
 	s := build(cfg)
+	defer s.release()
 	s.end = bc.DeadlineNs
 
 	// Enqueue every message's packets at time zero, in a deterministic

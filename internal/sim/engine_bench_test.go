@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"mlid/internal/core"
-	"mlid/internal/ib"
-	"mlid/internal/topology"
 	"mlid/internal/traffic"
 )
 
@@ -40,21 +38,12 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	b.Run("heap", func(b *testing.B) { bench(b, 256, true) })
 }
 
-func benchSubnet(b *testing.B, m, n int) *ib.Subnet {
-	b.Helper()
-	tr := topology.MustNew(m, n)
-	sn, err := (&ib.SubnetManager{Tree: tr, Engine: core.NewMLID()}).Configure()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sn
-}
-
-// BenchmarkRunSmall measures one full small simulation, reporting ns/event
-// and allocs/op for the whole hot path (engine + model + packet pool).
-func BenchmarkRunSmall(b *testing.B) {
-	sn := benchSubnet(b, 8, 2)
-	cfg := Config{
+// runSmallConfig is BenchmarkRunSmall's run: FT(8,2) MLID, uniform 0.6
+// B/ns/node on 2 VLs over a 60 us horizon. TestRunSmallAllocs bounds its
+// steady-state allocations.
+func runSmallConfig(tb testing.TB) Config {
+	sn := mustSubnet(tb, 8, 2, core.NewMLID())
+	return Config{
 		Subnet:      sn,
 		Pattern:     traffic.Uniform{Nodes: sn.Tree.Nodes()},
 		DataVLs:     2,
@@ -63,6 +52,12 @@ func BenchmarkRunSmall(b *testing.B) {
 		MeasureNs:   50_000,
 		Seed:        1,
 	}
+}
+
+// BenchmarkRunSmall measures one full small simulation, reporting ns/event
+// and allocs/op for the whole hot path (engine + model + packet pool).
+func BenchmarkRunSmall(b *testing.B) {
+	cfg := runSmallConfig(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int64

@@ -392,6 +392,8 @@ type faultRun struct {
 
 	// reselection caches, indexed src*nodes+dst; reselEpoch holds the epoch
 	// the cached mask was computed at (0 = unset; valid epochs are >= 1).
+	// Sized by build for plans with Reselect on fabrics of at most 4096
+	// nodes; nil otherwise.
 	reselMask  []uint64
 	reselEpoch []uint32
 
@@ -408,11 +410,6 @@ func (s *Sim) scheduleFaults() {
 	s.faults.plan = *plan
 	s.faults.firstDownNs = -1
 	s.faults.lastRepairNs = -1
-	if plan.Reselect && s.tree.Nodes() <= 4096 {
-		n := s.tree.Nodes()
-		s.faults.reselMask = make([]uint64, n*n)
-		s.faults.reselEpoch = make([]uint32, n*n)
-	}
 	// In-band management emits traps from the link events themselves
 	// (markLinkDown / linkUp), routed through the live tables; only the
 	// oracle gets the fiat evTrap that always reaches the SM.

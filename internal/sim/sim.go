@@ -153,6 +153,11 @@ type Sim struct {
 	waiting [][]*pkt  // packets stuck in input buffers upstream of the
 	// crossbar, waiting for an output-buffer slot
 	rrIn []int32 // round-robin pointer over input ports (crossbar arbitration)
+	// qSlab backs every switch queue and each source queue's starting
+	// capacity (see build); srcGrown carries source-queue arrays that grew
+	// off-slab over to the next recycled run.
+	qSlab    []*pkt
+	srcGrown [][]*pkt
 
 	// lfts holds each switch's live forwarding table; fwd16/fwd32 is its
 	// compiled form — one flat row of lftSize entries per switch mapping DLID
@@ -211,14 +216,14 @@ type Sim struct {
 	// lastDelivery is the latest tail-delivery timestamp (batch makespan).
 	lastDelivery Time
 
-	// pktFree recycles delivered packets, refilled in slabs from pktSlab (the
-	// carving tail of the newest entry in pktSlabs, which pktAt indexes by
-	// pkt.idx). A pkt on the free list is dead: the model must never
-	// reference a packet after its evDeliver dispatched (see DESIGN.md,
-	// "Event engine internals").
-	pktFree  []*pkt
-	pktSlab  []pkt
-	pktSlabs [][]pkt
+	// pktFree recycles delivered packets; past it, newPkt carves slot
+	// pktCarved of pktSlabs (which pktAt indexes by pkt.idx), appending a
+	// slab when carving runs past the last one. A pkt on the free list is
+	// dead: the model must never reference a packet after its evDeliver
+	// dispatched (see DESIGN.md, "Event engine internals").
+	pktFree   []*pkt
+	pktSlabs  [][]pkt
+	pktCarved int32
 
 	// series accumulators, indexed by tail / SeriesIntervalNs.
 	seriesBytes    []int64
@@ -257,6 +262,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	s := build(cfg)
+	defer s.release()
 	s.end = cfg.WarmupNs + cfg.MeasureNs
 
 	s.scheduleFaults()
@@ -379,7 +385,9 @@ func (s *Sim) buildResult(horizon Time, events int64) Result {
 	if links > 0 {
 		res.MeanLinkUtilization = sum / float64(links)
 	}
-	res.Traces = s.traces
+	// Hand the traces off: the next run on this recycled state starts a new
+	// list instead of appending into the caller's.
+	res.Traces, s.traces = s.traces, nil
 	if iv := cfg.SeriesIntervalNs; iv > 0 {
 		for bin := range s.seriesBytes {
 			sp := SeriesPoint{
@@ -443,17 +451,49 @@ func (s *Sim) buildResult(horizon Time, events int64) Result {
 	return res
 }
 
+// srcQueueCap is a source queue's starting capacity, carved from the FIFO
+// slab; an open-loop backlog past it grows the queue off-slab.
+const srcQueueCap = 16
+
+// build prepares a run of cfg on recycled state from simPool: every buffer
+// keeps its backing array when the capacity suffices and is cleared, so a
+// sweep's runs reuse one arena per worker instead of reallocating it. A
+// buffer the run does not use (the transport tables of a run without
+// transport, say) is dropped rather than carried along.
 func build(cfg Config) *Sim {
 	t := cfg.Subnet.Tree
 	S, M, N := t.Switches(), t.M(), t.Nodes()
-	s := &Sim{
+	s := simPool.Get().(*Sim)
+	prev := *s
+	prev.engine.reset()
+	faults := prev.faults
+	if faults == nil {
+		faults = &faultRun{}
+	}
+	reselMask, reselEpoch := faults.reselMask, faults.reselEpoch
+	*faults = faultRun{}
+	*s = Sim{
+		engine:  prev.engine,
 		cfg:     cfg,
 		tree:    t,
 		m:       M,
 		srcBase: int32(S * M),
 		serPkt:  Time(cfg.PacketSize) * cfg.NsPerByte,
 		ia:      float64(cfg.PacketSize) * float64(cfg.NsPerByte) / cfg.OfferedLoad,
-		faults:  &faultRun{},
+		faults:  faults,
+		// Packet slabs outlive the run: newPkt carves them again from slot
+		// zero, re-zeroing each packet.
+		pktSlabs: prev.pktSlabs,
+		pktFree:  prev.pktFree[:0],
+		// Series accumulators grow by appending zeros (seriesBin).
+		seriesBytes:       prev.seriesBytes[:0],
+		seriesCount:       prev.seriesCount[:0],
+		seriesLat:         prev.seriesLat[:0],
+		seriesDropped:     prev.seriesDropped[:0],
+		seriesReroutes:    prev.seriesReroutes[:0],
+		seriesRexmit:      prev.seriesRexmit[:0],
+		seriesFailed:      prev.seriesFailed[:0],
+		seriesUnreachable: prev.seriesUnreachable[:0],
 	}
 	s.engine.heapOnly = engineHeapOnly || cfg.HeapOnlyScheduler
 	// The reliable transport claims one management VL for ACK/NAK traffic on
@@ -465,28 +505,42 @@ func build(cfg Config) *Sim {
 	}
 	s.vls = vls
 	numPorts := S*M + N
-	s.ports = make([]portState, numPorts)
-	s.cv = make([]vlFlow, numPorts*vls)
-	s.queues = make([]pktFIFO, numPorts*vls)
-	s.waiting = make([][]*pkt, numPorts*vls)
-	s.rrIn = make([]int32, numPorts*vls)
+	s.ports = recycle(prev.ports, numPorts)
+	s.cv = recycle(prev.cv, numPorts*vls)
+	s.waiting = recycleKeep(prev.waiting, numPorts*vls, func(w *[]*pkt) { *w = (*w)[:0] })
+	s.rrIn = recycle(prev.rrIn, numPorts*vls)
 	for i := range s.cv {
 		s.cv[i].credits = int32(cfg.BufPackets)
 	}
 	// Slab-back the FIFOs: a switch output buffer holds at most BufPackets
 	// per VL (occupancy-gated), so its backing array is sized exactly;
 	// source queues are unbounded (open-loop backlog) and get a modest
-	// starting capacity, growing off-slab past it.
-	swSlab := make([]*pkt, S*M*vls*cfg.BufPackets)
-	for i := 0; i < S*M*vls; i++ {
-		s.queues[i].items = swSlab[i*cfg.BufPackets : i*cfg.BufPackets : (i+1)*cfg.BufPackets]
+	// starting capacity, growing off-slab past it. A source queue that grew
+	// in an earlier run hands its larger array to this run's source queues;
+	// collect those before the queue array is cleared.
+	grown := prev.srcGrown[:0]
+	for _, q := range prev.queues[int(prev.srcBase)*prev.vls:] {
+		if cap(q.items) > srcQueueCap {
+			grown = append(grown, q.items[:0])
+		}
 	}
-	const srcCap = 16
-	srcSlab := make([]*pkt, N*vls*srcCap)
+	s.queues = recycle(prev.queues, numPorts*vls)
+	swQueues := S * M * vls
+	s.qSlab = recycle(prev.qSlab, swQueues*cfg.BufPackets+N*vls*srcQueueCap)
+	for i := 0; i < swQueues; i++ {
+		s.queues[i].items = s.qSlab[i*cfg.BufPackets : i*cfg.BufPackets : (i+1)*cfg.BufPackets]
+	}
+	srcSlab := s.qSlab[swQueues*cfg.BufPackets:]
 	for i := 0; i < N*vls; i++ {
-		s.queues[S*M*vls+i].items = srcSlab[i*srcCap : i*srcCap : (i+1)*srcCap]
+		q := &s.queues[swQueues+i]
+		if n := len(grown); n > 0 {
+			q.items, grown = grown[n-1], grown[:n-1]
+			continue
+		}
+		q.items = srcSlab[i*srcQueueCap : i*srcQueueCap : (i+1)*srcQueueCap]
 	}
-	s.lfts = make([]*ib.LFT, S)
+	s.srcGrown = grown[:0]
+	s.lfts = recycle(prev.lfts, S)
 	for sw := 0; sw < S; sw++ {
 		lft := cfg.Subnet.LFTs[sw]
 		if cfg.FaultPlan != nil {
@@ -514,14 +568,16 @@ func build(cfg Config) *Sim {
 		}
 	}
 	if maxPid := S*M + N - 1; maxPid <= math.MaxInt16 {
-		s.fwd16 = make([]int16, S*s.lftSize)
+		s.fwd16 = recycle(prev.fwd16, S*s.lftSize)
 	} else {
-		s.fwd32 = make([]int32, S*s.lftSize)
+		s.fwd32 = recycle(prev.fwd32, S*s.lftSize)
 	}
 	for sw := 0; sw < S; sw++ {
 		s.compileLFT(int32(sw))
 	}
-	s.nodes = make([]nodeState, N)
+	// Each node keeps its generator: Seed restarts the stream exactly where
+	// a fresh rand.New(rand.NewSource(seed)) would begin.
+	s.nodes = recycleKeep(prev.nodes, N, func(n *nodeState) { *n = nodeState{rng: n.rng} })
 	for p := 0; p < N; p++ {
 		sw, port := t.NodeAttachment(topology.NodeID(p))
 		pt := &s.ports[int(s.srcBase)+p]
@@ -529,11 +585,16 @@ func build(cfg Config) *Sim {
 		pt.destNode = -1
 		pt.destSw = int32(sw)
 		pt.destPort = int32(port)
-		s.nodes[p].rng = rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(p)))
+		seed := cfg.Seed*1_000_003 + int64(p)
+		if n := &s.nodes[p]; n.rng == nil {
+			n.rng = rand.New(rand.NewSource(seed))
+		} else {
+			n.rng.Seed(seed)
+		}
 	}
-	if n := t.Nodes(); n <= 4096 {
-		s.flowSeq = make([]uint32, n*n)
-		s.flowHigh = make([]uint32, n*n)
+	if N <= 4096 {
+		s.flowSeq = recycle(prev.flowSeq, N*N)
+		s.flowHigh = recycle(prev.flowHigh, N*N)
 	}
 	s.selector = cfg.PathSelect
 	if s.selector == nil {
@@ -541,16 +602,19 @@ func build(cfg Config) *Sim {
 	}
 	if s.selector.NeedsFlowState() {
 		// validate capped stateful selectors at 4096 nodes.
-		s.selState = make([]uint32, N*N)
+		s.selState = recycle(prev.selState, N*N)
+	}
+	if plan := cfg.FaultPlan; plan != nil && plan.Reselect && N <= 4096 {
+		s.faults.reselMask = recycle(reselMask, N*N)
+		s.faults.reselEpoch = recycle(reselEpoch, N*N)
 	}
 	if cfg.Transport != nil {
-		n := t.Nodes()
-		s.transport = &transportRun{
-			cfg:    *cfg.Transport,
-			mgmtVL: uint8(cfg.DataVLs), // last VL index: the one claimed above
-			tx:     make([]txFlow, n*n),
-			rx:     make([]rxFlow, n*n),
+		tr := prev.transport
+		if tr == nil {
+			tr = &transportRun{}
 		}
+		tr.reset(*cfg.Transport, uint8(cfg.DataVLs), N*N) // mgmt VL: the last index, claimed above
+		s.transport = tr
 	}
 	return s
 }
@@ -665,30 +729,27 @@ func (s *Sim) dispatch(ev event) {
 }
 
 // newPkt returns a zeroed packet (upstream set to noPort), reusing a
-// recycled one when available and refilling from slab-sized allocations
-// otherwise, so packet churn costs one allocation per pktSlabSize packets.
+// delivered one when available and carving the next slab slot otherwise, so
+// packet churn costs one allocation per pktSlabSize packets. Slabs carry over
+// from the recycled run, so a new slab is allocated only once carving passes
+// every slab an earlier run left behind.
 func (s *Sim) newPkt() *pkt {
+	var p *pkt
 	if n := len(s.pktFree); n > 0 {
-		p := s.pktFree[n-1]
+		p = s.pktFree[n-1]
 		s.pktFree = s.pktFree[:n-1]
-		idx := p.idx
-		*p = pkt{}
-		p.idx = idx
-		p.upstream = noPort
-		return p
-	}
-	if len(s.pktSlab) == 0 {
-		slab := make([]pkt, pktSlabSize)
-		base := int32(len(s.pktSlabs)) << pktSlabShift
-		for j := range slab {
-			slab[j].idx = base + int32(j)
+	} else {
+		if int(s.pktCarved) == len(s.pktSlabs)<<pktSlabShift {
+			slab := make([]pkt, pktSlabSize)
+			for j := range slab {
+				slab[j].idx = s.pktCarved + int32(j)
+			}
+			s.pktSlabs = append(s.pktSlabs, slab)
 		}
-		s.pktSlabs = append(s.pktSlabs, slab)
-		s.pktSlab = slab
+		p = s.pktAt(s.pktCarved)
+		s.pktCarved++
 	}
-	p := &s.pktSlab[0]
-	s.pktSlab = s.pktSlab[1:]
-	p.upstream = noPort
+	*p = pkt{idx: p.idx, upstream: noPort}
 	return p
 }
 

@@ -12,7 +12,7 @@ import (
 	"mlid/internal/traffic"
 )
 
-func mustSubnet(t *testing.T, m, n int, s core.Scheme) *ib.Subnet {
+func mustSubnet(t testing.TB, m, n int, s core.Scheme) *ib.Subnet {
 	t.Helper()
 	tr := topology.MustNew(m, n)
 	sn, err := (&ib.SubnetManager{Tree: tr, Engine: s}).Configure()

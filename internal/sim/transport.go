@@ -291,6 +291,21 @@ type transportRun struct {
 	lastRecoveredNs Time
 }
 
+// reset prepares recycled transport state for a run with the given number
+// of (src, dst) flows: every flow starts idle, sender queues keep their
+// arrays, and the out-of-order rings receivers still hold join winFree.
+func (t *transportRun) reset(cfg TransportConfig, mgmtVL uint8, flows int) {
+	winFree := t.winFree
+	tx := recycleKeep(t.tx, flows, func(f *txFlow) { *f = txFlow{unacked: f.unacked[:0]} })
+	rx := recycleKeep(t.rx, flows, func(f *rxFlow) {
+		if f.win != nil {
+			winFree = append(winFree, f.win)
+		}
+		*f = rxFlow{}
+	})
+	*t = transportRun{cfg: cfg, mgmtVL: mgmtVL, tx: tx, rx: rx, winFree: winFree}
+}
+
 // flowIdx maps a (src, dst) pair onto the flat flow arrays.
 func (s *Sim) flowIdx(src, dst int32) int32 {
 	return src*int32(s.tree.Nodes()) + dst

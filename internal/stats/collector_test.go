@@ -59,8 +59,19 @@ func TestStreamingModeRetainsNoSamples(t *testing.T) {
 	if c.samples != nil {
 		t.Error("streaming collector retained samples")
 	}
-	if len(c.counts) != latBuckets {
-		t.Errorf("histogram size = %d, want %d", len(c.counts), latBuckets)
+	// Samples 100..1099 touch octaves 6 (64..127) through 10 (1024..2047):
+	// exactly those rows exist, each one full octave wide.
+	for o, row := range c.counts {
+		touched := o >= 6 && o <= 10
+		if touched != (row != nil) {
+			t.Errorf("octave %d: row allocated = %t, want %t", o, row != nil, touched)
+		}
+		if row != nil && len(row) != latSubs {
+			t.Errorf("octave %d: row size = %d, want %d", o, len(row), latSubs)
+		}
+	}
+	if len(c.counts) != latOctaves {
+		t.Errorf("row table size = %d, want %d", len(c.counts), latOctaves)
 	}
 }
 
@@ -123,6 +134,16 @@ func TestStreamingPercentileErrorBound(t *testing.T) {
 		"constant": func(r *rand.Rand) float64 { return 1234.5 },
 		// Uniform over a wide range, non-integer samples.
 		"uniform": func(r *rand.Rand) float64 { return 1 + 1e6*r.Float64() },
+		// Log-uniform over 2^-4..2^40: 44 octaves, a sub-1 ns share that
+		// clamps into bucket 0, and a sprinkle of samples beyond 2^64 that
+		// clamp into the top octave's last bucket — all below P1 or above
+		// P999, so the checked ranks fall in the exactly-binned range.
+		"wide": func(r *rand.Rand) float64 {
+			if r.Float64() < 0.0005 {
+				return 1e25
+			}
+			return math.Exp2(-4 + 44*r.Float64())
+		},
 	}
 	for name, gen := range gens {
 		for seed := int64(1); seed <= 5; seed++ {
@@ -149,6 +170,18 @@ func TestStreamingPercentileErrorBound(t *testing.T) {
 			}
 			if c.Count() != n {
 				t.Errorf("%s seed %d: Count = %d", name, seed, c.Count())
+			}
+			if name == "wide" {
+				rows := 0
+				for _, row := range c.counts {
+					if row != nil {
+						rows++
+					}
+				}
+				if rows < 20 || c.counts[0] == nil || c.counts[latOctaves-1] == nil {
+					t.Errorf("wide seed %d: %d octave rows (bottom %t, top %t), want >= 20 with both clamps",
+						seed, rows, c.counts[0] != nil, c.counts[latOctaves-1] != nil)
+				}
 			}
 		}
 	}

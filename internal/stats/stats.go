@@ -51,19 +51,25 @@ func latValue(i int) float64 {
 
 // LatencyCollector accumulates per-packet latencies (ns) inside the
 // measurement window. The zero value is a streaming collector: Add is O(1)
-// and allocation-free after the first call, Mean/Count/Max/Min are exact,
-// and Percentile answers from a log-linear histogram with relative
-// quantization error below 0.1% (see latSubBits). Memory is a fixed bucket
-// array, independent of the sample count — the simulator's hot path retains
-// no samples. NewExactLatencyCollector returns a sample-retaining collector
-// with exact nearest-rank percentiles, for tests and offline analysis.
+// and allocates only on the first sample of an octave, Mean/Count/Max/Min
+// are exact, and Percentile answers from a log-linear histogram with
+// relative quantization error below 0.1% (see latSubBits). Memory is one row
+// of latSubs buckets per octave a sample has touched — a run's latencies
+// span a handful of octaves, so a collector holds a few rows instead of all
+// latOctaves, independent of the sample count. The simulator's hot path
+// retains no samples. NewExactLatencyCollector returns a sample-retaining
+// collector with exact nearest-rank percentiles, for tests and offline
+// analysis.
 type LatencyCollector struct {
 	count int64
 	sum   float64
 	min   float64
 	max   float64
-	// counts is the streaming histogram, allocated on first Add.
-	counts []int64
+	// counts is the streaming histogram: counts[o] is octave o's row of
+	// latSubs buckets (bucket i lives at counts[i>>latSubBits][i&(latSubs-1)]).
+	// The row table is allocated on first Add and each row on its octave's
+	// first sample; untouched octaves stay nil.
+	counts [][]int64
 	// exact marks a sample-retaining collector; samples holds insertion
 	// order, sorted is the lazily rebuilt ascending copy (never the samples
 	// themselves: Percentile must not disturb insertion order).
@@ -95,9 +101,15 @@ func (c *LatencyCollector) Add(ns float64) {
 		return
 	}
 	if c.counts == nil {
-		c.counts = make([]int64, latBuckets)
+		c.counts = make([][]int64, latOctaves)
 	}
-	c.counts[latIndex(ns)]++
+	i := latIndex(ns)
+	row := c.counts[i>>latSubBits]
+	if row == nil {
+		row = make([]int64, latSubs)
+		c.counts[i>>latSubBits] = row
+	}
+	row[i&(latSubs-1)]++
 }
 
 // Count returns the number of samples.
@@ -137,10 +149,12 @@ func (c *LatencyCollector) Percentile(q float64) float64 {
 		return c.sorted[want-1]
 	}
 	var acc int64
-	for i, n := range c.counts {
-		acc += n
-		if acc >= want {
-			return latValue(i)
+	for o, row := range c.counts {
+		for sub, n := range row {
+			acc += n
+			if acc >= want {
+				return latValue(o<<latSubBits | sub)
+			}
 		}
 	}
 	return c.max
