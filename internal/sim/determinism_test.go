@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mlid/internal/core"
+	"mlid/internal/ib"
 	"mlid/internal/topology"
 	"mlid/internal/traffic"
 )
@@ -134,6 +135,99 @@ func scenarioCases(t *testing.T) []struct {
 	}
 }
 
+// batchCases are the closed workloads pinned in testdata/golden_results.txt
+// with batchFingerprint: the gather and the all-to-all exchange on FT(8,2),
+// under both schemes, with 2 VLs.
+func batchCases(t *testing.T) []struct {
+	name string
+	cfg  BatchConfig
+} {
+	t.Helper()
+	var cases []struct {
+		name string
+		cfg  BatchConfig
+	}
+	for _, scheme := range []core.Scheme{core.NewSLID(), core.NewMLID()} {
+		sn := mustSubnet(t, 8, 2, scheme)
+		for _, c := range []struct {
+			name string
+			msgs []Message
+		}{
+			{"gather", Gather(sn.Tree, 0, 2048)},
+			{"alltoall", AllToAll(sn.Tree, 512)},
+		} {
+			cases = append(cases, struct {
+				name string
+				cfg  BatchConfig
+			}{
+				fmt.Sprintf("batch-%s-8x2-%s-vl2", strings.ToLower(scheme.Name()), c.name),
+				BatchConfig{Subnet: sn, Messages: c.msgs, DataVLs: 2, Seed: 13},
+			})
+		}
+	}
+	return cases
+}
+
+// batchFingerprint compacts a BatchResult into one stable line.
+func batchFingerprint(r BatchResult) string {
+	return fmt.Sprintf("makespan=%d packets=%d bytes=%d mean_lat=%.6f events=%d",
+		r.MakespanNs, r.Packets, r.Bytes, r.MeanLatencyNs, r.Events)
+}
+
+// testPlan is a profile-guided path plan over FT(8,2) MLID: every pair with
+// src < dst is planned, with weights skewed by the pair, and the reverse
+// pairs are left to the scheme's canonical choice.
+func testPlan(t *testing.T, sn *ib.Subnet) *core.PathPlan {
+	t.Helper()
+	var flows []core.Flow
+	for src := 0; src < sn.Tree.Nodes(); src++ {
+		for dst := src + 1; dst < sn.Tree.Nodes(); dst++ {
+			flows = append(flows, core.Flow{
+				Src: topology.NodeID(src), Dst: topology.NodeID(dst),
+				Weight: float64(1 + (7*src+3*dst)%5),
+			})
+		}
+	}
+	plan, err := core.OptimizePaths(sn.Tree, core.NewMLID(), flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// planCases are the open-loop runs driven by testPlan, pinned with
+// scenarioFingerprint: the plan on a healthy fabric, and the same plan under
+// fault reselection with a leaf link down, whose reroutes and drops show the
+// plan's choices failing over.
+func planCases(t *testing.T) []struct {
+	name string
+	cfg  Config
+} {
+	t.Helper()
+	sn := mustSubnet(t, 8, 2, core.NewMLID())
+	plan := testPlan(t, sn)
+	cfg := Config{
+		Subnet: sn, Pattern: traffic.Uniform{Nodes: sn.Tree.Nodes()},
+		DataVLs: 2, OfferedLoad: 0.5, WarmupNs: 10_000, MeasureNs: 40_000,
+		DLIDFunc: func(src, dst topology.NodeID) ib.LID {
+			return plan.DLID(sn.Tree, core.NewMLID(), src, dst)
+		},
+		Seed: 37,
+	}
+	faulted := cfg
+	faulted.FaultPlan = &FaultPlan{
+		Faults:   []LinkFault{{Switch: 2, Port: 2, DownNs: 15_000, UpNs: 35_000}},
+		Reselect: true,
+	}
+	return []struct {
+		name string
+		cfg  Config
+	}{
+		{"plan-8x2-uniform", cfg},
+		{"plan-8x2-uniform-faults-reselect", faulted},
+	}
+}
+
 // fingerprint compacts a Result into a stable, human-diffable line set.
 func fingerprint(r Result) string {
 	return fmt.Sprintf(
@@ -156,8 +250,9 @@ func scenarioFingerprint(r Result) string {
 }
 
 // TestGoldenDeterminism pins simulation results against fixtures recorded
-// before the engine rewrite (goldenCases) and the scenario fixtures
-// (scenarioCases). Run with -update to re-record.
+// before the engine rewrite (goldenCases), the scenario fixtures
+// (scenarioCases), the closed workloads (batchCases) and the path-plan runs
+// (planCases). Run with -update to re-record.
 func TestGoldenDeterminism(t *testing.T) {
 	var lines []string
 	for _, tc := range goldenCases(t) {
@@ -168,6 +263,20 @@ func TestGoldenDeterminism(t *testing.T) {
 		lines = append(lines, tc.name+": "+fingerprint(res))
 	}
 	for _, tc := range scenarioCases(t) {
+		res, err := Run(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		lines = append(lines, tc.name+": "+scenarioFingerprint(res))
+	}
+	for _, tc := range batchCases(t) {
+		res, err := RunBatch(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		lines = append(lines, tc.name+": "+batchFingerprint(res))
+	}
+	for _, tc := range planCases(t) {
 		res, err := Run(tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
