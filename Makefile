@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test ci bench bench-check bench-json bench-engine vet fmt-check lint lint-fix race soak verify-smoke adaptive-smoke sm-smoke
+.PHONY: build test ci bench bench-check bench-engine vet fmt-check lint lint-fix race soak verify-smoke adaptive-smoke sm-smoke
 
 build:
 	$(GO) build ./...
@@ -104,10 +104,12 @@ bench-check:
 # module check.
 ci: build vet fmt-check lint test race soak verify-smoke adaptive-smoke sm-smoke bench-check
 
-# BENCH_TIME / BENCH_COUNT tune the figure benchmarks: the committed defaults
-# (one iteration, run once) keep `make ci` cheap, but single-iteration numbers
-# are noisy — override both for comparable measurements, e.g.
-#   make bench-json BENCH_TIME=3x BENCH_COUNT=5
+# BENCH_TIME / BENCH_COUNT tune the figure benchmarks: the defaults (one
+# iteration, run once) are quick, but single-iteration numbers are noisy —
+# override both for comparable measurements, e.g.
+#   make bench BENCH_TIME=3x BENCH_COUNT=5
+# A number that backs a performance claim comes from bench/ (bash
+# bench/run.sh), which takes repeated samples and compares runs.
 BENCH_TIME ?= 1x
 BENCH_COUNT ?= 1
 
@@ -117,19 +119,6 @@ BENCH_COUNT ?= 1
 # repaired).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkFig|BenchmarkRepairIncremental|BenchmarkSMRecovery|BenchmarkVerifyEpoch' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
-
-# bench-json runs the figure benchmarks and records ns/op and allocs/op as
-# committed JSON (BENCH_$(BENCH_PR).json), so perf gates diff against a file
-# instead of a number in a commit message. The JSON also records GOMAXPROCS
-# per entry, so files are comparable across machines. The
-# raw text lands in bench.out for inspection; only the JSON is meant to be
-# committed.
-BENCH_PR ?= 10
-bench-json:
-	$(GO) test -run xxx -bench 'BenchmarkFig|BenchmarkRepairIncremental|BenchmarkSMRecovery|BenchmarkVerifyEpoch' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . | tee bench.out
-	$(GO) run ./cmd/benchjson < bench.out > BENCH_$(BENCH_PR).json
-	@rm -f bench.out
-	@echo wrote BENCH_$(BENCH_PR).json
 
 # bench-engine runs the scheduler micro-benchmarks (ns/event, allocs/op).
 bench-engine:

@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's evaluation artifacts. One benchmark
-// per table and figure, plus the ablation studies DESIGN.md calls out.
+// per table and figure, plus the extension studies DESIGN.md calls out; the
+// ablation suite runs as experiment.RunAblations (`ibreport -ablations`).
 //
 // The figure benchmarks run reduced sweeps (two load points, two VL counts)
 // so a default `go test -bench=.` completes in minutes; cmd/ibsweep runs the
@@ -172,211 +173,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
-}
-
-// BenchmarkAblationVL8 extends the paper's VL sweep beyond 4 lanes
-// (experiment EX-A): does an 8th lane still help SLID under the hotspot?
-func BenchmarkAblationVL8(b *testing.B) {
-	tree, _ := mlid.NewTree(8, 2)
-	for _, vls := range []int{4, 8} {
-		for _, s := range mlid.Schemes() {
-			sn, err := mlid.Configure(tree, s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/VL%d", s.Name(), vls), func(b *testing.B) {
-				var acc float64
-				for i := 0; i < b.N; i++ {
-					res, err := mlid.Simulate(mlid.SimConfig{
-						Subnet:      sn,
-						Pattern:     mlid.CentricTraffic(tree.Nodes(), 0, 0.5),
-						DataVLs:     vls,
-						OfferedLoad: 0.6,
-						WarmupNs:    20_000,
-						MeasureNs:   60_000,
-						Seed:        9,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					acc = res.Accepted
-				}
-				b.ReportMetric(acc, "accepted_Bns")
-			})
-		}
-	}
-}
-
-// BenchmarkAblationBuffers varies the per-VL buffer depth (EX-B).
-func BenchmarkAblationBuffers(b *testing.B) {
-	tree, _ := mlid.NewTree(8, 2)
-	sn, err := mlid.Configure(tree, mlid.MLID())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, buf := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("buf%d", buf), func(b *testing.B) {
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				res, err := mlid.Simulate(mlid.SimConfig{
-					Subnet:      sn,
-					Pattern:     mlid.CentricTraffic(tree.Nodes(), 0, 0.5),
-					BufPackets:  buf,
-					OfferedLoad: 0.6,
-					WarmupNs:    20_000,
-					MeasureNs:   60_000,
-					Seed:        10,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				acc = res.Accepted
-			}
-			b.ReportMetric(acc, "accepted_Bns")
-		})
-	}
-}
-
-// BenchmarkAblationPacketSize varies the packet size (EX-C).
-func BenchmarkAblationPacketSize(b *testing.B) {
-	tree, _ := mlid.NewTree(8, 2)
-	sn, err := mlid.Configure(tree, mlid.MLID())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, size := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
-			var lat float64
-			for i := 0; i < b.N; i++ {
-				res, err := mlid.Simulate(mlid.SimConfig{
-					Subnet:      sn,
-					Pattern:     mlid.UniformTraffic(tree.Nodes()),
-					PacketSize:  size,
-					OfferedLoad: 0.3,
-					WarmupNs:    20_000,
-					MeasureNs:   60_000,
-					Seed:        11,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				lat = res.MeanLatencyNs
-			}
-			b.ReportMetric(lat, "mean_latency_ns")
-		})
-	}
-}
-
-// BenchmarkAblationReception contrasts the two endnode consumption models
-// under the hotspot (see DESIGN.md, "Reception model").
-func BenchmarkAblationReception(b *testing.B) {
-	tree, _ := mlid.NewTree(8, 2)
-	for _, rec := range []struct {
-		name string
-		m    mlid.ReceptionModel
-	}{{"ideal", mlid.ReceptionIdeal}, {"link", mlid.ReceptionLink}} {
-		for _, s := range mlid.Schemes() {
-			sn, err := mlid.Configure(tree, s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/%s", rec.name, s.Name()), func(b *testing.B) {
-				var acc float64
-				for i := 0; i < b.N; i++ {
-					res, err := mlid.Simulate(mlid.SimConfig{
-						Subnet:      sn,
-						Pattern:     mlid.CentricTraffic(tree.Nodes(), 0, 0.5),
-						OfferedLoad: 0.5,
-						Reception:   rec.m,
-						WarmupNs:    20_000,
-						MeasureNs:   60_000,
-						Seed:        12,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					acc = res.Accepted
-				}
-				b.ReportMetric(acc, "accepted_Bns")
-			})
-		}
-	}
-}
-
-// BenchmarkAblationPathSelect contrasts the paper's rank-based path
-// selection against an oblivious per-packet random offset, on a permutation
-// where rank selection is perfectly regular.
-func BenchmarkAblationPathSelect(b *testing.B) {
-	tree, _ := mlid.NewTree(8, 3)
-	sn, err := mlid.Configure(tree, mlid.MLID())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pat, err := mlid.PatternByName("bitcomplement", tree.Nodes(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, pol := range []struct {
-		name string
-		p    mlid.Selector
-	}{{"rank", mlid.SelectRank()}, {"random", mlid.SelectRandom()}} {
-		b.Run(pol.name, func(b *testing.B) {
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				res, err := mlid.Simulate(mlid.SimConfig{
-					Subnet:      sn,
-					Pattern:     pat,
-					OfferedLoad: 0.7,
-					PathSelect:  pol.p,
-					WarmupNs:    20_000,
-					MeasureNs:   60_000,
-					Seed:        13,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				acc = res.Accepted
-			}
-			b.ReportMetric(acc, "accepted_Bns")
-		})
-	}
-}
-
-// BenchmarkAblationVLPolicy contrasts round-robin VL distribution with the
-// destination-pinned DLID mapping under the hotspot, per scheme.
-func BenchmarkAblationVLPolicy(b *testing.B) {
-	tree, _ := mlid.NewTree(16, 2)
-	for _, pol := range []struct {
-		name string
-		p    mlid.VLPolicy
-	}{{"roundrobin", mlid.VLRoundRobin}, {"bydlid", mlid.VLByDLID}} {
-		for _, s := range mlid.Schemes() {
-			sn, err := mlid.Configure(tree, s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/%s", pol.name, s.Name()), func(b *testing.B) {
-				var acc float64
-				for i := 0; i < b.N; i++ {
-					res, err := mlid.Simulate(mlid.SimConfig{
-						Subnet:      sn,
-						Pattern:     mlid.CentricTraffic(tree.Nodes(), 0, 0.5),
-						DataVLs:     2,
-						VLSelect:    pol.p,
-						OfferedLoad: 0.5,
-						WarmupNs:    20_000,
-						MeasureNs:   60_000,
-						Seed:        14,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					acc = res.Accepted
-				}
-				b.ReportMetric(acc, "accepted_Bns")
-			})
-		}
-	}
 }
 
 // BenchmarkRepairSubnet measures switch-level forwarding-table repair.
@@ -594,7 +390,7 @@ func BenchmarkBatchGather(b *testing.B) {
 		b.Run(s.Name(), func(b *testing.B) {
 			var makespan int64
 			for i := 0; i < b.N; i++ {
-				res, err := mlid.SimulateBatch(mlid.BatchConfig{
+				res, err := mlid.SimulateBatch(mlid.SimConfig{
 					Subnet:   sn,
 					Messages: mlid.GatherMessages(tree, 0, 4096),
 					Seed:     1,
@@ -620,7 +416,7 @@ func BenchmarkBatchAllToAll(b *testing.B) {
 		b.Run(s.Name(), func(b *testing.B) {
 			var makespan int64
 			for i := 0; i < b.N; i++ {
-				res, err := mlid.SimulateBatch(mlid.BatchConfig{
+				res, err := mlid.SimulateBatch(mlid.SimConfig{
 					Subnet:   sn,
 					Messages: mlid.AllToAllMessages(tree, 1024),
 					Seed:     1,

@@ -51,7 +51,7 @@ func main() {
 	for _, scheme := range []mlid.Scheme{mlid.SLID(), mlid.MLID()} {
 		subnet, err := mlid.Configure(tree, scheme)
 		fatal(err)
-		res, err := mlid.SimulateBatch(mlid.BatchConfig{
+		res, err := mlid.SimulateBatch(mlid.SimConfig{
 			Subnet:   subnet,
 			Messages: msgs,
 			DataVLs:  *vls,

@@ -44,7 +44,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := mlid.SimulateBatch(mlid.BatchConfig{
+			res, err := mlid.SimulateBatch(mlid.SimConfig{
 				Subnet:   subnet,
 				Messages: c.msgs(),
 				Seed:     1,

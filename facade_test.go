@@ -18,7 +18,7 @@ func TestFacadeMADAndBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mlid.SimulateBatch(mlid.BatchConfig{
+	res, err := mlid.SimulateBatch(mlid.SimConfig{
 		Subnet:   sn,
 		Messages: mlid.GatherMessages(tree, 0, 1024),
 		Seed:     1,
@@ -311,13 +311,11 @@ func TestFacadeOptimizePaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mlid.SimulateBatch(mlid.BatchConfig{
-		Subnet:   sn,
-		Messages: []mlid.Message{{Src: 0, Dst: 25, Bytes: 1024}, {Src: 4, Dst: 26, Bytes: 1024}},
-		DLIDFunc: func(src, dst mlid.NodeID) mlid.LID {
-			return plan.DLID(tree, mlid.MLID(), src, dst)
-		},
-		Seed: 1,
+	res, err := mlid.SimulateBatch(mlid.SimConfig{
+		Subnet:     sn,
+		Messages:   []mlid.Message{{Src: 0, Dst: 25, Bytes: 1024}, {Src: 4, Dst: 26, Bytes: 1024}},
+		PathSelect: mlid.SelectPlan(plan),
+		Seed:       1,
 	})
 	if err != nil || res.Packets != 8 {
 		t.Fatalf("batch over plan: %v %+v", err, res)

@@ -22,10 +22,20 @@ type PathPlan struct {
 // DLID returns the planned DLID for a flow, falling back to the scheme's
 // canonical selection for unplanned pairs.
 func (p *PathPlan) DLID(t *topology.Tree, s Scheme, src, dst topology.NodeID) ib.LID {
-	if lid, ok := p.dlid[[2]topology.NodeID{src, dst}]; ok {
+	if lid, ok := p.Lookup(src, dst); ok {
 		return lid
 	}
 	return s.DLID(t, src, dst)
+}
+
+// Lookup returns the planned DLID for a flow and whether the flow is
+// planned. A nil plan plans nothing.
+func (p *PathPlan) Lookup(src, dst topology.NodeID) (ib.LID, bool) {
+	if p == nil {
+		return 0, false
+	}
+	lid, ok := p.dlid[[2]topology.NodeID{src, dst}]
+	return lid, ok
 }
 
 // Planned returns the number of planned flows.

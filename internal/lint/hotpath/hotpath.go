@@ -172,7 +172,7 @@ var hotFuncs = map[string]bool{
 	// path selection (selector.go): every Select method plus the congestion
 	// view it reads and the helpers under it, all once per generated packet
 	"Select": true, "Occupancy": true, "Credits": true, "Load": true,
-	"applyDLIDFunc": true, "nthSetBit": true,
+	"failover": true, "nthSetBit": true,
 	// transport (transport.go)
 	"flowIdx": true, "txTrack": true, "armTimer": true, "retransmit": true,
 	"rxAccept": true, "sendCtrl": true, "ctrlArrive": true, "rexmitTimer": true,

@@ -58,7 +58,7 @@ func TestRunIndependentOfPriorRuns(t *testing.T) {
 	traced := scenarioCases(t)[0].cfg
 	traced.TracePackets = 64
 	addRun("uniform-traced", traced)
-	for _, bc := range []BatchConfig{
+	for _, bc := range []Config{
 		{Subnet: mustSubnet(t, 4, 2, core.NewMLID()), DataVLs: 2, Seed: 9},
 		{Subnet: mustSubnet(t, 8, 2, core.NewSLID()), DataVLs: 1, Seed: 5},
 	} {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"mlid/internal/ib"
@@ -13,30 +12,6 @@ import (
 type Message struct {
 	Src, Dst topology.NodeID
 	Bytes    int
-}
-
-// BatchConfig describes a closed-workload run: every node's messages are
-// enqueued up front and the simulation runs until the fabric drains. The
-// measured quantity is the makespan — the completion time of a collective
-// exchange — rather than the open-loop accepted/latency pair.
-type BatchConfig struct {
-	Subnet   *ib.Subnet
-	Messages []Message
-	// DataVLs, PacketSize, BufPackets, FlyNs, RouteNs, NsPerByte, Reception,
-	// PathSelect, VLSelect and Switching behave as in Config.
-	DataVLs                   int
-	PacketSize                int
-	BufPackets                int
-	FlyNs, RouteNs, NsPerByte Time
-	Reception                 ReceptionModel
-	PathSelect                Selector
-	VLSelect                  VLPolicy
-	Switching                 SwitchingMode
-	// DLIDFunc overrides path selection, as in Config.DLIDFunc.
-	DLIDFunc func(src, dst topology.NodeID) ib.LID
-	Seed     int64
-	// DeadlineNs aborts a run that has not drained (default 1e9 ns).
-	DeadlineNs Time
 }
 
 // BatchResult reports a closed-workload run.
@@ -52,50 +27,52 @@ type BatchResult struct {
 	Events        int64
 }
 
-// RunBatch executes a closed workload and returns its makespan.
-func RunBatch(bc BatchConfig) (BatchResult, error) {
-	if bc.Subnet == nil {
-		return BatchResult{}, fmt.Errorf("sim: BatchConfig.Subnet is required")
+// RunBatch executes the closed workload cfg.Messages and returns its
+// makespan — the completion time of a collective exchange — rather than the
+// open-loop accepted/latency pair. Every message's packets are enqueued at
+// time zero and the run ends when the fabric drains; statistics cover the
+// whole run, and MeasureNs is the drain deadline (1e9 ns when zero).
+//
+// The open-loop fields (Pattern, OfferedLoad, WarmupNs) and the fields the
+// batch loop never drives (FaultPlan, Transport, VerifyEpochs,
+// CollectPortStats, TracePackets, SeriesIntervalNs) are rejected with an
+// error naming the field, never ignored.
+func RunBatch(cfg Config) (BatchResult, error) {
+	if cfg.Subnet == nil {
+		return BatchResult{}, fmt.Errorf("sim: Config.Subnet is required")
 	}
-	if len(bc.Messages) == 0 {
-		return BatchResult{}, fmt.Errorf("sim: no messages")
+	if len(cfg.Messages) == 0 {
+		return BatchResult{}, fmt.Errorf("sim: RunBatch needs Config.Messages")
 	}
-	if bc.DeadlineNs == 0 {
-		bc.DeadlineNs = 1_000_000_000
-	}
-	cfg := Config{
-		Subnet:      bc.Subnet,
-		Pattern:     batchPattern{}, // unused; generation is bypassed
-		DataVLs:     bc.DataVLs,
-		PacketSize:  bc.PacketSize,
-		BufPackets:  bc.BufPackets,
-		FlyNs:       bc.FlyNs,
-		RouteNs:     bc.RouteNs,
-		NsPerByte:   bc.NsPerByte,
-		Reception:   bc.Reception,
-		PathSelect:  bc.PathSelect,
-		VLSelect:    bc.VLSelect,
-		Switching:   bc.Switching,
-		DLIDFunc:    bc.DLIDFunc,
-		OfferedLoad: 1, // satisfies validation; no open-loop generators run
-		WarmupNs:    0,
-		MeasureNs:   bc.DeadlineNs,
-		Seed:        bc.Seed,
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Pattern", cfg.Pattern != nil},
+		{"OfferedLoad", cfg.OfferedLoad != 0},
+		{"WarmupNs", cfg.WarmupNs != 0},
+		{"FaultPlan", cfg.FaultPlan != nil},
+		{"Transport", cfg.Transport != nil},
+		{"VerifyEpochs", cfg.VerifyEpochs},
+		{"CollectPortStats", cfg.CollectPortStats},
+		{"TracePackets", cfg.TracePackets != 0},
+		{"SeriesIntervalNs", cfg.SeriesIntervalNs != 0},
+	} {
+		if f.set {
+			return BatchResult{}, fmt.Errorf("sim: RunBatch does not honour Config.%s; leave it unset for a closed workload", f.name)
+		}
 	}
 	cfg = cfg.withDefaults()
-	// Batch runs measure everything from time zero.
-	cfg.WarmupNs = 0
-	cfg.MeasureNs = bc.DeadlineNs
 	if err := cfg.validate(); err != nil {
 		return BatchResult{}, err
 	}
 	s := build(cfg)
 	defer s.release()
-	s.end = bc.DeadlineNs
+	s.end = cfg.MeasureNs
 
 	// Enqueue every message's packets at time zero, in a deterministic
 	// source-major order so same-source messages keep their given order.
-	msgs := append([]Message{}, bc.Messages...)
+	msgs := append([]Message{}, cfg.Messages...)
 	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].Src < msgs[j].Src })
 	var totalPkts, totalBytes int64
 	for _, m := range msgs {
@@ -113,13 +90,13 @@ func RunBatch(bc BatchConfig) (BatchResult, error) {
 		totalBytes += int64(packets) * int64(cfg.PacketSize)
 	}
 
-	events := s.runUntil(bc.DeadlineNs)
+	events := s.runUntil(cfg.MeasureNs)
 	if s.err != nil {
 		return BatchResult{}, s.err
 	}
 	if s.totalDelivered != totalPkts {
 		return BatchResult{}, fmt.Errorf("sim: batch did not drain: %d of %d packets delivered by the %d ns deadline",
-			s.totalDelivered, totalPkts, bc.DeadlineNs)
+			s.totalDelivered, totalPkts, cfg.MeasureNs)
 	}
 	res := BatchResult{
 		MakespanNs:    s.lastDelivery,
@@ -132,15 +109,6 @@ func RunBatch(bc BatchConfig) (BatchResult, error) {
 		res.AggregateBandwidth = float64(totalBytes) / float64(res.MakespanNs)
 	}
 	return res, nil
-}
-
-// batchPattern satisfies the Pattern interface for configuration validation;
-// batch runs never invoke it.
-type batchPattern struct{}
-
-func (batchPattern) Name() string { return "batch" }
-func (batchPattern) Dest(int, *rand.Rand) int {
-	panic("sim: batch pattern must not generate")
 }
 
 // enqueueBatchPacket creates one packet at time zero and injects it through

@@ -1,15 +1,17 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"mlid/internal/core"
 	"mlid/internal/topology"
+	"mlid/internal/traffic"
 )
 
 func TestBatchSingleMessage(t *testing.T) {
 	sn := mustSubnet(t, 4, 2, core.NewMLID())
-	res, err := RunBatch(BatchConfig{
+	res, err := RunBatch(Config{
 		Subnet:   sn,
 		Messages: []Message{{Src: 0, Dst: 7, Bytes: 256}},
 		Seed:     1,
@@ -31,7 +33,7 @@ func TestBatchSingleMessage(t *testing.T) {
 
 func TestBatchMessageSplitsIntoPackets(t *testing.T) {
 	sn := mustSubnet(t, 4, 2, core.NewMLID())
-	res, err := RunBatch(BatchConfig{
+	res, err := RunBatch(Config{
 		Subnet:   sn,
 		Messages: []Message{{Src: 0, Dst: 7, Bytes: 1000}}, // 4 x 256B packets
 		Seed:     1,
@@ -55,30 +57,64 @@ func TestBatchMessageSplitsIntoPackets(t *testing.T) {
 
 func TestBatchValidation(t *testing.T) {
 	sn := mustSubnet(t, 4, 2, core.NewMLID())
-	if _, err := RunBatch(BatchConfig{Messages: []Message{{Src: 0, Dst: 1, Bytes: 1}}}); err == nil {
+	if _, err := RunBatch(Config{Messages: []Message{{Src: 0, Dst: 1, Bytes: 1}}}); err == nil {
 		t.Error("nil subnet accepted")
 	}
-	if _, err := RunBatch(BatchConfig{Subnet: sn}); err == nil {
+	if _, err := RunBatch(Config{Subnet: sn}); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := RunBatch(BatchConfig{Subnet: sn, Messages: []Message{{Src: 0, Dst: 0, Bytes: 1}}}); err == nil {
+	if _, err := RunBatch(Config{Subnet: sn, Messages: []Message{{Src: 0, Dst: 0, Bytes: 1}}}); err == nil {
 		t.Error("self message accepted")
 	}
-	if _, err := RunBatch(BatchConfig{Subnet: sn, Messages: []Message{{Src: 0, Dst: 1, Bytes: 0}}}); err == nil {
+	if _, err := RunBatch(Config{Subnet: sn, Messages: []Message{{Src: 0, Dst: 1, Bytes: 0}}}); err == nil {
 		t.Error("empty message accepted")
 	}
-	if _, err := RunBatch(BatchConfig{Subnet: sn, Messages: []Message{{Src: 0, Dst: 99, Bytes: 1}}}); err == nil {
+	if _, err := RunBatch(Config{Subnet: sn, Messages: []Message{{Src: 0, Dst: 99, Bytes: 1}}}); err == nil {
 		t.Error("bad destination accepted")
+	}
+}
+
+// TestBatchRejectsUnhonouredFields: every Config field a closed workload
+// cannot honour fails RunBatch with an error naming it, and Run refuses a
+// closed workload.
+func TestBatchRejectsUnhonouredFields(t *testing.T) {
+	sn := mustSubnet(t, 4, 2, core.NewMLID())
+	msgs := []Message{{Src: 0, Dst: 7, Bytes: 256}}
+	for _, tc := range []struct {
+		field string
+		set   func(c *Config)
+	}{
+		{"Pattern", func(c *Config) { c.Pattern = traffic.Uniform{Nodes: sn.Tree.Nodes()} }},
+		{"OfferedLoad", func(c *Config) { c.OfferedLoad = 0.5 }},
+		{"WarmupNs", func(c *Config) { c.WarmupNs = 1_000 }},
+		{"FaultPlan", func(c *Config) { c.FaultPlan = &FaultPlan{} }},
+		{"Transport", func(c *Config) { c.Transport = &TransportConfig{} }},
+		{"VerifyEpochs", func(c *Config) { c.VerifyEpochs = true }},
+		{"CollectPortStats", func(c *Config) { c.CollectPortStats = true }},
+		{"TracePackets", func(c *Config) { c.TracePackets = 4 }},
+		{"SeriesIntervalNs", func(c *Config) { c.SeriesIntervalNs = 1_000 }},
+	} {
+		cfg := Config{Subnet: sn, Messages: msgs, Seed: 1}
+		tc.set(&cfg)
+		if _, err := RunBatch(cfg); err == nil || !strings.Contains(err.Error(), "Config."+tc.field) {
+			t.Errorf("%s set: err = %v, want a rejection naming Config.%s", tc.field, err, tc.field)
+		}
+	}
+	_, err := Run(Config{
+		Subnet: sn, Pattern: traffic.Uniform{Nodes: sn.Tree.Nodes()}, OfferedLoad: 0.1, Messages: msgs,
+	})
+	if err == nil || !strings.Contains(err.Error(), "Messages") {
+		t.Errorf("Run with Messages: err = %v, want a rejection naming Messages", err)
 	}
 }
 
 func TestBatchDeadline(t *testing.T) {
 	sn := mustSubnet(t, 4, 2, core.NewMLID())
-	_, err := RunBatch(BatchConfig{
-		Subnet:     sn,
-		Messages:   AllToAll(sn.Tree, 4096),
-		DeadlineNs: 100, // absurdly short
-		Seed:       1,
+	_, err := RunBatch(Config{
+		Subnet:    sn,
+		Messages:  AllToAll(sn.Tree, 4096),
+		MeasureNs: 100, // an absurdly short drain deadline
+		Seed:      1,
 	})
 	if err == nil {
 		t.Error("deadline not enforced")
@@ -91,7 +127,7 @@ func TestBatchDeadline(t *testing.T) {
 func TestBatchGatherMLIDFasterThanSLID(t *testing.T) {
 	run := func(s core.Scheme) BatchResult {
 		sn := mustSubnet(t, 8, 2, s)
-		res, err := RunBatch(BatchConfig{
+		res, err := RunBatch(Config{
 			Subnet:   sn,
 			Messages: Gather(sn.Tree, 0, 4*256),
 			Seed:     3,
@@ -112,7 +148,7 @@ func TestBatchGatherMLIDFasterThanSLID(t *testing.T) {
 func TestBatchAllToAllCompletes(t *testing.T) {
 	run := func(s core.Scheme) BatchResult {
 		sn := mustSubnet(t, 8, 2, s)
-		res, err := RunBatch(BatchConfig{
+		res, err := RunBatch(Config{
 			Subnet:   sn,
 			Messages: AllToAll(sn.Tree, 256),
 			Seed:     5,
@@ -138,11 +174,11 @@ func TestBatchAllToAllCompletes(t *testing.T) {
 func TestBatchDeterministic(t *testing.T) {
 	sn := mustSubnet(t, 4, 3, core.NewMLID())
 	msgs := AllToAll(sn.Tree, 512)
-	a, err := RunBatch(BatchConfig{Subnet: sn, Messages: msgs, Seed: 9})
+	a, err := RunBatch(Config{Subnet: sn, Messages: msgs, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunBatch(BatchConfig{Subnet: sn, Messages: msgs, Seed: 9})
+	b, err := RunBatch(Config{Subnet: sn, Messages: msgs, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"mlid/internal/ib"
 	"mlid/internal/stats"
-	"mlid/internal/topology"
 	"mlid/internal/traffic"
 )
 
@@ -76,13 +76,19 @@ const (
 	SwitchingSAF
 )
 
-// Config describes one simulation run.
+// Config describes one simulation run. Its workload is exactly one of an
+// open-loop traffic Pattern, run by Run, or a closed list of Messages, run by
+// RunBatch; every other field describes the fabric, the model and what to
+// record, and RunBatch rejects the ones a closed workload cannot honour.
 type Config struct {
 	// Subnet is the configured subnet (topology + LID assignment + LFTs)
 	// produced by the subnet manager.
 	Subnet *ib.Subnet
-	// Pattern selects packet destinations.
+	// Pattern selects packet destinations of an open-loop run (Run).
 	Pattern traffic.Pattern
+	// Messages is a closed workload (RunBatch): every message's packets are
+	// enqueued at time zero and the run lasts until the fabric drains.
+	Messages []Message
 	// DataVLs is the number of data virtual lanes (the paper simulates
 	// 1, 2 and 4). Each VL of a port has its own input and output buffer.
 	DataVLs int
@@ -99,23 +105,20 @@ type Config struct {
 	OfferedLoad float64
 	// WarmupNs and MeasureNs delimit the measurement window: statistics
 	// cover deliveries in [WarmupNs, WarmupNs+MeasureNs). Generation stops
-	// at the end of the window.
+	// at the end of the window. The defaults are 50 µs and 200 µs. A closed
+	// workload has no warm-up and MeasureNs is its drain deadline, 1e9 ns by
+	// default.
 	WarmupNs, MeasureNs Time
 	// Reception selects the endnode consumption model; the zero value is
 	// ReceptionIdeal, the paper-faithful choice.
 	Reception ReceptionModel
 	// PathSelect selects the source-side multipath policy: any Selector
 	// (SelectRank, SelectRandom, SelectFlowSpray, SelectAdaptive,
-	// SelectPktSpray, or a custom implementation). nil is the paper's
-	// rank-based selection. Fault reselection (FaultPlan.Reselect) composes
-	// with every selector: it filters the candidate offsets to surviving
-	// paths, then the selector chooses among them.
+	// SelectPktSpray, SelectPlan, or a custom implementation). nil is the
+	// paper's rank-based selection. Fault reselection (FaultPlan.Reselect)
+	// composes with every selector: it filters the candidate offsets to
+	// surviving paths, then the selector chooses among them.
 	PathSelect Selector
-	// DLIDFunc, when non-nil, overrides path selection entirely: it is
-	// called per packet with (src, dst) and must return a LID the
-	// destination owns. Used for profile-guided path plans
-	// (core.OptimizePaths).
-	DLIDFunc func(src, dst topology.NodeID) ib.LID
 	// VLSelect selects the source-side virtual-lane mapping; the zero
 	// value is round-robin.
 	VLSelect VLPolicy
@@ -168,7 +171,7 @@ type Config struct {
 	Shards int
 	// HeapOnlyScheduler disables the engine's calendar-queue fast path so
 	// every event takes the fallback heap. Results must not depend on it:
-	// it exists so determinism suites outside this package (the chaos soak)
+	// it exists so determinism suites (this package's and the chaos soak)
 	// can prove both scheduler paths produce bit-identical results.
 	HeapOnlyScheduler bool
 }
@@ -251,11 +254,18 @@ func (c Config) withDefaults() Config {
 	if c.NsPerByte == 0 {
 		c.NsPerByte = DefaultNsPerByte
 	}
-	if c.WarmupNs == 0 {
-		c.WarmupNs = 50_000
-	}
-	if c.MeasureNs == 0 {
-		c.MeasureNs = 200_000
+	if len(c.Messages) > 0 {
+		// A closed workload is measured from time zero until it drains.
+		if c.MeasureNs == 0 {
+			c.MeasureNs = 1_000_000_000
+		}
+	} else {
+		if c.WarmupNs == 0 {
+			c.WarmupNs = 50_000
+		}
+		if c.MeasureNs == 0 {
+			c.MeasureNs = 200_000
+		}
 	}
 	if c.FaultPlan != nil {
 		plan := c.FaultPlan.withDefaults()
@@ -273,7 +283,7 @@ func (c Config) validate() error {
 	if c.Subnet == nil {
 		return fmt.Errorf("sim: Config.Subnet is required")
 	}
-	if c.Pattern == nil {
+	if c.Pattern == nil && len(c.Messages) == 0 {
 		return fmt.Errorf("sim: Config.Pattern is required")
 	}
 	if c.Shards != 0 && c.Shards != 1 {
@@ -288,8 +298,13 @@ func (c Config) validate() error {
 	if c.BufPackets < 1 {
 		return fmt.Errorf("sim: BufPackets must be >= 1, got %d", c.BufPackets)
 	}
-	if c.OfferedLoad <= 0 {
-		return fmt.Errorf("sim: OfferedLoad must be positive, got %v", c.OfferedLoad)
+	if c.Pattern != nil {
+		if !(c.OfferedLoad > 0) {
+			return fmt.Errorf("sim: OfferedLoad must be positive, got %v", c.OfferedLoad)
+		}
+		if !finite(c.OfferedLoad) {
+			return fmt.Errorf("sim: OfferedLoad must be finite, got %v", c.OfferedLoad)
+		}
 	}
 	if c.MeasureNs <= 0 || c.WarmupNs < 0 {
 		return fmt.Errorf("sim: bad window: warmup %d, measure %d", c.WarmupNs, c.MeasureNs)
@@ -326,6 +341,10 @@ func (c Config) validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite. Range checks alone
+// let NaN through, since every comparison with it is false.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Result reports one run's outcome.
 type Result struct {

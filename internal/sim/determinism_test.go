@@ -140,32 +140,23 @@ func scenarioCases(t *testing.T) []struct {
 // under both schemes, with 2 VLs.
 func batchCases(t *testing.T) []struct {
 	name string
-	cfg  BatchConfig
+	cfg  Config
 } {
 	t.Helper()
-	var cases []struct {
+	slid82 := mustSubnet(t, 8, 2, core.NewSLID())
+	mlid82 := mustSubnet(t, 8, 2, core.NewMLID())
+	batch := func(sn *ib.Subnet, msgs []Message) Config {
+		return Config{Subnet: sn, Messages: msgs, DataVLs: 2, Seed: 13}
+	}
+	return []struct {
 		name string
-		cfg  BatchConfig
+		cfg  Config
+	}{
+		{"batch-slid-8x2-gather-vl2", batch(slid82, Gather(slid82.Tree, 0, 2048))},
+		{"batch-slid-8x2-alltoall-vl2", batch(slid82, AllToAll(slid82.Tree, 512))},
+		{"batch-mlid-8x2-gather-vl2", batch(mlid82, Gather(mlid82.Tree, 0, 2048))},
+		{"batch-mlid-8x2-alltoall-vl2", batch(mlid82, AllToAll(mlid82.Tree, 512))},
 	}
-	for _, scheme := range []core.Scheme{core.NewSLID(), core.NewMLID()} {
-		sn := mustSubnet(t, 8, 2, scheme)
-		for _, c := range []struct {
-			name string
-			msgs []Message
-		}{
-			{"gather", Gather(sn.Tree, 0, 2048)},
-			{"alltoall", AllToAll(sn.Tree, 512)},
-		} {
-			cases = append(cases, struct {
-				name string
-				cfg  BatchConfig
-			}{
-				fmt.Sprintf("batch-%s-8x2-%s-vl2", strings.ToLower(scheme.Name()), c.name),
-				BatchConfig{Subnet: sn, Messages: c.msgs, DataVLs: 2, Seed: 13},
-			})
-		}
-	}
-	return cases
 }
 
 // batchFingerprint compacts a BatchResult into one stable line.
@@ -174,8 +165,8 @@ func batchFingerprint(r BatchResult) string {
 		r.MakespanNs, r.Packets, r.Bytes, r.MeanLatencyNs, r.Events)
 }
 
-// testPlan is a profile-guided path plan over FT(8,2) MLID: every pair with
-// src < dst is planned, with weights skewed by the pair, and the reverse
+// testPlan is a profile-guided MLID path plan over sn's fabric: every pair
+// with src < dst is planned, with weights skewed by the pair, and the reverse
 // pairs are left to the scheme's canonical choice.
 func testPlan(t *testing.T, sn *ib.Subnet) *core.PathPlan {
 	t.Helper()
@@ -205,14 +196,10 @@ func planCases(t *testing.T) []struct {
 } {
 	t.Helper()
 	sn := mustSubnet(t, 8, 2, core.NewMLID())
-	plan := testPlan(t, sn)
 	cfg := Config{
 		Subnet: sn, Pattern: traffic.Uniform{Nodes: sn.Tree.Nodes()},
 		DataVLs: 2, OfferedLoad: 0.5, WarmupNs: 10_000, MeasureNs: 40_000,
-		DLIDFunc: func(src, dst topology.NodeID) ib.LID {
-			return plan.DLID(sn.Tree, core.NewMLID(), src, dst)
-		},
-		Seed: 37,
+		PathSelect: SelectPlan(testPlan(t, sn)), Seed: 37,
 	}
 	faulted := cfg
 	faulted.FaultPlan = &FaultPlan{
@@ -328,7 +315,8 @@ func TestRunDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same config, different results:\n a: %+v\n b: %+v", a, b)
 	}
-	heapOnly := withHeapOnlyEngine(t, run)
+	cfg.HeapOnlyScheduler = true
+	heapOnly := run()
 	if !reflect.DeepEqual(a, heapOnly) {
 		t.Errorf("calendar and heap-only scheduler paths disagree:\n cal:  %s\n heap: %s",
 			fingerprint(a), fingerprint(heapOnly))
@@ -414,14 +402,14 @@ func TestDeprecatedShards(t *testing.T) {
 // TestBatchDeterminism does the same for the closed-workload runner.
 func TestBatchDeterminism(t *testing.T) {
 	sn := mustSubnet(t, 4, 2, core.NewMLID())
-	bc := BatchConfig{
+	cfg := Config{
 		Subnet:   sn,
 		Messages: Gather(sn.Tree, 0, 2048),
 		DataVLs:  2,
 		Seed:     9,
 	}
 	run := func() BatchResult {
-		res, err := RunBatch(bc)
+		res, err := RunBatch(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,10 +419,9 @@ func TestBatchDeterminism(t *testing.T) {
 	if a != b {
 		t.Errorf("same batch config, different results:\n a: %+v\n b: %+v", a, b)
 	}
-	heapOnly := withHeapOnlyEngine(t, run)
+	cfg.HeapOnlyScheduler = true
+	heapOnly := run()
 	if a != heapOnly {
 		t.Errorf("calendar and heap-only scheduler paths disagree:\n cal:  %+v\n heap: %+v", a, heapOnly)
 	}
 }
-
-var _ = topology.MustNew // keep import while cases evolve

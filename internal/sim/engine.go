@@ -143,11 +143,6 @@ type calBucket struct {
 	head int
 }
 
-// engineHeapOnly, when set before build, routes every event through the
-// far-heap fallback. It exists so tests can prove the calendar and heap
-// scheduler paths produce identical results.
-var engineHeapOnly bool
-
 // engine drives the event loop: a hybrid calendar queue (events within
 // calSize ns of now) plus a min-heap (everything later). Because each bucket
 // holds exactly one timestamp and seq grows monotonically, append order is
@@ -156,8 +151,8 @@ var engineHeapOnly bool
 type engine struct {
 	now Time
 	seq uint64
-	// heapOnly disables the calendar fast path (test hook: the determinism
-	// suite proves both scheduler paths agree).
+	// heapOnly disables the calendar fast path (Config.HeapOnlyScheduler:
+	// the determinism suites prove both scheduler paths agree).
 	heapOnly bool
 	calCount int
 	// scanFrom caches the bucket scan cursor: no calendar event exists in

@@ -125,7 +125,7 @@ func (c *InBandSMConfig) validate(t *topology.Tree) error {
 		return fmt.Errorf("sim: InBandSM master (node %d) and standby (node %d) share leaf switch %d; "+
 			"one switch outage would take out both SMs, defeating failover", c.MasterNode, standby, msw)
 	}
-	if c.TrapLossProb < 0 || c.TrapLossProb > 1 {
+	if !(c.TrapLossProb >= 0 && c.TrapLossProb <= 1) {
 		return fmt.Errorf("sim: InBandSM.TrapLossProb %v outside [0, 1]", c.TrapLossProb)
 	}
 	if c.SweepIntervalNs <= 0 {
@@ -134,8 +134,8 @@ func (c *InBandSMConfig) validate(t *topology.Tree) error {
 	if c.SMPTimeoutNs <= 0 {
 		return fmt.Errorf("sim: InBandSM.SMPTimeoutNs must be positive, got %d", c.SMPTimeoutNs)
 	}
-	if c.SMPBackoffMult < 1 {
-		return fmt.Errorf("sim: InBandSM.SMPBackoffMult %v < 1 would shrink timeouts", c.SMPBackoffMult)
+	if !(c.SMPBackoffMult >= 1 && finite(c.SMPBackoffMult)) {
+		return fmt.Errorf("sim: InBandSM.SMPBackoffMult %v must be finite and >= 1; below 1 it would shrink timeouts", c.SMPBackoffMult)
 	}
 	if c.SMPMaxTimeoutNs < c.SMPTimeoutNs {
 		return fmt.Errorf("sim: InBandSM.SMPMaxTimeoutNs %d below the base timeout %d", c.SMPMaxTimeoutNs, c.SMPTimeoutNs)

@@ -259,7 +259,8 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same faulted config, different results:\n a: %+v\n b: %+v", a, b)
 	}
-	heapOnly := withHeapOnlyEngine(t, run)
+	cfg.HeapOnlyScheduler = true
+	heapOnly := run()
 	if !reflect.DeepEqual(a, heapOnly) {
 		t.Errorf("calendar and heap-only scheduler paths disagree on a faulted run:\n cal:  %s\n heap: %s",
 			fingerprint(a), fingerprint(heapOnly))

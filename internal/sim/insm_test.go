@@ -231,7 +231,8 @@ func TestInBandSMFailoverDeterminism(t *testing.T) {
 		t.Errorf("same config, different results:\n ref: %s\n got: %s",
 			fingerprint(ref), fingerprint(got))
 	}
-	if got := withHeapOnlyEngine(t, run); !reflect.DeepEqual(ref, got) {
+	cfg.HeapOnlyScheduler = true
+	if got := run(); !reflect.DeepEqual(ref, got) {
 		t.Errorf("heap-only engine diverged:\n ref: %s\n got: %s",
 			fingerprint(ref), fingerprint(got))
 	}

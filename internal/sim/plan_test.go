@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mlid/internal/core"
-	"mlid/internal/ib"
 	"mlid/internal/topology"
 	"mlid/internal/traffic"
 )
@@ -37,12 +36,12 @@ func TestOptimizedPlanBeatsRankDynamically(t *testing.T) {
 			Message{Src: srcB, Dst: dstB, Bytes: bytes})
 	}
 
-	run := func(dlidFunc func(src, dst topology.NodeID) ib.LID) BatchResult {
-		res, err := RunBatch(BatchConfig{
-			Subnet:   sn,
-			Messages: msgs,
-			DLIDFunc: dlidFunc,
-			Seed:     1,
+	run := func(sel Selector) BatchResult {
+		res, err := RunBatch(Config{
+			Subnet:     sn,
+			Messages:   msgs,
+			PathSelect: sel,
+			Seed:       1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -55,9 +54,7 @@ func TestOptimizedPlanBeatsRankDynamically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned := run(func(src, dst topology.NodeID) ib.LID {
-		return plan.DLID(tr, scheme, src, dst)
-	})
+	planned := run(SelectPlan(plan))
 	if planned.MakespanNs >= rank.MakespanNs {
 		t.Errorf("planned makespan %d not better than rank %d", planned.MakespanNs, rank.MakespanNs)
 	}
@@ -68,17 +65,15 @@ func TestOptimizedPlanBeatsRankDynamically(t *testing.T) {
 	}
 }
 
-// TestDLIDFuncOpenLoop: the override also applies to open-loop runs and the
-// packets still deliver correctly.
+// TestDLIDFuncOpenLoop: a custom per-pair policy also drives open-loop runs
+// and the packets still deliver correctly.
 func TestDLIDFuncOpenLoop(t *testing.T) {
 	sn := mustSubnet(t, 4, 2, core.NewMLID())
 	res, err := Run(Config{
 		Subnet:  sn,
 		Pattern: traffic.Uniform{Nodes: sn.Tree.Nodes()},
-		DLIDFunc: func(src, dst topology.NodeID) ib.LID {
-			// Always the base LID: a valid (if unbalanced) selection.
-			return sn.Endports[dst].Base
-		},
+		// Always the base LID: a valid (if unbalanced) selection.
+		PathSelect:  pairSelector{func(topology.NodeID, topology.NodeID) int { return 0 }},
 		OfferedLoad: 0.2,
 		WarmupNs:    5_000,
 		MeasureNs:   30_000,
@@ -88,6 +83,6 @@ func TestDLIDFuncOpenLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.DeliveredWindow == 0 {
-		t.Fatal("no deliveries with DLIDFunc")
+		t.Fatal("no deliveries with a custom per-pair policy")
 	}
 }

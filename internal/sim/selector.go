@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"mlid/internal/core"
 	"mlid/internal/ib"
 	"mlid/internal/topology"
 )
@@ -168,7 +169,12 @@ func (rankSelector) Name() string         { return "rank" }
 func (rankSelector) NeedsFlowState() bool { return false }
 
 func (rankSelector) Select(c *SelectContext) (int, bool) {
-	off := c.Canonical
+	return failover(c, c.Canonical)
+}
+
+// failover keeps offset off while it survives and otherwise scans cyclically
+// for the nearest survivor, which counts as a reroute.
+func failover(c *SelectContext, off int) (int, bool) {
 	if c.Mask&(1<<uint(off)) != 0 {
 		return off, false
 	}
@@ -179,6 +185,23 @@ func (rankSelector) Select(c *SelectContext) (int, bool) {
 		}
 	}
 	return off, false // unreachable: Mask is never zero
+}
+
+// planSelector follows a profile-guided path plan (core.OptimizePaths): each
+// planned flow starts from its planned offset, every other flow from the
+// canonical one, and a dead choice fails over exactly as rank's does. A plan
+// choice outside the destination's offsets falls back to the canonical one.
+type planSelector struct{ plan *core.PathPlan }
+
+func (planSelector) Name() string         { return "plan" }
+func (planSelector) NeedsFlowState() bool { return false }
+
+func (s planSelector) Select(c *SelectContext) (int, bool) {
+	off := c.Canonical
+	if lid, ok := s.plan.Lookup(c.Src, c.Dst); ok && lid >= c.Base && int(lid-c.Base) < c.Count {
+		off = int(lid - c.Base)
+	}
+	return failover(c, off)
 }
 
 // randomSelector is the oblivious ablation: every packet draws a uniformly
@@ -323,6 +346,11 @@ func SelectAdaptive() Selector { return adaptiveSingleton }
 
 // SelectPktSpray returns per-packet round-robin spraying.
 func SelectPktSpray() Selector { return pktSpraySingleton }
+
+// SelectPlan returns a selector that follows plan for the flows it plans and
+// the rank selection for every other flow, failing over off dead paths like
+// rank. A nil plan behaves as SelectRank.
+func SelectPlan(plan *core.PathPlan) Selector { return planSelector{plan} }
 
 // StaticSelect evaluates a selector outside a running simulation — the
 // static verifier's quality pass uses it to trace what sources would send.

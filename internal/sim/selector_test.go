@@ -12,12 +12,25 @@ import (
 	"mlid/internal/traffic"
 )
 
-// TestDLIDFuncComposesWithReselect is the regression test for the policy
-// composition bug: Config.DLIDFunc used to bypass the fault-reselection layer
-// entirely, so a custom policy kept steering packets onto LIDs whose paths the
-// SM already knew were dead. Composition order is now fixed — reselection
-// filters the offsets first, then the custom policy's choice is honored when
-// it survives and redirected to the nearest surviving offset when it doesn't.
+// pairSelector is a custom per-pair policy: choose names each flow's LID
+// offset, and a dead choice fails over to the nearest survivor like rank's.
+type pairSelector struct {
+	choose func(src, dst topology.NodeID) int
+}
+
+func (pairSelector) Name() string         { return "pair" }
+func (pairSelector) NeedsFlowState() bool { return false }
+
+func (p pairSelector) Select(c *SelectContext) (int, bool) {
+	return failover(c, p.choose(c.Src, c.Dst))
+}
+
+// TestDLIDFuncComposesWithReselect is the regression test for policy
+// composition: a custom per-pair policy must not bypass the fault-reselection
+// layer and keep steering packets onto LIDs whose paths the SM already knows
+// are dead. Reselection filters the offsets first, then the custom policy's
+// choice is honored when it survives and redirected to the nearest surviving
+// offset when it doesn't.
 func TestDLIDFuncComposesWithReselect(t *testing.T) {
 	const downNs = 50_000
 	run := func(reselect bool) Result {
@@ -30,9 +43,9 @@ func TestDLIDFuncComposesWithReselect(t *testing.T) {
 		// The custom policy is the scheme's own canonical choice — the point
 		// is that it is routed through the reselection filter, not that it is
 		// clever.
-		cfg.DLIDFunc = func(src, dst topology.NodeID) ib.LID {
-			return sn.DLID(src, dst)
-		}
+		cfg.PathSelect = pairSelector{func(src, dst topology.NodeID) int {
+			return int(sn.DLID(src, dst) - sn.Endports[dst].Base)
+		}}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -45,16 +58,16 @@ func TestDLIDFuncComposesWithReselect(t *testing.T) {
 	}
 	with, without := run(true), run(false)
 	if with.Reroutes == 0 {
-		t.Errorf("DLIDFunc under Reselect produced no reroutes: the custom policy bypassed reselection")
+		t.Errorf("custom policy under Reselect produced no reroutes: it bypassed reselection")
 	}
 	if without.Reroutes != 0 {
-		t.Errorf("DLIDFunc without Reselect counted %d reroutes", without.Reroutes)
+		t.Errorf("custom policy without Reselect counted %d reroutes", without.Reroutes)
 	}
 	if without.DroppedTotal == 0 {
 		t.Fatalf("control run without Reselect saw no drops; the fault scenario is inert")
 	}
 	if with.DroppedTotal >= without.DroppedTotal {
-		t.Errorf("DLIDFunc with Reselect dropped %d packets, want fewer than the %d without: "+
+		t.Errorf("custom policy with Reselect dropped %d packets, want fewer than the %d without: "+
 			"reselection did not steer the custom policy off the dead link",
 			with.DroppedTotal, without.DroppedTotal)
 	}
@@ -63,7 +76,7 @@ func TestDLIDFuncComposesWithReselect(t *testing.T) {
 	repairNs := downNs + with.RecoveryNs + 10_000
 	for _, sp := range with.Series {
 		if sp.StartNs >= repairNs && sp.Dropped != 0 {
-			t.Errorf("bin %d ns: %d drops after recovery with DLIDFunc under reselection",
+			t.Errorf("bin %d ns: %d drops after recovery with a custom policy under reselection",
 				sp.StartNs, sp.Dropped)
 		}
 	}
@@ -293,17 +306,22 @@ func TestPktSprayReorders(t *testing.T) {
 	}
 }
 
-// TestSelectorFamilyFaultDeterminism runs every selector through the faulted
-// demo scenario twice and on both scheduler paths: identical Results each
-// time.
+// TestSelectorFamilyFaultDeterminism runs every built-in selector, and a
+// path plan's, through the faulted demo scenario twice and on both scheduler
+// paths: identical Results each time.
 func TestSelectorFamilyFaultDeterminism(t *testing.T) {
+	var sels []Selector
 	for _, name := range SelectorNames() {
-		name := name
+		sel, err := SelectorByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sels = append(sels, sel)
+	}
+	sels = append(sels, SelectPlan(testPlan(t, faultCfg(t, core.NewMLID(), nil).Subnet)))
+	for _, sel := range sels {
+		name := sel.Name()
 		t.Run(name, func(t *testing.T) {
-			sel, err := SelectorByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
 			plan := &FaultPlan{
 				Faults: []LinkFault{
 					{Switch: 2, Port: 2, DownNs: 25_000, UpNs: 60_000},
@@ -325,7 +343,8 @@ func TestSelectorFamilyFaultDeterminism(t *testing.T) {
 				t.Errorf("%s: same faulted config, different results:\n a: %s\n b: %s",
 					name, fingerprint(a), fingerprint(b))
 			}
-			heapOnly := withHeapOnlyEngine(t, run)
+			cfg.HeapOnlyScheduler = true
+			heapOnly := run()
 			if !reflect.DeepEqual(a, heapOnly) {
 				t.Errorf("%s: calendar and heap-only schedulers disagree:\n cal:  %s\n heap: %s",
 					name, fingerprint(a), fingerprint(heapOnly))

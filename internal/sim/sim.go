@@ -257,6 +257,9 @@ func (s *Sim) nodePid(node int32) int32 { return s.srcBase + node }
 
 // Run executes one simulation and returns its measurements.
 func Run(cfg Config) (Result, error) {
+	if len(cfg.Messages) > 0 {
+		return Result{}, fmt.Errorf("sim: Run does not take Config.Messages; run a closed workload with RunBatch")
+	}
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
@@ -495,7 +498,7 @@ func build(cfg Config) *Sim {
 		seriesFailed:      prev.seriesFailed[:0],
 		seriesUnreachable: prev.seriesUnreachable[:0],
 	}
-	s.engine.heapOnly = engineHeapOnly || cfg.HeapOnlyScheduler
+	s.engine.heapOnly = cfg.HeapOnlyScheduler
 	// The reliable transport claims one management VL for ACK/NAK traffic on
 	// top of the data VLs; without it the port arrays keep their classic
 	// shape, byte for byte.
@@ -838,8 +841,8 @@ func genTimeAt(phase, ia float64, k int64) Time {
 // selectDLID applies the configured path-selection policy for one packet.
 // Composition order is fixed: fault-avoiding reselection (FaultPlan.Reselect)
 // first filters the destination's LID offsets down to those naming surviving
-// paths, then the selector — or Config.DLIDFunc — chooses within the
-// survivors. seq is the packet's sequence number within its (src, dst) flow.
+// paths, then the selector chooses within the survivors. seq is the packet's
+// sequence number within its (src, dst) flow.
 func (s *Sim) selectDLID(n *nodeState, src, dst topology.NodeID, seq uint32) ib.LID {
 	r := s.cfg.Subnet.Endports[dst]
 	count := r.Count()
@@ -855,9 +858,6 @@ func (s *Sim) selectDLID(n *nodeState, src, dst topology.NodeID, seq uint32) ib.
 			// outage by dropping at the dead link.
 			mask = m
 		}
-	}
-	if s.cfg.DLIDFunc != nil {
-		return s.applyDLIDFunc(src, dst, r.Base, count, mask, fullMask)
 	}
 	canonical := int(s.cfg.Subnet.DLID(src, dst)) - int(r.Base)
 	if canonical < 0 || canonical >= count {
@@ -883,30 +883,6 @@ func (s *Sim) selectDLID(n *nodeState, src, dst topology.NodeID, seq uint32) ib.
 		s.noteReroute()
 	}
 	return r.Base + ib.LID(off)
-}
-
-// applyDLIDFunc routes a custom path plan (Config.DLIDFunc) through fault
-// reselection: when the plan's choice names a path the usable mask marks
-// dead, the nearest surviving offset (cyclic scan, as in rank failover)
-// substitutes and counts as a reroute. Choices outside the tracked offset
-// range pass through untouched.
-func (s *Sim) applyDLIDFunc(src, dst topology.NodeID, base ib.LID, count int, mask, fullMask uint64) ib.LID {
-	dlid := s.cfg.DLIDFunc(src, dst)
-	if mask == fullMask {
-		return dlid
-	}
-	off := int(dlid) - int(base)
-	if off < 0 || off >= count || mask&(1<<uint(off)) != 0 {
-		return dlid
-	}
-	for i := 1; i < count; i++ {
-		o := (off + i) % count
-		if mask&(1<<uint(o)) != 0 {
-			s.noteReroute()
-			return base + ib.LID(o)
-		}
-	}
-	return dlid
 }
 
 // swArrive handles a packet head reaching a switch input port: after the

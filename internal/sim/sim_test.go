@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -39,6 +41,43 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+		}
+	}
+}
+
+// TestConfigRejectsNonFinite: NaN and ±Inf in a float field fail validation
+// with an error naming the field. Range checks alone let NaN through (every
+// comparison with it is false), and an infinite OfferedLoad used to hang Run.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	sn := mustSubnet(t, 4, 2, core.NewMLID())
+	fields := []struct {
+		name string
+		set  func(c *Config, v float64)
+	}{
+		{"OfferedLoad", func(c *Config, v float64) { c.OfferedLoad = v }},
+		{"Transport.BackoffMult", func(c *Config, v float64) {
+			c.Transport = &TransportConfig{BackoffMult: v}
+		}},
+		{"InBandSM.TrapLossProb", func(c *Config, v float64) {
+			c.FaultPlan = &FaultPlan{InBandSM: &InBandSMConfig{TrapLossProb: v}}
+		}},
+		{"InBandSM.SMPBackoffMult", func(c *Config, v float64) {
+			c.FaultPlan = &FaultPlan{InBandSM: &InBandSMConfig{SMPBackoffMult: v}}
+		}},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Run(fmt.Sprintf("%s=%v", f.name, v), func(t *testing.T) {
+				cfg := Config{Subnet: sn, Pattern: traffic.Uniform{Nodes: sn.Tree.Nodes()}, OfferedLoad: 0.3}
+				if err := cfg.withDefaults().validate(); err != nil {
+					t.Fatalf("base config rejected: %v", err)
+				}
+				f.set(&cfg, v)
+				err := cfg.withDefaults().validate()
+				if err == nil || !strings.Contains(err.Error(), f.name) {
+					t.Errorf("err = %v, want a rejection naming %s", err, f.name)
+				}
+			})
 		}
 	}
 }

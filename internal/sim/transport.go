@@ -101,8 +101,8 @@ func (tc TransportConfig) validate() error {
 	if tc.BaseTimeoutNs <= 0 {
 		return fmt.Errorf("sim: Transport.BaseTimeoutNs must be positive, got %d", tc.BaseTimeoutNs)
 	}
-	if tc.BackoffMult < 1 {
-		return fmt.Errorf("sim: Transport.BackoffMult must be >= 1, got %v", tc.BackoffMult)
+	if !(tc.BackoffMult >= 1 && finite(tc.BackoffMult)) {
+		return fmt.Errorf("sim: Transport.BackoffMult must be finite and >= 1, got %v", tc.BackoffMult)
 	}
 	if tc.MaxTimeoutNs < tc.BaseTimeoutNs {
 		return fmt.Errorf("sim: Transport.MaxTimeoutNs %d below BaseTimeoutNs %d", tc.MaxTimeoutNs, tc.BaseTimeoutNs)

@@ -263,18 +263,17 @@ func TestTransportRetryBudget(t *testing.T) {
 }
 
 // TestTransportDeterminism runs the transport fault scenario twice on the
-// calendar path, once on the heap-only path via the package hook, and once
-// via the exported Config.HeapOnlyScheduler switch: all four results must be
-// identical.
+// calendar path and once on the heap-only path (Config.HeapOnlyScheduler):
+// all three results must be identical.
 func TestTransportDeterminism(t *testing.T) {
-	run := func(heapOnlyCfg bool) Result {
+	run := func(heapOnly bool) Result {
 		t.Helper()
 		plan := &FaultPlan{
 			Faults:   []LinkFault{{Switch: 2, Port: 2, DownNs: 50_000, UpNs: 90_000}},
 			Reselect: true,
 		}
 		cfg := transportCfg(t, core.NewMLID(), plan, &TransportConfig{})
-		cfg.HeapOnlyScheduler = heapOnlyCfg
+		cfg.HeapOnlyScheduler = heapOnly
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -286,11 +285,7 @@ func TestTransportDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("transport run is not deterministic")
 	}
-	heap := withHeapOnlyEngine(t, func() Result { return run(false) })
-	if !reflect.DeepEqual(a, heap) {
+	if heap := run(true); !reflect.DeepEqual(a, heap) {
 		t.Fatal("calendar and heap-only scheduler paths disagree under transport")
-	}
-	if cfgHeap := run(true); !reflect.DeepEqual(a, cfgHeap) {
-		t.Fatal("Config.HeapOnlyScheduler path disagrees with the calendar path")
 	}
 }

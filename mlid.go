@@ -166,7 +166,7 @@ func LinkLoad(t *Tree, s Scheme, flows []Flow) (*LoadReport, error) {
 func AllToOne(t *Tree, dst NodeID) []Flow { return core.AllToOne(t, dst) }
 
 // PathPlan is a profile-guided path assignment produced by OptimizePaths;
-// feed its DLID method to SimConfig.DLIDFunc or BatchConfig.DLIDFunc.
+// simulate it by setting SimConfig.PathSelect to SelectPlan(plan).
 type PathPlan = core.PathPlan
 
 // OptimizePaths computes, for a known traffic matrix, the MLID LID offsets
@@ -349,6 +349,11 @@ func SelectAdaptive() Selector { return sim.SelectAdaptive() }
 // SelectPktSpray sprays every packet round-robin over the usable LIDs.
 func SelectPktSpray() Selector { return sim.SelectPktSpray() }
 
+// SelectPlan follows a profile-guided path plan (OptimizePaths) for the flows
+// it plans and the rank selection for the rest, failing over off dead paths
+// like SelectRank.
+func SelectPlan(plan *PathPlan) Selector { return sim.SelectPlan(plan) }
+
 // SelectorByName resolves "rank", "random", "flowspray", "adaptive" or
 // "pktspray".
 func SelectorByName(name string) (Selector, error) { return sim.SelectorByName(name) }
@@ -404,18 +409,16 @@ type (
 
 // Batch (closed-workload) simulation types.
 type (
-	// BatchConfig describes a closed workload: all messages enqueued at
-	// time zero, measured by makespan.
-	BatchConfig = sim.BatchConfig
 	// BatchResult reports a closed-workload run.
 	BatchResult = sim.BatchResult
 	// Message is one batch transfer.
 	Message = sim.Message
 )
 
-// SimulateBatch runs a closed workload (e.g. a collective exchange) until
-// the fabric drains and returns its makespan.
-func SimulateBatch(bc BatchConfig) (BatchResult, error) { return sim.RunBatch(bc) }
+// SimulateBatch runs the closed workload cfg.Messages (e.g. a collective
+// exchange) until the fabric drains and returns its makespan. cfg.MeasureNs
+// is the drain deadline; the open-loop and fault fields must stay unset.
+func SimulateBatch(cfg SimConfig) (BatchResult, error) { return sim.RunBatch(cfg) }
 
 // AllToAllMessages builds the staggered all-to-all personalized exchange.
 func AllToAllMessages(t *Tree, bytesPer int) []Message { return sim.AllToAll(t, bytesPer) }
