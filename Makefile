@@ -58,11 +58,15 @@ soak:
 
 # verify-smoke proves the static guarantees on every golden fabric: ibverify
 # must find zero error-severity findings (reachability, per-VL deadlock
-# freedom, addressing) for both schemes on the four paper networks, and on an
-# SM-repaired FT(8,2) carrying a two-link fault plan — dead-link warnings
-# are expected there, errors never. MLID on FT(16,3) is the deliberate
-# negative: the LID plan overflows the 16-bit space, so ibverify must exit
-# non-zero with the addressing finding.
+# freedom, addressing) for both schemes on the four paper networks. Two
+# SM-repaired fabrics, FT(8,2) MLID with a two-link fault plan (text) and
+# FT(4,3) SLID with three dead links (-json), must also reproduce their
+# pinned reports in cmd/ibverify/testdata byte for byte — dead-link
+# warnings are expected there, errors never. After an intended report
+# change, regenerate a report by redirecting the same command into its
+# file. MLID on FT(16,3) is the deliberate negative: the LID plan overflows
+# the 16-bit space, so ibverify must exit non-zero with the addressing
+# finding.
 verify-smoke:
 	$(GO) run ./cmd/ibverify -m 4 -n 4 -scheme MLID -vls 4
 	$(GO) run ./cmd/ibverify -m 4 -n 4 -scheme SLID -vls 4
@@ -72,7 +76,10 @@ verify-smoke:
 	$(GO) run ./cmd/ibverify -m 16 -n 2 -scheme SLID -vls 2
 	$(GO) run ./cmd/ibverify -m 32 -n 2 -scheme MLID -vls 1
 	$(GO) run ./cmd/ibverify -m 32 -n 2 -scheme SLID -vls 1
-	$(GO) run ./cmd/ibverify -m 8 -n 2 -scheme MLID -vls 2 -fault 2:2,9:3
+	out=$$($(GO) run ./cmd/ibverify -m 8 -n 2 -scheme MLID -vls 2 -fault 2:2,9:3) && \
+		printf '%s\n' "$$out" | diff cmd/ibverify/testdata/fault-mlid-8x2.txt -
+	out=$$($(GO) run ./cmd/ibverify -m 4 -n 3 -scheme SLID -vls 2 -json -fault 0:2,4:3,9:2) && \
+		printf '%s\n' "$$out" | diff cmd/ibverify/testdata/fault-slid-4x3.jsonl -
 	! $(GO) run ./cmd/ibverify -m 16 -n 3 -scheme MLID
 
 # adaptive-smoke runs the reduced path-selection family study: every
@@ -82,14 +89,16 @@ verify-smoke:
 adaptive-smoke:
 	$(GO) run ./cmd/ibsweep -adaptive -quick
 
-# sm-smoke exercises the in-band subnet-management model: the regression
+# sm-smoke exercises the subnet-management models: the in-band regression
 # suite (lost-trap edge, sweep-only recovery, failover determinism run to
 # run and on both scheduler paths, exact oracle equivalence when the
-# feature is off), then the reduced FT(4,2) campaign, whose invariants —
-# exact packet conservation, one failover per in-band run, sweep-recovered
-# trap loss — are asserted inside every run.
+# feature is off) and the table-convergence check of both models (live
+# tables equal the SM's repair target once recovery quiesces), then the
+# reduced FT(4,2) campaign, whose invariants — exact packet conservation,
+# one failover per in-band run, sweep-recovered trap loss — are asserted
+# inside every run.
 sm-smoke:
-	$(GO) test -run 'TestInBandSM' -count=1 ./internal/sim/
+	$(GO) test -run 'TestInBandSM|TestSMTablesConvergeToRepairTarget' -count=1 ./internal/sim/
 	$(GO) run ./cmd/ibsweep -smstudy -quick
 
 # bench-check vets and tests the nested benchmark module (bench/, module

@@ -85,9 +85,13 @@ func runVerify(m, n int, schemeName string, vls int, faultList, selName string, 
 		for _, l := range links {
 			fs.FailLink(tree, topology.SwitchID(l[0]), int(l[1]))
 		}
-		if _, _, err := core.RepairSubnet(sn, fs); err != nil {
-			fatal(err)
-		}
+		// The SM's repair path: the incremental repair state evolved from
+		// the pristine tables to the fault set, verified as its target.
+		rs := core.NewRepairState(sn)
+		_, err = rs.RepairIncremental(fs, rs.DirtySwitches(nil, links))
+		fatal(err)
+		in.LFTs, err = rs.TargetLFTs()
+		fatal(err)
 		in.DeadLinks = links
 		// Quality traces what sources actually send under reselection: the
 		// first surviving DLID, exactly as the simulator's Reselect mode.

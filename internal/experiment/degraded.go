@@ -18,7 +18,8 @@ import (
 // measurement window opens, the subnet-manager repair runs its course, and
 // the study records two independent views of the surviving fabric:
 //
-//   - static: a fresh Configure + core.RepairSubnet per scheme, analyzed by
+//   - static: the SM's incremental repair (core.RepairState, the simulator's
+//     repair path) applied to the scheme's pristine tables, analyzed by
 //     the ibverify quality pass (per-link maximal load, dilation, unrouted
 //     flows under all-to-all) with core.SelectDLID standing in for MLID's
 //     fault-avoiding source reselection;
@@ -121,7 +122,8 @@ type DegradedRow struct {
 	// sees — the ordering check compares this, the full static prediction.
 	StaticServedFrac        float64
 	StaticPredictedAccepted float64
-	// BrokenEntries is RepairSubnet's irreparable-descending-entry count.
+	// BrokenEntries is the repair's irreparable-descending-entry count
+	// (core.RepairState.Broken).
 	BrokenEntries int
 	// Dynamic view: the simulated run over the same outage.
 	Accepted       float64
@@ -259,10 +261,10 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 		scenarios = append(scenarios, sc)
 	}
 
-	// One pristine configuration per (tree, scheme), shared copy-on-write by
-	// every scenario: offline repairs mutate a cloneSubnetLFTs working copy,
-	// and the simulator clones the tables itself under a FaultPlan, so the
-	// pristine subnets are only ever read concurrently.
+	// One pristine configuration per (tree, scheme), shared by every
+	// scenario: each point's repair state only reads it, and the simulator
+	// clones the tables itself under a FaultPlan, so the pristine subnets are
+	// only ever read concurrently.
 	schemes := []core.Scheme{core.NewSLID(), core.NewMLID()}
 	pristine := make([]*ib.Subnet, len(schemes))
 	for i, scheme := range schemes {
@@ -290,20 +292,24 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 			FailedLinks: len(links),
 		}
 
-		// Static view: repair a working copy of the pristine configuration
-		// offline and run the verifier's quality pass over it, with
-		// fault-avoiding source selection standing in for what reselection
-		// does live.
-		sn := cloneSubnetLFTs(pristine[pt%len(schemes)])
-		_, broken, err := core.RepairSubnet(sn, fs)
+		// Static view: repair the pristine configuration the way the SM does
+		// live and run the verifier's quality pass over the repair target,
+		// with fault-avoiding source selection standing in for what
+		// reselection does live.
+		sn := pristine[pt%len(schemes)]
+		rs := core.NewRepairState(sn)
+		if _, err := rs.RepairIncremental(fs, rs.DirtySwitches(nil, links)); err != nil {
+			return row, fmt.Errorf("experiment: degraded repair %s at %s: %w", scheme.Name(), sc.label, err)
+		}
+		lfts, err := rs.TargetLFTs()
 		if err != nil {
 			return row, fmt.Errorf("experiment: degraded repair %s at %s: %w", scheme.Name(), sc.label, err)
 		}
-		row.BrokenEntries = len(broken)
+		row.BrokenEntries = rs.Broken()
 		in := verify.Input{
 			Tree:      tr,
 			Endports:  sn.Endports,
-			LFTs:      sn.LFTs,
+			LFTs:      lfts,
 			Engine:    scheme,
 			DeadLinks: links,
 			SelectDLID: func(src, dst topology.NodeID) (ib.LID, bool) {
@@ -342,7 +348,7 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 		// the shared pristine subnet (the simulator's fault path clones the
 		// tables before mutating them).
 		res, err := sim.Run(sim.Config{
-			Subnet:       pristine[pt%len(schemes)],
+			Subnet:       sn,
 			Pattern:      traffic.Uniform{Nodes: tr.Nodes()},
 			DataVLs:      spec.DataVLs,
 			OfferedLoad:  spec.OfferedLoad,

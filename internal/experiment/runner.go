@@ -3,8 +3,6 @@ package experiment
 import (
 	"runtime"
 	"sync"
-
-	"mlid/internal/ib"
 )
 
 // Campaign runner: every sweep — the figures (FigureSpec.Run) and the
@@ -73,22 +71,4 @@ func campaignRun[R any](n, workers int, fn func(i int) (R, error)) ([]R, error) 
 		}
 	}
 	return results, nil
-}
-
-// cloneSubnetLFTs makes a copy-on-write working copy of a pristine
-// configuration: the tree, engine, and endport plan are shared (read-only),
-// only the forwarding tables are deep-copied. This is what lets one
-// Configure per (tree, scheme) back every sweep scenario — offline repairs
-// mutate the clone, simulations clone again internally under a FaultPlan.
-func cloneSubnetLFTs(sn *ib.Subnet) *ib.Subnet {
-	out := &ib.Subnet{
-		Tree:     sn.Tree,
-		Engine:   sn.Engine,
-		Endports: sn.Endports,
-		LFTs:     make([]*ib.LFT, len(sn.LFTs)),
-	}
-	for i, lft := range sn.LFTs {
-		out.LFTs[i] = lft.Clone()
-	}
-	return out
 }

@@ -146,7 +146,8 @@ func SMStudy(spec SMSpec) ([]SMRow, error) {
 			spec.LinkFaultNs, spec.SMDownNs, spec.SMUpNs)
 	}
 	victimLeaf, _ := tr.NodeAttachment(topology.NodeID(tr.Nodes() / 2))
-	masterLeaf, _ := tr.NodeAttachment(0) // the default master SM node
+	master, _ := sim.SMNodes(tr)
+	masterLeaf, _ := tr.NodeAttachment(master)
 	type mode struct {
 		name string
 		prob float64

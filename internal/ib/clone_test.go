@@ -13,8 +13,8 @@ import (
 // clone, and Entries() hands out an independent copy too. The live
 // simulator leans on exactly this — it clones every switch's table when
 // fault injection is on, then rewrites the clones mid-run while the
-// caller's pristine subnet must stay byte-identical (smTrap re-repairs
-// from it at every trap).
+// caller's pristine subnet must stay byte-identical (the SM's repair state
+// reads it as the baseline of every trap's repair).
 func TestLFTClonePropertyNoAliasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {

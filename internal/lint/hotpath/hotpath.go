@@ -153,7 +153,7 @@ func (c *contract) run(pass *analysis.Pass) error {
 // hotFuncs names the per-packet functions: everything dispatch reaches on the
 // data path (generation, switching, flow control, delivery, transport), plus
 // the scheduler primitives under it. Cold entry points that merely neighbor
-// them (build, compileLFT, smTrap, Run) are deliberately absent.
+// them (build, compileLFT, smReact, Run) are deliberately absent.
 var hotFuncs = map[string]bool{
 	// engine (engine.go)
 	"schedule": true, "pop": true, "push": true,
@@ -213,12 +213,11 @@ func isMap(pass *analysis.Pass, e ast.Expr) bool {
 // sweep tick reaches. Cold entry points that neighbor them (build, Run, the
 // fault-plan compiler) are deliberately absent.
 var smHandlers = map[string]bool{
-	// oracle SM (faults.go)
-	"smTrap": true, "smRepair": true, "applyLFTUpdate": true,
-	// in-band SM (insm.go)
-	"trapArrive": true, "inbandRepair": true,
+	// the reaction and table write both SM models share (faults.go)
+	"smReact": true, "smRepair": true, "applyLFTUpdate": true,
+	// in-band trap intake, SMP transactions and sweeps (insm.go)
+	"trapArrive": true, "smSweep": true,
 	"sendSMP": true, "smpArrive": true, "smpAck": true, "smpTimeout": true,
-	"applySMP": true, "smSweep": true,
 }
 
 func checkSMHandler(pass *analysis.Pass, name string, n ast.Node) {

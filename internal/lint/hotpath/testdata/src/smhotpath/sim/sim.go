@@ -45,12 +45,12 @@ func (s *Sim) smRepair(deadView [][2]int32) {
 	_ = deadView
 }
 
-// applySMP is a handler: a full diff via Entries and a Size-bounded scan are
+// smReact is a handler: a full diff via Entries and a Size-bounded scan are
 // both flagged.
-func (s *Sim) applySMP(idx int) {
+func (s *Sim) smReact(idx int) {
 	l := s.faults.lfts[idx]
-	raw := l.Entries() // want `full-table Entries export in SM handler applySMP`
-	for lid := 0; lid < l.Size(); lid++ { // want `LID-space scan in SM handler applySMP`
+	raw := l.Entries() // want `full-table Entries export in SM handler smReact`
+	for lid := 0; lid < l.Size(); lid++ { // want `LID-space scan in SM handler smReact`
 		_ = raw[lid]
 	}
 }

@@ -403,7 +403,7 @@ type Result struct {
 	// whole run and inside the measurement window.
 	DroppedTotal, DroppedWindow int64
 	// DroppedAtDeadLink counts packets a live forwarding table steered onto
-	// a dead output port — the fate of RepairSubnet's broken descending
+	// a dead output port — the fate of the repair's broken descending
 	// entries and of every stale entry before the repair lands.
 	DroppedAtDeadLink int64
 	// DroppedOnDeadLink counts packets that were buffered on, serializing

@@ -63,11 +63,12 @@ const (
 	evLinkDown
 	// evLinkUp revives the bidirectional link at switch a, abstract port b.
 	evLinkUp
-	// evTrap is the subnet-manager model noticing the fabric changed (one
-	// trap latency after a link event): it recomputes repaired tables and
-	// stages per-switch forwarding-table updates.
+	// evTrap is the oracle subnet manager noticing the fabric changed
+	// (TrapLatencyNs after a link event): smReact over the ground-truth
+	// dead links.
 	evTrap
-	// evLFTUpdate applies the staged forwarding-table delta with index a.
+	// evLFTUpdate delivers staged forwarding-table update a by fiat (the
+	// oracle's counterpart of evSMPArrive).
 	evLFTUpdate
 	// evRexmit fires the retransmit timer of transport flow a; b carries the
 	// timer generation that armed it, so a stale timer (the flow re-armed or

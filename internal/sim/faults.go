@@ -10,26 +10,32 @@ import (
 	"mlid/internal/topology"
 )
 
-// Default subnet-manager reaction timing for fault injection. The trap
-// latency models port-down detection plus trap delivery to the SM; the
-// processing time models the SM's path recomputation; the update spacing
-// models one LinearForwardingTable SMP round-trip per switch, so table
-// updates land staged rather than atomically.
+// Subnet-manager timing, shared by the oracle and the in-band model. The
+// trap latency models port-down detection plus, under the oracle, trap
+// delivery to the SM (in-band, delivery time comes from routing the trap);
+// the processing time models the SM's path recomputation; the update
+// spacing models one LinearForwardingTable SMP issued per switch, so table
+// updates land staged rather than atomically: the i-th switch with a delta
+// is rewritten at reaction + SMProcessNs + i*LFTUpdateNs.
 const (
-	DefaultTrapLatencyNs Time = 5_000
-	DefaultSMProcessNs   Time = 2_000
-	DefaultLFTUpdateNs   Time = 500
+	TrapLatencyNs Time = 5_000
+	SMProcessNs   Time = 2_000
+	LFTUpdateNs   Time = 500
 )
 
-// Default in-band subnet-management timing (FaultPlan.InBandSM). The sweep
-// interval is the SM's all-ports discovery cadence — the only recovery path
-// when a trap is lost; the SMP timeout ladder follows the capped exponential
-// backoff a real MAD layer uses.
+// In-band subnet-management timing (FaultPlan.InBandSM). The sweep interval
+// is the default of the SM's all-ports discovery cadence — the only recovery
+// path when a trap is lost. An LFT-update SMP transaction follows the capped
+// exponential backoff a real MAD layer uses: its response timeout starts at
+// SMPTimeoutNs and multiplies by SMPBackoffMult per retransmission up to
+// SMPMaxTimeoutNs; after SMPMaxRetries retransmissions it parks until a
+// sweep re-drives it.
 const (
 	DefaultSMSweepIntervalNs Time = 25_000
-	DefaultSMPTimeoutNs      Time = 4_000
-	DefaultSMPBackoffMult         = 2.0
-	DefaultSMPMaxRetries          = 4
+	SMPTimeoutNs             Time = 4_000
+	SMPBackoffMult                = 2.0
+	SMPMaxTimeoutNs               = 8 * SMPTimeoutNs
+	SMPMaxRetries                 = 4
 )
 
 // InBandSMConfig switches the subnet-manager model from the default oracle
@@ -38,18 +44,11 @@ const (
 // travel the management VL through the live forwarding tables, so a
 // notification whose path crosses a dead link is lost and recovery falls to
 // the periodic sweep. It also enables SMP retry/backoff, master/standby SM
-// failover, and partition-aware source degradation. Nil keeps the oracle; the
-// zero value takes every default below.
+// failover, and partition-aware source degradation. The master SM runs on
+// node 0 and the standby on the last node (SMNodes); the SMP timing is
+// fixed (SMPTimeoutNs and the constants beside it). Nil keeps the oracle;
+// the zero value takes every default below.
 type InBandSMConfig struct {
-	// MasterNode is the endnode hosting the master SM. Traps and SMP
-	// responses are routed to it (while it is the active SM) through the
-	// live tables; its attachment dying silences the SM until failover.
-	MasterNode int32
-	// StandbyNode hosts the standby SM. It must sit on a different leaf
-	// switch than the master, so one switch outage cannot take out both.
-	// Left equal to MasterNode (e.g. both zero), it defaults to the
-	// highest-numbered node.
-	StandbyNode int32
 	// SweepIntervalNs is the period of the lightweight all-ports sweep that
 	// diffs discovered port state against the SM's view, recovering lost
 	// traps and re-driving retry-exhausted SMPs. Zero takes the default.
@@ -60,18 +59,16 @@ type InBandSMConfig struct {
 	// periodic sweep as the SM's only discovery path — the sweep-only
 	// extreme of the recovery-tail study.
 	TrapLossProb float64
-	// SMPTimeoutNs is the base response timeout of an LFT-update SMP
-	// transaction. Zero takes the default.
-	SMPTimeoutNs Time
-	// SMPBackoffMult multiplies the timeout on each retransmission (capped
-	// at SMPMaxTimeoutNs). Zero takes the default; must be >= 1.
-	SMPBackoffMult float64
-	// SMPMaxTimeoutNs caps the backed-off timeout. Zero takes 8x the base.
-	SMPMaxTimeoutNs Time
-	// SMPMaxRetries is the retransmission budget after the first send; once
-	// spent the transaction parks until a sweep re-drives it. Zero takes
-	// the default; negative means no retries.
-	SMPMaxRetries int
+}
+
+// SMNodes returns the endnodes hosting the in-band subnet managers: the
+// master on node 0 and the standby on the last node. Traps and SMP responses
+// are routed to the active one through the live tables, and its attachment
+// dying silences the SM until failover. The two sit on different leaf
+// switches on every fat-tree with more than one switch, so one switch outage
+// cannot take out both.
+func SMNodes(t *topology.Tree) (master, standby topology.NodeID) {
+	return 0, topology.NodeID(t.Nodes() - 1)
 }
 
 // withDefaults fills zero fields.
@@ -79,66 +76,24 @@ func (c InBandSMConfig) withDefaults() InBandSMConfig {
 	if c.SweepIntervalNs == 0 {
 		c.SweepIntervalNs = DefaultSMSweepIntervalNs
 	}
-	if c.SMPTimeoutNs == 0 {
-		c.SMPTimeoutNs = DefaultSMPTimeoutNs
-	}
-	if c.SMPBackoffMult == 0 {
-		c.SMPBackoffMult = DefaultSMPBackoffMult
-	}
-	if c.SMPMaxTimeoutNs == 0 {
-		c.SMPMaxTimeoutNs = 8 * c.SMPTimeoutNs
-	}
-	switch {
-	case c.SMPMaxRetries == 0:
-		c.SMPMaxRetries = DefaultSMPMaxRetries
-	case c.SMPMaxRetries < 0:
-		c.SMPMaxRetries = 0
-	}
 	return c
-}
-
-// resolvedStandby returns the standby SM's node, applying the
-// highest-numbered-node default when StandbyNode was left equal to MasterNode.
-func (c *InBandSMConfig) resolvedStandby(t *topology.Tree) int32 {
-	if c.StandbyNode != c.MasterNode {
-		return c.StandbyNode
-	}
-	return int32(t.Nodes() - 1)
 }
 
 // validate rejects inconsistent in-band SM configurations. Called on the
 // defaults-filled copy.
 func (c *InBandSMConfig) validate(t *topology.Tree) error {
-	if !t.ValidNode(topology.NodeID(c.MasterNode)) {
-		return fmt.Errorf("sim: InBandSM.MasterNode %d is not a node of %v", c.MasterNode, t)
-	}
-	standby := c.resolvedStandby(t)
-	if !t.ValidNode(topology.NodeID(standby)) {
-		return fmt.Errorf("sim: InBandSM.StandbyNode %d is not a node of %v", standby, t)
-	}
-	if standby == c.MasterNode {
-		return fmt.Errorf("sim: InBandSM master and standby resolve to the same node %d", standby)
-	}
-	msw, _ := t.NodeAttachment(topology.NodeID(c.MasterNode))
-	ssw, _ := t.NodeAttachment(topology.NodeID(standby))
+	master, standby := SMNodes(t)
+	msw, _ := t.NodeAttachment(master)
+	ssw, _ := t.NodeAttachment(standby)
 	if msw == ssw {
 		return fmt.Errorf("sim: InBandSM master (node %d) and standby (node %d) share leaf switch %d; "+
-			"one switch outage would take out both SMs, defeating failover", c.MasterNode, standby, msw)
+			"one switch outage would take out both SMs, defeating failover", master, standby, msw)
 	}
 	if !(c.TrapLossProb >= 0 && c.TrapLossProb <= 1) {
 		return fmt.Errorf("sim: InBandSM.TrapLossProb %v outside [0, 1]", c.TrapLossProb)
 	}
 	if c.SweepIntervalNs <= 0 {
 		return fmt.Errorf("sim: InBandSM.SweepIntervalNs must be positive, got %d", c.SweepIntervalNs)
-	}
-	if c.SMPTimeoutNs <= 0 {
-		return fmt.Errorf("sim: InBandSM.SMPTimeoutNs must be positive, got %d", c.SMPTimeoutNs)
-	}
-	if !(c.SMPBackoffMult >= 1 && finite(c.SMPBackoffMult)) {
-		return fmt.Errorf("sim: InBandSM.SMPBackoffMult %v must be finite and >= 1; below 1 it would shrink timeouts", c.SMPBackoffMult)
-	}
-	if c.SMPMaxTimeoutNs < c.SMPTimeoutNs {
-		return fmt.Errorf("sim: InBandSM.SMPMaxTimeoutNs %d below the base timeout %d", c.SMPMaxTimeoutNs, c.SMPTimeoutNs)
 	}
 	return nil
 }
@@ -173,10 +128,10 @@ type SwitchFault struct {
 }
 
 // FaultPlan schedules live link failures inside a running simulation and
-// configures the subnet-manager model's reaction to them. The offline fault
-// machinery (core.FaultSet, core.RepairSubnet, core.SelectDLID) rewrites
+// chooses the subnet-manager model that reacts to them. The offline fault
+// machinery (core.FaultSet, core.RepairState, core.SelectDLID) repairs
 // tables before a run starts; a FaultPlan instead drives the same repair
-// logic from the simulation clock, so the transient — drops before the trap
+// from the simulation clock, so the transient — drops before the trap
 // fires, staged table updates, source reselection — is observable.
 type FaultPlan struct {
 	Faults []LinkFault
@@ -186,16 +141,6 @@ type FaultPlan struct {
 	// switches may fail together: with identical DownNs/UpNs windows their
 	// shared link goes down and up once.
 	SwitchFaults []SwitchFault
-	// TrapLatencyNs is the delay between a link event and the SM noticing it
-	// (port-down detection + trap delivery). Zero takes the default.
-	TrapLatencyNs Time
-	// SMProcessNs is the SM's path-recomputation time between the trap and
-	// the first staged table update. Zero takes the default.
-	SMProcessNs Time
-	// LFTUpdateNs spaces consecutive per-switch table updates: the i-th
-	// switch with a delta is rewritten at trap + SMProcessNs + i*LFTUpdateNs.
-	// Zero takes the default.
-	LFTUpdateNs Time
 	// Reselect enables fault-avoiding source path selection once the first
 	// trap has fired: sources re-evaluate the destination's LID range
 	// against the live tables and dead links (core.SelectDLID's policy,
@@ -203,26 +148,16 @@ type FaultPlan struct {
 	// paths. Without it, sources keep their configured selection and
 	// packets routed onto broken entries drop.
 	Reselect bool
-	// InBandSM, when set, replaces the oracle SM reaction with in-band
-	// subnet management: see InBandSMConfig. TrapLatencyNs then models only
-	// local port-down detection (the propagation delay comes from routing
-	// the trap), and SMProcessNs/LFTUpdateNs keep their meanings for the
-	// SM's local computation and SMP issue spacing.
+	// InBandSM, when set, replaces the oracle's fiat trap delivery and table
+	// writes with in-band subnet management: see InBandSMConfig. Both models
+	// react through the same repair and table write, with the same timing
+	// constants (TrapLatencyNs, SMProcessNs, LFTUpdateNs).
 	InBandSM *InBandSMConfig
 }
 
-// withDefaults fills zero timing fields (cloning InBandSM so shared plan
-// literals stay untouched).
+// withDefaults fills the in-band SM's zero fields (cloning InBandSM so
+// shared plan literals stay untouched).
 func (p FaultPlan) withDefaults() FaultPlan {
-	if p.TrapLatencyNs == 0 {
-		p.TrapLatencyNs = DefaultTrapLatencyNs
-	}
-	if p.SMProcessNs == 0 {
-		p.SMProcessNs = DefaultSMProcessNs
-	}
-	if p.LFTUpdateNs == 0 {
-		p.LFTUpdateNs = DefaultLFTUpdateNs
-	}
 	if p.InBandSM != nil {
 		c := p.InBandSM.withDefaults()
 		p.InBandSM = &c
@@ -262,9 +197,6 @@ func canonicalLink(t *topology.Tree, sw int32, port int) [2]int32 {
 // switch faults on adjacent switches with identical windows: both ends die
 // and revive together, so the link's state is unambiguous.
 func (p FaultPlan) validate(t *topology.Tree) error {
-	if p.TrapLatencyNs < 0 || p.SMProcessNs < 0 || p.LFTUpdateNs < 0 {
-		return fmt.Errorf("sim: negative FaultPlan timing")
-	}
 	if p.InBandSM != nil {
 		if err := p.InBandSM.validate(t); err != nil {
 			return err
@@ -348,17 +280,12 @@ func (p FaultPlan) validate(t *topology.Tree) error {
 	return nil
 }
 
-// lftDelta is one staged forwarding-table rewrite.
-type lftDelta struct {
-	lid  ib.LID
-	port uint8
-}
-
-// stagedLFTUpdate is one switch's pending table delta, applied by a timed
-// evLFTUpdate event.
+// stagedLFTUpdate is one switch's pending table update: the LIDs whose
+// repair target changed when it was staged. applyLFTUpdate writes their
+// target ports as of delivery, not as of staging.
 type stagedLFTUpdate struct {
-	sw      int32
-	entries []lftDelta
+	sw   int32
+	lids []ib.LID
 }
 
 // faultRun is the live-fault state of one simulation.
@@ -417,12 +344,12 @@ func (s *Sim) scheduleFaults() {
 	for _, f := range plan.Faults {
 		s.schedule(f.DownNs, event{kind: evLinkDown, a: f.Switch, b: int32(f.Port)})
 		if oracle {
-			s.schedule(f.DownNs+plan.TrapLatencyNs, event{kind: evTrap})
+			s.schedule(f.DownNs+TrapLatencyNs, event{kind: evTrap})
 		}
 		if f.UpNs > 0 {
 			s.schedule(f.UpNs, event{kind: evLinkUp, a: f.Switch, b: int32(f.Port)})
 			if oracle {
-				s.schedule(f.UpNs+plan.TrapLatencyNs, event{kind: evTrap})
+				s.schedule(f.UpNs+TrapLatencyNs, event{kind: evTrap})
 			}
 		}
 	}
@@ -437,7 +364,7 @@ func (s *Sim) scheduleFaults() {
 			}
 		}
 		if oracle {
-			s.schedule(f.DownNs+plan.TrapLatencyNs, event{kind: evTrap})
+			s.schedule(f.DownNs+TrapLatencyNs, event{kind: evTrap})
 		}
 		if f.UpNs > 0 {
 			for port := 0; port < s.tree.M(); port++ {
@@ -446,7 +373,7 @@ func (s *Sim) scheduleFaults() {
 				}
 			}
 			if oracle {
-				s.schedule(f.UpNs+plan.TrapLatencyNs, event{kind: evTrap})
+				s.schedule(f.UpNs+TrapLatencyNs, event{kind: evTrap})
 			}
 		}
 	}
@@ -598,40 +525,51 @@ func (s *Sim) dropPkt(p *pkt) {
 	s.freePkt(p)
 }
 
-// smTrap is the oracle subnet-manager model reacting to a link event, one
-// trap latency after it happened: recompute repaired tables against the
-// ground-truth dead links and schedule one timed fiat table update per staged
-// switch delta.
-func (s *Sim) smTrap() {
-	staged, ok := s.smRepair(s.faults.deadLinks)
+// smReact is the subnet manager reacting to a change in its view of the dead
+// links — ground truth for the oracle (evTrap), the trap- and sweep-fed
+// knownDead in-band. It recomputes the repair target and delivers staged
+// update i at now + SMProcessNs + i*LFTUpdateNs: by fiat under the oracle (a
+// timed evLFTUpdate), as an LFT-update SMP transaction in-band. Sources learn
+// of the fault from the SM: reselection activates (and caches invalidate)
+// even when no table could be repaired.
+func (s *Sim) smReact(view [][2]int32) {
+	staged, ok := s.smRepair(view)
 	if !ok {
 		return
 	}
+	inband := s.faults.inband
 	for i, idx := range staged {
-		at := s.now + s.faults.plan.SMProcessNs + Time(i)*s.faults.plan.LFTUpdateNs
-		s.schedule(at, event{kind: evLFTUpdate, a: int32(idx)})
+		at := s.now + SMProcessNs + Time(i)*LFTUpdateNs
+		if inband == nil {
+			s.schedule(at, event{kind: evLFTUpdate, a: int32(idx)})
+			continue
+		}
+		// Transactions and staged updates share indices: every staged
+		// update is created here and nowhere else in in-band mode.
+		if got := inband.txns.Open(); got != idx {
+			s.fail(fmt.Errorf("sim: in-band SMP transaction %d opened for staged update %d (SM bug)", got, idx))
+			return
+		}
+		s.sendSMP(idx, at)
 	}
-	// Sources learn of the fault from the SM's sweep: reselection activates
-	// (and caches invalidate) even when no table could be repaired.
 	s.faults.epoch++
 	if s.cfg.VerifyEpochs {
 		s.verifyEpoch()
 	}
+	if inband != nil {
+		s.refreshPartition()
+	}
 }
 
-// smRepair is the SM's path recomputation, shared by the oracle and the
-// in-band model: evolve the persistent repair state to deadView and stage
-// one table delta per switch whose repair target changed. The state's
-// port→LIDs reverse index confines the work to the entries actually routed
-// through links in the symmetric difference of the old and new views
-// (core.RepairIncremental — RepairSubnet is its equivalence oracle), and the
-// staged delta IS the incremental diff, so no shadow tables are cloned or
-// rescanned per event. An unchanged dead set short-circuits entirely. It
-// returns the indices of the newly staged updates — scheduling their
-// application (fiat event or SMP transaction) is the caller's business — and
-// ok=false when the run already failed. deadView is the SM's knowledge:
-// ground truth for the oracle, the possibly-stale trap/sweep-fed view
-// in-band.
+// smRepair is the SM's path recomputation: evolve the persistent repair
+// state to deadView and stage one table update per switch whose repair
+// target changed. The state's port→LIDs reverse index confines the work to
+// the entries actually routed through links in the symmetric difference of
+// the old and new views (core.RepairIncremental — RepairSubnet is its
+// equivalence oracle), and the staged update IS the incremental diff, so no
+// shadow tables are cloned or rescanned per event. An unchanged dead set
+// short-circuits entirely. It returns the indices of the newly staged
+// updates and ok=false when the run already failed.
 func (s *Sim) smRepair(deadView [][2]int32) (staged []int, ok bool) {
 	fr := s.faults
 	if fr.repair == nil {
@@ -640,8 +578,8 @@ func (s *Sim) smRepair(deadView [][2]int32) (staged []int, ok bool) {
 		fr.repair = core.NewRepairState(s.cfg.Subnet)
 	} else if sm.SameDeadLinks(fr.smDead, deadView) {
 		// Memoized early-exit: the repair target is a pure function of the
-		// dead set, so nothing can need staging. Callers still bump the
-		// epoch, exactly as a recomputation staging zero deltas would.
+		// dead set, so nothing can need staging. smReact still bumps the
+		// epoch, exactly as a recomputation staging zero updates would.
 		return nil, true
 	}
 	fs := core.NewFaultSet()
@@ -657,34 +595,40 @@ func (s *Sim) smRepair(deadView [][2]int32) (staged []int, ok bool) {
 	fr.smDead = append(fr.smDead[:0:0], deadView...)
 	fr.lastBroken = fr.repair.Broken()
 	for _, d := range deltas {
-		entries := make([]lftDelta, len(d.Entries))
+		lids := make([]ib.LID, len(d.Entries))
 		for i, e := range d.Entries {
-			entries[i] = lftDelta{lid: e.LID, port: e.Port}
+			lids[i] = e.LID
 		}
-		idx := len(fr.staged)
-		fr.staged = append(fr.staged, stagedLFTUpdate{sw: int32(d.Switch), entries: entries})
-		staged = append(staged, idx)
+		staged = append(staged, len(fr.staged))
+		fr.staged = append(fr.staged, stagedLFTUpdate{sw: int32(d.Switch), lids: lids})
 	}
 	return staged, true
 }
 
-// applyLFTUpdate rewrites one switch's live forwarding table with a staged
-// delta — the timed, per-switch (non-atomic) table update of a real SM sweep.
-// Each rewritten entry is recompiled into the fused forwarding row, so the
-// hot path keeps reading the compiled table through fault recovery.
+// applyLFTUpdate rewrites one switch's live forwarding table for the LIDs of
+// staged update idx — the timed, per-switch (non-atomic) table update of a
+// real SM, delivered by fiat (evLFTUpdate) or by SMP (smpArrive). It writes
+// the repair state's CURRENT target per LID, not the value at staging time:
+// the update carries the table block as the SM now intends it, so updates of
+// overlapping repairs that land out of order converge on the SM's latest
+// target instead of resurrecting a stale remap. Each rewritten entry is
+// recompiled into the fused forwarding row, so the hot path keeps reading
+// the compiled table through fault recovery.
 func (s *Sim) applyLFTUpdate(idx int) {
 	u := s.faults.staged[idx]
 	lft := s.lfts[u.sw]
+	target := s.faults.repair
 	fwdBase := int(u.sw) * s.lftSize
-	for _, d := range u.entries {
-		if err := lft.Set(d.lid, d.port); err != nil {
+	for _, lid := range u.lids {
+		port := target.TargetPort(topology.SwitchID(u.sw), lid)
+		if err := lft.Set(lid, port); err != nil {
 			s.fail(fmt.Errorf("sim: applying LFT update to switch %d: %w", u.sw, err))
 			return
 		}
-		s.setFwd(fwdBase+int(d.lid), s.compileEntry(u.sw, d.port))
+		s.setFwd(fwdBase+int(lid), s.compileEntry(u.sw, port))
 	}
 	s.lftUpdates++
-	s.lftEntriesRewritten += int64(len(u.entries))
+	s.lftEntriesRewritten += int64(len(u.lids))
 	s.faults.lastRepairNs = s.now
 	s.faults.epoch++
 	if s.cfg.VerifyEpochs {

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"mlid/internal/core"
+	"mlid/internal/ib"
+	"mlid/internal/topology"
 	"mlid/internal/traffic"
 )
 
@@ -74,7 +76,7 @@ func TestFaultRecoveryTransient(t *testing.T) {
 	// Drops must begin before the trap fires: the [downNs, trap) series bins
 	// hold losses the SM hasn't heard about yet.
 	iv := cfg.SeriesIntervalNs
-	trapNs := downNs + DefaultTrapLatencyNs
+	trapNs := downNs + TrapLatencyNs
 	var preTrapDrops int64
 	for _, sp := range res.Series {
 		if sp.StartNs >= downNs && sp.StartNs < trapNs {
@@ -95,8 +97,8 @@ func TestFaultRecoveryTransient(t *testing.T) {
 	if res.BrokenEntries == 0 {
 		t.Errorf("expected irreparable descending entries at the spine, got none")
 	}
-	minRec := DefaultTrapLatencyNs + DefaultSMProcessNs
-	maxRec := minRec + Time(cfg.Subnet.Tree.Switches())*DefaultLFTUpdateNs
+	minRec := TrapLatencyNs + SMProcessNs
+	maxRec := minRec + Time(cfg.Subnet.Tree.Switches())*LFTUpdateNs
 	if res.RecoveryNs < minRec || res.RecoveryNs > maxRec {
 		t.Errorf("RecoveryNs = %d, want within [%d, %d]", res.RecoveryNs, minRec, maxRec)
 	}
@@ -196,8 +198,8 @@ func TestFaultLinkRevival(t *testing.T) {
 		t.Errorf("expected table updates from both sweeps (down and up), got %d", res.LFTUpdates)
 	}
 	// After the revival trap's updates land, the restored tables drop nothing.
-	restoredNs := upNs + DefaultTrapLatencyNs + DefaultSMProcessNs +
-		Time(res.LFTUpdates)*DefaultLFTUpdateNs + 5_000
+	restoredNs := upNs + TrapLatencyNs + SMProcessNs +
+		Time(res.LFTUpdates)*LFTUpdateNs + 5_000
 	for _, sp := range res.Series {
 		if sp.StartNs >= restoredNs && sp.Dropped != 0 {
 			t.Errorf("bin %d ns: %d drops after the link revived and tables restored",
@@ -309,7 +311,6 @@ func TestFaultPlanValidation(t *testing.T) {
 		{Faults: []LinkFault{{Switch: 0, Port: -1, DownNs: 1}}},           // bad port
 		{Faults: []LinkFault{{Switch: 0, Port: 0, DownNs: -5}}},           // bad time
 		{Faults: []LinkFault{{Switch: 0, Port: 0, DownNs: 10, UpNs: 10}}}, // up <= down
-		{TrapLatencyNs: -1}, // bad timing
 	}
 	for i, plan := range bad {
 		if _, err := Run(faultCfg(t, core.NewMLID(), plan)); err == nil {
@@ -380,5 +381,78 @@ func TestGenerationRateDrift(t *testing.T) {
 		if relErr := math.Abs(realized-wantRate) / wantRate; relErr > 1e-9 {
 			t.Errorf("load %v: realized rate error %.3e exceeds 1e-9", load, relErr)
 		}
+	}
+}
+
+// TestSMTablesConvergeToRepairTarget pins the SM's table-write contract:
+// once recovery has quiesced, every live forwarding table equals the repair
+// target (pristine tables plus the current overlay), whatever order the
+// staged updates landed in. On FT(4,3) under MLID every non-root switch's
+// first up-link dies at 40 µs, so the first trap stages sixteen remaps
+// LFTUpdateNs apart; switch 19's link revives at 45.1 µs, and the revert its
+// trap stages lands before the first trap's remap of switch 19. An update
+// that wrote the entries recorded at staging time, instead of the SM's
+// current target, would leave switch 19 on the stale remap for good.
+func TestSMTablesConvergeToRepairTarget(t *testing.T) {
+	sn := mustSubnet(t, 4, 3, core.NewMLID())
+	tr := sn.Tree
+	var faults []LinkFault
+	for sw := 0; sw < tr.Switches(); sw++ {
+		id := topology.SwitchID(sw)
+		if tr.SwitchLevel(id) == 0 {
+			continue
+		}
+		f := LinkFault{Switch: int32(sw), Port: tr.DownPorts(id), DownNs: 40_000}
+		if sw == 19 {
+			f.UpNs = 45_100
+		}
+		faults = append(faults, f)
+	}
+	for _, mode := range []struct {
+		name   string
+		inband *InBandSMConfig
+	}{{"oracle", nil}, {"inband", &InBandSMConfig{}}} {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := Config{
+				Subnet:      sn,
+				Pattern:     traffic.Uniform{Nodes: tr.Nodes()},
+				OfferedLoad: 0.3,
+				MeasureNs:   300_000,
+				FaultPlan:   &FaultPlan{Faults: faults, InBandSM: mode.inband},
+			}.withDefaults()
+			if err := cfg.validate(); err != nil {
+				t.Fatal(err)
+			}
+			// No generator is scheduled: only the fault and SM events run.
+			s := build(cfg)
+			s.end = cfg.MeasureNs
+			s.scheduleFaults()
+			s.runUntil(s.end)
+			if s.err != nil {
+				t.Fatal(s.err)
+			}
+			if s.lftUpdates == 0 {
+				t.Fatal("no staged updates applied: the scenario exercises nothing")
+			}
+			target, err := s.faults.repair.TargetLFTs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for sw, want := range target {
+				diff, first := 0, ib.LID(0)
+				for lid := 1; lid < want.Size(); lid++ {
+					if s.lfts[sw].Port(ib.LID(lid)) != want.Port(ib.LID(lid)) {
+						if diff == 0 {
+							first = ib.LID(lid)
+						}
+						diff++
+					}
+				}
+				if diff > 0 {
+					t.Errorf("switch %d: %d entries off the repair target (first: DLID %d on port %d, target port %d)",
+						sw, diff, first, s.lfts[sw].Port(first), want.Port(first))
+				}
+			}
+		})
 	}
 }

@@ -5,7 +5,9 @@ package sim
 // The default fault model delivers traps and table updates by fiat — a link
 // event always reaches the SM after TrapLatencyNs, and staged LFT rewrites
 // always land. With InBandSM set, those notifications become management
-// packets routed through the same live forwarding state as data traffic:
+// packets routed through the same live forwarding state as data traffic; the
+// SM's reaction to what it learns (smReact: repair, staged table updates,
+// epoch) and the table write itself (applyLFTUpdate) are the oracle's:
 //
 //   - A link event raises a trap at the observing switch, walked hop by hop
 //     toward the active SM's endnode through the compiled tables. A trap
@@ -20,9 +22,10 @@ package sim
 //     timeout, capped exponential backoff, and a retry budget
 //     (sm.TxnManager); a retry-exhausted transaction parks until the next
 //     sweep re-drives it.
-//   - A standby SM on a distinct leaf switch takes over (sm.Failover,
-//     observed at sweep ticks) when the master's attachment dies; mastership
-//     is sticky, so recovery of the old master does not flap it back.
+//   - A standby SM on a distinct leaf switch (SMNodes) takes over
+//     (sm.Failover, observed at sweep ticks) when the master's attachment
+//     dies; mastership is sticky, so recovery of the old master does not
+//     flap it back.
 //   - When repair cannot restore reachability the SM computes a typed
 //     partition finding (core.DetectPartitions) over its knowledge, and
 //     senders degrade gracefully: a retransmit timer armed while the
@@ -51,7 +54,6 @@ package sim
 //     so a takeover resumes, not restarts, recovery.
 
 import (
-	"fmt"
 	"math/rand"
 
 	"mlid/internal/core"
@@ -61,8 +63,8 @@ import (
 
 // inbandRun is the live in-band SM state, nested in faultRun.
 type inbandRun struct {
-	cfg     InBandSMConfig
-	standby int32 // resolved standby node
+	cfg             InBandSMConfig
+	master, standby int32 // SMNodes
 	// rng draws trap losses only. Private to the SM model so enabling
 	// TrapLossProb never perturbs traffic generation or path selection.
 	rng  *rand.Rand
@@ -99,18 +101,20 @@ type inbandRun struct {
 // Called once from scheduleFaults when the plan carries an InBandSM config.
 func (s *Sim) initInBand() {
 	cfg := *s.faults.plan.InBandSM
+	master, standby := SMNodes(s.tree)
 	ib := &inbandRun{
 		cfg:     cfg,
-		standby: cfg.resolvedStandby(s.tree),
+		master:  int32(master),
+		standby: int32(standby),
 		rng:     rand.New(rand.NewSource(s.cfg.Seed*9_176_941 + 17)),
 		txns: sm.NewTxnManager(sm.TxnConfig{
-			BaseTimeoutNs: int64(cfg.SMPTimeoutNs),
-			BackoffMult:   cfg.SMPBackoffMult,
-			MaxTimeoutNs:  int64(cfg.SMPMaxTimeoutNs),
-			MaxRetries:    cfg.SMPMaxRetries,
+			BaseTimeoutNs: int64(SMPTimeoutNs),
+			BackoffMult:   SMPBackoffMult,
+			MaxTimeoutNs:  int64(SMPMaxTimeoutNs),
+			MaxRetries:    SMPMaxRetries,
 		}),
 	}
-	ib.fo = sm.NewFailover(cfg.MasterNode, ib.standby)
+	ib.fo = sm.NewFailover(ib.master, ib.standby)
 	if s.transport != nil && s.tree.Nodes() <= 4096 {
 		// Same size guard as the reselection caches: the flag array is
 		// nodes^2 bytes.
@@ -255,13 +259,13 @@ func (s *Sim) emitTrap(sw, port int32, down bool) {
 	if down {
 		flag = 1
 	}
-	at := s.now + s.faults.plan.TrapLatencyNs + Time(hops)*s.mgmtHopNs()
+	at := s.now + TrapLatencyNs + Time(hops)*s.mgmtHopNs()
 	s.schedule(at, event{kind: evTrapArrive, pi: flag, a: sw, b: port})
 }
 
 // trapArrive is a delivered trap updating the SM's knowledge base; a change
-// triggers repair. Revival traps remove the link from the view, so the SM
-// re-converges toward the pristine tables.
+// triggers the SM's reaction. Revival traps remove the link from the view,
+// so the SM re-converges toward the pristine tables.
 func (s *Sim) trapArrive(sw, port int32, down bool) {
 	ib := s.faults.inband
 	ib.trapsDelivered++
@@ -289,36 +293,8 @@ func (s *Sim) trapArrive(sw, port int32, down bool) {
 		}
 	}
 	if changed {
-		s.inbandRepair()
+		s.smReact(ib.knownDead)
 	}
-}
-
-// inbandRepair runs the SM's path recomputation against its current
-// knowledge and opens one SMP transaction per staged switch delta, then
-// refreshes the partition verdict. The in-band counterpart of the oracle's
-// smTrap.
-func (s *Sim) inbandRepair() {
-	ib := s.faults.inband
-	staged, ok := s.smRepair(ib.knownDead)
-	if !ok {
-		return
-	}
-	for i, idx := range staged {
-		// Transactions and staged updates share indices: every staged
-		// update is created here and nowhere else in in-band mode.
-		if got := ib.txns.Open(); got != idx {
-			s.fail(fmt.Errorf("sim: in-band SMP transaction %d opened for staged update %d (SM bug)", got, idx))
-			return
-		}
-		s.sendSMP(idx, s.now+s.faults.plan.SMProcessNs+Time(i)*s.faults.plan.LFTUpdateNs)
-	}
-	// Reselection activates and caches invalidate on the SM's knowledge
-	// change, exactly like the oracle's trap epoch.
-	s.faults.epoch++
-	if s.cfg.VerifyEpochs {
-		s.verifyEpoch()
-	}
-	s.refreshPartition()
 }
 
 // sendSMP transmits (or retransmits) the LFT-update SMP of transaction idx
@@ -339,12 +315,12 @@ func (s *Sim) sendSMP(idx int, at Time) {
 }
 
 // smpArrive is the SMP reaching its target switch: the first copy applies
-// the table delta (retransmissions are absorbed idempotently), and the
+// the table update (retransmissions are absorbed idempotently), and the
 // response walks back to the SM — its loss leaves the timer to expire.
 func (s *Sim) smpArrive(idx int) {
 	ib := s.faults.inband
 	if ib.txns.Apply(idx) {
-		s.applySMP(idx)
+		s.applyLFTUpdate(idx)
 	}
 	// The response retraces the directed route; links die bidirectionally,
 	// so replanning from the SM side keeps the symmetry honest.
@@ -370,34 +346,6 @@ func (s *Sim) smpTimeout(idx int, gen int32) {
 	}
 }
 
-// applySMP rewrites the target switch's live table for the lids of staged
-// update idx. Unlike the oracle's applyLFTUpdate it writes the repair
-// state's CURRENT target value per lid, not the delta recorded at staging
-// time: the SMP carries the table block as the SM now intends it, so
-// out-of-order arrivals of overlapping repairs converge on the SM's latest
-// intent instead of resurrecting a stale delta.
-func (s *Sim) applySMP(idx int) {
-	u := s.faults.staged[idx]
-	lft := s.lfts[u.sw]
-	target := s.faults.repair
-	fwdBase := int(u.sw) * s.lftSize
-	for _, d := range u.entries {
-		port := target.TargetPort(topology.SwitchID(u.sw), d.lid)
-		if err := lft.Set(d.lid, port); err != nil {
-			s.fail(fmt.Errorf("sim: applying SMP to switch %d: %w", u.sw, err))
-			return
-		}
-		s.setFwd(fwdBase+int(d.lid), s.compileEntry(u.sw, port))
-	}
-	s.lftUpdates++
-	s.lftEntriesRewritten += int64(len(u.entries))
-	s.faults.lastRepairNs = s.now
-	s.faults.epoch++
-	if s.cfg.VerifyEpochs {
-		s.verifyEpoch()
-	}
-}
-
 // smSweep is the periodic SM tick: observe both SM nodes' liveness and fail
 // over if the active one is dead, discover ground-truth port state and diff
 // it against the SM's view (the only recovery path for lost traps), and
@@ -405,7 +353,7 @@ func (s *Sim) applySMP(idx int) {
 func (s *Sim) smSweep() {
 	ib := s.faults.inband
 	ib.sweeps++
-	switched, anyUp := ib.fo.Observe(s.smNodeUp(ib.cfg.MasterNode), s.smNodeUp(ib.standby))
+	switched, anyUp := ib.fo.Observe(s.smNodeUp(ib.master), s.smNodeUp(ib.standby))
 	if switched {
 		ib.failovers++
 	}
@@ -423,16 +371,16 @@ func (s *Sim) smSweep() {
 	if len(added) > 0 || len(removed) > 0 {
 		ib.sweepDetections++
 		ib.knownDead = append(ib.knownDead[:0:0], s.faults.deadLinks...)
-		s.inbandRepair()
+		s.smReact(ib.knownDead)
 	}
 	for i, idx := range redrive {
 		ib.txns.Reset(idx)
-		s.sendSMP(idx, s.now+s.faults.plan.SMProcessNs+Time(i)*s.faults.plan.LFTUpdateNs)
+		s.sendSMP(idx, s.now+SMProcessNs+Time(i)*LFTUpdateNs)
 	}
 }
 
 // refreshPartition recomputes the partition finding over the SM's knowledge
-// after a repair, counts transitions into a partitioned fabric, and updates
+// after an in-band reaction, counts transitions into a partitioned fabric, and updates
 // the per-flow unreachability flags that drive graceful degradation. Flags
 // take effect at each flow's next timer re-arm (see armTimer), so no timer
 // state is touched here.

@@ -268,47 +268,37 @@ func TestInBandSMOffMatchesOracleExactly(t *testing.T) {
 func TestInBandSMValidation(t *testing.T) {
 	cases := []struct {
 		name string
+		m, n int
 		sm   InBandSMConfig
 		want string
 	}{
-		{"bad master", InBandSMConfig{MasterNode: 99}, "MasterNode"},
-		// StandbyNode equal to MasterNode means "use the default" (the last
-		// node), so the collision only manifests when the master IS the
-		// last node.
-		{"same node", InBandSMConfig{MasterNode: 7, StandbyNode: 7}, "same node"},
-		{"shared leaf", InBandSMConfig{MasterNode: 0, StandbyNode: 1}, "share leaf switch"},
-		{"bad loss", InBandSMConfig{TrapLossProb: 1.5}, "TrapLossProb"},
-		{"bad sweep", InBandSMConfig{SweepIntervalNs: -1}, "SweepIntervalNs"},
-		{"bad backoff", InBandSMConfig{SMPBackoffMult: 0.5}, "SMPBackoffMult"},
-		{"bad cap", InBandSMConfig{SMPTimeoutNs: 1000, SMPMaxTimeoutNs: 500}, "SMPMaxTimeoutNs"},
+		// FT(4,1) is a single switch: the master (node 0) and the standby
+		// (the last node) share it, so one outage would silence both.
+		{"shared leaf", 4, 1, InBandSMConfig{}, "share leaf switch"},
+		{"bad loss", 4, 2, InBandSMConfig{TrapLossProb: 1.5}, "TrapLossProb"},
+		{"bad sweep", 4, 2, InBandSMConfig{SweepIntervalNs: -1}, "SweepIntervalNs"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sm := tc.sm
-			cfg := inbandCfg(t, &FaultPlan{
-				Faults:   []LinkFault{{Switch: 2, Port: 2, DownNs: 50_000}},
-				InBandSM: &sm,
+			sn := mustSubnet(t, tc.m, tc.n, core.NewMLID())
+			_, err := Run(Config{
+				Subnet:      sn,
+				Pattern:     traffic.Uniform{Nodes: sn.Tree.Nodes()},
+				OfferedLoad: 0.3,
+				MeasureNs:   100_000,
+				FaultPlan: &FaultPlan{
+					Faults:   []LinkFault{{Switch: 0, Port: 0, DownNs: 50_000}},
+					InBandSM: &sm,
+				},
 			})
-			_, err := Run(cfg)
 			if err == nil {
-				t.Fatalf("config %+v validated", tc.sm)
+				t.Fatalf("config %+v on FT(%d,%d) validated", tc.sm, tc.m, tc.n)
 			}
 			if !containsStr(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-
-	// A master on the defaulted standby's leaf (but a different node)
-	// collides at the leaf-switch level, not the node level.
-	cfg := inbandCfg(t, &FaultPlan{
-		Faults: []LinkFault{{Switch: 2, Port: 2, DownNs: 52_000}},
-		// Equal fields request the default standby (node 7) — which shares
-		// leaf 5 with master node 6.
-		InBandSM: &InBandSMConfig{MasterNode: 6, StandbyNode: 6},
-	})
-	if _, err := Run(cfg); err == nil {
-		t.Error("master sharing the defaulted standby's leaf must be rejected")
 	}
 }
 

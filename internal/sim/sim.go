@@ -711,7 +711,7 @@ func (s *Sim) dispatch(ev event) {
 	case evLinkUp:
 		s.linkUp(ev.a, int(ev.b))
 	case evTrap:
-		s.smTrap()
+		s.smReact(s.faults.deadLinks)
 	case evLFTUpdate:
 		s.applyLFTUpdate(int(ev.a))
 	case evRexmit:

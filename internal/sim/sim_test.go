@@ -61,9 +61,6 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 		{"InBandSM.TrapLossProb", func(c *Config, v float64) {
 			c.FaultPlan = &FaultPlan{InBandSM: &InBandSMConfig{TrapLossProb: v}}
 		}},
-		{"InBandSM.SMPBackoffMult", func(c *Config, v float64) {
-			c.FaultPlan = &FaultPlan{InBandSM: &InBandSMConfig{SMPBackoffMult: v}}
-		}},
 	}
 	for _, f := range fields {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

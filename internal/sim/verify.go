@@ -9,7 +9,7 @@ import (
 
 // verifyEpoch runs the static verifier (package verify) over the live
 // forwarding tables, called at the end of every subnet-manager epoch — each
-// smTrap sweep and each applied staged table update — when
+// SM reaction (smReact) and each applied staged table update — when
 // Config.VerifyEpochs is set. The contract it enforces is the verify
 // package's severity rule: mid-repair tables may contain dead-link-explained
 // defects (warnings — those packets drop observably), but never a forwarding
