@@ -43,10 +43,13 @@ lint-fix: lint
 # updates, reselection) and the quick recovery study. The second line
 # repeats the recycled-run-state test ten times: concurrent runs share
 # simPool, so a run that leaks state into the next, or two runs that share
-# one arena, shows up as a race or a result that depends on run order.
+# one arena, shows up as a race or a result that depends on run order. The
+# third line does the same for verify.Run, whose concurrent runs share
+# runPool.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiment/... ./internal/sm/... ./internal/core/... ./internal/verify/...
 	$(GO) test -race -count=10 -run TestRunIndependentOfPriorRuns ./internal/sim/
+	$(GO) test -race -count=10 -run TestRunIndependentOfPooledRuns ./internal/verify/
 
 # soak runs the deterministic chaos campaigns: two seeds of link-flap
 # schedules with the reliable transport on, each executed twice per scheduler
@@ -62,9 +65,11 @@ soak:
 # SM-repaired fabrics, FT(8,2) MLID with a two-link fault plan (text) and
 # FT(4,3) SLID with three dead links (-json), must also reproduce their
 # pinned reports in cmd/ibverify/testdata byte for byte — dead-link
-# warnings are expected there, errors never. After an intended report
-# change, regenerate a report by redirecting the same command into its
-# file. MLID on FT(16,3) is the deliberate negative: the LID plan overflows
+# warnings are expected there, errors never — and so must the reduced
+# FT(8,3) degraded-fabric study's CSV (static verifier with fault-avoiding
+# selection, then the simulated outage with per-epoch verification). After
+# an intended report change, regenerate a report by redirecting the same
+# command into its file. MLID on FT(16,3) is the deliberate negative: the LID plan overflows
 # the 16-bit space, so ibverify must exit non-zero with the addressing
 # finding.
 verify-smoke:
@@ -80,6 +85,8 @@ verify-smoke:
 		printf '%s\n' "$$out" | diff cmd/ibverify/testdata/fault-mlid-8x2.txt -
 	out=$$($(GO) run ./cmd/ibverify -m 4 -n 3 -scheme SLID -vls 2 -json -fault 0:2,4:3,9:2) && \
 		printf '%s\n' "$$out" | diff cmd/ibverify/testdata/fault-slid-4x3.jsonl -
+	out=$$($(GO) run ./cmd/ibverify -m 8 -n 3 -degraded 0.10 -quick -json) && \
+		printf '%s\n' "$$out" | diff cmd/ibverify/testdata/degraded-8x3-quick.csv -
 	! $(GO) run ./cmd/ibverify -m 16 -n 3 -scheme MLID
 
 # adaptive-smoke runs the reduced path-selection family study: every

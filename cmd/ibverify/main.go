@@ -96,8 +96,7 @@ func runVerify(m, n int, schemeName string, vls int, faultList, selName string, 
 		// Quality traces what sources actually send under reselection: the
 		// first surviving DLID, exactly as the simulator's Reselect mode.
 		in.SelectDLID = func(src, dst topology.NodeID) (ib.LID, bool) {
-			lid, _, ok := core.SelectDLID(tree, eng, src, dst, fs)
-			return lid, ok
+			return core.SelectLID(tree, eng, src, dst, fs)
 		}
 	}
 	if selName != "" {

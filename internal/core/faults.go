@@ -52,7 +52,7 @@ func (f *FaultSet) Blocked(p Path) bool {
 	return false
 }
 
-// SelectDLID performs fault-avoiding path selection: the LMC-multipath
+// SelectLID performs fault-avoiding path selection: the LMC-multipath
 // failover that motivates multiple LIDs in practice. It first tries the
 // scheme's canonical DLID; if that path crosses a failed link it scans
 // cyclically from the canonical offset for the nearest surviving LID — the
@@ -65,12 +65,13 @@ func (f *FaultSet) Blocked(p Path) bool {
 // source-local DLID rewrite, with no forwarding-table reprogramming, while
 // SLID (one LID) has no alternative to offer.
 //
-// It returns the chosen DLID, the surviving path, and ok=false when every
-// named path is blocked.
-func SelectDLID(t *topology.Tree, s Scheme, src, dst topology.NodeID, faults *FaultSet) (ib.LID, Path, bool) {
+// It returns the chosen DLID, and ok=false when every named path is
+// blocked. Each candidate is checked by walking its route without recording
+// it, so selection allocates nothing.
+func SelectLID(t *topology.Tree, s Scheme, src, dst topology.NodeID, faults *FaultSet) (ib.LID, bool) {
 	canonical := s.DLID(t, src, dst)
-	if p, err := TraceLID(t, s, src, canonical); err == nil && p.Dst == dst && (faults == nil || !faults.Blocked(p)) {
-		return canonical, p, true
+	if usable(t, s, src, dst, canonical, faults) {
+		return canonical, true
 	}
 	base := s.BaseLID(t, dst)
 	count := 1 << s.LMC(t)
@@ -79,23 +80,40 @@ func SelectDLID(t *topology.Tree, s Scheme, src, dst topology.NodeID, faults *Fa
 		start = 0
 	}
 	for i := 1; i < count; i++ {
-		lid := base + ib.LID((start+i)%count)
-		p, err := TraceLID(t, s, src, lid)
-		if err != nil || p.Dst != dst {
-			continue
-		}
-		if faults == nil || !faults.Blocked(p) {
-			return lid, p, true
+		if lid := base + ib.LID((start+i)%count); usable(t, s, src, dst, lid, faults) {
+			return lid, true
 		}
 	}
-	return 0, Path{}, false
+	return 0, false
+}
+
+// SelectDLID is SelectLID for callers that also want the surviving path:
+// the DLID SelectLID chooses, its route as TraceLID resolves it, and
+// ok=false (with a zero Path) when every named path is blocked. Callers that
+// need only the DLID should call SelectLID, which builds no path.
+func SelectDLID(t *topology.Tree, s Scheme, src, dst topology.NodeID, faults *FaultSet) (ib.LID, Path, bool) {
+	lid, ok := SelectLID(t, s, src, dst, faults)
+	if !ok {
+		return 0, Path{}, false
+	}
+	p, _ := TraceLID(t, s, src, lid) // SelectLID walked this route to dst
+	return lid, p, true
+}
+
+// usable reports whether dlid's route from src delivers to dst without
+// crossing a failed link: TraceLID succeeding at dst with Blocked false, by
+// the same walk, with no path built.
+func usable(t *topology.Tree, s Scheme, src, dst topology.NodeID, dlid ib.LID, faults *FaultSet) bool {
+	end := walkLID(t, s, src, dlid, faults, nil)
+	return end.stop == walkDelivered && end.dst == dst
 }
 
 // UsableOffsets enumerates the candidate path offsets for (src, dst) exactly
 // as a running simulation would present them to a path Selector: base is the
 // destination's base LID, count the scheme's offset range (capped at 64 to
 // match the mask width), canonical the scheme's static choice, and mask has
-// bit i set when LID base+i traces to dst without crossing a failed link.
+// bit i set when LID base+i traces to dst without crossing a failed link —
+// SelectLID's check, so building the mask allocates nothing.
 // The mask is zero only when the fault set disconnects the pair entirely.
 func UsableOffsets(t *topology.Tree, s Scheme, src, dst topology.NodeID, faults *FaultSet) (base ib.LID, count, canonical int, mask uint64) {
 	base = s.BaseLID(t, dst)
@@ -108,14 +126,9 @@ func UsableOffsets(t *topology.Tree, s Scheme, src, dst topology.NodeID, faults 
 		canonical = 0
 	}
 	for off := 0; off < count; off++ {
-		p, err := TraceLID(t, s, src, base+ib.LID(off))
-		if err != nil || p.Dst != dst {
-			continue
+		if usable(t, s, src, dst, base+ib.LID(off), faults) {
+			mask |= 1 << uint(off)
 		}
-		if faults != nil && faults.Blocked(p) {
-			continue
-		}
-		mask |= 1 << uint(off)
 	}
 	return base, count, canonical, mask
 }
@@ -130,7 +143,7 @@ func Reachability(t *topology.Tree, s Scheme, faults *FaultSet) (served, total i
 				continue
 			}
 			total++
-			if _, _, ok := SelectDLID(t, s, topology.NodeID(a), topology.NodeID(b), faults); ok {
+			if _, ok := SelectLID(t, s, topology.NodeID(a), topology.NodeID(b), faults); ok {
 				served++
 			}
 		}

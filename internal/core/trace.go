@@ -73,40 +73,98 @@ func (p Path) Render(t *topology.Tree) string {
 // ascend-then-descend (up*/down*) discipline that keeps fat-tree routing
 // deadlock free, or terminates at a node that does not own the DLID.
 func TraceLID(t *topology.Tree, s Scheme, src topology.NodeID, dlid ib.LID) (Path, error) {
-	p := Path{Src: src, DLID: dlid}
+	// The longest legal route crosses 2n-1 switches; only a looping walk,
+	// which fails anyway, grows past one allocation.
+	p := Path{Src: src, DLID: dlid, Hops: make([]Hop, 0, 2*t.N()-1)}
+	end := walkLID(t, s, src, dlid, nil, &p.Hops)
+	switch end.stop {
+	case walkDelivered:
+		p.Dst = end.dst
+		return p, nil
+	case walkLoop:
+		return p, fmt.Errorf("core: route for DLID %d from node %d exceeds %d hops (loop?): %s",
+			dlid, src, 2*t.N()+1, p.Render(t))
+	case walkNoRoute:
+		return p, fmt.Errorf("core: switch %s has no route for DLID %d", t.SwitchLabel(end.sw), dlid)
+	case walkBadPort:
+		return p, fmt.Errorf("core: switch %s routed DLID %d to invalid port %d", t.SwitchLabel(end.sw), dlid, end.out)
+	case walkUpAfterDown:
+		return p, fmt.Errorf("core: route for DLID %d turns upward after descending at %s (up*/down* violated)",
+			dlid, t.SwitchLabel(end.sw))
+	default: // walkOffFabric; walkBlocked needs a fault set
+		return p, fmt.Errorf("core: route for DLID %d fell off the fabric at %s port %d",
+			dlid, t.SwitchLabel(end.sw), end.out)
+	}
+}
+
+// walkStop says why a walk ended: delivery to a node, or the defect or
+// failed link that stopped it.
+type walkStop uint8
+
+const (
+	walkDelivered walkStop = iota
+	walkLoop
+	walkNoRoute
+	walkBadPort
+	walkUpAfterDown
+	walkOffFabric
+	walkBlocked
+)
+
+// walkEnd is where a walk ended: the node it delivered to, or the switch
+// (and, past the port checks, the out port) at which it stopped.
+type walkEnd struct {
+	stop walkStop
+	dst  topology.NodeID
+	sw   topology.SwitchID
+	out  int
+}
+
+// walkLID is the one forwarding walk behind TraceLID and the path-free
+// selection checks, so the up*/down* and port rules live here only. It
+// follows the scheme's decisions for dlid from src's leaf, appending each
+// hop to hops when hops is non-nil. With a non-nil fault set it stops at the
+// first hop that enters or leaves through a failed link (walkBlocked) — the
+// hops Blocked would reject — so a check that wants only a verdict allocates
+// nothing.
+func walkLID(t *topology.Tree, s Scheme, src topology.NodeID, dlid ib.LID, faults *FaultSet, hops *[]Hop) walkEnd {
+	if faults != nil && len(faults.dead) == 0 {
+		faults = nil
+	}
 	sw, inPort := t.NodeAttachment(src)
 	descending := false
 	maxHops := 2*t.N() + 1
 	for hop := 0; ; hop++ {
 		if hop > maxHops {
-			return p, fmt.Errorf("core: route for DLID %d from node %d exceeds %d hops (loop?): %s",
-				dlid, src, maxHops, p.Render(t))
+			return walkEnd{stop: walkLoop, sw: sw}
 		}
 		out, ok := s.OutPortAbstract(t, sw, dlid)
 		if !ok {
-			return p, fmt.Errorf("core: switch %s has no route for DLID %d", t.SwitchLabel(sw), dlid)
+			return walkEnd{stop: walkNoRoute, sw: sw}
 		}
 		if out < 0 || out >= t.M() {
-			return p, fmt.Errorf("core: switch %s routed DLID %d to invalid port %d", t.SwitchLabel(sw), dlid, out)
+			return walkEnd{stop: walkBadPort, sw: sw, out: out}
 		}
 		down := out < t.DownPorts(sw)
 		if down {
 			descending = true
 		} else if descending {
-			return p, fmt.Errorf("core: route for DLID %d turns upward after descending at %s (up*/down* violated)",
-				dlid, t.SwitchLabel(sw))
+			return walkEnd{stop: walkUpAfterDown, sw: sw, out: out}
 		}
-		p.Hops = append(p.Hops, Hop{Switch: sw, InPort: inPort, OutPort: out})
+		if faults != nil && (faults.Dead(sw, out) || faults.Dead(sw, inPort)) {
+			return walkEnd{stop: walkBlocked, sw: sw, out: out}
+		}
+		if hops != nil {
+			*hops = append(*hops, Hop{Switch: sw, InPort: inPort, OutPort: out})
+		}
 		ref := t.SwitchNeighbor(sw, out)
 		switch ref.Kind {
 		case topology.KindNode:
-			p.Dst = ref.Node
-			return p, nil
+			return walkEnd{stop: walkDelivered, dst: ref.Node}
 		case topology.KindSwitch:
 			sw, inPort = ref.Switch, ref.Port
 		default:
-			return p, fmt.Errorf("core: route for DLID %d fell off the fabric at %s port %d",
-				dlid, t.SwitchLabel(sw), out)
+			return walkEnd{stop: walkOffFabric, sw: sw, out: out}
 		}
 	}
 }

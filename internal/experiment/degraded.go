@@ -21,7 +21,7 @@ import (
 //   - static: the SM's incremental repair (core.RepairState, the simulator's
 //     repair path) applied to the scheme's pristine tables, analyzed by
 //     the ibverify quality pass (per-link maximal load, dilation, unrouted
-//     flows under all-to-all) with core.SelectDLID standing in for MLID's
+//     flows under all-to-all) with core.SelectLID standing in for MLID's
 //     fault-avoiding source reselection;
 //   - dynamic: a full simulation of the same outage (faults early, SM
 //     recovery, Reselect on, epoch verification on), recording accepted
@@ -313,8 +313,7 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 			Engine:    scheme,
 			DeadLinks: links,
 			SelectDLID: func(src, dst topology.NodeID) (ib.LID, bool) {
-				lid, _, ok := core.SelectDLID(tr, scheme, src, dst, fs)
-				return lid, ok
+				return core.SelectLID(tr, scheme, src, dst, fs)
 			},
 		}
 		rep, err := verify.Run(in, verify.Options{VLs: spec.DataVLs, Parallelism: campaignWorkers(tr.Switches())})

@@ -129,7 +129,7 @@ type SwitchFault struct {
 
 // FaultPlan schedules live link failures inside a running simulation and
 // chooses the subnet-manager model that reacts to them. The offline fault
-// machinery (core.FaultSet, core.RepairState, core.SelectDLID) repairs
+// machinery (core.FaultSet, core.RepairState, core.SelectLID) repairs
 // tables before a run starts; a FaultPlan instead drives the same repair
 // from the simulation clock, so the transient — drops before the trap
 // fires, staged table updates, source reselection — is observable.
@@ -143,7 +143,7 @@ type FaultPlan struct {
 	SwitchFaults []SwitchFault
 	// Reselect enables fault-avoiding source path selection once the first
 	// trap has fired: sources re-evaluate the destination's LID range
-	// against the live tables and dead links (core.SelectDLID's policy,
+	// against the live tables and dead links (core.SelectLID's policy,
 	// applied to the running subnet) and steer packets onto surviving
 	// paths. Without it, sources keep their configured selection and
 	// packets routed onto broken entries drop.
@@ -643,7 +643,7 @@ func (s *Sim) reselectActive() bool {
 }
 
 // usableMask computes which of the destination's LID offsets currently name
-// a surviving path from src through the live tables — core.SelectDLID's
+// a surviving path from src through the live tables — core.SelectLID's
 // fault avoidance evaluated against the running subnet, including partially
 // applied repairs. Offsets beyond 64 are not tracked (no evaluated network
 // needs them); the mask is cached per (src, dst) until the next epoch bump.

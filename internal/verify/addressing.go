@@ -54,7 +54,7 @@ func (f *fabric) checkAddressing(rep *Report) {
 			rep.add(f.cap, fd)
 		}
 	}
-	f.owner = make([]int32, f.space)
+	f.owner = recycle(f.owner, f.space)
 	for i := range f.owner {
 		f.owner[i] = -1
 	}

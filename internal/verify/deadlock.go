@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 )
 
 // depGraph is one lane's channel-dependency graph as the walks build it:
@@ -14,9 +15,12 @@ type depGraph struct {
 	edges bitset
 }
 
-func (f *fabric) newDepGraph() depGraph {
+// reset empties g for f's fabric, reusing its bitsets.
+func (g *depGraph) reset(f *fabric) {
 	numChan := f.t.Switches() * f.m
-	return depGraph{m: f.m, used: newBitset(numChan), edges: newBitset(numChan * f.m)}
+	g.m = f.m
+	g.used = g.used.resize(numChan)
+	g.edges = g.edges.resize(numChan * f.m)
 }
 
 // dep records that a route holds channel cur, out of port, having arrived
@@ -56,7 +60,7 @@ func (f *fabric) checkDeadlock(rep *Report, graphs []depGraph) {
 		if deps > rep.Stats.Dependencies {
 			rep.Stats.Dependencies = deps
 		}
-		cycle := shortestCycle(adj, len(adj))
+		cycle := f.cycles.shortest(adj)
 		if cycle == nil {
 			continue
 		}
@@ -82,11 +86,12 @@ func (f *fabric) checkDeadlock(rep *Report, graphs []depGraph) {
 // backing array, and returns them with the edge count. Scanning the set in
 // index order yields each channel's successors already ascending (they sit
 // on one neighbor switch, ordered by port), so every later traversal is
-// deterministic without a sort.
+// deterministic without a sort. The lists live in f's scratch, valid until
+// the next call.
 func (f *fabric) buildAdjacency(g *depGraph) ([][]int32, int) {
 	numChan := len(f.nbr)
-	to := make([]int32, 0, g.edges.count())
-	adj := make([][]int32, numChan)
+	to := slices.Grow(f.adjTo[:0], g.edges.count())
+	adj := recycle(f.adj, numChan)
 	for a := 0; a < numChan; a++ {
 		start := len(to)
 		base := int32(f.nbr[a].Switch) * int32(f.m)
@@ -97,21 +102,43 @@ func (f *fabric) buildAdjacency(g *depGraph) ([][]int32, int) {
 		}
 		adj[a] = to[start:len(to):len(to)]
 	}
+	f.adjTo, f.adj = to, adj
 	return adj, len(to)
 }
 
-// shortestCycle returns the shortest directed cycle in the graph (nil if
+// cycleSearch is the cycle search's scratch, reused lane after lane and
+// run after run: the BFS distance, parent and queue arrays and the DFS
+// colors and stack.
+type cycleSearch struct {
+	dist, parent, queue []int32
+	color               []uint8
+	stack               []dfsFrame
+}
+
+// dfsFrame is one level of hasCycle's iterative DFS: a node and the index
+// of its next successor to visit.
+type dfsFrame struct {
+	node int32
+	next int
+}
+
+// shortest returns the shortest directed cycle in the graph (nil if
 // acyclic). A cheap DFS 3-coloring decides existence first; only when a
 // cycle exists does the quadratic shortest-search run (per-node BFS back to
-// itself), so the healthy-fabric path stays linear.
-func shortestCycle(adj [][]int32, numChan int) []int {
-	if !hasCycle(adj, numChan) {
+// itself), so the healthy-fabric path stays linear. The cycle returned is
+// freshly allocated.
+func (cs *cycleSearch) shortest(adj [][]int32) []int {
+	numChan := len(adj)
+	if !cs.hasCycle(adj) {
 		return nil
 	}
 	var best []int
-	dist := make([]int32, numChan)
-	parent := make([]int32, numChan)
-	queue := make([]int32, 0, numChan)
+	cs.dist = recycle(cs.dist, numChan)
+	cs.parent = recycle(cs.parent, numChan)
+	// Each BFS enqueues a channel at most once, so the queue never
+	// outgrows numChan.
+	cs.queue = slices.Grow(cs.queue[:0], numChan)
+	dist, parent, queue := cs.dist, cs.parent, cs.queue
 	for start := 0; start < numChan; start++ {
 		if len(adj[start]) == 0 {
 			continue
@@ -169,24 +196,23 @@ func shortestCycle(adj [][]int32, numChan int) []int {
 }
 
 // hasCycle is an iterative DFS 3-coloring over the whole graph.
-func hasCycle(adj [][]int32, numChan int) bool {
+func (cs *cycleSearch) hasCycle(adj [][]int32) bool {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make([]uint8, numChan)
-	type frame struct {
-		node int32
-		next int
-	}
-	var stack []frame
-	for start := 0; start < numChan; start++ {
+	// A channel turns gray at most once, so the stack never outgrows the
+	// channel count.
+	cs.color = recycle(cs.color, len(adj))
+	cs.stack = slices.Grow(cs.stack[:0], len(adj))
+	color, stack := cs.color, cs.stack
+	for start := range adj {
 		if color[start] != white || len(adj[start]) == 0 {
 			continue
 		}
 		color[start] = gray
-		stack = append(stack[:0], frame{node: int32(start)})
+		stack = append(stack[:0], dfsFrame{node: int32(start)})
 		for len(stack) > 0 {
 			fr := &stack[len(stack)-1]
 			if fr.next >= len(adj[fr.node]) {
@@ -201,7 +227,7 @@ func hasCycle(adj [][]int32, numChan int) bool {
 				return true
 			case white:
 				color[nb] = gray
-				stack = append(stack, frame{node: nb})
+				stack = append(stack, dfsFrame{node: nb})
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"mlid/internal/ib"
 	"mlid/internal/topology"
@@ -43,8 +44,9 @@ func (f *fabric) checkQuality(rep *Report, opt Options) {
 func (f *fabric) qualityMatrix(rep *Report, name string, each func(func(src, dst topology.NodeID, w float64))) {
 	t := f.t
 	numChan := t.Switches() * f.m
-	load := make([]float64, numChan)
-	scratch := make([]int32, 0, 2*t.N()+2)
+	f.load = recycle(f.load, numChan)
+	f.trace = slices.Grow(f.trace[:0], f.maxSwitches)
+	load, scratch := f.load, f.trace
 	q := QualityReport{Matrix: name}
 	var dilSum float64
 	routed := 0

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"mlid/internal/ib"
@@ -33,16 +34,15 @@ type reachCandidate struct {
 
 // reachOut is the walk output the canonical merge consumes: candidates in
 // emission order, formatted only up to the finding cap. Past the cap a
-// per-entry candidate keeps just its key (the merge still needs it for the
-// cross-leaf dedup) and a keyless one is just counted — either way it can
-// only be suppressed, because a candidate at local index >= cap lands at
-// global index >= cap: every earlier local candidate the merge drops as a
-// duplicate was kept, under a distinct key, from an earlier leaf.
+// candidate can only be suppressed, because a candidate at local index >=
+// cap lands at global index >= cap: every earlier local candidate the merge
+// drops as a duplicate was kept, under a distinct key, from an earlier leaf.
+// over counts the keyless ones; suppressed per-entry candidates keep no
+// record here, the merge counts them from the walk's claim sets.
 type reachOut struct {
-	cands     []reachCandidate
-	overKeys  []entryKey
-	overPlain int
-	routes    int
+	cands  []reachCandidate
+	over   int
+	routes int
 }
 
 // walker is one worker's walk state, reused route after route: the claim
@@ -56,22 +56,26 @@ type walker struct {
 	path    []int32    // the switches hops leave from, for the loop check
 	graphs  []depGraph // one per lane; a single shared one when VLOf is nil
 	out     *reachOut
+	ever    bitset // parallel walker: the union of every finished leaf's claims
 }
 
-func (f *fabric) newWalker() *walker {
+// walker returns f's i-th pooled walker, reset for this run.
+func (f *fabric) walker(i int) *walker {
+	for len(f.walkers) <= i {
+		f.walkers = append(f.walkers, new(walker))
+	}
+	w := f.walkers[i]
 	lanes := 1
 	if f.vlOf != nil {
 		lanes = f.vls
 	}
-	w := &walker{
-		f:       f,
-		claimed: newBitset(f.t.Switches() * f.space),
-		hops:    make([]int32, 0, f.maxSwitches),
-		path:    make([]int32, 0, f.maxSwitches),
-		graphs:  make([]depGraph, lanes),
-	}
-	for i := range w.graphs {
-		w.graphs[i] = f.newDepGraph()
+	w.f, w.out = f, nil
+	w.claimed = w.claimed.resize(f.t.Switches() * f.space)
+	w.hops = slices.Grow(w.hops[:0], f.maxSwitches)
+	w.path = slices.Grow(w.path[:0], f.maxSwitches)
+	w.graphs = slices.Grow(w.graphs[:0], lanes)[:lanes]
+	for l := range w.graphs {
+		w.graphs[l].reset(f)
 	}
 	return w
 }
@@ -84,8 +88,8 @@ func (w *walker) full() bool {
 
 // claim reports whether the caller should format a finding for (sw, lid),
 // marking the entry flagged. It returns false when a route already flagged
-// the entry, and when the cap is full — then only the key is kept, for the
-// merge's cross-leaf dedup and suppressed count. Formatting the message and
+// the entry, and when the cap is full — then the entry is suppressed, and
+// the merge counts it from the claim set. Formatting the message and
 // witness strings is the dominant cost of a walk over a heavily degraded
 // fabric, so nothing is built that could not reach the report.
 func (w *walker) claim(sw topology.SwitchID, lid int) bool {
@@ -94,11 +98,7 @@ func (w *walker) claim(sw topology.SwitchID, lid int) bool {
 		return false
 	}
 	w.claimed.set(i)
-	if w.full() {
-		w.out.overKeys = append(w.out.overKeys, entryKey{int32(sw), lid})
-		return false
-	}
-	return true
+	return !w.full()
 }
 
 // entry records a claimed per-entry finding.
@@ -106,18 +106,11 @@ func (w *walker) entry(sw topology.SwitchID, lid int, f Finding) {
 	w.out.cands = append(w.out.cands, reachCandidate{hasKey: true, key: entryKey{int32(sw), lid}, f: f})
 }
 
-// unclaimAll empties the claim set of the entries the current output
-// holds, readying the walker for the next leaf's independent dedup.
-func (w *walker) unclaimAll() {
-	out := w.out
-	for _, c := range out.cands {
-		if c.hasKey {
-			w.claimed.clear(int(c.key.sw)*w.f.space + c.key.lid)
-		}
-	}
-	for _, k := range out.overKeys {
-		w.claimed.clear(int(k.sw)*w.f.space + k.lid)
-	}
+// endLeaf folds the leaf's claims into ever and empties the claim set,
+// readying the walker for the next leaf's independent dedup.
+func (w *walker) endLeaf() {
+	w.ever.or(w.claimed)
+	clear(w.claimed)
 }
 
 // witness renders the current route's hops.
@@ -154,29 +147,30 @@ func (f *fabric) checkReachability(rep *Report, par int) []depGraph {
 		// Serial: one walker and one output for every leaf, so the
 		// global first-encounter dedup gates finding construction itself
 		// — a duplicate entry never builds its witness strings at all.
-		w := f.newWalker()
-		outs := []reachOut{{}}
+		// The claim set is never emptied, so it holds every claim of the
+		// walk.
+		w := f.walker(0)
+		outs := f.resizeOuts(1)
 		w.out = &outs[0]
 		for _, leaf := range leaves {
 			w.walkLeaf(leaf)
 		}
-		f.mergeReach(rep, outs)
+		f.mergeReach(rep, outs, w.claimed)
 		return w.graphs
 	}
-	outs := make([]reachOut, len(leaves))
-	walkers := make([]*walker, par)
+	outs := f.resizeOuts(len(leaves))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for i := range walkers {
-		w := f.newWalker()
-		walkers[i] = w
+	for i := 0; i < par; i++ {
+		w := f.walker(i)
+		w.ever = w.ever.resize(f.t.Switches() * f.space)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
 				w.out = &outs[j]
 				w.walkLeaf(leaves[j])
-				w.unclaimAll()
+				w.endLeaf()
 			}
 		}()
 	}
@@ -185,26 +179,42 @@ func (f *fabric) checkReachability(rep *Report, par int) []depGraph {
 	}
 	close(jobs)
 	wg.Wait()
-	f.mergeReach(rep, outs)
-	graphs := walkers[0].graphs
-	for _, w := range walkers[1:] {
-		for l := range graphs {
-			graphs[l].union(&w.graphs[l])
+	w0 := f.walkers[0]
+	for _, w := range f.walkers[1:par] {
+		w0.ever.or(w.ever)
+		for l := range w0.graphs {
+			w0.graphs[l].union(&w.graphs[l])
 		}
 	}
-	return graphs
+	f.mergeReach(rep, outs, w0.ever)
+	return w0.graphs
+}
+
+// resizeOuts returns f's pooled walk outputs resized to n empty slots, each
+// keeping its buffers.
+func (f *fabric) resizeOuts(n int) []reachOut {
+	f.outs = slices.Grow(f.outs[:0], n)[:n]
+	for i := range f.outs {
+		o := &f.outs[i]
+		*o = reachOut{cands: o.cands[:0]}
+	}
+	return f.outs
 }
 
 // mergeReach is the canonical merge: outputs in ascending-leaf order,
-// per-leaf emission order, global first-leaf-wins dedup, the finding cap.
-func (f *fabric) mergeReach(rep *Report, outs []reachOut) {
-	seen := newBitset(f.t.Switches() * f.space)
+// per-leaf emission order, global first-leaf-wins dedup (seen), the finding
+// cap. ever is every entry the walk claimed; those no leaf formatted were
+// claimed past a cap, and each distinct one counts as suppressed once. An
+// entry past one leaf's cap that a later leaf formatted is counted once, by
+// add, because the earlier leaf filled the cap.
+func (f *fabric) mergeReach(rep *Report, outs []reachOut, ever bitset) {
+	f.seen = f.seen.resize(f.t.Switches() * f.space)
 	first := func(k entryKey) bool {
 		i := int(k.sw)*f.space + k.lid
-		if seen.has(i) {
+		if f.seen.has(i) {
 			return false
 		}
-		seen.set(i)
+		f.seen.set(i)
 		return true
 	}
 	for i := range outs {
@@ -215,13 +225,9 @@ func (f *fabric) mergeReach(rep *Report, outs []reachOut) {
 				rep.add(f.cap, c.f)
 			}
 		}
-		for _, k := range out.overKeys {
-			if first(k) {
-				rep.Stats.Suppressed++
-			}
-		}
-		rep.Stats.Suppressed += out.overPlain
+		rep.Stats.Suppressed += out.over
 	}
+	rep.Stats.Suppressed += ever.count() - f.seen.count()
 }
 
 // walkLeaf walks every (node, assigned LID offset) route out of one leaf.
@@ -249,7 +255,7 @@ func (w *walker) walkLeaf(leaf topology.SwitchID) {
 		// fault-explained (defects already carry their own errors).
 		if routes > 0 && reached == 0 && deadBlocked == routes {
 			if w.full() {
-				w.out.overPlain++
+				w.out.over++
 				continue
 			}
 			w.out.cands = append(w.out.cands, reachCandidate{f: Finding{

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+	"sync"
 
 	"mlid/internal/core"
 	"mlid/internal/ib"
@@ -105,7 +106,10 @@ type Options struct {
 	Parallelism int
 }
 
-// fabric is the resolved view of an Input the analyzers share.
+// fabric is the resolved view of an Input the analyzers share, and the
+// per-run scratch they reuse: a fabric comes from runPool, so every slice
+// here is resized in place run after run (see reset). Nothing a Report
+// holds points into it.
 type fabric struct {
 	in    Input
 	t     *topology.Tree
@@ -123,7 +127,24 @@ type fabric struct {
 	cap         int // per-analyzer finding cap
 	vls         int
 	vlOf        func(dlid ib.LID, vls int) int
+
+	walkers []*walker  // reachability walkers; walkers[0] walks serially
+	outs    []reachOut // per-leaf outputs of a parallel walk
+	seen    bitset     // the parallel merge's cross-leaf dedup
+	adjTo   []int32    // buildAdjacency's shared successor array
+	adj     [][]int32  // buildAdjacency's per-channel successor lists
+	cycles  cycleSearch
+	load    []float64 // quality: per-channel load of one matrix
+	trace   []int32   // quality: the traced flow's out-channels
 }
+
+// runPool recycles Run's per-run state. The simulator re-verifies the
+// fabric at every SM epoch — hundreds of Runs per degraded sweep, each on
+// the same few fabric sizes — and the per-run tables, bitsets, adjacency
+// lists and cycle-search arrays would otherwise be nearly all a clean Run
+// allocates. The pool hands a fabric to one Get at a time, so concurrent
+// Runs never share one.
+var runPool = sync.Pool{New: func() any { return new(fabric) }}
 
 // Run executes every analyzer over the input and returns the combined
 // report. The error covers unusable input only (nil tree, mismatched table
@@ -159,31 +180,9 @@ func Run(in Input, opt Options) (*Report, error) {
 		opt.MaxFindings = 64
 	}
 
-	f := &fabric{in: in, t: t, m: m, maxSwitches: 2*t.N() + 2, cap: opt.MaxFindings, vls: opt.VLs, vlOf: opt.VLOf}
-	for _, lft := range in.LFTs {
-		if lft.Size() > f.space {
-			f.space = lft.Size()
-		}
-	}
-	f.nbr = make([]topology.PortRef, t.Switches()*m)
-	for sw := 0; sw < t.Switches(); sw++ {
-		id := topology.SwitchID(sw)
-		if t.IsLeaf(id) {
-			f.leaves = append(f.leaves, id)
-		}
-		for p := 0; p < m; p++ {
-			f.nbr[sw*m+p] = t.SwitchNeighbor(id, p)
-		}
-	}
-	f.dead = make([]bool, t.Switches()*m)
-	for _, e := range in.DeadLinks {
-		c := int(e[0])*m + int(e[1])
-		f.dead[c] = true
-		if ref := f.nbr[c]; ref.Kind == topology.KindSwitch {
-			f.dead[int(ref.Switch)*m+ref.Port] = true
-		}
-	}
-
+	f := runPool.Get().(*fabric)
+	defer f.release()
+	f.reset(in, opt)
 	rep := &Report{}
 	rep.Stats.VLs = opt.VLs
 	f.checkAddressing(rep)
@@ -193,6 +192,60 @@ func Run(in Input, opt Options) (*Report, error) {
 		f.checkQuality(rep, opt)
 	}
 	return rep, nil
+}
+
+// reset resolves in into f, resizing the tables in place.
+func (f *fabric) reset(in Input, opt Options) {
+	t := in.Tree
+	m := t.M()
+	f.in, f.t, f.m = in, t, m
+	f.maxSwitches, f.cap, f.vls, f.vlOf = 2*t.N()+2, opt.MaxFindings, opt.VLs, opt.VLOf
+	f.space = 0
+	for _, lft := range in.LFTs {
+		if lft.Size() > f.space {
+			f.space = lft.Size()
+		}
+	}
+	f.nbr = recycle(f.nbr, t.Switches()*m)
+	f.leaves = f.leaves[:0]
+	for sw := 0; sw < t.Switches(); sw++ {
+		id := topology.SwitchID(sw)
+		if t.IsLeaf(id) {
+			f.leaves = append(f.leaves, id)
+		}
+		for p := 0; p < m; p++ {
+			f.nbr[sw*m+p] = t.SwitchNeighbor(id, p)
+		}
+	}
+	f.dead = recycle(f.dead, t.Switches()*m)
+	for _, e := range in.DeadLinks {
+		c := int(e[0])*m + int(e[1])
+		f.dead[c] = true
+		if ref := f.nbr[c]; ref.Kind == topology.KindSwitch {
+			f.dead[int(ref.Switch)*m+ref.Port] = true
+		}
+	}
+}
+
+// release returns f to runPool, dropping its references to the caller's
+// input and to the findings the walk formatted, so the pool pins neither.
+func (f *fabric) release() {
+	f.in, f.t, f.vlOf = Input{}, nil, nil
+	for i := range f.outs {
+		clear(f.outs[i].cands)
+	}
+	runPool.Put(f)
+}
+
+// recycle returns buf resized to n zeroed elements, reusing its backing array
+// when the capacity suffices and allocating only when it does not.
+func recycle[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // deadAt reports whether the link out of (sw, abstract port) is down.
@@ -216,11 +269,11 @@ func (f *fabric) chanLabel(c int) string {
 // and dependency sets, which a map would make the dominant allocation.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+// resize returns an empty set of capacity n, reusing b's words.
+func (b bitset) resize(n int) bitset { return recycle(b, (n+63)/64) }
 
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 
 // or folds o into b (same length).
 func (b bitset) or(o bitset) {

@@ -180,14 +180,15 @@ func TestCapAndParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestVerifyAllocs: the safety pass allocates per switch and per formatted
-// finding, never per route walked — at most one allocation per hundred
-// routes on a healthy FT(8,3) MLID fabric and on a repaired degraded one.
-func TestVerifyAllocs(t *testing.T) {
-	opt := verify.Options{VLs: 2, VLOf: vlByDLID, SkipQuality: true}
-	healthy := configured(t, 8, 3, core.NewMLID())
-	repaired := configured(t, 8, 3, core.NewMLID())
-	tr := repaired.Tree
+// epochInputs returns BenchmarkVerifyEpoch's two inputs and options: a
+// healthy FT(8,3) MLID fabric, and one whose tables core.RepairSubnet left
+// after a fixed four-link fault (three leaf up-links and a root's
+// descending link), whose broken descending entries are warnings; 2 VLs
+// mapped by DLID, quality skipped, serial walk.
+func epochInputs(t *testing.T) (healthy, repaired verify.Input, opt verify.Options) {
+	t.Helper()
+	sn := configured(t, 8, 3, core.NewMLID())
+	tr := sn.Tree
 	fs := core.NewFaultSet()
 	var dead [][2]int32
 	for _, node := range []topology.NodeID{0, 37, 90} {
@@ -198,16 +199,24 @@ func TestVerifyAllocs(t *testing.T) {
 	}
 	fs.FailLink(tr, 0, 3) // a root's descending link
 	dead = append(dead, [2]int32{0, 3})
-	if _, _, err := core.RepairSubnet(repaired, fs); err != nil {
+	fixed := configured(t, 8, 3, core.NewMLID())
+	if _, _, err := core.RepairSubnet(fixed, fs); err != nil {
 		t.Fatal(err)
 	}
-	degraded := verify.FromSubnet(repaired)
-	degraded.DeadLinks = dead
+	repaired = verify.FromSubnet(fixed)
+	repaired.DeadLinks = dead
+	return verify.FromSubnet(sn), repaired, verify.Options{VLs: 2, VLOf: vlByDLID, SkipQuality: true}
+}
 
+// TestVerifyAllocs: the safety pass allocates per switch and per formatted
+// finding, never per route walked — at most one allocation per hundred
+// routes on a healthy FT(8,3) MLID fabric and on a repaired degraded one.
+func TestVerifyAllocs(t *testing.T) {
+	healthy, repaired, opt := epochInputs(t)
 	for _, c := range []struct {
 		name string
 		in   verify.Input
-	}{{"healthy", verify.FromSubnet(healthy)}, {"repaired", degraded}} {
+	}{{"healthy", healthy}, {"repaired", repaired}} {
 		rep, err := verify.Run(c.in, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -223,6 +232,62 @@ func TestVerifyAllocs(t *testing.T) {
 		if bound := float64(rep.Stats.RoutesChecked / 100); allocs > bound {
 			t.Errorf("%s: %.0f allocations per Run over %d routes and %d findings, want <= %.0f",
 				c.name, allocs, rep.Stats.RoutesChecked, len(rep.Findings), bound)
+		}
+	}
+}
+
+// TestRunIndependentOfPooledRuns: Runs recycle their state through a pool,
+// so a Run that leaked state into the next, or two concurrent Runs that
+// shared one arena, would make a report depend on what ran before it.
+// Large and small inputs — walked serially and in parallel, capped and
+// not, with and without the quality pass and a credit cycle to search —
+// run interleaved on concurrent goroutines, and every report must equal the
+// one a serial run produced up front.
+func TestRunIndependentOfPooledRuns(t *testing.T) {
+	large := degradedFT83(t)
+	small := verify.FromSubnet(configured(t, 4, 2, core.NewMLID()))
+	leaf, _ := small.Tree.NodeAttachment(0)
+	small.DeadLinks = [][2]int32{{int32(leaf), int32(small.Tree.H())}}
+	cycle := verify.FromSubnet(creditCycleFixture(t))
+	cases := []struct {
+		in  verify.Input
+		opt verify.Options
+	}{
+		{large, verify.Options{VLs: 2, VLOf: vlByDLID, SkipQuality: true}},
+		{small, verify.Options{VLs: 2}},
+		{large, verify.Options{VLs: 2, MaxFindings: -1, Parallelism: 2}},
+		{cycle, verify.Options{VLs: 2, VLOf: vlByDLID, Parallelism: 3}},
+	}
+	want := make([]*verify.Report, len(cases))
+	for i, c := range cases {
+		rep, err := verify.Run(c.in, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rep
+	}
+	const goroutines = 3
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			for k := range cases {
+				i := (g + k) % len(cases)
+				rep, err := verify.Run(cases[i].in, cases[i].opt)
+				if err == nil && !reflect.DeepEqual(rep, want[i]) {
+					err = fmt.Errorf("case %d after %d prior runs: report differs from the serial run:\n%+v\n%+v",
+						i, k, rep.Stats, want[i].Stats)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
 		}
 	}
 }
