@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test ci bench bench-check bench-engine vet fmt-check lint lint-fix race soak verify-smoke adaptive-smoke sm-smoke
+.PHONY: build test ci bench bench-check bench-engine vet fmt-check lint lint-fix race soak verify-smoke sweep-smoke adaptive-smoke sm-smoke
 
 build:
 	$(GO) build ./...
@@ -53,9 +53,10 @@ race:
 
 # soak runs the deterministic chaos campaigns: two seeds of link-flap
 # schedules with the reliable transport on, each executed twice per scheduler
-# path (calendar and heap-only) and diffed bit for bit, with packet
-# conservation (generated = delivered + failed + in-flight) asserted inside
-# every campaign.
+# path (calendar and heap-only) and diffed bit for bit. Each run also
+# re-checks generated = delivered + failed + in-flight, which holds by
+# construction (the simulator derives in-flight as the remainder), so the
+# diff, not that check, is what the soak gates on.
 soak:
 	$(GO) test -run 'TestChaosSoakDeterminism' -count=1 ./internal/experiment/
 
@@ -89,24 +90,36 @@ verify-smoke:
 		printf '%s\n' "$$out" | diff cmd/ibverify/testdata/degraded-8x3-quick.csv -
 	! $(GO) run ./cmd/ibverify -m 16 -n 3 -scheme MLID
 
-# adaptive-smoke runs the reduced path-selection family study: every
-# pluggable selector (rank, random, flowspray, adaptive, pktspray) over the
-# same MLID fabric on the policy-separating workloads, quiet and degraded,
-# with packet conservation asserted inside every run.
-adaptive-smoke:
-	$(GO) run ./cmd/ibsweep -adaptive -quick
+# sweep-smoke pins ibsweep's output: Table 1 plus the five reduced studies
+# (-fault, -chaos, -degraded, -adaptive, -smstudy, with -series) must
+# reproduce cmd/ibsweep/testdata byte for byte, stdout in quick.txt and the
+# CSVs in quick/. Every study also enforces its per-run invariants while it
+# runs (the SM study's one failover and sweep-recovered trap loss per
+# in-band run among them). After an intended output change, regenerate the
+# files from inside cmd/ibsweep/testdata with
+#   go run .. -table1 -fault -chaos -degraded -adaptive -smstudy -quick -series -csv quick > quick.txt
+SWEEP_FLAGS = -table1 -fault -chaos -degraded -adaptive -smstudy -quick -series -csv quick
+sweep-smoke:
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		$(GO) build -o "$$dir/ibsweep" ./cmd/ibsweep && mkdir "$$dir/out" && \
+		(cd "$$dir/out" && ../ibsweep $(SWEEP_FLAGS) > quick.txt) && \
+		diff -r cmd/ibsweep/testdata "$$dir/out"
+
+# adaptive-smoke covers the reduced path-selection family study (every
+# pluggable selector over the same MLID fabric on the policy-separating
+# workloads, quiet and degraded) through the pinned sweep-smoke output.
+adaptive-smoke: sweep-smoke
 
 # sm-smoke exercises the subnet-management models: the in-band regression
 # suite (lost-trap edge, sweep-only recovery, failover determinism run to
 # run and on both scheduler paths, exact oracle equivalence when the
 # feature is off) and the table-convergence check of both models (live
-# tables equal the SM's repair target once recovery quiesces), then the
-# reduced FT(4,2) campaign, whose invariants — exact packet conservation,
-# one failover per in-band run, sweep-recovered trap loss — are asserted
-# inside every run.
-sm-smoke:
+# tables equal the SM's repair target once recovery quiesces). The reduced
+# FT(4,2) campaign, whose invariants — one failover per in-band run,
+# sweep-recovered trap loss — are asserted inside every run, is part of the
+# pinned sweep-smoke output.
+sm-smoke: sweep-smoke
 	$(GO) test -run 'TestInBandSM|TestSMTablesConvergeToRepairTarget' -count=1 ./internal/sim/
-	$(GO) run ./cmd/ibsweep -smstudy -quick
 
 # bench-check vets and tests the nested benchmark module (bench/, module
 # mlid/bench), which the root `go test ./...` never builds: renaming an
@@ -116,9 +129,9 @@ bench-check:
 
 # ci is the gate for every change: tier-1 tests plus vet, the gofmt check,
 # ibvet, the race pass, the chaos soak, the static verification smoke, the
-# path-selection family smoke, the in-band SM smoke and the benchmark
-# module check.
-ci: build vet fmt-check lint test race soak verify-smoke adaptive-smoke sm-smoke bench-check
+# pinned ibsweep output (which the path-selection family smoke is), the
+# in-band SM smoke and the benchmark module check.
+ci: build vet fmt-check lint test race soak verify-smoke sweep-smoke adaptive-smoke sm-smoke bench-check
 
 # BENCH_TIME / BENCH_COUNT tune the figure benchmarks: the defaults (one
 # iteration, run once) are quick, but single-iteration numbers are noisy —

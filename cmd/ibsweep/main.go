@@ -33,14 +33,126 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"mlid"
+	"mlid/internal/experiment"
+	"mlid/internal/ib"
 )
 
-// options are the parsed command-line flags run acts on.
+// options are the parsed command-line flags run acts on. studies[i] selects
+// the study of the same index in the studies table.
 type options struct {
-	table1, fault, chaos, degraded, adaptive, smstudy bool
-	series, quick, chart                              bool
-	fig, net, csvDir                                  string
+	table1, series, quick, chart bool
+	studies                      []bool
+	fig, net, csvDir             string
+}
+
+// csvFile is one CSV file a study writes with -csv; a series file is
+// written only with -series.
+type csvFile struct {
+	name, content string
+	series        bool
+}
+
+// sweepStudy is one study flag. run prints the study's report for the
+// full-fidelity or (quick) reduced spec, on net when -net overrides the
+// study network, and returns the CSV files to write, in order.
+type sweepStudy struct {
+	flag, help string
+	run        func(quick bool, net *experiment.Network) ([]csvFile, error)
+}
+
+// studies are the study flags, in the order run executes them.
+var studies = []sweepStudy{
+	{"fault", "run the recovery-transient study: a live link failure mid-measurement, SLID vs MLID",
+		func(quick bool, net *experiment.Network) ([]csvFile, error) {
+			spec := pick(quick, experiment.RecoveryStudySpec, experiment.QuickRecoverySpec)
+			setNetwork(&spec.Network, net)
+			fmt.Printf("recovery transient: %s, link down at %d ns, uniform load %.2f B/ns/node\n",
+				spec.Network, spec.FaultNs, spec.OfferedLoad)
+			rows, err := experiment.RecoveryStudy(spec)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Print(experiment.FormatRecovery(rows))
+			return []csvFile{
+				{"recovery.csv", experiment.RecoveryCSV(rows), false},
+				{"recovery_series.csv", experiment.RecoverySeriesCSV(rows), true},
+			}, nil
+		}},
+	{"chaos", "run the seeded chaos campaign: link flaps and switch kills with the reliable transport, SLID vs MLID",
+		func(quick bool, net *experiment.Network) ([]csvFile, error) {
+			spec := pick(quick, experiment.ChaosStudySpec, experiment.QuickChaosSpec)
+			setNetwork(&spec.Network, net)
+			fmt.Printf("chaos campaign: %s, fault rates %v, outages %d-%d ns, %d switch kill(s), seed %d\n",
+				spec.Network, spec.FaultRates, spec.MinDownNs, spec.MaxDownNs, spec.SwitchKills, spec.Seed)
+			rows, err := experiment.ChaosStudy(spec)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Print(experiment.FormatChaos(rows))
+			return []csvFile{{"chaos.csv", experiment.ChaosCSV(rows), false}}, nil
+		}},
+	{"degraded", "run the degraded-fabric quality study: static verifier predictions vs simulated throughput across fault rates, SLID vs MLID",
+		func(quick bool, net *experiment.Network) ([]csvFile, error) {
+			spec := pick(quick, experiment.DegradedStudySpec, experiment.QuickDegradedSpec)
+			setNetwork(&spec.Network, net)
+			fmt.Printf("degraded fabric: %s, fault rates %v, uniform load %.2f B/ns/node, seed %d\n",
+				spec.Network, spec.Rates, spec.OfferedLoad, spec.Seed)
+			rows, err := experiment.DegradedStudy(spec)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Print(experiment.FormatDegraded(rows))
+			if err := experiment.DegradedOrderingConsistent(rows); err != nil {
+				return nil, err
+			}
+			fmt.Println("ordering: static predicted-accepted ranking matches simulated accepted throughput at every rate")
+			return []csvFile{{"degraded.csv", experiment.DegradedCSV(rows), false}}, nil
+		}},
+	{"adaptive", "run the path-selection family study: every pluggable selector on policy-separating workloads over the MLID fabric, with a degraded-fabric axis",
+		func(quick bool, net *experiment.Network) ([]csvFile, error) {
+			spec := pick(quick, experiment.AdaptiveStudySpec, experiment.QuickAdaptiveSpec)
+			setNetwork(&spec.Network, net)
+			fmt.Printf("path-selection family: %s, load %.2f B/ns/node, fault rate %.2f, seed %d\n",
+				spec.Network, spec.OfferedLoad, spec.FaultRate, spec.Seed)
+			rows, err := experiment.AdaptiveStudy(spec)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Print(experiment.FormatAdaptive(rows))
+			return []csvFile{{"adaptive.csv", experiment.AdaptiveCSV(rows), false}}, nil
+		}},
+	{"smstudy", "run the in-band subnet-management study: oracle vs in-band SM across trap-loss rates and routing schemes, with a master-SM outage forcing standby failover",
+		func(quick bool, net *experiment.Network) ([]csvFile, error) {
+			spec := pick(quick, experiment.SMStudySpec, experiment.QuickSMSpec)
+			setNetwork(&spec.Network, net)
+			fmt.Printf("in-band subnet management: %s, trap-loss rates %v, sweep every %d ns, master-SM outage %d-%d ns, seed %d\n",
+				spec.Network, spec.TrapLossProbs, spec.SweepIntervalNs, spec.SMDownNs, spec.SMUpNs, spec.Seed)
+			rows, err := experiment.SMStudy(spec)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Print(experiment.FormatSM(rows))
+			fmt.Println("invariants: packet conservation exact on every run; each in-band run lost traps, recovered them by sweep, and failed over to the standby SM exactly once")
+			return []csvFile{
+				{"sm.csv", experiment.SMCSV(rows), false},
+				{"sm_series.csv", experiment.SMSeriesCSV(rows), true},
+			}, nil
+		}},
+}
+
+// pick returns the full-fidelity spec, or the reduced one when quick.
+func pick[S any](quick bool, full, reduced func() S) S {
+	if quick {
+		return reduced()
+	}
+	return full()
+}
+
+// setNetwork applies the -net override, when set, to a spec's network.
+func setNetwork(dst, net *experiment.Network) {
+	if net != nil {
+		*dst = *net
+	}
 }
 
 // errUsage asks main to print the usage text and exit 2.
@@ -50,11 +162,10 @@ func main() {
 	var o options
 	flag.BoolVar(&o.table1, "table1", false, "print Table 1 (network configurations)")
 	flag.StringVar(&o.fig, "fig", "", "figure to run: F1..F8, a short name like c-16x2, or 'all'")
-	flag.BoolVar(&o.fault, "fault", false, "run the recovery-transient study: a live link failure mid-measurement, SLID vs MLID")
-	flag.BoolVar(&o.chaos, "chaos", false, "run the seeded chaos campaign: link flaps and switch kills with the reliable transport, SLID vs MLID")
-	flag.BoolVar(&o.degraded, "degraded", false, "run the degraded-fabric quality study: static verifier predictions vs simulated throughput across fault rates, SLID vs MLID")
-	flag.BoolVar(&o.adaptive, "adaptive", false, "run the path-selection family study: every pluggable selector on policy-separating workloads over the MLID fabric, with a degraded-fabric axis")
-	flag.BoolVar(&o.smstudy, "smstudy", false, "run the in-band subnet-management study: oracle vs in-band SM across trap-loss rates and routing schemes, with a master-SM outage forcing standby failover")
+	o.studies = make([]bool, len(studies))
+	for i, st := range studies {
+		flag.BoolVar(&o.studies[i], st.flag, false, st.help)
+	}
 	flag.BoolVar(&o.series, "series", false, "with -fault or -smstudy and -csv, also write the per-interval recovery-tail curves (delivered/dropped/retransmits/failed/unreachable per bin)")
 	flag.BoolVar(&o.quick, "quick", false, "reduced load points and windows")
 	flag.StringVar(&o.net, "net", "", "override the study network as MxN (e.g. 32x2 = 32-port 2-tree); applies to -fault, -chaos, -degraded, -adaptive and -smstudy")
@@ -139,166 +250,71 @@ func writeCSV(dir, name, content string) error {
 	return nil
 }
 
-// run executes the selected tables, studies and figures in flag order.
+// run executes the selected table, studies and figures, in that order.
 func run(o options) error {
-	var netOverride *mlid.EvalNetwork
+	var net *experiment.Network
 	if o.net != "" {
 		var m, n int
 		if k, err := fmt.Sscanf(o.net, "%dx%d", &m, &n); err != nil || k != 2 {
 			return fmt.Errorf("-net %q: want MxN, e.g. 32x2", o.net)
 		}
-		netOverride = &mlid.EvalNetwork{M: m, N: n}
+		net = &experiment.Network{M: m, N: n}
 	}
 
+	selected := o.table1 || o.fig != ""
 	if o.table1 {
-		rows, err := mlid.EvalTable1(mlid.EvalNetworks())
+		rows, err := experiment.Table1(experiment.PaperNetworks())
 		if err != nil {
 			return err
 		}
-		printTable1(rows)
+		fmt.Println(experiment.FormatTable1(rows))
 	}
-	if o.fault {
-		spec := mlid.EvalRecoverySpecDefault()
-		if o.quick {
-			spec = mlid.EvalRecoverySpecQuick()
+	for i, st := range studies {
+		if !o.studies[i] {
+			continue
 		}
-		if netOverride != nil {
-			spec.Network = *netOverride
-		}
-		fmt.Printf("recovery transient: %s, link down at %d ns, uniform load %.2f B/ns/node\n",
-			spec.Network, spec.FaultNs, spec.OfferedLoad)
-		rows, err := mlid.EvalRecoveryStudy(spec)
+		selected = true
+		files, err := st.run(o.quick, net)
 		if err != nil {
 			return err
 		}
-		fmt.Print(mlid.FormatRecovery(rows))
-		if err := writeCSV(o.csvDir, "recovery.csv", mlid.RecoveryCSV(rows)); err != nil {
-			return err
-		}
-		if o.series {
-			if err := writeCSV(o.csvDir, "recovery_series.csv", mlid.RecoverySeriesCSV(rows)); err != nil {
+		for _, f := range files {
+			if f.series && !o.series {
+				continue
+			}
+			if err := writeCSV(o.csvDir, f.name, f.content); err != nil {
 				return err
 			}
 		}
 		fmt.Println()
 	}
-	if o.chaos {
-		spec := mlid.EvalChaosSpecDefault()
-		if o.quick {
-			spec = mlid.EvalChaosSpecQuick()
-		}
-		if netOverride != nil {
-			spec.Network = *netOverride
-		}
-		fmt.Printf("chaos campaign: %s, fault rates %v, outages %d-%d ns, %d switch kill(s), seed %d\n",
-			spec.Network, spec.FaultRates, spec.MinDownNs, spec.MaxDownNs, spec.SwitchKills, spec.Seed)
-		rows, err := mlid.EvalChaosStudy(spec)
-		if err != nil {
-			return err
-		}
-		fmt.Print(mlid.FormatChaos(rows))
-		if err := writeCSV(o.csvDir, "chaos.csv", mlid.ChaosCSV(rows)); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	if o.degraded {
-		spec := mlid.EvalDegradedSpecDefault()
-		if o.quick {
-			spec = mlid.EvalDegradedSpecQuick()
-		}
-		if netOverride != nil {
-			spec.Network = *netOverride
-		}
-		fmt.Printf("degraded fabric: %s, fault rates %v, uniform load %.2f B/ns/node, seed %d\n",
-			spec.Network, spec.Rates, spec.OfferedLoad, spec.Seed)
-		rows, err := mlid.EvalDegradedStudy(spec)
-		if err != nil {
-			return err
-		}
-		fmt.Print(mlid.FormatDegraded(rows))
-		if err := mlid.DegradedOrderingConsistent(rows); err != nil {
-			return err
-		}
-		fmt.Println("ordering: static predicted-accepted ranking matches simulated accepted throughput at every rate")
-		if err := writeCSV(o.csvDir, "degraded.csv", mlid.DegradedCSV(rows)); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	if o.adaptive {
-		spec := mlid.EvalAdaptiveSpecDefault()
-		if o.quick {
-			spec = mlid.EvalAdaptiveSpecQuick()
-		}
-		if netOverride != nil {
-			spec.Network = *netOverride
-		}
-		fmt.Printf("path-selection family: %s, load %.2f B/ns/node, fault rate %.2f, seed %d\n",
-			spec.Network, spec.OfferedLoad, spec.FaultRate, spec.Seed)
-		rows, err := mlid.EvalAdaptiveStudy(spec)
-		if err != nil {
-			return err
-		}
-		fmt.Print(mlid.FormatAdaptive(rows))
-		if err := writeCSV(o.csvDir, "adaptive.csv", mlid.AdaptiveCSV(rows)); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	if o.smstudy {
-		spec := mlid.EvalSMSpecDefault()
-		if o.quick {
-			spec = mlid.EvalSMSpecQuick()
-		}
-		if netOverride != nil {
-			spec.Network = *netOverride
-		}
-		fmt.Printf("in-band subnet management: %s, trap-loss rates %v, sweep every %d ns, master-SM outage %d-%d ns, seed %d\n",
-			spec.Network, spec.TrapLossProbs, spec.SweepIntervalNs, spec.SMDownNs, spec.SMUpNs, spec.Seed)
-		rows, err := mlid.EvalSMStudy(spec)
-		if err != nil {
-			return err
-		}
-		fmt.Print(mlid.FormatSM(rows))
-		fmt.Println("invariants: packet conservation exact on every run; each in-band run lost traps, recovered them by sweep, and failed over to the standby SM exactly once")
-		if err := writeCSV(o.csvDir, "sm.csv", mlid.SMCSV(rows)); err != nil {
-			return err
-		}
-		if o.series {
-			if err := writeCSV(o.csvDir, "sm_series.csv", mlid.SMSeriesCSV(rows)); err != nil {
-				return err
-			}
-		}
-		fmt.Println()
+	if !selected {
+		return errUsage
 	}
 	if o.fig == "" {
-		if !o.table1 && !o.fault && !o.chaos && !o.degraded && !o.adaptive && !o.smstudy {
-			return errUsage
-		}
 		return nil
 	}
 
-	specs := mlid.EvalFigures()
+	specs := experiment.Figures()
 	if o.quick {
-		specs = mlid.EvalQuickFigures()
+		specs = experiment.QuickFigures()
 	}
-	var selected []mlid.EvalFigureSpec
+	var chosen []experiment.FigureSpec
 	if o.fig == "all" {
-		selected = specs
+		chosen = specs
 	} else {
-		want, err := mlid.EvalFigureByID(o.fig)
+		want, err := experiment.FigureByID(o.fig)
 		if err != nil {
 			return err
 		}
 		for _, s := range specs {
 			if s.ID == want.ID {
-				selected = append(selected, s)
+				chosen = append(chosen, s)
 			}
 		}
 	}
 
-	for _, spec := range selected {
+	for _, spec := range chosen {
 		fmt.Printf("running %s ...\n", spec.Title())
 		res, err := spec.Run()
 		if err != nil {
@@ -316,22 +332,11 @@ func run(o options) error {
 	return nil
 }
 
-func printTable1(rows []mlid.EvalTable1Row) {
-	fmt.Println("Table 1: simulated m-port n-tree InfiniBand networks")
-	fmt.Printf("%-16s %7s %9s %7s %4s %10s %9s %11s\n",
-		"network", "nodes", "switches", "links", "LMC", "LIDs/node", "LIDspace", "paths(a=0)")
-	for _, r := range rows {
-		fmt.Printf("%-16s %7d %9d %7d %4d %10d %9d %11d\n",
-			r.Network.String(), r.Nodes, r.Switches, r.Links, r.LMC, r.LIDsPerNode, r.LIDSpace, r.PathsAlpha0)
-	}
-	fmt.Println()
-}
-
 // exit reports err, if any, and exits non-zero.
 func exit(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ibsweep:", err)
-		if errors.Is(err, mlid.ErrLIDSpaceExhausted) {
+		if errors.Is(err, ib.ErrLIDSpaceExhausted) {
 			fmt.Fprintln(os.Stderr, "ibsweep: hint: the SLID scheme, or a smaller tree, fits the 16-bit LID space")
 		}
 		os.Exit(1)

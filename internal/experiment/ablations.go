@@ -22,154 +22,100 @@ type AblationRow struct {
 	MeanLatencyNs float64
 }
 
-// ablationSpec is one simulation of the ablation suite.
-type ablationSpec struct {
-	experiment, setting string
-	scheme              core.Scheme
-	pattern             func(t *topology.Tree) traffic.Pattern
-	mutate              func(cfg *sim.Config)
-}
-
 // RunAblations executes the repository's ablation suite (DESIGN.md EX-A,
 // EX-B, EX-C, EX-F, EX-G, EX-H and the switching-mode study) on the 8-port
-// 2-tree and returns the measured rows in execution order. quick shortens
-// the windows.
-func RunAblations(quick bool) ([]AblationRow, error) {
+// 2-tree and returns the measured rows in suite order. quick shortens the
+// windows.
+func RunAblations(quick bool) ([]AblationRow, error) { return runStudy(ablationStudy(quick)) }
+
+// ablationStudy has one point per ablation setting, in suite order.
+func ablationStudy(quick bool) (study[AblationRow], error) {
+	var s study[AblationRow]
 	tr, err := topology.New(8, 2)
 	if err != nil {
-		return nil, err
+		return s, err
 	}
 	warm, meas := sim.Time(60_000), sim.Time(200_000)
 	if quick {
 		warm, meas = 20_000, 60_000
 	}
-	centric := func(t *topology.Tree) traffic.Pattern {
-		return traffic.Centric{Nodes: t.Nodes(), Hotspot: 0, Fraction: 0.5}
-	}
-	uniform := func(t *topology.Tree) traffic.Pattern {
-		return traffic.Uniform{Nodes: t.Nodes()}
-	}
-	bitcomp := func(t *topology.Tree) traffic.Pattern {
-		return traffic.BitComplement(t.Nodes())
-	}
-
-	var specs []ablationSpec
-	// EX-A: virtual lanes beyond the paper's 4.
-	for _, vls := range []int{1, 4, 8} {
-		vls := vls
-		for _, s := range core.Schemes() {
-			specs = append(specs, ablationSpec{
-				experiment: "EX-A vl-count", setting: fmt.Sprintf("%s %dVL", s.Name(), vls),
-				scheme: s, pattern: centric,
-				mutate: func(cfg *sim.Config) { cfg.DataVLs = vls },
-			})
-		}
-	}
-	// EX-B: buffer depth.
-	for _, buf := range []int{1, 2, 4} {
-		buf := buf
-		specs = append(specs, ablationSpec{
-			experiment: "EX-B buffers", setting: fmt.Sprintf("MLID %d-pkt buffers", buf),
-			scheme: core.NewMLID(), pattern: centric,
-			mutate: func(cfg *sim.Config) { cfg.BufPackets = buf },
-		})
-	}
-	// EX-C: packet size.
-	for _, size := range []int{64, 256, 1024} {
-		size := size
-		specs = append(specs, ablationSpec{
-			experiment: "EX-C pktsize", setting: fmt.Sprintf("MLID %dB packets", size),
-			scheme: core.NewMLID(), pattern: uniform,
-			mutate: func(cfg *sim.Config) { cfg.PacketSize = size; cfg.OfferedLoad = 0.3 },
-		})
-	}
-	// EX-F: reception model.
-	for _, s := range core.Schemes() {
-		s := s
-		specs = append(specs,
-			ablationSpec{
-				experiment: "EX-F reception", setting: s.Name() + " ideal",
-				scheme: s, pattern: centric,
-				mutate: func(cfg *sim.Config) { cfg.Reception = sim.ReceptionIdeal },
-			},
-			ablationSpec{
-				experiment: "EX-F reception", setting: s.Name() + " link-limited",
-				scheme: s, pattern: centric,
-				mutate: func(cfg *sim.Config) { cfg.Reception = sim.ReceptionLink },
-			})
-	}
-	// EX-G: path selection on a permutation.
-	specs = append(specs,
-		ablationSpec{
-			experiment: "EX-G pathselect", setting: "MLID rank (paper)",
-			scheme: core.NewMLID(), pattern: bitcomp,
-			mutate: func(cfg *sim.Config) { cfg.OfferedLoad = 0.7 },
-		},
-		ablationSpec{
-			experiment: "EX-G pathselect", setting: "MLID random offset",
-			scheme: core.NewMLID(), pattern: bitcomp,
-			mutate: func(cfg *sim.Config) { cfg.OfferedLoad = 0.7; cfg.PathSelect = sim.SelectRandom() },
-		})
-	// EX-H: VL mapping under the hotspot.
-	for _, s := range core.Schemes() {
-		s := s
-		specs = append(specs,
-			ablationSpec{
-				experiment: "EX-H vlmap", setting: s.Name() + " round-robin (default)",
-				scheme: s, pattern: centric,
-				mutate: func(cfg *sim.Config) { cfg.DataVLs = 2 },
-			},
-			ablationSpec{
-				experiment: "EX-H vlmap", setting: s.Name() + " DLID-pinned",
-				scheme: s, pattern: centric,
-				mutate: func(cfg *sim.Config) { cfg.DataVLs = 2; cfg.VLSelect = sim.VLByDLID },
-			})
-	}
-	// Switching discipline.
-	specs = append(specs,
-		ablationSpec{
-			experiment: "switching", setting: "MLID cut-through (paper)",
-			scheme: core.NewMLID(), pattern: uniform,
-			mutate: func(cfg *sim.Config) { cfg.OfferedLoad = 0.3 },
-		},
-		ablationSpec{
-			experiment: "switching", setting: "MLID store-and-forward",
-			scheme: core.NewMLID(), pattern: uniform,
-			mutate: func(cfg *sim.Config) { cfg.OfferedLoad = 0.3; cfg.Switching = sim.SwitchingSAF },
-		})
-
 	subnets := map[string]*ib.Subnet{}
-	rows := make([]AblationRow, 0, len(specs))
-	for _, spec := range specs {
-		sn, ok := subnets[spec.scheme.Name()]
-		if !ok {
-			sn, err = (&ib.SubnetManager{Tree: tr, Engine: spec.scheme}).Configure()
-			if err != nil {
-				return nil, err
-			}
-			subnets[spec.scheme.Name()] = sn
+	for _, sc := range core.Schemes() {
+		if subnets[sc.Name()], err = (&ib.SubnetManager{Tree: tr, Engine: sc}).Configure(); err != nil {
+			return s, err
 		}
+	}
+	centric := traffic.Centric{Nodes: tr.Nodes(), Hotspot: 0, Fraction: 0.5}
+	uniform := traffic.Uniform{Nodes: tr.Nodes()}
+	bitcomp := traffic.BitComplement(tr.Nodes())
+	// add appends one setting: the scheme at load 0.5 on pat, as mutate
+	// changes it.
+	add := func(experiment, setting string, scheme core.Scheme, pat traffic.Pattern, mutate func(cfg *sim.Config)) {
 		cfg := sim.Config{
-			Subnet:      sn,
-			Pattern:     spec.pattern(tr),
+			Subnet:      subnets[scheme.Name()],
+			Pattern:     pat,
 			OfferedLoad: 0.5,
 			WarmupNs:    warm,
 			MeasureNs:   meas,
 			Seed:        71,
 		}
-		spec.mutate(&cfg)
-		res, err := sim.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: ablation %s/%s: %w", spec.experiment, spec.setting, err)
-		}
-		rows = append(rows, AblationRow{
-			Experiment:    spec.experiment,
-			Setting:       spec.setting,
-			AcceptedBns:   res.Accepted,
-			MeanLatencyNs: res.MeanLatencyNs,
+		mutate(&cfg)
+		s.points = append(s.points, point[AblationRow]{
+			name: fmt.Sprintf("ablation %s/%s", experiment, setting),
+			cfg:  cfg,
+			row:  AblationRow{Experiment: experiment, Setting: setting},
 		})
 	}
-	return rows, nil
+	mlid := core.NewMLID()
+
+	// EX-A: virtual lanes beyond the paper's 4.
+	for _, vls := range []int{1, 4, 8} {
+		for _, sc := range core.Schemes() {
+			add("EX-A vl-count", fmt.Sprintf("%s %dVL", sc.Name(), vls), sc, centric,
+				func(cfg *sim.Config) { cfg.DataVLs = vls })
+		}
+	}
+	// EX-B: buffer depth.
+	for _, buf := range []int{1, 2, 4} {
+		add("EX-B buffers", fmt.Sprintf("MLID %d-pkt buffers", buf), mlid, centric,
+			func(cfg *sim.Config) { cfg.BufPackets = buf })
+	}
+	// EX-C: packet size.
+	for _, size := range []int{64, 256, 1024} {
+		add("EX-C pktsize", fmt.Sprintf("MLID %dB packets", size), mlid, uniform,
+			func(cfg *sim.Config) { cfg.PacketSize = size; cfg.OfferedLoad = 0.3 })
+	}
+	// EX-F: reception model.
+	for _, sc := range core.Schemes() {
+		add("EX-F reception", sc.Name()+" ideal", sc, centric,
+			func(cfg *sim.Config) { cfg.Reception = sim.ReceptionIdeal })
+		add("EX-F reception", sc.Name()+" link-limited", sc, centric,
+			func(cfg *sim.Config) { cfg.Reception = sim.ReceptionLink })
+	}
+	// EX-G: path selection on a permutation.
+	add("EX-G pathselect", "MLID rank (paper)", mlid, bitcomp,
+		func(cfg *sim.Config) { cfg.OfferedLoad = 0.7 })
+	add("EX-G pathselect", "MLID random offset", mlid, bitcomp,
+		func(cfg *sim.Config) { cfg.OfferedLoad = 0.7; cfg.PathSelect = sim.SelectRandom() })
+	// EX-H: VL mapping under the hotspot.
+	for _, sc := range core.Schemes() {
+		add("EX-H vlmap", sc.Name()+" round-robin (default)", sc, centric,
+			func(cfg *sim.Config) { cfg.DataVLs = 2 })
+		add("EX-H vlmap", sc.Name()+" DLID-pinned", sc, centric,
+			func(cfg *sim.Config) { cfg.DataVLs = 2; cfg.VLSelect = sim.VLByDLID })
+	}
+	// Switching discipline.
+	add("switching", "MLID cut-through (paper)", mlid, uniform,
+		func(cfg *sim.Config) { cfg.OfferedLoad = 0.3 })
+	add("switching", "MLID store-and-forward", mlid, uniform,
+		func(cfg *sim.Config) { cfg.OfferedLoad = 0.3; cfg.Switching = sim.SwitchingSAF })
+
+	s.reduce = func(res sim.Result, row *AblationRow) error {
+		row.AcceptedBns = res.Accepted
+		row.MeanLatencyNs = res.MeanLatencyNs
+		return nil
+	}
+	return s, nil
 }
 
 // AblationTable renders the rows as a markdown table.

@@ -52,8 +52,6 @@ type AdaptiveSpec struct {
 	Transport sim.TransportConfig
 	// Seed drives the traffic, the fault schedules, and the runs.
 	Seed int64
-	// HeapOnlyScheduler forces the engine's fallback heap path.
-	HeapOnlyScheduler bool
 }
 
 // AdaptiveStudySpec is the full-fidelity family study on the 8-port 3-tree
@@ -149,15 +147,18 @@ func classShuffle(tr *topology.Tree) (traffic.PermutationPattern, bool) {
 	return traffic.PermutationPattern{Label: "shuffle", Perm: perm}, true
 }
 
+// workload is one named traffic pattern of the family study.
+type workload struct {
+	name string
+	pat  traffic.Pattern
+}
+
 // adaptiveWorkloads are the study's traffic patterns: a four-way hotspot
 // (half of every source's traffic into four hot sinks on distinct leaves),
 // the class-aligned shuffle permutation (the static policy's structural
 // worst case), the tornado permutation, and a two-sink incast at 90%
 // concentration.
-func adaptiveWorkloads(tr *topology.Tree) []struct {
-	name string
-	pat  traffic.Pattern
-} {
+func adaptiveWorkloads(tr *topology.Tree) []workload {
 	nodes := tr.Nodes()
 	leaf := tr.M() / 2
 	spread := func(k int) []int {
@@ -167,39 +168,36 @@ func adaptiveWorkloads(tr *topology.Tree) []struct {
 		}
 		return hs
 	}
-	ws := []struct {
-		name string
-		pat  traffic.Pattern
-	}{
-		{"hotspot", traffic.MultiHotspot{Nodes: nodes, Hotspots: spread(4), Fraction: 0.5}},
-	}
+	ws := []workload{{"hotspot", traffic.MultiHotspot{Nodes: nodes, Hotspots: spread(4), Fraction: 0.5}}}
 	if shuffle, ok := classShuffle(tr); ok {
-		ws = append(ws, struct {
-			name string
-			pat  traffic.Pattern
-		}{"shuffle", shuffle})
+		ws = append(ws, workload{"shuffle", shuffle})
 	}
-	return append(ws, []struct {
-		name string
-		pat  traffic.Pattern
-	}{
-		{"tornado", traffic.Tornado(nodes)},
-		{"incast", traffic.MultiHotspot{Nodes: nodes, Hotspots: spread(2), Fraction: 0.9}},
-	}...)
+	return append(ws,
+		workload{"tornado", traffic.Tornado(nodes)},
+		workload{"incast", traffic.MultiHotspot{Nodes: nodes, Hotspots: spread(2), Fraction: 0.9}})
 }
 
 // AdaptiveStudy runs the family study. Every selector of a (workload,
 // faulted?) block runs the identical subnet, traffic, seed, and (for faulted
-// blocks) fault schedule, so rows within a block differ only by policy. The
-// runner asserts packet conservation after every run.
+// blocks) fault schedule, so rows within a block differ only by policy. Every
+// row's reduction re-checks packet accounting; the simulator derives
+// in-flight as the remainder, so the check guards the accounting code, not
+// against packets lost without a count.
 func AdaptiveStudy(spec AdaptiveSpec) ([]AdaptiveRow, error) {
+	return runStudy(adaptiveStudy(spec))
+}
+
+// adaptiveStudy has one point per (workload, variant, selector), in that
+// nesting order.
+func adaptiveStudy(spec AdaptiveSpec) (study[AdaptiveRow], error) {
+	var s study[AdaptiveRow]
 	tr, err := topology.New(spec.Network.M, spec.Network.N)
 	if err != nil {
-		return nil, err
+		return s, err
 	}
 	sn, err := (&ib.SubnetManager{Tree: tr, Engine: core.NewMLID()}).Configure()
 	if err != nil {
-		return nil, fmt.Errorf("experiment: MLID on %s: %w", spec.Network, err)
+		return s, fmt.Errorf("experiment: MLID on %s: %w", spec.Network, err)
 	}
 	names := spec.Selectors
 	if len(names) == 0 {
@@ -208,15 +206,14 @@ func AdaptiveStudy(spec AdaptiveSpec) ([]AdaptiveRow, error) {
 	selectors := make([]sim.Selector, len(names))
 	for i, name := range names {
 		if selectors[i], err = sim.SelectorByName(name); err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
+			return s, fmt.Errorf("experiment: %w", err)
 		}
 	}
-	var rows []AdaptiveRow
+	variants := []bool{false}
+	if spec.FaultRate > 0 {
+		variants = append(variants, true)
+	}
 	for wi, w := range adaptiveWorkloads(tr) {
-		variants := []bool{false}
-		if spec.FaultRate > 0 {
-			variants = append(variants, true)
-		}
 		for _, faulted := range variants {
 			var plan *sim.FaultPlan
 			var transport *sim.TransportConfig
@@ -225,7 +222,7 @@ func AdaptiveStudy(spec AdaptiveSpec) ([]AdaptiveRow, error) {
 				// selector, dead from FaultNs for the rest of the run.
 				rng := rand.New(rand.NewSource(spec.Seed*6961 + int64(wi)))
 				plan = &sim.FaultPlan{Reselect: true}
-				for _, l := range degradedSample(tr, spec.FaultRate, rng) {
+				for _, l := range sampleLinks(tr, spec.FaultRate, rng, nil) {
 					plan.Faults = append(plan.Faults, sim.LinkFault{
 						Switch: l[0], Port: int(l[1]), DownNs: spec.FaultNs,
 					})
@@ -234,51 +231,49 @@ func AdaptiveStudy(spec AdaptiveSpec) ([]AdaptiveRow, error) {
 				transport = &tc
 			}
 			for si, sel := range selectors {
-				res, err := sim.Run(sim.Config{
-					Subnet:            sn,
-					Pattern:           w.pat,
-					DataVLs:           spec.DataVLs,
-					OfferedLoad:       spec.OfferedLoad,
-					WarmupNs:          spec.WarmupNs,
-					MeasureNs:         spec.MeasureNs,
-					PathSelect:        sel,
-					FaultPlan:         plan,
-					Transport:         transport,
-					VerifyEpochs:      faulted,
-					Seed:              spec.Seed + int64(wi),
-					HeapOnlyScheduler: spec.HeapOnlyScheduler,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("experiment: adaptive study %s/%s: %w", w.name, names[si], err)
-				}
-				unaccounted := res.TotalGenerated - res.TotalDelivered - res.InFlightAtEnd
-				if faulted {
-					unaccounted -= res.Failed
-				} else {
-					unaccounted -= res.DroppedTotal
-				}
-				if unaccounted != 0 {
-					return nil, fmt.Errorf("experiment: adaptive study %s/%s: %d packets unaccounted",
-						w.name, names[si], unaccounted)
-				}
-				rows = append(rows, AdaptiveRow{
-					Workload:      w.name,
-					Selector:      names[si],
-					Faulted:       faulted,
-					AcceptedBns:   res.Accepted,
-					MeanLatencyNs: res.MeanLatencyNs,
-					P99LatencyNs:  res.P99LatencyNs,
-					Delivered:     res.TotalDelivered,
-					Dropped:       res.DroppedTotal,
-					Failed:        res.Failed,
-					Reroutes:      res.Reroutes,
-					OutOfOrder:    res.OutOfOrder,
-					Retransmits:   res.Retransmits,
+				s.points = append(s.points, point[AdaptiveRow]{
+					name: fmt.Sprintf("adaptive study %s/%s", w.name, names[si]),
+					cfg: sim.Config{
+						Subnet:       sn,
+						Pattern:      w.pat,
+						DataVLs:      spec.DataVLs,
+						OfferedLoad:  spec.OfferedLoad,
+						WarmupNs:     spec.WarmupNs,
+						MeasureNs:    spec.MeasureNs,
+						PathSelect:   sel,
+						FaultPlan:    plan,
+						Transport:    transport,
+						VerifyEpochs: faulted,
+						Seed:         spec.Seed + int64(wi),
+					},
+					row: AdaptiveRow{Workload: w.name, Selector: names[si], Faulted: faulted},
 				})
 			}
 		}
 	}
-	return rows, nil
+	s.reduce = func(res sim.Result, row *AdaptiveRow) error {
+		unaccounted := res.TotalGenerated - res.TotalDelivered - res.InFlightAtEnd
+		if row.Faulted {
+			unaccounted -= res.Failed
+		} else {
+			unaccounted -= res.DroppedTotal
+		}
+		if unaccounted != 0 {
+			return fmt.Errorf("experiment: adaptive study %s/%s: %d packets unaccounted",
+				row.Workload, row.Selector, unaccounted)
+		}
+		row.AcceptedBns = res.Accepted
+		row.MeanLatencyNs = res.MeanLatencyNs
+		row.P99LatencyNs = res.P99LatencyNs
+		row.Delivered = res.TotalDelivered
+		row.Dropped = res.DroppedTotal
+		row.Failed = res.Failed
+		row.Reroutes = res.Reroutes
+		row.OutOfOrder = res.OutOfOrder
+		row.Retransmits = res.Retransmits
+		return nil
+	}
+	return s, nil
 }
 
 // FormatAdaptive renders the rows as a markdown table.

@@ -124,10 +124,10 @@ func TestAdaptiveShuffleSeparates(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStudyDeterminism runs the quick campaign twice per scheduler
-// path and diffs bit for bit: the whole family — including the stateful and
-// congestion-coupled selectors under faults and transport — must be
-// reproducible.
+// TestAdaptiveStudyDeterminism runs the quick campaign twice on the
+// calendar path and once with every point's Config heap-only, and diffs bit
+// for bit: the whole family — including the stateful and congestion-coupled
+// selectors under faults and transport — must be reproducible.
 func TestAdaptiveStudyDeterminism(t *testing.T) {
 	spec := QuickAdaptiveSpec()
 	base, err := AdaptiveStudy(spec)
@@ -141,8 +141,7 @@ func TestAdaptiveStudyDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(base, again) {
 		t.Fatal("adaptive campaign is not reproducible")
 	}
-	spec.HeapOnlyScheduler = true
-	heap, err := AdaptiveStudy(spec)
+	heap, err := runHeapOnly(adaptiveStudy(spec))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,6 @@ type ChaosSpec struct {
 	// Seed drives both the fault-schedule generation and the runs; the same
 	// seed reproduces the same campaign bit for bit.
 	Seed int64
-	// HeapOnlyScheduler forces the engine's fallback heap path (the
-	// determinism soak diffs it against the calendar path).
-	HeapOnlyScheduler bool
 }
 
 // ChaosStudySpec is the full-fidelity chaos campaign configuration. The
@@ -104,8 +101,9 @@ type ChaosRow struct {
 	FaultRate float64
 	// Flaps / SwitchKills are the schedule's realized event counts.
 	Flaps, SwitchKills int
-	// Conservation: Generated = Delivered + Failed + InFlight, checked by
-	// the runner after every campaign.
+	// Packet accounting. The simulator derives InFlight as the remainder
+	// Generated - Delivered - Failed, so Generated = Delivered + Failed +
+	// InFlight holds by construction.
 	Generated, Delivered, Failed, InFlight int64
 	// Retransmits / Dropped / DupDeliveries count the recovery traffic;
 	// AcksSent/NaksSent/CtrlBytes its acknowledgment overhead.
@@ -135,10 +133,7 @@ func chaosPlan(tr *topology.Tree, spec ChaosSpec, rate float64, rng *rand.Rand) 
 			roots = append(roots, int32(sw))
 		}
 	}
-	kills := spec.SwitchKills
-	if kills > len(roots) {
-		kills = len(roots)
-	}
+	kills := min(spec.SwitchKills, len(roots))
 	onset := func() (down, up sim.Time) {
 		window := spec.MeasureNs * 3 / 4
 		down = spec.WarmupNs + sim.Time(rng.Int63n(int64(window)))
@@ -155,37 +150,9 @@ func chaosPlan(tr *topology.Tree, spec ChaosSpec, rate float64, rng *rand.Rand) 
 		})
 		killed[roots[i]] = true
 	}
-	// Candidate flap links: every inter-switch link once (canonical side:
-	// the lower switch ID), excluding links of killed switches.
-	type link struct {
-		sw   int32
-		port int
-	}
-	var candidates []link
-	for sw := 0; sw < tr.Switches(); sw++ {
-		for port := 0; port < tr.M(); port++ {
-			ref := tr.SwitchNeighbor(topology.SwitchID(sw), port)
-			if ref.Kind != topology.KindSwitch || int32(ref.Switch) < int32(sw) {
-				continue
-			}
-			if killed[int32(sw)] || killed[int32(ref.Switch)] {
-				continue
-			}
-			candidates = append(candidates, link{int32(sw), port})
-		}
-	}
-	flaps := int(rate*float64(len(candidates)) + 0.5)
-	if flaps < 1 {
-		flaps = 1
-	}
-	if flaps > len(candidates) {
-		flaps = len(candidates)
-	}
-	for _, i := range rng.Perm(len(candidates))[:flaps] {
+	for _, l := range sampleLinks(tr, rate, rng, killed) {
 		down, up := onset()
-		plan.Faults = append(plan.Faults, sim.LinkFault{
-			Switch: candidates[i].sw, Port: candidates[i].port, DownNs: down, UpNs: up,
-		})
+		plan.Faults = append(plan.Faults, sim.LinkFault{Switch: l[0], Port: int(l[1]), DownNs: down, UpNs: up})
 	}
 	return plan
 }
@@ -193,13 +160,18 @@ func chaosPlan(tr *topology.Tree, spec ChaosSpec, rate float64, rng *rand.Rand) 
 // ChaosStudy runs the chaos campaign for both schemes across the spec's
 // fault rates. Each (rate) index derives its own fault schedule from the
 // seed; both schemes run the identical schedule and simulation seed, so
-// their rows are directly comparable. The runner asserts the conservation
-// identity generated = delivered + failed + in-flight after every campaign
-// and fails loudly if any packet went silently missing.
-func ChaosStudy(spec ChaosSpec) ([]ChaosRow, error) {
+// their rows are directly comparable. Every row's reduction re-checks the
+// identity generated = delivered + failed + in-flight; the simulator
+// computes in-flight as the remainder, so the check guards the accounting
+// code, not against packets the simulator loses without counting.
+func ChaosStudy(spec ChaosSpec) ([]ChaosRow, error) { return runStudy(chaosStudy(spec)) }
+
+// chaosStudy has one point per (rate, scheme), rate-major.
+func chaosStudy(spec ChaosSpec) (study[ChaosRow], error) {
+	var s study[ChaosRow]
 	tr, err := topology.New(spec.Network.M, spec.Network.N)
 	if err != nil {
-		return nil, err
+		return s, err
 	}
 	// One schedule per rate, shared by both schemes; one pristine
 	// configuration per scheme, shared read-only by every rate (chaos runs
@@ -207,7 +179,7 @@ func ChaosStudy(spec ChaosSpec) ([]ChaosRow, error) {
 	plans := make([]*sim.FaultPlan, len(spec.FaultRates))
 	for ri, rate := range spec.FaultRates {
 		if rate <= 0 || rate > 1 {
-			return nil, fmt.Errorf("experiment: chaos fault rate %v out of (0, 1]", rate)
+			return s, fmt.Errorf("experiment: chaos fault rate %v out of (0, 1]", rate)
 		}
 		rng := rand.New(rand.NewSource(spec.Seed*7919 + int64(ri)))
 		plans[ri] = chaosPlan(tr, spec, rate, rng)
@@ -217,66 +189,65 @@ func ChaosStudy(spec ChaosSpec) ([]ChaosRow, error) {
 	for i, scheme := range schemes {
 		sn, err := (&ib.SubnetManager{Tree: tr, Engine: scheme}).Configure()
 		if err != nil {
-			return nil, fmt.Errorf("experiment: %s on %s: %w", scheme.Name(), spec.Network, err)
+			return s, fmt.Errorf("experiment: %s on %s: %w", scheme.Name(), spec.Network, err)
 		}
 		pristine[i] = sn
 	}
-
-	// One sweep point per (rate, scheme), rate-major — the serial row order.
-	points := len(spec.FaultRates) * len(schemes)
-	return campaignRun(points, campaignWorkers(points), func(pt int) (ChaosRow, error) {
-		ri := pt / len(schemes)
-		rate := spec.FaultRates[ri]
+	tc := spec.Transport
+	for ri, rate := range spec.FaultRates {
 		plan := plans[ri]
-		scheme := schemes[pt%len(schemes)]
-		tc := spec.Transport
-		res, err := sim.Run(sim.Config{
-			Subnet:           pristine[pt%len(schemes)],
-			Pattern:          traffic.Uniform{Nodes: tr.Nodes()},
-			DataVLs:          spec.DataVLs,
-			OfferedLoad:      spec.OfferedLoad,
-			WarmupNs:         spec.WarmupNs,
-			MeasureNs:        spec.MeasureNs,
-			SeriesIntervalNs: spec.SeriesIntervalNs,
-			FaultPlan:        plan,
-			Transport:        &tc,
-			// Statically verify the forwarding tables at every SM epoch
-			// of every campaign: a chaos schedule that drives the repair
-			// logic into a loop, credit-cycle, or unexplained dead end
-			// fails the study instead of silently dropping packets.
-			VerifyEpochs:      true,
-			Seed:              spec.Seed + int64(ri),
-			HeapOnlyScheduler: spec.HeapOnlyScheduler,
-		})
-		if err != nil {
-			return ChaosRow{}, fmt.Errorf("experiment: chaos run %s rate %v: %w", scheme.Name(), rate, err)
+		for i, scheme := range schemes {
+			s.points = append(s.points, point[ChaosRow]{
+				name: fmt.Sprintf("chaos run %s rate %v", scheme.Name(), rate),
+				cfg: sim.Config{
+					Subnet:           pristine[i],
+					Pattern:          traffic.Uniform{Nodes: tr.Nodes()},
+					DataVLs:          spec.DataVLs,
+					OfferedLoad:      spec.OfferedLoad,
+					WarmupNs:         spec.WarmupNs,
+					MeasureNs:        spec.MeasureNs,
+					SeriesIntervalNs: spec.SeriesIntervalNs,
+					FaultPlan:        plan,
+					Transport:        &tc,
+					// Statically verify the forwarding tables at every SM
+					// epoch of every campaign: a chaos schedule that drives
+					// the repair logic into a loop, credit cycle or
+					// unexplained dead end fails the study.
+					VerifyEpochs: true,
+					Seed:         spec.Seed + int64(ri),
+				},
+				row: ChaosRow{
+					Scheme:      scheme.Name(),
+					FaultRate:   rate,
+					Flaps:       len(plan.Faults),
+					SwitchKills: len(plan.SwitchFaults),
+				},
+			})
 		}
+	}
+	s.reduce = func(res sim.Result, row *ChaosRow) error {
 		if got := res.TotalDelivered + res.Failed + res.InFlightAtEnd; got != res.TotalGenerated {
-			return ChaosRow{}, fmt.Errorf(
+			return fmt.Errorf(
 				"experiment: chaos conservation violated (%s rate %v): delivered %d + failed %d + in-flight %d != generated %d",
-				scheme.Name(), rate, res.TotalDelivered, res.Failed, res.InFlightAtEnd, res.TotalGenerated)
+				row.Scheme, row.FaultRate, res.TotalDelivered, res.Failed, res.InFlightAtEnd, res.TotalGenerated)
 		}
-		return ChaosRow{
-			Scheme:          scheme.Name(),
-			FaultRate:       rate,
-			Flaps:           len(plan.Faults),
-			SwitchKills:     len(plan.SwitchFaults),
-			Generated:       res.TotalGenerated,
-			Delivered:       res.TotalDelivered,
-			Failed:          res.Failed,
-			InFlight:        res.InFlightAtEnd,
-			Retransmits:     res.Retransmits,
-			Dropped:         res.DroppedTotal,
-			DupDeliveries:   res.DupDeliveries,
-			AcksSent:        res.AcksSent,
-			NaksSent:        res.NaksSent,
-			CtrlBytes:       res.CtrlBytesSent,
-			MeanLatencyNs:   res.MeanLatencyNs,
-			P99LatencyNs:    res.P99LatencyNs,
-			P999LatencyNs:   res.P999LatencyNs,
-			LastRecoveredNs: res.LastRecoveredNs,
-		}, nil
-	})
+		row.Generated = res.TotalGenerated
+		row.Delivered = res.TotalDelivered
+		row.Failed = res.Failed
+		row.InFlight = res.InFlightAtEnd
+		row.Retransmits = res.Retransmits
+		row.Dropped = res.DroppedTotal
+		row.DupDeliveries = res.DupDeliveries
+		row.AcksSent = res.AcksSent
+		row.NaksSent = res.NaksSent
+		row.CtrlBytes = res.CtrlBytesSent
+		row.MeanLatencyNs = res.MeanLatencyNs
+		row.P99LatencyNs = res.P99LatencyNs
+		row.P999LatencyNs = res.P999LatencyNs
+		row.LastRecoveredNs = res.LastRecoveredNs
+		return nil
+	}
+	return s, nil
 }
 
 // FormatChaos renders the chaos rows as a markdown table.

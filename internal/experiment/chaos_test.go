@@ -44,9 +44,8 @@ func TestChaosStudyQuick(t *testing.T) {
 }
 
 // TestChaosSoakDeterminism is the CI soak: two seeds, each run twice per
-// scheduler path (calendar and heap-only), every result diffed bit for bit.
-// Each campaign internally asserts packet conservation, so the soak also
-// proves zero silent loss across dozens of seeded fault schedules.
+// scheduler path (calendar, and heap-only set on every point's Config),
+// every result diffed bit for bit.
 func TestChaosSoakDeterminism(t *testing.T) {
 	for _, seed := range []int64{99, 1234} {
 		spec := QuickChaosSpec()
@@ -62,12 +61,11 @@ func TestChaosSoakDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(base, again) {
 			t.Fatalf("seed %d: chaos campaign is not reproducible", seed)
 		}
-		spec.HeapOnlyScheduler = true
-		heap, err := ChaosStudy(spec)
+		heap, err := runHeapOnly(chaosStudy(spec))
 		if err != nil {
 			t.Fatalf("seed %d (heap-only): %v", seed, err)
 		}
-		heap2, err := ChaosStudy(spec)
+		heap2, err := runHeapOnly(chaosStudy(spec))
 		if err != nil {
 			t.Fatalf("seed %d (heap-only): %v", seed, err)
 		}

@@ -133,36 +133,30 @@ type DegradedRow struct {
 	VerifiedEpochs int
 }
 
-// degradedSample draws the failed inter-switch links for one rate:
-// rate x (inter-switch link count) of them, at least one, chosen by a
-// seeded shuffle over the canonical (lower switch id) link list. Node
-// attachment links never fail — the study degrades the fabric's interior,
-// not its endpoints.
-func degradedSample(tr *topology.Tree, rate float64, rng *rand.Rand) [][2]int32 {
-	type link struct {
-		sw   int32
-		port int
-	}
-	var candidates []link
+// sampleLinks draws the failed inter-switch links for one rate: rate x
+// (candidate link count) of them, at least one, chosen by a seeded shuffle
+// over the canonical (lower switch id) link list, less the links of the
+// excluded switches. Node attachment links never fail — the studies degrade
+// the fabric's interior, not its endpoints.
+func sampleLinks(tr *topology.Tree, rate float64, rng *rand.Rand, exclude map[int32]bool) [][2]int32 {
+	var candidates [][2]int32
 	for sw := 0; sw < tr.Switches(); sw++ {
 		for port := 0; port < tr.M(); port++ {
 			ref := tr.SwitchNeighbor(topology.SwitchID(sw), port)
 			if ref.Kind != topology.KindSwitch || int32(ref.Switch) < int32(sw) {
 				continue
 			}
-			candidates = append(candidates, link{int32(sw), port})
+			if exclude[int32(sw)] || exclude[int32(ref.Switch)] {
+				continue
+			}
+			candidates = append(candidates, [2]int32{int32(sw), int32(port)})
 		}
 	}
 	k := int(rate*float64(len(candidates)) + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	if k > len(candidates) {
-		k = len(candidates)
-	}
+	k = min(max(k, 1), len(candidates))
 	out := make([][2]int32, 0, k)
 	for _, i := range rng.Perm(len(candidates))[:k] {
-		out = append(out, [2]int32{candidates[i].sw, int32(candidates[i].port)})
+		out = append(out, candidates[i])
 	}
 	return out
 }
@@ -193,12 +187,20 @@ func degradedSwitchSample(tr *topology.Tree, k int, rng *rand.Rand) ([]int32, er
 // tables, or any failed simulation (which includes per-epoch verification),
 // fails the study.
 func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
+	return runStudy(degradedStudy(spec))
+}
+
+// degradedStudy has one point per (scenario, scheme), scenario-major. A
+// point's static step repairs and verifies the degraded tables on the
+// point's worker before its simulation runs.
+func degradedStudy(spec DegradedSpec) (study[DegradedRow], error) {
+	var s study[DegradedRow]
 	tr, err := topology.New(spec.Network.M, spec.Network.N)
 	if err != nil {
-		return nil, err
+		return s, err
 	}
 	if spec.FaultNs <= 0 || spec.FaultNs >= spec.WarmupNs {
-		return nil, fmt.Errorf("experiment: degraded FaultNs %d must fall inside (0, WarmupNs %d)", spec.FaultNs, spec.WarmupNs)
+		return s, fmt.Errorf("experiment: degraded FaultNs %d must fall inside (0, WarmupNs %d)", spec.FaultNs, spec.WarmupNs)
 	}
 	// Each scenario is one fault draw both schemes run against. The links
 	// axis samples individual inter-switch links; the switches axis takes
@@ -217,13 +219,13 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 	scenarios := make([]scenario, 0, len(spec.Rates)+len(spec.SwitchOuts))
 	for ri, rate := range spec.Rates {
 		if rate <= 0 || rate > 1 {
-			return nil, fmt.Errorf("experiment: degraded fault rate %v out of (0, 1]", rate)
+			return s, fmt.Errorf("experiment: degraded fault rate %v out of (0, 1]", rate)
 		}
 		rng := rand.New(rand.NewSource(spec.Seed*6151 + int64(ri)))
 		sc := scenario{
 			axis: "links", rate: rate,
 			label: fmt.Sprintf("link rate %v", rate),
-			links: degradedSample(tr, rate, rng),
+			links: sampleLinks(tr, rate, rng, nil),
 			plan:  &sim.FaultPlan{Reselect: true},
 			seed:  spec.Seed + int64(ri),
 		}
@@ -236,7 +238,7 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 		rng := rand.New(rand.NewSource(spec.Seed*9311 + int64(si)))
 		switches, err := degradedSwitchSample(tr, k, rng)
 		if err != nil {
-			return nil, err
+			return s, err
 		}
 		sc := scenario{
 			axis: "switches", switchesOut: k,
@@ -270,40 +272,58 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 	for i, scheme := range schemes {
 		sn, err := (&ib.SubnetManager{Tree: tr, Engine: scheme}).Configure()
 		if err != nil {
-			return nil, fmt.Errorf("experiment: %s on %s: %w", scheme.Name(), spec.Network, err)
+			return s, fmt.Errorf("experiment: %s on %s: %w", scheme.Name(), spec.Network, err)
 		}
 		pristine[i] = sn
 	}
 
-	// One sweep point per (scenario, scheme), scenario-major — the serial
-	// row order — executed on the campaign worker pool.
-	points := len(scenarios) * len(schemes)
-	return campaignRun(points, campaignWorkers(points), func(pt int) (DegradedRow, error) {
+	for _, sc := range scenarios {
+		for i, scheme := range schemes {
+			s.points = append(s.points, point[DegradedRow]{
+				name: fmt.Sprintf("degraded run %s at %s", scheme.Name(), sc.label),
+				// The dynamic view: the same outage simulated end to end,
+				// straight off the shared pristine subnet (the simulator's
+				// fault path clones the tables before mutating them).
+				cfg: sim.Config{
+					Subnet:       pristine[i],
+					Pattern:      traffic.Uniform{Nodes: tr.Nodes()},
+					DataVLs:      spec.DataVLs,
+					OfferedLoad:  spec.OfferedLoad,
+					WarmupNs:     spec.WarmupNs,
+					MeasureNs:    spec.MeasureNs,
+					FaultPlan:    sc.plan,
+					VerifyEpochs: true,
+					Shards:       spec.Shards,
+					Seed:         sc.seed,
+				},
+				row: DegradedRow{
+					Scheme: scheme.Name(),
+					Axis:   sc.axis, Rate: sc.rate, SwitchesOut: sc.switchesOut,
+					FailedLinks: len(sc.links),
+				},
+			})
+		}
+	}
+
+	// The static view: repair the pristine configuration the way the SM
+	// does live and run the verifier's quality pass over the repair target,
+	// with fault-avoiding source selection standing in for what reselection
+	// does live.
+	s.static = func(pt int, row *DegradedRow) error {
 		sc := scenarios[pt/len(schemes)]
 		scheme := schemes[pt%len(schemes)]
+		sn := pristine[pt%len(schemes)]
 		fs := core.NewFaultSet()
 		for _, l := range sc.links {
 			fs.FailLink(tr, topology.SwitchID(l[0]), int(l[1]))
 		}
-		rate, links, plan := sc.rate, sc.links, sc.plan
-		row := DegradedRow{
-			Scheme: scheme.Name(),
-			Axis:   sc.axis, Rate: rate, SwitchesOut: sc.switchesOut,
-			FailedLinks: len(links),
-		}
-
-		// Static view: repair the pristine configuration the way the SM does
-		// live and run the verifier's quality pass over the repair target,
-		// with fault-avoiding source selection standing in for what
-		// reselection does live.
-		sn := pristine[pt%len(schemes)]
 		rs := core.NewRepairState(sn)
-		if _, err := rs.RepairIncremental(fs, rs.DirtySwitches(nil, links)); err != nil {
-			return row, fmt.Errorf("experiment: degraded repair %s at %s: %w", scheme.Name(), sc.label, err)
+		if _, err := rs.RepairIncremental(fs, rs.DirtySwitches(nil, sc.links)); err != nil {
+			return fmt.Errorf("experiment: degraded repair %s at %s: %w", scheme.Name(), sc.label, err)
 		}
 		lfts, err := rs.TargetLFTs()
 		if err != nil {
-			return row, fmt.Errorf("experiment: degraded repair %s at %s: %w", scheme.Name(), sc.label, err)
+			return fmt.Errorf("experiment: degraded repair %s at %s: %w", scheme.Name(), sc.label, err)
 		}
 		row.BrokenEntries = rs.Broken()
 		in := verify.Input{
@@ -311,22 +331,22 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 			Endports:  sn.Endports,
 			LFTs:      lfts,
 			Engine:    scheme,
-			DeadLinks: links,
+			DeadLinks: sc.links,
 			SelectDLID: func(src, dst topology.NodeID) (ib.LID, bool) {
 				return core.SelectLID(tr, scheme, src, dst, fs)
 			},
 		}
 		rep, err := verify.Run(in, verify.Options{VLs: spec.DataVLs, Parallelism: campaignWorkers(tr.Switches())})
 		if err != nil {
-			return row, fmt.Errorf("experiment: degraded verify %s at %s: %w", scheme.Name(), sc.label, err)
+			return fmt.Errorf("experiment: degraded verify %s at %s: %w", scheme.Name(), sc.label, err)
 		}
 		if n := rep.Errors(); n > 0 {
-			return row, fmt.Errorf("experiment: degraded verify %s at %s: %d error finding(s); first: %s",
+			return fmt.Errorf("experiment: degraded verify %s at %s: %d error finding(s); first: %s",
 				scheme.Name(), sc.label, n, firstError(rep))
 		}
 		row.StaticWarnings = rep.Warnings()
 		if len(rep.Stats.Quality) == 0 {
-			return row, fmt.Errorf("experiment: degraded verify %s at %s: no quality report", scheme.Name(), sc.label)
+			return fmt.Errorf("experiment: degraded verify %s at %s: no quality report", scheme.Name(), sc.label)
 		}
 		q := rep.Stats.Quality[0] // the all-to-all matrix
 		row.StaticMaxLoad = q.MaxLoad
@@ -342,32 +362,17 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 			scale = 1 / demand
 		}
 		row.StaticPredictedAccepted = spec.OfferedLoad * row.StaticServedFrac * scale
-
-		// Dynamic view: the same outage simulated end to end, straight off
-		// the shared pristine subnet (the simulator's fault path clones the
-		// tables before mutating them).
-		res, err := sim.Run(sim.Config{
-			Subnet:       sn,
-			Pattern:      traffic.Uniform{Nodes: tr.Nodes()},
-			DataVLs:      spec.DataVLs,
-			OfferedLoad:  spec.OfferedLoad,
-			WarmupNs:     spec.WarmupNs,
-			MeasureNs:    spec.MeasureNs,
-			FaultPlan:    plan,
-			VerifyEpochs: true,
-			Shards:       spec.Shards,
-			Seed:         sc.seed,
-		})
-		if err != nil {
-			return row, fmt.Errorf("experiment: degraded run %s at %s: %w", scheme.Name(), sc.label, err)
-		}
+		return nil
+	}
+	s.reduce = func(res sim.Result, row *DegradedRow) error {
 		row.Accepted = res.Accepted
 		row.DroppedWindow = res.DroppedWindow
 		row.Reroutes = res.Reroutes
 		row.MeanLatencyNs = res.MeanLatencyNs
 		row.VerifiedEpochs = res.VerifiedEpochs
-		return row, nil
-	})
+		return nil
+	}
+	return s, nil
 }
 
 // firstError returns the first error-severity finding's rendering.

@@ -147,10 +147,11 @@ func (f FigureSpec) pattern(nodes int) (traffic.Pattern, error) {
 }
 
 // Run executes the figure's sweep: for each scheme and VL count, one
-// simulation per load point and replica. The runs are independent campaign
-// points (campaignRun): every run is independently seeded and results come
-// back in point order, so the figure does not depend on scheduling, and a
-// failing sweep returns the lowest-indexed run's error.
+// simulation per load point and replica. The runs are the points of one
+// study: every run is independently seeded and results come back in point
+// order, so the figure does not depend on scheduling, and a failing sweep
+// returns the lowest-indexed run's error. Replicas are averaged after the
+// campaign.
 func (f FigureSpec) Run() (Figure, error) {
 	// Run r of load pi on curve ci is seeded Seed + ci*100_000 + pi*100 + r;
 	// past these bounds two runs would share a seed.
@@ -170,7 +171,7 @@ func (f FigureSpec) Run() (Figure, error) {
 	}
 
 	replicas := max(f.Replicas, 1)
-	var cfgs []sim.Config
+	var s study[stats.Point]
 	var curves []stats.Curve
 	for _, scheme := range []core.Scheme{core.NewSLID(), core.NewMLID()} {
 		sn, err := (&ib.SubnetManager{Tree: tree, Engine: scheme}).Configure()
@@ -179,34 +180,30 @@ func (f FigureSpec) Run() (Figure, error) {
 		}
 		for _, vls := range f.VLs {
 			ci := len(curves)
-			curves = append(curves, stats.Curve{
-				Label:  fmt.Sprintf("%s %dVL", scheme.Name(), vls),
-				Points: make([]stats.Point, len(f.Loads)),
-			})
+			label := fmt.Sprintf("%s %dVL", scheme.Name(), vls)
+			curves = append(curves, stats.Curve{Label: label, Points: make([]stats.Point, len(f.Loads))})
 			for pi, load := range f.Loads {
 				for r := 0; r < replicas; r++ {
-					cfgs = append(cfgs, sim.Config{
-						Subnet:      sn,
-						Pattern:     pat,
-						DataVLs:     vls,
-						OfferedLoad: load,
-						WarmupNs:    f.WarmupNs,
-						MeasureNs:   f.MeasureNs,
-						Reception:   f.Reception,
-						Shards:      f.Shards,
-						Seed:        f.Seed + int64(ci*100_000+pi*100+r),
+					s.points = append(s.points, point[stats.Point]{
+						name: fmt.Sprintf("%s %s load %v replica %d", f.ID, label, load, r),
+						cfg: sim.Config{
+							Subnet:      sn,
+							Pattern:     pat,
+							DataVLs:     vls,
+							OfferedLoad: load,
+							WarmupNs:    f.WarmupNs,
+							MeasureNs:   f.MeasureNs,
+							Reception:   f.Reception,
+							Shards:      f.Shards,
+							Seed:        f.Seed + int64(ci*100_000+pi*100+r),
+						},
 					})
 				}
 			}
 		}
 	}
-
-	runs, err := campaignRun(len(cfgs), campaignWorkers(len(cfgs)), func(i int) (stats.Point, error) {
-		res, err := sim.Run(cfgs[i])
-		if err != nil {
-			return stats.Point{}, err
-		}
-		return stats.Point{
+	s.reduce = func(res sim.Result, p *stats.Point) error {
+		*p = stats.Point{
 			OfferedLoad:   res.OfferedLoad,
 			Accepted:      res.Accepted,
 			MeanLatencyNs: res.MeanLatencyNs,
@@ -214,8 +211,10 @@ func (f FigureSpec) Run() (Figure, error) {
 			Delivered:     res.DeliveredWindow,
 			Generated:     res.GeneratedWindow,
 			Saturated:     res.Saturated,
-		}, nil
-	})
+		}
+		return nil
+	}
+	runs, err := s.run()
 	if err != nil {
 		return Figure{}, err
 	}
@@ -345,10 +344,10 @@ func Table1(nets []Network) ([]Table1Row, error) {
 func FormatTable1(rows []Table1Row) string {
 	var b strings.Builder
 	b.WriteString("Table 1: simulated m-port n-tree InfiniBand networks\n")
-	fmt.Fprintf(&b, "%-16s %7s %9s %7s %4s %10s %9s %12s\n",
+	fmt.Fprintf(&b, "%-16s %7s %9s %7s %4s %10s %9s %11s\n",
 		"network", "nodes", "switches", "links", "LMC", "LIDs/node", "LIDspace", "paths(a=0)")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-16s %7d %9d %7d %4d %10d %9d %12d\n",
+		fmt.Fprintf(&b, "%-16s %7d %9d %7d %4d %10d %9d %11d\n",
 			r.Network.String(), r.Nodes, r.Switches, r.Links, r.LMC, r.LIDsPerNode, r.LIDSpace, r.PathsAlpha0)
 	}
 	return b.String()

@@ -95,85 +95,61 @@ type RecoveryRow struct {
 // RecoveryStudy runs the recovery transient for both schemes across the
 // spec's VL counts and summarizes each run's transient into a row.
 func RecoveryStudy(spec RecoverySpec) ([]RecoveryRow, error) {
+	return runStudy(recoveryStudy(spec))
+}
+
+// recoveryStudy has one point per (scheme, VL count), scheme-major.
+func recoveryStudy(spec RecoverySpec) (study[RecoveryRow], error) {
+	var s study[RecoveryRow]
 	tr, err := topology.New(spec.Network.M, spec.Network.N)
 	if err != nil {
-		return nil, err
+		return s, err
 	}
 	leaf, _ := tr.NodeAttachment(0)
 	plan := &sim.FaultPlan{
 		Faults:   []sim.LinkFault{{Switch: int32(leaf), Port: tr.DownPorts(leaf), DownNs: spec.FaultNs}},
 		Reselect: spec.Reselect,
 	}
-	end := spec.WarmupNs + spec.MeasureNs
-	rows := make([]RecoveryRow, 0, 2*len(spec.VLs))
 	for _, scheme := range []core.Scheme{core.NewSLID(), core.NewMLID()} {
 		sn, err := (&ib.SubnetManager{Tree: tr, Engine: scheme}).Configure()
 		if err != nil {
-			return nil, fmt.Errorf("experiment: %s on %s: %w", scheme.Name(), spec.Network, err)
+			return s, fmt.Errorf("experiment: %s on %s: %w", scheme.Name(), spec.Network, err)
 		}
 		for vi, vls := range spec.VLs {
-			res, err := sim.Run(sim.Config{
-				Subnet:           sn,
-				Pattern:          traffic.Uniform{Nodes: tr.Nodes()},
-				DataVLs:          vls,
-				OfferedLoad:      spec.OfferedLoad,
-				WarmupNs:         spec.WarmupNs,
-				MeasureNs:        spec.MeasureNs,
-				SeriesIntervalNs: spec.SeriesIntervalNs,
-				FaultPlan:        plan,
-				Seed:             spec.Seed + int64(vi),
+			s.points = append(s.points, point[RecoveryRow]{
+				name: fmt.Sprintf("recovery run %s %dVL", scheme.Name(), vls),
+				cfg: sim.Config{
+					Subnet:           sn,
+					Pattern:          traffic.Uniform{Nodes: tr.Nodes()},
+					DataVLs:          vls,
+					OfferedLoad:      spec.OfferedLoad,
+					WarmupNs:         spec.WarmupNs,
+					MeasureNs:        spec.MeasureNs,
+					SeriesIntervalNs: spec.SeriesIntervalNs,
+					FaultPlan:        plan,
+					Seed:             spec.Seed + int64(vi),
+				},
+				row: RecoveryRow{Scheme: scheme.Name(), VLs: vls},
 			})
-			if err != nil {
-				return nil, fmt.Errorf("experiment: recovery run %s %dVL: %w", scheme.Name(), vls, err)
-			}
-			row := RecoveryRow{
-				Scheme:        scheme.Name(),
-				VLs:           vls,
-				DroppedWindow: res.DroppedWindow,
-				Reroutes:      res.Reroutes,
-				BrokenEntries: res.BrokenEntries,
-				LFTUpdates:    res.LFTUpdates,
-				RecoveryNs:    res.RecoveryNs,
-				Series:        res.Series,
-			}
-			// The post window opens after the SM converged plus two series
-			// bins of drain for in-flight stale packets.
-			postFrom := spec.FaultNs + res.RecoveryNs + 2*spec.SeriesIntervalNs
-			var preSum, postSum, preLat, postLat float64
-			var preN, postN int
-			var preDel, postDel int64
-			for _, sp := range res.Series {
-				switch {
-				case sp.StartNs >= spec.WarmupNs && sp.StartNs < spec.FaultNs:
-					preSum += sp.Accepted
-					preN++
-					preLat += sp.MeanLatencyNs * float64(sp.Delivered)
-					preDel += sp.Delivered
-				case sp.StartNs >= postFrom && sp.StartNs < end:
-					postSum += sp.Accepted
-					postN++
-					postLat += sp.MeanLatencyNs * float64(sp.Delivered)
-					postDel += sp.Delivered
-					row.DropsAfterRecovery += sp.Dropped
-				}
-			}
-			if preN > 0 {
-				row.PreAccepted = preSum / float64(preN)
-			}
-			if postN > 0 {
-				row.PostAccepted = postSum / float64(postN)
-			}
-			if preDel > 0 {
-				row.PreLatencyNs = preLat / float64(preDel)
-			}
-			if postDel > 0 {
-				row.PostLatencyNs = postLat / float64(postDel)
-			}
-			row.RecoveredFrac = ratioOf(row.PostAccepted, row.PreAccepted)
-			rows = append(rows, row)
 		}
 	}
-	return rows, nil
+	end := spec.WarmupNs + spec.MeasureNs
+	s.reduce = func(res sim.Result, row *RecoveryRow) error {
+		row.DroppedWindow = res.DroppedWindow
+		row.Reroutes = res.Reroutes
+		row.BrokenEntries = res.BrokenEntries
+		row.LFTUpdates = res.LFTUpdates
+		row.RecoveryNs = res.RecoveryNs
+		row.Series = res.Series
+		// The post window opens after the SM converged plus two series
+		// bins of drain for in-flight stale packets.
+		postFrom := spec.FaultNs + res.RecoveryNs + 2*spec.SeriesIntervalNs
+		row.PreAccepted, row.PreLatencyNs, _ = window(res.Series, spec.WarmupNs, spec.FaultNs)
+		row.PostAccepted, row.PostLatencyNs, row.DropsAfterRecovery = window(res.Series, postFrom, end)
+		row.RecoveredFrac = ratioOf(row.PostAccepted, row.PreAccepted)
+		return nil
+	}
+	return s, nil
 }
 
 // FormatRecovery renders the recovery rows as a markdown table.

@@ -1,18 +1,72 @@
 package experiment
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
+
+	"mlid/internal/sim"
 )
 
-// Campaign runner: every sweep — the figures (FigureSpec.Run) and the
-// studies (-degraded, -smstudy, -chaos, -recovery) — is a list of
-// independent points, (curve, load, replica) runs or (scenario, scheme) and
-// (scheme, mode) cells, whose outputs must not depend on execution order.
-// campaignRun executes the points on a bounded worker pool with
-// point-indexed result assembly: every point writes only results[i], rows
-// come out in serial-loop order, and the first error by point index is
+// Campaign runner: every sweep of this package — the figures
+// (FigureSpec.Run), the -fault, -chaos, -degraded, -adaptive and -smstudy
+// studies, the ablations and the scaling study — is a study: a list of
+// independent points, one simulation each, whose rows must not depend on
+// execution order. campaignRun executes the points on a bounded worker pool
+// with point-indexed result assembly: every point writes only results[i],
+// rows come out in point order, and the first error by point index is
 // returned, so serial (workers=1) and parallel runs are byte-identical.
+
+// study is the one shape of every sweep: its points in row order and the
+// reduction of a point's simulation result to its row. Reductions that need
+// the whole campaign (figures average replicas, scaling takes peaks) run
+// after study.run returns.
+type study[R any] struct {
+	points []point[R]
+	// static, when set, runs on point i's worker before its simulation and
+	// fills the row's static columns: the degraded study's repair-and-verify
+	// view.
+	static func(i int, row *R) error
+	// reduce fills a point's row from its simulation result.
+	reduce func(res sim.Result, row *R) error
+}
+
+// point is one simulation of a study: its configuration, its row's
+// identifying columns (known before the run), and the name its errors carry.
+type point[R any] struct {
+	name string
+	cfg  sim.Config
+	row  R
+}
+
+// run executes the study's points on the campaign runner and returns their
+// rows in point order.
+func (s study[R]) run() ([]R, error) {
+	n := len(s.points)
+	return campaignRun(n, campaignWorkers(n), func(i int) (R, error) {
+		p := &s.points[i]
+		row := p.row
+		if s.static != nil {
+			if err := s.static(i, &row); err != nil {
+				return row, err
+			}
+		}
+		res, err := sim.Run(p.cfg)
+		if err != nil {
+			return row, fmt.Errorf("experiment: %s: %w", p.name, err)
+		}
+		err = s.reduce(res, &row)
+		return row, err
+	})
+}
+
+// runStudy runs the study a builder returned, or returns the builder's error.
+func runStudy[R any](s study[R], err error) ([]R, error) {
+	if err != nil {
+		return nil, err
+	}
+	return s.run()
+}
 
 // campaignWorkerCap, when positive, bounds every campaign pool. Tests use it
 // to force the serial path and prove serial/parallel byte-identity.

@@ -66,6 +66,16 @@ func TestCampaignRunErrors(t *testing.T) {
 	}
 }
 
+// runHeapOnly runs the study a builder returned with HeapOnlyScheduler set
+// on every point's Config: the engine's fallback heap path, which the
+// determinism tests diff against the calendar path.
+func runHeapOnly[R any](s study[R], err error) ([]R, error) {
+	for i := range s.points {
+		s.points[i].cfg.HeapOnlyScheduler = true
+	}
+	return runStudy(s, err)
+}
+
 // TestCampaignSerialParallelIdentity is the determinism contract for the
 // parallel sweep campaigns: every study must produce byte-identical rows
 // whether its points run on one worker or the full pool. The chaos and SM
@@ -103,4 +113,15 @@ func TestCampaignSerialParallelIdentity(t *testing.T) {
 	fig := FigureSpec{ID: "PAR", Network: Network{4, 2}, Pattern: "centric", Loads: []float64{0.2, 0.6},
 		VLs: []int{1, 2}, Replicas: 2, WarmupNs: 5_000, MeasureNs: 20_000, Seed: 5}
 	check("figure", func() (any, error) { return fig.Run() })
+
+	check("recovery", func() (any, error) { return RecoveryStudy(QuickRecoverySpec()) })
+
+	aspec := QuickAdaptiveSpec()
+	aspec.WarmupNs, aspec.MeasureNs = 5_000, 20_000
+	aspec.Selectors = []string{"rank", "adaptive"}
+	check("adaptive", func() (any, error) { return AdaptiveStudy(aspec) })
+
+	check("ablations", func() (any, error) { return RunAblations(true) })
+
+	check("scaling", func() (any, error) { return ScalingStudy([]Network{{4, 2}}, true) })
 }

@@ -132,17 +132,23 @@ func smSchemes() []smScheme {
 }
 
 // SMStudy runs the in-band SM study and enforces its invariants on every
-// run: exact packet conservation (generated = delivered + failed +
-// unreachable-degraded + in-flight), a clean oracle (no management-plane
-// counters), and on in-band rows exactly one sticky failover, at least one
-// sweep detection, and — at trap-loss 1 — zero delivered traps.
-func SMStudy(spec SMSpec) ([]SMRow, error) {
+// run: a clean oracle (no management-plane counters), and on in-band rows
+// exactly one sticky failover, at least one sweep detection, and — at
+// trap-loss 1 — zero delivered traps. It also re-checks packet accounting
+// (generated = delivered + failed + unreachable-degraded + in-flight); the
+// simulator derives in-flight as the remainder, so that check guards the
+// accounting code, not against packets lost without a count.
+func SMStudy(spec SMSpec) ([]SMRow, error) { return runStudy(smStudy(spec)) }
+
+// smStudy has one point per (scheme, mode), scheme-major.
+func smStudy(spec SMSpec) (study[SMRow], error) {
+	var s study[SMRow]
 	tr, err := topology.New(spec.Network.M, spec.Network.N)
 	if err != nil {
-		return nil, err
+		return s, err
 	}
 	if spec.LinkFaultNs <= 0 || spec.SMDownNs <= spec.LinkFaultNs || spec.SMUpNs <= spec.SMDownNs {
-		return nil, fmt.Errorf("experiment: sm study wants 0 < LinkFaultNs %d < SMDownNs %d < SMUpNs %d",
+		return s, fmt.Errorf("experiment: sm study wants 0 < LinkFaultNs %d < SMDownNs %d < SMUpNs %d",
 			spec.LinkFaultNs, spec.SMDownNs, spec.SMUpNs)
 	}
 	victimLeaf, _ := tr.NodeAttachment(topology.NodeID(tr.Nodes() / 2))
@@ -160,78 +166,69 @@ func SMStudy(spec SMSpec) ([]SMRow, error) {
 	// One pristine configuration per routing scheme, shared read-only by all
 	// of that scheme's modes (every run carries a FaultPlan, so the
 	// simulator clones the tables itself).
-	schemes := smSchemes()
-	pristine := make([]*ib.Subnet, len(schemes))
-	for i, sc := range schemes {
+	for _, sc := range smSchemes() {
 		sn, err := (&ib.SubnetManager{Tree: tr, Engine: sc.scheme()}).Configure()
 		if err != nil {
-			return nil, fmt.Errorf("experiment: %s on %s: %w", sc.label, spec.Network, err)
+			return s, fmt.Errorf("experiment: %s on %s: %w", sc.label, spec.Network, err)
 		}
-		pristine[i] = sn
-	}
-
-	// One sweep point per (scheme, mode), scheme-major — the serial row
-	// order — executed on the campaign worker pool.
-	points := len(schemes) * len(modes)
-	return campaignRun(points, campaignWorkers(points), func(pt int) (SMRow, error) {
-		sc := schemes[pt/len(modes)]
-		mi := pt % len(modes)
-		md := modes[mi]
-		plan := &sim.FaultPlan{
-			Faults: []sim.LinkFault{
-				{Switch: int32(victimLeaf), Port: tr.DownPorts(victimLeaf), DownNs: spec.LinkFaultNs},
-			},
-			SwitchFaults: []sim.SwitchFault{
-				{Switch: int32(masterLeaf), DownNs: spec.SMDownNs, UpNs: spec.SMUpNs},
-			},
-			Reselect: true,
-		}
-		if md.name == "inband" {
-			plan.InBandSM = &sim.InBandSMConfig{
-				SweepIntervalNs: spec.SweepIntervalNs,
-				TrapLossProb:    md.prob,
+		for mi, md := range modes {
+			plan := &sim.FaultPlan{
+				Faults: []sim.LinkFault{
+					{Switch: int32(victimLeaf), Port: tr.DownPorts(victimLeaf), DownNs: spec.LinkFaultNs},
+				},
+				SwitchFaults: []sim.SwitchFault{
+					{Switch: int32(masterLeaf), DownNs: spec.SMDownNs, UpNs: spec.SMUpNs},
+				},
+				Reselect: true,
 			}
+			if md.name == "inband" {
+				plan.InBandSM = &sim.InBandSMConfig{
+					SweepIntervalNs: spec.SweepIntervalNs,
+					TrapLossProb:    md.prob,
+				}
+			}
+			s.points = append(s.points, point[SMRow]{
+				name: fmt.Sprintf("sm run %s/%s p=%v", sc.label, md.name, md.prob),
+				cfg: sim.Config{
+					Subnet:           sn,
+					Pattern:          traffic.Uniform{Nodes: tr.Nodes()},
+					DataVLs:          spec.DataVLs,
+					OfferedLoad:      spec.OfferedLoad,
+					WarmupNs:         spec.WarmupNs,
+					MeasureNs:        spec.MeasureNs,
+					SeriesIntervalNs: spec.SeriesIntervalNs,
+					PathSelect:       sc.sel,
+					FaultPlan:        plan,
+					Transport:        &sim.TransportConfig{BaseTimeoutNs: 5_000, MaxRetries: 3, MaxTimeoutNs: 20_000},
+					VerifyEpochs:     spec.VerifyEpochs,
+					Shards:           spec.Shards,
+					Seed:             spec.Seed + int64(mi),
+				},
+				row: SMRow{Scheme: sc.label, Mode: md.name, TrapLossProb: md.prob},
+			})
 		}
-		res, err := sim.Run(sim.Config{
-			Subnet:           pristine[pt/len(modes)],
-			Pattern:          traffic.Uniform{Nodes: tr.Nodes()},
-			DataVLs:          spec.DataVLs,
-			OfferedLoad:      spec.OfferedLoad,
-			WarmupNs:         spec.WarmupNs,
-			MeasureNs:        spec.MeasureNs,
-			SeriesIntervalNs: spec.SeriesIntervalNs,
-			PathSelect:       sc.sel,
-			FaultPlan:        plan,
-			Transport:        &sim.TransportConfig{BaseTimeoutNs: 5_000, MaxRetries: 3, MaxTimeoutNs: 20_000},
-			VerifyEpochs:     spec.VerifyEpochs,
-			Shards:           spec.Shards,
-			Seed:             spec.Seed + int64(mi),
-		})
-		if err != nil {
-			return SMRow{}, fmt.Errorf("experiment: sm run %s/%s p=%v: %w", sc.label, md.name, md.prob, err)
+	}
+	s.reduce = func(res sim.Result, row *SMRow) error {
+		if err := smInvariants(row.Scheme, row.Mode, row.TrapLossProb, res); err != nil {
+			return err
 		}
-		if err := smInvariants(sc.label, md.name, md.prob, res); err != nil {
-			return SMRow{}, err
-		}
-		row := SMRow{
-			Scheme: sc.label, Mode: md.name, TrapLossProb: md.prob,
-			TrapsSent: res.TrapsSent, TrapsLost: res.TrapsLost, TrapsDelivered: res.TrapsDelivered,
-			SMSweeps: res.SMSweeps, SweepDetections: res.SweepDetections,
-			SMPsSent: res.SMPsSent, SMPRetries: res.SMPRetries, SMPFailed: res.SMPFailed,
-			Failovers: res.Failovers, PartitionEvents: res.PartitionEvents,
-			UnreachableDegraded: res.UnreachableDegraded, Failed: res.Failed,
-			LFTUpdates: res.LFTUpdates, RecoveryNs: res.RecoveryNs,
-			Series: res.Series,
-		}
+		row.TrapsSent, row.TrapsLost, row.TrapsDelivered = res.TrapsSent, res.TrapsLost, res.TrapsDelivered
+		row.SMSweeps, row.SweepDetections = res.SMSweeps, res.SweepDetections
+		row.SMPsSent, row.SMPRetries, row.SMPFailed = res.SMPsSent, res.SMPRetries, res.SMPFailed
+		row.Failovers, row.PartitionEvents = res.Failovers, res.PartitionEvents
+		row.UnreachableDegraded, row.Failed = res.UnreachableDegraded, res.Failed
+		row.LFTUpdates, row.RecoveryNs = res.LFTUpdates, res.RecoveryNs
+		row.Series = res.Series
 		// Windowed accepted rates: before the link fault, during the
 		// master-SM outage, and after revival plus two sweeps of settling.
 		postFrom := spec.SMUpNs + 2*spec.SweepIntervalNs
 		end := spec.WarmupNs + spec.MeasureNs
-		row.PreAccepted = meanAccepted(res.Series, spec.WarmupNs, spec.LinkFaultNs)
-		row.OutageAccepted = meanAccepted(res.Series, spec.SMDownNs, spec.SMUpNs)
-		row.PostAccepted = meanAccepted(res.Series, postFrom, end)
-		return row, nil
-	})
+		row.PreAccepted, _, _ = window(res.Series, spec.WarmupNs, spec.LinkFaultNs)
+		row.OutageAccepted, _, _ = window(res.Series, spec.SMDownNs, spec.SMUpNs)
+		row.PostAccepted, _, _ = window(res.Series, postFrom, end)
+		return nil
+	}
+	return s, nil
 }
 
 // smInvariants enforces the per-run acceptance checks of the study.
@@ -268,21 +265,27 @@ func smInvariants(scheme, mode string, prob float64, res sim.Result) error {
 	return nil
 }
 
-// meanAccepted averages the Accepted rate of the series bins whose start
-// falls in [from, to).
-func meanAccepted(series []sim.SeriesPoint, from, to sim.Time) float64 {
-	var sum float64
+// window summarizes the series bins whose start falls in [from, to): their
+// mean accepted rate, their delivery-weighted mean latency, and their drops.
+func window(series []sim.SeriesPoint, from, to sim.Time) (accepted, latencyNs float64, dropped int64) {
 	var n int
+	var delivered int64
 	for _, sp := range series {
 		if sp.StartNs >= from && sp.StartNs < to {
-			sum += sp.Accepted
+			accepted += sp.Accepted
 			n++
+			latencyNs += sp.MeanLatencyNs * float64(sp.Delivered)
+			delivered += sp.Delivered
+			dropped += sp.Dropped
 		}
 	}
-	if n == 0 {
-		return 0
+	if n > 0 {
+		accepted /= float64(n)
 	}
-	return sum / float64(n)
+	if delivered > 0 {
+		latencyNs /= float64(delivered)
+	}
+	return accepted, latencyNs, dropped
 }
 
 // FormatSM renders the study as a markdown table.

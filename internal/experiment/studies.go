@@ -22,7 +22,9 @@ type ScalingRow struct {
 }
 
 // ScalingStudy measures, for each network, the MLID/SLID peak accepted
-// traffic ratio under uniform and 50%-centric traffic with one VL.
+// traffic ratio under uniform and 50%-centric traffic with one VL. Its
+// points are one run per (network, scheme, pattern, load); the peaks over
+// the loads are taken after the campaign.
 func ScalingStudy(nets []Network, quick bool) ([]ScalingRow, error) {
 	warm, meas := sim.Time(80_000), sim.Time(250_000)
 	loads := []float64{0.1, 0.2, 0.3, 0.5, 0.8}
@@ -30,60 +32,65 @@ func ScalingStudy(nets []Network, quick bool) ([]ScalingRow, error) {
 		warm, meas = 20_000, 60_000
 		loads = []float64{0.2, 0.6}
 	}
+	// Each network's curves, in point order: MLID and SLID under uniform
+	// traffic, then under centric traffic.
+	const curves = 4
+	var s study[float64]
 	rows := make([]ScalingRow, 0, len(nets))
 	for _, nw := range nets {
 		tr, err := topology.New(nw.M, nw.N)
 		if err != nil {
 			return nil, err
 		}
-		peak := func(scheme core.Scheme, pat traffic.Pattern) (float64, error) {
-			sn, err := (&ib.SubnetManager{Tree: tr, Engine: scheme}).Configure()
-			if err != nil {
-				return 0, err
+		rows = append(rows, ScalingRow{Network: nw, Nodes: tr.Nodes()})
+		schemes := []core.Scheme{core.NewMLID(), core.NewSLID()}
+		subnets := make([]*ib.Subnet, len(schemes))
+		for i, scheme := range schemes {
+			if subnets[i], err = (&ib.SubnetManager{Tree: tr, Engine: scheme}).Configure(); err != nil {
+				return nil, err
 			}
-			best := 0.0
-			for i, load := range loads {
-				res, err := sim.Run(sim.Config{
-					Subnet:      sn,
-					Pattern:     pat,
-					OfferedLoad: load,
-					WarmupNs:    warm,
-					MeasureNs:   meas,
-					Seed:        91 + int64(i),
-				})
-				if err != nil {
-					return 0, err
-				}
-				if res.Accepted > best {
-					best = res.Accepted
+		}
+		for _, pat := range []traffic.Pattern{
+			traffic.Uniform{Nodes: tr.Nodes()},
+			traffic.Centric{Nodes: tr.Nodes(), Hotspot: 0, Fraction: 0.5},
+		} {
+			for i, sn := range subnets {
+				for li, load := range loads {
+					s.points = append(s.points, point[float64]{
+						name: fmt.Sprintf("scaling %s %s %s load %v", nw, schemes[i].Name(), pat.Name(), load),
+						cfg: sim.Config{
+							Subnet:      sn,
+							Pattern:     pat,
+							OfferedLoad: load,
+							WarmupNs:    warm,
+							MeasureNs:   meas,
+							Seed:        91 + int64(li),
+						},
+					})
 				}
 			}
-			return best, nil
 		}
-		uni := traffic.Uniform{Nodes: tr.Nodes()}
-		cen := traffic.Centric{Nodes: tr.Nodes(), Hotspot: 0, Fraction: 0.5}
-		mu, err := peak(core.NewMLID(), uni)
-		if err != nil {
-			return nil, err
+	}
+	s.reduce = func(res sim.Result, accepted *float64) error {
+		*accepted = res.Accepted
+		return nil
+	}
+	accepted, err := s.run()
+	if err != nil {
+		return nil, err
+	}
+	// peak is the best accepted rate over the loads of curve k.
+	peak := func(k int) float64 {
+		best := 0.0
+		for _, a := range accepted[k*len(loads) : (k+1)*len(loads)] {
+			best = max(best, a)
 		}
-		su, err := peak(core.NewSLID(), uni)
-		if err != nil {
-			return nil, err
-		}
-		mc, err := peak(core.NewMLID(), cen)
-		if err != nil {
-			return nil, err
-		}
-		sc, err := peak(core.NewSLID(), cen)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ScalingRow{
-			Network:      nw,
-			Nodes:        tr.Nodes(),
-			UniformRatio: ratioOf(mu, su),
-			CentricRatio: ratioOf(mc, sc),
-		})
+		return best
+	}
+	for i := range rows {
+		k := i * curves
+		rows[i].UniformRatio = ratioOf(peak(k), peak(k+1))
+		rows[i].CentricRatio = ratioOf(peak(k+2), peak(k+3))
 	}
 	return rows, nil
 }

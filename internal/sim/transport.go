@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mlid/internal/ib"
+	"mlid/internal/sm"
 	"mlid/internal/topology"
 )
 
@@ -86,7 +87,7 @@ func (tc TransportConfig) withDefaults() TransportConfig {
 		// timing out right at the horizon can exhaust its budget.
 		var cycle Time
 		for i := 0; i <= tc.MaxRetries; i++ {
-			cycle += tc.timeout(int32(i))
+			cycle += tc.backoff().Timeout(i)
 		}
 		tc.DrainNs = cycle + 100_000
 	case tc.DrainNs < 0:
@@ -116,21 +117,10 @@ func (tc TransportConfig) validate() error {
 	return nil
 }
 
-// timeout returns the backed-off retransmit timeout after the given number of
-// retransmissions: min(Base * Mult^attempts, Cap). Pure in the config, so the
-// schedule is deterministic.
-func (tc TransportConfig) timeout(attempts int32) Time {
-	t := float64(tc.BaseTimeoutNs)
-	for i := int32(0); i < attempts; i++ {
-		t *= tc.BackoffMult
-		if Time(t) >= tc.MaxTimeoutNs {
-			return tc.MaxTimeoutNs
-		}
-	}
-	if Time(t) > tc.MaxTimeoutNs {
-		return tc.MaxTimeoutNs
-	}
-	return Time(t)
+// backoff is the retransmit timer's schedule: the capped exponential
+// backoff min(Base * Mult^attempts, Cap) the SM's SMP transactions use too.
+func (tc TransportConfig) backoff() sm.TxnConfig {
+	return sm.TxnConfig{BaseTimeoutNs: tc.BaseTimeoutNs, BackoffMult: tc.BackoffMult, MaxTimeoutNs: tc.MaxTimeoutNs}
 }
 
 // Control-packet kinds carried in pkt.ctrl.
@@ -332,7 +322,7 @@ func (s *Sim) txTrack(node int32, p *pkt) {
 // next re-arm, never on a timer already in flight.
 func (s *Sim) armTimer(idx int32, f *txFlow) {
 	f.timerGen++
-	at := s.now + s.transport.cfg.timeout(f.unacked[0].attempts)
+	at := s.now + s.transport.cfg.backoff().Timeout(int(f.unacked[0].attempts))
 	var drain int32
 	if ib := s.faults.inband; ib != nil && ib.unreachable != nil && ib.unreachable[idx] != 0 {
 		drain = 1

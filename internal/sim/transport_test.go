@@ -50,7 +50,7 @@ func TestTransportTimeoutBackoff(t *testing.T) {
 	}
 	want := []Time{1_000, 2_000, 4_000, 6_000, 6_000}
 	for attempts, w := range want {
-		if got := tc.timeout(int32(attempts)); got != w {
+		if got := tc.backoff().Timeout(attempts); got != w {
 			t.Errorf("timeout(%d) = %d, want %d", attempts, got, w)
 		}
 	}
@@ -58,7 +58,7 @@ func TestTransportTimeoutBackoff(t *testing.T) {
 	d := tc.withDefaults()
 	var cycle Time
 	for i := 0; i <= d.MaxRetries; i++ {
-		cycle += d.timeout(int32(i))
+		cycle += d.backoff().Timeout(i)
 	}
 	if d.DrainNs != cycle+100_000 {
 		t.Errorf("default DrainNs = %d, want cycle %d + 100000", d.DrainNs, cycle)

@@ -26,7 +26,8 @@ type TxnConfig struct {
 
 // Timeout returns the backed-off response timeout after the given number of
 // retransmissions: min(Base * Mult^attempts, Cap). Pure in the config, so
-// the SMP schedule is deterministic.
+// the SMP schedule is deterministic. The simulator's reliable transport
+// times its retransmissions with the same function.
 func (c TxnConfig) Timeout(attempts int) int64 {
 	t := float64(c.BaseTimeoutNs)
 	for i := 0; i < attempts; i++ {

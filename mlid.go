@@ -472,165 +472,6 @@ func EvalTable1(nets []EvalNetwork) ([]EvalTable1Row, error) { return experiment
 // EvalNetworks returns the four evaluation network sizes.
 func EvalNetworks() []EvalNetwork { return experiment.PaperNetworks() }
 
-// Recovery-transient study types: how each scheme rides through a live link
-// failure (see SimConfig.FaultPlan and EXPERIMENTS.md).
-type (
-	// EvalRecoverySpec configures the recovery-transient study.
-	EvalRecoverySpec = experiment.RecoverySpec
-	// EvalRecoveryRow is one (scheme, VL count) outcome of the study.
-	EvalRecoveryRow = experiment.RecoveryRow
-)
-
-// EvalRecoverySpecDefault returns the full-fidelity recovery study spec.
-func EvalRecoverySpecDefault() EvalRecoverySpec { return experiment.RecoveryStudySpec() }
-
-// EvalRecoverySpecQuick returns the reduced-cost recovery study spec.
-func EvalRecoverySpecQuick() EvalRecoverySpec { return experiment.QuickRecoverySpec() }
-
-// EvalRecoveryStudy runs the recovery transient for both schemes across the
-// spec's VL counts.
-func EvalRecoveryStudy(spec EvalRecoverySpec) ([]EvalRecoveryRow, error) {
-	return experiment.RecoveryStudy(spec)
-}
-
-// FormatRecovery renders recovery rows as a markdown table.
-func FormatRecovery(rows []EvalRecoveryRow) string { return experiment.FormatRecovery(rows) }
-
-// RecoveryCSV renders recovery rows in long form.
-func RecoveryCSV(rows []EvalRecoveryRow) string { return experiment.RecoveryCSV(rows) }
-
-// RecoverySeriesCSV renders every recovery row's per-interval transient —
-// the recovery-tail curves — in long form.
-func RecoverySeriesCSV(rows []EvalRecoveryRow) string { return experiment.RecoverySeriesCSV(rows) }
-
-// Chaos-campaign types: seeded link-flap and switch-kill schedules run with
-// the reliable transport on, SLID versus MLID on identical schedules (see
-// SimConfig.Transport and EXPERIMENTS.md).
-type (
-	// EvalChaosSpec configures a seeded chaos campaign.
-	EvalChaosSpec = experiment.ChaosSpec
-	// EvalChaosRow is one (scheme, fault rate) campaign outcome.
-	EvalChaosRow = experiment.ChaosRow
-)
-
-// EvalChaosSpecDefault returns the full-fidelity chaos campaign spec.
-func EvalChaosSpecDefault() EvalChaosSpec { return experiment.ChaosStudySpec() }
-
-// EvalChaosSpecQuick returns the reduced-cost chaos campaign spec.
-func EvalChaosSpecQuick() EvalChaosSpec { return experiment.QuickChaosSpec() }
-
-// EvalChaosStudy runs the campaign for both schemes across the spec's fault
-// rates, each pair on an identical seeded schedule, and verifies packet
-// conservation (generated = delivered + failed + in flight) for every run.
-func EvalChaosStudy(spec EvalChaosSpec) ([]EvalChaosRow, error) {
-	return experiment.ChaosStudy(spec)
-}
-
-// FormatChaos renders chaos rows as a markdown table.
-func FormatChaos(rows []EvalChaosRow) string { return experiment.FormatChaos(rows) }
-
-// ChaosCSV renders chaos rows in long form.
-func ChaosCSV(rows []EvalChaosRow) string { return experiment.ChaosCSV(rows) }
-
-// Path-selection family study types: every pluggable selector (SelectRank,
-// SelectRandom, SelectFlowSpray, SelectAdaptive, SelectPktSpray) over the
-// same MLID fabric on policy-separating workloads, with an optional
-// degraded-fabric axis (see SimConfig.PathSelect and EXPERIMENTS.md).
-type (
-	// EvalAdaptiveSpec configures the path-selection family study.
-	EvalAdaptiveSpec = experiment.AdaptiveSpec
-	// EvalAdaptiveRow is one (workload, selector, faulted?) measurement.
-	EvalAdaptiveRow = experiment.AdaptiveRow
-)
-
-// EvalAdaptiveSpecDefault returns the full-fidelity family study spec.
-func EvalAdaptiveSpecDefault() EvalAdaptiveSpec { return experiment.AdaptiveStudySpec() }
-
-// EvalAdaptiveSpecQuick returns the reduced-cost family study spec.
-func EvalAdaptiveSpecQuick() EvalAdaptiveSpec { return experiment.QuickAdaptiveSpec() }
-
-// EvalAdaptiveStudy runs the family study: every selector of a (workload,
-// variant) block sees the identical subnet, traffic, seed, and fault
-// schedule, and the runner asserts packet conservation for every run.
-func EvalAdaptiveStudy(spec EvalAdaptiveSpec) ([]EvalAdaptiveRow, error) {
-	return experiment.AdaptiveStudy(spec)
-}
-
-// FormatAdaptive renders family-study rows as a markdown table.
-func FormatAdaptive(rows []EvalAdaptiveRow) string { return experiment.FormatAdaptive(rows) }
-
-// AdaptiveCSV renders family-study rows in long form.
-func AdaptiveCSV(rows []EvalAdaptiveRow) string { return experiment.AdaptiveCSV(rows) }
-
-// Degraded-fabric quality study types: at each fault rate a seeded link
-// sample fails, and the study records both the static ibverify quality view
-// of the repaired tables and a full simulation of the same outage (see
-// internal/verify and EXPERIMENTS.md).
-type (
-	// EvalDegradedSpec configures the degraded-fabric quality study.
-	EvalDegradedSpec = experiment.DegradedSpec
-	// EvalDegradedRow is one (scheme, fault rate) outcome of the study.
-	EvalDegradedRow = experiment.DegradedRow
-)
-
-// EvalDegradedSpecDefault returns the full-fidelity degraded study spec.
-func EvalDegradedSpecDefault() EvalDegradedSpec { return experiment.DegradedStudySpec() }
-
-// EvalDegradedSpecQuick returns the reduced-cost degraded study spec.
-func EvalDegradedSpecQuick() EvalDegradedSpec { return experiment.QuickDegradedSpec() }
-
-// EvalDegradedStudy runs the degraded-fabric sweep for both schemes across
-// the spec's fault rates, each pair on an identical link sample.
-func EvalDegradedStudy(spec EvalDegradedSpec) ([]EvalDegradedRow, error) {
-	return experiment.DegradedStudy(spec)
-}
-
-// DegradedOrderingConsistent checks that the static predicted-accepted
-// ranking of the schemes matches the simulated accepted-throughput ordering
-// at every fault rate.
-func DegradedOrderingConsistent(rows []EvalDegradedRow) error {
-	return experiment.DegradedOrderingConsistent(rows)
-}
-
-// FormatDegraded renders degraded rows as a markdown table.
-func FormatDegraded(rows []EvalDegradedRow) string { return experiment.FormatDegraded(rows) }
-
-// DegradedCSV renders degraded rows in long form.
-func DegradedCSV(rows []EvalDegradedRow) string { return experiment.DegradedCSV(rows) }
-
-// In-band subnet-management study types: the same fault schedule — a spine
-// link loss, then an outage of the master SM's own switch — replayed under
-// the oracle SM and the in-band SM at increasing trap-loss rates, per
-// routing scheme (see FaultPlan.InBandSM and EXPERIMENTS.md).
-type (
-	// EvalSMSpec configures the in-band SM study.
-	EvalSMSpec = experiment.SMSpec
-	// EvalSMRow is one (scheme, SM mode) outcome of the study.
-	EvalSMRow = experiment.SMRow
-)
-
-// EvalSMSpecDefault returns the full-fidelity in-band SM study spec.
-func EvalSMSpecDefault() EvalSMSpec { return experiment.SMStudySpec() }
-
-// EvalSMSpecQuick returns the reduced-cost in-band SM study spec.
-func EvalSMSpecQuick() EvalSMSpec { return experiment.QuickSMSpec() }
-
-// EvalSMStudy runs the in-band SM study and enforces its invariants on
-// every run: exact packet conservation (generated = delivered + failed +
-// unreachable-degraded + in-flight), one sticky failover per in-band run,
-// and sweep-driven recovery of the traps the master outage silenced.
-func EvalSMStudy(spec EvalSMSpec) ([]EvalSMRow, error) { return experiment.SMStudy(spec) }
-
-// FormatSM renders in-band SM study rows as a markdown table.
-func FormatSM(rows []EvalSMRow) string { return experiment.FormatSM(rows) }
-
-// SMCSV renders in-band SM study rows in long form.
-func SMCSV(rows []EvalSMRow) string { return experiment.SMCSV(rows) }
-
-// SMSeriesCSV renders every SM study row's per-interval recovery tail in
-// long form.
-func SMSeriesCSV(rows []EvalSMRow) string { return experiment.SMSeriesCSV(rows) }
-
 // Observation is one of the paper's evaluation claims checked against
 // measured figures.
 type Observation = experiment.Observation
