@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test ci bench bench-check bench-engine vet fmt-check lint lint-fix race soak verify-smoke sweep-smoke adaptive-smoke sm-smoke
+.PHONY: build test ci bench bench-check bench-engine vet fmt-check lint lint-fix race soak verify-smoke sweep-smoke sim-smoke adaptive-smoke sm-smoke
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,22 @@ sweep-smoke:
 		(cd "$$dir/out" && ../ibsweep $(SWEEP_FLAGS) > quick.txt) && \
 		diff -r cmd/ibsweep/testdata "$$dir/out"
 
+# sim-smoke pins the single-run and closed-workload commands: one ibsim run
+# with the latency histogram, the busiest ports and a packet trace, and both
+# ibcollective exchanges, must reproduce cmd/ibsim/testdata/smoke.txt and
+# cmd/ibcollective/testdata/{gather,alltoall}.txt byte for byte. After an
+# intended output change, regenerate a file by redirecting the same command
+# into it.
+IBSIM_FLAGS = -m 4 -n 2 -hist -ports 3 -trace 1 -warmup 5000 -measure 20000
+sim-smoke:
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		$(GO) build -o "$$dir/ibsim" ./cmd/ibsim && \
+		$(GO) build -o "$$dir/ibcollective" ./cmd/ibcollective && \
+		"$$dir/ibsim" $(IBSIM_FLAGS) | diff cmd/ibsim/testdata/smoke.txt - && \
+		for c in gather alltoall; do \
+			"$$dir/ibcollective" -m 8 -n 2 -collective $$c | diff cmd/ibcollective/testdata/$$c.txt - || exit 1; \
+		done
+
 # adaptive-smoke covers the reduced path-selection family study (every
 # pluggable selector over the same MLID fabric on the policy-separating
 # workloads, quiet and degraded) through the pinned sweep-smoke output.
@@ -130,8 +146,9 @@ bench-check:
 # ci is the gate for every change: tier-1 tests plus vet, the gofmt check,
 # ibvet, the race pass, the chaos soak, the static verification smoke, the
 # pinned ibsweep output (which the path-selection family smoke is), the
-# in-band SM smoke and the benchmark module check.
-ci: build vet fmt-check lint test race soak verify-smoke sweep-smoke adaptive-smoke sm-smoke bench-check
+# pinned ibsim and ibcollective output, the in-band SM smoke and the
+# benchmark module check.
+ci: build vet fmt-check lint test race soak verify-smoke sweep-smoke sim-smoke adaptive-smoke sm-smoke bench-check
 
 # BENCH_TIME / BENCH_COUNT tune the figure benchmarks: the defaults (one
 # iteration, run once) are quick, but single-iteration numbers are noisy —

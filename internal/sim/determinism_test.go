@@ -60,8 +60,10 @@ func goldenCases(t *testing.T) []struct {
 // repair and source reselection, the reliable transport riding over a
 // mid-run outage (retransmits, duplicates, ACK/NAK control traffic), and
 // the pluggable selectors (flowspray's per-flow pins, adaptive's congestion
-// view, pktspray's per-flow rotation). Their results are pinned in
-// testdata/golden_results.txt with scenarioFingerprint.
+// view, pktspray's per-flow rotation), and the in-band SM with trap loss and
+// a master-SM outage under the transport. Their results are pinned in
+// testdata/golden_results.txt with scenarioFingerprint and, field by field,
+// with fieldLines.
 func scenarioCases(t *testing.T) []struct {
 	name string
 	cfg  Config
@@ -69,6 +71,7 @@ func scenarioCases(t *testing.T) []struct {
 	t.Helper()
 	mlid82 := mustSubnet(t, 8, 2, core.NewMLID())
 	slid82 := mustSubnet(t, 8, 2, core.NewSLID())
+	masterSw, masterPort := mlid82.Tree.NodeAttachment(0) // SMNodes' master
 	return []struct {
 		name string
 		cfg  Config
@@ -131,6 +134,24 @@ func scenarioCases(t *testing.T) []struct {
 			},
 			VerifyEpochs: true,
 			Transport:    &TransportConfig{MaxRetries: 2, DrainNs: 120_000},
+		}},
+		{"inband-sm-failover-transport", Config{
+			// The master SM's attachment dies mid-run (the standby takes over
+			// at the next sweep, and node 0 is declared unreachable), a leaf
+			// up-link dies for good, and a third of the traps are lost on top.
+			Subnet: mlid82, Pattern: traffic.Uniform{Nodes: mlid82.Tree.Nodes()},
+			DataVLs: 2, OfferedLoad: 0.4, WarmupNs: 5_000, MeasureNs: 35_000,
+			SeriesIntervalNs: 5_000, Seed: 41,
+			FaultPlan: &FaultPlan{
+				Faults: []LinkFault{
+					{Switch: int32(masterSw), Port: masterPort, DownNs: 12_000, UpNs: 30_000},
+					{Switch: 4, Port: 5, DownNs: 18_000},
+				},
+				Reselect: true,
+				InBandSM: &InBandSMConfig{SweepIntervalNs: 10_000, TrapLossProb: 0.3},
+			},
+			VerifyEpochs: true,
+			Transport:    &TransportConfig{BaseTimeoutNs: 5_000, MaxRetries: 3, MaxTimeoutNs: 20_000, DrainNs: 60_000},
 		}},
 	}
 }
@@ -236,10 +257,34 @@ func scenarioFingerprint(r Result) string {
 		r.AcksSent, r.NaksSent, r.LFTUpdates, r.LFTEntriesRewritten, r.VerifiedEpochs, r.VerifyWarnings)
 }
 
+// fieldLines prints every scalar Result field by name, in declaration order,
+// then one line per Series point and per PortStat, each prefixed by name: the
+// whole Result except Traces, which no scenario case records.
+func fieldLines(name string, r Result) []string {
+	v := reflect.ValueOf(r)
+	var b strings.Builder
+	b.WriteString(name + " fields:")
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() == reflect.Slice {
+			continue
+		}
+		fmt.Fprintf(&b, " %s=%v", v.Type().Field(i).Name, v.Field(i).Interface())
+	}
+	lines := []string{b.String()}
+	for i, sp := range r.Series {
+		lines = append(lines, fmt.Sprintf("%s series[%d]: %+v", name, i, sp))
+	}
+	for i, ps := range r.PortStats {
+		lines = append(lines, fmt.Sprintf("%s ports[%d]: %+v", name, i, ps))
+	}
+	return lines
+}
+
 // TestGoldenDeterminism pins simulation results against fixtures recorded
 // before the engine rewrite (goldenCases), the scenario fixtures
 // (scenarioCases), the closed workloads (batchCases) and the path-plan runs
-// (planCases). Run with -update to re-record.
+// (planCases), then every Result field of the scenario cases (fieldLines).
+// Run with -update to re-record.
 func TestGoldenDeterminism(t *testing.T) {
 	var lines []string
 	for _, tc := range goldenCases(t) {
@@ -249,12 +294,14 @@ func TestGoldenDeterminism(t *testing.T) {
 		}
 		lines = append(lines, tc.name+": "+fingerprint(res))
 	}
+	var fields []string
 	for _, tc := range scenarioCases(t) {
 		res, err := Run(tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		lines = append(lines, tc.name+": "+scenarioFingerprint(res))
+		fields = append(fields, fieldLines(tc.name, res)...)
 	}
 	for _, tc := range batchCases(t) {
 		res, err := RunBatch(tc.cfg)
@@ -270,6 +317,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		}
 		lines = append(lines, tc.name+": "+scenarioFingerprint(res))
 	}
+	lines = append(lines, fields...)
 	got := strings.Join(lines, "\n") + "\n"
 
 	path := filepath.Join("testdata", "golden_results.txt")
