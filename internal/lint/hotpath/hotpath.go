@@ -161,14 +161,14 @@ var hotFuncs = map[string]bool{
 	"runUntil": true, "dispatch": true,
 	"newPkt": true, "freePkt": true, "pktAt": true,
 	// data path (sim.go)
-	"generate": true, "selectDLID": true, "interarrival": true,
+	"generate": true, "inject": true, "dataVL": true, "selectDLID": true, "interarrival": true,
 	"swArrive": true, "warmFlowHigh": true, "route": true, "fwdAt": true,
 	"requestTransfer": true, "completeTransfer": true,
 	"kick": true, "transmit": true, "releaseSlot": true, "creditArrive": true,
 	"deliverIdeal": true, "nodeArrive": true, "deliver": true,
-	"nodePid": true, "seriesBin": true,
+	"nodePid": true, "seriesAt": true,
 	// live-fault fast path (faults.go): per-packet once a fault plan is active
-	"dropPkt": true, "pathAlive": true, "usableMask": true, "reselectActive": true,
+	"dropPkt": true, "pathAlive": true, "walkRows": true, "usableMask": true, "reselectActive": true,
 	// path selection (selector.go): every Select method plus the congestion
 	// view it reads and the helpers under it, all once per generated packet
 	"Select": true, "Occupancy": true, "Credits": true, "Load": true,

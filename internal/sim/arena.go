@@ -13,8 +13,10 @@ import "sync"
 var simPool = sync.Pool{New: func() any { return new(Sim) }}
 
 // release returns a finished run's state to simPool. The caller must hold no
-// reference into it afterwards: buildResult hands Traces off and builds every
-// other Result field fresh, so no Result aliases arena memory.
+// reference into it afterwards. No Result aliases arena memory: buildResult
+// returns a copy of the run's Result with Series and PortStats built fresh,
+// and the next build starts a new Result, so the traces handed out are never
+// appended to again.
 func (s *Sim) release() { simPool.Put(s) }
 
 // recycle returns buf resized to n zeroed elements, reusing its backing array

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mlid/internal/ib"
 	"mlid/internal/topology"
 )
 
@@ -84,7 +83,7 @@ func RunBatch(cfg Config) (BatchResult, error) {
 		}
 		packets := (m.Bytes + cfg.PacketSize - 1) / cfg.PacketSize
 		for p := 0; p < packets; p++ {
-			s.enqueueBatchPacket(m.Src, m.Dst)
+			s.inject(int32(m.Src), int32(m.Dst))
 			totalPkts++
 		}
 		totalBytes += int64(packets) * int64(cfg.PacketSize)
@@ -94,9 +93,9 @@ func RunBatch(cfg Config) (BatchResult, error) {
 	if s.err != nil {
 		return BatchResult{}, s.err
 	}
-	if s.totalDelivered != totalPkts {
+	if s.res.TotalDelivered != totalPkts {
 		return BatchResult{}, fmt.Errorf("sim: batch did not drain: %d of %d packets delivered by the %d ns deadline",
-			s.totalDelivered, totalPkts, cfg.MeasureNs)
+			s.res.TotalDelivered, totalPkts, cfg.MeasureNs)
 	}
 	res := BatchResult{
 		MakespanNs:    s.lastDelivery,
@@ -109,38 +108,6 @@ func RunBatch(cfg Config) (BatchResult, error) {
 		res.AggregateBandwidth = float64(totalBytes) / float64(res.MakespanNs)
 	}
 	return res, nil
-}
-
-// enqueueBatchPacket creates one packet at time zero and injects it through
-// the node's source queue.
-func (s *Sim) enqueueBatchPacket(src, dst topology.NodeID) {
-	n := &s.nodes[src]
-	var seq uint32
-	if s.flowSeq != nil {
-		seq = s.flowSeq[int(src)*s.tree.Nodes()+int(dst)] + 1
-		s.flowSeq[int(src)*s.tree.Nodes()+int(dst)] = seq
-	}
-	dlid := s.selectDLID(n, src, dst, seq)
-	s.totalGenerated++
-	var vl int
-	if s.cfg.VLSelect == VLByDLID {
-		vl = int(dlid) % s.cfg.DataVLs
-	} else {
-		vl = n.nextVL
-		n.nextVL = (n.nextVL + 1) % s.cfg.DataVLs
-	}
-	p := s.newPkt()
-	p.Packet = ib.Packet{
-		SLID:    s.cfg.Subnet.Endports[src].Base,
-		DLID:    dlid,
-		VL:      uint8(vl),
-		Size:    s.cfg.PacketSize,
-		Seq:     uint64(s.totalGenerated),
-		Src:     int32(src),
-		Dst:     int32(dst),
-		GenTime: 0,
-	}
-	s.requestTransfer(s.nodePid(int32(src)), p)
 }
 
 // AllToAll builds the classic staggered all-to-all personalized exchange:
@@ -170,11 +137,4 @@ func Gather(t *topology.Tree, root topology.NodeID, bytesPer int) []Message {
 		msgs = append(msgs, Message{Src: topology.NodeID(src), Dst: root, Bytes: bytesPer})
 	}
 	return msgs
-}
-
-// noteDelivery records the latest tail-delivery timestamp (the makespan).
-func (s *Sim) noteDelivery(t Time) {
-	if t > s.lastDelivery {
-		s.lastDelivery = t
-	}
 }

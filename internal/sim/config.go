@@ -9,7 +9,9 @@ import (
 	"mlid/internal/traffic"
 )
 
-// Default model constants, taken from the paper's simulator settings.
+// Model constants, taken from the paper's simulator settings. The three
+// timing constants hold for every run; the packet size and buffer depth are
+// the defaults of their Config fields.
 const (
 	// DefaultFlyNs is the flying time of a packet between devices
 	// (endnode-to-switch and switch-to-switch).
@@ -79,7 +81,10 @@ const (
 // Config describes one simulation run. Its workload is exactly one of an
 // open-loop traffic Pattern, run by Run, or a closed list of Messages, run by
 // RunBatch; every other field describes the fabric, the model and what to
-// record, and RunBatch rejects the ones a closed workload cannot honour.
+// record, and RunBatch rejects the ones a closed workload cannot honour. The
+// link and switch timing is the paper's and not configurable: DefaultFlyNs
+// per link flight, DefaultRouteNs per crossbar routing decision and
+// DefaultNsPerByte of serialization.
 type Config struct {
 	// Subnet is the configured subnet (topology + LID assignment + LFTs)
 	// produced by the subnet manager.
@@ -96,9 +101,6 @@ type Config struct {
 	PacketSize int
 	// BufPackets is the capacity, in packets, of each per-VL buffer.
 	BufPackets int
-	// FlyNs, RouteNs, NsPerByte override the paper's timing constants when
-	// non-zero.
-	FlyNs, RouteNs, NsPerByte Time
 	// OfferedLoad is the per-node injection rate in bytes/ns (1.0 is the
 	// full link rate). The generator spaces packets deterministically at
 	// PacketSize/OfferedLoad nanoseconds, with a random per-node phase.
@@ -244,15 +246,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BufPackets == 0 {
 		c.BufPackets = DefaultBufPackets
-	}
-	if c.FlyNs == 0 {
-		c.FlyNs = DefaultFlyNs
-	}
-	if c.RouteNs == 0 {
-		c.RouteNs = DefaultRouteNs
-	}
-	if c.NsPerByte == 0 {
-		c.NsPerByte = DefaultNsPerByte
 	}
 	if len(c.Messages) > 0 {
 		// A closed workload is measured from time zero until it drains.

@@ -309,14 +309,6 @@ type faultRun struct {
 	smDead [][2]int32
 	staged []stagedLFTUpdate
 
-	firstDownNs  Time
-	lastRepairNs Time
-	lastBroken   int
-
-	// Config.VerifyEpochs counters.
-	verifiedEpochs int
-	verifyWarnings int
-
 	// reselection caches, indexed src*nodes+dst; reselEpoch holds the epoch
 	// the cached mask was computed at (0 = unset; valid epochs are >= 1).
 	// Sized by build for plans with Reselect on fabrics of at most 4096
@@ -335,8 +327,9 @@ func (s *Sim) scheduleFaults() {
 		return
 	}
 	s.faults.plan = *plan
-	s.faults.firstDownNs = -1
-	s.faults.lastRepairNs = -1
+	// Sentinels until the first link death and the first applied table
+	// update; buildResult turns them into FirstFaultNs and RecoveryNs.
+	s.res.FirstFaultNs, s.res.RecoveryNs = -1, -1
 	// In-band management emits traps from the link events themselves
 	// (markLinkDown / linkUp), routed through the live tables; only the
 	// oracle gets the fiat evTrap that always reaches the SM.
@@ -445,8 +438,8 @@ func (s *Sim) markLinkDown(sw int32, port int) {
 		}
 	}
 	s.faults.deadLinks = append(s.faults.deadLinks, [2]int32{sw, int32(port)})
-	if s.faults.firstDownNs < 0 {
-		s.faults.firstDownNs = s.now
+	if s.res.FirstFaultNs < 0 {
+		s.res.FirstFaultNs = s.now
 	}
 	if s.faults.inband != nil {
 		s.emitTrap(sw, int32(port), true)
@@ -487,11 +480,11 @@ func (s *Sim) flushDead(pid int32) {
 		for s.queues[i].len() > 0 {
 			p := s.queues[i].popFront()
 			s.cv[i].occupancy--
-			s.droppedOnDeadLink++
+			s.res.DroppedOnDeadLink++
 			s.dropPkt(p)
 		}
 		for _, p := range s.waiting[i] {
-			s.droppedOnDeadLink++
+			s.res.DroppedOnDeadLink++
 			s.dropPkt(p)
 		}
 		s.waiting[i] = s.waiting[i][:0]
@@ -503,13 +496,13 @@ func (s *Sim) flushDead(pid int32) {
 // is counted against the window and the delivery series, and the packet is
 // recycled. Callers bump the per-cause counter before calling.
 func (s *Sim) dropPkt(p *pkt) {
-	s.droppedTotal++
+	s.res.DroppedTotal++
 	if s.now >= s.cfg.WarmupNs && s.now < s.end {
-		s.droppedWindow++
+		s.res.DroppedWindow++
 	}
-	s.lastDropNs = s.now
-	if iv := s.cfg.SeriesIntervalNs; iv > 0 && s.now < s.end {
-		s.seriesDropped[s.seriesBin(s.now)]++
+	s.res.LastDropNs = s.now
+	if b := s.seriesAt(s.now); b != nil {
+		b.dropped++
 	}
 	if p.trace != nil {
 		p.trace.DroppedNs = s.now
@@ -519,7 +512,7 @@ func (s *Sim) dropPkt(p *pkt) {
 		if s.now > free {
 			free = s.now
 		}
-		s.schedule(free+s.cfg.FlyNs, event{kind: evCredit, a: p.upstream, b: int32(p.VL)})
+		s.schedule(free+DefaultFlyNs, event{kind: evCredit, a: p.upstream, b: int32(p.VL)})
 		p.upstream = noPort
 	}
 	s.freePkt(p)
@@ -593,7 +586,7 @@ func (s *Sim) smRepair(deadView [][2]int32) (staged []int, ok bool) {
 		return nil, false
 	}
 	fr.smDead = append(fr.smDead[:0:0], deadView...)
-	fr.lastBroken = fr.repair.Broken()
+	s.res.BrokenEntries = fr.repair.Broken()
 	for _, d := range deltas {
 		lids := make([]ib.LID, len(d.Entries))
 		for i, e := range d.Entries {
@@ -627,9 +620,9 @@ func (s *Sim) applyLFTUpdate(idx int) {
 		}
 		s.setFwd(fwdBase+int(lid), s.compileEntry(u.sw, port))
 	}
-	s.lftUpdates++
-	s.lftEntriesRewritten += int64(len(u.lids))
-	s.faults.lastRepairNs = s.now
+	s.res.LFTUpdates++
+	s.res.LFTEntriesRewritten += int64(len(u.lids))
+	s.res.RecoveryNs = s.now // the last update's time until buildResult
 	s.faults.epoch++
 	if s.cfg.VerifyEpochs {
 		s.verifyEpoch()
@@ -681,32 +674,31 @@ func (s *Sim) pathAlive(src topology.NodeID, dlid ib.LID, dst topology.NodeID) b
 	if s.ports[s.nodePid(int32(src))].dead {
 		return false
 	}
-	if int(dlid) >= s.lftSize {
-		return false
-	}
 	sw, _ := s.tree.NodeAttachment(src)
+	_, node := s.walkRows(int32(sw), dlid)
+	return node == int32(dst)
+}
+
+// walkRows follows the compiled live forwarding rows from switch sw toward
+// dlid and returns the links crossed and the endnode reached, or node -1 when
+// the route dead-ends, crosses a dead link or outruns the fat-tree's longest
+// path. Fault reselection (pathAlive) and in-band trap routing
+// (mgmtWalkFrom) both walk with it.
+func (s *Sim) walkRows(sw int32, dlid ib.LID) (hops int, node int32) {
+	if int(dlid) >= s.lftSize {
+		return 0, -1
+	}
 	maxHops := 2*s.tree.N() + 1
 	for hop := 0; hop <= maxHops; hop++ {
 		pid := s.fwdAt(int(sw)*s.lftSize + int(dlid))
-		if pid < 0 {
-			return false
+		if pid < 0 || s.ports[pid].dead {
+			return 0, -1
 		}
 		pt := &s.ports[pid]
-		if pt.dead {
-			return false
-		}
 		if pt.destNode >= 0 {
-			return topology.NodeID(pt.destNode) == dst
+			return hop + 1, pt.destNode
 		}
-		sw = topology.SwitchID(pt.destSw)
+		sw = pt.destSw
 	}
-	return false
-}
-
-// noteReroute counts one packet steered off a faulty path by reselection.
-func (s *Sim) noteReroute() {
-	s.reroutes++
-	if iv := s.cfg.SeriesIntervalNs; iv > 0 && s.now < s.end {
-		s.seriesReroutes[s.seriesBin(s.now)]++
-	}
+	return 0, -1
 }

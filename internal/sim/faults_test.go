@@ -347,8 +347,8 @@ func TestNodeArriveNilUpstream(t *testing.T) {
 	if s.err != nil {
 		t.Fatalf("nodeArrive with nil upstream failed: %v", s.err)
 	}
-	if s.totalDelivered != 1 {
-		t.Fatalf("packet was not delivered: %d", s.totalDelivered)
+	if s.res.TotalDelivered != 1 {
+		t.Fatalf("packet was not delivered: %d", s.res.TotalDelivered)
 	}
 }
 
@@ -431,7 +431,7 @@ func TestSMTablesConvergeToRepairTarget(t *testing.T) {
 			if s.err != nil {
 				t.Fatal(s.err)
 			}
-			if s.lftUpdates == 0 {
+			if s.res.LFTUpdates == 0 {
 				t.Fatal("no staged updates applied: the scenario exercises nothing")
 			}
 			target, err := s.faults.repair.TargetLFTs()

@@ -35,7 +35,7 @@ package sim
 // Modelling notes, deliberately simple but stated:
 //
 //   - Management packets do not occupy link buffers; they cost per-hop time
-//     (RouteNs + FlyNs per hop, on top of the plan's latency constants) and
+//     (mgmtHopNs, on top of the plan's latency constants) and
 //     die on dead links, which is the failure coupling the tentpole needs,
 //     without perturbing data-plane credit state.
 //   - Traps are LID-routed: their path liveness is evaluated by walking the
@@ -83,18 +83,6 @@ type inbandRun struct {
 	// declared unreachable; senders drain instead of retrying. Allocated
 	// only when the transport layer runs.
 	unreachable []uint8
-
-	trapsSent           int64
-	trapsLost           int64
-	trapsDelivered      int64
-	sweeps              int64
-	sweepDetections     int64
-	smpSent             int64
-	smpRetries          int64
-	smpFailed           int64
-	failovers           int64
-	partitionEvents     int64
-	unreachableDegraded int64
 }
 
 // initInBand builds the in-band SM state and schedules the first sweep tick.
@@ -133,9 +121,7 @@ func (s *Sim) smNodeUp(node int32) bool {
 // mgmtHopNs is the per-hop cost of a management packet: one routing decision
 // plus one link flight. Management packets skip buffer occupancy by design
 // (see the package comment above).
-func (s *Sim) mgmtHopNs() Time {
-	return s.cfg.RouteNs + s.cfg.FlyNs
-}
+const mgmtHopNs = DefaultRouteNs + DefaultFlyNs
 
 // mgmtWalkFrom walks the compiled live forwarding rows from switch sw toward
 // the SM endnode's base LID and returns the hop count, or ok=false when the
@@ -144,30 +130,8 @@ func (s *Sim) mgmtWalkFrom(sw int32, smNode int32) (hops int, ok bool) {
 	if !s.smNodeUp(smNode) {
 		return 0, false
 	}
-	dlid := s.cfg.Subnet.Endports[smNode].Base
-	if int(dlid) >= s.lftSize {
-		return 0, false
-	}
-	cur := int(sw)
-	maxHops := 2*s.tree.N() + 1
-	for hop := 0; hop <= maxHops; hop++ {
-		pid := s.fwdAt(cur*s.lftSize + int(dlid))
-		if pid < 0 {
-			return 0, false
-		}
-		pt := &s.ports[pid]
-		if pt.dead {
-			return 0, false
-		}
-		if pt.destNode >= 0 {
-			if pt.destNode == smNode {
-				return hop + 1, true
-			}
-			return 0, false
-		}
-		cur = int(pt.destSw)
-	}
-	return 0, false
+	hops, node := s.walkRows(sw, s.cfg.Subnet.Endports[smNode].Base)
+	return hops, node == smNode
 }
 
 // smpRouteHops plans and walks the directed route of an LFT-update SMP from
@@ -239,9 +203,9 @@ func (s *Sim) smpRouteHops(smNode, target int32) (hops int, ok bool) {
 // single reporter.
 func (s *Sim) emitTrap(sw, port int32, down bool) {
 	ib := s.faults.inband
-	ib.trapsSent++
+	s.res.TrapsSent++
 	if ib.cfg.TrapLossProb > 0 && ib.rng.Float64() < ib.cfg.TrapLossProb {
-		ib.trapsLost++
+		s.res.TrapsLost++
 		return
 	}
 	active := ib.fo.Active()
@@ -252,14 +216,14 @@ func (s *Sim) emitTrap(sw, port int32, down bool) {
 		}
 	}
 	if !ok {
-		ib.trapsLost++
+		s.res.TrapsLost++
 		return
 	}
 	var flag int32
 	if down {
 		flag = 1
 	}
-	at := s.now + TrapLatencyNs + Time(hops)*s.mgmtHopNs()
+	at := s.now + TrapLatencyNs + Time(hops)*mgmtHopNs
 	s.schedule(at, event{kind: evTrapArrive, pi: flag, a: sw, b: port})
 }
 
@@ -268,7 +232,7 @@ func (s *Sim) emitTrap(sw, port int32, down bool) {
 // so the SM re-converges toward the pristine tables.
 func (s *Sim) trapArrive(sw, port int32, down bool) {
 	ib := s.faults.inband
-	ib.trapsDelivered++
+	s.res.TrapsDelivered++
 	key := [2]int32{sw, port}
 	changed := false
 	if down {
@@ -304,12 +268,12 @@ func (s *Sim) trapArrive(sw, port int32, down bool) {
 func (s *Sim) sendSMP(idx int, at Time) {
 	ib := s.faults.inband
 	gen, timeoutNs := ib.txns.Send(idx)
-	ib.smpSent++
+	s.res.SMPsSent++
 	if ib.txns.Attempts(idx) > 1 {
-		ib.smpRetries++
+		s.res.SMPRetries++
 	}
 	if hops, ok := s.smpRouteHops(ib.fo.Active(), s.faults.staged[idx].sw); ok {
-		s.schedule(at+Time(hops)*s.mgmtHopNs(), event{kind: evSMPArrive, a: int32(idx)})
+		s.schedule(at+Time(hops)*mgmtHopNs, event{kind: evSMPArrive, a: int32(idx)})
 	}
 	s.schedule(at+Time(timeoutNs), event{kind: evSMPTimeout, a: int32(idx), b: int32(gen)})
 }
@@ -325,7 +289,7 @@ func (s *Sim) smpArrive(idx int) {
 	// The response retraces the directed route; links die bidirectionally,
 	// so replanning from the SM side keeps the symmetry honest.
 	if hops, ok := s.smpRouteHops(ib.fo.Active(), s.faults.staged[idx].sw); ok {
-		s.schedule(s.now+Time(hops)*s.mgmtHopNs(), event{kind: evSMPAck, a: int32(idx)})
+		s.schedule(s.now+Time(hops)*mgmtHopNs, event{kind: evSMPAck, a: int32(idx)})
 	}
 }
 
@@ -342,7 +306,7 @@ func (s *Sim) smpTimeout(idx int, gen int32) {
 	case sm.TxnResend:
 		s.sendSMP(idx, s.now)
 	case sm.TxnExhausted:
-		ib.smpFailed++
+		s.res.SMPFailed++
 	}
 }
 
@@ -352,10 +316,10 @@ func (s *Sim) smpTimeout(idx int, gen int32) {
 // re-drive parked SMP transactions.
 func (s *Sim) smSweep() {
 	ib := s.faults.inband
-	ib.sweeps++
+	s.res.SMSweeps++
 	switched, anyUp := ib.fo.Observe(s.smNodeUp(ib.master), s.smNodeUp(ib.standby))
 	if switched {
-		ib.failovers++
+		s.res.Failovers++
 	}
 	s.schedule(s.now+ib.cfg.SweepIntervalNs, event{kind: evSMSweep})
 	if !anyUp {
@@ -369,7 +333,7 @@ func (s *Sim) smSweep() {
 	redrive := ib.txns.Parked()
 	added, removed := sm.DiffDeadLinks(ib.knownDead, s.faults.deadLinks)
 	if len(added) > 0 || len(removed) > 0 {
-		ib.sweepDetections++
+		s.res.SweepDetections++
 		ib.knownDead = append(ib.knownDead[:0:0], s.faults.deadLinks...)
 		s.smReact(ib.knownDead)
 	}
@@ -392,7 +356,7 @@ func (s *Sim) refreshPartition() {
 	}
 	ib.finding = core.DetectPartitions(s.tree, fs)
 	if ib.finding.Partitioned() && !ib.partitioned {
-		ib.partitionEvents++
+		s.res.PartitionEvents++
 	}
 	ib.partitioned = ib.finding.Partitioned()
 	if ib.unreachable == nil {
@@ -420,16 +384,15 @@ func (s *Sim) refreshPartition() {
 // simply leave the sender's books (the simulator is omniscient; counting
 // them too would break conservation).
 func (s *Sim) drainUnreachable(idx int32, f *txFlow) {
-	ib := s.faults.inband
 	rxf := &s.transport.rx[idx]
 	for i := range f.unacked {
 		tp := &f.unacked[i]
 		if tp.seq <= rxf.cum || rxf.winContains(tp.seq) {
 			continue
 		}
-		ib.unreachableDegraded++
-		if iv := s.cfg.SeriesIntervalNs; iv > 0 && s.now < s.end {
-			s.seriesUnreachable[s.seriesBin(s.now)]++
+		s.res.UnreachableDegraded++
+		if b := s.seriesAt(s.now); b != nil {
+			b.unreachable++
 		}
 	}
 	f.unacked = f.unacked[:0]

@@ -248,8 +248,8 @@ func TestAdaptiveCongestionSteering(t *testing.T) {
 	if got := sel(); got != canonical {
 		t.Errorf("dead pinned hop: offset %d, want canonical %d", got, canonical)
 	}
-	if s.reroutes != 0 {
-		t.Errorf("congestion moves counted %d fault reroutes", s.reroutes)
+	if s.res.Reroutes != 0 {
+		t.Errorf("congestion moves counted %d fault reroutes", s.res.Reroutes)
 	}
 }
 

@@ -198,20 +198,20 @@ type Sim struct {
 
 	err error
 
-	// counters
-	totalGenerated, totalDelivered   int64
-	generatedWindow, deliveredWindow int64
-	deliveredBytesWindow             int64
-	outOfOrder                       int64
-	lat                              stats.LatencyCollector
-	netLat                           stats.LatencyCollector
+	// res is the run's Result, counted into in place: the data plane, fault,
+	// transport and in-band SM code increment its counters directly, and
+	// buildResult fills in only the derived fields. The window byte count
+	// and the latency collectors below are the inputs of the derived
+	// Accepted and latency fields.
+	res                  Result
+	deliveredBytesWindow int64
+	lat                  stats.LatencyCollector
+	netLat               stats.LatencyCollector
 
 	// flowSeq / flowHigh track per-(src,dst) generation sequence numbers
 	// and the highest delivered one, for the reordering metric. nil when
 	// the fabric is too large to track.
 	flowSeq, flowHigh []uint32
-
-	traces []*PacketTrace
 
 	// lastDelivery is the latest tail-delivery timestamp (batch makespan).
 	lastDelivery Time
@@ -225,31 +225,24 @@ type Sim struct {
 	pktSlabs  [][]pkt
 	pktCarved int32
 
-	// series accumulators, indexed by tail / SeriesIntervalNs.
-	seriesBytes    []int64
-	seriesCount    []int64
-	seriesLat      []float64
-	seriesDropped  []int64
-	seriesReroutes []int64
-	seriesRexmit   []int64
-	seriesFailed   []int64
-	// seriesUnreachable counts packets written off by partition-aware
-	// degradation (FaultPlan.InBandSM) per interval; zero-filled otherwise.
-	seriesUnreachable []int64
+	// series is the delivery series, one bin per SeriesIntervalNs (see
+	// seriesAt); buildResult turns it into Result.Series.
+	series []seriesBin
 
 	// reliable-transport state (Config.Transport); nil when disabled.
 	transport *transportRun
 
-	// live-fault state and counters (Config.FaultPlan).
-	faults              *faultRun
-	droppedTotal        int64
-	droppedWindow       int64
-	droppedAtDeadLink   int64
-	droppedOnDeadLink   int64
-	reroutes            int64
-	lftUpdates          int64
-	lftEntriesRewritten int64
-	lastDropNs          Time
+	// live-fault state (Config.FaultPlan).
+	faults *faultRun
+}
+
+// seriesBin accumulates one interval of the delivery series: the bytes,
+// count and summed latency of the bin's deliveries, and the bin's share of
+// the fault and transport counters.
+type seriesBin struct {
+	bytes, delivered                                    int64
+	lat                                                 float64
+	dropped, reroutes, retransmits, failed, unreachable int64
 }
 
 // nodePid returns the global port id of a node's source port.
@@ -293,78 +286,42 @@ func Run(cfg Config) (Result, error) {
 	return s.buildResult(horizon, events), nil
 }
 
-// buildResult assembles a finished run's Result from the Sim's accumulated
-// state.
+// buildResult completes a finished run's Result: the counters are already in
+// s.res, so only the derived fields are computed here, and Series and
+// PortStats are built fresh rather than aliasing the arena.
 func (s *Sim) buildResult(horizon Time, events int64) Result {
 	cfg := s.cfg
-	res := Result{
-		OfferedLoad:      cfg.OfferedLoad,
-		DeliveredWindow:  s.deliveredWindow,
-		GeneratedWindow:  s.generatedWindow,
-		TotalDelivered:   s.totalDelivered,
-		TotalGenerated:   s.totalGenerated,
-		InFlightAtEnd:    s.totalGenerated - s.totalDelivered - s.droppedTotal,
-		Events:           events,
-		EndTime:          s.now,
-		MeanLatencyNs:    s.lat.Mean(),
-		P99LatencyNs:     s.lat.Percentile(0.99),
-		MaxLatencyNs:     s.lat.Max(),
-		MeanNetLatencyNs: s.netLat.Mean(),
-		OutOfOrder:       s.outOfOrder,
-	}
+	res := s.res
+	res.Events, res.EndTime = events, s.now
+	res.MeanLatencyNs = s.lat.Mean()
+	res.P99LatencyNs = s.lat.Percentile(0.99)
+	res.P999LatencyNs = s.lat.Percentile(0.999)
+	res.MaxLatencyNs = s.lat.Max()
+	res.MeanNetLatencyNs = s.netLat.Mean()
 	if s.flowHigh == nil {
 		res.OutOfOrder = -1
 	}
-	if cfg.FaultPlan != nil {
-		res.DroppedTotal = s.droppedTotal
-		res.DroppedWindow = s.droppedWindow
-		res.DroppedAtDeadLink = s.droppedAtDeadLink
-		res.DroppedOnDeadLink = s.droppedOnDeadLink
-		res.Reroutes = s.reroutes
-		res.LFTUpdates = s.lftUpdates
-		res.LFTEntriesRewritten = s.lftEntriesRewritten
-		res.BrokenEntries = s.faults.lastBroken
-		res.VerifiedEpochs = s.faults.verifiedEpochs
-		res.VerifyWarnings = s.faults.verifyWarnings
-		res.LastDropNs = s.lastDropNs
-		if s.faults.firstDownNs >= 0 {
-			res.FirstFaultNs = s.faults.firstDownNs
-			if s.faults.lastRepairNs >= 0 {
-				res.RecoveryNs = s.faults.lastRepairNs - s.faults.firstDownNs
-			}
-		}
+	// Packets leave the books delivered, lost or written off. Dropped copies
+	// are lost unless the transport retries them: then only Failed packets
+	// are. Degraded packets (in-band SM) left the sender's books without a
+	// Failed count.
+	lost := res.DroppedTotal
+	if s.transport != nil {
+		lost = res.Failed
 	}
-	res.P999LatencyNs = s.lat.Percentile(0.999)
-	if t := s.transport; t != nil {
-		res.Retransmits = t.retransmits
-		res.Failed = t.failed
-		res.DupDeliveries = t.dupDeliveries
-		res.AcksSent = t.acksSent
-		res.NaksSent = t.naksSent
-		res.CtrlBytesSent = t.ctrlBytes
-		res.LastRecoveredNs = t.lastRecoveredNs
-		res.DrainedNs = t.cfg.DrainNs
-		// Dropped copies are retried, not lost: the conservation identity is
-		// generated = delivered + failed + in-flight.
-		res.InFlightAtEnd = s.totalGenerated - s.totalDelivered - t.failed
+	res.InFlightAtEnd = res.TotalGenerated - res.TotalDelivered - lost - res.UnreachableDegraded
+	// FirstFaultNs holds -1 until a link dies and RecoveryNs the last table
+	// update's time, -1 until one lands (see scheduleFaults).
+	switch {
+	case res.FirstFaultNs < 0:
+		res.FirstFaultNs, res.RecoveryNs = 0, 0
+	case res.RecoveryNs < 0:
+		res.RecoveryNs = 0
+	default:
+		res.RecoveryNs -= res.FirstFaultNs
 	}
-	if ib := s.faults.inband; ib != nil {
-		res.TrapsSent = ib.trapsSent
-		res.TrapsLost = ib.trapsLost
-		res.TrapsDelivered = ib.trapsDelivered
-		res.SMSweeps = ib.sweeps
-		res.SweepDetections = ib.sweepDetections
-		res.SMPsSent = ib.smpSent
-		res.SMPRetries = ib.smpRetries
-		res.SMPFailed = ib.smpFailed
-		res.Failovers = ib.failovers
-		res.PartitionEvents = ib.partitionEvents
-		res.UnreachableDegraded = ib.unreachableDegraded
-		// Degraded packets left the sender's books without a Failed count:
-		// generated = delivered + failed + unreachable-degraded + in-flight.
-		res.InFlightAtEnd -= ib.unreachableDegraded
-	}
-	res.Accepted = float64(s.deliveredBytesWindow) / float64(cfg.MeasureNs) / float64(s.tree.Nodes())
+	nodes := float64(s.tree.Nodes())
+	res.Accepted = float64(s.deliveredBytesWindow) / float64(cfg.MeasureNs) / nodes
 	res.Saturated = res.Accepted < 0.98*cfg.OfferedLoad
 	var sum float64
 	var links int
@@ -388,26 +345,22 @@ func (s *Sim) buildResult(horizon Time, events int64) Result {
 	if links > 0 {
 		res.MeanLinkUtilization = sum / float64(links)
 	}
-	// Hand the traces off: the next run on this recycled state starts a new
-	// list instead of appending into the caller's.
-	res.Traces, s.traces = s.traces, nil
-	if iv := cfg.SeriesIntervalNs; iv > 0 {
-		for bin := range s.seriesBytes {
-			sp := SeriesPoint{
-				StartNs:     Time(bin) * iv,
-				Accepted:    float64(s.seriesBytes[bin]) / float64(iv) / float64(s.tree.Nodes()),
-				Delivered:   s.seriesCount[bin],
-				Dropped:     s.seriesDropped[bin],
-				Reroutes:    s.seriesReroutes[bin],
-				Retransmits: s.seriesRexmit[bin],
-				Failed:      s.seriesFailed[bin],
-				Unreachable: s.seriesUnreachable[bin],
-			}
-			if s.seriesCount[bin] > 0 {
-				sp.MeanLatencyNs = s.seriesLat[bin] / float64(s.seriesCount[bin])
-			}
-			res.Series = append(res.Series, sp)
+	iv := cfg.SeriesIntervalNs
+	for bin, b := range s.series {
+		sp := SeriesPoint{
+			StartNs:     Time(bin) * iv,
+			Accepted:    float64(b.bytes) / float64(iv) / nodes,
+			Delivered:   b.delivered,
+			Dropped:     b.dropped,
+			Reroutes:    b.reroutes,
+			Retransmits: b.retransmits,
+			Failed:      b.failed,
+			Unreachable: b.unreachable,
 		}
+		if b.delivered > 0 {
+			sp.MeanLatencyNs = b.lat / float64(b.delivered)
+		}
+		res.Series = append(res.Series, sp)
 	}
 	if cfg.CollectPortStats {
 		for sw := 0; sw < s.tree.Switches(); sw++ {
@@ -481,22 +434,16 @@ func build(cfg Config) *Sim {
 		tree:    t,
 		m:       M,
 		srcBase: int32(S * M),
-		serPkt:  Time(cfg.PacketSize) * cfg.NsPerByte,
-		ia:      float64(cfg.PacketSize) * float64(cfg.NsPerByte) / cfg.OfferedLoad,
+		serPkt:  Time(cfg.PacketSize) * DefaultNsPerByte,
+		ia:      float64(cfg.PacketSize) * float64(DefaultNsPerByte) / cfg.OfferedLoad,
 		faults:  faults,
+		res:     Result{OfferedLoad: cfg.OfferedLoad},
 		// Packet slabs outlive the run: newPkt carves them again from slot
 		// zero, re-zeroing each packet.
 		pktSlabs: prev.pktSlabs,
 		pktFree:  prev.pktFree[:0],
-		// Series accumulators grow by appending zeros (seriesBin).
-		seriesBytes:       prev.seriesBytes[:0],
-		seriesCount:       prev.seriesCount[:0],
-		seriesLat:         prev.seriesLat[:0],
-		seriesDropped:     prev.seriesDropped[:0],
-		seriesReroutes:    prev.seriesReroutes[:0],
-		seriesRexmit:      prev.seriesRexmit[:0],
-		seriesFailed:      prev.seriesFailed[:0],
-		seriesUnreachable: prev.seriesUnreachable[:0],
+		// The series grows by appending zeroed bins (seriesAt).
+		series: prev.series[:0],
 	}
 	s.engine.heapOnly = cfg.HeapOnlyScheduler
 	// The reliable transport claims one management VL for ACK/NAK traffic on
@@ -618,6 +565,7 @@ func build(cfg Config) *Sim {
 		}
 		tr.reset(*cfg.Transport, uint8(cfg.DataVLs), N*N) // mgmt VL: the last index, claimed above
 		s.transport = tr
+		s.res.DrainedNs = cfg.Transport.DrainNs
 	}
 	return s
 }
@@ -769,65 +717,73 @@ func (s *Sim) freePkt(p *pkt) {
 	s.pktFree = append(s.pktFree, p)
 }
 
-// generate creates one packet at the node, enqueues it at the source and
-// schedules the next generation.
+// generate creates one packet at the node for a destination the traffic
+// pattern draws, and schedules the next generation.
 func (s *Sim) generate(node int32) {
 	n := &s.nodes[node]
-	dst := s.cfg.Pattern.Dest(int(node), n.rng)
-	// The packet's flow sequence number is chosen before path selection so
-	// per-packet selectors (pktspray) can key their rotation on it.
-	var seq uint32
-	if s.flowSeq != nil {
-		seq = s.flowSeq[int(node)*s.tree.Nodes()+dst] + 1
-	} else {
-		seq = uint32(n.genCount)
-	}
-	dlid := s.selectDLID(n, topology.NodeID(node), topology.NodeID(dst), seq)
-	s.totalGenerated++
-	if s.now >= s.cfg.WarmupNs && s.now < s.end {
-		s.generatedWindow++
-	}
-	var vl int
-	if s.cfg.VLSelect == VLByDLID {
-		vl = int(dlid) % s.cfg.DataVLs
-	} else {
-		vl = n.nextVL
-		n.nextVL = (n.nextVL + 1) % s.cfg.DataVLs
-	}
-	p := s.newPkt()
-	p.Packet = ib.Packet{
-		SLID:    s.cfg.Subnet.Endports[node].Base,
-		DLID:    dlid,
-		VL:      uint8(vl),
-		Size:    s.cfg.PacketSize,
-		Seq:     uint64(s.totalGenerated),
-		Src:     node,
-		Dst:     int32(dst),
-		GenTime: s.now,
-	}
-	if s.flowSeq != nil {
-		s.flowSeq[int(node)*s.tree.Nodes()+dst] = seq
-		p.flowSeq = seq
-	}
-	if len(s.traces) < s.cfg.TracePackets {
-		p.trace = &PacketTrace{
-			Seq: p.Seq, Src: node, Dst: int32(dst),
-			DLID: uint16(dlid), VL: uint8(vl), GenNs: s.now,
-		}
-		s.traces = append(s.traces, p.trace)
-	}
-	if s.transport != nil {
-		// Track before injecting: a packet dropped at a dead source link is
-		// still unacknowledged and will be retried by the flow's timer.
-		s.txTrack(node, p)
-	}
-	s.requestTransfer(s.nodePid(node), p)
-
+	s.inject(node, int32(s.cfg.Pattern.Dest(int(node), n.rng)))
 	n.genCount++
 	next := genTimeAt(n.genPhase, s.ia, n.genCount)
 	if next <= s.end {
 		s.schedule(next, event{kind: evGenerate, a: node})
 	}
+}
+
+// inject creates one data packet from src to dst at the current time, picks
+// its path and virtual lane, and hands it to the source's queue: the one
+// injection path of the open-loop generator and of a closed workload.
+func (s *Sim) inject(src, dst int32) {
+	n := &s.nodes[src]
+	// The packet's flow sequence number is chosen before path selection so
+	// per-packet selectors (pktspray) can key their rotation on it.
+	seq := uint32(n.genCount)
+	if s.flowSeq != nil {
+		i := s.flowIdx(src, dst)
+		s.flowSeq[i]++
+		seq = s.flowSeq[i]
+	}
+	dlid := s.selectDLID(n, topology.NodeID(src), topology.NodeID(dst), seq)
+	s.res.TotalGenerated++
+	if s.now >= s.cfg.WarmupNs && s.now < s.end {
+		s.res.GeneratedWindow++
+	}
+	vl := s.dataVL(n, dlid)
+	p := s.newPkt()
+	p.Packet = ib.Packet{
+		SLID:    s.cfg.Subnet.Endports[src].Base,
+		DLID:    dlid,
+		VL:      vl,
+		Size:    s.cfg.PacketSize,
+		Seq:     uint64(s.res.TotalGenerated),
+		Src:     src,
+		Dst:     dst,
+		GenTime: s.now,
+	}
+	p.flowSeq = seq
+	if len(s.res.Traces) < s.cfg.TracePackets {
+		p.trace = &PacketTrace{
+			Seq: p.Seq, Src: src, Dst: dst,
+			DLID: uint16(dlid), VL: vl, GenNs: s.now,
+		}
+		s.res.Traces = append(s.res.Traces, p.trace)
+	}
+	if s.transport != nil {
+		// Track before injecting: a packet dropped at a dead source link is
+		// still unacknowledged and will be retried by the flow's timer.
+		s.txTrack(src, p)
+	}
+	s.requestTransfer(s.nodePid(src), p)
+}
+
+// dataVL picks a data packet's virtual lane under Config.VLSelect: pinned by
+// DLID, or the source's next lane in round-robin order.
+func (s *Sim) dataVL(n *nodeState, dlid ib.LID) uint8 {
+	if s.cfg.VLSelect == VLByDLID {
+		return uint8(int(dlid) % s.cfg.DataVLs)
+	}
+	vl := n.nextVL
+	n.nextVL = (n.nextVL + 1) % s.cfg.DataVLs
+	return uint8(vl)
 }
 
 // genTimeAt returns the k-th generation time of a source with the given
@@ -880,7 +836,10 @@ func (s *Sim) selectDLID(n *nodeState, src, dst topology.NodeID, seq uint32) ib.
 	}
 	off, rerouted := s.selector.Select(c)
 	if rerouted {
-		s.noteReroute()
+		s.res.Reroutes++
+		if b := s.seriesAt(s.now); b != nil {
+			b.reroutes++
+		}
 	}
 	return r.Base + ib.LID(off)
 }
@@ -891,7 +850,7 @@ func (s *Sim) selectDLID(n *nodeState, src, dst topology.NodeID, seq uint32) ib.
 func (s *Sim) swArrive(sw int32, inPort int32, p *pkt) {
 	if p.upstream >= 0 && s.ports[p.upstream].dead {
 		// The link died while the packet was flying or serializing on it.
-		s.droppedOnDeadLink++
+		s.res.DroppedOnDeadLink++
 		s.dropPkt(p)
 		return
 	}
@@ -900,7 +859,7 @@ func (s *Sim) swArrive(sw int32, inPort int32, p *pkt) {
 	if p.trace != nil {
 		p.trace.Hops = append(p.trace.Hops, TraceHop{Switch: sw, ArriveNs: s.now})
 	}
-	delay := s.cfg.RouteNs
+	delay := DefaultRouteNs
 	if s.cfg.Switching == SwitchingSAF {
 		// Store-and-forward: the table lookup waits for the tail.
 		delay += s.serPkt
@@ -920,7 +879,7 @@ func (s *Sim) swArrive(sw int32, inPort int32, p *pkt) {
 // update, so the line is warm at delivery time. No model effect; see warmSink.
 func (s *Sim) warmFlowHigh(p *pkt) {
 	if s.flowHigh != nil {
-		s.warmSink += int64(s.flowHigh[int(p.Src)*s.tree.Nodes()+int(p.Dst)])
+		s.warmSink += int64(s.flowHigh[s.flowIdx(p.Src, p.Dst)])
 	}
 }
 
@@ -947,7 +906,7 @@ func (s *Sim) route(sw int32, p *pkt) {
 		// The table — stale before the SM's repair lands, or holding an
 		// irreparable descending entry after it — forwards onto a dead
 		// link. Never silently misroute: count and drop.
-		s.droppedAtDeadLink++
+		s.res.DroppedAtDeadLink++
 		s.dropPkt(p)
 		return
 	}
@@ -978,7 +937,7 @@ func (s *Sim) requestTransfer(pid int32, p *pkt) {
 	if pt.dead {
 		// Injection into a dead link (a source whose attachment link is
 		// down, or a flush race); route-time drops are counted separately.
-		s.droppedOnDeadLink++
+		s.res.DroppedOnDeadLink++
 		s.dropPkt(p)
 		return
 	}
@@ -1002,7 +961,7 @@ func (s *Sim) completeTransfer(pid int32, p *pkt) {
 		if s.now > free {
 			free = s.now
 		}
-		s.schedule(free+s.cfg.FlyNs, event{kind: evCredit, a: p.upstream, b: int32(vl)})
+		s.schedule(free+DefaultFlyNs, event{kind: evCredit, a: p.upstream, b: int32(vl)})
 		p.upstream = noPort
 	}
 	s.queues[int(pid)*s.vls+vl].push(p)
@@ -1074,9 +1033,9 @@ func (s *Sim) transmit(pid int32, vl int) {
 	}
 	p.upstream = pid
 	if pt.destNode >= 0 {
-		s.schedule(start+s.cfg.FlyNs, event{kind: evNodeArrive, a: pt.destNode, pi: p.idx})
+		s.schedule(start+DefaultFlyNs, event{kind: evNodeArrive, a: pt.destNode, pi: p.idx})
 	} else {
-		s.schedule(start+s.cfg.FlyNs, event{kind: evSwArrive, a: pt.destSw, b: pt.destPort, pi: p.idx})
+		s.schedule(start+DefaultFlyNs, event{kind: evSwArrive, a: pt.destSw, b: pt.destPort, pi: p.idx})
 	}
 }
 
@@ -1134,7 +1093,7 @@ func (s *Sim) creditArrive(pid int32, vl int) {
 // serialization time to latency, the input buffer frees once the tail has
 // streamed through, and no shared final-link resource exists.
 func (s *Sim) deliverIdeal(node int32, p *pkt) {
-	tail := s.now + s.cfg.FlyNs + s.serPkt
+	tail := s.now + DefaultFlyNs + s.serPkt
 	s.schedule(tail, event{kind: evDeliver, a: node, pi: p.idx})
 	s.warmFlowHigh(p)
 	if p.upstream >= 0 {
@@ -1142,7 +1101,7 @@ func (s *Sim) deliverIdeal(node int32, p *pkt) {
 		if s.now > free {
 			free = s.now
 		}
-		s.schedule(free+s.cfg.FlyNs, event{kind: evCredit, a: p.upstream, b: int32(p.VL)})
+		s.schedule(free+DefaultFlyNs, event{kind: evCredit, a: p.upstream, b: int32(p.VL)})
 		p.upstream = noPort
 	}
 }
@@ -1152,7 +1111,7 @@ func (s *Sim) deliverIdeal(node int32, p *pkt) {
 // and the input buffer's credit returns immediately after.
 func (s *Sim) nodeArrive(node int32, p *pkt) {
 	if p.upstream >= 0 && s.ports[p.upstream].dead {
-		s.droppedOnDeadLink++
+		s.res.DroppedOnDeadLink++
 		s.dropPkt(p)
 		return
 	}
@@ -1166,7 +1125,7 @@ func (s *Sim) nodeArrive(node int32, p *pkt) {
 		// Guard against a missing upstream (as deliverIdeal and
 		// completeTransfer do): scheduling evCredit for noPort would index
 		// out of the port array in dispatch.
-		s.schedule(tail+s.cfg.FlyNs, event{kind: evCredit, a: up, b: vl})
+		s.schedule(tail+DefaultFlyNs, event{kind: evCredit, a: up, b: vl})
 	}
 }
 
@@ -1188,34 +1147,35 @@ func (s *Sim) deliver(node int32, p *pkt, tail Time) {
 			return // duplicate: counted, not delivered again
 		}
 		if p.rexmit {
-			s.transport.lastRecoveredNs = tail
+			s.res.LastRecoveredNs = tail
 		}
 	}
-	s.totalDelivered++
-	s.noteDelivery(tail)
+	s.res.TotalDelivered++
+	if tail > s.lastDelivery {
+		s.lastDelivery = tail
+	}
 	if s.flowHigh != nil {
-		idx := int(p.Src)*s.tree.Nodes() + int(p.Dst)
+		idx := s.flowIdx(p.Src, p.Dst)
 		if p.flowSeq < s.flowHigh[idx] {
-			s.outOfOrder++
+			s.res.OutOfOrder++
 		} else {
 			s.flowHigh[idx] = p.flowSeq
 		}
 	}
-	if iv := s.cfg.SeriesIntervalNs; iv > 0 && tail < s.end {
-		bin := s.seriesBin(tail)
-		s.seriesBytes[bin] += int64(p.Size)
-		s.seriesCount[bin]++
-		s.seriesLat[bin] += float64(tail - p.GenTime)
+	if b := s.seriesAt(tail); b != nil {
+		b.bytes += int64(p.Size)
+		b.delivered++
+		b.lat += float64(tail - p.GenTime)
 	}
 	if p.trace != nil {
 		p.trace.DeliverNs = tail
 		if n := len(p.trace.Hops); n > 0 && p.trace.Hops[n-1].DepartNs == 0 {
 			// Ideal reception consumes at the leaf; mark the hand-off.
-			p.trace.Hops[n-1].DepartNs = tail - s.serPkt - s.cfg.FlyNs
+			p.trace.Hops[n-1].DepartNs = tail - s.serPkt - DefaultFlyNs
 		}
 	}
 	if tail >= s.cfg.WarmupNs && tail < s.end {
-		s.deliveredWindow++
+		s.res.DeliveredWindow++
 		s.deliveredBytesWindow += int64(p.Size)
 		s.lat.Add(float64(tail - p.GenTime))
 		s.netLat.Add(float64(tail - p.InjectTime))
@@ -1225,21 +1185,19 @@ func (s *Sim) deliver(node int32, p *pkt, tail Time) {
 	}
 }
 
-// seriesBin returns the series index for a timestamp, growing every series
-// accumulator to cover it. Callers must have checked SeriesIntervalNs > 0.
-func (s *Sim) seriesBin(t Time) int {
-	bin := int(t / s.cfg.SeriesIntervalNs)
-	for len(s.seriesBytes) <= bin {
-		s.seriesBytes = append(s.seriesBytes, 0)
-		s.seriesCount = append(s.seriesCount, 0)
-		s.seriesLat = append(s.seriesLat, 0)
-		s.seriesDropped = append(s.seriesDropped, 0)
-		s.seriesReroutes = append(s.seriesReroutes, 0)
-		s.seriesRexmit = append(s.seriesRexmit, 0)
-		s.seriesFailed = append(s.seriesFailed, 0)
-		s.seriesUnreachable = append(s.seriesUnreachable, 0)
+// seriesAt returns the series bin covering t, growing the series to reach
+// it, or nil when the run keeps no series or t is past the generation
+// horizon.
+func (s *Sim) seriesAt(t Time) *seriesBin {
+	iv := s.cfg.SeriesIntervalNs
+	if iv <= 0 || t >= s.end {
+		return nil
 	}
-	return bin
+	bin := int(t / iv)
+	for len(s.series) <= bin {
+		s.series = append(s.series, seriesBin{})
+	}
+	return &s.series[bin]
 }
 
 // fail records the first fatal model error; the run aborts with it.

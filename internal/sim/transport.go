@@ -271,14 +271,6 @@ type transportRun struct {
 	// number of live rings tracks the number of concurrently gapped flows,
 	// not the number of flows that ever saw a gap.
 	winFree [][]uint64
-
-	retransmits     int64
-	failed          int64
-	dupDeliveries   int64
-	acksSent        int64
-	naksSent        int64
-	ctrlBytes       int64
-	lastRecoveredNs Time
 }
 
 // reset prepares recycled transport state for a run with the given number
@@ -355,9 +347,9 @@ func (s *Sim) rexmitTimer(idx int32, gen int32, drain bool) {
 		rxf := &t.rx[idx]
 		delivered := head.seq <= rxf.cum || rxf.winContains(head.seq)
 		if !delivered {
-			t.failed++
-			if iv := s.cfg.SeriesIntervalNs; iv > 0 && s.now < s.end {
-				s.seriesFailed[s.seriesBin(s.now)]++
+			s.res.Failed++
+			if b := s.seriesAt(s.now); b != nil {
+				b.failed++
 			}
 		}
 		f.unacked = f.unacked[:copy(f.unacked, f.unacked[1:])]
@@ -375,11 +367,10 @@ func (s *Sim) rexmitTimer(idx int32, gen int32, drain bool) {
 // MLID source picks a surviving LID for the retry; a SLID source has only its
 // single path to repeat.
 func (s *Sim) retransmit(idx int32, tp *txPkt) {
-	t := s.transport
 	tp.attempts++
-	t.retransmits++
-	if iv := s.cfg.SeriesIntervalNs; iv > 0 && s.now < s.end {
-		s.seriesRexmit[s.seriesBin(s.now)]++
+	s.res.Retransmits++
+	if b := s.seriesAt(s.now); b != nil {
+		b.retransmits++
 	}
 	nodes := int32(s.tree.Nodes())
 	src, dst := idx/nodes, idx%nodes
@@ -388,18 +379,12 @@ func (s *Sim) retransmit(idx int32, tp *txPkt) {
 	// spraying selector re-derives the same offset unless the fault mask
 	// shrank, in which case the rotation shifts the retry onto a survivor.
 	dlid := s.selectDLID(n, topology.NodeID(src), topology.NodeID(dst), tp.seq)
-	var vl int
-	if s.cfg.VLSelect == VLByDLID {
-		vl = int(dlid) % s.cfg.DataVLs
-	} else {
-		vl = n.nextVL
-		n.nextVL = (n.nextVL + 1) % s.cfg.DataVLs
-	}
+	vl := s.dataVL(n, dlid)
 	p := s.newPkt()
 	p.Packet = ib.Packet{
 		SLID:    s.cfg.Subnet.Endports[src].Base,
 		DLID:    dlid,
-		VL:      uint8(vl),
+		VL:      vl,
 		Size:    tp.size,
 		Seq:     tp.seq64,
 		Src:     src,
@@ -424,7 +409,7 @@ func (s *Sim) rxAccept(node int32, p *pkt) bool {
 		// Below the cumulative watermark: a duplicate (late original after
 		// a spurious retransmission, or a repeated retransmission). Resync
 		// the sender with the current watermark.
-		t.dupDeliveries++
+		s.res.DupDeliveries++
 		s.sendCtrl(node, p.Src, ctrlAck, f.cum, seq)
 		return false
 	case seq == f.cum+1:
@@ -451,7 +436,7 @@ func (s *Sim) rxAccept(node int32, p *pkt) bool {
 		// here constantly, so out-of-order is accepted (selectively
 		// acknowledged), never discarded, and never NAKed on first sight.
 		if f.winContains(seq) {
-			t.dupDeliveries++
+			s.res.DupDeliveries++
 			s.sendCtrl(node, p.Src, ctrlAck, f.cum, seq)
 			return false
 		}
@@ -491,11 +476,11 @@ func (s *Sim) sendCtrl(from, to int32, kind uint8, cum, sack uint32) {
 	p.cum = cum
 	p.sack = sack
 	if kind == ctrlAck {
-		t.acksSent++
+		s.res.AcksSent++
 	} else {
-		t.naksSent++
+		s.res.NaksSent++
 	}
-	t.ctrlBytes += int64(p.Size)
+	s.res.CtrlBytesSent += int64(p.Size)
 	s.requestTransfer(s.nodePid(from), p)
 }
 

@@ -99,15 +99,15 @@ func TestTransportReceiverDedup(t *testing.T) {
 	if !s.rxAccept(0, mk(3)) || !s.rxAccept(0, mk(4)) {
 		t.Fatal("out-of-order packets not accepted")
 	}
-	if s.transport.naksSent != 0 {
-		t.Fatalf("naksSent = %d after %d arrivals, want 0 (below duplicate threshold)",
-			s.transport.naksSent, nakDupThreshold-1)
+	if s.res.NaksSent != 0 {
+		t.Fatalf("NaksSent = %d after %d arrivals, want 0 (below duplicate threshold)",
+			s.res.NaksSent, nakDupThreshold-1)
 	}
 	if !s.rxAccept(0, mk(5)) {
 		t.Fatal("out-of-order seq 5 not accepted")
 	}
-	if s.transport.naksSent != 1 {
-		t.Fatalf("naksSent = %d, want 1 (one NAK per gap)", s.transport.naksSent)
+	if s.res.NaksSent != 1 {
+		t.Fatalf("NaksSent = %d, want 1 (one NAK per gap)", s.res.NaksSent)
 	}
 	// Duplicate of a buffered packet.
 	if s.rxAccept(0, mk(3)) {
@@ -125,10 +125,10 @@ func TestTransportReceiverDedup(t *testing.T) {
 	if s.rxAccept(0, mk(2)) {
 		t.Fatal("duplicate below watermark accepted")
 	}
-	if s.transport.dupDeliveries != 2 {
-		t.Errorf("dupDeliveries = %d, want 2", s.transport.dupDeliveries)
+	if s.res.DupDeliveries != 2 {
+		t.Errorf("DupDeliveries = %d, want 2", s.res.DupDeliveries)
 	}
-	if s.transport.acksSent == 0 {
+	if s.res.AcksSent == 0 {
 		t.Error("no ACKs sent")
 	}
 }

@@ -47,8 +47,8 @@ func (s *Sim) verifyEpoch() {
 		s.fail(fmt.Errorf("sim: epoch verification at %d ns: %w", s.now, err))
 		return
 	}
-	s.faults.verifiedEpochs++
-	s.faults.verifyWarnings += rep.Warnings()
+	s.res.VerifiedEpochs++
+	s.res.VerifyWarnings += rep.Warnings()
 	if n := rep.Errors(); n > 0 {
 		for _, f := range rep.Findings {
 			if f.Severity == verify.Error {

@@ -98,7 +98,7 @@ func TestCompiledRowsRecompileMatchesFromScratch(t *testing.T) {
 	if s.err != nil {
 		t.Fatal(s.err)
 	}
-	if s.lftUpdates == 0 {
+	if s.res.LFTUpdates == 0 {
 		t.Fatal("no staged updates applied: the scenario exercises nothing")
 	}
 	// Snapshot the incrementally-recompiled rows, rebuild every switch from
