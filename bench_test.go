@@ -271,7 +271,6 @@ func BenchmarkVerifyEpoch(b *testing.B) {
 		VLs:         2,
 		VLOf:        func(dlid ib.LID, vls int) int { return int(dlid) % vls },
 		SkipQuality: true,
-		Parallelism: 1,
 	}
 	for _, c := range []struct {
 		name string

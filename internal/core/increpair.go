@@ -169,14 +169,14 @@ func (st *RepairState) RepairIncremental(faults *FaultSet, dirty []topology.Swit
 		// alternative set RepairSubnet spreads remapped traffic over.
 		var liveUp []int
 		for k := down; k < m; k++ {
-			if !faults.FailedAt(sw, k) {
+			if !faults.Dead(sw, k) {
 				liveUp = append(liveUp, k)
 			}
 		}
 		// Candidate entries: only those whose pristine port is dead here.
 		st.cand = st.cand[:0]
 		for k := 0; k < m; k++ {
-			if faults.FailedAt(sw, k) {
+			if faults.Dead(sw, k) {
 				st.cand = append(st.cand, st.idx.LIDs(sw, k)...)
 			}
 		}

@@ -7,11 +7,6 @@ import (
 	"mlid/internal/topology"
 )
 
-// FailedAt reports whether the link at (switch, abstract port) is failed.
-func (f *FaultSet) FailedAt(sw topology.SwitchID, port int) bool {
-	return f.dead[linkEnd{sw, port}]
-}
-
 // BrokenEntry names a forwarding-table entry that cannot be repaired
 // locally: the failed link is on the descending phase, where the fat-tree
 // offers exactly one child toward the destination. Such DLIDs need
@@ -45,7 +40,7 @@ func RepairSubnet(sn *ib.Subnet, faults *FaultSet) (remapped int, broken []Broke
 		// Collect the live up-ports once per switch.
 		var liveUp []int
 		for k := down; k < t.M(); k++ {
-			if !faults.FailedAt(sw, k) {
+			if !faults.Dead(sw, k) {
 				liveUp = append(liveUp, k)
 			}
 		}
@@ -55,7 +50,7 @@ func RepairSubnet(sn *ib.Subnet, faults *FaultSet) (remapped int, broken []Broke
 				continue
 			}
 			k := int(phys) - 1
-			if !faults.FailedAt(sw, k) {
+			if !faults.Dead(sw, k) {
 				continue
 			}
 			if k < down {

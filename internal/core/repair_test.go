@@ -170,7 +170,7 @@ func TestRepairSubnetDownLinkIrreparable(t *testing.T) {
 	for _, be := range broken {
 		// The fault registered both endpoints; entries are broken at
 		// whichever switch forwards downward across the cut.
-		if !faults.FailedAt(be.Switch, 0) && be.Switch != roots[0] {
+		if !faults.Dead(be.Switch, 0) && be.Switch != roots[0] {
 			// The lower endpoint ascends; its up entries were remappable,
 			// so broken entries must sit at the root side.
 			t.Fatalf("unexpected broken entry %+v", be)

@@ -336,7 +336,7 @@ func degradedStudy(spec DegradedSpec) (study[DegradedRow], error) {
 				return core.SelectLID(tr, scheme, src, dst, fs)
 			},
 		}
-		rep, err := verify.Run(in, verify.Options{VLs: spec.DataVLs, Parallelism: campaignWorkers(tr.Switches())})
+		rep, err := verify.Run(in, verify.Options{VLs: spec.DataVLs})
 		if err != nil {
 			return fmt.Errorf("experiment: degraded verify %s at %s: %w", scheme.Name(), sc.label, err)
 		}

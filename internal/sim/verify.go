@@ -29,14 +29,12 @@ func (s *Sim) verifyEpoch() {
 	if s.err != nil {
 		return
 	}
-	dead := make([][2]int32, len(s.faults.deadLinks))
-	copy(dead, s.faults.deadLinks)
 	in := verify.Input{
 		Tree:      s.tree,
 		Endports:  s.cfg.Subnet.Endports,
 		LFTs:      s.lfts,
 		Engine:    s.cfg.Subnet.Engine,
-		DeadLinks: dead,
+		DeadLinks: s.faults.deadLinks,
 	}
 	opt := verify.Options{VLs: s.cfg.DataVLs, SkipQuality: true}
 	if s.cfg.VLSelect == VLByDLID {

@@ -32,12 +32,6 @@ func (g *depGraph) dep(prev, cur int32, port int) {
 	}
 }
 
-// union folds o's channels and edges into g.
-func (g *depGraph) union(o *depGraph) {
-	g.used.or(o.used)
-	g.edges.or(o.edges)
-}
-
 // checkDeadlock searches the channel-dependency graph each virtual lane's
 // traffic induces — an edge from channel A to channel B whenever some route
 // can hold A while requesting B — for cycles (Dally & Seitz: acyclic proves

@@ -97,11 +97,12 @@ func joinWitness(w []string) string {
 	return out
 }
 
-// QualityReport is the quality analyzer's metric block for one traffic
-// matrix: the static congestion and path-stretch measures the paper's
-// evaluation ranks routings by.
+// QualityReport is the quality analyzer's metric block for the all-to-all
+// traffic matrix: the static congestion and path-stretch measures the
+// paper's evaluation ranks routings by.
 type QualityReport struct {
-	// Matrix names the traffic matrix ("all-to-all" or a supplied name).
+	// Matrix names the traffic matrix the metrics trace: always
+	// "all-to-all".
 	Matrix string `json:"matrix"`
 	// Flows is the number of traced (src, dst) flows; Unrouted counts the
 	// flows whose selected route did not reach the destination (they carry
@@ -138,8 +139,8 @@ type Stats struct {
 	Dependencies int `json:"dependencies"`
 	// Suppressed counts findings dropped by the per-analyzer cap.
 	Suppressed int `json:"suppressed"`
-	// Quality carries one metric block per traffic matrix (empty when the
-	// quality analyzer was skipped).
+	// Quality carries the all-to-all metric block (empty when the quality
+	// analyzer was skipped).
 	Quality []QualityReport `json:"quality,omitempty"`
 }
 
@@ -180,10 +181,6 @@ func (r *Report) count(s Severity) int {
 	}
 	return n
 }
-
-// Clean reports whether no error-severity finding exists: the verified
-// properties hold (warnings may still document fault-explained degradation).
-func (r *Report) Clean() bool { return r.Errors() == 0 }
 
 // WriteHuman renders the report for terminals: findings first (errors,
 // warnings, then infos, each in discovery order), then a one-line summary

@@ -8,78 +8,58 @@ import (
 	"mlid/internal/topology"
 )
 
-// checkQuality computes the static routing-quality metrics for the default
-// all-to-all matrix plus any supplied matrices: per-link maximal load (the
-// congestion bound simulation throughput cannot beat), path dilation
-// against the minimal up*/down* path, and the root-link balance spread.
-// Only flows whose selected route actually reaches the destination carry
-// load — a flow dying at a dead link contributes to Unrouted, not to
-// congestion. Metrics are reported as Info findings and in Stats.Quality;
-// quality never fails a fabric on its own.
-func (f *fabric) checkQuality(rep *Report, opt Options) {
-	n := f.t.Nodes()
-	f.qualityMatrix(rep, "all-to-all", func(visit func(src, dst topology.NodeID, w float64)) {
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				if s != d {
-					visit(topology.NodeID(s), topology.NodeID(d), 1)
-				}
-			}
-		}
-	})
-	for _, m := range opt.Matrices {
-		flows := m.Flows
-		f.qualityMatrix(rep, m.Name, func(visit func(src, dst topology.NodeID, w float64)) {
-			for _, fl := range flows {
-				if fl.Src != fl.Dst {
-					visit(fl.Src, fl.Dst, fl.Weight)
-				}
-			}
-		})
-	}
-}
-
-// qualityMatrix traces every flow of one matrix through the live tables and
-// folds the loads and dilations into a QualityReport.
-func (f *fabric) qualityMatrix(rep *Report, name string, each func(func(src, dst topology.NodeID, w float64))) {
+// checkQuality computes the static routing-quality metrics for the
+// all-to-all matrix: per-link maximal load (the congestion bound simulation
+// throughput cannot beat), path dilation against the minimal up*/down*
+// path, and the root-link balance spread. It traces every flow through the
+// live tables; only flows whose selected route actually reaches the
+// destination carry load — a flow dying at a dead link contributes to
+// Unrouted, not to congestion. Metrics are reported as an Info finding and
+// in Stats.Quality; quality never fails a fabric on its own.
+func (f *fabric) checkQuality(rep *Report) {
 	t := f.t
+	n := t.Nodes()
 	numChan := t.Switches() * f.m
 	f.load = recycle(f.load, numChan)
 	f.trace = slices.Grow(f.trace[:0], f.maxSwitches)
-	load, scratch := f.load, f.trace
-	q := QualityReport{Matrix: name}
+	load := f.load
+	q := QualityReport{Matrix: "all-to-all"}
 	var dilSum float64
 	routed := 0
 
-	each(func(src, dst topology.NodeID, w float64) {
-		q.Flows++
-		dlid, ok := f.selectDLID(src, dst)
-		if !ok {
-			q.Unrouted++
-			return
-		}
-		path, reached := f.tracePath(src, dst, dlid, scratch)
-		if !reached {
-			q.Unrouted++
-			return
-		}
-		routed++
-		// The final hop is the destination's attachment link; it is loaded
-		// identically by every scheme (all of dst's demand), so the
-		// congestion metrics cover the inter-switch hops only.
-		for _, c := range path[:len(path)-1] {
-			load[c] += w
-		}
-		hops := len(path)
-		min := f.minSwitches(src, dst)
-		if min > 0 {
-			d := float64(hops) / float64(min)
-			dilSum += d
-			if d > q.MaxDilation {
-				q.MaxDilation = d
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
+			}
+			src, dst := topology.NodeID(s), topology.NodeID(d)
+			q.Flows++
+			dlid, ok := f.selectDLID(src, dst)
+			if !ok {
+				q.Unrouted++
+				continue
+			}
+			path, reached := f.tracePath(src, dst, dlid, f.trace)
+			if !reached {
+				q.Unrouted++
+				continue
+			}
+			routed++
+			// The final hop is the destination's attachment link; it is
+			// loaded identically by every scheme (all of dst's demand), so
+			// the congestion metrics cover the inter-switch hops only.
+			for _, c := range path[:len(path)-1] {
+				load[c]++
+			}
+			if min := f.minSwitches(src, dst); min > 0 {
+				dil := float64(len(path)) / float64(min)
+				dilSum += dil
+				if dil > q.MaxDilation {
+					q.MaxDilation = dil
+				}
 			}
 		}
-	})
+	}
 	if routed > 0 {
 		q.MeanDilation = dilSum / float64(routed)
 	}
@@ -144,7 +124,7 @@ func (f *fabric) qualityMatrix(rep *Report, name string, each func(func(src, dst
 		Severity: Info,
 		Location: t.String(),
 		Message: fmt.Sprintf("%s: max inter-switch load %.1f at %s (mean %.1f), dilation mean %.3f, root links max/mean/min %.1f/%.1f/%.1f, %d/%d flows unrouted",
-			name, q.MaxLoad, q.MaxLink, q.MeanLoad, q.MeanDilation,
+			q.Matrix, q.MaxLoad, q.MaxLink, q.MeanLoad, q.MeanDilation,
 			q.RootLinkMax, q.RootLinkMean, q.RootLinkMin, q.Unrouted, q.Flows),
 		Witness: nil,
 	})

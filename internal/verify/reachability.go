@@ -3,7 +3,6 @@ package verify
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"mlid/internal/ib"
 	"mlid/internal/topology"
@@ -16,60 +15,29 @@ const (
 	walkDefect          // error-severity defect, finding already emitted
 )
 
-// entryKey dedups per-entry findings: a broken entry at switch S for LID L
-// is one finding, not one per source leaf that reaches it.
-type entryKey struct {
-	sw  int32
-	lid int
-}
-
-// reachCandidate is one finding recorded during a leaf's walk, before the
-// cross-leaf dedup of the canonical merge. hasKey marks per-entry findings
-// (deduped globally); aggregate per-(leaf, node) warnings carry no key.
-type reachCandidate struct {
-	hasKey bool
-	key    entryKey
-	f      Finding
-}
-
-// reachOut is the walk output the canonical merge consumes: candidates in
-// emission order, formatted only up to the finding cap. Past the cap a
-// candidate can only be suppressed, because a candidate at local index >=
-// cap lands at global index >= cap: every earlier local candidate the merge
-// drops as a duplicate was kept, under a distinct key, from an earlier leaf.
-// over counts the keyless ones; suppressed per-entry candidates keep no
-// record here, the merge counts them from the walk's claim sets.
-type reachOut struct {
-	cands  []reachCandidate
-	over   int
-	routes int
-}
-
-// walker is one worker's walk state, reused route after route: the claim
-// set of flagged (switch, LID) entries, the current route's out-channels,
-// and the channel-dependency graph of every lane the walks feed. A route
-// that hits no defect allocates nothing.
+// walker is the reachability walk's state, reused route after route and
+// run after run: the claim set of flagged (switch, LID) entries, the
+// current route's out-channels, the channel-dependency graph of every lane
+// the walks feed, and the report findings go to. A route that hits no
+// defect allocates nothing.
 type walker struct {
 	f       *fabric
+	rep     *Report
+	found   int        // reachability findings added to rep
 	claimed bitset     // switch*space + LID -> entry already flagged
 	hops    []int32    // current route's out-channels (sw*m+port)
 	path    []int32    // the switches hops leave from, for the loop check
 	graphs  []depGraph // one per lane; a single shared one when VLOf is nil
-	out     *reachOut
-	ever    bitset // parallel walker: the union of every finished leaf's claims
 }
 
-// walker returns f's i-th pooled walker, reset for this run.
-func (f *fabric) walker(i int) *walker {
-	for len(f.walkers) <= i {
-		f.walkers = append(f.walkers, new(walker))
-	}
-	w := f.walkers[i]
+// walker returns f's pooled walker, reset to add this run's findings to rep.
+func (f *fabric) walker(rep *Report) *walker {
+	w := &f.w
 	lanes := 1
 	if f.vlOf != nil {
 		lanes = f.vls
 	}
-	w.f, w.out = f, nil
+	w.f, w.rep, w.found = f, rep, 0
 	w.claimed = w.claimed.resize(f.t.Switches() * f.space)
 	w.hops = slices.Grow(w.hops[:0], f.maxSwitches)
 	w.path = slices.Grow(w.path[:0], f.maxSwitches)
@@ -80,37 +48,35 @@ func (f *fabric) walker(i int) *walker {
 	return w
 }
 
-// full reports whether the finding cap is reached, so the next candidate
-// is counted instead of formatted.
+// full reports whether the finding cap is reached, so the next finding is
+// counted as suppressed instead of formatted.
 func (w *walker) full() bool {
-	return w.f.cap > 0 && len(w.out.cands) >= w.f.cap
+	return w.f.cap > 0 && w.found >= w.f.cap
 }
 
 // claim reports whether the caller should format a finding for (sw, lid),
 // marking the entry flagged. It returns false when a route already flagged
-// the entry, and when the cap is full — then the entry is suppressed, and
-// the merge counts it from the claim set. Formatting the message and
-// witness strings is the dominant cost of a walk over a heavily degraded
-// fabric, so nothing is built that could not reach the report.
+// the entry, and when the cap is full — then the entry counts as
+// suppressed, once. Formatting the message and witness strings is the
+// dominant cost of a walk over a heavily degraded fabric, so nothing is
+// built that could not reach the report.
 func (w *walker) claim(sw topology.SwitchID, lid int) bool {
 	i := int(sw)*w.f.space + lid
 	if w.claimed.has(i) {
 		return false
 	}
 	w.claimed.set(i)
-	return !w.full()
+	if w.full() {
+		w.rep.Stats.Suppressed++
+		return false
+	}
+	return true
 }
 
-// entry records a claimed per-entry finding.
-func (w *walker) entry(sw topology.SwitchID, lid int, f Finding) {
-	w.out.cands = append(w.out.cands, reachCandidate{hasKey: true, key: entryKey{int32(sw), lid}, f: f})
-}
-
-// endLeaf folds the leaf's claims into ever and empties the claim set,
-// readying the walker for the next leaf's independent dedup.
-func (w *walker) endLeaf() {
-	w.ever.or(w.claimed)
-	clear(w.claimed)
+// add appends a finding the cap has room for to the report.
+func (w *walker) add(f Finding) {
+	w.rep.Findings = append(w.rep.Findings, f)
+	w.found++
 }
 
 // witness renders the current route's hops.
@@ -128,106 +94,17 @@ func (w *walker) witness(from int) []string {
 // misdeliveries and fall-offs are errors with the walked path as witness;
 // entries pointing at recorded dead links are warnings (the drop is the
 // documented fate of an unrepaireable entry); a destination whose every LID
-// is dead from some leaf gets one aggregated unreachability warning. The
-// same walks build the channel-dependency graphs checkDeadlock searches,
-// which it returns, one per lane.
-//
-// Leaves are independent sources, so with par > 1 their walks run on a
-// worker pool; each leaf records into its own slot and a serial merge in
-// ascending-leaf order applies the global first-leaf-wins dedup and the
-// finding cap, so the report is byte-identical to the serial walk no matter
-// the worker count or scheduling. The dependency graphs are edge sets, so
-// the workers' graphs merge by union.
-func (f *fabric) checkReachability(rep *Report, par int) []depGraph {
-	leaves := f.leaves
-	if par > len(leaves) {
-		par = len(leaves)
+// is dead from some leaf gets one aggregated unreachability warning. A
+// broken entry is one finding, however many leaves' routes reach it: the
+// first route to hit it claims it. The same walks build the
+// channel-dependency graphs checkDeadlock searches, which it returns, one
+// per lane.
+func (f *fabric) checkReachability(rep *Report) []depGraph {
+	w := f.walker(rep)
+	for _, leaf := range f.leaves {
+		w.walkLeaf(leaf)
 	}
-	if par <= 1 {
-		// Serial: one walker and one output for every leaf, so the
-		// global first-encounter dedup gates finding construction itself
-		// — a duplicate entry never builds its witness strings at all.
-		// The claim set is never emptied, so it holds every claim of the
-		// walk.
-		w := f.walker(0)
-		outs := f.resizeOuts(1)
-		w.out = &outs[0]
-		for _, leaf := range leaves {
-			w.walkLeaf(leaf)
-		}
-		f.mergeReach(rep, outs, w.claimed)
-		return w.graphs
-	}
-	outs := f.resizeOuts(len(leaves))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < par; i++ {
-		w := f.walker(i)
-		w.ever = w.ever.resize(f.t.Switches() * f.space)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				w.out = &outs[j]
-				w.walkLeaf(leaves[j])
-				w.endLeaf()
-			}
-		}()
-	}
-	for i := range leaves {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	w0 := f.walkers[0]
-	for _, w := range f.walkers[1:par] {
-		w0.ever.or(w.ever)
-		for l := range w0.graphs {
-			w0.graphs[l].union(&w.graphs[l])
-		}
-	}
-	f.mergeReach(rep, outs, w0.ever)
-	return w0.graphs
-}
-
-// resizeOuts returns f's pooled walk outputs resized to n empty slots, each
-// keeping its buffers.
-func (f *fabric) resizeOuts(n int) []reachOut {
-	f.outs = slices.Grow(f.outs[:0], n)[:n]
-	for i := range f.outs {
-		o := &f.outs[i]
-		*o = reachOut{cands: o.cands[:0]}
-	}
-	return f.outs
-}
-
-// mergeReach is the canonical merge: outputs in ascending-leaf order,
-// per-leaf emission order, global first-leaf-wins dedup (seen), the finding
-// cap. ever is every entry the walk claimed; those no leaf formatted were
-// claimed past a cap, and each distinct one counts as suppressed once. An
-// entry past one leaf's cap that a later leaf formatted is counted once, by
-// add, because the earlier leaf filled the cap.
-func (f *fabric) mergeReach(rep *Report, outs []reachOut, ever bitset) {
-	f.seen = f.seen.resize(f.t.Switches() * f.space)
-	first := func(k entryKey) bool {
-		i := int(k.sw)*f.space + k.lid
-		if f.seen.has(i) {
-			return false
-		}
-		f.seen.set(i)
-		return true
-	}
-	for i := range outs {
-		out := &outs[i]
-		rep.Stats.RoutesChecked += out.routes
-		for _, c := range out.cands {
-			if !c.hasKey || first(c.key) {
-				rep.add(f.cap, c.f)
-			}
-		}
-		rep.Stats.Suppressed += out.over
-	}
-	rep.Stats.Suppressed += ever.count() - f.seen.count()
+	return w.graphs
 }
 
 // walkLeaf walks every (node, assigned LID offset) route out of one leaf.
@@ -243,7 +120,7 @@ func (w *walker) walkLeaf(leaf topology.SwitchID) {
 				continue // addressing already flagged the inconsistency
 			}
 			routes++
-			w.out.routes++
+			w.rep.Stats.RoutesChecked++
 			switch w.walkRoute(leaf, lid, int32(p)) {
 			case walkReached:
 				reached++
@@ -255,17 +132,17 @@ func (w *walker) walkLeaf(leaf topology.SwitchID) {
 		// fault-explained (defects already carry their own errors).
 		if routes > 0 && reached == 0 && deadBlocked == routes {
 			if w.full() {
-				w.out.over++
+				w.rep.Stats.Suppressed++
 				continue
 			}
-			w.out.cands = append(w.out.cands, reachCandidate{f: Finding{
+			w.add(Finding{
 				Analyzer: "reachability",
 				Severity: Warning,
 				Location: t.SwitchLabel(leaf),
 				Message: fmt.Sprintf("destination %s unreachable: all %d of its LIDs hit dead links from this leaf",
 					t.NodeLabel(topology.NodeID(p)), routes),
 				Witness: nil,
-			}})
+			})
 		}
 	}
 }
@@ -297,7 +174,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 				}
 				if w.claim(sw, lid) {
 					cyc := w.witness(i)
-					w.entry(sw, lid, Finding{
+					w.add(Finding{
 						Analyzer: "reachability",
 						Severity: Error,
 						Location: t.SwitchLabel(sw),
@@ -310,7 +187,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 		}
 		if len(w.hops) >= f.maxSwitches {
 			if w.claim(sw, lid) {
-				w.entry(sw, lid, Finding{
+				w.add(Finding{
 					Analyzer: "reachability",
 					Severity: Error,
 					Location: t.SwitchLabel(sw),
@@ -323,7 +200,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 		phys := f.in.LFTs[sw].Port(ib.LID(lid))
 		if phys == ib.PortNone {
 			if w.claim(sw, lid) {
-				w.entry(sw, lid, Finding{
+				w.add(Finding{
 					Analyzer: "reachability",
 					Severity: Error,
 					Location: t.SwitchLabel(sw),
@@ -335,7 +212,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 		}
 		if phys == 0 || int(phys) > f.m {
 			if w.claim(sw, lid) {
-				w.entry(sw, lid, Finding{
+				w.add(Finding{
 					Analyzer: "reachability",
 					Severity: Error,
 					Location: t.SwitchLabel(sw),
@@ -351,7 +228,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 		w.path = append(w.path, int32(sw))
 		if f.dead[cur] {
 			if w.claim(sw, lid) {
-				w.entry(sw, lid, Finding{
+				w.add(Finding{
 					Analyzer: "reachability",
 					Severity: Warning,
 					Location: f.linkLabel(sw, ab),
@@ -369,7 +246,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 		switch ref.Kind {
 		case topology.KindNone:
 			if w.claim(sw, lid) {
-				w.entry(sw, lid, Finding{
+				w.add(Finding{
 					Analyzer: "reachability",
 					Severity: Error,
 					Location: f.linkLabel(sw, ab),
@@ -381,7 +258,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 		case topology.KindNode:
 			if int32(ref.Node) != dst {
 				if w.claim(sw, lid) {
-					w.entry(sw, lid, Finding{
+					w.add(Finding{
 						Analyzer: "reachability",
 						Severity: Error,
 						Location: f.linkLabel(sw, ab),

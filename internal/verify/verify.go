@@ -20,9 +20,9 @@
 //   - addressing: LID-space exhaustion (MLID on FT(16,3) needs 65,537
 //     LIDs, one past the 16-bit space), LMC-block overlap, duplicate and
 //     orphaned LID assignments.
-//   - quality: per-link maximal load under all-to-all and supplied traffic
-//     matrices, path dilation against the minimal up*/down* path, and the
-//     root-link balance spread.
+//   - quality: per-link maximal load under all-to-all traffic, path
+//     dilation against the minimal up*/down* path, and the root-link balance
+//     spread.
 //
 // Severity follows one rule: a defect a recorded dead link explains is a
 // Warning (the packet drops observably — the documented fate of
@@ -39,16 +39,9 @@ import (
 	"strconv"
 	"sync"
 
-	"mlid/internal/core"
 	"mlid/internal/ib"
 	"mlid/internal/topology"
 )
-
-// Matrix is one named traffic matrix for the quality analyzer.
-type Matrix struct {
-	Name  string
-	Flows []core.Flow
-}
 
 // Input is the forwarding state under verification. It is deliberately a
 // plain bundle — callers hand over live tables (the simulator's mid-repair
@@ -88,9 +81,6 @@ type Options struct {
 	// policy); nil means every lane carries every route, so one lane's
 	// proof covers all of them.
 	VLOf func(dlid ib.LID, vls int) int
-	// Matrices are extra traffic matrices for the quality analyzer, on top
-	// of the default all-to-all.
-	Matrices []Matrix
 	// SkipQuality drops the quality analyzer — the right call inside the
 	// simulator's per-epoch hook, where only the safety properties matter.
 	SkipQuality bool
@@ -98,11 +88,9 @@ type Options struct {
 	// Stats.Suppressed, never formatted); zero means 64 and a negative
 	// value means unlimited.
 	MaxFindings int
-	// Parallelism bounds the worker count of the reachability walk, whose
-	// per-leaf sources are independent (findings merge in canonical order,
-	// so the report is byte-identical at any setting). <= 1 runs serial —
-	// the right call inside the simulator's per-epoch hook, whose caller may
-	// already be one of many concurrent campaign runs.
+	// Parallelism has no effect: the reachability walk is serial. It
+	// remains only so existing callers compile, and is to be deleted once
+	// none sets it.
 	Parallelism int
 }
 
@@ -128,14 +116,12 @@ type fabric struct {
 	vls         int
 	vlOf        func(dlid ib.LID, vls int) int
 
-	walkers []*walker  // reachability walkers; walkers[0] walks serially
-	outs    []reachOut // per-leaf outputs of a parallel walk
-	seen    bitset     // the parallel merge's cross-leaf dedup
-	adjTo   []int32    // buildAdjacency's shared successor array
-	adj     [][]int32  // buildAdjacency's per-channel successor lists
-	cycles  cycleSearch
-	load    []float64 // quality: per-channel load of one matrix
-	trace   []int32   // quality: the traced flow's out-channels
+	w      walker    // the reachability walk
+	adjTo  []int32   // buildAdjacency's shared successor array
+	adj    [][]int32 // buildAdjacency's per-channel successor lists
+	cycles cycleSearch
+	load   []float64 // quality: per-channel all-to-all load
+	trace  []int32   // quality: the traced flow's out-channels
 }
 
 // runPool recycles Run's per-run state. The simulator re-verifies the
@@ -186,10 +172,10 @@ func Run(in Input, opt Options) (*Report, error) {
 	rep := &Report{}
 	rep.Stats.VLs = opt.VLs
 	f.checkAddressing(rep)
-	graphs := f.checkReachability(rep, opt.Parallelism)
+	graphs := f.checkReachability(rep)
 	f.checkDeadlock(rep, graphs)
 	if !opt.SkipQuality {
-		f.checkQuality(rep, opt)
+		f.checkQuality(rep)
 	}
 	return rep, nil
 }
@@ -228,12 +214,9 @@ func (f *fabric) reset(in Input, opt Options) {
 }
 
 // release returns f to runPool, dropping its references to the caller's
-// input and to the findings the walk formatted, so the pool pins neither.
+// input and to the report the walk filled, so the pool pins neither.
 func (f *fabric) release() {
-	f.in, f.t, f.vlOf = Input{}, nil, nil
-	for i := range f.outs {
-		clear(f.outs[i].cands)
-	}
+	f.in, f.t, f.vlOf, f.w.rep = Input{}, nil, nil, nil
 	runPool.Put(f)
 }
 
@@ -274,13 +257,6 @@ func (b bitset) resize(n int) bitset { return recycle(b, (n+63)/64) }
 
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-
-// or folds o into b (same length).
-func (b bitset) or(o bitset) {
-	for i, w := range o {
-		b[i] |= w
-	}
-}
 
 // count returns the number of members.
 func (b bitset) count() int {

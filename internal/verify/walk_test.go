@@ -33,8 +33,9 @@ func reportJSON(t *testing.T, rep *verify.Report) string {
 
 // TestDefectReportsPinned pins the complete JSON report of every defect
 // fixture, with VLOf nil (one shared dependency graph) and set (one graph
-// per lane), serial and parallel: findings, their order, witnesses and
-// Stats must stay byte for byte what testdata/defect_reports.golden holds.
+// per lane): findings, their order, witnesses and Stats must stay byte for
+// byte what testdata/defect_reports.golden holds. Each fixture also runs
+// at Parallelism 4, which must change nothing: the option has no effect.
 func TestDefectReportsPinned(t *testing.T) {
 	fixtures := []struct {
 		name string
@@ -130,10 +131,10 @@ func degradedFT83(t *testing.T) verify.Input {
 	return in
 }
 
-// TestCapAndParallelEquivalence: at every finding cap the serial and
-// parallel walks produce equal reports, the capped findings are the
-// per-analyzer in-order prefix of the unlimited run's, and every finding
-// the cap drops is counted in Suppressed.
+// TestCapAndParallelEquivalence: at every finding cap the capped findings
+// are the per-analyzer in-order prefix of the unlimited run's, every
+// finding the cap drops is counted in Suppressed, and setting Parallelism
+// (which has no effect) leaves the report equal.
 func TestCapAndParallelEquivalence(t *testing.T) {
 	in := degradedFT83(t)
 	run := func(maxFindings, par int) *verify.Report {
@@ -188,7 +189,20 @@ func TestCapAndParallelEquivalence(t *testing.T) {
 func epochInputs(t *testing.T) (healthy, repaired verify.Input, opt verify.Options) {
 	t.Helper()
 	sn := configured(t, 8, 3, core.NewMLID())
-	tr := sn.Tree
+	fs, dead := epochFaults(sn.Tree)
+	fixed := configured(t, 8, 3, core.NewMLID())
+	if _, _, err := core.RepairSubnet(fixed, fs); err != nil {
+		t.Fatal(err)
+	}
+	repaired = verify.FromSubnet(fixed)
+	repaired.DeadLinks = dead
+	return verify.FromSubnet(sn), repaired, verify.Options{VLs: 2, VLOf: vlByDLID, SkipQuality: true}
+}
+
+// epochFaults is epochInputs' fixed four-link fault on an FT(8,3): three
+// leaf up-links and a root's descending link, as a fault set and as the
+// dead-link list verify.Input takes.
+func epochFaults(tr *topology.Tree) (*core.FaultSet, [][2]int32) {
 	fs := core.NewFaultSet()
 	var dead [][2]int32
 	for _, node := range []topology.NodeID{0, 37, 90} {
@@ -199,13 +213,7 @@ func epochInputs(t *testing.T) (healthy, repaired verify.Input, opt verify.Optio
 	}
 	fs.FailLink(tr, 0, 3) // a root's descending link
 	dead = append(dead, [2]int32{0, 3})
-	fixed := configured(t, 8, 3, core.NewMLID())
-	if _, _, err := core.RepairSubnet(fixed, fs); err != nil {
-		t.Fatal(err)
-	}
-	repaired = verify.FromSubnet(fixed)
-	repaired.DeadLinks = dead
-	return verify.FromSubnet(sn), repaired, verify.Options{VLs: 2, VLOf: vlByDLID, SkipQuality: true}
+	return fs, dead
 }
 
 // TestVerifyAllocs: the safety pass allocates per switch and per formatted
@@ -239,8 +247,8 @@ func TestVerifyAllocs(t *testing.T) {
 // TestRunIndependentOfPooledRuns: Runs recycle their state through a pool,
 // so a Run that leaked state into the next, or two concurrent Runs that
 // shared one arena, would make a report depend on what ran before it.
-// Large and small inputs — walked serially and in parallel, capped and
-// not, with and without the quality pass and a credit cycle to search —
+// Large and small inputs — capped and not, with and without the quality
+// pass and a credit cycle to search, some setting the no-op Parallelism —
 // run interleaved on concurrent goroutines, and every report must equal the
 // one a serial run produced up front.
 func TestRunIndependentOfPooledRuns(t *testing.T) {
