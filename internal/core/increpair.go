@@ -35,39 +35,63 @@ type SwitchDelta struct {
 // PortLIDIndex is the reverse index: for each (switch, abstract out-port),
 // the ascending list of DLIDs whose pristine forwarding entry at that switch
 // exits through the port. Built once at configure time; a dead link then
-// names exactly the candidate entries instead of the whole LID space.
+// names exactly the candidate entries instead of the whole LID space. The
+// lists share one flat array: slot i's LIDs are lids[off[i]:off[i+1]].
 type PortLIDIndex struct {
 	m    int
-	lids [][]ib.LID
+	off  []int32
+	lids []ib.LID
 }
 
-// BuildPortLIDIndex scans the subnet's (pristine) forwarding tables once.
+// BuildPortLIDIndex scans the subnet's (pristine) forwarding tables twice:
+// once to count each slot's entries, then, with off[i] advanced to the end of
+// slot i, once more in descending LID order, stepping each slot's offset back
+// to its start as it fills. The index costs two allocations whatever the
+// fabric's size.
 func BuildPortLIDIndex(sn *ib.Subnet) *PortLIDIndex {
 	t := sn.Tree
-	m := t.M()
-	x := &PortLIDIndex{m: m, lids: make([][]ib.LID, t.Switches()*m)}
+	m, slots := t.M(), t.Switches()*t.M()
+	x := &PortLIDIndex{m: m, off: make([]int32, slots+1)}
 	for s := 0; s < t.Switches(); s++ {
 		lft := sn.LFTs[s]
 		for lid := 1; lid < lft.Size(); lid++ {
-			phys, err := lft.Lookup(ib.LID(lid))
-			if err != nil {
-				continue
+			if k := outPort(lft, lid, m); k >= 0 {
+				x.off[s*m+k]++
 			}
-			k := int(phys) - 1
-			if k < 0 || k >= m {
-				continue
+		}
+	}
+	for i := 1; i <= slots; i++ {
+		x.off[i] += x.off[i-1]
+	}
+	x.lids = make([]ib.LID, x.off[slots])
+	for s := 0; s < t.Switches(); s++ {
+		lft := sn.LFTs[s]
+		for lid := lft.Size() - 1; lid >= 1; lid-- {
+			if k := outPort(lft, lid, m); k >= 0 {
+				x.off[s*m+k]--
+				x.lids[x.off[s*m+k]] = ib.LID(lid)
 			}
-			slot := s*m + k
-			x.lids[slot] = append(x.lids[slot], ib.LID(lid))
 		}
 	}
 	return x
 }
 
+// outPort returns the abstract out-port of lid's entry in lft, or -1 when the
+// entry is unrouted or names no port of an m-port switch.
+func outPort(lft *ib.LFT, lid, m int) int {
+	phys := lft.Port(ib.LID(lid))
+	if phys == ib.PortNone || phys == 0 || int(phys) > m {
+		return -1
+	}
+	return int(phys) - 1
+}
+
 // LIDs returns the DLIDs routed through (sw, abstract port) in the pristine
-// tables, ascending. The returned slice is shared; callers must not mutate.
+// tables, ascending. The returned slice is shared and capped, so an append
+// to it copies; callers must not mutate it.
 func (x *PortLIDIndex) LIDs(sw topology.SwitchID, port int) []ib.LID {
-	return x.lids[int(sw)*x.m+port]
+	i := int(sw)*x.m + port
+	return x.lids[x.off[i]:x.off[i+1]:x.off[i+1]]
 }
 
 // RepairState evolves a subnet's repair target incrementally. The pristine

@@ -143,24 +143,3 @@ func (r LIDRange) String() string {
 	}
 	return fmt.Sprintf("LIDs %d..%d (LMC %d)", r.Base, int(r.Base)+r.Count()-1, r.LMC)
 }
-
-// Packet carries the local route header (LRH) fields that drive subnet
-// forwarding, plus bookkeeping used by the simulator and by route tracing.
-type Packet struct {
-	// SLID and DLID are the source and destination local identifiers from
-	// the LRH. The DLID alone determines the path.
-	SLID, DLID LID
-	// VL is the virtual lane the packet travels on (data VLs start at 0 in
-	// this model; the management VL15 is not simulated).
-	VL uint8
-	// Size is the packet length in bytes, including headers.
-	Size int
-
-	// Seq is a unique sequence number assigned at generation time.
-	Seq uint64
-	// Src and Dst are the endpoint indices (PIDs), for statistics.
-	Src, Dst int32
-	// GenTime and InjectTime record when the packet was created and when it
-	// first left its source endport, in simulator nanoseconds.
-	GenTime, InjectTime int64
-}

@@ -157,9 +157,11 @@ func (c *contract) run(pass *analysis.Pass) error {
 var hotFuncs = map[string]bool{
 	// engine (engine.go)
 	"schedule": true, "pop": true, "push": true,
-	// event loop and packet pool (sim.go)
+	// event loop, packet pool and the packet queues (sim.go); pktList.push
+	// shares the engine's "push" entry
 	"runUntil": true, "dispatch": true,
 	"newPkt": true, "freePkt": true, "pktAt": true,
+	"popFront": true, "unlink": true, "empty": true,
 	// data path (sim.go)
 	"generate": true, "inject": true, "dataVL": true, "selectDLID": true, "interarrival": true,
 	"swArrive": true, "warmFlowHigh": true, "route": true, "fwdAt": true,

@@ -4,12 +4,16 @@ import "sync"
 
 // simPool recycles the state of finished runs. A figure sweep is hundreds of
 // short independent runs on a handful of fabric sizes, so building each run's
-// arrays, packet slabs, calendar and per-node generators from scratch cost
-// far more allocation than the events themselves. build takes a *Sim from
-// the pool and resizes every buffer in place (see recycle); Run and RunBatch
-// put it back once the result is assembled. The pool hands an arena to one
-// Get at a time, so concurrent runs never share one; it keeps about one idle
-// arena per P and lets the garbage collector drop idle ones.
+// arrays, packet slabs, latency histogram rows, calendar and per-node
+// generators from scratch cost far more allocation than the events
+// themselves. build takes a *Sim from the pool and resizes every buffer in
+// place (see recycle); Run and RunBatch put it back once the result is
+// assembled. The packet queues are not among the buffers: they are threaded
+// through the packets (pktList), so a saturated run's source backlog lives in
+// the packet slabs alone and a later run with deeper or more source queues
+// finds nothing to regrow. The pool hands an arena to one Get at a time, so
+// concurrent runs never share one; it keeps about one idle arena per P and
+// lets the garbage collector drop idle ones.
 var simPool = sync.Pool{New: func() any { return new(Sim) }}
 
 // release returns a finished run's state to simPool. The caller must hold no
@@ -31,7 +35,7 @@ func recycle[T any](buf []T, n int) []T {
 }
 
 // recycleKeep is recycle for elements that own buffers of their own (a
-// waiting list, a generator, a flow's retransmit queue): instead of zeroing,
+// generator, a flow's retransmit queue): instead of zeroing,
 // it passes each of the n elements to keep, which resets the element in place
 // while holding on to what it owns. Elements past n keep their buffers for a
 // later, larger run.

@@ -477,17 +477,17 @@ func (s *Sim) flushDead(pid int32) {
 	base := int(pid) * s.vls
 	for vl := 0; vl < s.vls; vl++ {
 		i := base + vl
-		for s.queues[i].len() > 0 {
+		for !s.queues[i].empty() {
 			p := s.queues[i].popFront()
 			s.cv[i].occupancy--
 			s.res.DroppedOnDeadLink++
 			s.dropPkt(p)
 		}
-		for _, p := range s.waiting[i] {
+		for !s.waiting[i].empty() {
+			p := s.waiting[i].popFront()
 			s.res.DroppedOnDeadLink++
 			s.dropPkt(p)
 		}
-		s.waiting[i] = s.waiting[i][:0]
 	}
 }
 

@@ -24,9 +24,22 @@ const (
 	pktSlabSize  = 1 << pktSlabShift
 )
 
-// pkt is an in-flight packet plus per-hop bookkeeping.
+// pkt is an in-flight packet plus per-hop bookkeeping: the local route header
+// fields that drive forwarding (DLID, VL, Size) and the model's own. Fields
+// are ordered by width so the struct packs without padding holes.
 type pkt struct {
-	ib.Packet
+	// next links the packet into the one queue it sits in (see pktList).
+	next *pkt
+	// trace records the packet's timeline when tracing is on.
+	trace *PacketTrace
+	// GenTime and InjectTime record when the packet was created and when it
+	// first left its source endport.
+	GenTime, InjectTime Time
+	// arrival is the head-arrival time at the current switch.
+	arrival Time
+	// Size is the packet length in bytes, including headers.
+	Size int
+
 	// idx is the packet's stable slab index (see Sim.pktAt): events reference
 	// packets by this index instead of by pointer, keeping the scheduler's
 	// queues pointer-free. Assigned once when the slab is carved; newPkt
@@ -34,8 +47,8 @@ type pkt struct {
 	idx int32
 	// flowSeq is the packet's generation index within its (src, dst) flow.
 	flowSeq uint32
-	// arrival is the head-arrival time at the current switch.
-	arrival Time
+	// Src and Dst are the endpoint indices.
+	Src, Dst int32
 	// inPort is the abstract input port at the current switch; the crossbar
 	// arbiter round-robins over input ports.
 	inPort int32
@@ -43,25 +56,55 @@ type pkt struct {
 	// packet on its last hop; its credit is returned when this hop's input
 	// buffer frees. noPort while the packet sits in its source.
 	upstream int32
-	// trace records the packet's timeline when tracing is on.
-	trace *PacketTrace
 
-	// Reliable-transport fields (Config.Transport). ctrl distinguishes data
-	// from ACK/NAK control packets; cum/sack are the control packet's
-	// cumulative and selective acknowledgments; rexmit marks a
-	// retransmission copy.
+	// cum and sack are an ACK/NAK control packet's cumulative and selective
+	// acknowledgments (Config.Transport).
+	cum, sack uint32
+
+	// DLID alone determines the path; VL is the lane the packet travels on.
+	DLID ib.LID
+	VL   uint8
+	// ctrl distinguishes data from ACK/NAK control packets; rexmit marks a
+	// retransmission copy (Config.Transport).
 	ctrl   uint8
-	cum    uint32
-	sack   uint32
 	rexmit bool
 }
 
-// pktFIFO is a packet queue drained by head index so its backing array is
-// reused instead of re-allocated (append + [1:] reslicing strands capacity).
-// Compaction keeps memory bounded when the queue never fully drains.
-type pktFIFO struct {
-	items []*pkt
-	head  int
+// pktList is a FIFO of packets threaded through pkt.next. A packet sits in at
+// most one queue at a time — a source queue, an output buffer or an input
+// buffer's waiting list — so the queues own no storage of their own: an
+// open-loop backlog costs nothing beyond the packets themselves.
+type pktList struct{ head, tail *pkt }
+
+func (q *pktList) empty() bool { return q.head == nil }
+
+func (q *pktList) push(p *pkt) {
+	p.next = nil
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
+}
+
+func (q *pktList) popFront() *pkt {
+	p := q.head
+	q.unlink(nil, p)
+	return p
+}
+
+// unlink removes p from the list; prev is its predecessor, nil for the head.
+func (q *pktList) unlink(prev, p *pkt) {
+	if prev == nil {
+		q.head = p.next
+	} else {
+		prev.next = p.next
+	}
+	if q.tail == p {
+		q.tail = prev
+	}
+	p.next = nil
 }
 
 // vlFlow is the link-level flow-control state of one (port, VL): credits the
@@ -72,30 +115,11 @@ type vlFlow struct {
 	occupancy int32
 }
 
-func (q *pktFIFO) push(p *pkt) { q.items = append(q.items, p) }
-func (q *pktFIFO) len() int    { return len(q.items) - q.head }
-
-func (q *pktFIFO) popFront() *pkt {
-	p := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	} else if q.head >= 32 && q.head*2 >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	return p
-}
-
 // portState is the scalar state of one transmitting port — a switch output
 // port or an endnode source. Ports live in one dense array indexed by global
 // port id (switch sw's abstract port k is sw*M+k; node i's source is
 // srcBase+i), and all per-(port, VL) state lives in parallel flat slices
-// indexed pid*vls+vl (Sim.credits, .occupancy, .queues, .waiting, .rrIn), so
+// indexed pid*vls+vl (Sim.cv, .queues, .waiting, .rrIn), so
 // the per-packet path walks index-addressed arrays instead of chasing
 // per-port heap objects.
 type portState struct {
@@ -149,15 +173,10 @@ type Sim struct {
 	// counters share one struct so the flow-control updates a packet makes at
 	// the same (port, VL) touch one cache line, not two parallel arrays.
 	cv      []vlFlow
-	queues  []pktFIFO // packets in the output buffer, FIFO
-	waiting [][]*pkt  // packets stuck in input buffers upstream of the
-	// crossbar, waiting for an output-buffer slot
+	queues  []pktList // packets in the output buffer (or source queue), FIFO
+	waiting []pktList // packets stuck in input buffers upstream of the
+	// crossbar, waiting for an output-buffer slot, in request order
 	rrIn []int32 // round-robin pointer over input ports (crossbar arbitration)
-	// qSlab backs every switch queue and each source queue's starting
-	// capacity (see build); srcGrown carries source-queue arrays that grew
-	// off-slab over to the next recycled run.
-	qSlab    []*pkt
-	srcGrown [][]*pkt
 
 	// lfts holds each switch's live forwarding table; fwd16/fwd32 is its
 	// compiled form — one flat row of lftSize entries per switch mapping DLID
@@ -200,13 +219,14 @@ type Sim struct {
 
 	// res is the run's Result, counted into in place: the data plane, fault,
 	// transport and in-band SM code increment its counters directly, and
-	// buildResult fills in only the derived fields. The window byte count
-	// and the latency collectors below are the inputs of the derived
-	// Accepted and latency fields.
+	// buildResult fills in only the derived fields. The window byte count,
+	// the latency collector and the network-latency sum below are the
+	// inputs of the derived Accepted and latency fields; network latency is
+	// reported only as a mean, so it keeps a sum, not a histogram.
 	res                  Result
 	deliveredBytesWindow int64
 	lat                  stats.LatencyCollector
-	netLat               stats.LatencyCollector
+	netLatSum            float64
 
 	// flowSeq / flowHigh track per-(src,dst) generation sequence numbers
 	// and the highest delivered one, for the reordering metric. nil when
@@ -297,7 +317,9 @@ func (s *Sim) buildResult(horizon Time, events int64) Result {
 	res.P99LatencyNs = s.lat.Percentile(0.99)
 	res.P999LatencyNs = s.lat.Percentile(0.999)
 	res.MaxLatencyNs = s.lat.Max()
-	res.MeanNetLatencyNs = s.netLat.Mean()
+	if res.DeliveredWindow > 0 {
+		res.MeanNetLatencyNs = s.netLatSum / float64(res.DeliveredWindow)
+	}
 	if s.flowHigh == nil {
 		res.OutOfOrder = -1
 	}
@@ -407,10 +429,6 @@ func (s *Sim) buildResult(horizon Time, events int64) Result {
 	return res
 }
 
-// srcQueueCap is a source queue's starting capacity, carved from the FIFO
-// slab; an open-loop backlog past it grows the queue off-slab.
-const srcQueueCap = 16
-
 // build prepares a run of cfg on recycled state from simPool: every buffer
 // keeps its backing array when the capacity suffices and is cleared, so a
 // sweep's runs reuse one arena per worker instead of reallocating it. A
@@ -444,7 +462,10 @@ func build(cfg Config) *Sim {
 		pktFree:  prev.pktFree[:0],
 		// The series grows by appending zeroed bins (seriesAt).
 		series: prev.series[:0],
+		// The latency histogram keeps the rows earlier runs touched.
+		lat: prev.lat,
 	}
+	s.lat.Reset()
 	s.engine.heapOnly = cfg.HeapOnlyScheduler
 	// The reliable transport claims one management VL for ACK/NAK traffic on
 	// top of the data VLs; without it the port arrays keep their classic
@@ -457,39 +478,12 @@ func build(cfg Config) *Sim {
 	numPorts := S*M + N
 	s.ports = recycle(prev.ports, numPorts)
 	s.cv = recycle(prev.cv, numPorts*vls)
-	s.waiting = recycleKeep(prev.waiting, numPorts*vls, func(w *[]*pkt) { *w = (*w)[:0] })
+	s.queues = recycle(prev.queues, numPorts*vls)
+	s.waiting = recycle(prev.waiting, numPorts*vls)
 	s.rrIn = recycle(prev.rrIn, numPorts*vls)
 	for i := range s.cv {
 		s.cv[i].credits = int32(cfg.BufPackets)
 	}
-	// Slab-back the FIFOs: a switch output buffer holds at most BufPackets
-	// per VL (occupancy-gated), so its backing array is sized exactly;
-	// source queues are unbounded (open-loop backlog) and get a modest
-	// starting capacity, growing off-slab past it. A source queue that grew
-	// in an earlier run hands its larger array to this run's source queues;
-	// collect those before the queue array is cleared.
-	grown := prev.srcGrown[:0]
-	for _, q := range prev.queues[int(prev.srcBase)*prev.vls:] {
-		if cap(q.items) > srcQueueCap {
-			grown = append(grown, q.items[:0])
-		}
-	}
-	s.queues = recycle(prev.queues, numPorts*vls)
-	swQueues := S * M * vls
-	s.qSlab = recycle(prev.qSlab, swQueues*cfg.BufPackets+N*vls*srcQueueCap)
-	for i := 0; i < swQueues; i++ {
-		s.queues[i].items = s.qSlab[i*cfg.BufPackets : i*cfg.BufPackets : (i+1)*cfg.BufPackets]
-	}
-	srcSlab := s.qSlab[swQueues*cfg.BufPackets:]
-	for i := 0; i < N*vls; i++ {
-		q := &s.queues[swQueues+i]
-		if n := len(grown); n > 0 {
-			q.items, grown = grown[n-1], grown[:n-1]
-			continue
-		}
-		q.items = srcSlab[i*srcQueueCap : i*srcQueueCap : (i+1)*srcQueueCap]
-	}
-	s.srcGrown = grown[:0]
 	s.lfts = recycle(prev.lfts, S)
 	for sw := 0; sw < S; sw++ {
 		lft := cfg.Subnet.LFTs[sw]
@@ -749,20 +743,12 @@ func (s *Sim) inject(src, dst int32) {
 	}
 	vl := s.dataVL(n, dlid)
 	p := s.newPkt()
-	p.Packet = ib.Packet{
-		SLID:    s.cfg.Subnet.Endports[src].Base,
-		DLID:    dlid,
-		VL:      vl,
-		Size:    s.cfg.PacketSize,
-		Seq:     uint64(s.res.TotalGenerated),
-		Src:     src,
-		Dst:     dst,
-		GenTime: s.now,
-	}
+	p.DLID, p.VL, p.Size = dlid, vl, s.cfg.PacketSize
+	p.Src, p.Dst, p.GenTime = src, dst, s.now
 	p.flowSeq = seq
 	if len(s.res.Traces) < s.cfg.TracePackets {
 		p.trace = &PacketTrace{
-			Seq: p.Seq, Src: src, Dst: dst,
+			Seq: uint64(s.res.TotalGenerated), Src: src, Dst: dst,
 			DLID: uint16(dlid), VL: vl, GenNs: s.now,
 		}
 		s.res.Traces = append(s.res.Traces, p.trace)
@@ -943,7 +929,7 @@ func (s *Sim) requestTransfer(pid int32, p *pkt) {
 	}
 	i := int(pid)*s.vls + int(p.VL)
 	if pt.limited && s.cv[i].occupancy >= int32(s.cfg.BufPackets) {
-		s.waiting[i] = append(s.waiting[i], p)
+		s.waiting[i].push(p)
 		return
 	}
 	s.cv[i].occupancy++
@@ -982,7 +968,7 @@ func (s *Sim) kick(pid int32) {
 	if pt.busyUntil > s.now {
 		// Re-arbitrate when the link frees, if anything is pending.
 		for vl := range qs {
-			if qs[vl].len() > 0 {
+			if !qs[vl].empty() {
 				pt.kickArmed = true
 				s.schedule(pt.busyUntil, event{kind: evKick, a: pid})
 				return
@@ -993,7 +979,7 @@ func (s *Sim) kick(pid int32) {
 	cr := s.cv[base : base+n]
 	for i := 0; i < n; i++ {
 		vl := (int(pt.rrNext) + i) % n
-		if qs[vl].len() > 0 && cr[vl].credits > 0 {
+		if !qs[vl].empty() && cr[vl].credits > 0 {
 			pt.rrNext = int32((vl + 1) % n)
 			s.transmit(pid, vl)
 			s.kick(pid) // arm for the next pending packet, if any
@@ -1051,26 +1037,26 @@ func (s *Sim) releaseSlot(pid int32, vl int) {
 		s.fail(fmt.Errorf("sim: output-buffer occupancy underflow on VL %d (model bug)", vl))
 		return
 	}
-	if len(s.waiting[i]) == 0 {
+	w := &s.waiting[i]
+	if w.empty() {
 		return
 	}
 	// Pick the waiting packet whose input port follows the round-robin
 	// pointer most closely; the waiting list is in request order, so the
 	// first match per input port is that port's oldest packet.
-	w := s.waiting[i]
 	const big = int(^uint(0) >> 1)
-	bestIdx, bestDist := -1, big
-	for j, p := range w {
-		d := int(p.inPort - s.rrIn[i])
+	var p, pPrev, prev *pkt
+	bestDist := big
+	for q := w.head; q != nil; prev, q = q, q.next {
+		d := int(q.inPort - s.rrIn[i])
 		if d < 0 {
 			d += 1 << 16 // any bound larger than the port count works
 		}
 		if d < bestDist {
-			bestIdx, bestDist = j, d
+			p, pPrev, bestDist = q, prev, d
 		}
 	}
-	p := w[bestIdx]
-	s.waiting[i] = append(w[:bestIdx], w[bestIdx+1:]...)
+	w.unlink(pPrev, p)
 	s.rrIn[i] = p.inPort + 1
 	s.cv[i].occupancy++
 	s.completeTransfer(pid, p)
@@ -1134,8 +1120,8 @@ func (s *Sim) nodeArrive(node int32, p *pkt) {
 // ordering check, and window statistics.
 func (s *Sim) deliver(node int32, p *pkt, tail Time) {
 	if p.Dst != node {
-		s.fail(fmt.Errorf("sim: packet %d for node %d delivered to node %d (DLID %d)",
-			p.Seq, p.Dst, node, p.DLID))
+		s.fail(fmt.Errorf("sim: packet %d of flow %d->%d delivered to node %d (DLID %d)",
+			p.flowSeq, p.Src, p.Dst, node, p.DLID))
 		return
 	}
 	if s.transport != nil {
@@ -1178,7 +1164,7 @@ func (s *Sim) deliver(node int32, p *pkt, tail Time) {
 		s.res.DeliveredWindow++
 		s.deliveredBytesWindow += int64(p.Size)
 		s.lat.Add(float64(tail - p.GenTime))
-		s.netLat.Add(float64(tail - p.InjectTime))
+		s.netLatSum += float64(tail - p.InjectTime)
 		if s.cfg.LatencyHist != nil {
 			s.cfg.LatencyHist.Add(float64(tail - p.GenTime))
 		}

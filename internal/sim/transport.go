@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"mlid/internal/ib"
 	"mlid/internal/sm"
 	"mlid/internal/topology"
 )
@@ -133,11 +132,10 @@ const (
 // txPkt is one unacknowledged packet at its sender: enough to rebuild a
 // retransmission copy without holding the (pooled, recycled) original.
 type txPkt struct {
-	seq      uint32 // PSN within the flow
-	seq64    uint64 // global generation sequence (ib.Packet.Seq)
-	genTime  Time   // original generation time: retries keep end-to-end latency honest
+	genTime  Time // original generation time: retries keep end-to-end latency honest
 	size     int
-	attempts int32 // retransmissions performed so far
+	seq      uint32 // PSN within the flow
+	attempts int32  // retransmissions performed so far
 }
 
 // txFlow is the sender side of one (src, dst) flow. One retransmit timer
@@ -299,7 +297,7 @@ func (s *Sim) txTrack(node int32, p *pkt) {
 	idx := s.flowIdx(node, p.Dst)
 	f := &s.transport.tx[idx]
 	f.unacked = append(f.unacked, txPkt{
-		seq: p.flowSeq, seq64: p.Seq, genTime: p.GenTime, size: p.Size,
+		seq: p.flowSeq, genTime: p.GenTime, size: p.Size,
 	})
 	if len(f.unacked) == 1 {
 		s.armTimer(idx, f)
@@ -381,16 +379,8 @@ func (s *Sim) retransmit(idx int32, tp *txPkt) {
 	dlid := s.selectDLID(n, topology.NodeID(src), topology.NodeID(dst), tp.seq)
 	vl := s.dataVL(n, dlid)
 	p := s.newPkt()
-	p.Packet = ib.Packet{
-		SLID:    s.cfg.Subnet.Endports[src].Base,
-		DLID:    dlid,
-		VL:      vl,
-		Size:    tp.size,
-		Seq:     tp.seq64,
-		Src:     src,
-		Dst:     dst,
-		GenTime: tp.genTime,
-	}
+	p.DLID, p.VL, p.Size = dlid, vl, tp.size
+	p.Src, p.Dst, p.GenTime = src, dst, tp.genTime
 	p.flowSeq = tp.seq
 	p.rexmit = true
 	s.requestTransfer(s.nodePid(src), p)
@@ -463,15 +453,8 @@ func (s *Sim) sendCtrl(from, to int32, kind uint8, cum, sack uint32) {
 	// it advances with the flow, is deterministic, and needs no extra state.
 	dlid := s.selectDLID(n, topology.NodeID(from), topology.NodeID(to), cum)
 	p := s.newPkt()
-	p.Packet = ib.Packet{
-		SLID:    s.cfg.Subnet.Endports[from].Base,
-		DLID:    dlid,
-		VL:      t.mgmtVL,
-		Size:    t.cfg.AckBytes,
-		Src:     from,
-		Dst:     to,
-		GenTime: s.now,
-	}
+	p.DLID, p.VL, p.Size = dlid, t.mgmtVL, t.cfg.AckBytes
+	p.Src, p.Dst, p.GenTime = from, to, s.now
 	p.ctrl = kind
 	p.cum = cum
 	p.sack = sack

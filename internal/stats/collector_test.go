@@ -186,3 +186,59 @@ func TestStreamingPercentileErrorBound(t *testing.T) {
 		}
 	}
 }
+
+// TestResetMatchesFresh: a collector reset after one run's samples answers
+// every query on the next run's samples exactly as a fresh collector does,
+// in both modes, and a streaming collector refilled within the octaves it
+// already touched allocates nothing.
+func TestResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	first := make([]float64, 2000)
+	for i := range first {
+		first[i] = 100 + rng.ExpFloat64()*5000
+	}
+	second := []float64{5e6, 120, 7, 900, 45_000} // new octaves both ends
+	for _, exact := range []bool{false, true} {
+		mk := func() *LatencyCollector {
+			if exact {
+				return NewExactLatencyCollector()
+			}
+			return &LatencyCollector{}
+		}
+		reused, fresh := mk(), mk()
+		for _, v := range first {
+			reused.Add(v)
+		}
+		reused.Percentile(0.5)
+		reused.Reset()
+		if reused.Count() != 0 || reused.Mean() != 0 || reused.Max() != 0 || reused.Min() != 0 || reused.Percentile(0.5) != 0 {
+			t.Fatalf("exact=%v: a reset collector is not empty", exact)
+		}
+		for _, v := range second {
+			reused.Add(v)
+			fresh.Add(v)
+		}
+		if reused.Count() != fresh.Count() || reused.Mean() != fresh.Mean() ||
+			reused.Max() != fresh.Max() || reused.Min() != fresh.Min() {
+			t.Errorf("exact=%v: reset collector's summary differs from a fresh one", exact)
+		}
+		for _, q := range []float64{0, 0.2, 0.5, 0.8, 0.99, 1} {
+			if got, want := reused.Percentile(q), fresh.Percentile(q); got != want {
+				t.Errorf("exact=%v: P%v = %v after Reset, fresh %v", exact, q, got, want)
+			}
+		}
+	}
+
+	var c LatencyCollector
+	for _, v := range first {
+		c.Add(v)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		c.Reset()
+		for _, v := range first {
+			c.Add(v)
+		}
+	}); allocs != 0 {
+		t.Errorf("refilling a reset collector allocated %.0f times, want 0", allocs)
+	}
+}

@@ -112,6 +112,17 @@ func (c *LatencyCollector) Add(ns float64) {
 	row[i&(latSubs-1)]++
 }
 
+// Reset empties the collector for reuse. A streaming collector keeps the
+// histogram rows it has allocated, zeroed, so a collector reset between runs
+// allocates again only for octaves no earlier run touched; an exact one keeps
+// its sample array.
+func (c *LatencyCollector) Reset() {
+	for _, row := range c.counts {
+		clear(row)
+	}
+	*c = LatencyCollector{counts: c.counts, exact: c.exact, samples: c.samples[:0]}
+}
+
 // Count returns the number of samples.
 func (c *LatencyCollector) Count() int { return int(c.count) }
 
