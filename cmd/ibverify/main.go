@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strconv"
@@ -37,50 +38,86 @@ import (
 )
 
 func main() {
-	var (
-		m        = flag.Int("m", 8, "switch port count (power of two >= 4)")
-		n        = flag.Int("n", 2, "tree dimension")
-		scheme   = flag.String("scheme", "MLID", "routing scheme: MLID or SLID")
-		vls      = flag.Int("vls", 1, "data virtual lanes to prove deadlock freedom for")
-		jsonOut  = flag.Bool("json", false, "emit findings as JSON lines (CSV under -degraded)")
-		fault    = flag.String("fault", "", "comma-separated sw:port links to fail before verifying the SM-repaired tables")
-		selName  = flag.String("select", "", "trace the quality pass under a path-selection policy (rank, random, flowspray, adaptive, pktspray); default: the scheme's canonical choice, or rank reselection under -fault")
-		degraded = flag.Float64("degraded", 0, "run the degraded-fabric sweep up to this fault rate (e.g. 0.10), comparing SLID vs MLID+reselect statically and in simulation")
-		quick    = flag.Bool("quick", false, "with -degraded, use the reduced-cost study spec")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *degraded > 0 {
-		os.Exit(runDegraded(*m, *n, *degraded, *quick, *jsonOut))
+// errFindings is runVerify's result for a report with error-severity
+// findings: exit 1, with nothing further on stderr.
+var errFindings = errors.New("error-severity findings")
+
+// run is the command on args, writing to stdout and stderr; it returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		m        = fs.Int("m", 8, "switch port count (power of two >= 4)")
+		n        = fs.Int("n", 2, "tree dimension")
+		scheme   = fs.String("scheme", "MLID", "routing scheme: MLID or SLID")
+		vls      = fs.Int("vls", 1, "data virtual lanes to prove deadlock freedom for")
+		jsonOut  = fs.Bool("json", false, "emit findings as JSON lines (CSV under -degraded)")
+		fault    = fs.String("fault", "", "comma-separated sw:port links to fail before verifying the SM-repaired tables")
+		selName  = fs.String("select", "", "trace the quality pass under a path-selection policy (rank, random, flowspray, adaptive, pktspray); default: the scheme's canonical choice, or rank reselection under -fault")
+		degraded = fs.Float64("degraded", 0, "run the degraded-fabric sweep up to this fault rate (e.g. 0.10), comparing SLID vs MLID+reselect statically and in simulation")
+		quick    = fs.Bool("quick", false, "with -degraded, use the reduced-cost study spec")
+	)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
-	os.Exit(runVerify(*m, *n, *scheme, *vls, *fault, *selName, *jsonOut))
+
+	var err error
+	if *degraded > 0 {
+		err = runDegraded(stdout, *m, *n, *degraded, *quick, *jsonOut)
+	} else {
+		err = runVerify(stdout, *m, *n, *scheme, *vls, *fault, *selName, *jsonOut)
+	}
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errFindings):
+	case errors.Is(err, ib.ErrLIDSpaceExhausted):
+		fmt.Fprintf(stderr, "ibverify: %v\n  hint: the SLID scheme, or a smaller tree, fits the 16-bit LID space\n", err)
+	default:
+		fmt.Fprintf(stderr, "ibverify: %v\n", err)
+	}
+	return 1
 }
 
 // runVerify is the single-fabric mode: configure, optionally fail+repair,
 // then run every analyzer and render the report.
-func runVerify(m, n int, schemeName string, vls int, faultList, selName string, jsonOut bool) int {
+func runVerify(w io.Writer, m, n int, schemeName string, vls int, faultList, selName string, jsonOut bool) error {
 	tree, err := topology.New(m, n)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	eng, err := core.ByName(schemeName)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 
 	// The addressing analyzer runs against the scheme's LID plan before
 	// Configure, so a fabric whose plan overflows the 16-bit space (MLID on
 	// FT(16,3) needs 65,537 LIDs) is reported as a finding with the sizing
 	// arithmetic as witness instead of dying on the configuration error.
 	if rep := addressingOnly(tree, eng); rep.Errors() > 0 {
-		render(rep, jsonOut)
-		return 1
+		return render(w, rep, jsonOut)
 	}
 
 	sn, err := (&ib.SubnetManager{Tree: tree, Engine: eng}).Configure()
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	in := verify.FromSubnet(sn)
 
 	var fs *core.FaultSet
 	if faultList != "" {
 		links, err := parseLinks(tree, faultList)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		fs = core.NewFaultSet()
 		for _, l := range links {
 			fs.FailLink(tree, topology.SwitchID(l[0]), int(l[1]))
@@ -88,10 +125,12 @@ func runVerify(m, n int, schemeName string, vls int, faultList, selName string, 
 		// The SM's repair path: the incremental repair state evolved from
 		// the pristine tables to the fault set, verified as its target.
 		rs := core.NewRepairState(sn)
-		_, err = rs.RepairIncremental(fs, rs.DirtySwitches(nil, links))
-		fatal(err)
-		in.LFTs, err = rs.TargetLFTs()
-		fatal(err)
+		if _, err := rs.RepairIncremental(fs, rs.DirtySwitches(nil, links)); err != nil {
+			return err
+		}
+		if in.LFTs, err = rs.TargetLFTs(); err != nil {
+			return err
+		}
 		in.DeadLinks = links
 		// Quality traces what sources actually send under reselection: the
 		// first surviving DLID, exactly as the simulator's Reselect mode.
@@ -105,7 +144,9 @@ func runVerify(m, n int, schemeName string, vls int, faultList, selName string, 
 		// selector, over the same fault-filtered candidate set the simulator
 		// presents (an empty fault set filters nothing).
 		sel, err := sim.SelectorByName(selName)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		in.SelectDLID = func(src, dst topology.NodeID) (ib.LID, bool) {
 			base, count, canonical, mask := core.UsableOffsets(tree, eng, src, dst, fs)
 			if mask == 0 {
@@ -117,12 +158,10 @@ func runVerify(m, n int, schemeName string, vls int, faultList, selName string, 
 	}
 
 	rep, err := verify.Run(in, verify.Options{VLs: vls})
-	fatal(err)
-	render(rep, jsonOut)
-	if rep.Errors() > 0 {
-		return 1
+	if err != nil {
+		return err
 	}
-	return 0
+	return render(w, rep, jsonOut)
 }
 
 // addressingOnly wraps the pre-Configure addressing check in a Report so both
@@ -135,7 +174,7 @@ func addressingOnly(tree *topology.Tree, eng ib.RoutingEngine) *verify.Report {
 
 // runDegraded is the sweep mode: the experiment's degraded-fabric study plus
 // the static-vs-simulated ordering check the study exists to enforce.
-func runDegraded(m, n int, maxRate float64, quick, jsonOut bool) int {
+func runDegraded(w io.Writer, m, n int, maxRate float64, quick, jsonOut bool) error {
 	spec := experiment.DegradedStudySpec()
 	if quick {
 		spec = experiment.QuickDegradedSpec()
@@ -153,18 +192,19 @@ func runDegraded(m, n int, maxRate float64, quick, jsonOut bool) int {
 	spec.Rates = rates
 
 	rows, err := experiment.DegradedStudy(spec)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	if jsonOut {
-		fmt.Print(experiment.DegradedCSV(rows))
+		fmt.Fprint(w, experiment.DegradedCSV(rows))
 	} else {
-		fmt.Print(experiment.FormatDegraded(rows))
+		fmt.Fprint(w, experiment.FormatDegraded(rows))
 	}
 	if err := experiment.DegradedOrderingConsistent(rows); err != nil {
-		fmt.Fprintf(os.Stderr, "ibverify: %v\n", err)
-		return 1
+		return err
 	}
-	fmt.Println("ordering: static predicted-accepted ranking matches simulated accepted throughput at every rate")
-	return 0
+	fmt.Fprintln(w, "ordering: static predicted-accepted ranking matches simulated accepted throughput at every rate")
+	return nil
 }
 
 // parseLinks parses a "sw:port,sw:port" list into switch-side link endpoints.
@@ -199,21 +239,18 @@ func parseLinks(tree *topology.Tree, s string) ([][2]int32, error) {
 	return out, nil
 }
 
-func render(rep *verify.Report, jsonOut bool) {
+// render writes the report in the chosen format; a report with
+// error-severity findings returns errFindings.
+func render(w io.Writer, rep *verify.Report, jsonOut bool) error {
 	if jsonOut {
-		fatal(rep.WriteJSON(os.Stdout))
-		return
-	}
-	rep.WriteHuman(os.Stdout)
-}
-
-func fatal(err error) {
-	if err != nil {
-		if errors.Is(err, ib.ErrLIDSpaceExhausted) {
-			fmt.Fprintf(os.Stderr, "ibverify: %v\n  hint: the SLID scheme, or a smaller tree, fits the 16-bit LID space\n", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "ibverify: %v\n", err)
+		if err := rep.WriteJSON(w); err != nil {
+			return err
 		}
-		os.Exit(1)
+	} else {
+		rep.WriteHuman(w)
 	}
+	if rep.Errors() > 0 {
+		return errFindings
+	}
+	return nil
 }

@@ -24,8 +24,6 @@ import (
 
 	"mlid/internal/lint/analysis"
 	"mlid/internal/lint/driver"
-	"mlid/internal/lint/findingfmt"
-	"mlid/internal/lint/goldendrift"
 	"mlid/internal/lint/hotpath"
 	"mlid/internal/lint/load"
 	"mlid/internal/lint/maporder"
@@ -41,8 +39,6 @@ var analyzers = []*analysis.Analyzer{
 	hotpath.Analyzer,
 	hotpath.SMAnalyzer,
 	hotpath.SelectorAnalyzer,
-	goldendrift.Analyzer,
-	findingfmt.Analyzer,
 }
 
 func main() {

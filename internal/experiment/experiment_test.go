@@ -1,10 +1,10 @@
 package experiment
 
 import (
-	"os"
 	"strings"
 	"testing"
 
+	"mlid/internal/golden"
 	"mlid/internal/sim"
 )
 
@@ -81,13 +81,7 @@ func TestTable1(t *testing.T) {
 	}
 	// ibsweep -table1 prints FormatTable1 and a blank line; the committed
 	// results/table1.txt is that output.
-	want, err := os.ReadFile("../../results/table1.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := FormatTable1(rows) + "\n"; out != string(want) {
-		t.Errorf("FormatTable1 differs from results/table1.txt:\n%s", out)
-	}
+	golden.Check(t, "../../results/table1.txt", []byte(FormatTable1(rows)+"\n"))
 	if _, err := Table1([]Network{{3, 1}}); err == nil {
 		t.Error("invalid network accepted")
 	}

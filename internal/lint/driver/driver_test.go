@@ -10,29 +10,29 @@ import (
 
 	"mlid/internal/lint/analysis"
 	"mlid/internal/lint/driver"
-	"mlid/internal/lint/findingfmt"
+	"mlid/internal/lint/hotpath"
 	"mlid/internal/lint/load"
 )
 
-// fixture loads the findingfmt testdata package: 6 analyzer-level findings,
-// one of which carries a reasoned //lint:ignore directive the driver must
-// honor in both output modes.
+// fixture loads the selectorpure testdata package: 9 analyzer-level
+// findings, one of which carries a reasoned //lint:ignore directive the
+// driver must honor in both output modes.
 func fixture(t *testing.T) []*load.Package {
 	t.Helper()
-	p, err := load.Dir("../findingfmt/testdata/src/verify")
+	p, err := load.Dir("../hotpath/testdata/src/selectorpure/sim")
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
 	return []*load.Package{p}
 }
 
-const wantFindings = 5 // 6 want-comments in the fixture, 1 suppressed
+const wantFindings = 8 // 9 wanted diagnostics in the fixture, 1 suppressed
 
 // TestRunTextAppliesIgnores pins the text mode: finding count after
 // suppression and the "file:line:col: message (analyzer)" shape.
 func TestRunTextAppliesIgnores(t *testing.T) {
 	var buf bytes.Buffer
-	n, err := driver.Run(fixture(t), []*analysis.Analyzer{findingfmt.Analyzer}, &buf)
+	n, err := driver.Run(fixture(t), []*analysis.Analyzer{hotpath.SelectorAnalyzer}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestRunTextAppliesIgnores(t *testing.T) {
 		t.Fatalf("printed %d lines for %d findings:\n%s", len(lines), n, buf.String())
 	}
 	for _, l := range lines {
-		if !strings.Contains(l, "(findingfmt)") || !strings.Contains(l, "a.go:") {
+		if !strings.Contains(l, "(selectorpure)") || !strings.Contains(l, "sim.go:") {
 			t.Errorf("line does not look like a vet diagnostic: %q", l)
 		}
 	}
@@ -55,7 +55,7 @@ func TestRunTextAppliesIgnores(t *testing.T) {
 // CI annotation path — so the emitter and the matcher cannot drift apart.
 func TestRunJSONMatchesProblemMatcher(t *testing.T) {
 	var buf bytes.Buffer
-	n, err := driver.RunJSON(fixture(t), []*analysis.Analyzer{findingfmt.Analyzer}, &buf)
+	n, err := driver.RunJSON(fixture(t), []*analysis.Analyzer{hotpath.SelectorAnalyzer}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRunJSONMatchesProblemMatcher(t *testing.T) {
 		if err := json.Unmarshal([]byte(l), &d); err != nil {
 			t.Fatalf("line is not valid JSON: %q: %v", l, err)
 		}
-		if d.File == "" || d.Line == 0 || d.Severity != "error" || d.Analyzer != "findingfmt" || d.Message == "" {
+		if d.File == "" || d.Line == 0 || d.Severity != "error" || d.Analyzer != "selectorpure" || d.Message == "" {
 			t.Errorf("incomplete diagnostic: %q", l)
 		}
 		if !re.MatchString(l) {

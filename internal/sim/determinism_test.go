@@ -1,21 +1,18 @@
 package sim
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"mlid/internal/core"
+	"mlid/internal/golden"
 	"mlid/internal/ib"
 	"mlid/internal/topology"
 	"mlid/internal/traffic"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata golden fixtures")
 
 // goldenCases are the configurations whose results are pinned bit-for-bit in
 // testdata/golden_results.txt. The fixtures were recorded under the original
@@ -284,7 +281,7 @@ func fieldLines(name string, r Result) []string {
 // before the engine rewrite (goldenCases), the scenario fixtures
 // (scenarioCases), the closed workloads (batchCases) and the path-plan runs
 // (planCases), then every Result field of the scenario cases (fieldLines).
-// Run with -update to re-record.
+// Regenerate with -update.
 func TestGoldenDeterminism(t *testing.T) {
 	var lines []string
 	for _, tc := range goldenCases(t) {
@@ -320,23 +317,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	lines = append(lines, fields...)
 	got := strings.Join(lines, "\n") + "\n"
 
-	path := filepath.Join("testdata", "golden_results.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden fixtures (run with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("results drifted from recorded fixtures\n got:\n%s\nwant:\n%s", got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "golden_results.txt"), []byte(got))
 }
 
 // TestRunDeterminism requires a config to produce an identical Result

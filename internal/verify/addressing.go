@@ -27,7 +27,7 @@ func AddressingScheme(t *topology.Tree, eng ib.RoutingEngine) []Finding {
 			Message: fmt.Sprintf("scheme %s requires LMC %d > architectural maximum %d",
 				eng.Name(), lmc, ib.MaxLMC),
 			Witness: []string{fmt.Sprintf("LMC field is 3 bits, max %d", ib.MaxLMC)},
-		})
+		}.valid())
 	}
 	if space := eng.LIDSpace(t); space > lidSpaceLimit {
 		out = append(out, Finding{
@@ -40,7 +40,7 @@ func AddressingScheme(t *topology.Tree, eng ib.RoutingEngine) []Finding {
 				fmt.Sprintf("LIDSpace=%d", space),
 				fmt.Sprintf("16-bit limit=%d", lidSpaceLimit),
 			},
-		})
+		}.valid())
 	}
 	return out
 }
@@ -67,7 +67,6 @@ func (f *fabric) checkAddressing(rep *Report) {
 				Severity: Error,
 				Location: node(),
 				Message:  "assigned the reserved base LID 0",
-				Witness:  nil,
 			})
 			continue
 		}
@@ -123,7 +122,6 @@ func (f *fabric) checkAddressing(rep *Report) {
 				Severity: Warning,
 				Location: f.t.SwitchLabel(first),
 				Message:  fmt.Sprintf("orphaned LID %d routed on %d switches but owned by no endport", lid, routed),
-				Witness:  nil,
 			})
 		}
 	}

@@ -10,11 +10,13 @@ import (
 // schemes guarantee (a loop, a credit cycle, an unexplained dead end);
 // Warning findings are conditions a recorded fault explains (an entry left
 // pointing at a down link drops packets observably, it does not misroute
-// them); Info findings carry metrics with no pass/fail meaning.
+// them); Info findings carry metrics with no pass/fail meaning. The zero
+// Severity is none of these: a finding recorded without one panics, so an
+// omitted grade fails the first test that reaches it.
 type Severity int
 
 const (
-	Info Severity = iota
+	Info Severity = iota + 1
 	Warning
 	Error
 )
@@ -59,9 +61,8 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 // Finding is one typed result of a static analyzer: what was found, how bad
 // it is, where in the fabric it sits, and the witness that proves it (a
 // forwarding path for reachability findings, a channel cycle for deadlock
-// findings). Every construction must set Severity and Witness explicitly —
-// the findingfmt ibvet analyzer enforces it — so a reader never has to guess
-// whether an omitted field means "info" or "forgotten".
+// findings). Every construction must set Severity: the zero value is
+// invalid and rejected where the finding is recorded.
 type Finding struct {
 	// Analyzer names the family that produced the finding: "reachability",
 	// "deadlock", "addressing" or "quality".
@@ -150,9 +151,18 @@ type Report struct {
 	Stats    Stats     `json:"stats"`
 }
 
+// valid returns f, panicking when its Severity is not a grade.
+func (f Finding) valid() Finding {
+	if f.Severity < Info || f.Severity > Error {
+		panic(fmt.Sprintf("verify: %s finding %q recorded with invalid severity %d", f.Analyzer, f.Message, int(f.Severity)))
+	}
+	return f
+}
+
 // add appends a finding unless the per-analyzer cap is exhausted, in which
 // case it is counted as suppressed.
 func (r *Report) add(capacity int, f Finding) {
+	f.valid()
 	n := 0
 	for _, g := range r.Findings {
 		if g.Analyzer == f.Analyzer {

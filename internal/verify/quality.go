@@ -126,7 +126,6 @@ func (f *fabric) checkQuality(rep *Report) {
 		Message: fmt.Sprintf("%s: max inter-switch load %.1f at %s (mean %.1f), dilation mean %.3f, root links max/mean/min %.1f/%.1f/%.1f, %d/%d flows unrouted",
 			q.Matrix, q.MaxLoad, q.MaxLink, q.MeanLoad, q.MeanDilation,
 			q.RootLinkMax, q.RootLinkMean, q.RootLinkMin, q.Unrouted, q.Flows),
-		Witness: nil,
 	})
 }
 

@@ -75,7 +75,7 @@ func (w *walker) claim(sw topology.SwitchID, lid int) bool {
 
 // add appends a finding the cap has room for to the report.
 func (w *walker) add(f Finding) {
-	w.rep.Findings = append(w.rep.Findings, f)
+	w.rep.Findings = append(w.rep.Findings, f.valid())
 	w.found++
 }
 
@@ -141,7 +141,6 @@ func (w *walker) walkLeaf(leaf topology.SwitchID) {
 				Location: t.SwitchLabel(leaf),
 				Message: fmt.Sprintf("destination %s unreachable: all %d of its LIDs hit dead links from this leaf",
 					t.NodeLabel(topology.NodeID(p)), routes),
-				Witness: nil,
 			})
 		}
 	}

@@ -2,21 +2,18 @@ package verify_test
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"mlid/internal/core"
+	"mlid/internal/golden"
 	"mlid/internal/ib"
 	"mlid/internal/topology"
 	"mlid/internal/verify"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/defect_reports.golden")
 
 // vlByDLID is the simulator's static DLID-to-lane mapping.
 func vlByDLID(dlid ib.LID, vls int) int { return int(dlid) % vls }
@@ -74,23 +71,7 @@ func TestDefectReportsPinned(t *testing.T) {
 			fmt.Fprintf(&got, "== %s\n%s", name, serial)
 		}
 	}
-	path := filepath.Join("testdata", "defect_reports.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if got.String() != string(want) {
-		t.Fatalf("defect reports drifted from %s:\ngot:\n%s\nwant:\n%s", path, got.String(), want)
-	}
+	golden.Check(t, filepath.Join("testdata", "defect_reports.golden"), got.Bytes())
 }
 
 // spineLoopFixture corrupts FT(4,3) MLID tables so one DLID bounces
