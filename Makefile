@@ -45,11 +45,14 @@ lint-fix: lint
 # simPool, so a run that leaks state into the next, or two runs that share
 # one arena, shows up as a race or a result that depends on run order. The
 # third line does the same for verify.Run, whose concurrent runs share
-# runPool.
+# runPool. The fourth repeats the concurrent FaultPlan runs that share one
+# configured subnet's untouched tables and its reverse index, which no run
+# may write.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiment/... ./internal/sm/... ./internal/core/... ./internal/verify/...
 	$(GO) test -race -count=10 -run TestRunIndependentOfPriorRuns ./internal/sim/
 	$(GO) test -race -count=10 -run TestRunIndependentOfPooledRuns ./internal/verify/
+	$(GO) test -race -count=10 -run TestFaultRunLeavesSubnetPristine ./internal/sim/
 
 # soak runs the deterministic chaos campaigns: two seeds of link-flap
 # schedules with the reliable transport on, each executed twice per scheduler
@@ -82,11 +85,12 @@ BENCH_TIME ?= 1x
 BENCH_COUNT ?= 1
 
 # bench regenerates the figure-level benchmarks with allocation counts, plus
-# the control-plane repair benchmarks (incremental repair and SM recovery)
-# and the per-epoch static verification layer (verify.Run, healthy and
-# repaired).
+# the control-plane repair benchmarks (SM recovery here; incremental repair
+# beside core.RepairState) and the per-epoch static verification layer
+# (verify.Run, healthy and repaired, beside the verifier).
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkFig|BenchmarkRepairIncremental|BenchmarkSMRecovery|BenchmarkVerifyEpoch' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
+	$(GO) test -run xxx -bench 'BenchmarkFig|BenchmarkSMRecovery' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
+	$(GO) test -run xxx -bench 'BenchmarkRepairIncremental|BenchmarkVerifyEpoch' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/core/ ./internal/verify/
 
 # bench-engine runs the scheduler micro-benchmarks (ns/event, allocs/op).
 bench-engine:

@@ -16,8 +16,6 @@ import (
 	"testing"
 
 	"mlid"
-	"mlid/internal/ib"
-	"mlid/internal/verify"
 )
 
 // benchFigure runs a reduced version of one evaluation figure.
@@ -192,103 +190,6 @@ func BenchmarkRepairSubnet(b *testing.B) {
 		if _, _, err := mlid.RepairSubnet(sn, faults); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkRepairIncremental measures the steady-state control-plane repair
-// path: a persistent RepairState absorbing one link failure and its revival
-// per iteration. Work is proportional to the dirtied switches' candidate
-// entries (via the configure-time port-to-LIDs reverse index), not to the
-// LID space — compare BenchmarkRepairSubnet's full scan.
-func BenchmarkRepairIncremental(b *testing.B) {
-	for _, net := range [][2]int{{8, 3}, {16, 2}, {32, 2}} {
-		m, n := net[0], net[1]
-		b.Run(fmt.Sprintf("%d-port_%d-tree", m, n), func(b *testing.B) {
-			tree, err := mlid.NewTree(m, n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sn, err := mlid.Configure(tree, mlid.MLID())
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := mlid.NewRepairState(sn)
-			leaf, _ := tree.NodeAttachment(0)
-			down := [][2]int32{{int32(leaf), int32(tree.H())}}
-			fs := mlid.NewFaultSet()
-			fs.FailLink(tree, leaf, tree.H())
-			none := mlid.NewFaultSet()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.RepairIncremental(fs, st.DirtySwitches(nil, down)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := st.RepairIncremental(none, st.DirtySwitches(down, nil)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkVerifyEpoch measures one per-epoch static verification, the
-// pass sim.Config.VerifyEpochs runs at every SM epoch: verify.Run on
-// FT(8,3) MLID with 2 VLs mapped by DLID, quality skipped, serial walk.
-// healthy verifies the configured tables; repaired verifies the tables
-// core.RepairSubnet leaves after a fixed four-link fault, whose broken
-// descending entries are warnings. Work is one walk per (leaf, assigned
-// LID) route, reported as routes/op.
-func BenchmarkVerifyEpoch(b *testing.B) {
-	tree, err := mlid.NewTree(8, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	healthy, err := mlid.Configure(tree, mlid.MLID())
-	if err != nil {
-		b.Fatal(err)
-	}
-	repaired, err := mlid.Configure(tree, mlid.MLID())
-	if err != nil {
-		b.Fatal(err)
-	}
-	faults := mlid.NewFaultSet()
-	var dead [][2]int32
-	for _, node := range []mlid.NodeID{0, 37, 90} {
-		leaf, _ := tree.NodeAttachment(node)
-		port := tree.H() + int(node)%tree.H()
-		faults.FailLink(tree, leaf, port)
-		dead = append(dead, [2]int32{int32(leaf), int32(port)})
-	}
-	faults.FailLink(tree, 0, 3) // a root's descending link
-	dead = append(dead, [2]int32{0, 3})
-	if _, _, err := mlid.RepairSubnet(repaired, faults); err != nil {
-		b.Fatal(err)
-	}
-	degraded := verify.FromSubnet(repaired)
-	degraded.DeadLinks = dead
-
-	opt := verify.Options{
-		VLs:         2,
-		VLOf:        func(dlid ib.LID, vls int) int { return int(dlid) % vls },
-		SkipQuality: true,
-	}
-	for _, c := range []struct {
-		name string
-		in   verify.Input
-	}{{"healthy", verify.FromSubnet(healthy)}, {"repaired", degraded}} {
-		b.Run(c.name, func(b *testing.B) {
-			var rep *verify.Report
-			for i := 0; i < b.N; i++ {
-				rep, err = verify.Run(c.in, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if rep.Errors() != 0 {
-				b.Fatalf("%d error findings", rep.Errors())
-			}
-			b.ReportMetric(float64(rep.Stats.RoutesChecked), "routes/op")
-		})
 	}
 }
 

@@ -74,13 +74,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		err = runVerify(stdout, *m, *n, *scheme, *vls, *fault, *selName, *jsonOut)
 	}
-	switch {
-	case err == nil:
+	if err == nil {
 		return 0
-	case errors.Is(err, errFindings):
-	case errors.Is(err, ib.ErrLIDSpaceExhausted):
-		fmt.Fprintf(stderr, "ibverify: %v\n  hint: the SLID scheme, or a smaller tree, fits the 16-bit LID space\n", err)
-	default:
+	}
+	if !errors.Is(err, errFindings) {
 		fmt.Fprintf(stderr, "ibverify: %v\n", err)
 	}
 	return 1

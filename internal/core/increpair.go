@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mlid/internal/ib"
 	"mlid/internal/topology"
@@ -10,8 +10,9 @@ import (
 
 // This file is the incremental counterpart of RepairSubnet: instead of
 // re-scanning every forwarding entry on every fault event, a RepairState
-// carries a per-switch port→LIDs reverse index built once from the pristine
-// tables, plus the current divergence (overlay) from pristine per switch.
+// reads the pristine subnet's port→LIDs reverse index (ib.PortLIDIndex,
+// built once per subnet and shared by every state on it) and carries the
+// current divergence (overlay) from pristine per switch.
 // A fault-set change then only revisits the entries that could possibly be
 // affected — the entries whose pristine port is dead at a dirty switch —
 // and the repair is emitted directly as a delta against the previous repair
@@ -32,68 +33,6 @@ type SwitchDelta struct {
 	Entries []RepairEntry
 }
 
-// PortLIDIndex is the reverse index: for each (switch, abstract out-port),
-// the ascending list of DLIDs whose pristine forwarding entry at that switch
-// exits through the port. Built once at configure time; a dead link then
-// names exactly the candidate entries instead of the whole LID space. The
-// lists share one flat array: slot i's LIDs are lids[off[i]:off[i+1]].
-type PortLIDIndex struct {
-	m    int
-	off  []int32
-	lids []ib.LID
-}
-
-// BuildPortLIDIndex scans the subnet's (pristine) forwarding tables twice:
-// once to count each slot's entries, then, with off[i] advanced to the end of
-// slot i, once more in descending LID order, stepping each slot's offset back
-// to its start as it fills. The index costs two allocations whatever the
-// fabric's size.
-func BuildPortLIDIndex(sn *ib.Subnet) *PortLIDIndex {
-	t := sn.Tree
-	m, slots := t.M(), t.Switches()*t.M()
-	x := &PortLIDIndex{m: m, off: make([]int32, slots+1)}
-	for s := 0; s < t.Switches(); s++ {
-		lft := sn.LFTs[s]
-		for lid := 1; lid < lft.Size(); lid++ {
-			if k := outPort(lft, lid, m); k >= 0 {
-				x.off[s*m+k]++
-			}
-		}
-	}
-	for i := 1; i <= slots; i++ {
-		x.off[i] += x.off[i-1]
-	}
-	x.lids = make([]ib.LID, x.off[slots])
-	for s := 0; s < t.Switches(); s++ {
-		lft := sn.LFTs[s]
-		for lid := lft.Size() - 1; lid >= 1; lid-- {
-			if k := outPort(lft, lid, m); k >= 0 {
-				x.off[s*m+k]--
-				x.lids[x.off[s*m+k]] = ib.LID(lid)
-			}
-		}
-	}
-	return x
-}
-
-// outPort returns the abstract out-port of lid's entry in lft, or -1 when the
-// entry is unrouted or names no port of an m-port switch.
-func outPort(lft *ib.LFT, lid, m int) int {
-	phys := lft.Port(ib.LID(lid))
-	if phys == ib.PortNone || phys == 0 || int(phys) > m {
-		return -1
-	}
-	return int(phys) - 1
-}
-
-// LIDs returns the DLIDs routed through (sw, abstract port) in the pristine
-// tables, ascending. The returned slice is shared and capped, so an append
-// to it copies; callers must not mutate it.
-func (x *PortLIDIndex) LIDs(sw topology.SwitchID, port int) []ib.LID {
-	i := int(sw)*x.m + port
-	return x.lids[x.off[i]:x.off[i+1]:x.off[i+1]]
-}
-
 // RepairState evolves a subnet's repair target incrementally. The pristine
 // subnet is read-only reference data; the state tracks, per switch, the
 // overlay (entries diverging from pristine, i.e. remapped ascending entries)
@@ -101,7 +40,7 @@ func (x *PortLIDIndex) LIDs(sw topology.SwitchID, port int) []ib.LID {
 // set. The repair target at any moment is pristine + overlay.
 type RepairState struct {
 	sn      *ib.Subnet
-	idx     *PortLIDIndex
+	idx     *ib.PortLIDIndex
 	overlay [][]RepairEntry // per switch, ascending LID
 	broken  [][]BrokenEntry // per switch, ascending LID
 
@@ -109,17 +48,20 @@ type RepairState struct {
 	brokenCount int
 
 	// scratch reused across RepairIncremental calls.
-	cand []ib.LID
+	cand   []ib.LID
+	liveUp []int
 }
 
-// NewRepairState builds the reverse index over the subnet's current tables,
-// which must be pristine (unrepaired): they become the baseline every delta
-// is computed against.
+// NewRepairState starts an empty repair over the subnet's tables, which must
+// be pristine (unrepaired): they become the baseline every delta is computed
+// against, and the subnet's reverse index (sn.PortLIDIndex, built on the
+// first state's call and shared by every later one) is read from them. The
+// state itself costs O(switches); the subnet is only ever read.
 func NewRepairState(sn *ib.Subnet) *RepairState {
 	n := sn.Tree.Switches()
 	return &RepairState{
 		sn:      sn,
-		idx:     BuildPortLIDIndex(sn),
+		idx:     sn.PortLIDIndex(),
 		overlay: make([][]RepairEntry, n),
 		broken:  make([][]BrokenEntry, n),
 	}
@@ -131,15 +73,10 @@ func NewRepairState(sn *ib.Subnet) *RepairState {
 // (switch, abstract port) pairs as the simulator's SM holds them; a repaired
 // table is a pure function of (pristine table, dead ports at that switch),
 // so every switch outside this set keeps its previous target byte for byte.
+//
+// Membership is a linear scan over the views, which are short: cheaper per
+// trap than building two maps.
 func (st *RepairState) DirtySwitches(prev, cur [][2]int32) []topology.SwitchID {
-	inPrev := make(map[[2]int32]bool, len(prev))
-	for _, e := range prev {
-		inPrev[e] = true
-	}
-	inCur := make(map[[2]int32]bool, len(cur))
-	for _, e := range cur {
-		inCur[e] = true
-	}
 	t := st.sn.Tree
 	var dirty []topology.SwitchID
 	add := func(e [2]int32) {
@@ -150,19 +87,19 @@ func (st *RepairState) DirtySwitches(prev, cur [][2]int32) []topology.SwitchID {
 		}
 	}
 	for _, e := range cur {
-		if !inPrev[e] {
+		if !slices.Contains(prev, e) {
 			add(e)
 		}
 	}
 	for _, e := range prev {
-		if !inCur[e] {
+		if !slices.Contains(cur, e) {
 			add(e)
 		}
 	}
 	if len(dirty) == 0 {
 		return nil
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
+	slices.Sort(dirty)
 	out := dirty[:1]
 	for _, sw := range dirty[1:] {
 		if sw != out[len(out)-1] {
@@ -191,12 +128,13 @@ func (st *RepairState) RepairIncremental(faults *FaultSet, dirty []topology.Swit
 		down := t.DownPorts(sw)
 		// Live up-ports under the current fault set, ascending — the same
 		// alternative set RepairSubnet spreads remapped traffic over.
-		var liveUp []int
+		liveUp := st.liveUp[:0]
 		for k := down; k < m; k++ {
 			if !faults.Dead(sw, k) {
 				liveUp = append(liveUp, k)
 			}
 		}
+		st.liveUp = liveUp
 		// Candidate entries: only those whose pristine port is dead here.
 		st.cand = st.cand[:0]
 		for k := 0; k < m; k++ {
@@ -206,13 +144,28 @@ func (st *RepairState) RepairIncremental(faults *FaultSet, dirty []topology.Swit
 		}
 		// Each LID has one pristine port, so candidates are disjoint across
 		// ports; a sort restores the ascending scan order of the oracle.
-		sort.Slice(st.cand, func(i, j int) bool { return st.cand[i] < st.cand[j] })
+		slices.Sort(st.cand)
+		// The new overlay and broken list outlive this call, so a counting
+		// pass sizes each exactly before the filling pass.
+		lft := st.sn.LFTs[s]
+		// An entry breaks when it descends or no up-port survives.
+		broken := func(lid ib.LID) bool { return int(lft.Port(lid))-1 < down || len(liveUp) == 0 }
+		nBroken := 0
+		for _, lid := range st.cand {
+			if broken(lid) {
+				nBroken++
+			}
+		}
 		var neu []RepairEntry
 		var brk []BrokenEntry
+		if n := len(st.cand) - nBroken; n > 0 {
+			neu = make([]RepairEntry, 0, n)
+		}
+		if nBroken > 0 {
+			brk = make([]BrokenEntry, 0, nBroken)
+		}
 		for _, lid := range st.cand {
-			phys := st.sn.LFTs[s].Port(lid)
-			k := int(phys) - 1
-			if k < down || len(liveUp) == 0 {
+			if broken(lid) {
 				brk = append(brk, BrokenEntry{Switch: sw, DLID: lid})
 				continue
 			}
@@ -224,7 +177,7 @@ func (st *RepairState) RepairIncremental(faults *FaultSet, dirty []topology.Swit
 		st.brokenCount += len(brk) - len(st.broken[s])
 		st.broken[s] = brk
 		st.overlay[s] = neu
-		if d := diffOverlays(old, neu, st.sn.LFTs[s]); len(d) > 0 {
+		if d := diffOverlays(old, neu, lft); len(d) > 0 {
 			deltas = append(deltas, SwitchDelta{Switch: sw, Entries: d})
 		}
 	}
@@ -234,27 +187,47 @@ func (st *RepairState) RepairIncremental(faults *FaultSet, dirty []topology.Swit
 // diffOverlays merge-diffs two ascending overlays into the delta that turns
 // (pristine + old) into (pristine + neu): entries only in old revert to
 // their pristine port, entries only in neu (or remapped differently) take
-// the new port.
+// the new port. A counting merge sizes the delta exactly before the filling
+// one; an empty delta is nil.
 func diffOverlays(old, neu []RepairEntry, pristine *ib.LFT) []RepairEntry {
-	var out []RepairEntry
+	n := mergeOverlays(old, neu, pristine, nil)
+	if n == 0 {
+		return nil
+	}
+	out := make([]RepairEntry, n)
+	mergeOverlays(old, neu, pristine, out)
+	return out
+}
+
+// mergeOverlays is diffOverlays' merge: it writes the delta's entries into
+// out, which must have room for them, or only counts them when out is nil,
+// and returns their number.
+func mergeOverlays(old, neu []RepairEntry, pristine *ib.LFT, out []RepairEntry) int {
+	n := 0
+	put := func(e RepairEntry) {
+		if out != nil {
+			out[n] = e
+		}
+		n++
+	}
 	i, j := 0, 0
 	for i < len(old) || j < len(neu) {
 		switch {
 		case j >= len(neu) || (i < len(old) && old[i].LID < neu[j].LID):
-			out = append(out, RepairEntry{LID: old[i].LID, Port: pristine.Port(old[i].LID)})
+			put(RepairEntry{LID: old[i].LID, Port: pristine.Port(old[i].LID)})
 			i++
 		case i >= len(old) || neu[j].LID < old[i].LID:
-			out = append(out, neu[j])
+			put(neu[j])
 			j++
 		default:
 			if old[i].Port != neu[j].Port {
-				out = append(out, neu[j])
+				put(neu[j])
 			}
 			i++
 			j++
 		}
 	}
-	return out
+	return n
 }
 
 // TargetPort returns the current repair target's entry for (sw, lid):
@@ -297,12 +270,18 @@ func (st *RepairState) BrokenEntries() []BrokenEntry {
 	return out
 }
 
-// TargetLFTs materializes the current repair target (pristine + overlay) as
-// freshly cloned tables — the equivalence-oracle hook for tests, not a hot
-// path.
+// TargetLFTs materializes the current repair target (pristine + overlay):
+// a clone for each switch with a non-empty overlay, the pristine table
+// itself for every other switch. The result is read-only — writing to an
+// entry would write to the pristine subnet — which suits its callers, the
+// static verification of a repair and the equivalence tests.
 func (st *RepairState) TargetLFTs() ([]*ib.LFT, error) {
 	out := make([]*ib.LFT, len(st.sn.LFTs))
 	for i, lft := range st.sn.LFTs {
+		if len(st.overlay[i]) == 0 {
+			out[i] = lft
+			continue
+		}
 		out[i] = lft.Clone()
 		for _, e := range st.overlay[i] {
 			if err := out[i].Set(e.LID, e.Port); err != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -209,37 +211,39 @@ func TestRepairIncrementalComposedVsOneShot(t *testing.T) {
 	}
 }
 
-// TestPortLIDIndexMatchesScan: the flat reverse index lists, for every
-// (switch, out-port), exactly the LIDs a per-entry Lookup scan of the
-// pristine tables routes through it, in ascending order.
-func TestPortLIDIndexMatchesScan(t *testing.T) {
-	for _, scheme := range Schemes() {
-		for _, tr := range propertyTrees() {
-			sn := configured(t, tr.M(), tr.N(), scheme)
-			x := BuildPortLIDIndex(sn)
-			want := make([][]ib.LID, tr.Switches()*tr.M())
-			for sw, lft := range sn.LFTs {
-				for lid := 0; lid < lft.Size(); lid++ {
-					if phys, err := lft.Lookup(ib.LID(lid)); err == nil {
-						slot := sw*tr.M() + int(phys) - 1
-						want[slot] = append(want[slot], ib.LID(lid))
-					}
-				}
-			}
-			for slot, lids := range want {
-				sw, port := topology.SwitchID(slot/tr.M()), slot%tr.M()
-				got := x.LIDs(sw, port)
-				if len(got) != len(lids) || cap(got) != len(got) {
-					t.Fatalf("%s FT(%d,%d) switch %d port %d: %d LIDs (cap %d), want %d",
-						scheme.Name(), tr.M(), tr.N(), sw, port, len(got), cap(got), len(lids))
-				}
-				for i := range lids {
-					if got[i] != lids[i] {
-						t.Fatalf("%s FT(%d,%d) switch %d port %d: LID[%d] = %d, want %d",
-							scheme.Name(), tr.M(), tr.N(), sw, port, i, got[i], lids[i])
-					}
-				}
-			}
+// TestRepairStatesShareIndex: repair states on one subnet, created
+// concurrently, all read the subnet's one reverse index, so every state
+// after the first costs O(switches) — its overlay and broken lists — and
+// not the O(LID space) an index of its own would.
+func TestRepairStatesShareIndex(t *testing.T) {
+	sn := configured(t, 8, 3, NewMLID())
+	states := make([]*RepairState, 4)
+	var wg sync.WaitGroup
+	for i := range states {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			states[i] = NewRepairState(sn)
+		}()
+	}
+	wg.Wait()
+	idx := sn.PortLIDIndex()
+	for i, st := range states {
+		if st.idx != idx {
+			t.Fatalf("state %d reads its own reverse index, not the subnet's", i)
 		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st := NewRepairState(sn)
+	runtime.ReadMemStats(&after)
+	if st.idx != idx {
+		t.Fatal("a later state reads its own reverse index, not the subnet's")
+	}
+	perSwitch := (after.TotalAlloc - before.TotalAlloc) / uint64(sn.Tree.Switches())
+	if perSwitch > 128 {
+		t.Errorf("a second RepairState allocated %d bytes per switch, want O(switches) (<= 128 per switch); the LID space is %d",
+			perSwitch, sn.LIDSpace())
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"mlid/internal/topology"
 )
 
-func configured(t *testing.T, m, n int, s Scheme) *ib.Subnet {
+func configured(t testing.TB, m, n int, s Scheme) *ib.Subnet {
 	t.Helper()
 	tr := topology.MustNew(m, n)
 	sn, err := (&ib.SubnetManager{Tree: tr, Engine: s}).Configure()

@@ -175,7 +175,8 @@ func chaosStudy(spec ChaosSpec) (study[ChaosRow], error) {
 	}
 	// One schedule per rate, shared by both schemes; one pristine
 	// configuration per scheme, shared read-only by every rate (chaos runs
-	// always carry a FaultPlan, so the simulator clones the tables).
+	// always carry a FaultPlan, so the simulator clones the tables its SM may
+	// rewrite).
 	plans := make([]*sim.FaultPlan, len(spec.FaultRates))
 	for ri, rate := range spec.FaultRates {
 		if rate <= 0 || rate > 1 {

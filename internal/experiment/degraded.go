@@ -264,9 +264,11 @@ func degradedStudy(spec DegradedSpec) (study[DegradedRow], error) {
 	}
 
 	// One pristine configuration per (tree, scheme), shared by every
-	// scenario: each point's repair state only reads it, and the simulator
-	// clones the tables itself under a FaultPlan, so the pristine subnets are
-	// only ever read concurrently.
+	// scenario: each point's repair state only reads it and its one reverse
+	// index (built by the first state, shared by the rest), and under a
+	// FaultPlan the simulator clones the tables its faults can dirty and
+	// only reads the others, so the pristine subnets are only ever read
+	// concurrently.
 	schemes := []core.Scheme{core.NewSLID(), core.NewMLID()}
 	pristine := make([]*ib.Subnet, len(schemes))
 	for i, scheme := range schemes {
@@ -283,7 +285,7 @@ func degradedStudy(spec DegradedSpec) (study[DegradedRow], error) {
 				name: fmt.Sprintf("degraded run %s at %s", scheme.Name(), sc.label),
 				// The dynamic view: the same outage simulated end to end,
 				// straight off the shared pristine subnet (the simulator's
-				// fault path clones the tables before mutating them).
+				// fault path clones each table its SM may rewrite).
 				cfg: sim.Config{
 					Subnet:       pristine[i],
 					Pattern:      traffic.Uniform{Nodes: tr.Nodes()},

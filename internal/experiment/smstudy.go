@@ -165,7 +165,7 @@ func smStudy(spec SMSpec) (study[SMRow], error) {
 
 	// One pristine configuration per routing scheme, shared read-only by all
 	// of that scheme's modes (every run carries a FaultPlan, so the
-	// simulator clones the tables itself).
+	// simulator clones the tables its SM may rewrite).
 	for _, sc := range smSchemes() {
 		sn, err := (&ib.SubnetManager{Tree: tr, Engine: sc.scheme()}).Configure()
 		if err != nil {

@@ -11,8 +11,8 @@ import (
 // over random table sizes and contents, mutating the clone never shows
 // through the original, mutating the original never shows through the
 // clone, and Entries() hands out an independent copy too. The live
-// simulator leans on exactly this — it clones every switch's table when
-// fault injection is on, then rewrites the clones mid-run while the
+// simulator leans on exactly this — it clones the table of every switch a
+// fault plan can dirty, then rewrites the clones mid-run while the
 // caller's pristine subnet must stay byte-identical (the SM's repair state
 // reads it as the baseline of every trap's repair).
 func TestLFTClonePropertyNoAliasing(t *testing.T) {

@@ -104,8 +104,8 @@ func (t *LFT) Port(lid LID) uint8 {
 }
 
 // Clone returns an independent copy of the table. The live simulator clones
-// every switch's LFT when fault injection is configured, so timed table
-// updates never mutate the caller's subnet.
+// the LFT of every switch a fault plan can dirty, so timed table updates
+// never mutate the caller's subnet.
 func (t *LFT) Clone() *LFT {
 	c := &LFT{ports: make([]uint8, len(t.ports))}
 	copy(c.ports, t.ports)

@@ -2,6 +2,7 @@ package ib
 
 import (
 	"fmt"
+	"sync"
 
 	"mlid/internal/topology"
 )
@@ -43,6 +44,12 @@ type Subnet struct {
 	LFTs []*LFT
 
 	lidOwner []int32 // LID -> node PID, or -1
+
+	// portIdx is the tables' reverse index, built once on first use (see
+	// PortLIDIndex): Configure never builds it, since most subnets are
+	// never repaired.
+	portIdxOnce sync.Once
+	portIdx     *PortLIDIndex
 }
 
 // FinishAssembly rebuilds the subnet's LID-ownership index from its endport

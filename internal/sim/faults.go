@@ -165,6 +165,30 @@ func (p FaultPlan) withDefaults() FaultPlan {
 	return p
 }
 
+// writableSwitches marks the switches whose live tables the SM may rewrite
+// under the plan: both switch-side ends of every link the plan can kill —
+// each link fault, and every link of a switch fault. A dead-link view only
+// ever holds such links, so core.RepairState.DirtySwitches, and with it
+// every staged update, names no other switch.
+func (p *FaultPlan) writableSwitches(t *topology.Tree) []bool {
+	out := make([]bool, t.Switches())
+	mark := func(sw int32, port int) {
+		out[sw] = true
+		if ref := t.SwitchNeighbor(topology.SwitchID(sw), port); ref.Kind == topology.KindSwitch {
+			out[ref.Switch] = true
+		}
+	}
+	for _, f := range p.Faults {
+		mark(f.Switch, f.Port)
+	}
+	for _, f := range p.SwitchFaults {
+		for port := 0; port < t.M(); port++ {
+			mark(f.Switch, port)
+		}
+	}
+	return out
+}
+
 // faultIval is one outage interval of a physical link, attributed back to
 // the plan entry that produced it, used by up-front validation.
 type faultIval struct {
@@ -566,8 +590,9 @@ func (s *Sim) smReact(view [][2]int32) {
 func (s *Sim) smRepair(deadView [][2]int32) (staged []int, ok bool) {
 	fr := s.faults
 	if fr.repair == nil {
-		// One-time index build over the pristine configuration; every
-		// subsequent trap is delta work only.
+		// The first trap starts the repair over the pristine
+		// configuration, whose reverse index the subnet builds once and
+		// shares with every run on it; every later trap is delta work only.
 		fr.repair = core.NewRepairState(s.cfg.Subnet)
 	} else if sm.SameDeadLinks(fr.smDead, deadView) {
 		// Memoized early-exit: the repair target is a pure function of the
@@ -610,6 +635,12 @@ func (s *Sim) smRepair(deadView [][2]int32) (staged []int, ok bool) {
 func (s *Sim) applyLFTUpdate(idx int) {
 	u := s.faults.staged[idx]
 	lft := s.lfts[u.sw]
+	if lft == s.cfg.Subnet.LFTs[u.sw] {
+		// build clones every table the plan's faults can dirty; a write
+		// here would corrupt the caller's pristine subnet.
+		s.fail(fmt.Errorf("sim: LFT update to switch %d, whose table is shared with the configured subnet (model bug)", u.sw))
+		return
+	}
 	target := s.faults.repair
 	fwdBase := int(u.sw) * s.lftSize
 	for _, lid := range u.lids {

@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"mlid/internal/core"
@@ -270,7 +272,8 @@ func TestFaultPlanDeterminism(t *testing.T) {
 }
 
 // TestEmptyFaultPlanMatchesGolden proves an empty FaultPlan is inert: the
-// fault machinery (table cloning, default timing, zeroed counters) reproduces
+// fault machinery (default timing, zeroed counters; no fault, so no table is
+// cloned) reproduces
 // the recorded golden fixtures bit-for-bit.
 func TestEmptyFaultPlanMatchesGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_results.txt"))
@@ -454,5 +457,84 @@ func TestSMTablesConvergeToRepairTarget(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFaultRunLeavesSubnetPristine: a FaultPlan run clones only the tables
+// its faults can dirty and reads the configured subnet's own tables for
+// every other switch, so runs sharing one subnet, concurrently, must leave
+// its tables byte-identical and compute exactly what runs on private
+// configurations compute. The plans cover the oracle with a link that dies
+// and revives, and the in-band SM with a whole-switch outage.
+func TestFaultRunLeavesSubnetPristine(t *testing.T) {
+	const m, n = 4, 3
+	shared := mustSubnet(t, m, n, core.NewMLID())
+	tr := shared.Tree
+	mid := findSwitch(t, tr, 1)
+	plans := []*FaultPlan{
+		{
+			Faults:   []LinkFault{{Switch: mid, Port: tr.DownPorts(topology.SwitchID(mid)), DownNs: 30_000, UpNs: 60_000}},
+			Reselect: true,
+		},
+		{
+			SwitchFaults: []SwitchFault{{Switch: mid, DownNs: 40_000}},
+			Reselect:     true,
+			InBandSM:     &InBandSMConfig{},
+		},
+	}
+	cfgOf := func(sn *ib.Subnet, plan *FaultPlan) Config {
+		return Config{
+			Subnet:  sn,
+			Pattern: traffic.Uniform{Nodes: sn.Tree.Nodes()},
+			DataVLs: 2, OfferedLoad: 0.3,
+			WarmupNs: 20_000, MeasureNs: 80_000,
+			FaultPlan:    plan,
+			VerifyEpochs: true,
+			Seed:         13,
+		}
+	}
+	before := make([][]uint8, len(shared.LFTs))
+	for sw, lft := range shared.LFTs {
+		before[sw] = lft.Entries()
+	}
+	want := make([]Result, len(plans))
+	for i, plan := range plans {
+		if w := plan.writableSwitches(tr); !slices.Contains(w, false) {
+			t.Fatalf("plan %d dirties every switch: no table is shared", i)
+		}
+		res, err := Run(cfgOf(mustSubnet(t, m, n, core.NewMLID()), plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.LFTUpdates == 0 {
+			t.Fatalf("plan %d applied no table update: the scenario exercises nothing", i)
+		}
+		want[i] = res
+	}
+
+	got := make([]Result, 2*len(plans))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = Run(cfgOf(shared, plans[g%len(plans)]))
+		}()
+	}
+	wg.Wait()
+	for g, res := range got {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if !reflect.DeepEqual(res, want[g%len(plans)]) {
+			t.Errorf("plan %d on the shared subnet differs from a run on a private one:\n shared:  %s\n private: %s",
+				g%len(plans), fingerprint(res), fingerprint(want[g%len(plans)]))
+		}
+	}
+	for sw, lft := range shared.LFTs {
+		if !slices.Equal(lft.Entries(), before[sw]) {
+			t.Errorf("switch %d: the configured subnet's table changed during the runs", sw)
+		}
 	}
 }

@@ -485,12 +485,18 @@ func build(cfg Config) *Sim {
 		s.cv[i].credits = int32(cfg.BufPackets)
 	}
 	s.lfts = recycle(prev.lfts, S)
+	// Live tables diverge from the configured subnet once the SM model
+	// starts applying timed updates, but only at the switches the plan's
+	// faults can dirty: those get clones, so the caller's subnet stays
+	// pristine (and serves as the repair baseline); every other switch
+	// reads the subnet's own table, which nothing writes.
+	var writable []bool
+	if cfg.FaultPlan != nil {
+		writable = cfg.FaultPlan.writableSwitches(t)
+	}
 	for sw := 0; sw < S; sw++ {
 		lft := cfg.Subnet.LFTs[sw]
-		if cfg.FaultPlan != nil {
-			// Live tables diverge from the configured subnet once the SM
-			// model starts applying timed updates; clone so the caller's
-			// subnet stays pristine (and serves as the repair baseline).
+		if writable != nil && writable[sw] {
 			lft = lft.Clone()
 		}
 		s.lfts[sw] = lft

@@ -51,7 +51,7 @@ func AddressingScheme(t *topology.Tree, eng ib.RoutingEngine) []Finding {
 func (f *fabric) checkAddressing(rep *Report) {
 	if f.in.Engine != nil {
 		for _, fd := range AddressingScheme(f.t, f.in.Engine) {
-			rep.add(f.cap, fd)
+			f.add(rep, fd)
 		}
 	}
 	f.owner = recycle(f.owner, f.space)
@@ -62,7 +62,7 @@ func (f *fabric) checkAddressing(rep *Report) {
 		// Labels are built only for findings: a clean plan formats nothing.
 		node := func() string { return f.t.NodeLabel(topology.NodeID(p)) }
 		if r.Base == 0 {
-			rep.add(f.cap, Finding{
+			f.add(rep, Finding{
 				Analyzer: "addressing",
 				Severity: Error,
 				Location: node(),
@@ -73,7 +73,7 @@ func (f *fabric) checkAddressing(rep *Report) {
 		for off := 0; off < r.Count(); off++ {
 			lid := int(r.Base) + off
 			if lid >= f.space {
-				rep.add(f.cap, Finding{
+				f.add(rep, Finding{
 					Analyzer: "addressing",
 					Severity: Error,
 					Location: node(),
@@ -84,7 +84,7 @@ func (f *fabric) checkAddressing(rep *Report) {
 				break
 			}
 			if prev := f.owner[lid]; prev >= 0 {
-				rep.add(f.cap, Finding{
+				f.add(rep, Finding{
 					Analyzer: "addressing",
 					Severity: Error,
 					Location: node(),
@@ -117,7 +117,7 @@ func (f *fabric) checkAddressing(rep *Report) {
 			}
 		}
 		if routed > 0 {
-			rep.add(f.cap, Finding{
+			f.add(rep, Finding{
 				Analyzer: "addressing",
 				Severity: Warning,
 				Location: f.t.SwitchLabel(first),

@@ -19,15 +19,19 @@ import (
 // neighbor, dead-link and owner tables, the walk's claim and dependency
 // bitsets, the adjacency lists and the cycle-search arrays afresh: 33
 // allocations healthy, 512 repaired. With the state pooled a healthy Run
-// allocates 1 (the report), and a repaired one 466: the report and its
-// formatted findings' messages, locations and witnesses.
+// allocates 1 (the report). A repaired one allocated 466 while each finding
+// formatted its own location and witness labels and the findings slice grew
+// by appending; with the labels read from the pooled fabric's table and the
+// findings and witnesses copied out once at exact size it allocates 67: the
+// report, its 64 warnings' messages, one findings array and one witness
+// array.
 //
 // The third input is the degraded study's static view, the one Run with the
 // quality pass on: the same fault repaired by core.RepairState, sources
-// choosing fault-avoiding DLIDs through core.SelectLID. It allocates 479:
-// the report, its 64 capped warnings and the quality block, never one per
-// traced flow. The bounds leave room for a GC that empties the pool
-// mid-measurement.
+// choosing fault-avoiding DLIDs through core.SelectLID. It allocates 79
+// (479 before the same change): the report, its 64 capped warnings and the
+// quality block, never one per traced flow. The bounds leave room for a GC
+// that empties the pool mid-measurement.
 func TestVerifyEpochAllocs(t *testing.T) {
 	healthy, repaired, opt := epochInputs(t)
 	static, staticOpt := staticInput(t)
@@ -38,8 +42,8 @@ func TestVerifyEpochAllocs(t *testing.T) {
 		bound float64
 	}{
 		{"healthy", healthy, opt, 33 / 2},
-		{"repaired", repaired, opt, 466 + 33/2},
-		{"static-quality", static, staticOpt, 479 + 33/2},
+		{"repaired", repaired, opt, 67 + 33/2},
+		{"static-quality", static, staticOpt, 79 + 33/2},
 	} {
 		allocs := testing.AllocsPerRun(5, func() { // AllocsPerRun warms up with one run first
 			if _, err := verify.Run(c.in, c.opt); err != nil {

@@ -66,7 +66,7 @@ func (f *fabric) checkDeadlock(rep *Report, graphs []depGraph) {
 		if f.vlOf != nil {
 			lane = fmt.Sprintf("VL %d", vl)
 		}
-		rep.add(f.cap, Finding{
+		f.add(rep, Finding{
 			Analyzer: "deadlock",
 			Severity: Error,
 			Location: witness[0],

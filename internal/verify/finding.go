@@ -159,23 +159,6 @@ func (f Finding) valid() Finding {
 	return f
 }
 
-// add appends a finding unless the per-analyzer cap is exhausted, in which
-// case it is counted as suppressed.
-func (r *Report) add(capacity int, f Finding) {
-	f.valid()
-	n := 0
-	for _, g := range r.Findings {
-		if g.Analyzer == f.Analyzer {
-			n++
-		}
-	}
-	if capacity > 0 && n >= capacity {
-		r.Stats.Suppressed++
-		return
-	}
-	r.Findings = append(r.Findings, f)
-}
-
 // Errors counts error-severity findings.
 func (r *Report) Errors() int { return r.count(Error) }
 

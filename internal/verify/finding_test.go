@@ -9,8 +9,8 @@ func TestFindingWithoutSeverityPanics(t *testing.T) {
 		name   string
 		record func(Finding)
 	}{
-		{"Report.add", func(f Finding) { (&Report{}).add(0, f) }},
-		{"walker.add", func(f Finding) { (&walker{rep: &Report{}}).add(f) }},
+		{"fabric.add", func(f Finding) { (&fabric{}).add(&Report{}, f) }},
+		{"walker.add", func(f Finding) { (&walker{f: &fabric{}}).add(f) }},
 		{"Finding.valid", func(f Finding) { f.valid() }},
 	} {
 		func() {

@@ -119,7 +119,7 @@ func (f *fabric) checkQuality(rep *Report) {
 	}
 
 	rep.Stats.Quality = append(rep.Stats.Quality, q)
-	rep.add(f.cap, Finding{
+	f.add(rep, Finding{
 		Analyzer: "quality",
 		Severity: Info,
 		Location: t.String(),

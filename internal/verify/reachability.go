@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"mlid/internal/ib"
 	"mlid/internal/topology"
@@ -18,19 +19,19 @@ const (
 // walker is the reachability walk's state, reused route after route and
 // run after run: the claim set of flagged (switch, LID) entries, the
 // current route's out-channels, the channel-dependency graph of every lane
-// the walks feed, and the report findings go to. A route that hits no
-// defect allocates nothing.
+// the walks feed, and the report whose stats the walk counts into. A route
+// that hits no defect allocates nothing.
 type walker struct {
 	f       *fabric
 	rep     *Report
-	found   int        // reachability findings added to rep
+	found   int        // reachability findings collected
 	claimed bitset     // switch*space + LID -> entry already flagged
 	hops    []int32    // current route's out-channels (sw*m+port)
 	path    []int32    // the switches hops leave from, for the loop check
 	graphs  []depGraph // one per lane; a single shared one when VLOf is nil
 }
 
-// walker returns f's pooled walker, reset to add this run's findings to rep.
+// walker returns f's pooled walker, reset for a run reporting to rep.
 func (f *fabric) walker(rep *Report) *walker {
 	w := &f.w
 	lanes := 1
@@ -73,19 +74,24 @@ func (w *walker) claim(sw topology.SwitchID, lid int) bool {
 	return true
 }
 
-// add appends a finding the cap has room for to the report.
+// add collects a finding the cap has room for.
 func (w *walker) add(f Finding) {
-	w.rep.Findings = append(w.rep.Findings, f.valid())
+	w.f.findings = append(w.f.findings, f.valid())
 	w.found++
 }
 
-// witness renders the current route's hops.
+// witness renders the current route's hops into the fabric's witness
+// scratch; keep copies it out. keep leaves an empty witness as it is, so
+// that one must not point into the scratch.
 func (w *walker) witness(from int) []string {
-	out := make([]string, 0, len(w.hops)-from)
-	for _, c := range w.hops[from:] {
-		out = append(out, w.f.chanLabel(int(c)))
+	if from == len(w.hops) {
+		return []string{}
 	}
-	return out
+	start := len(w.f.wit)
+	for _, c := range w.hops[from:] {
+		w.f.wit = append(w.f.wit, w.f.chanLabel(int(c)))
+	}
+	return w.f.wit[start:len(w.f.wit):len(w.f.wit)]
 }
 
 // checkReachability walks every (leaf switch, assigned LID) route through
@@ -135,12 +141,17 @@ func (w *walker) walkLeaf(leaf topology.SwitchID) {
 				w.rep.Stats.Suppressed++
 				continue
 			}
+			var buf [96]byte
+			b := append(buf[:0], "destination "...)
+			b = append(b, t.NodeLabel(topology.NodeID(p))...)
+			b = append(b, " unreachable: all "...)
+			b = strconv.AppendInt(b, int64(routes), 10)
+			b = append(b, " of its LIDs hit dead links from this leaf"...)
 			w.add(Finding{
 				Analyzer: "reachability",
 				Severity: Warning,
-				Location: t.SwitchLabel(leaf),
-				Message: fmt.Sprintf("destination %s unreachable: all %d of its LIDs hit dead links from this leaf",
-					t.NodeLabel(topology.NodeID(p)), routes),
+				Location: f.switchLabel(leaf),
+				Message:  string(b),
 			})
 		}
 	}
@@ -176,7 +187,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 					w.add(Finding{
 						Analyzer: "reachability",
 						Severity: Error,
-						Location: t.SwitchLabel(sw),
+						Location: f.switchLabel(sw),
 						Message:  fmt.Sprintf("forwarding loop for DLID %d (%d switches)", lid, len(cyc)),
 						Witness:  cyc,
 					})
@@ -189,7 +200,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 				w.add(Finding{
 					Analyzer: "reachability",
 					Severity: Error,
-					Location: t.SwitchLabel(sw),
+					Location: f.switchLabel(sw),
 					Message:  fmt.Sprintf("route for DLID %d exceeds %d switches without delivery", lid, f.maxSwitches),
 					Witness:  w.witness(0),
 				})
@@ -202,7 +213,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 				w.add(Finding{
 					Analyzer: "reachability",
 					Severity: Error,
-					Location: t.SwitchLabel(sw),
+					Location: f.switchLabel(sw),
 					Message:  fmt.Sprintf("dead end: no forwarding entry for assigned DLID %d", lid),
 					Witness:  w.witness(0),
 				})
@@ -214,7 +225,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 				w.add(Finding{
 					Analyzer: "reachability",
 					Severity: Error,
-					Location: t.SwitchLabel(sw),
+					Location: f.switchLabel(sw),
 					Message:  fmt.Sprintf("DLID %d routed to invalid physical port %d", lid, phys),
 					Witness:  w.witness(0),
 				})
@@ -227,11 +238,17 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 		w.path = append(w.path, int32(sw))
 		if f.dead[cur] {
 			if w.claim(sw, lid) {
+				// A degraded epoch reports up to the cap of these: the
+				// message costs its one string, no boxed arguments.
+				var buf [80]byte
+				b := append(buf[:0], "entry for DLID "...)
+				b = strconv.AppendInt(b, int64(lid), 10)
+				b = append(b, " points at a down link (packets drop here)"...)
 				w.add(Finding{
 					Analyzer: "reachability",
 					Severity: Warning,
-					Location: f.linkLabel(sw, ab),
-					Message:  fmt.Sprintf("entry for DLID %d points at a down link (packets drop here)", lid),
+					Location: f.chanLabel(int(cur)),
+					Message:  string(b),
 					Witness:  w.witness(0),
 				})
 			}
@@ -248,7 +265,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 				w.add(Finding{
 					Analyzer: "reachability",
 					Severity: Error,
-					Location: f.linkLabel(sw, ab),
+					Location: f.chanLabel(int(cur)),
 					Message:  fmt.Sprintf("route for DLID %d falls off the fabric (unwired port)", lid),
 					Witness:  w.witness(0),
 				})
@@ -260,7 +277,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 					w.add(Finding{
 						Analyzer: "reachability",
 						Severity: Error,
-						Location: f.linkLabel(sw, ab),
+						Location: f.chanLabel(int(cur)),
 						Message: fmt.Sprintf("misdelivery: DLID %d owned by %s delivered to %s",
 							lid, t.NodeLabel(topology.NodeID(dst)), t.NodeLabel(ref.Node)),
 						Witness: w.witness(0),

@@ -97,7 +97,8 @@ type Options struct {
 // fabric is the resolved view of an Input the analyzers share, and the
 // per-run scratch they reuse: a fabric comes from runPool, so every slice
 // here is resized in place run after run (see reset). Nothing a Report
-// holds points into it.
+// holds points into it; a Report's labels are strings the label tables
+// also hold, and strings are never written again.
 type fabric struct {
 	in    Input
 	t     *topology.Tree
@@ -115,6 +116,18 @@ type fabric struct {
 	cap         int // per-analyzer finding cap
 	vls         int
 	vlOf        func(dlid ib.LID, vls int) int
+
+	// findings collects the Run's findings, and wit the witnesses the walk
+	// renders; keep copies both into the Report at exact size.
+	findings []Finding
+	wit      []string
+	// chanLabels[c] and swLabels[sw] name channel c (sw*m+port) and switch
+	// sw, each built on first use. Labels depend on the tree's shape alone,
+	// so they outlive a Run and are dropped only when labelShape, the (m, n)
+	// they were built for, changes.
+	chanLabels []string
+	swLabels   []string
+	labelShape [2]int
 
 	w      walker    // the reachability walk
 	adjTo  []int32   // buildAdjacency's shared successor array
@@ -177,6 +190,7 @@ func Run(in Input, opt Options) (*Report, error) {
 	if !opt.SkipQuality {
 		f.checkQuality(rep)
 	}
+	f.keep(rep)
 	return rep, nil
 }
 
@@ -202,6 +216,11 @@ func (f *fabric) reset(in Input, opt Options) {
 		for p := 0; p < m; p++ {
 			f.nbr[sw*m+p] = t.SwitchNeighbor(id, p)
 		}
+	}
+	if shape := [2]int{m, t.N()}; f.labelShape != shape {
+		f.chanLabels = recycle(f.chanLabels, t.Switches()*m)
+		f.swLabels = recycle(f.swLabels, t.Switches())
+		f.labelShape = shape
 	}
 	f.dead = recycle(f.dead, t.Switches()*m)
 	for _, e := range in.DeadLinks {
@@ -236,16 +255,67 @@ func (f *fabric) deadAt(sw topology.SwitchID, port int) bool {
 	return f.dead[int(sw)*f.m+port]
 }
 
-// linkLabel names a directed link by its transmitting switch endpoint.
-func (f *fabric) linkLabel(sw topology.SwitchID, port int) string {
+// chanLabel names channel c (sw*m+port), a directed link, by its
+// transmitting switch endpoint.
+func (f *fabric) chanLabel(c int) string {
+	if l := f.chanLabels[c]; l != "" {
+		return l
+	}
 	var buf [64]byte
-	b := append(f.t.AppendSwitchLabel(buf[:0], sw), ':')
-	return string(strconv.AppendInt(b, int64(port), 10))
+	b := append(f.t.AppendSwitchLabel(buf[:0], topology.SwitchID(c/f.m)), ':')
+	f.chanLabels[c] = string(strconv.AppendInt(b, int64(c%f.m), 10))
+	return f.chanLabels[c]
 }
 
-// chanLabel names channel c (sw*m+port) by its transmitting endpoint.
-func (f *fabric) chanLabel(c int) string {
-	return f.linkLabel(topology.SwitchID(c/f.m), c%f.m)
+// switchLabel names switch sw.
+func (f *fabric) switchLabel(sw topology.SwitchID) string {
+	if f.swLabels[sw] == "" {
+		f.swLabels[sw] = f.t.SwitchLabel(sw)
+	}
+	return f.swLabels[sw]
+}
+
+// add records a finding unless its analyzer's cap is exhausted, in which
+// case it is counted as suppressed.
+func (f *fabric) add(rep *Report, fd Finding) {
+	fd.valid()
+	n := 0
+	for _, g := range f.findings {
+		if g.Analyzer == fd.Analyzer {
+			n++
+		}
+	}
+	if f.cap > 0 && n >= f.cap {
+		rep.Stats.Suppressed++
+		return
+	}
+	f.findings = append(f.findings, fd)
+}
+
+// keep copies the collected findings into the report at exact size — one
+// array for the findings, one for all their witnesses — and empties the
+// scratch, so the report points into none of it and the pool pins none of
+// the report's strings.
+func (f *fabric) keep(rep *Report) {
+	if len(f.findings) > 0 {
+		n := 0
+		for _, fd := range f.findings {
+			n += len(fd.Witness)
+		}
+		rep.Findings = make([]Finding, len(f.findings))
+		copy(rep.Findings, f.findings)
+		wit := make([]string, 0, n)
+		for i := range rep.Findings {
+			if w := rep.Findings[i].Witness; len(w) > 0 {
+				start := len(wit)
+				wit = append(wit, w...)
+				rep.Findings[i].Witness = wit[start:len(wit):len(wit)]
+			}
+		}
+	}
+	clear(f.findings)
+	f.findings = f.findings[:0]
+	f.wit = f.wit[:0]
 }
 
 // bitset is a dense set of small non-negative integers: the walks' claim

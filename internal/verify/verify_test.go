@@ -13,7 +13,7 @@ import (
 	"mlid/internal/verify"
 )
 
-func configured(t *testing.T, m, n int, eng ib.RoutingEngine) *ib.Subnet {
+func configured(t testing.TB, m, n int, eng ib.RoutingEngine) *ib.Subnet {
 	t.Helper()
 	tr, err := topology.New(m, n)
 	if err != nil {

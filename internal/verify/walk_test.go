@@ -167,7 +167,7 @@ func TestCapAndParallelEquivalence(t *testing.T) {
 // after a fixed four-link fault (three leaf up-links and a root's
 // descending link), whose broken descending entries are warnings; 2 VLs
 // mapped by DLID, quality skipped, serial walk.
-func epochInputs(t *testing.T) (healthy, repaired verify.Input, opt verify.Options) {
+func epochInputs(t testing.TB) (healthy, repaired verify.Input, opt verify.Options) {
 	t.Helper()
 	sn := configured(t, 8, 3, core.NewMLID())
 	fs, dead := epochFaults(sn.Tree)

@@ -204,16 +204,17 @@ type RepairEntry = core.RepairEntry
 // SwitchDelta is one switch's forwarding-table delta from RepairIncremental.
 type SwitchDelta = core.SwitchDelta
 
-// RepairState is the persistent incremental-repair state over one subnet: a
-// configure-time port-to-LIDs reverse index plus the current repair overlay.
+// RepairState is the persistent incremental-repair state over one subnet:
+// the subnet's port-to-LIDs reverse index, shared by every state on it,
+// plus the current repair overlay.
 // RepairIncremental recomputes only the switches a fault-set change dirties
 // and returns the exact entry deltas, making per-event repair proportional
 // to the change rather than to the LID space — the control-plane hot path
 // the simulator's subnet managers run on.
 type RepairState = core.RepairState
 
-// NewRepairState builds incremental-repair state (including the reverse
-// index) over a configured subnet's pristine tables.
+// NewRepairState starts incremental-repair state over a configured subnet's
+// pristine tables; the first state on a subnet builds its reverse index.
 func NewRepairState(sn *Subnet) *RepairState { return core.NewRepairState(sn) }
 
 // TraceSubnet walks the subnet's programmed forwarding tables from src for
