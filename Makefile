@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test ci bench bench-check bench-engine vet fmt-check lint lint-fix race soak
+.PHONY: build test ci bench bench-check bench-engine vet fmt-check lint race soak
 
 build:
 	$(GO) build ./...
@@ -19,18 +19,15 @@ fmt-check:
 	@out=$$(git ls-files '*.go' | grep -v -e '^testdata/' -e '/testdata/' | xargs $(GOFMT) -l); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# lint runs ibvet: the standard go vet passes plus the repo's own
-# determinism and pooling analyzers (internal/lint). CI passes
-# LINT_FLAGS=-json so findings come out as JSON lines the registered
-# .github/problem-matcher.json turns into file annotations.
-LINT_FLAGS ?=
+# lint builds ibvet (to the git-ignored ./ibvet) and hands it to go vet as
+# the vet tool: the go command loads every package, test variants included,
+# and ibvet runs the repo's own determinism, pooling and hot-path analyzers
+# (internal/lint) on each. The standard vet passes are `make vet`. Fix a
+# finding by sorting map keys or moving the access, or suppress a deliberate
+# one with a reasoned "//lint:ignore <analyzer> why".
 lint:
-	$(GO) run ./cmd/ibvet $(LINT_FLAGS) ./...
-
-# lint-fix has no auto-fixer; it reruns ibvet so the findings to address are
-# the last thing on screen. Fix each by sorting map keys / moving the access,
-# or suppress a deliberate one with a reasoned "//lint:ignore <analyzer> why".
-lint-fix: lint
+	$(GO) build -o ibvet ./cmd/ibvet
+	$(GO) vet -vettool=$(CURDIR)/ibvet ./...
 
 # race runs the race detector over the packages with internal concurrency
 # (the experiment campaign runner, whose concurrent figure and study runs

@@ -188,6 +188,18 @@ func runDegraded(w io.Writer, m, n int, maxRate float64, quick, jsonOut bool) er
 	}
 	spec.Rates = rates
 
+	// The study configures the fabric under both schemes; an addressing
+	// plan that overflows is reported as in the single-fabric mode.
+	tree, err := topology.New(m, n)
+	if err != nil {
+		return err
+	}
+	for _, eng := range []ib.RoutingEngine{core.NewSLID(), core.NewMLID()} {
+		if rep := addressingOnly(tree, eng); rep.Errors() > 0 {
+			return render(w, rep, jsonOut)
+		}
+	}
+
 	rows, err := experiment.DegradedStudy(spec)
 	if err != nil {
 		return err

@@ -11,9 +11,9 @@ import (
 
 // TestPinnedReports runs ibverify in-process over every golden fabric under
 // both schemes, three SM-repaired fault plans, the reduced degraded sweep
-// and the FT(16,3) MLID LID-space overflow, and holds each stdout against
-// its file in testdata/. Only the overflow exits 1, with the addressing
-// finding as its report.
+// and the FT(16,3) MLID LID-space overflow, in the single-fabric and the
+// degraded mode, and holds each stdout against its file in testdata/. Only
+// the overflows exit 1, with the addressing finding as their report.
 func TestPinnedReports(t *testing.T) {
 	for _, tc := range []struct {
 		file, args string
@@ -32,6 +32,7 @@ func TestPinnedReports(t *testing.T) {
 		{"fault-slid-4x3.jsonl", "-m 4 -n 3 -scheme SLID -vls 2 -json -fault 0:2,4:3,9:2", 0},
 		{"degraded-8x3-quick.csv", "-m 8 -n 3 -degraded 0.10 -quick -json", 0},
 		{"overflow-mlid-16x3.txt", "-m 16 -n 3 -scheme MLID", 1},
+		{"overflow-degraded-16x3.txt", "-m 16 -n 3 -degraded 0.1 -quick", 1},
 	} {
 		t.Run(strings.TrimSuffix(tc.file, filepath.Ext(tc.file)), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -4,7 +4,9 @@
 // a Run function over a Pass — so each checker reads like a standard vet
 // pass and could be ported to the real framework verbatim. The build runs
 // hermetically offline, so the framework itself is reimplemented on the
-// standard library (go/ast, go/types) instead of importing x/tools.
+// standard library (go/ast, go/types) instead of importing x/tools; package
+// loading is left to the go command (go vet -vettool) and, for fixtures, to
+// the standard library's source importer.
 package analysis
 
 import (
@@ -22,7 +24,7 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
 	// Run applies the analyzer to a package and reports findings via
-	// pass.Report / pass.Reportf.
+	// pass.Reportf.
 	Run func(*Pass) error
 }
 
@@ -47,23 +49,14 @@ type Pass struct {
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-	// Analyzer names the originating check (filled by Report).
+	// Analyzer names the originating check (filled by Reportf).
 	Analyzer string
-}
-
-// Report records a diagnostic against the pass.
-func (p *Pass) Report(d Diagnostic) {
-	d.Analyzer = p.Analyzer.Name
-	p.diagnostics = append(p.diagnostics, d)
 }
 
 // Reportf records a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	p.diagnostics = append(p.diagnostics, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
 }
-
-// Diagnostics returns the findings recorded so far, in report order.
-func (p *Pass) Diagnostics() []Diagnostic { return p.diagnostics }
 
 // ObjectOf resolves an identifier to its types.Object, consulting both uses
 // and defs (the common lookup every analyzer needs).
@@ -84,4 +77,30 @@ func (p *Pass) PkgNameOf(e ast.Expr) *types.PkgName {
 	}
 	pn, _ := p.TypesInfo.Uses[id].(*types.PkgName)
 	return pn
+}
+
+// Check type-checks files as the package path, resolving its imports
+// through imp, and runs every analyzer over the result. It returns the
+// diagnostics in analyzer order; a non-nil error means the package did not
+// type-check or an analyzer failed, not that findings exist.
+func Check(fset *token.FileSet, path string, files []*ast.File, imp types.Importer, analyzers []*Analyzer) ([]Diagnostic, error) {
+	info := &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %v", path, err)
+	}
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		pass := &Pass{Analyzer: a, Path: path, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s on %s: %v", a.Name, path, err)
+		}
+		diags = append(diags, pass.diagnostics...)
+	}
+	return diags, nil
 }

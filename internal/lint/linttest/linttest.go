@@ -12,8 +12,10 @@
 package linttest
 
 import (
-	"bufio"
-	"os"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -21,7 +23,15 @@ import (
 	"testing"
 
 	"mlid/internal/lint/analysis"
-	"mlid/internal/lint/load"
+)
+
+// Every fixture imports only the standard library, which the source
+// importer type-checks from GOROOT. One importer serves the whole test
+// binary, so each standard package is checked once however many fixtures
+// import it.
+var (
+	fset   = token.NewFileSet()
+	stdlib = importer.ForCompiler(fset, "source", nil)
 )
 
 // expectation is one "// want" fragment: a message pattern expected on a
@@ -37,37 +47,31 @@ type expectation struct {
 // (backquoted or double-quoted), scanned with strconv.
 var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
-// parseWants reads the expectations of one source file.
-func parseWants(t *testing.T, file string) []*expectation {
+// parseWants reads the expectations of one parsed source file.
+func parseWants(t *testing.T, f *ast.File) []*expectation {
 	t.Helper()
-	f, err := os.Open(file)
-	if err != nil {
-		t.Fatalf("linttest: %v", err)
-	}
-	defer f.Close()
 	var out []*expectation
-	sc := bufio.NewScanner(f)
-	for line := 1; sc.Scan(); line++ {
-		m := wantRe.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		rest := strings.TrimSpace(m[1])
-		for rest != "" {
-			lit, tail, ok := cutLiteral(rest)
-			if !ok {
-				t.Fatalf("linttest: %s:%d: malformed want comment %q", file, line, m[1])
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			m := wantRe.FindStringSubmatch(c.Text)
+			if m == nil {
+				continue
 			}
-			pat, err := regexp.Compile(lit)
-			if err != nil {
-				t.Fatalf("linttest: %s:%d: bad pattern %q: %v", file, line, lit, err)
+			pos := fset.Position(c.Pos())
+			rest := strings.TrimSpace(m[1])
+			for rest != "" {
+				lit, tail, ok := cutLiteral(rest)
+				if !ok {
+					t.Fatalf("linttest: %s: malformed want comment %q", pos, m[1])
+				}
+				pat, err := regexp.Compile(lit)
+				if err != nil {
+					t.Fatalf("linttest: %s: bad pattern %q: %v", pos, lit, err)
+				}
+				out = append(out, &expectation{file: pos.Filename, line: pos.Line, pattern: pat})
+				rest = strings.TrimSpace(tail)
 			}
-			out = append(out, &expectation{file: file, line: line, pattern: pat})
-			rest = strings.TrimSpace(tail)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("linttest: reading %s: %v", file, err)
 	}
 	return out
 }
@@ -109,28 +113,27 @@ func cutLiteral(s string) (lit, rest string, ok bool) {
 func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", pkg)
-	p, err := load.Dir(dir)
-	if err != nil {
-		t.Fatalf("linttest: loading %s: %v", dir, err)
+	names, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	if len(names) == 0 {
+		t.Fatalf("linttest: no Go files in %s", dir)
 	}
+	var files []*ast.File
 	var wants []*expectation
-	for _, fn := range p.FileNames {
-		wants = append(wants, parseWants(t, fn)...)
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatalf("linttest: %v", err)
+		}
+		files = append(files, f)
+		wants = append(wants, parseWants(t, f)...)
 	}
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Path:      p.ImportPath,
-		Fset:      p.Fset,
-		Files:     p.Files,
-		Pkg:       p.Types,
-		TypesInfo: p.Info,
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("linttest: running %s: %v", a.Name, err)
+	diags, err := analysis.Check(fset, filepath.Base(dir), files, stdlib, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("linttest: %v", err)
 	}
 diags:
-	for _, d := range pass.Diagnostics() {
-		pos := p.Fset.Position(d.Pos)
+	for _, d := range diags {
+		pos := fset.Position(d.Pos)
 		for _, w := range wants {
 			if !w.met && w.file == pos.Filename && w.line == pos.Line && w.pattern.MatchString(d.Message) {
 				w.met = true
