@@ -72,22 +72,23 @@ bench-check:
 # the benchmark module check.
 ci: build vet fmt-check lint test race soak bench-check
 
-# BENCH_TIME / BENCH_COUNT tune the figure benchmarks: the defaults (one
+# BENCH_TIME / BENCH_COUNT tune the layer benchmarks: the defaults (one
 # iteration, run once) are quick, but single-iteration numbers are noisy —
 # override both for comparable measurements, e.g.
 #   make bench BENCH_TIME=3x BENCH_COUNT=5
 # A number that backs a performance claim comes from bench/ (bash
-# bench/run.sh), which takes repeated samples and compares runs.
+# bench/run.sh), which takes repeated samples and compares runs; the
+# figures and Table 1 are measured there, not here.
 BENCH_TIME ?= 1x
 BENCH_COUNT ?= 1
 
-# bench regenerates the figure-level benchmarks with allocation counts, plus
-# the control-plane repair benchmarks (SM recovery here; incremental repair
-# beside core.RepairState) and the per-epoch static verification layer
-# (verify.Run, healthy and repaired, beside the verifier).
+# bench runs the control-plane layer benchmarks with allocation counts: SM
+# recovery here, incremental repair beside core.RepairState, and the static
+# verifier beside verify.Run (the per-epoch pass, healthy and repaired, and
+# the quality pass on the all-to-one matrix).
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkFig|BenchmarkSMRecovery' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
-	$(GO) test -run xxx -bench 'BenchmarkRepairIncremental|BenchmarkVerifyEpoch' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/core/ ./internal/verify/
+	$(GO) test -run xxx -bench 'BenchmarkSMRecovery' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
+	$(GO) test -run xxx -bench 'BenchmarkRepairIncremental|BenchmarkVerifyEpoch|BenchmarkLinkLoad' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/core/ ./internal/verify/
 
 # bench-engine runs the scheduler micro-benchmarks (ns/event, allocs/op).
 bench-engine:

@@ -1,14 +1,8 @@
-// Benchmarks regenerating the paper's evaluation artifacts. One benchmark
-// per table and figure, plus the extension studies DESIGN.md calls out; the
-// ablation suite runs as experiment.RunAblations (`ibreport -ablations`).
-//
-// The figure benchmarks run reduced sweeps (two load points, two VL counts)
-// so a default `go test -bench=.` completes in minutes; cmd/ibsweep runs the
-// full-fidelity sweeps. Each figure benchmark reports, via b.ReportMetric:
-//
-//	mlid_peak_Bns / slid_peak_Bns — peak accepted traffic per scheme
-//	mlid_over_slid               — the throughput ratio behind the paper's
-//	                               Observations 1, 3 and 5
+// Layer benchmarks over the public facade: subnet bring-up, route tracing,
+// the simulator and batch engines, repair and SM recovery. The paper's
+// figures are timed end to end by bench/ (workload figs_quick), Table 1 is
+// pinned by TestTable1, and the static link-load analysis is benchmarked
+// beside it in internal/verify (BenchmarkLinkLoad).
 package mlid_test
 
 import (
@@ -17,73 +11,6 @@ import (
 
 	"mlid"
 )
-
-// benchFigure runs a reduced version of one evaluation figure.
-func benchFigure(b *testing.B, id string) {
-	spec, err := mlid.EvalFigureByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Reduce cost: two loads spanning the knee, the 1-VL and 4-VL curves,
-	// shorter windows. Shapes (who wins, by what factor) are preserved.
-	spec.Loads = []float64{0.3, 0.7}
-	spec.VLs = []int{1, 4}
-	spec.WarmupNs = 20_000
-	spec.MeasureNs = 60_000
-
-	var fig mlid.EvalFigure
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig, err = spec.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	m := fig.Curve("MLID 1VL").PeakAccepted()
-	s := fig.Curve("SLID 1VL").PeakAccepted()
-	b.ReportMetric(m, "mlid_peak_Bns")
-	b.ReportMetric(s, "slid_peak_Bns")
-	if s > 0 {
-		b.ReportMetric(m/s, "mlid_over_slid")
-	}
-}
-
-// BenchmarkFigUniform regenerates figures F1..F4: latency vs accepted
-// traffic under uniform traffic on the four evaluation networks.
-func BenchmarkFigUniform(b *testing.B) {
-	for i, nw := range mlid.EvalNetworks() {
-		id := fmt.Sprintf("F%d", i+1)
-		b.Run(nw.String(), func(b *testing.B) {
-			benchFigure(b, id)
-		})
-	}
-}
-
-// BenchmarkFigCentric regenerates figures F5..F8: the 50%-centric hotspot
-// pattern on the four evaluation networks.
-func BenchmarkFigCentric(b *testing.B) {
-	for i, nw := range mlid.EvalNetworks() {
-		id := fmt.Sprintf("F%d", i+5)
-		b.Run(nw.String(), func(b *testing.B) {
-			benchFigure(b, id)
-		})
-	}
-}
-
-// BenchmarkTable1 regenerates Table 1 (network configurations and MLID
-// addressing parameters).
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := mlid.EvalTable1(mlid.EvalNetworks())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4 {
-			b.Fatal("bad table")
-		}
-	}
-}
 
 // BenchmarkSubnetConfigure measures the subnet manager bring-up (discovery,
 // LID assignment, forwarding-table computation) per scheme and network.
@@ -121,26 +48,6 @@ func BenchmarkTrace(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkLinkLoad measures the static analysis on the all-to-one matrix
-// (experiment EX-D).
-func BenchmarkLinkLoad(b *testing.B) {
-	tree, _ := mlid.NewTree(8, 3)
-	flows := mlid.AllToOne(tree, 0)
-	for _, s := range mlid.Schemes() {
-		b.Run(s.Name(), func(b *testing.B) {
-			var maxLoad float64
-			for i := 0; i < b.N; i++ {
-				rep, err := mlid.LinkLoad(tree, s, flows)
-				if err != nil {
-					b.Fatal(err)
-				}
-				maxLoad = rep.Max
-			}
-			b.ReportMetric(maxLoad, "max_link_load")
 		})
 	}
 }

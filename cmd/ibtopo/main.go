@@ -10,7 +10,7 @@
 //	ibtopo -m 4 -n 3 -trace 0:4              # route P(000) -> P(100)
 //	ibtopo -m 4 -n 3 -paths 0:4              # all LMC-selectable routes
 //	ibtopo -m 4 -n 3 -lft 12                 # forwarding table of switch 12
-//	ibtopo -m 8 -n 2 -hotload 31             # all-to-one link load, both schemes
+//	ibtopo -m 8 -n 2 -hotload 31             # all-to-one inter-switch load, both schemes
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 		trace    = flag.String("trace", "", "trace the selected route between src:dst node IDs")
 		paths    = flag.String("paths", "", "print all selectable routes between src:dst node IDs")
 		lft      = flag.Int("lft", -1, "dump the forwarding table of the given switch ID")
-		hotload  = flag.Int("hotload", -1, "static all-to-one link load toward the given node, both schemes")
+		hotload  = flag.Int("hotload", -1, "static all-to-one inter-switch link load toward the given node, both schemes")
 		render   = flag.Bool("render", false, "draw the tree level by level")
 		describe = flag.Int("describe", -1, "describe the wiring of the given switch ID")
 		compare  = flag.Bool("compare", false, "compare against the k-ary n-tree built from the same switches")
@@ -141,14 +141,15 @@ func main() {
 		}
 	case *hotload >= 0:
 		dst := mlid.NodeID(*hotload)
-		fmt.Printf("\nall-to-one static link load toward %s:\n", tree.NodeLabel(dst))
+		fmt.Printf("\nall-to-one static inter-switch link load toward %s:\n", tree.NodeLabel(dst))
+		flows := mlid.AllToOne(tree, dst)
 		for _, sch := range mlid.Schemes() {
-			rep, err := mlid.LinkLoad(tree, sch, mlid.AllToOne(tree, dst))
+			sn, err := mlid.Configure(tree, sch)
 			fatal(err)
-			fmt.Printf("  %-5s max %.0f  mean %.2f  (hottest: %v)\n", sch.Name(), rep.Max, rep.Mean, rep.MaxLink)
-			for _, top := range rep.TopLinks(3) {
-				fmt.Printf("        %-14v load %.0f\n", top.Key, top.Load)
-			}
+			rep, err := mlid.LinkLoad(sn, flows)
+			fatal(err)
+			fmt.Printf("  %-5s max %.0f at %s  mean %.2f  (%d/%d flows unrouted)\n",
+				sch.Name(), rep.MaxLoad, rep.MaxLink, rep.MeanLoad, rep.Unrouted, rep.Flows)
 		}
 	}
 }

@@ -30,14 +30,19 @@ func main() {
 	fmt.Printf("%s; hotspot node %d receives 50%% of all traffic\n\n", tree, hotspot)
 
 	// First, the static view: trace every node's route toward the hotspot
-	// and count how the load piles onto links under each scheme.
+	// through each scheme's configured tables and count how the load piles
+	// onto inter-switch links.
 	for _, scheme := range mlid.Schemes() {
-		rep, err := mlid.LinkLoad(tree, scheme, mlid.AllToOne(tree, hotspot))
+		subnet, err := mlid.Configure(tree, scheme)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-5s all-to-one: max link load %.0f flows, mean %.2f\n",
-			scheme.Name(), rep.Max, rep.Mean)
+		rep, err := mlid.LinkLoad(subnet, mlid.AllToOne(tree, hotspot))
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-5s all-to-one: max inter-switch link load %.0f flows at %s, mean %.2f\n",
+			scheme.Name(), rep.MaxLoad, rep.MaxLink, rep.MeanLoad)
 	}
 	fmt.Println()
 

@@ -59,15 +59,19 @@ func main() {
 		fmt.Printf("  DLID %-4d %s\n", p.DLID, p.Render(tree))
 	}
 
-	// The payoff, statically: under all-to-one traffic MLID's ascending
-	// links each carry one flow, while SLID piles a whole leaf group onto
-	// one port (the paper's Figure 9 congestion).
-	fmt.Printf("\nStatic all-to-one load toward %s:\n", tree.NodeLabel(dst))
+	// The payoff, statically: under all-to-one traffic MLID spreads each
+	// source group over its m/2 ascending links, while SLID piles a whole
+	// leaf group onto one port (the paper's Figure 9 congestion).
+	fmt.Printf("\nStatic all-to-one inter-switch load toward %s:\n", tree.NodeLabel(dst))
 	for _, s := range mlid.Schemes() {
-		rep, err := mlid.LinkLoad(tree, s, mlid.AllToOne(tree, dst))
+		sn, err := mlid.Configure(tree, s)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-5s hottest link carries %.0f flows (mean %.2f)\n", s.Name(), rep.Max, rep.Mean)
+		rep, err := mlid.LinkLoad(sn, mlid.AllToOne(tree, dst))
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %-5s hottest link %s carries %.0f flows (mean %.2f)\n", s.Name(), rep.MaxLink, rep.MaxLoad, rep.MeanLoad)
 	}
 }

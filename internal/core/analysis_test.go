@@ -1,154 +1,213 @@
 package core
 
 import (
+	"strconv"
 	"testing"
 
+	"mlid/internal/ib"
 	"mlid/internal/topology"
+	"mlid/internal/traffic"
+	"mlid/internal/verify"
 )
 
+// goldenFabrics are the paper's four evaluation networks (Table 1).
+var goldenFabrics = [][2]int{{4, 4}, {8, 3}, {16, 2}, {32, 2}}
+
+// staticLoad traces a matrix through sn's configured tables with the
+// repository's one static link-load analyzer, verify's quality pass. sel,
+// when non-nil, overrides the scheme's path selection (a path plan).
+func staticLoad(t testing.TB, sn *ib.Subnet, flows []traffic.Flow, sel func(src, dst topology.NodeID) (ib.LID, bool)) verify.QualityReport {
+	t.Helper()
+	in := verify.FromSubnet(sn)
+	in.SelectDLID = sel
+	rep, err := verify.Run(in, verify.Options{Matrix: &traffic.Matrix{Name: "test", Flows: flows}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors() != 0 {
+		t.Fatalf("%d error findings on a healthy fabric", rep.Errors())
+	}
+	return rep.Stats.Quality[0]
+}
+
+// closedFormLoad is the differential oracle for staticLoad: it routes every
+// flow by the paper's closed-form equations (TraceLID on the scheme's
+// selected DLID) instead of the configured tables, sums the weights on the
+// inter-switch links crossed, and summarizes them as the table walk does —
+// max, mean over used links, and the lowest channel id (switch*m + port)
+// attaining the max.
+func closedFormLoad(t testing.TB, tr *topology.Tree, s Scheme, flows []traffic.Flow) (max, mean float64, maxLink string) {
+	t.Helper()
+	load := make([]float64, tr.Switches()*tr.M())
+	for _, f := range flows {
+		if f.Src == f.Dst {
+			continue
+		}
+		p, err := TraceLID(tr, s, f.Src, s.DLID(tr, f.Src, f.Dst))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range p.Hops[:len(p.Hops)-1] {
+			load[int(h.Switch)*tr.M()+h.OutPort] += f.Weight
+		}
+	}
+	used, maxAt := 0, -1
+	var sum float64
+	for c, v := range load {
+		if v == 0 {
+			continue
+		}
+		used++
+		sum += v
+		if v > max {
+			max, maxAt = v, c
+		}
+	}
+	if used > 0 {
+		mean = sum / float64(used)
+	}
+	if maxAt >= 0 {
+		maxLink = tr.SwitchLabel(topology.SwitchID(maxAt/tr.M())) + ":" + strconv.Itoa(maxAt%tr.M())
+	}
+	return max, mean, maxLink
+}
+
+// shift is the k-shift permutation's static matrix.
+func shift(tr *topology.Tree, k int) []traffic.Flow {
+	n := tr.Nodes()
+	return traffic.Permutation(tr, func(i int) int { return (i + k) % n })
+}
+
 // TestAllToOneLinkLoad formalizes the Figure 9 comparison: with every node
-// sending unit load to one destination, SLID piles the whole demand onto a
-// single ascending port per leaf group, while MLID spreads each group's
-// demand across its (m/2) up links.
+// sending unit load to one destination, SLID piles each leaf group's demand
+// onto one ascending port and all of it onto one root's descending link,
+// while MLID spreads it over the destination's m/2 parents.
 func TestAllToOneLinkLoad(t *testing.T) {
 	tr := topology.MustNew(8, 2)
 	dst := topology.NodeID(tr.Nodes() - 1)
-	flows := AllToOne(tr, dst)
-
-	slid, err := LinkLoad(tr, NewSLID(), flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mlid, err := LinkLoad(tr, NewMLID(), flows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flows := traffic.AllToOne(tr, dst)
+	slid := staticLoad(t, configured(t, 8, 2, NewSLID()), flows, nil)
+	mlid := staticLoad(t, configured(t, 8, 2, NewMLID()), flows, nil)
 	if slid.Flows != tr.Nodes()-1 || mlid.Flows != tr.Nodes()-1 {
 		t.Fatalf("flows = %d/%d", slid.Flows, mlid.Flows)
 	}
-	// Both schemes share the unavoidable bottleneck: the destination's own
-	// attachment link carries all N-1 flows.
-	want := float64(tr.Nodes() - 1)
-	if slid.Max != want || mlid.Max != want {
-		t.Fatalf("max loads %v/%v, want %v (destination link)", slid.Max, mlid.Max, want)
+	// 28 sources sit outside the destination's leaf. SLID sends them all
+	// down one root's link into that leaf; MLID spreads them over all four
+	// roots.
+	if slid.MaxLoad != 28 || mlid.MaxLoad != 7 {
+		t.Fatalf("max inter-switch load SLID %v, MLID %v; want 28 and 7", slid.MaxLoad, mlid.MaxLoad)
 	}
-	// Away from the terminal link, MLID's ascending spread must strictly beat
-	// SLID: compare the heaviest *ascending* link.
-	maxUp := func(r *LoadReport) float64 {
-		var m float64
-		for _, k := range SortedLinkKeys(r.Load) {
-			if k.Kind != topology.KindSwitch {
-				continue
-			}
-			if v := r.Load[k]; k.Port >= tr.DownPorts(topology.SwitchID(k.Entity)) && v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	su, mu := maxUp(slid), maxUp(mlid)
-	if mu >= su {
-		t.Fatalf("max ascending load: MLID %v, SLID %v — MLID should be strictly lower", mu, su)
-	}
-	// MLID balances each source leaf group perfectly: every used ascending
-	// link out of a leaf carries exactly 1 unit... except in the destination
-	// group, whose members do not ascend to reach dst's leaf? They share the
-	// leaf, so they do not ascend at all. All other groups: h sources over h
-	// up links.
-	for k, v := range mlid.Load {
-		if k.Kind != topology.KindSwitch {
-			continue
-		}
-		sw := topology.SwitchID(k.Entity)
-		if tr.IsLeaf(sw) && k.Port >= tr.DownPorts(sw) && v != 1 {
-			t.Fatalf("MLID leaf ascending link %v carries %v, want 1", k, v)
-		}
+	if mlid.RootLinkMax != 7 || slid.RootLinkMax != 28 {
+		t.Fatalf("root-link max SLID %v, MLID %v; want 28 and 7", slid.RootLinkMax, mlid.RootLinkMax)
 	}
 }
 
 func TestLinkLoadSkipsSelfFlows(t *testing.T) {
-	tr := topology.MustNew(4, 2)
-	r, err := LinkLoad(tr, NewMLID(), []Flow{{Src: 1, Dst: 1, Weight: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Flows != 0 || len(r.Load) != 0 {
-		t.Fatalf("self flow traced: %+v", r)
+	q := staticLoad(t, configured(t, 4, 2, NewMLID()), []traffic.Flow{{Src: 1, Dst: 1, Weight: 5}}, nil)
+	if q.Flows != 0 || q.MaxLoad != 0 || q.MeanLoad != 0 || q.MaxLink != "" {
+		t.Fatalf("self flow traced: %+v", q)
 	}
 }
 
+// TestTopLinks pins the MaxLink tie-break: of the links attaining the
+// maximum, the analyzer names the one with the lowest channel id. Under the
+// half shift every used link carries exactly one flow, a many-way tie.
 func TestTopLinks(t *testing.T) {
-	tr := topology.MustNew(4, 2)
-	r, err := LinkLoad(tr, NewSLID(), AllToOne(tr, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := r.TopLinks(3)
-	if len(top) != 3 {
-		t.Fatalf("TopLinks(3) = %d entries", len(top))
-	}
-	if top[0].Load < top[1].Load || top[1].Load < top[2].Load {
-		t.Fatal("TopLinks not sorted")
-	}
-	if top[0].Load != r.Max {
-		t.Fatalf("TopLinks[0] = %v, Max = %v", top[0].Load, r.Max)
-	}
-	if got := r.TopLinks(10_000); len(got) != len(r.Load) {
-		t.Fatalf("TopLinks clamp: %d != %d", len(got), len(r.Load))
-	}
-	if top[0].Key.String() == "" || r.MaxLink.String() == "" {
-		t.Error("empty link key rendering")
+	for _, s := range Schemes() {
+		sn := configured(t, 8, 2, s)
+		tr := sn.Tree
+		flows := shift(tr, tr.Nodes()/2)
+		q := staticLoad(t, sn, flows, nil)
+		if q.MaxLoad != 1 {
+			t.Fatalf("%s: half shift max load %v, want 1", s.Name(), q.MaxLoad)
+		}
+		_, _, want := closedFormLoad(t, tr, s, flows)
+		if q.MaxLink != want || want == "" {
+			t.Fatalf("%s: MaxLink %q, want the lowest tied channel %q", s.Name(), q.MaxLink, want)
+		}
 	}
 }
 
 func TestPermutationFlows(t *testing.T) {
 	tr := topology.MustNew(4, 2)
 	n := tr.Nodes()
-	flows := Permutation(tr, func(i int) int { return (i + 1) % n })
+	flows := shift(tr, 1)
 	if len(flows) != n {
 		t.Fatalf("%d flows, want %d", len(flows), n)
 	}
 	// Identity permutation produces nothing.
-	if got := Permutation(tr, func(i int) int { return i }); len(got) != 0 {
+	if got := traffic.Permutation(tr, func(i int) int { return i }); len(got) != 0 {
 		t.Fatalf("identity produced %d flows", len(got))
 	}
 	// Out-of-range destinations are skipped.
-	if got := Permutation(tr, func(i int) int { return -1 }); len(got) != 0 {
+	if got := traffic.Permutation(tr, func(i int) int { return -1 }); len(got) != 0 {
 		t.Fatalf("out-of-range produced %d flows", len(got))
 	}
-	r, err := LinkLoad(tr, NewMLID(), flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Mean <= 0 || r.Max < r.Mean {
-		t.Fatalf("bad summary: max %v mean %v", r.Max, r.Mean)
+	q := staticLoad(t, configured(t, 4, 2, NewMLID()), flows, nil)
+	if q.Flows != n || q.MeanLoad <= 0 || q.MaxLoad < q.MeanLoad {
+		t.Fatalf("bad summary: %d flows, max %v mean %v", q.Flows, q.MaxLoad, q.MeanLoad)
 	}
 }
 
-// TestBitComplementBalance: under the PID bit-complement permutation (alpha=0
-// for every pair), MLID keeps the load perfectly balanced: every ascending
-// link carries the same load.
+// TestBitComplementBalance: under the PID bit-complement permutation
+// (alpha=0 for every pair), MLID keeps the root links perfectly balanced:
+// every root descending link carries the same load.
 func TestBitComplementBalance(t *testing.T) {
-	tr := topology.MustNew(4, 3)
-	n := tr.Nodes()
-	flows := Permutation(tr, func(i int) int { return n - 1 - i })
-	r, err := LinkLoad(tr, NewMLID(), flows)
-	if err != nil {
-		t.Fatal(err)
+	sn := configured(t, 4, 3, NewMLID())
+	n := sn.Tree.Nodes()
+	q := staticLoad(t, sn, traffic.Permutation(sn.Tree, func(i int) int { return n - 1 - i }), nil)
+	if q.RootLinkMax <= 0 || q.RootLinkMax != q.RootLinkMin {
+		t.Fatalf("root links max/min %v/%v, want equal and positive", q.RootLinkMax, q.RootLinkMin)
 	}
-	var first float64 = -1
-	for _, k := range SortedLinkKeys(r.Load) {
-		v := r.Load[k]
-		if k.Kind != topology.KindSwitch || k.Port < tr.DownPorts(topology.SwitchID(k.Entity)) {
-			continue
-		}
-		if first < 0 {
-			first = v
-		} else if v != first {
-			t.Fatalf("unbalanced ascending loads: %v vs %v at %v", v, first, k)
-		}
+}
+
+// TestStaticLoadPins pins the static congestion facts on the golden fabrics
+// through the one analyzer, and holds the configured tables to the paper's
+// closed-form equations on the same matrices. All-to-one is the only case
+// where the schemes differ: MLID divides SLID's maximum by m/2.
+// No shift permutation loads an inter-switch link twice under either.
+func TestStaticLoadPins(t *testing.T) {
+	allToOne := map[[2]int][2]float64{ // fabric -> {SLID, MLID} max load
+		{4, 4}: {30, 15}, {8, 3}: {124, 31}, {16, 2}: {120, 15}, {32, 2}: {496, 31},
 	}
-	if first < 0 {
-		t.Fatal("no ascending links used")
+	for _, fab := range goldenFabrics {
+		for si, s := range []Scheme{NewSLID(), NewMLID()} {
+			sn := configured(t, fab[0], fab[1], s)
+			tr := sn.Tree
+			n := tr.Nodes()
+			check := func(name string, flows []traffic.Flow) verify.QualityReport {
+				t.Helper()
+				q := staticLoad(t, sn, flows, nil)
+				max, mean, link := closedFormLoad(t, tr, s, flows)
+				if q.MaxLoad != max || q.MeanLoad != mean || q.MaxLink != link {
+					t.Fatalf("%s %s %s: table walk max %v mean %v at %s, closed form max %v mean %v at %s",
+						tr, s.Name(), name, q.MaxLoad, q.MeanLoad, q.MaxLink, max, mean, link)
+				}
+				return q
+			}
+			for _, dst := range []int{0, n / 2, n - 1} {
+				q := check("all-to-one", traffic.AllToOne(tr, topology.NodeID(dst)))
+				if want := allToOne[fab][si]; q.MaxLoad != want {
+					t.Errorf("%s %s all-to-one(%d): max %v, want %v", tr, s.Name(), dst, q.MaxLoad, want)
+				}
+			}
+			// Every shift through the closed form; the table walk on each
+			// power-of-two shift (one per PID digit boundary) and on N-1.
+			// Each verify.Run re-walks every route of the fabric, so a
+			// table walk on all N-1 shifts costs seconds, minutes under
+			// the race detector.
+			for k := 1; k < n; k++ {
+				flows := shift(tr, k)
+				if max, _, _ := closedFormLoad(t, tr, s, flows); max != 1 {
+					t.Errorf("%s %s shift %d: closed-form max %v, want 1", tr, s.Name(), k, max)
+				}
+				if k&(k-1) == 0 || k == n-1 {
+					if q := check("shift", flows); q.MaxLoad != 1 {
+						t.Errorf("%s %s shift %d: max %v, want 1", tr, s.Name(), k, q.MaxLoad)
+					}
+				}
+			}
+			check("bit-complement", traffic.Permutation(tr, func(i int) int { return n - 1 - i }))
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"mlid/internal/ib"
 	"mlid/internal/topology"
+	"mlid/internal/traffic"
 )
 
 // PathPlan is a profile-guided path assignment: for each (src, dst) flow of
@@ -13,10 +14,11 @@ import (
 // optimal for symmetric group traffic but oblivious to skew — with an
 // offline optimization over the same MLID multipath mechanism: nothing
 // changes in the switches, only the DLIDs sources use.
+//
+// A plan is evaluated like any path selection: verify.Run with
+// Input.SelectDLID returning the plan's DLID.
 type PathPlan struct {
 	dlid map[[2]topology.NodeID]ib.LID
-	// MaxLoad and MeanLoad describe the planned assignment's link loads.
-	MaxLoad, MeanLoad float64
 }
 
 // DLID returns the planned DLID for a flow, falling back to the scheme's
@@ -43,18 +45,17 @@ func (p *PathPlan) Planned() int { return len(p.dlid) }
 
 // OptimizePaths computes a path plan for the traffic matrix under the MLID
 // scheme: flows are processed heaviest first, and each picks the LID offset
-// whose route currently adds the least to the most-loaded link it crosses
-// (greedy min-max). The returned plan never worsens a flow's path length —
-// every candidate is a shortest path by construction.
-func OptimizePaths(t *topology.Tree, s MLID, flows []Flow) (*PathPlan, error) {
-	type linkKey struct {
-		sw   topology.SwitchID
-		port int
-	}
-	load := make(map[linkKey]float64)
+// whose route currently adds the least to the most-loaded inter-switch link
+// it crosses (greedy min-max). The destination's attachment link is left out
+// of the cost: every candidate shares it, so counting it would tie them all
+// whenever the destination is hot. The returned plan never worsens a flow's
+// path length — every candidate is a shortest path by construction.
+func OptimizePaths(t *topology.Tree, s MLID, flows []traffic.Flow) (*PathPlan, error) {
+	m := t.M()
+	load := make([]float64, t.Switches()*m) // per channel, switch*m + port
 	plan := &PathPlan{dlid: make(map[[2]topology.NodeID]ib.LID, len(flows))}
 
-	ordered := append([]Flow{}, flows...)
+	ordered := append([]traffic.Flow{}, flows...)
 	sort.SliceStable(ordered, func(i, j int) bool {
 		if ordered[i].Weight != ordered[j].Weight {
 			return ordered[i].Weight > ordered[j].Weight
@@ -72,83 +73,32 @@ func OptimizePaths(t *topology.Tree, s MLID, flows []Flow) (*PathPlan, error) {
 		base := s.BaseLID(t, f.Dst)
 		count := s.PathsPerPair(t)
 		bestLID := ib.LID(0)
-		var bestPath Path
+		var bestHops []Hop
 		bestCost := -1.0
-		seen := map[string]bool{}
 		for off := 0; off < count; off++ {
 			lid := base + ib.LID(off)
 			p, err := TraceLID(t, s, f.Src, lid)
 			if err != nil {
 				return nil, err
 			}
-			key := p.Render(nil)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			// Cost: the maximum load among the links this route would use
-			// after adding the flow.
+			// Cost: the maximum load among the inter-switch links this route
+			// would use after adding the flow. Offsets naming the same route
+			// tie, and a tie keeps the lowest offset.
+			inter := p.Hops[:len(p.Hops)-1]
 			cost := 0.0
-			for _, h := range p.Hops {
-				if l := load[linkKey{h.Switch, h.OutPort}] + f.Weight; l > cost {
+			for _, h := range inter {
+				if l := load[int(h.Switch)*m+h.OutPort] + f.Weight; l > cost {
 					cost = l
 				}
 			}
 			if bestCost < 0 || cost < bestCost {
-				bestCost, bestLID, bestPath = cost, lid, p
+				bestCost, bestLID, bestHops = cost, lid, inter
 			}
 		}
-		for _, h := range bestPath.Hops {
-			load[linkKey{h.Switch, h.OutPort}] += f.Weight
+		for _, h := range bestHops {
+			load[int(h.Switch)*m+h.OutPort] += f.Weight
 		}
 		plan.dlid[[2]topology.NodeID{f.Src, f.Dst}] = bestLID
 	}
-
-	// Summarize over sorted keys so the float sum accumulates in a fixed
-	// order regardless of map iteration.
-	lks := make([]linkKey, 0, len(load))
-	for k := range load {
-		lks = append(lks, k)
-	}
-	sort.Slice(lks, func(i, j int) bool {
-		if lks[i].sw != lks[j].sw {
-			return lks[i].sw < lks[j].sw
-		}
-		return lks[i].port < lks[j].port
-	})
-	var sum float64
-	for _, k := range lks {
-		v := load[k]
-		sum += v
-		if v > plan.MaxLoad {
-			plan.MaxLoad = v
-		}
-	}
-	if len(load) > 0 {
-		plan.MeanLoad = sum / float64(len(load))
-	}
 	return plan, nil
-}
-
-// PlanLinkLoad evaluates a traffic matrix under a plan's selections (the
-// counterpart of LinkLoad for canonical selection).
-func PlanLinkLoad(t *topology.Tree, s MLID, plan *PathPlan, flows []Flow) (*LoadReport, error) {
-	r := &LoadReport{Load: make(map[LinkKey]float64)}
-	for _, f := range flows {
-		if f.Src == f.Dst {
-			continue
-		}
-		lid := plan.DLID(t, s, f.Src, f.Dst)
-		p, err := TraceLID(t, s, f.Src, lid)
-		if err != nil {
-			return nil, err
-		}
-		r.Flows++
-		r.Load[LinkKey{Kind: topology.KindNode, Entity: int32(f.Src)}] += f.Weight
-		for _, h := range p.Hops {
-			r.Load[LinkKey{Kind: topology.KindSwitch, Entity: int32(h.Switch), Port: h.OutPort}] += f.Weight
-		}
-	}
-	r.summarize()
-	return r, nil
 }

@@ -3,22 +3,27 @@ package core
 import (
 	"testing"
 
+	"mlid/internal/ib"
 	"mlid/internal/topology"
+	"mlid/internal/traffic"
 )
+
+// planSelect evaluates a plan the way the simulator follows it: the plan's
+// DLID for planned pairs, the scheme's selection otherwise.
+func planSelect(tr *topology.Tree, s MLID, plan *PathPlan) func(src, dst topology.NodeID) (ib.LID, bool) {
+	return func(src, dst topology.NodeID) (ib.LID, bool) { return plan.DLID(tr, s, src, dst), true }
+}
 
 // TestOptimizePermutationMatchesRank: on a balanced permutation the rank
 // selection is already optimal (every link load 1), and the optimizer must
 // match it.
 func TestOptimizePermutationMatchesRank(t *testing.T) {
-	tr := topology.MustNew(4, 3)
-	n := tr.Nodes()
-	flows := Permutation(tr, func(i int) int { return n - 1 - i })
 	s := NewMLID()
+	sn := configured(t, 4, 3, s)
+	tr := sn.Tree
+	n := tr.Nodes()
+	flows := traffic.Permutation(tr, func(i int) int { return n - 1 - i })
 
-	rank, err := LinkLoad(tr, s, flows)
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan, err := OptimizePaths(tr, s, flows)
 	if err != nil {
 		t.Fatal(err)
@@ -26,15 +31,10 @@ func TestOptimizePermutationMatchesRank(t *testing.T) {
 	if plan.Planned() != len(flows) {
 		t.Fatalf("planned %d of %d", plan.Planned(), len(flows))
 	}
-	if plan.MaxLoad > rank.Max {
-		t.Errorf("optimizer max load %v worse than rank %v", plan.MaxLoad, rank.Max)
-	}
-	rep, err := PlanLinkLoad(tr, s, plan, flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Max != plan.MaxLoad {
-		t.Errorf("evaluated max %v != planned %v", rep.Max, plan.MaxLoad)
+	rank := staticLoad(t, sn, flows, nil)
+	planned := staticLoad(t, sn, flows, planSelect(tr, s, plan))
+	if planned.MaxLoad > rank.MaxLoad {
+		t.Errorf("optimizer max load %v worse than rank %v", planned.MaxLoad, rank.MaxLoad)
 	}
 }
 
@@ -50,7 +50,7 @@ func TestOptimizeBeatsRankOnSkew(t *testing.T) {
 	// both ascend to the same root) and whose destinations share a leaf —
 	// the two descents then collide on the root's single down-link into
 	// that leaf. The optimizer can split them over different roots.
-	var flows []Flow
+	var flows []traffic.Flow
 	for pair := 0; pair < 3; pair++ {
 		srcA, err := tr.NodeFromDigits([]int{2 * pair, 0})
 		if err != nil {
@@ -70,20 +70,19 @@ func TestOptimizeBeatsRankOnSkew(t *testing.T) {
 			t.Fatal(err)
 		}
 		flows = append(flows,
-			Flow{Src: srcA, Dst: dstA, Weight: 10},
-			Flow{Src: srcB, Dst: dstB, Weight: 10})
+			traffic.Flow{Src: srcA, Dst: dstA, Weight: 10},
+			traffic.Flow{Src: srcB, Dst: dstB, Weight: 10})
 	}
 
-	rank, err := LinkLoad(tr, s, flows)
-	if err != nil {
-		t.Fatal(err)
-	}
 	plan, err := OptimizePaths(tr, s, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.MaxLoad >= rank.Max {
-		t.Errorf("optimizer max %v not better than rank %v", plan.MaxLoad, rank.Max)
+	sn := configured(t, 8, 2, s)
+	rank := staticLoad(t, sn, flows, nil)
+	planned := staticLoad(t, sn, flows, planSelect(tr, s, plan))
+	if planned.MaxLoad >= rank.MaxLoad {
+		t.Errorf("optimizer max %v not better than rank %v", planned.MaxLoad, rank.MaxLoad)
 	}
 	// All planned routes are still shortest paths (delivery verified).
 	for _, f := range flows {
@@ -102,7 +101,7 @@ func TestOptimizeBeatsRankOnSkew(t *testing.T) {
 func TestPlanFallsBackToRank(t *testing.T) {
 	tr := topology.MustNew(4, 2)
 	s := NewMLID()
-	plan, err := OptimizePaths(tr, s, []Flow{{Src: 0, Dst: 5, Weight: 1}})
+	plan, err := OptimizePaths(tr, s, []traffic.Flow{{Src: 0, Dst: 5, Weight: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +113,34 @@ func TestPlanFallsBackToRank(t *testing.T) {
 // TestOptimizeSkipsSelfFlows: self flows are ignored, not planned.
 func TestOptimizeSkipsSelfFlows(t *testing.T) {
 	tr := topology.MustNew(4, 2)
-	plan, err := OptimizePaths(tr, NewMLID(), []Flow{{Src: 2, Dst: 2, Weight: 5}})
+	plan, err := OptimizePaths(tr, NewMLID(), []traffic.Flow{{Src: 2, Dst: 2, Weight: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Planned() != 0 {
 		t.Errorf("planned %d self flows", plan.Planned())
+	}
+}
+
+// TestOptimizeAllToOneNoWorseThanRank: on a hot destination every candidate
+// route shares the destination's attachment link, so the planner must rank
+// candidates by the inter-switch links alone — counting the shared link
+// ties them all and the first offset wins, piling SLID-like load on one
+// root. Evaluated by the analyzer, the plan must match rank selection.
+func TestOptimizeAllToOneNoWorseThanRank(t *testing.T) {
+	s := NewMLID()
+	for _, fab := range goldenFabrics {
+		sn := configured(t, fab[0], fab[1], s)
+		tr := sn.Tree
+		flows := traffic.AllToOne(tr, topology.NodeID(tr.Nodes()-1))
+		plan, err := OptimizePaths(tr, s, flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rank := staticLoad(t, sn, flows, nil)
+		planned := staticLoad(t, sn, flows, planSelect(tr, s, plan))
+		if planned.MaxLoad > rank.MaxLoad {
+			t.Errorf("%s all-to-one: plan max %v worse than rank %v", tr, planned.MaxLoad, rank.MaxLoad)
+		}
 	}
 }

@@ -188,10 +188,10 @@ func batchFingerprint(r BatchResult) string {
 // pairs are left to the scheme's canonical choice.
 func testPlan(t *testing.T, sn *ib.Subnet) *core.PathPlan {
 	t.Helper()
-	var flows []core.Flow
+	var flows []traffic.Flow
 	for src := 0; src < sn.Tree.Nodes(); src++ {
 		for dst := src + 1; dst < sn.Tree.Nodes(); dst++ {
-			flows = append(flows, core.Flow{
+			flows = append(flows, traffic.Flow{
 				Src: topology.NodeID(src), Dst: topology.NodeID(dst),
 				Weight: float64(1 + (7*src+3*dst)%5),
 			})

@@ -20,7 +20,7 @@ func TestOptimizedPlanBeatsRankDynamically(t *testing.T) {
 	// with the same rank digit in different leaves send heavy messages to
 	// the same destination leaf, colliding on one root down-link under the
 	// rank rule.
-	var flows []core.Flow
+	var flows []traffic.Flow
 	var msgs []Message
 	for pair := 0; pair < 3; pair++ {
 		srcA, _ := tr.NodeFromDigits([]int{2 * pair, 0})
@@ -28,8 +28,8 @@ func TestOptimizedPlanBeatsRankDynamically(t *testing.T) {
 		dstA, _ := tr.NodeFromDigits([]int{6, 2 * (pair % 2)})
 		dstB, _ := tr.NodeFromDigits([]int{6, 2*(pair%2) + 1})
 		flows = append(flows,
-			core.Flow{Src: srcA, Dst: dstA, Weight: 1},
-			core.Flow{Src: srcB, Dst: dstB, Weight: 1})
+			traffic.Flow{Src: srcA, Dst: dstA, Weight: 1},
+			traffic.Flow{Src: srcB, Dst: dstB, Weight: 1})
 		const bytes = 64 * 256
 		msgs = append(msgs,
 			Message{Src: srcA, Dst: dstA, Bytes: bytes},

@@ -3,6 +3,9 @@ package verify_test
 import (
 	"testing"
 
+	"mlid/internal/core"
+	"mlid/internal/ib"
+	"mlid/internal/traffic"
 	"mlid/internal/verify"
 )
 
@@ -31,6 +34,27 @@ func BenchmarkVerifyEpoch(b *testing.B) {
 				b.Fatalf("%d error findings", rep.Errors())
 			}
 			b.ReportMetric(float64(rep.Stats.RoutesChecked), "routes/op")
+		})
+	}
+}
+
+// BenchmarkLinkLoad measures the quality pass on the all-to-one matrix
+// toward node 0 of FT(8,3), per scheme (experiment EX-D): one verify.Run
+// over the configured tables, reporting the inter-switch maximum load the
+// pass finds.
+func BenchmarkLinkLoad(b *testing.B) {
+	for _, eng := range []ib.RoutingEngine{core.NewSLID(), core.NewMLID()} {
+		sn := configured(b, 8, 3, eng)
+		opt := verify.Options{Matrix: &traffic.Matrix{Name: "all-to-one", Flows: traffic.AllToOne(sn.Tree, 0)}}
+		b.Run(eng.Name(), func(b *testing.B) {
+			var rep *verify.Report
+			for i := 0; i < b.N; i++ {
+				var err error
+				if rep, err = verify.Run(verify.FromSubnet(sn), opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(rep.Stats.Quality[0].MaxLoad, "max_link_load")
 		})
 	}
 }

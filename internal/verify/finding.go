@@ -98,21 +98,22 @@ func joinWitness(w []string) string {
 	return out
 }
 
-// QualityReport is the quality analyzer's metric block for the all-to-all
-// traffic matrix: the static congestion and path-stretch measures the
-// paper's evaluation ranks routings by.
+// QualityReport is the quality analyzer's metric block for one traffic
+// matrix: the static congestion and path-stretch measures the paper's
+// evaluation ranks routings by.
 type QualityReport struct {
-	// Matrix names the traffic matrix the metrics trace: always
-	// "all-to-all".
+	// Matrix names the traffic matrix the metrics trace: "all-to-all" by
+	// default, else Options.Matrix's name.
 	Matrix string `json:"matrix"`
-	// Flows is the number of traced (src, dst) flows; Unrouted counts the
-	// flows whose selected route did not reach the destination (they carry
-	// no load).
+	// Flows is the number of traced (src, dst) flows, self-flows excluded;
+	// Unrouted counts the flows whose selected route did not reach the
+	// destination (they carry no load).
 	Flows    int `json:"flows"`
 	Unrouted int `json:"unrouted"`
 	// MaxLoad is the heaviest directed inter-switch link's accumulated
 	// weight — the static congestion bound (throughput <= demand / MaxLoad
-	// for unit-capacity links); MaxLink names one link attaining it.
+	// for unit-capacity links); MaxLink names the link attaining it with the
+	// lowest channel id (switch id * m + port).
 	MaxLoad  float64 `json:"max_load"`
 	MaxLink  string  `json:"max_link"`
 	MeanLoad float64 `json:"mean_load"`
@@ -140,8 +141,8 @@ type Stats struct {
 	Dependencies int `json:"dependencies"`
 	// Suppressed counts findings dropped by the per-analyzer cap.
 	Suppressed int `json:"suppressed"`
-	// Quality carries the all-to-all metric block (empty when the quality
-	// analyzer was skipped).
+	// Quality carries the traced matrix's metric block (empty when the
+	// quality analyzer was skipped).
 	Quality []QualityReport `json:"quality,omitempty"`
 }
 

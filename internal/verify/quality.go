@@ -6,17 +6,19 @@ import (
 
 	"mlid/internal/ib"
 	"mlid/internal/topology"
+	"mlid/internal/traffic"
 )
 
-// checkQuality computes the static routing-quality metrics for the
-// all-to-all matrix: per-link maximal load (the congestion bound simulation
-// throughput cannot beat), path dilation against the minimal up*/down*
-// path, and the root-link balance spread. It traces every flow through the
-// live tables; only flows whose selected route actually reaches the
-// destination carry load — a flow dying at a dead link contributes to
-// Unrouted, not to congestion. Metrics are reported as an Info finding and
-// in Stats.Quality; quality never fails a fabric on its own.
-func (f *fabric) checkQuality(rep *Report) {
+// checkQuality computes the static routing-quality metrics for the traffic
+// matrix mx, or for all-to-all when mx is nil: per-link maximal load (the
+// congestion bound simulation throughput cannot beat), path dilation
+// against the minimal up*/down* path, and the root-link balance spread. It
+// traces every flow through the live tables; only flows whose selected
+// route actually reaches the destination carry load — a flow dying at a
+// dead link contributes to Unrouted, not to congestion. Metrics are
+// reported as an Info finding and in Stats.Quality; quality never fails a
+// fabric on its own.
+func (f *fabric) checkQuality(rep *Report, mx *traffic.Matrix) {
 	t := f.t
 	n := t.Nodes()
 	numChan := t.Switches() * f.m
@@ -27,35 +29,46 @@ func (f *fabric) checkQuality(rep *Report) {
 	var dilSum float64
 	routed := 0
 
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
+	// traceFlow routes one flow of weight w through the tables.
+	traceFlow := func(src, dst topology.NodeID, w float64) {
+		q.Flows++
+		dlid, ok := f.selectDLID(src, dst)
+		if !ok {
+			q.Unrouted++
+			return
+		}
+		path, reached := f.tracePath(src, dst, dlid, f.trace)
+		if !reached {
+			q.Unrouted++
+			return
+		}
+		routed++
+		// The final hop is the destination's attachment link; it is
+		// loaded identically by every scheme (all of dst's demand), so the
+		// congestion metrics cover the inter-switch hops only.
+		for _, c := range path[:len(path)-1] {
+			load[c] += w
+		}
+		if min := f.minSwitches(src, dst); min > 0 {
+			dil := float64(len(path)) / float64(min)
+			dilSum += dil
+			if dil > q.MaxDilation {
+				q.MaxDilation = dil
 			}
-			src, dst := topology.NodeID(s), topology.NodeID(d)
-			q.Flows++
-			dlid, ok := f.selectDLID(src, dst)
-			if !ok {
-				q.Unrouted++
-				continue
+		}
+	}
+	if mx != nil {
+		q.Matrix = mx.Name
+		for _, fl := range mx.Flows {
+			if fl.Src != fl.Dst {
+				traceFlow(fl.Src, fl.Dst, fl.Weight)
 			}
-			path, reached := f.tracePath(src, dst, dlid, f.trace)
-			if !reached {
-				q.Unrouted++
-				continue
-			}
-			routed++
-			// The final hop is the destination's attachment link; it is
-			// loaded identically by every scheme (all of dst's demand), so
-			// the congestion metrics cover the inter-switch hops only.
-			for _, c := range path[:len(path)-1] {
-				load[c]++
-			}
-			if min := f.minSwitches(src, dst); min > 0 {
-				dil := float64(len(path)) / float64(min)
-				dilSum += dil
-				if dil > q.MaxDilation {
-					q.MaxDilation = dil
+		}
+	} else {
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				if s != d {
+					traceFlow(topology.NodeID(s), topology.NodeID(d), 1)
 				}
 			}
 		}

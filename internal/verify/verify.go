@@ -20,9 +20,10 @@
 //   - addressing: LID-space exhaustion (MLID on FT(16,3) needs 65,537
 //     LIDs, one past the 16-bit space), LMC-block overlap, duplicate and
 //     orphaned LID assignments.
-//   - quality: per-link maximal load under all-to-all traffic, path
-//     dilation against the minimal up*/down* path, and the root-link balance
-//     spread.
+//   - quality: per-link maximal load under a traffic matrix, all-to-all by
+//     default, path dilation against the minimal up*/down* path, and the
+//     root-link balance spread. It is the repository's one static link-load
+//     analyzer: it measures the tables the subnet manager configured.
 //
 // Severity follows one rule: a defect a recorded dead link explains is a
 // Warning (the packet drops observably — the documented fate of
@@ -41,6 +42,7 @@ import (
 
 	"mlid/internal/ib"
 	"mlid/internal/topology"
+	"mlid/internal/traffic"
 )
 
 // Input is the forwarding state under verification. It is deliberately a
@@ -81,6 +83,10 @@ type Options struct {
 	// policy); nil means every lane carries every route, so one lane's
 	// proof covers all of them.
 	VLOf func(dlid ib.LID, vls int) int
+	// Matrix, when non-nil, is the traffic matrix the quality analyzer
+	// traces: each flow adds its weight to the links it crosses, and
+	// self-flows are skipped. Nil traces the unit all-to-all matrix.
+	Matrix *traffic.Matrix
 	// SkipQuality drops the quality analyzer — the right call inside the
 	// simulator's per-epoch hook, where only the safety properties matter.
 	SkipQuality bool
@@ -133,7 +139,7 @@ type fabric struct {
 	adjTo  []int32   // buildAdjacency's shared successor array
 	adj    [][]int32 // buildAdjacency's per-channel successor lists
 	cycles cycleSearch
-	load   []float64 // quality: per-channel all-to-all load
+	load   []float64 // quality: per-channel load
 	trace  []int32   // quality: the traced flow's out-channels
 }
 
@@ -172,6 +178,14 @@ func Run(in Input, opt Options) (*Report, error) {
 				i, e[0], e[1], t.Switches(), m)
 		}
 	}
+	if opt.Matrix != nil {
+		for i, fl := range opt.Matrix.Flows {
+			if !t.ValidNode(fl.Src) || !t.ValidNode(fl.Dst) || !(fl.Weight >= 0) {
+				return nil, fmt.Errorf("verify: flow %d (%d->%d, weight %v) needs nodes in [0,%d) and a non-negative weight",
+					i, fl.Src, fl.Dst, fl.Weight, t.Nodes())
+			}
+		}
+	}
 	if opt.VLs <= 0 {
 		opt.VLs = 1
 	}
@@ -188,7 +202,7 @@ func Run(in Input, opt Options) (*Report, error) {
 	graphs := f.checkReachability(rep)
 	f.checkDeadlock(rep, graphs)
 	if !opt.SkipQuality {
-		f.checkQuality(rep)
+		f.checkQuality(rep, opt.Matrix)
 	}
 	f.keep(rep)
 	return rep, nil

@@ -10,6 +10,7 @@ import (
 	"mlid/internal/core"
 	"mlid/internal/ib"
 	"mlid/internal/topology"
+	"mlid/internal/traffic"
 	"mlid/internal/verify"
 )
 
@@ -412,5 +413,55 @@ func mustSet(t *testing.T, lft *ib.LFT, lid ib.LID, abstract int) {
 	}
 	if err := lft.Set(lid, uint8(abstract+1)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQualityMatrix: a matrix given as Options.Matrix is traced like the
+// default one. The all-to-all matrix spelled out as unit flows reproduces
+// the default block exactly but for its name; doubling every weight doubles
+// every load metric and leaves the flow counts and dilation alone;
+// self-flows are skipped; and a flow naming no node is unusable input.
+func TestQualityMatrix(t *testing.T) {
+	sn := configured(t, 4, 3, core.NewMLID())
+	n := sn.Tree.Nodes()
+	quality := func(opt verify.Options) verify.QualityReport {
+		t.Helper()
+		rep, err := verify.Run(verify.FromSubnet(sn), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Stats.Quality[0]
+	}
+	allToAll := func(w float64) *traffic.Matrix {
+		mx := &traffic.Matrix{Name: "spelled"}
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				mx.Flows = append(mx.Flows, traffic.Flow{Src: topology.NodeID(s), Dst: topology.NodeID(d), Weight: w})
+			}
+		}
+		return mx
+	}
+
+	def := quality(verify.Options{})
+	unit := quality(verify.Options{Matrix: allToAll(1)})
+	if def.Matrix != "all-to-all" || unit.Matrix != "spelled" {
+		t.Fatalf("matrix names %q, %q", def.Matrix, unit.Matrix)
+	}
+	unit.Matrix = def.Matrix
+	if unit != def {
+		t.Fatalf("spelled-out all-to-all differs from the default:\n%+v\n%+v", unit, def)
+	}
+
+	double := quality(verify.Options{Matrix: allToAll(2)})
+	if double.Flows != def.Flows || double.MeanDilation != def.MeanDilation || double.MaxLink != def.MaxLink ||
+		double.MaxLoad != 2*def.MaxLoad || double.MeanLoad != 2*def.MeanLoad ||
+		double.RootLinkMax != 2*def.RootLinkMax || double.RootLinkMin != 2*def.RootLinkMin {
+		t.Fatalf("weight 2 block %+v is not the unit block doubled %+v", double, def)
+	}
+
+	for _, bad := range []traffic.Flow{{Src: 0, Dst: topology.NodeID(n), Weight: 1}, {Src: -1, Dst: 0, Weight: 1}, {Src: 0, Dst: 1, Weight: -1}} {
+		if _, err := verify.Run(verify.FromSubnet(sn), verify.Options{Matrix: &traffic.Matrix{Flows: []traffic.Flow{bad}}}); err == nil {
+			t.Fatalf("flow %+v accepted", bad)
+		}
 	}
 }

@@ -151,27 +151,35 @@ func AllPaths(t *Tree, s Scheme, src, dst NodeID) ([]Path, error) {
 // Flow, LoadReport and LinkLoad expose the static per-link load analysis.
 type (
 	// Flow is one traffic-matrix entry for LinkLoad.
-	Flow = core.Flow
-	// LoadReport summarizes per-link loads induced by a traffic matrix.
-	LoadReport = core.LoadReport
+	Flow = traffic.Flow
+	// LoadReport summarizes the inter-switch link loads a traffic matrix
+	// induces on a subnet's configured tables.
+	LoadReport = verify.QualityReport
 )
 
-// LinkLoad traces every flow under the scheme and accumulates directed link
-// loads — the paper's congestion argument without simulation.
-func LinkLoad(t *Tree, s Scheme, flows []Flow) (*LoadReport, error) {
-	return core.LinkLoad(t, s, flows)
+// LinkLoad traces every flow through the subnet's forwarding tables, under
+// the scheme's path selection, and accumulates directed inter-switch link
+// loads — the paper's congestion argument without simulation. Self-flows
+// are skipped.
+func LinkLoad(sn *Subnet, flows []Flow) (*LoadReport, error) {
+	rep, err := verify.Run(verify.FromSubnet(sn), verify.Options{Matrix: &traffic.Matrix{Name: "flows", Flows: flows}})
+	if err != nil {
+		return nil, err
+	}
+	return &rep.Stats.Quality[0], nil
 }
 
 // AllToOne builds the all-sources-to-one-destination traffic matrix.
-func AllToOne(t *Tree, dst NodeID) []Flow { return core.AllToOne(t, dst) }
+func AllToOne(t *Tree, dst NodeID) []Flow { return traffic.AllToOne(t, dst) }
 
 // PathPlan is a profile-guided path assignment produced by OptimizePaths;
 // simulate it by setting SimConfig.PathSelect to SelectPlan(plan).
 type PathPlan = core.PathPlan
 
 // OptimizePaths computes, for a known traffic matrix, the MLID LID offsets
-// that minimize the maximum link load (greedy min-max over shortest paths)
-// — an extension of the paper's rank-based selection for skewed workloads.
+// that minimize the maximum inter-switch link load (greedy min-max over
+// shortest paths) — an extension of the paper's rank-based selection for
+// skewed workloads.
 func OptimizePaths(t *Tree, flows []Flow) (*PathPlan, error) {
 	return core.OptimizePaths(t, core.NewMLID(), flows)
 }

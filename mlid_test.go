@@ -72,9 +72,22 @@ func TestFacadeRoutingAndAnalysis(t *testing.T) {
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("AllPaths: %v", err)
 	}
-	rep, err := mlid.LinkLoad(tree, mlid.SLID(), mlid.AllToOne(tree, 9))
-	if err != nil || rep.Max <= 0 {
-		t.Fatalf("LinkLoad: %v %+v", err, rep)
+	// All-to-one is the paper's Figure 9 case: SLID piles each source leaf
+	// group onto one ascending link, MLID spreads it over m/2 of them.
+	var maxLoad [2]float64
+	for i, s := range []mlid.Scheme{mlid.SLID(), mlid.MLID()} {
+		sn, err := mlid.Configure(tree, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := mlid.LinkLoad(sn, mlid.AllToOne(tree, 9))
+		if err != nil || rep.Flows != tree.Nodes()-1 || rep.Unrouted != 0 {
+			t.Fatalf("%s LinkLoad: %v %+v", s.Name(), err, rep)
+		}
+		maxLoad[i] = rep.MaxLoad
+	}
+	if maxLoad[0] <= maxLoad[1] {
+		t.Fatalf("all-to-one max inter-switch load: SLID %v, MLID %v — SLID should be higher", maxLoad[0], maxLoad[1])
 	}
 	faults := mlid.NewFaultSet()
 	lid, _, ok := mlid.SelectDLID(tree, mlid.MLID(), 0, 9, faults)
