@@ -20,7 +20,7 @@ func staticLoad(t testing.TB, sn *ib.Subnet, flows []traffic.Flow, sel func(src,
 	t.Helper()
 	in := verify.FromSubnet(sn)
 	in.SelectDLID = sel
-	rep, err := verify.Run(in, verify.Options{Matrix: &traffic.Matrix{Name: "test", Flows: flows}})
+	rep, err := verify.Run(in, verify.Options{Flows: flows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +86,9 @@ func TestAllToOneLinkLoad(t *testing.T) {
 	tr := topology.MustNew(8, 2)
 	dst := topology.NodeID(tr.Nodes() - 1)
 	flows := traffic.AllToOne(tr, dst)
-	slid := staticLoad(t, configured(t, 8, 2, NewSLID()), flows, nil)
-	mlid := staticLoad(t, configured(t, 8, 2, NewMLID()), flows, nil)
+	slidSN, mlidSN := configured(t, 8, 2, NewSLID()), configured(t, 8, 2, NewMLID())
+	slid := staticLoad(t, slidSN, flows, nil)
+	mlid := staticLoad(t, mlidSN, flows, nil)
 	if slid.Flows != tr.Nodes()-1 || mlid.Flows != tr.Nodes()-1 {
 		t.Fatalf("flows = %d/%d", slid.Flows, mlid.Flows)
 	}
@@ -99,6 +100,28 @@ func TestAllToOneLinkLoad(t *testing.T) {
 	}
 	if mlid.RootLinkMax != 7 || slid.RootLinkMax != 28 {
 		t.Fatalf("root-link max SLID %v, MLID %v; want 28 and 7", slid.RootLinkMax, mlid.RootLinkMax)
+	}
+
+	// One source leaf group at a time: its h = m/2 members ascend over
+	// the leaf's h up-links. MLID gives each member its own up-link and
+	// root, so no link carries more than one flow; SLID sends all h up
+	// one link and down one root.
+	dstLeaf, _ := tr.NodeAttachment(dst)
+	groups := map[topology.SwitchID][]traffic.Flow{}
+	for _, f := range flows {
+		if leaf, _ := tr.NodeAttachment(f.Src); leaf != dstLeaf {
+			groups[leaf] = append(groups[leaf], f)
+		}
+	}
+	if len(groups) != tr.Nodes()/(tr.M()/2)-1 {
+		t.Fatalf("%d source leaf groups", len(groups))
+	}
+	h := float64(tr.M() / 2)
+	for leaf, group := range groups {
+		if s, m := staticLoad(t, slidSN, group, nil), staticLoad(t, mlidSN, group, nil); s.MaxLoad != h || m.MaxLoad != 1 {
+			t.Fatalf("leaf %s group of %v: max inter-switch load SLID %v, MLID %v; want %v and 1",
+				tr.SwitchLabel(leaf), h, s.MaxLoad, m.MaxLoad, h)
+		}
 	}
 }
 

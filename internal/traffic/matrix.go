@@ -9,14 +9,6 @@ type Flow struct {
 	Weight   float64
 }
 
-// Matrix is a named static traffic matrix — the per-pair demand a static
-// analysis traces instead of simulating packets.
-type Matrix struct {
-	// Name labels the matrix in reports.
-	Name  string
-	Flows []Flow
-}
-
 // AllToOne builds the traffic matrix in which every node sends unit load to
 // the single destination — the static counterpart of Centric with every
 // packet sent to the hotspot, and the concentrated pattern behind the

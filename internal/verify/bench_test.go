@@ -45,7 +45,7 @@ func BenchmarkVerifyEpoch(b *testing.B) {
 func BenchmarkLinkLoad(b *testing.B) {
 	for _, eng := range []ib.RoutingEngine{core.NewSLID(), core.NewMLID()} {
 		sn := configured(b, 8, 3, eng)
-		opt := verify.Options{Matrix: &traffic.Matrix{Name: "all-to-one", Flows: traffic.AllToOne(sn.Tree, 0)}}
+		opt := verify.Options{Flows: traffic.AllToOne(sn.Tree, 0)}
 		b.Run(eng.Name(), func(b *testing.B) {
 			var rep *verify.Report
 			for i := 0; i < b.N; i++ {

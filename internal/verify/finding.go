@@ -103,7 +103,7 @@ func joinWitness(w []string) string {
 // evaluation ranks routings by.
 type QualityReport struct {
 	// Matrix names the traffic matrix the metrics trace: "all-to-all" by
-	// default, else Options.Matrix's name.
+	// default, "flows" when Options.Flows gives the matrix.
 	Matrix string `json:"matrix"`
 	// Flows is the number of traced (src, dst) flows, self-flows excluded;
 	// Unrouted counts the flows whose selected route did not reach the

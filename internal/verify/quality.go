@@ -10,7 +10,7 @@ import (
 )
 
 // checkQuality computes the static routing-quality metrics for the traffic
-// matrix mx, or for all-to-all when mx is nil: per-link maximal load (the
+// matrix flows, or for all-to-all when flows is nil: per-link maximal load (the
 // congestion bound simulation throughput cannot beat), path dilation
 // against the minimal up*/down* path, and the root-link balance spread. It
 // traces every flow through the live tables; only flows whose selected
@@ -18,7 +18,7 @@ import (
 // dead link contributes to Unrouted, not to congestion. Metrics are
 // reported as an Info finding and in Stats.Quality; quality never fails a
 // fabric on its own.
-func (f *fabric) checkQuality(rep *Report, mx *traffic.Matrix) {
+func (f *fabric) checkQuality(rep *Report, flows []traffic.Flow) {
 	t := f.t
 	n := t.Nodes()
 	numChan := t.Switches() * f.m
@@ -57,9 +57,9 @@ func (f *fabric) checkQuality(rep *Report, mx *traffic.Matrix) {
 			}
 		}
 	}
-	if mx != nil {
-		q.Matrix = mx.Name
-		for _, fl := range mx.Flows {
+	if flows != nil {
+		q.Matrix = "flows"
+		for _, fl := range flows {
 			if fl.Src != fl.Dst {
 				traceFlow(fl.Src, fl.Dst, fl.Weight)
 			}

@@ -83,10 +83,11 @@ type Options struct {
 	// policy); nil means every lane carries every route, so one lane's
 	// proof covers all of them.
 	VLOf func(dlid ib.LID, vls int) int
-	// Matrix, when non-nil, is the traffic matrix the quality analyzer
+	// Flows, when non-nil, is the traffic matrix the quality analyzer
 	// traces: each flow adds its weight to the links it crosses, and
-	// self-flows are skipped. Nil traces the unit all-to-all matrix.
-	Matrix *traffic.Matrix
+	// self-flows are skipped. Nil traces the unit all-to-all matrix; an
+	// empty non-nil slice traces nothing.
+	Flows []traffic.Flow
 	// SkipQuality drops the quality analyzer — the right call inside the
 	// simulator's per-epoch hook, where only the safety properties matter.
 	SkipQuality bool
@@ -178,12 +179,10 @@ func Run(in Input, opt Options) (*Report, error) {
 				i, e[0], e[1], t.Switches(), m)
 		}
 	}
-	if opt.Matrix != nil {
-		for i, fl := range opt.Matrix.Flows {
-			if !t.ValidNode(fl.Src) || !t.ValidNode(fl.Dst) || !(fl.Weight >= 0) {
-				return nil, fmt.Errorf("verify: flow %d (%d->%d, weight %v) needs nodes in [0,%d) and a non-negative weight",
-					i, fl.Src, fl.Dst, fl.Weight, t.Nodes())
-			}
+	for i, fl := range opt.Flows {
+		if !t.ValidNode(fl.Src) || !t.ValidNode(fl.Dst) || !(fl.Weight >= 0) {
+			return nil, fmt.Errorf("verify: flow %d (%d->%d, weight %v) needs nodes in [0,%d) and a non-negative weight",
+				i, fl.Src, fl.Dst, fl.Weight, t.Nodes())
 		}
 	}
 	if opt.VLs <= 0 {
@@ -202,7 +201,7 @@ func Run(in Input, opt Options) (*Report, error) {
 	graphs := f.checkReachability(rep)
 	f.checkDeadlock(rep, graphs)
 	if !opt.SkipQuality {
-		f.checkQuality(rep, opt.Matrix)
+		f.checkQuality(rep, opt.Flows)
 	}
 	f.keep(rep)
 	return rep, nil

@@ -416,11 +416,12 @@ func mustSet(t *testing.T, lft *ib.LFT, lid ib.LID, abstract int) {
 	}
 }
 
-// TestQualityMatrix: a matrix given as Options.Matrix is traced like the
+// TestQualityMatrix: a matrix given as Options.Flows is traced like the
 // default one. The all-to-all matrix spelled out as unit flows reproduces
-// the default block exactly but for its name; doubling every weight doubles
-// every load metric and leaves the flow counts and dilation alone;
-// self-flows are skipped; and a flow naming no node is unusable input.
+// the default block exactly but for its label; doubling every weight
+// doubles every load metric and leaves the flow counts and dilation alone;
+// self-flows are skipped; an empty matrix traces nothing; and a flow naming
+// no node is unusable input.
 func TestQualityMatrix(t *testing.T) {
 	sn := configured(t, 4, 3, core.NewMLID())
 	n := sn.Tree.Nodes()
@@ -432,35 +433,36 @@ func TestQualityMatrix(t *testing.T) {
 		}
 		return rep.Stats.Quality[0]
 	}
-	allToAll := func(w float64) *traffic.Matrix {
-		mx := &traffic.Matrix{Name: "spelled"}
+	allToAll := func(w float64) []traffic.Flow {
+		var flows []traffic.Flow
 		for s := 0; s < n; s++ {
 			for d := 0; d < n; d++ {
-				mx.Flows = append(mx.Flows, traffic.Flow{Src: topology.NodeID(s), Dst: topology.NodeID(d), Weight: w})
+				flows = append(flows, traffic.Flow{Src: topology.NodeID(s), Dst: topology.NodeID(d), Weight: w})
 			}
 		}
-		return mx
+		return flows
 	}
 
 	def := quality(verify.Options{})
-	unit := quality(verify.Options{Matrix: allToAll(1)})
-	if def.Matrix != "all-to-all" || unit.Matrix != "spelled" {
-		t.Fatalf("matrix names %q, %q", def.Matrix, unit.Matrix)
-	}
+	unit := quality(verify.Options{Flows: allToAll(1)})
 	unit.Matrix = def.Matrix
 	if unit != def {
 		t.Fatalf("spelled-out all-to-all differs from the default:\n%+v\n%+v", unit, def)
 	}
 
-	double := quality(verify.Options{Matrix: allToAll(2)})
+	double := quality(verify.Options{Flows: allToAll(2)})
 	if double.Flows != def.Flows || double.MeanDilation != def.MeanDilation || double.MaxLink != def.MaxLink ||
 		double.MaxLoad != 2*def.MaxLoad || double.MeanLoad != 2*def.MeanLoad ||
 		double.RootLinkMax != 2*def.RootLinkMax || double.RootLinkMin != 2*def.RootLinkMin {
 		t.Fatalf("weight 2 block %+v is not the unit block doubled %+v", double, def)
 	}
 
+	if empty := quality(verify.Options{Flows: []traffic.Flow{}}); empty.Flows != 0 || empty.MaxLoad != 0 || empty.MaxLink != "" {
+		t.Fatalf("empty matrix traced flows: %+v", empty)
+	}
+
 	for _, bad := range []traffic.Flow{{Src: 0, Dst: topology.NodeID(n), Weight: 1}, {Src: -1, Dst: 0, Weight: 1}, {Src: 0, Dst: 1, Weight: -1}} {
-		if _, err := verify.Run(verify.FromSubnet(sn), verify.Options{Matrix: &traffic.Matrix{Flows: []traffic.Flow{bad}}}); err == nil {
+		if _, err := verify.Run(verify.FromSubnet(sn), verify.Options{Flows: []traffic.Flow{bad}}); err == nil {
 			t.Fatalf("flow %+v accepted", bad)
 		}
 	}

@@ -160,9 +160,12 @@ type (
 // LinkLoad traces every flow through the subnet's forwarding tables, under
 // the scheme's path selection, and accumulates directed inter-switch link
 // loads — the paper's congestion argument without simulation. Self-flows
-// are skipped.
+// are skipped; a nil matrix traces nothing.
 func LinkLoad(sn *Subnet, flows []Flow) (*LoadReport, error) {
-	rep, err := verify.Run(verify.FromSubnet(sn), verify.Options{Matrix: &traffic.Matrix{Name: "flows", Flows: flows}})
+	if flows == nil {
+		flows = []Flow{} // nil would select verify's all-to-all default
+	}
+	rep, err := verify.Run(verify.FromSubnet(sn), verify.Options{Flows: flows})
 	if err != nil {
 		return nil, err
 	}
