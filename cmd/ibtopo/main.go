@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -24,39 +26,77 @@ import (
 )
 
 func main() {
-	var (
-		m        = flag.Int("m", 4, "switch port count (power of two >= 4)")
-		n        = flag.Int("n", 3, "tree dimension")
-		scheme   = flag.String("scheme", "MLID", "routing scheme: MLID or SLID")
-		lids     = flag.Bool("lids", false, "print every node's LID assignment (paper Figure 10)")
-		trace    = flag.String("trace", "", "trace the selected route between src:dst node IDs")
-		paths    = flag.String("paths", "", "print all selectable routes between src:dst node IDs")
-		lft      = flag.Int("lft", -1, "dump the forwarding table of the given switch ID")
-		hotload  = flag.Int("hotload", -1, "static all-to-one inter-switch link load toward the given node, both schemes")
-		render   = flag.Bool("render", false, "draw the tree level by level")
-		describe = flag.Int("describe", -1, "describe the wiring of the given switch ID")
-		compare  = flag.Bool("compare", false, "compare against the k-ary n-tree built from the same switches")
-		deadlock = flag.Bool("deadlock", false, "verify the forwarding tables' channel-dependency graph is acyclic")
-		export   = flag.String("export", "", "write the configured subnet (LIDs + LFTs) to this JSON file")
-		dot      = flag.Bool("dot", false, "emit the topology in Graphviz dot format")
-		dotPath  = flag.String("dotpath", "", "emit dot with the selected route src:dst highlighted")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	tree, err := mlid.NewTree(*m, *n)
-	fatal(err)
-	s, err := mlid.SchemeByName(*scheme)
-	fatal(err)
+// options are ibtopo's parsed flags.
+type options struct {
+	m, n                                 int
+	scheme, trace, paths                 string
+	lft, hotload, describe               int
+	lids, render, compare, dot, deadlock bool
+	export, dotPath                      string
+}
+
+// run is the command on args, writing to stdout and stderr; it returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.IntVar(&o.m, "m", 4, "switch port count (power of two >= 4)")
+	fs.IntVar(&o.n, "n", 3, "tree dimension")
+	fs.StringVar(&o.scheme, "scheme", "MLID", "routing scheme: MLID or SLID")
+	fs.BoolVar(&o.lids, "lids", false, "print every node's LID assignment (paper Figure 10)")
+	fs.StringVar(&o.trace, "trace", "", "trace the selected route between src:dst node IDs")
+	fs.StringVar(&o.paths, "paths", "", "print all selectable routes between src:dst node IDs")
+	fs.IntVar(&o.lft, "lft", -1, "dump the forwarding table of the given switch ID")
+	fs.IntVar(&o.hotload, "hotload", -1, "static all-to-one inter-switch link load toward the given node, both schemes")
+	fs.BoolVar(&o.render, "render", false, "draw the tree level by level")
+	fs.IntVar(&o.describe, "describe", -1, "describe the wiring of the given switch ID")
+	fs.BoolVar(&o.compare, "compare", false, "compare against the k-ary n-tree built from the same switches")
+	fs.BoolVar(&o.deadlock, "deadlock", false, "verify the forwarding tables' channel-dependency graph is acyclic")
+	fs.StringVar(&o.export, "export", "", "write the configured subnet (LIDs + LFTs) to this JSON file")
+	fs.BoolVar(&o.dot, "dot", false, "emit the topology in Graphviz dot format")
+	fs.StringVar(&o.dotPath, "dotpath", "", "emit dot with the selected route src:dst highlighted")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if err := inspect(stdout, o); err != nil {
+		fmt.Fprintln(stderr, "ibtopo:", err)
+		return 1
+	}
+	return 0
+}
+
+// inspect builds the fabric and prints the view the options select.
+func inspect(w io.Writer, o options) error {
+	tree, err := mlid.NewTree(o.m, o.n)
+	if err != nil {
+		return err
+	}
+	s, err := mlid.SchemeByName(o.scheme)
+	if err != nil {
+		return err
+	}
 
 	// The dot emitters print only the graph, for piping into graphviz.
-	if *dot {
-		fmt.Print(tree.DOT())
-		return
+	if o.dot {
+		fmt.Fprint(w, tree.DOT())
+		return nil
 	}
-	if *dotPath != "" {
-		src, dst := parsePair(*dotPath, tree.Nodes())
+	if o.dotPath != "" {
+		src, dst, err := parsePair(o.dotPath, tree.Nodes())
+		if err != nil {
+			return err
+		}
 		path, err := mlid.Trace(tree, s, src, dst)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		hops := make([]struct {
 			Switch  mlid.SwitchID
 			OutPort int
@@ -64,114 +104,137 @@ func main() {
 		for i, h := range path.Hops {
 			hops[i].Switch, hops[i].OutPort = h.Switch, h.OutPort
 		}
-		fmt.Print(tree.PathDOT(src, dst, hops))
-		return
+		fmt.Fprint(w, tree.PathDOT(src, dst, hops))
+		return nil
 	}
 
-	fmt.Printf("%s  (height %d, %d links, %d levels)\n", tree, tree.N()+1, tree.Links(), tree.Levels())
-	fatal(tree.Validate())
-	fmt.Println("topology validation: ok")
+	fmt.Fprintf(w, "%s  (height %d, %d links, %d levels)\n", tree, tree.N()+1, tree.Links(), tree.Levels())
+	if err := tree.Validate(); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "topology validation: ok")
 
 	subnet, err := mlid.Configure(tree, s)
-	fatal(err)
-	fmt.Printf("scheme %s: LMC %d, %d LIDs/node, LID space %d\n",
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "scheme %s: LMC %d, %d LIDs/node, LID space %d\n",
 		s.Name(), s.LMC(tree), 1<<s.LMC(tree), subnet.LIDSpace())
 
 	switch {
-	case *export != "":
+	case o.export != "":
 		data, err := mlid.ExportSubnet(subnet)
-		fatal(err)
-		fatal(os.WriteFile(*export, data, 0o644))
-		fmt.Printf("wrote %s (%d bytes)\n", *export, len(data))
-	case *compare:
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(o.export, data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %s (%d bytes)\n", o.export, len(data))
+	case o.compare:
 		ft, kary, err := tree.CompareWithKaryNTree()
-		fatal(err)
-		fmt.Printf("\n%s", mlid.FormatFamilyComparison(ft, kary))
-	case *deadlock:
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\n%s", mlid.FormatFamilyComparison(ft, kary))
+	case o.deadlock:
 		rep, err := mlid.CheckDeadlockFree(subnet)
-		fatal(err)
-		if rep.Free() {
-			fmt.Printf("\ndeadlock free: %d channels, %d dependencies, no cycles\n",
-				rep.Channels, rep.Dependencies)
-		} else {
-			fmt.Printf("\nDEPENDENCY CYCLE: %v\n", rep.Cycle)
-			os.Exit(1)
+		if err != nil {
+			return err
 		}
-	case *render:
-		fmt.Printf("\n%s", tree.Render(110))
-		fmt.Printf("mean pair distance %.2f switches, bisection %d links\n",
+		if !rep.Free() {
+			fmt.Fprintf(w, "\nDEPENDENCY CYCLE: %v\n", rep.Cycle)
+			return errors.New("forwarding tables are not deadlock free")
+		}
+		fmt.Fprintf(w, "\ndeadlock free: %d channels, %d dependencies, no cycles\n",
+			rep.Channels, rep.Dependencies)
+	case o.render:
+		fmt.Fprintf(w, "\n%s", tree.Render(110))
+		fmt.Fprintf(w, "mean pair distance %.2f switches, bisection %d links\n",
 			tree.AverageDistance(), tree.BisectionLinks())
-	case *describe >= 0:
-		if *describe >= tree.Switches() {
-			fatal(fmt.Errorf("switch %d out of range [0,%d)", *describe, tree.Switches()))
+	case o.describe >= 0:
+		if o.describe >= tree.Switches() {
+			return fmt.Errorf("switch %d out of range [0,%d)", o.describe, tree.Switches())
 		}
-		fmt.Printf("\n%s", tree.DescribeSwitch(mlid.SwitchID(*describe)))
-	case *lids:
-		fmt.Printf("\n%-10s %-8s %s\n", "node", "PID", "LID set")
+		fmt.Fprintf(w, "\n%s", tree.DescribeSwitch(mlid.SwitchID(o.describe)))
+	case o.lids:
+		fmt.Fprintf(w, "\n%-10s %-8s %s\n", "node", "PID", "LID set")
 		for p := 0; p < tree.Nodes(); p++ {
 			r := subnet.Endports[p]
-			fmt.Printf("%-10s %-8d %s\n", tree.NodeLabel(mlid.NodeID(p)), p, r)
+			fmt.Fprintf(w, "%-10s %-8d %s\n", tree.NodeLabel(mlid.NodeID(p)), p, r)
 		}
-	case *trace != "":
-		src, dst := parsePair(*trace, tree.Nodes())
+	case o.trace != "":
+		src, dst, err := parsePair(o.trace, tree.Nodes())
+		if err != nil {
+			return err
+		}
 		path, err := mlid.Trace(tree, s, src, dst)
-		fatal(err)
-		fmt.Printf("\nDLID %d (%d switch hops): %s\n", path.DLID, path.Len(), path.Render(tree))
-	case *paths != "":
-		src, dst := parsePair(*paths, tree.Nodes())
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\nDLID %d (%d switch hops): %s\n", path.DLID, path.Len(), path.Render(tree))
+	case o.paths != "":
+		src, dst, err := parsePair(o.paths, tree.Nodes())
+		if err != nil {
+			return err
+		}
 		all, err := mlid.AllPaths(tree, s, src, dst)
-		fatal(err)
-		fmt.Printf("\n%d distinct route(s) from %s to %s:\n", len(all), tree.NodeLabel(src), tree.NodeLabel(dst))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\n%d distinct route(s) from %s to %s:\n", len(all), tree.NodeLabel(src), tree.NodeLabel(dst))
 		for _, p := range all {
-			fmt.Printf("  DLID %-5d %s\n", p.DLID, p.Render(tree))
+			fmt.Fprintf(w, "  DLID %-5d %s\n", p.DLID, p.Render(tree))
 		}
-	case *lft >= 0:
-		if *lft >= tree.Switches() {
-			fatal(fmt.Errorf("switch %d out of range [0,%d)", *lft, tree.Switches()))
+	case o.lft >= 0:
+		if o.lft >= tree.Switches() {
+			return fmt.Errorf("switch %d out of range [0,%d)", o.lft, tree.Switches())
 		}
-		sw := mlid.SwitchID(*lft)
-		fmt.Printf("\nLFT of %s (physical output port per DLID):\n", tree.SwitchLabel(sw))
+		sw := mlid.SwitchID(o.lft)
+		fmt.Fprintf(w, "\nLFT of %s (physical output port per DLID):\n", tree.SwitchLabel(sw))
 		entries := subnet.LFTs[sw].Entries()
 		for lid := 1; lid < len(entries); lid++ {
 			if entries[lid] == 0xFF {
 				continue
 			}
 			owner, _ := subnet.OwnerOf(mlid.LID(lid))
-			fmt.Printf("  DLID %-5d -> port %-3d (%s)\n", lid, entries[lid], tree.NodeLabel(owner))
+			fmt.Fprintf(w, "  DLID %-5d -> port %-3d (%s)\n", lid, entries[lid], tree.NodeLabel(owner))
 		}
-	case *hotload >= 0:
-		dst := mlid.NodeID(*hotload)
-		fmt.Printf("\nall-to-one static inter-switch link load toward %s:\n", tree.NodeLabel(dst))
+	case o.hotload >= 0:
+		dst := mlid.NodeID(o.hotload)
+		fmt.Fprintf(w, "\nall-to-one static inter-switch link load toward %s:\n", tree.NodeLabel(dst))
 		flows := mlid.AllToOne(tree, dst)
 		for _, sch := range mlid.Schemes() {
 			sn, err := mlid.Configure(tree, sch)
-			fatal(err)
+			if err != nil {
+				return err
+			}
 			rep, err := mlid.LinkLoad(sn, flows)
-			fatal(err)
-			fmt.Printf("  %-5s max %.0f at %s  mean %.2f  (%d/%d flows unrouted)\n",
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "  %-5s max %.0f at %s  mean %.2f  (%d/%d flows unrouted)\n",
 				sch.Name(), rep.MaxLoad, rep.MaxLink, rep.MeanLoad, rep.Unrouted, rep.Flows)
 		}
 	}
+	return nil
 }
 
-func parsePair(s string, nodes int) (mlid.NodeID, mlid.NodeID) {
+func parsePair(s string, nodes int) (mlid.NodeID, mlid.NodeID, error) {
 	parts := strings.SplitN(s, ":", 2)
 	if len(parts) != 2 {
-		fatal(fmt.Errorf("want src:dst, got %q", s))
+		return 0, 0, fmt.Errorf("want src:dst, got %q", s)
 	}
 	a, err := strconv.Atoi(parts[0])
-	fatal(err)
-	b, err := strconv.Atoi(parts[1])
-	fatal(err)
-	if a < 0 || a >= nodes || b < 0 || b >= nodes {
-		fatal(fmt.Errorf("node IDs must be in [0,%d)", nodes))
-	}
-	return mlid.NodeID(a), mlid.NodeID(b)
-}
-
-func fatal(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ibtopo:", err)
-		os.Exit(1)
+		return 0, 0, err
 	}
+	b, err := strconv.Atoi(parts[1])
+	if err != nil {
+		return 0, 0, err
+	}
+	if a < 0 || a >= nodes || b < 0 || b >= nodes {
+		return 0, 0, fmt.Errorf("node IDs must be in [0,%d)", nodes)
+	}
+	return mlid.NodeID(a), mlid.NodeID(b), nil
 }

@@ -16,18 +16,27 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"mlid"
 )
 
 func main() {
-	tree, err := mlid.NewTree(8, 2)
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// run prints the example to w.
+func run(w io.Writer) error {
+	tree, err := mlid.NewTree(8, 2)
+	if err != nil {
+		return err
+	}
 	const hotspot = 0
-	fmt.Printf("%s; hotspot node %d receives 50%% of all traffic\n\n", tree, hotspot)
+	fmt.Fprintf(w, "%s; hotspot node %d receives 50%% of all traffic\n\n", tree, hotspot)
 
 	// First, the static view: trace every node's route toward the hotspot
 	// through each scheme's configured tables and count how the load piles
@@ -35,31 +44,31 @@ func main() {
 	for _, scheme := range mlid.Schemes() {
 		subnet, err := mlid.Configure(tree, scheme)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rep, err := mlid.LinkLoad(subnet, mlid.AllToOne(tree, hotspot))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-5s all-to-one: max inter-switch link load %.0f flows at %s, mean %.2f\n",
+		fmt.Fprintf(w, "%-5s all-to-one: max inter-switch link load %.0f flows at %s, mean %.2f\n",
 			scheme.Name(), rep.MaxLoad, rep.MaxLink, rep.MeanLoad)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// Then the dynamic view: simulate the 50%-centric pattern at rising
 	// offered loads with a single virtual lane.
 	loads := []float64{0.05, 0.1, 0.2, 0.3, 0.5}
-	fmt.Printf("%-8s", "load")
+	fmt.Fprintf(w, "%-8s", "load")
 	for _, scheme := range mlid.Schemes() {
-		fmt.Printf("  %13s accepted/latency", scheme.Name())
+		fmt.Fprintf(w, "  %13s accepted/latency", scheme.Name())
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, load := range loads {
-		fmt.Printf("%-8.2f", load)
+		fmt.Fprintf(w, "%-8.2f", load)
 		for _, scheme := range mlid.Schemes() {
 			subnet, err := mlid.Configure(tree, scheme)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			res, err := mlid.Simulate(mlid.SimConfig{
 				Subnet:      subnet,
@@ -71,17 +80,18 @@ func main() {
 				Seed:        7,
 			})
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			mark := " "
 			if res.Saturated {
 				mark = "*"
 			}
-			fmt.Printf("  %13.4f%s / %8.0f ns", res.Accepted, mark, res.MeanLatencyNs)
+			fmt.Fprintf(w, "  %13.4f%s / %8.0f ns", res.Accepted, mark, res.MeanLatencyNs)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("\n(* = saturated: accepted fell below offered)")
-	fmt.Println("MLID keeps accepting traffic well past the load where SLID's single")
-	fmt.Println("path into the hotspot leaf has already collapsed.")
+	fmt.Fprintln(w, "\n(* = saturated: accepted fell below offered)")
+	fmt.Fprintln(w, "MLID keeps accepting traffic well past the load where SLID's single")
+	fmt.Fprintln(w, "path into the hotspot leaf has already collapsed.")
+	return nil
 }

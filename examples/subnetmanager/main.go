@@ -15,44 +15,54 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"reflect"
 
 	"mlid"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example to w.
+func run(w io.Writer) error {
 	tree, err := mlid.NewTree(8, 2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("physical fabric: %s\n\n", tree)
+	fmt.Fprintf(w, "physical fabric: %s\n\n", tree)
 
 	// Bring-up through the management plane only.
-	fmt.Println("MAD subnet manager at node 0: explore -> recognize -> address -> program ...")
+	fmt.Fprintln(w, "MAD subnet manager at node 0: explore -> recognize -> address -> program ...")
 	madSubnet, err := mlid.ConfigureViaMAD(tree, mlid.MLID(), 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("recognized FT(%d,%d): %d nodes, %d switches, LID space %d\n",
+	fmt.Fprintf(w, "recognized FT(%d,%d): %d nodes, %d switches, LID space %d\n",
 		madSubnet.Tree.M(), madSubnet.Tree.N(),
 		madSubnet.Tree.Nodes(), madSubnet.Tree.Switches(), madSubnet.LIDSpace())
 
 	// The oracle SM computes the same subnet from the topology object.
 	oracle, err := mlid.Configure(tree, mlid.MLID())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if !reflect.DeepEqual(madSubnet.Endports, oracle.Endports) {
-		log.Fatal("endport LID ranges differ from the oracle's")
+		return errors.New("endport LID ranges differ from the oracle's")
 	}
 	for s := range madSubnet.LFTs {
 		if !reflect.DeepEqual(madSubnet.LFTs[s].Entries(), oracle.LFTs[s].Entries()) {
-			log.Fatalf("switch %d forwarding table differs from the oracle's", s)
+			return fmt.Errorf("switch %d forwarding table differs from the oracle's", s)
 		}
 	}
-	fmt.Println("verified: MAD-programmed subnet is identical to the oracle subnet")
+	fmt.Fprintln(w, "verified: MAD-programmed subnet is identical to the oracle subnet")
 
 	// And it routes: drive a quick simulation over the MAD-built subnet.
 	res, err := mlid.Simulate(mlid.SimConfig{
@@ -62,8 +72,9 @@ func main() {
 		Seed:        1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("simulated on the MAD subnet: accepted %.4f B/ns/node, mean latency %.0f ns\n",
+	fmt.Fprintf(w, "simulated on the MAD subnet: accepted %.4f B/ns/node, mean latency %.0f ns\n",
 		res.Accepted, res.MeanLatencyNs)
+	return nil
 }
