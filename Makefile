@@ -83,12 +83,13 @@ BENCH_TIME ?= 1x
 BENCH_COUNT ?= 1
 
 # bench runs the control-plane layer benchmarks with allocation counts: SM
-# recovery here, incremental repair beside core.RepairState, and the static
-# verifier beside verify.Run (the per-epoch pass, healthy and repaired, and
-# the quality pass on the all-to-one matrix).
+# recovery here, subnet configuration beside ib.SubnetManager, incremental
+# repair beside core.RepairState, and the static verifier beside verify.Run
+# (the per-epoch pass, healthy and repaired, and the quality pass on the
+# all-to-one matrix).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSMRecovery' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
-	$(GO) test -run xxx -bench 'BenchmarkRepairIncremental|BenchmarkVerifyEpoch|BenchmarkLinkLoad' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/core/ ./internal/verify/
+	$(GO) test -run xxx -bench 'BenchmarkSubnetConfigure|BenchmarkRepairIncremental|BenchmarkVerifyEpoch|BenchmarkLinkLoad' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/ib/ ./internal/core/ ./internal/verify/
 
 # bench-engine runs the scheduler micro-benchmarks (ns/event, allocs/op).
 bench-engine:

@@ -1,8 +1,9 @@
-// Layer benchmarks over the public facade: subnet bring-up, route tracing,
-// the simulator and batch engines, repair and SM recovery. The paper's
-// figures are timed end to end by bench/ (workload figs_quick), Table 1 is
-// pinned by TestTable1, and the static link-load analysis is benchmarked
-// beside it in internal/verify (BenchmarkLinkLoad).
+// Layer benchmarks over the public facade: route tracing, the simulator
+// and batch engines, repair and SM recovery. The paper's figures are timed
+// end to end by bench/ (workload figs_quick), Table 1 is pinned by
+// TestTable1, and two layers are benchmarked where they live: subnet
+// configuration in internal/ib (BenchmarkSubnetConfigure) and the static
+// link-load analysis in internal/verify (BenchmarkLinkLoad).
 package mlid_test
 
 import (
@@ -11,26 +12,6 @@ import (
 
 	"mlid"
 )
-
-// BenchmarkSubnetConfigure measures the subnet manager bring-up (discovery,
-// LID assignment, forwarding-table computation) per scheme and network.
-func BenchmarkSubnetConfigure(b *testing.B) {
-	for _, nw := range mlid.EvalNetworks() {
-		tree, err := mlid.NewTree(nw.M, nw.N)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, s := range mlid.Schemes() {
-			b.Run(fmt.Sprintf("%s/%s", nw, s.Name()), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := mlid.Configure(tree, s); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
 
 // BenchmarkTrace measures per-route path resolution.
 func BenchmarkTrace(b *testing.B) {

@@ -73,41 +73,21 @@ func RepairSubnet(sn *ib.Subnet, faults *FaultSet) (remapped int, broken []Broke
 
 // TraceSubnet walks the subnet's programmed forwarding tables (not the
 // scheme's closed form) from src for the given DLID — the ground truth for
-// repaired or hand-modified tables. It enforces the same loop and
-// up*/down* checks as TraceLID.
+// repaired or hand-modified tables. It is TraceLID over the tables, with
+// the same loop, port and up*/down* checks.
 func TraceSubnet(sn *ib.Subnet, src topology.NodeID, dlid ib.LID) (Path, error) {
-	t := sn.Tree
-	p := Path{Src: src, DLID: dlid}
-	sw, inPort := t.NodeAttachment(src)
-	descending := false
-	maxHops := 2*t.N() + 1
-	for hop := 0; ; hop++ {
-		if hop > maxHops {
-			return p, fmt.Errorf("core: subnet route for DLID %d exceeds %d hops: %s", dlid, maxHops, p.Render(t))
-		}
-		phys, err := sn.OutPort(sw, dlid)
-		if err != nil {
-			return p, fmt.Errorf("core: switch %s: %w", t.SwitchLabel(sw), err)
-		}
-		out := int(phys) - 1
-		downPorts := t.DownPorts(sw)
-		if out < downPorts {
-			descending = true
-		} else if descending {
-			return p, fmt.Errorf("core: subnet route for DLID %d turns upward after descending at %s",
-				dlid, t.SwitchLabel(sw))
-		}
-		p.Hops = append(p.Hops, Hop{Switch: sw, InPort: inPort, OutPort: out})
-		ref := t.SwitchNeighbor(sw, out)
-		switch ref.Kind {
-		case topology.KindNode:
-			p.Dst = ref.Node
-			return p, nil
-		case topology.KindSwitch:
-			sw, inPort = ref.Switch, ref.Port
-		default:
-			return p, fmt.Errorf("core: subnet route for DLID %d fell off the fabric at %s port %d",
-				dlid, t.SwitchLabel(sw), out)
-		}
-	}
+	return TraceLID(sn.Tree, tableScheme{sn.Engine, sn}, src, dlid)
+}
+
+// tableScheme is the subnet's scheme with its forwarding decision read
+// from the programmed tables, so TraceSubnet walks them through walkLID.
+type tableScheme struct {
+	Scheme
+	sn *ib.Subnet
+}
+
+// OutPortAbstract implements Scheme from the switch's table entry.
+func (s tableScheme) OutPortAbstract(_ *topology.Tree, sw topology.SwitchID, lid ib.LID) (int, bool) {
+	phys := s.sn.LFTs[sw].Port(lid)
+	return int(phys) - 1, phys != ib.PortNone
 }

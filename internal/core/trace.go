@@ -120,13 +120,13 @@ type walkEnd struct {
 	out  int
 }
 
-// walkLID is the one forwarding walk behind TraceLID and the path-free
-// selection checks, so the up*/down* and port rules live here only. It
-// follows the scheme's decisions for dlid from src's leaf, appending each
-// hop to hops when hops is non-nil. With a non-nil fault set it stops at the
-// first hop that enters or leaves through a failed link (walkBlocked) — the
-// hops Blocked would reject — so a check that wants only a verdict allocates
-// nothing.
+// walkLID is the one forwarding walk behind TraceLID, TraceSubnet (over
+// the programmed tables) and the path-free selection checks, so the
+// up*/down* and port rules live here only. It follows the scheme's
+// decisions for dlid from src's leaf, appending each hop to hops when hops
+// is non-nil. With a non-nil fault set it stops at the first hop that
+// enters or leaves through a failed link (walkBlocked) — the hops Blocked
+// would reject — so a check that wants only a verdict allocates nothing.
 func walkLID(t *topology.Tree, s Scheme, src topology.NodeID, dlid ib.LID, faults *FaultSet, hops *[]Hop) walkEnd {
 	if faults != nil && len(faults.dead) == 0 {
 		faults = nil

@@ -91,7 +91,11 @@ func Import(data []byte, engine RoutingEngine) (*Subnet, error) {
 		}
 		sn.LFTs[i] = lft
 	}
-	if err := sn.FinishAssembly(); err != nil {
+	err = sn.assemble(in.LIDSpace)
+	if err == nil {
+		err = sn.Validate()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("ib: import: %w", err)
 	}
 	return sn, nil

@@ -7,9 +7,11 @@ import (
 )
 
 // SubnetManager plays the role of the IBA subnet manager (SM) for a simulated
-// subnet: it discovers the fabric, assigns each endport its base LID and LMC,
-// and programs every switch's linear forwarding table according to a routing
-// engine. The paper's MLID and SLID schemes both run underneath this SM.
+// subnet: it assigns each endport its base LID and LMC and programs every
+// switch's linear forwarding table according to a routing engine. The
+// paper's MLID and SLID schemes both run underneath this SM, and it is the
+// one place a routing engine becomes a subnet: the MAD subnet manager
+// (package sm) uploads the plan it computes over the recognized tree.
 type SubnetManager struct {
 	// Tree is the fabric the SM manages.
 	Tree *topology.Tree
@@ -17,61 +19,11 @@ type SubnetManager struct {
 	Engine RoutingEngine
 }
 
-// Discover sweeps the fabric the way an SM walks direct routes from its own
-// port: a breadth-first traversal over switch ports starting at the switch
-// attached to node 0. It returns the number of switches and endports found
-// and an error if the sweep sees an inconsistency (an unwired port or an
-// asymmetric link).
-func (sm *SubnetManager) Discover() (switches, endports int, err error) {
-	t := sm.Tree
-	start, _ := t.NodeAttachment(0)
-	seenSwitch := make([]bool, t.Switches())
-	seenNode := make([]bool, t.Nodes())
-	queue := []topology.SwitchID{start}
-	seenSwitch[start] = true
-	for len(queue) > 0 {
-		sw := queue[0]
-		queue = queue[1:]
-		switches++
-		for k := 0; k < t.M(); k++ {
-			ref := t.SwitchNeighbor(sw, k)
-			switch ref.Kind {
-			case topology.KindNone:
-				return 0, 0, fmt.Errorf("ib: discovery found unwired port %d on %s", k, t.SwitchLabel(sw))
-			case topology.KindNode:
-				if !seenNode[ref.Node] {
-					seenNode[ref.Node] = true
-					endports++
-				}
-			case topology.KindSwitch:
-				back := t.SwitchNeighbor(ref.Switch, ref.Port)
-				if back.Kind != topology.KindSwitch || back.Switch != sw || back.Port != k {
-					return 0, 0, fmt.Errorf("ib: asymmetric link at %s port %d", t.SwitchLabel(sw), k)
-				}
-				if !seenSwitch[ref.Switch] {
-					seenSwitch[ref.Switch] = true
-					queue = append(queue, ref.Switch)
-				}
-			}
-		}
-	}
-	return switches, endports, nil
-}
-
-// Configure runs the full subnet bring-up: discovery, LID assignment, and
-// forwarding-table programming. The returned subnet is validated.
+// Configure computes the subnet's plan: LID assignment and forwarding-table
+// programming. The returned subnet is validated.
 func (sm *SubnetManager) Configure() (*Subnet, error) {
 	t := sm.Tree
 	eng := sm.Engine
-
-	switches, endports, err := sm.Discover()
-	if err != nil {
-		return nil, err
-	}
-	if switches != t.Switches() || endports != t.Nodes() {
-		return nil, fmt.Errorf("ib: discovery found %d switches / %d endports, topology declares %d / %d",
-			switches, endports, t.Switches(), t.Nodes())
-	}
 
 	lmc := eng.LMC(t)
 	if lmc > MaxLMC {
@@ -89,26 +41,14 @@ func (sm *SubnetManager) Configure() (*Subnet, error) {
 		Engine:   eng,
 		Endports: make([]LIDRange, t.Nodes()),
 		LFTs:     make([]*LFT, t.Switches()),
-		lidOwner: make([]int32, space),
 	}
-	for i := range sn.lidOwner {
-		sn.lidOwner[i] = -1
+	for p := range sn.Endports {
+		sn.Endports[p] = LIDRange{Base: eng.BaseLID(t, topology.NodeID(p)), LMC: lmc}
 	}
-	for p := 0; p < t.Nodes(); p++ {
-		r := LIDRange{Base: eng.BaseLID(t, topology.NodeID(p)), LMC: lmc}
-		sn.Endports[p] = r
-		for off := 0; off < r.Count(); off++ {
-			lid := int(r.Base) + off
-			if lid >= space {
-				return nil, fmt.Errorf("ib: node %d LID %d beyond declared space %d", p, lid, space)
-			}
-			if sn.lidOwner[lid] >= 0 {
-				return nil, fmt.Errorf("ib: LID %d assigned twice (nodes %d, %d)", lid, sn.lidOwner[lid], p)
-			}
-			sn.lidOwner[lid] = int32(p)
-		}
+	if err := sn.assemble(space); err != nil {
+		return nil, err
 	}
-	for s := 0; s < t.Switches(); s++ {
+	for s := range sn.LFTs {
 		lft := NewLFT(space)
 		for lid := 1; lid < space; lid++ {
 			if sn.lidOwner[lid] < 0 {

@@ -2,6 +2,7 @@ package ib_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,20 +10,6 @@ import (
 	"mlid/internal/ib"
 	"mlid/internal/topology"
 )
-
-func TestDiscoverCounts(t *testing.T) {
-	for _, dims := range [][2]int{{4, 1}, {4, 2}, {4, 3}, {8, 2}, {8, 3}, {16, 2}} {
-		tr := topology.MustNew(dims[0], dims[1])
-		sm := &ib.SubnetManager{Tree: tr, Engine: core.NewMLID()}
-		sw, ep, err := sm.Discover()
-		if err != nil {
-			t.Fatalf("%s: %v", tr, err)
-		}
-		if sw != tr.Switches() || ep != tr.Nodes() {
-			t.Errorf("%s: discovered %d/%d, want %d/%d", tr, sw, ep, tr.Switches(), tr.Nodes())
-		}
-	}
-}
 
 func TestConfigureBothSchemes(t *testing.T) {
 	for _, dims := range [][2]int{{4, 1}, {4, 2}, {4, 3}, {4, 4}, {8, 2}, {8, 3}, {16, 2}} {
@@ -157,6 +144,24 @@ func TestSubnetDLIDDelivery(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkSubnetConfigure measures the subnet manager's plan (LID
+// assignment and forwarding-table computation) per scheme on the paper's
+// four networks.
+func BenchmarkSubnetConfigure(b *testing.B) {
+	for _, nw := range [][2]int{{4, 4}, {8, 3}, {16, 2}, {32, 2}} {
+		tr := topology.MustNew(nw[0], nw[1])
+		for _, s := range core.Schemes() {
+			b.Run(fmt.Sprintf("%d-port_%d-tree/%s", nw[0], nw[1], s.Name()), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := (&ib.SubnetManager{Tree: tr, Engine: s}).Configure(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

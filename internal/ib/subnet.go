@@ -52,42 +52,31 @@ type Subnet struct {
 	portIdx     *PortLIDIndex
 }
 
-// FinishAssembly rebuilds the subnet's LID-ownership index from its endport
-// ranges and validates the result. It is used by subnet managers that
-// assemble a Subnet from device read-backs (see package sm) rather than
-// through Configure.
-func (s *Subnet) FinishAssembly() error {
-	space := 0
-	for _, lft := range s.LFTs {
-		if lft == nil {
-			return fmt.Errorf("ib: subnet assembly missing a forwarding table")
-		}
-		if lft.Size() > space {
-			space = lft.Size()
-		}
-	}
-	for _, r := range s.Endports {
-		if end := int(r.Base) + r.Count(); end > space {
-			space = end
-		}
-	}
+// assemble sizes the subnet's LID-owner index to space and fills it from
+// the endport ranges, rejecting the reserved base LID 0 and a LID beyond
+// the space or owned twice. Configure and Import build every subnet's
+// index through it.
+func (s *Subnet) assemble(space int) error {
 	s.lidOwner = make([]int32, space)
 	for i := range s.lidOwner {
 		s.lidOwner[i] = -1
 	}
 	for p, r := range s.Endports {
+		if r.Base == 0 {
+			return fmt.Errorf("ib: node %d assigned reserved base LID 0", p)
+		}
 		for off := 0; off < r.Count(); off++ {
 			lid := int(r.Base) + off
 			if lid >= space {
-				return fmt.Errorf("ib: node %d LID %d beyond assembled space %d", p, lid, space)
+				return fmt.Errorf("ib: node %d LID %d beyond the %d-LID space", p, lid, space)
 			}
 			if s.lidOwner[lid] >= 0 {
-				return fmt.Errorf("ib: LID %d owned by nodes %d and %d", lid, s.lidOwner[lid], p)
+				return fmt.Errorf("ib: LID %d assigned twice (nodes %d, %d)", lid, s.lidOwner[lid], p)
 			}
 			s.lidOwner[lid] = int32(p)
 		}
 	}
-	return s.Validate()
+	return nil
 }
 
 // OwnerOf returns the node owning the LID, if any.
@@ -112,29 +101,11 @@ func (s *Subnet) DLID(src, dst topology.NodeID) LID {
 // LIDSpace returns the size of the subnet's LID table.
 func (s *Subnet) LIDSpace() int { return len(s.lidOwner) }
 
-// Validate cross-checks the subnet invariants: non-overlapping LID ranges,
-// complete tables, and table entries within each switch's physical ports.
+// Validate cross-checks the forwarding tables against the LID-owner index
+// (whose endport ranges assembly already checked): every table spans the
+// LID space, routes every assigned LID, and names only physical ports.
 func (s *Subnet) Validate() error {
 	t := s.Tree
-	owner := make([]int32, s.LIDSpace())
-	for i := range owner {
-		owner[i] = -1
-	}
-	for p, r := range s.Endports {
-		if r.Base == 0 {
-			return fmt.Errorf("ib: node %d assigned reserved base LID 0", p)
-		}
-		for off := 0; off < r.Count(); off++ {
-			lid := int(r.Base) + off
-			if lid >= s.LIDSpace() {
-				return fmt.Errorf("ib: node %d LID %d beyond table size %d", p, lid, s.LIDSpace())
-			}
-			if owner[lid] >= 0 {
-				return fmt.Errorf("ib: LID %d owned by both node %d and node %d", lid, owner[lid], p)
-			}
-			owner[lid] = int32(p)
-		}
-	}
 	for sw, lft := range s.LFTs {
 		if lft.Size() != s.LIDSpace() {
 			return fmt.Errorf("ib: switch %d table size %d != %d", sw, lft.Size(), s.LIDSpace())
@@ -142,7 +113,7 @@ func (s *Subnet) Validate() error {
 		for lid := 1; lid < lft.Size(); lid++ {
 			port := lft.ports[lid]
 			if port == PortNone {
-				if owner[lid] >= 0 {
+				if s.lidOwner[lid] >= 0 {
 					return fmt.Errorf("ib: switch %d has no route for assigned LID %d", sw, lid)
 				}
 				continue

@@ -79,10 +79,6 @@ type inbandRun struct {
 	// partitioned fabric count once.
 	finding     core.PartitionFinding
 	partitioned bool
-	// unreachable flags flows (src*nodes+dst) whose destination the SM
-	// declared unreachable; senders drain instead of retrying. Allocated
-	// only when the transport layer runs.
-	unreachable []uint8
 }
 
 // initInBand builds the in-band SM state and schedules the first sweep tick.
@@ -103,11 +99,6 @@ func (s *Sim) initInBand() {
 		}),
 	}
 	ib.fo = sm.NewFailover(ib.master, ib.standby)
-	if s.transport != nil && s.tree.Nodes() <= 4096 {
-		// Same size guard as the reselection caches: the flag array is
-		// nodes^2 bytes.
-		ib.unreachable = make([]uint8, s.tree.Nodes()*s.tree.Nodes())
-	}
 	s.faults.inband = ib
 	s.schedule(cfg.SweepIntervalNs, event{kind: evSMSweep})
 }
@@ -344,10 +335,10 @@ func (s *Sim) smSweep() {
 }
 
 // refreshPartition recomputes the partition finding over the SM's knowledge
-// after an in-band reaction, counts transitions into a partitioned fabric, and updates
-// the per-flow unreachability flags that drive graceful degradation. Flags
-// take effect at each flow's next timer re-arm (see armTimer), so no timer
-// state is touched here.
+// after an in-band reaction and counts transitions into a partitioned
+// fabric. The finding drives graceful degradation: a new verdict takes
+// effect at each flow's next timer re-arm (see armTimer), so no timer state
+// is touched here.
 func (s *Sim) refreshPartition() {
 	ib := s.faults.inband
 	fs := core.NewFaultSet()
@@ -359,22 +350,6 @@ func (s *Sim) refreshPartition() {
 		s.res.PartitionEvents++
 	}
 	ib.partitioned = ib.finding.Partitioned()
-	if ib.unreachable == nil {
-		return
-	}
-	n := s.tree.Nodes()
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			var u uint8
-			if !ib.finding.Reachable(topology.NodeID(src), topology.NodeID(dst)) {
-				u = 1
-			}
-			ib.unreachable[src*n+dst] = u
-		}
-	}
 }
 
 // drainUnreachable empties a flow whose destination the SM declared

@@ -314,8 +314,11 @@ func (s *Sim) armTimer(idx int32, f *txFlow) {
 	f.timerGen++
 	at := s.now + s.transport.cfg.backoff().Timeout(int(f.unacked[0].attempts))
 	var drain int32
-	if ib := s.faults.inband; ib != nil && ib.unreachable != nil && ib.unreachable[idx] != 0 {
-		drain = 1
+	if ib := s.faults.inband; ib != nil && ib.partitioned {
+		n := int32(s.tree.Nodes())
+		if src, dst := idx/n, idx%n; src != dst && !ib.finding.Reachable(topology.NodeID(src), topology.NodeID(dst)) {
+			drain = 1
+		}
 	}
 	s.schedule(at, event{kind: evRexmit, a: idx, b: int32(f.timerGen), pi: drain})
 }

@@ -5,18 +5,19 @@
 //  1. it explores the fabric with directed-route NodeInfo probes, learning
 //     only GUIDs, port counts and link endpoints (package discover);
 //  2. it recognizes the discovered graph as an m-port n-tree, recovering
-//     the FT(m, n) labeling from the edges' port numbers;
-//  3. it assigns every endport its base LID and LMC with PortInfo Set SMPs;
-//  4. it programs every switch's linear forwarding table with 64-entry
-//     LinearForwardingTable blocks, computed by the routing engine over the
-//     recognized tree; and
-//  5. it reads the tables back and cross-checks them before declaring the
-//     subnet operational.
+//     the FT(m, n) labeling from the edges' port numbers, and computes its
+//     target subnet with ib.SubnetManager over the *recognized* tree;
+//  3. it assigns every endport the target's base LID and LMC with PortInfo
+//     Set SMPs;
+//  4. it programs every switch's linear forwarding table with the target's
+//     non-empty 64-entry LinearForwardingTable blocks; and
+//  5. it reads every endport and every table block back and fails on any
+//     difference from the target before declaring the subnet operational.
 //
-// The result is an ib.Subnet equivalent to the oracle SM's, but produced
-// with zero out-of-band knowledge — the strongest end-to-end evidence that
-// the addressing, path-selection and forwarding-table equations only need
-// what a real InfiniBand subnet manager can see.
+// The result is the oracle SM's subnet, installed and confirmed with zero
+// out-of-band knowledge — the strongest end-to-end evidence that the
+// addressing, path-selection and forwarding-table equations only need what
+// a real InfiniBand subnet manager can see.
 package sm
 
 import (
@@ -28,25 +29,15 @@ import (
 	"mlid/internal/topology"
 )
 
-// sortedNodeGUIDs and sortedSwitchGUIDs fix the order every bring-up phase
-// walks the fabric in. The labeling maps are keyed by GUID, and Go
-// randomizes map iteration — fine for the resulting tables (each entry is
-// written exactly once), but the *management traffic* would then leave the
-// SM in a different order every run, which breaks SMP-trace reproducibility
-// and makes bring-up regressions undiffable. GUID order is the canonical
-// sweep order.
-func sortedNodeGUIDs(lab *discover.Labeling) []uint64 {
-	guids := make([]uint64, 0, len(lab.NodeID))
-	for guid := range lab.NodeID {
-		guids = append(guids, guid)
-	}
-	sort.Slice(guids, func(i, j int) bool { return guids[i] < guids[j] })
-	return guids
-}
-
-func sortedSwitchGUIDs(lab *discover.Labeling) []uint64 {
-	guids := make([]uint64, 0, len(lab.SwitchID))
-	for guid := range lab.SwitchID {
+// sortedGUIDs fixes the order every bring-up phase walks the fabric in.
+// The labeling maps are keyed by GUID, and Go randomizes map iteration —
+// fine for the resulting tables (each entry is written exactly once), but
+// the *management traffic* would then leave the SM in a different order
+// every run, which breaks SMP-trace reproducibility and makes bring-up
+// regressions undiffable. GUID order is the canonical sweep order.
+func sortedGUIDs[ID any](byGUID map[uint64]ID) []uint64 {
+	guids := make([]uint64, 0, len(byGUID))
+	for guid := range byGUID {
 		guids = append(guids, guid)
 	}
 	sort.Slice(guids, func(i, j int) bool { return guids[i] < guids[j] })
@@ -76,10 +67,6 @@ type MADSubnetManager struct {
 	Engine ib.RoutingEngine
 	// Stats is filled by Configure.
 	Stats BringupStats
-
-	// Cached discovery from the last Configure, reused by Reconfigure.
-	lastGraph  *discover.Graph
-	lastLabels *discover.Labeling
 }
 
 // prober adapts the SMP transport to discover.Prober.
@@ -146,229 +133,86 @@ func (sm *MADSubnetManager) Configure() (*ib.Subnet, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Phase 2: recognition.
+	// Phase 2: recognition, and the plan the remaining phases install.
 	lab, err := discover.Recognize(graph)
 	if err != nil {
 		return nil, err
 	}
-	t := lab.Tree
-	eng := sm.Engine
-
-	lmc := eng.LMC(t)
-	if lmc > ib.MaxLMC {
-		return nil, fmt.Errorf("sm: scheme %s requires LMC %d > maximum %d", eng.Name(), lmc, ib.MaxLMC)
+	target, err := (&ib.SubnetManager{Tree: lab.Tree, Engine: sm.Engine}).Configure()
+	if err != nil {
+		return nil, err
 	}
-	space := eng.LIDSpace(t)
-	if space > 1<<16 {
-		return nil, fmt.Errorf("%w: scheme %s needs %d LIDs, beyond the 16-bit space",
-			ib.ErrLIDSpaceExhausted, eng.Name(), space)
-	}
+	nodes, switches := sortedGUIDs(lab.NodeID), sortedGUIDs(lab.SwitchID)
+	space := target.LIDSpace()
+	blocks := (space + ib.LFTBlockSize - 1) / ib.LFTBlockSize
 
 	// Phase 3: endport addressing.
-	for _, guid := range sortedNodeGUIDs(lab) {
-		nodeID := lab.NodeID[guid]
-		ca := graph.CAs[guid]
+	for _, guid := range nodes {
+		r := target.Endports[lab.NodeID[guid]]
 		smp := &ib.SMP{Method: ib.MethodSet, Attribute: ib.AttrPortInfo, AttrMod: 1}
-		ib.PortInfo{LID: eng.BaseLID(t, nodeID), LMC: lmc, State: 4}.Encode(&smp.Data)
-		if err := sm.send(ca.Path, smp); err != nil {
+		ib.PortInfo{LID: r.Base, LMC: r.LMC, State: 4}.Encode(&smp.Data)
+		if err := sm.send(graph.CAs[guid].Path, smp); err != nil {
 			return nil, fmt.Errorf("sm: assigning LID to CA %#x: %w", guid, err)
 		}
 	}
 
 	// Phase 4: forwarding tables, block by block.
-	blocks := (space + ib.LFTBlockSize - 1) / ib.LFTBlockSize
-	for _, guid := range sortedSwitchGUIDs(lab) {
-		swID := lab.SwitchID[guid]
-		swDesc := graph.Switches[guid]
+	for _, guid := range switches {
+		lft := target.LFTs[lab.SwitchID[guid]]
+		path := graph.Switches[guid].Path
 		// Announce the table size.
 		siSMP := &ib.SMP{Method: ib.MethodSet, Attribute: ib.AttrSwitchInfo}
 		ib.SwitchInfo{LinearFDBTop: uint16(space - 1)}.Encode(&siSMP.Data)
-		if err := sm.send(swDesc.Path, siSMP); err != nil {
+		if err := sm.send(path, siSMP); err != nil {
 			return nil, fmt.Errorf("sm: switch %#x SwitchInfo: %w", guid, err)
 		}
 		for block := 0; block < blocks; block++ {
-			var b ib.LFTBlock
-			dirty := false
-			for i := 0; i < ib.LFTBlockSize; i++ {
-				lid := block*ib.LFTBlockSize + i
-				b.Ports[i] = ib.PortNone
-				if lid == 0 || lid >= space {
-					continue
-				}
-				abstract, ok := eng.OutPortAbstract(t, swID, ib.LID(lid))
-				if !ok {
-					continue
-				}
-				b.Ports[i] = uint8(abstract + 1)
-				dirty = true
-			}
-			if !dirty {
+			b, routed := lftBlock(lft, block)
+			if !routed {
 				continue
 			}
 			smp := &ib.SMP{Method: ib.MethodSet, Attribute: ib.AttrLFTBlock, AttrMod: uint32(block)}
 			b.Encode(&smp.Data)
-			if err := sm.send(swDesc.Path, smp); err != nil {
+			if err := sm.send(path, smp); err != nil {
 				return nil, fmt.Errorf("sm: switch %#x LFT block %d: %w", guid, block, err)
 			}
 		}
 	}
 
-	// Phase 5: read-back verification and subnet assembly.
-	sn := &ib.Subnet{
-		Tree:     t,
-		Engine:   eng,
-		Endports: make([]ib.LIDRange, t.Nodes()),
-		LFTs:     make([]*ib.LFT, t.Switches()),
-	}
-	for _, guid := range sortedNodeGUIDs(lab) {
-		nodeID := lab.NodeID[guid]
-		ca := graph.CAs[guid]
+	// Phase 5: read-back verification against the target.
+	for _, guid := range nodes {
+		r := target.Endports[lab.NodeID[guid]]
 		smp := &ib.SMP{Method: ib.MethodGet, Attribute: ib.AttrPortInfo, AttrMod: 1}
-		if err := sm.send(ca.Path, smp); err != nil {
+		if err := sm.send(graph.CAs[guid].Path, smp); err != nil {
 			return nil, err
 		}
-		pi := ib.DecodePortInfo(&smp.Data)
-		if pi.LID != eng.BaseLID(t, nodeID) || pi.LMC != lmc {
+		if pi := ib.DecodePortInfo(&smp.Data); pi.LID != r.Base || pi.LMC != r.LMC {
 			return nil, fmt.Errorf("sm: CA %#x read-back mismatch: %v", guid, pi)
 		}
-		sn.Endports[nodeID] = ib.LIDRange{Base: pi.LID, LMC: pi.LMC}
 	}
-	for _, guid := range sortedSwitchGUIDs(lab) {
-		swID := lab.SwitchID[guid]
-		swDesc := graph.Switches[guid]
-		lft := ib.NewLFT(space)
+	for _, guid := range switches {
+		lft := target.LFTs[lab.SwitchID[guid]]
+		path := graph.Switches[guid].Path
 		for block := 0; block < blocks; block++ {
 			smp := &ib.SMP{Method: ib.MethodGet, Attribute: ib.AttrLFTBlock, AttrMod: uint32(block)}
-			if err := sm.send(swDesc.Path, smp); err != nil {
+			if err := sm.send(path, smp); err != nil {
 				return nil, err
 			}
-			b := ib.DecodeLFTBlock(&smp.Data)
-			for i := 0; i < ib.LFTBlockSize; i++ {
-				lid := block*ib.LFTBlockSize + i
-				if lid == 0 || lid >= space || b.Ports[i] == ib.PortNone {
-					continue
-				}
-				if err := lft.Set(ib.LID(lid), b.Ports[i]); err != nil {
-					return nil, fmt.Errorf("sm: switch %#x read-back: %w", guid, err)
-				}
+			if want, _ := lftBlock(lft, block); ib.DecodeLFTBlock(&smp.Data) != want {
+				return nil, fmt.Errorf("sm: switch %#x LFT block %d read-back mismatch", guid, block)
 			}
 		}
-		sn.LFTs[swID] = lft
 	}
-	if err := sn.FinishAssembly(); err != nil {
-		return nil, err
-	}
-	sm.lastGraph = graph
-	sm.lastLabels = lab
-	return sn, nil
+	return target, nil
 }
 
-// Reconfigure reprograms the fabric for a (possibly different) routing
-// engine, reusing the previous bring-up's discovery and sending only the
-// LFT blocks that actually changed — the way an SM handles a routing-policy
-// change without a full sweep. It requires a prior Configure on the same
-// manager and returns the new subnet plus the number of blocks written
-// versus the full-programming block count.
-func (sm *MADSubnetManager) Reconfigure(engine ib.RoutingEngine) (sn *ib.Subnet, written, total int, err error) {
-	if sm.lastGraph == nil || sm.lastLabels == nil {
-		return nil, 0, 0, fmt.Errorf("sm: Reconfigure requires a prior Configure")
+// lftBlock slices a forwarding table's 64-entry block, with PortNone for
+// the reserved LID 0 and every LID past the table, and reports whether any
+// entry is routed.
+func lftBlock(lft *ib.LFT, block int) (b ib.LFTBlock, routed bool) {
+	for i := range b.Ports {
+		b.Ports[i] = lft.Port(ib.LID(block*ib.LFTBlockSize + i))
+		routed = routed || b.Ports[i] != ib.PortNone
 	}
-	graph, lab := sm.lastGraph, sm.lastLabels
-	t := lab.Tree
-
-	lmc := engine.LMC(t)
-	if lmc > ib.MaxLMC {
-		return nil, 0, 0, fmt.Errorf("sm: scheme %s requires LMC %d > maximum %d", engine.Name(), lmc, ib.MaxLMC)
-	}
-	space := engine.LIDSpace(t)
-	if space > 1<<16 {
-		return nil, 0, 0, fmt.Errorf("sm: scheme %s needs %d LIDs", engine.Name(), space)
-	}
-
-	// Endports: set only when the range changes.
-	for _, guid := range sortedNodeGUIDs(lab) {
-		nodeID := lab.NodeID[guid]
-		ca := graph.CAs[guid]
-		get := &ib.SMP{Method: ib.MethodGet, Attribute: ib.AttrPortInfo, AttrMod: 1}
-		if err := sm.send(ca.Path, get); err != nil {
-			return nil, 0, 0, err
-		}
-		cur := ib.DecodePortInfo(&get.Data)
-		want := ib.PortInfo{LID: engine.BaseLID(t, nodeID), LMC: lmc, State: 4}
-		if cur.LID == want.LID && cur.LMC == want.LMC {
-			continue
-		}
-		set := &ib.SMP{Method: ib.MethodSet, Attribute: ib.AttrPortInfo, AttrMod: 1}
-		want.Encode(&set.Data)
-		if err := sm.send(ca.Path, set); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-
-	// LFT blocks: read-compare-write.
-	blocks := (space + ib.LFTBlockSize - 1) / ib.LFTBlockSize
-	for _, guid := range sortedSwitchGUIDs(lab) {
-		swID := lab.SwitchID[guid]
-		swDesc := graph.Switches[guid]
-		siSMP := &ib.SMP{Method: ib.MethodSet, Attribute: ib.AttrSwitchInfo}
-		ib.SwitchInfo{LinearFDBTop: uint16(space - 1)}.Encode(&siSMP.Data)
-		if err := sm.send(swDesc.Path, siSMP); err != nil {
-			return nil, 0, 0, err
-		}
-		for block := 0; block < blocks; block++ {
-			total++
-			var want ib.LFTBlock
-			for i := 0; i < ib.LFTBlockSize; i++ {
-				lid := block*ib.LFTBlockSize + i
-				want.Ports[i] = ib.PortNone
-				if lid == 0 || lid >= space {
-					continue
-				}
-				if abstract, ok := engine.OutPortAbstract(t, swID, ib.LID(lid)); ok {
-					want.Ports[i] = uint8(abstract + 1)
-				}
-			}
-			get := &ib.SMP{Method: ib.MethodGet, Attribute: ib.AttrLFTBlock, AttrMod: uint32(block)}
-			if err := sm.send(swDesc.Path, get); err != nil {
-				return nil, 0, 0, err
-			}
-			if ib.DecodeLFTBlock(&get.Data) == want {
-				continue
-			}
-			set := &ib.SMP{Method: ib.MethodSet, Attribute: ib.AttrLFTBlock, AttrMod: uint32(block)}
-			want.Encode(&set.Data)
-			if err := sm.send(swDesc.Path, set); err != nil {
-				return nil, 0, 0, err
-			}
-			written++
-		}
-	}
-
-	// Assemble the resulting subnet from the engine (the agents now hold
-	// exactly these tables; TestReconfigure verifies the equivalence).
-	out := &ib.Subnet{
-		Tree:     t,
-		Engine:   engine,
-		Endports: make([]ib.LIDRange, t.Nodes()),
-		LFTs:     make([]*ib.LFT, t.Switches()),
-	}
-	for _, nodeID := range lab.NodeID {
-		out.Endports[nodeID] = ib.LIDRange{Base: engine.BaseLID(t, nodeID), LMC: lmc}
-	}
-	for _, swID := range lab.SwitchID {
-		lft := ib.NewLFT(space)
-		for lid := 1; lid < space; lid++ {
-			if abstract, ok := engine.OutPortAbstract(t, swID, ib.LID(lid)); ok {
-				if err := lft.Set(ib.LID(lid), uint8(abstract+1)); err != nil {
-					return nil, 0, 0, err
-				}
-			}
-		}
-		out.LFTs[swID] = lft
-	}
-	if err := out.FinishAssembly(); err != nil {
-		return nil, 0, 0, err
-	}
-	sm.Engine = engine
-	return out, written, total, nil
+	return b, routed
 }

@@ -173,61 +173,3 @@ func TestBringupStats(t *testing.T) {
 		t.Error("Total mismatch")
 	}
 }
-
-// TestReconfigureDelta: switching the routing engine via Reconfigure writes
-// only changed LFT blocks, leaves agents holding the new tables, and the
-// result equals a fresh oracle configuration. Reconfiguring to the SAME
-// engine writes nothing.
-func TestReconfigureDelta(t *testing.T) {
-	tr := topology.MustNew(8, 2)
-	fabric := ib.NewSMAFabric(tr)
-	mad := &MADSubnetManager{Fabric: fabric, Origin: 0, Engine: core.NewMLID()}
-	if _, err := mad.Configure(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same engine: zero blocks rewritten.
-	_, written, total, err := mad.Reconfigure(core.NewMLID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written != 0 || total == 0 {
-		t.Fatalf("idempotent reconfigure wrote %d/%d blocks", written, total)
-	}
-
-	// Switch to SLID: some blocks change, and the agents' tables match the
-	// oracle SLID subnet exactly.
-	slidSubnet, written, total, err := mad.Reconfigure(core.NewSLID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if written == 0 || written > total {
-		t.Fatalf("SLID reconfigure wrote %d/%d blocks", written, total)
-	}
-	oracle, err := (&ib.SubnetManager{Tree: tr, Engine: core.NewSLID()}).Configure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(slidSubnet.Endports, oracle.Endports) {
-		t.Fatal("endports differ from oracle after reconfigure")
-	}
-	for s := 0; s < tr.Switches(); s++ {
-		agent := fabric.SwitchAgent(topology.SwitchID(s)).LFT()
-		for lid := 1; lid < oracle.LIDSpace(); lid++ {
-			want, werr := oracle.LFTs[s].Lookup(ib.LID(lid))
-			got, gerr := agent.Lookup(ib.LID(lid))
-			if (werr == nil) != (gerr == nil) || (werr == nil && want != got) {
-				t.Fatalf("switch %d lid %d: agent %d/%v vs oracle %d/%v", s, lid, got, gerr, want, werr)
-			}
-		}
-	}
-}
-
-// TestReconfigureRequiresConfigure: no cached discovery, no delta.
-func TestReconfigureRequiresConfigure(t *testing.T) {
-	tr := topology.MustNew(4, 2)
-	mad := &MADSubnetManager{Fabric: ib.NewSMAFabric(tr), Origin: 0, Engine: core.NewMLID()}
-	if _, _, _, err := mad.Reconfigure(core.NewSLID()); err == nil {
-		t.Error("reconfigure without configure accepted")
-	}
-}

@@ -10,9 +10,10 @@
 //     (SLID) baseline: node addressing via the InfiniBand LMC mechanism,
 //     source-rank path selection, and closed-form forwarding-table
 //     assignment (MLID, SLID, Trace, AllPaths);
-//   - an InfiniBand subnet model with a subnet manager that discovers the
-//     fabric, assigns LIDs and programs every linear forwarding table
-//     (Configure);
+//   - an InfiniBand subnet model with a subnet manager that assigns LIDs
+//     and programs every linear forwarding table (Configure), and one that
+//     discovers the fabric and installs that plan over management packets
+//     (ConfigureViaMAD);
 //   - a discrete-event InfiniBand network simulator with virtual lanes,
 //     virtual cut-through crossbar switches and credit-based link-level
 //     flow control (Simulate);
@@ -97,8 +98,8 @@ type LFT = ib.LFT
 // scheme or a smaller tree.
 var ErrLIDSpaceExhausted = ib.ErrLIDSpaceExhausted
 
-// Configure runs the subnet manager against the fabric: discovery, LID
-// assignment with the scheme's LMC, and forwarding-table programming.
+// Configure runs the subnet manager against the fabric: LID assignment
+// with the scheme's LMC and forwarding-table programming.
 func Configure(t *Tree, s Scheme) (*Subnet, error) {
 	return (&ib.SubnetManager{Tree: t, Engine: s}).Configure()
 }
@@ -106,10 +107,10 @@ func Configure(t *Tree, s Scheme) (*Subnet, error) {
 // ConfigureViaMAD brings the fabric up through the management plane instead
 // of the topology oracle: the subnet manager hosted at the origin node
 // explores the fabric with directed-route NodeInfo probes, recognizes the
-// m-port n-tree from the discovered port numbers, assigns LIDs with
-// PortInfo SMPs and programs forwarding tables block by block — producing a
-// subnet provably equal to Configure's using only what a real InfiniBand SM
-// can see.
+// m-port n-tree from the discovered port numbers, then installs Configure's
+// plan for the recognized tree — LIDs with PortInfo SMPs, forwarding tables
+// block by block — and reads every endport and block back before returning
+// it, using only what a real InfiniBand SM can see.
 func ConfigureViaMAD(t *Tree, s Scheme, origin NodeID) (*Subnet, error) {
 	m := &sm.MADSubnetManager{Fabric: ib.NewSMAFabric(t), Origin: origin, Engine: s}
 	return m.Configure()
