@@ -11,7 +11,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strings"
 
 	"mlid"
 	"mlid/internal/prof"
@@ -113,11 +115,6 @@ func simulate(w io.Writer, o options) error {
 		return fmt.Errorf("unknown switching mode %q", o.switching)
 	}
 
-	var latHist *mlid.Histogram
-	if o.hist {
-		latHist = mlid.NewHistogram(256, 24)
-	}
-
 	var res mlid.SimResult
 	err = prof.Run(o.cpuProf, o.memProf, func() (err error) {
 		res, err = mlid.Simulate(mlid.SimConfig{
@@ -132,7 +129,6 @@ func simulate(w io.Writer, o options) error {
 			Reception:        rec,
 			Switching:        sw,
 			PathSelect:       sel,
-			LatencyHist:      latHist,
 			CollectPortStats: o.topPorts > 0,
 			TracePackets:     o.tracePkts,
 			Seed:             o.seed,
@@ -161,8 +157,9 @@ func simulate(w io.Writer, o options) error {
 	}
 	fmt.Fprintf(w, "link utilization:  max %.3f, mean %.3f\n", res.MaxLinkUtilization, res.MeanLinkUtilization)
 	fmt.Fprintf(w, "simulator events:  %d over %d ns\n", res.Events, res.EndTime)
-	if latHist != nil {
-		fmt.Fprintf(w, "\nlatency distribution (ns):\n%s", latHist.Render(48))
+	if o.hist {
+		fmt.Fprintf(w, "\nlatency distribution (ns):\n")
+		writeHistogram(w, res.LatencyOctaves)
 	}
 	if o.topPorts > 0 {
 		fmt.Fprintf(w, "\nbusiest directed links:\n")
@@ -192,4 +189,40 @@ func simulate(w io.Writer, o options) error {
 		}
 	}
 	return nil
+}
+
+// histFirst is the first octave writeHistogram gives its own row: latencies
+// under 2^histFirst = 256 ns share one row.
+const histFirst = 8
+
+// writeHistogram draws a run's latency octaves (SimResult.LatencyOctaves) as
+// text bars 48 wide: a <256ns row when any latency fell below 256 ns, then
+// one row per octave from the lowest non-empty one at or above 256 ns up to
+// the highest, each bar scaled to the tallest row.
+func writeHistogram(w io.Writer, octaves []int64) {
+	if len(octaves) == 0 {
+		fmt.Fprint(w, "(no samples)\n")
+		return
+	}
+	var under, peak int64
+	for e, c := range octaves {
+		if e < histFirst {
+			under += c
+		} else {
+			peak = max(peak, c)
+		}
+	}
+	if under > 0 {
+		fmt.Fprintf(w, "%12s  %8d\n", "<256ns", under)
+		peak = max(peak, under)
+	}
+	first := histFirst
+	for first < len(octaves) && octaves[first] == 0 {
+		first++
+	}
+	for e := first; e < len(octaves); e++ {
+		lo, c := math.Ldexp(1, e), octaves[e]
+		bar := strings.Repeat("#", int(48*float64(c)/float64(peak)))
+		fmt.Fprintf(w, "%6.0f-%-6.0f %8d %s\n", lo, 2*lo, c, bar)
+	}
 }

@@ -180,7 +180,7 @@ func TestFacadeDeadlockAndRepair(t *testing.T) {
 	}
 }
 
-func TestFacadeComparisonAndHistogram(t *testing.T) {
+func TestFacadeComparison(t *testing.T) {
 	tree, _ := mlid.NewTree(8, 2)
 	ft := tree.FamilyStats()
 	kary, err := mlid.KaryNTreeStats(4, 2)
@@ -190,11 +190,6 @@ func TestFacadeComparisonAndHistogram(t *testing.T) {
 	out := mlid.FormatFamilyComparison(ft, kary)
 	if !strings.Contains(out, "k-ary") {
 		t.Errorf("comparison:\n%s", out)
-	}
-	h := mlid.NewHistogram(100, 16)
-	h.Add(250)
-	if h.Total() != 1 {
-		t.Error("histogram")
 	}
 }
 
@@ -254,7 +249,6 @@ func TestFacadeSimKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist := mlid.NewHistogram(64, 20)
 	res, err := mlid.Simulate(mlid.SimConfig{
 		Subnet:           sn,
 		Pattern:          mlid.UniformTraffic(tree.Nodes()),
@@ -263,7 +257,6 @@ func TestFacadeSimKnobs(t *testing.T) {
 		PathSelect:       mlid.SelectRandom(),
 		VLSelect:         mlid.VLByDLID,
 		Switching:        mlid.SwitchingSAF,
-		LatencyHist:      hist,
 		CollectPortStats: true,
 		TracePackets:     2,
 		WarmupNs:         5_000,
@@ -273,7 +266,7 @@ func TestFacadeSimKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DeliveredWindow == 0 || hist.Total() == 0 || len(res.PortStats) == 0 || len(res.Traces) != 2 {
+	if res.DeliveredWindow == 0 || len(res.LatencyOctaves) == 0 || len(res.PortStats) == 0 || len(res.Traces) != 2 {
 		t.Fatalf("knobs not honored: %+v", res)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mlid/internal/ib"
-	"mlid/internal/stats"
 	"mlid/internal/traffic"
 )
 
@@ -127,9 +126,6 @@ type Config struct {
 	// Switching selects cut-through (default, the paper's model) or
 	// store-and-forward.
 	Switching SwitchingMode
-	// LatencyHist, when non-nil, receives every measured delivery latency
-	// (generation to tail, window deliveries only).
-	LatencyHist *stats.Histogram
 	// CollectPortStats fills Result.PortStats with per-directed-link
 	// transmission statistics.
 	CollectPortStats bool
@@ -349,6 +345,11 @@ type Result struct {
 	// MeanLatencyNs and P99LatencyNs summarize generation-to-delivery
 	// latency of packets delivered within the window — the paper's y-axis.
 	MeanLatencyNs, P99LatencyNs, MaxLatencyNs float64
+	// LatencyOctaves is the distribution behind those summaries: entry e
+	// counts the window deliveries whose latency fell in [2^e, 2^(e+1)) ns,
+	// up to the highest non-empty octave (nil when none was delivered). The
+	// entries sum to DeliveredWindow.
+	LatencyOctaves []int64
 	// MeanNetLatencyNs is the mean injection-to-delivery latency: the
 	// time inside the fabric, excluding source queueing.
 	MeanNetLatencyNs float64

@@ -255,8 +255,9 @@ func scenarioFingerprint(r Result) string {
 }
 
 // fieldLines prints every scalar Result field by name, in declaration order,
-// then one line per Series point and per PortStat, each prefixed by name: the
-// whole Result except Traces, which no scenario case records.
+// then the latency octaves and one line per Series point and per PortStat,
+// each prefixed by name: the whole Result except Traces, which no scenario
+// case records.
 func fieldLines(name string, r Result) []string {
 	v := reflect.ValueOf(r)
 	var b strings.Builder
@@ -267,7 +268,7 @@ func fieldLines(name string, r Result) []string {
 		}
 		fmt.Fprintf(&b, " %s=%v", v.Type().Field(i).Name, v.Field(i).Interface())
 	}
-	lines := []string{b.String()}
+	lines := []string{b.String(), fmt.Sprintf("%s latency: %v", name, r.LatencyOctaves)}
 	for i, sp := range r.Series {
 		lines = append(lines, fmt.Sprintf("%s series[%d]: %+v", name, i, sp))
 	}

@@ -1,10 +1,10 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"mlid/internal/core"
-	"mlid/internal/stats"
 	"mlid/internal/traffic"
 )
 
@@ -59,14 +59,14 @@ func TestPortStatsCollection(t *testing.T) {
 	}
 }
 
-func TestLatencyHistogramSink(t *testing.T) {
+// TestLatencyOctavesMatchWindow holds Result.LatencyOctaves to the window: its
+// counts sum to DeliveredWindow, and its last octave holds MaxLatencyNs.
+func TestLatencyOctavesMatchWindow(t *testing.T) {
 	sn := mustSubnet(t, 4, 2, core.NewMLID())
-	hist := stats.NewHistogram(100, 24)
 	res, err := Run(Config{
 		Subnet:      sn,
 		Pattern:     traffic.Uniform{Nodes: sn.Tree.Nodes()},
 		OfferedLoad: 0.3,
-		LatencyHist: hist,
 		WarmupNs:    10_000,
 		MeasureNs:   60_000,
 		Seed:        9,
@@ -74,10 +74,15 @@ func TestLatencyHistogramSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hist.Total() != res.DeliveredWindow {
-		t.Errorf("histogram holds %d samples, window delivered %d", hist.Total(), res.DeliveredWindow)
+	var sum int64
+	for _, n := range res.LatencyOctaves {
+		sum += n
 	}
-	if m := hist.Mean(); m < res.MeanLatencyNs*0.999 || m > res.MeanLatencyNs*1.001 {
-		t.Errorf("histogram mean %v vs result mean %v", m, res.MeanLatencyNs)
+	if sum != res.DeliveredWindow || sum == 0 {
+		t.Errorf("latency octaves hold %d samples, window delivered %d", sum, res.DeliveredWindow)
+	}
+	top := len(res.LatencyOctaves) - 1
+	if lo := math.Exp2(float64(top)); res.MaxLatencyNs < lo || res.MaxLatencyNs >= 2*lo {
+		t.Errorf("max latency %v outside the last octave [%v, %v)", res.MaxLatencyNs, lo, 2*lo)
 	}
 }

@@ -307,8 +307,8 @@ func Run(cfg Config) (Result, error) {
 }
 
 // buildResult completes a finished run's Result: the counters are already in
-// s.res, so only the derived fields are computed here, and Series and
-// PortStats are built fresh rather than aliasing the arena.
+// s.res, so only the derived fields are computed here, and LatencyOctaves,
+// Series and PortStats are built fresh rather than aliasing the arena.
 func (s *Sim) buildResult(horizon Time, events int64) Result {
 	cfg := s.cfg
 	res := s.res
@@ -317,6 +317,7 @@ func (s *Sim) buildResult(horizon Time, events int64) Result {
 	res.P99LatencyNs = s.lat.Percentile(0.99)
 	res.P999LatencyNs = s.lat.Percentile(0.999)
 	res.MaxLatencyNs = s.lat.Max()
+	res.LatencyOctaves = s.lat.Octaves()
 	if res.DeliveredWindow > 0 {
 		res.MeanNetLatencyNs = s.netLatSum / float64(res.DeliveredWindow)
 	}
@@ -1171,9 +1172,6 @@ func (s *Sim) deliver(node int32, p *pkt, tail Time) {
 		s.deliveredBytesWindow += int64(p.Size)
 		s.lat.Add(float64(tail - p.GenTime))
 		s.netLatSum += float64(tail - p.InjectTime)
-		if s.cfg.LatencyHist != nil {
-			s.cfg.LatencyHist.Add(float64(tail - p.GenTime))
-		}
 	}
 }
 

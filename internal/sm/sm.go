@@ -57,10 +57,18 @@ type BringupStats struct {
 // Total returns the number of SMPs exchanged.
 func (b BringupStats) Total() int { return b.Probes + b.Gets + b.Sets }
 
+// Fabric is the management plane the SM drives: Send carries one SMP from
+// the origin channel adapter along its directed route and leaves the
+// response in smp. *ib.SMAFabric, the device agents behind a directed-route
+// transport, implements it.
+type Fabric interface {
+	Send(origin topology.NodeID, smp *ib.SMP) error
+}
+
 // MADSubnetManager configures a fabric exclusively through SMPs.
 type MADSubnetManager struct {
-	// Fabric is the management plane (agents + directed-route transport).
-	Fabric *ib.SMAFabric
+	// Fabric is the management plane.
+	Fabric Fabric
 	// Origin is the channel adapter hosting the SM.
 	Origin topology.NodeID
 	// Engine computes the LID assignment and forwarding entries.
@@ -71,7 +79,7 @@ type MADSubnetManager struct {
 
 // prober adapts the SMP transport to discover.Prober.
 type prober struct {
-	fabric *ib.SMAFabric
+	fabric Fabric
 	origin topology.NodeID
 	stats  *BringupStats
 }

@@ -173,3 +173,61 @@ func TestBringupStats(t *testing.T) {
 		t.Error("Total mismatch")
 	}
 }
+
+// corruptingFabric passes SMPs to the device agents and alters the response
+// to the first Get of one attribute that carries routed state: a CA's LID,
+// or an LFT block with a routed entry.
+type corruptingFabric struct {
+	*ib.SMAFabric
+	attr ib.Attribute
+	done bool
+}
+
+func (f *corruptingFabric) Send(origin topology.NodeID, smp *ib.SMP) error {
+	get := smp.Method == ib.MethodGet
+	if err := f.SMAFabric.Send(origin, smp); err != nil || f.done || !get || smp.Attribute != f.attr {
+		return err
+	}
+	switch f.attr {
+	case ib.AttrPortInfo:
+		pi := ib.DecodePortInfo(&smp.Data)
+		pi.LID++
+		pi.Encode(&smp.Data)
+		f.done = true
+	case ib.AttrLFTBlock:
+		b := ib.DecodeLFTBlock(&smp.Data)
+		for i, p := range b.Ports {
+			if p != ib.PortNone {
+				b.Ports[i] = ib.PortNone
+				b.Encode(&smp.Data)
+				f.done = true
+				break
+			}
+		}
+	}
+	return nil
+}
+
+// TestMADConfigureReadBackMismatch: a device that answers a read-back Get
+// with state other than the SM wrote fails the bring-up, for an endport's
+// PortInfo and for a switch's LFT block alike.
+func TestMADConfigureReadBackMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		attr ib.Attribute
+		want string
+	}{
+		{ib.AttrPortInfo, "sm: CA 0x"},
+		{ib.AttrLFTBlock, "sm: switch 0x"},
+	} {
+		tr := topology.MustNew(4, 2)
+		fabric := &corruptingFabric{SMAFabric: ib.NewSMAFabric(tr), attr: tc.attr}
+		mad := &MADSubnetManager{Fabric: fabric, Origin: 0, Engine: core.NewMLID()}
+		_, err := mad.Configure()
+		if !fabric.done {
+			t.Fatalf("%s: no response was altered", tc.attr)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "read-back mismatch") {
+			t.Errorf("%s: Configure error %v, want a %q read-back mismatch", tc.attr, err, tc.want)
+		}
+	}
+}

@@ -3,15 +3,16 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
+	"testing/quick"
 )
 
-// TestExactModeMax is the regression for the old Max, which sorted the whole
-// sample slice to read the last element: Max must answer streaming, before
-// any Percentile call, and must not depend on sort state.
-func TestExactModeMax(t *testing.T) {
-	c := NewExactLatencyCollector()
+// TestMaxMinReadStreaming: Max and Min answer from the running extremes,
+// before any Percentile call.
+func TestMaxMinReadStreaming(t *testing.T) {
+	var c LatencyCollector
 	for _, v := range []float64{40, 10, 50, 20, 30} {
 		c.Add(v)
 	}
@@ -27,37 +28,10 @@ func TestExactModeMax(t *testing.T) {
 	}
 }
 
-// TestExactModePercentileDoesNotMutate is the regression for the old
-// Percentile, which sorted the retained samples in place and destroyed
-// insertion order.
-func TestExactModePercentileDoesNotMutate(t *testing.T) {
-	c := NewExactLatencyCollector()
-	in := []float64{40, 10, 50, 20, 30}
-	for _, v := range in {
-		c.Add(v)
-	}
-	if got := c.Percentile(0.5); got != 30 {
-		t.Errorf("P50 = %v, want 30", got)
-	}
-	for i, v := range c.samples {
-		if v != in[i] {
-			t.Fatalf("Percentile mutated samples: got %v, want %v", c.samples, in)
-		}
-	}
-	// A later Add must invalidate the sorted cache.
-	c.Add(5)
-	if got := c.Percentile(0.0); got != 5 {
-		t.Errorf("P0 after Add = %v, want 5", got)
-	}
-}
-
 func TestStreamingModeRetainsNoSamples(t *testing.T) {
 	var c LatencyCollector
 	for i := 0; i < 1000; i++ {
 		c.Add(float64(100 + i))
-	}
-	if c.samples != nil {
-		t.Error("streaming collector retained samples")
 	}
 	// Samples 100..1099 touch octaves 6 (64..127) through 10 (1024..2047):
 	// exactly those rows exist, each one full octave wide.
@@ -189,8 +163,7 @@ func TestStreamingPercentileErrorBound(t *testing.T) {
 
 // TestResetMatchesFresh: a collector reset after one run's samples answers
 // every query on the next run's samples exactly as a fresh collector does,
-// in both modes, and a streaming collector refilled within the octaves it
-// already touched allocates nothing.
+// and one refilled within the octaves it already touched allocates nothing.
 func TestResetMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	first := make([]float64, 2000)
@@ -198,34 +171,27 @@ func TestResetMatchesFresh(t *testing.T) {
 		first[i] = 100 + rng.ExpFloat64()*5000
 	}
 	second := []float64{5e6, 120, 7, 900, 45_000} // new octaves both ends
-	for _, exact := range []bool{false, true} {
-		mk := func() *LatencyCollector {
-			if exact {
-				return NewExactLatencyCollector()
-			}
-			return &LatencyCollector{}
-		}
-		reused, fresh := mk(), mk()
-		for _, v := range first {
-			reused.Add(v)
-		}
-		reused.Percentile(0.5)
-		reused.Reset()
-		if reused.Count() != 0 || reused.Mean() != 0 || reused.Max() != 0 || reused.Min() != 0 || reused.Percentile(0.5) != 0 {
-			t.Fatalf("exact=%v: a reset collector is not empty", exact)
-		}
-		for _, v := range second {
-			reused.Add(v)
-			fresh.Add(v)
-		}
-		if reused.Count() != fresh.Count() || reused.Mean() != fresh.Mean() ||
-			reused.Max() != fresh.Max() || reused.Min() != fresh.Min() {
-			t.Errorf("exact=%v: reset collector's summary differs from a fresh one", exact)
-		}
-		for _, q := range []float64{0, 0.2, 0.5, 0.8, 0.99, 1} {
-			if got, want := reused.Percentile(q), fresh.Percentile(q); got != want {
-				t.Errorf("exact=%v: P%v = %v after Reset, fresh %v", exact, q, got, want)
-			}
+	var reused, fresh LatencyCollector
+	for _, v := range first {
+		reused.Add(v)
+	}
+	reused.Percentile(0.5)
+	reused.Reset()
+	if reused.Count() != 0 || reused.Mean() != 0 || reused.Max() != 0 || reused.Min() != 0 ||
+		reused.Percentile(0.5) != 0 || reused.Octaves() != nil {
+		t.Fatal("a reset collector is not empty")
+	}
+	for _, v := range second {
+		reused.Add(v)
+		fresh.Add(v)
+	}
+	if reused.Count() != fresh.Count() || reused.Mean() != fresh.Mean() ||
+		reused.Max() != fresh.Max() || reused.Min() != fresh.Min() {
+		t.Error("reset collector's summary differs from a fresh one")
+	}
+	for _, q := range []float64{0, 0.2, 0.5, 0.8, 0.99, 1} {
+		if got, want := reused.Percentile(q), fresh.Percentile(q); got != want {
+			t.Errorf("P%v = %v after Reset, fresh %v", q, got, want)
 		}
 	}
 
@@ -240,5 +206,110 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("refilling a reset collector allocated %.0f times, want 0", allocs)
+	}
+}
+
+// octaveOf is the reference octave of a sample: the e with 2^e <= v <
+// 2^(e+1), counting sub-nanosecond samples in octave 0.
+func octaveOf(v float64) int {
+	e := 0
+	for v >= math.Exp2(float64(e+1)) {
+		e++
+	}
+	return e
+}
+
+func TestHistogramEmpty(t *testing.T) {
+	var c LatencyCollector
+	if c.Count() != 0 || c.Mean() != 0 || c.Percentile(0.5) != 0 || c.Max() != 0 || c.Octaves() != nil {
+		t.Error("empty collector not zeroed")
+	}
+}
+
+// TestHistogramBucketing holds Octaves to a per-octave count of a fixed
+// sample set, then to the shorter slice of a reset collector refilled in
+// fewer octaves.
+func TestHistogramBucketing(t *testing.T) {
+	samples := []float64{0.25, 1, 1.5, 2, 3, 150, 255, 255.9, 256, 350, 350, 511, 1024, 5e6, 1e12}
+	var c LatencyCollector
+	var want []int64
+	for _, v := range samples {
+		c.Add(v)
+		e := octaveOf(v)
+		for len(want) <= e {
+			want = append(want, 0)
+		}
+		want[e]++
+	}
+	if got := c.Octaves(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Octaves = %v, want %v", got, want)
+	}
+	c.Reset()
+	c.Add(3)
+	c.Add(5)
+	c.Add(7.5)
+	if got, want := c.Octaves(), []int64{0, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Octaves after Reset = %v, want %v", got, want)
+	}
+}
+
+func TestHistogramQuantile(t *testing.T) {
+	var c LatencyCollector
+	for i := 0; i < 90; i++ {
+		c.Add(150)
+	}
+	for i := 0; i < 10; i++ {
+		c.Add(10_000)
+	}
+	if q := c.Percentile(0.5); q != 150 {
+		t.Errorf("P50 = %v, want 150", q)
+	}
+	if q := c.Percentile(0.99); q != 10_000 {
+		t.Errorf("P99 = %v, want 10000", q)
+	}
+	var one LatencyCollector
+	one.Add(5)
+	if q := one.Percentile(0.9); q != 5 {
+		t.Errorf("single-sample P90 = %v, want 5", q)
+	}
+}
+
+// Property: Percentile is monotone in q.
+func TestQuickHistogramQuantileMonotone(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var c LatencyCollector
+	for i := 0; i < 500; i++ {
+		c.Add(10 + rng.Float64()*1e6)
+	}
+	f := func(a, b uint8) bool {
+		qa, qb := float64(a)/255, float64(b)/255
+		if qa > qb {
+			qa, qb = qb, qa
+		}
+		return c.Percentile(qa) <= c.Percentile(qb)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: the octave counts sum to the sample count, and the slice ends at
+// a non-empty octave.
+func TestQuickHistogramConservation(t *testing.T) {
+	f := func(vals []uint32) bool {
+		var c LatencyCollector
+		for _, v := range vals {
+			c.Add(float64(v % 1_000_000))
+		}
+		octs := c.Octaves()
+		var sum int64
+		for _, n := range octs {
+			sum += n
+		}
+		return sum == int64(c.Count()) && c.Count() == len(vals) &&
+			(len(octs) == 0) == (len(vals) == 0) && (len(octs) == 0 || octs[len(octs)-1] > 0)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(3))}); err != nil {
+		t.Error(err)
 	}
 }

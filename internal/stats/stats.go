@@ -7,7 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -56,10 +56,8 @@ func latValue(i int) float64 {
 // relative quantization error below 0.1% (see latSubBits). Memory is one row
 // of latSubs buckets per octave a sample has touched — a run's latencies
 // span a handful of octaves, so a collector holds a few rows instead of all
-// latOctaves, independent of the sample count. The simulator's hot path
-// retains no samples. NewExactLatencyCollector returns a sample-retaining
-// collector with exact nearest-rank percentiles, for tests and offline
-// analysis.
+// latOctaves, independent of the sample count; no sample is retained.
+// Octaves reads the histogram's per-octave counts.
 type LatencyCollector struct {
 	count int64
 	sum   float64
@@ -70,19 +68,6 @@ type LatencyCollector struct {
 	// The row table is allocated on first Add and each row on its octave's
 	// first sample; untouched octaves stay nil.
 	counts [][]int64
-	// exact marks a sample-retaining collector; samples holds insertion
-	// order, sorted is the lazily rebuilt ascending copy (never the samples
-	// themselves: Percentile must not disturb insertion order).
-	exact   bool
-	samples []float64
-	sorted  []float64
-}
-
-// NewExactLatencyCollector returns a collector that retains every sample
-// and answers Percentile by exact nearest-rank. Memory grows with the
-// sample count; the streaming zero value is the simulator's choice.
-func NewExactLatencyCollector() *LatencyCollector {
-	return &LatencyCollector{exact: true}
 }
 
 // Add records one latency sample.
@@ -94,11 +79,6 @@ func (c *LatencyCollector) Add(ns float64) {
 	}
 	if c.count == 1 || ns < c.min {
 		c.min = ns
-	}
-	if c.exact {
-		c.samples = append(c.samples, ns)
-		c.sorted = nil
-		return
 	}
 	if c.counts == nil {
 		c.counts = make([][]int64, latOctaves)
@@ -112,15 +92,14 @@ func (c *LatencyCollector) Add(ns float64) {
 	row[i&(latSubs-1)]++
 }
 
-// Reset empties the collector for reuse. A streaming collector keeps the
-// histogram rows it has allocated, zeroed, so a collector reset between runs
-// allocates again only for octaves no earlier run touched; an exact one keeps
-// its sample array.
+// Reset empties the collector for reuse. It keeps the histogram rows it has
+// allocated, zeroed, so a collector reset between runs allocates again only
+// for octaves no earlier run touched.
 func (c *LatencyCollector) Reset() {
 	for _, row := range c.counts {
 		clear(row)
 	}
-	*c = LatencyCollector{counts: c.counts, exact: c.exact, samples: c.samples[:0]}
+	*c = LatencyCollector{counts: c.counts}
 }
 
 // Count returns the number of samples.
@@ -136,8 +115,7 @@ func (c *LatencyCollector) Mean() float64 {
 
 // Percentile returns the q-quantile (q in [0,1]) by nearest-rank, or 0 with
 // no samples. The extreme ranks (the minimum and maximum sample) are always
-// exact; interior ranks on a streaming collector carry the histogram's
-// sub-0.1% quantization error.
+// exact; interior ranks carry the histogram's sub-0.1% quantization error.
 func (c *LatencyCollector) Percentile(q float64) float64 {
 	if c.count == 0 {
 		return 0
@@ -152,13 +130,6 @@ func (c *LatencyCollector) Percentile(q float64) float64 {
 	if want == 1 {
 		return c.min
 	}
-	if c.exact {
-		if c.sorted == nil {
-			c.sorted = append([]float64(nil), c.samples...)
-			sort.Float64s(c.sorted)
-		}
-		return c.sorted[want-1]
-	}
 	var acc int64
 	for o, row := range c.counts {
 		for sub, n := range row {
@@ -171,8 +142,7 @@ func (c *LatencyCollector) Percentile(q float64) float64 {
 	return c.max
 }
 
-// Max returns the largest sample, or 0 with no samples. Tracked streaming
-// in both modes — no sort, no pass over retained samples.
+// Max returns the largest sample, or 0 with no samples.
 func (c *LatencyCollector) Max() float64 { return c.max }
 
 // Min returns the smallest sample, or 0 with no samples.
@@ -181,6 +151,28 @@ func (c *LatencyCollector) Min() float64 {
 		return 0
 	}
 	return c.min
+}
+
+// Octaves returns the sample count per power-of-two octave: entry e counts
+// the samples in [2^e, 2^(e+1)) ns, and sub-nanosecond samples count in
+// entry 0. The slice is fresh and ends at the highest non-empty octave; it
+// is nil for an empty collector. A reset collector keeps zeroed rows of
+// earlier samples, so the end is found by count, not by which rows exist.
+func (c *LatencyCollector) Octaves() []int64 {
+	var sums [latOctaves]int64
+	n := 0
+	for o, row := range c.counts {
+		for _, k := range row {
+			sums[o] += k
+		}
+		if sums[o] > 0 {
+			n = o + 1
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	return slices.Clone(sums[:n])
 }
 
 // Point is one measured operating point of a latency/throughput curve.

@@ -318,7 +318,9 @@ type (
 	// SimConfig configures one simulation run; zero-valued optional fields
 	// take the paper's model constants.
 	SimConfig = sim.Config
-	// SimResult reports one run's measurements.
+	// SimResult reports one run's measurements: accepted traffic, the mean,
+	// p99 and maximum latency of window deliveries and, in LatencyOctaves,
+	// their per-octave latency distribution.
 	SimResult = sim.Result
 	// ReceptionModel selects how destinations consume packets.
 	ReceptionModel = sim.ReceptionModel
@@ -455,18 +457,9 @@ type (
 	Curve = stats.Curve
 	// CurvePoint is one measured operating point.
 	CurvePoint = stats.Point
-	// Histogram is a log-scaled latency histogram usable as a
-	// SimConfig.LatencyHist sink.
-	Histogram = stats.Histogram
 	// PortStat summarizes one directed link's traffic over a run.
 	PortStat = sim.PortStat
 )
-
-// NewHistogram returns a latency histogram whose first bucket starts at
-// base nanoseconds, with the given number of doubling buckets.
-func NewHistogram(base float64, buckets int) *Histogram {
-	return stats.NewHistogram(base, buckets)
-}
 
 // EvalFigures returns the specs of the paper's eight evaluation figures at
 // full fidelity; call Run on a spec to execute its sweep.
