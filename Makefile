@@ -68,9 +68,10 @@ bench-check:
 
 # ci is the gate for every change: vet, the gofmt check, ibvet, the tier-1
 # tests (which hold every pinned output, command and library, against its
-# golden file through internal/golden), the race pass, the chaos soak and
-# the benchmark module check.
-ci: build vet fmt-check lint test race soak bench-check
+# golden file through internal/golden), the race pass, the chaos soak, the
+# benchmark module check and one iteration of each layer benchmark, so a
+# benchmark whose body fails is caught.
+ci: build vet fmt-check lint test race soak bench-check bench
 
 # BENCH_TIME / BENCH_COUNT tune the layer benchmarks: the defaults (one
 # iteration, run once) are quick, but single-iteration numbers are noisy —
@@ -83,13 +84,13 @@ BENCH_TIME ?= 1x
 BENCH_COUNT ?= 1
 
 # bench runs the control-plane layer benchmarks with allocation counts: SM
-# recovery here, subnet configuration beside ib.SubnetManager, incremental
-# repair beside core.RepairState, and the static verifier beside verify.Run
-# (the per-epoch pass, healthy and repaired, and the quality pass on the
-# all-to-one matrix).
+# recovery here, subnet configuration beside ib.SubnetManager, route
+# tracing and incremental repair beside core.Trace and core.RepairState,
+# and the static verifier beside verify.Run (the per-epoch pass, healthy
+# and repaired, and the quality pass on the all-to-one matrix).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSMRecovery' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
-	$(GO) test -run xxx -bench 'BenchmarkSubnetConfigure|BenchmarkRepairIncremental|BenchmarkVerifyEpoch|BenchmarkLinkLoad' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/ib/ ./internal/core/ ./internal/verify/
+	$(GO) test -run xxx -bench 'BenchmarkSubnetConfigure|BenchmarkTrace|BenchmarkRepairIncremental|BenchmarkVerifyEpoch|BenchmarkLinkLoad' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/ib/ ./internal/core/ ./internal/verify/
 
 # bench-engine runs the scheduler micro-benchmarks (ns/event, allocs/op).
 bench-engine:

@@ -1,9 +1,10 @@
-// Layer benchmarks over the public facade: route tracing, the simulator
-// and batch engines, repair and SM recovery. The paper's figures are timed
-// end to end by bench/ (workload figs_quick), Table 1 is pinned by
-// TestTable1, and two layers are benchmarked where they live: subnet
-// configuration in internal/ib (BenchmarkSubnetConfigure) and the static
-// link-load analysis in internal/verify (BenchmarkLinkLoad).
+// Layer benchmarks over the public facade: the simulator and batch
+// engines, repair and SM recovery. The paper's figures are timed end to end
+// by bench/ (workload figs_quick), Table 1 is pinned by TestTable1, and
+// three layers are benchmarked where they live: route tracing in
+// internal/core (BenchmarkTrace), subnet configuration in internal/ib
+// (BenchmarkSubnetConfigure) and the static link-load analysis in
+// internal/verify (BenchmarkLinkLoad).
 package mlid_test
 
 import (
@@ -12,26 +13,6 @@ import (
 
 	"mlid"
 )
-
-// BenchmarkTrace measures per-route path resolution.
-func BenchmarkTrace(b *testing.B) {
-	tree, _ := mlid.NewTree(16, 2)
-	for _, s := range mlid.Schemes() {
-		b.Run(s.Name(), func(b *testing.B) {
-			n := tree.Nodes()
-			for i := 0; i < b.N; i++ {
-				src := mlid.NodeID(i % n)
-				dst := mlid.NodeID((i*7 + 1) % n)
-				if src == dst {
-					dst = (dst + 1) % mlid.NodeID(n)
-				}
-				if _, err := mlid.Trace(tree, s, src, dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkSimulatorThroughput measures raw event-processing speed of the
 // discrete-event engine on a mid-size network at high load.

@@ -3,7 +3,30 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"mlid/internal/topology"
 )
+
+// BenchmarkTrace measures per-route path resolution: path selection and
+// the per-hop closed-form walk on FT(16,2).
+func BenchmarkTrace(b *testing.B) {
+	tree := topology.MustNew(16, 2)
+	for _, s := range Schemes() {
+		b.Run(s.Name(), func(b *testing.B) {
+			n := tree.Nodes()
+			for i := 0; i < b.N; i++ {
+				src := topology.NodeID(i % n)
+				dst := topology.NodeID((i*7 + 1) % n)
+				if src == dst {
+					dst = (dst + 1) % topology.NodeID(n)
+				}
+				if _, err := Trace(tree, s, src, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkRepairIncremental measures the steady-state control-plane repair
 // path: a persistent RepairState absorbing one link failure and its revival

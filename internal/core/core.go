@@ -114,40 +114,55 @@ func (s MLID) OutPortAbstract(t *topology.Tree, sw topology.SwitchID, lid ib.LID
 	if err != nil || !t.ValidNode(dst) {
 		return 0, false
 	}
-	level := t.SwitchLevel(sw)
-	if down, ok := downPort(t, sw, level, dst); ok {
+	if down, ok := t.DownPortToward(sw, dst); ok {
 		return down, true // Equation (1): k = p_l
 	}
 	// Equation (2): ascend toward the LCA selected by digit l-1 of j.
-	div := int64(1)
-	for i := 0; i < t.N()-1-level; i++ {
-		div *= int64(t.H())
-	}
-	return t.H() + int(j/div%int64(t.H())), true
+	return mlidUpPort(t, t.SwitchLevel(sw), j), true
 }
 
-// downPort evaluates Case 1: if dst lies in the switch's downward subtree,
-// it returns the abstract down port p_level.
-func downPort(t *topology.Tree, sw topology.SwitchID, level int, dst topology.NodeID) (int, bool) {
-	if t.N() == 1 {
-		return int(dst), true // single-switch fabric: every node is downward
+// mlidUpPort is Equation (2) at a level-l switch: abstract port
+// m/2 + digit l-1 of the path index j, whose weight is (m/2)^(n-1-l).
+func mlidUpPort(t *topology.Tree, level int, j int64) int {
+	return t.H() + int(j>>((t.N()-1-level)*log2(t.H())))&(t.H()-1)
+}
+
+// FillLFT implements Scheme: OutPortAbstract over the switch's whole row,
+// a block of 2^LMC LIDs per node. Case 2 depends only on j and the level,
+// so one block's up ports are computed once and tiled over the row, and
+// every block of a node below the switch is then overwritten with its
+// Case 1 down port.
+func (s MLID) FillLFT(t *topology.Tree, sw topology.SwitchID, ports []uint8) {
+	block := 1 << s.LMC(t)
+	row := ports[1:]
+	if level := t.SwitchLevel(sw); level > 0 {
+		for j := range block {
+			row[j] = uint8(mlidUpPort(t, level, int64(j)) + 1)
+		}
+		tile(row, block)
 	}
-	// Stack buffer: downPort runs once per (switch, LID) pair during table
-	// assignment, and a heap slice per call dominated the Configure profile.
-	var buf [16]int
-	d := buf[:]
-	if n := t.N() - 1; n <= len(buf) {
-		d = buf[:n]
-	} else {
-		d = make([]int, n)
+	fillDown(t, sw, row, block)
+}
+
+// tile repeats row[:period] over the whole of row.
+func tile(row []uint8, period int) {
+	for n := period; n < len(row); n *= 2 {
+		copy(row[n:], row[:n])
 	}
-	t.SwitchDigitsInto(sw, d)
-	for i := 0; i < level; i++ {
-		if d[i] != t.NodeDigit(dst, i) {
-			return 0, false
+}
+
+// fillDown writes Case 1 into a switch's row (LID 1 onward): every LID of
+// a node in the switch's downward subtree, block LIDs per node, gets the
+// physical port of the node's abstract down port.
+func fillDown(t *topology.Tree, sw topology.SwitchID, row []uint8, block int) {
+	for dst := range t.Nodes() {
+		if down, ok := t.DownPortToward(sw, topology.NodeID(dst)); ok {
+			blk := row[dst*block : (dst+1)*block]
+			for i := range blk {
+				blk[i] = uint8(down + 1)
+			}
 		}
 	}
-	return t.NodeDigit(dst, level), true
 }
 
 // SLID is the paper's baseline: one LID per endport.
@@ -192,13 +207,28 @@ func (s SLID) OutPortAbstract(t *topology.Tree, sw topology.SwitchID, lid ib.LID
 		return 0, false
 	}
 	dst := topology.NodeID(int64(lid) - 1)
-	level := t.SwitchLevel(sw)
-	if down, ok := downPort(t, sw, level, dst); ok {
+	if down, ok := t.DownPortToward(sw, dst); ok {
 		return down, true
 	}
 	// Ascend by the destination's digit at this level: destinations spread
 	// evenly over the (m/2) parents, but the choice is source-independent.
-	return t.H() + t.NodeDigit(dst, level)%t.H(), true
+	return t.H() + t.NodeDigit(dst, t.SwitchLevel(sw))%t.H(), true
+}
+
+// FillLFT implements Scheme: OutPortAbstract over the switch's whole row,
+// one LID per node. The up port reads the destination's digit l, so it
+// repeats every (m/2)^(n-l) nodes: that one period is computed and tiled
+// over the row before the Case 1 down ports overwrite the switch's subtree.
+func (s SLID) FillLFT(t *topology.Tree, sw topology.SwitchID, ports []uint8) {
+	row := ports[1:]
+	if level := t.SwitchLevel(sw); level > 0 {
+		period := t.GCPGSize(level)
+		for dst := range period {
+			row[dst] = uint8(t.H() + t.NodeDigit(topology.NodeID(dst), level) + 1)
+		}
+		tile(row, period)
+	}
+	fillDown(t, sw, row, 1)
 }
 
 // ByName returns the scheme with the given (case-sensitive) name.

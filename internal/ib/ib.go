@@ -56,8 +56,12 @@ type LFT struct {
 // NewLFT returns a table covering DLIDs [0, size).
 func NewLFT(size int) *LFT {
 	t := &LFT{ports: make([]uint8, size)}
-	for i := range t.ports {
-		t.ports[i] = PortNone
+	if size > 0 {
+		// Doubling copies fill the table at memmove speed.
+		t.ports[0] = PortNone
+		for n := 1; n < size; n *= 2 {
+			copy(t.ports[n:], t.ports[:n])
+		}
 	}
 	return t
 }

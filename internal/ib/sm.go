@@ -20,7 +20,9 @@ type SubnetManager struct {
 }
 
 // Configure computes the subnet's plan: LID assignment and forwarding-table
-// programming. The returned subnet is validated.
+// programming, one whole table per engine FillLFT call. The returned subnet
+// is validated, so a table that routes an assigned LID nowhere or to a
+// port outside 1..m is an error.
 func (sm *SubnetManager) Configure() (*Subnet, error) {
 	t := sm.Tree
 	eng := sm.Engine
@@ -50,22 +52,7 @@ func (sm *SubnetManager) Configure() (*Subnet, error) {
 	}
 	for s := range sn.LFTs {
 		lft := NewLFT(space)
-		for lid := 1; lid < space; lid++ {
-			if sn.lidOwner[lid] < 0 {
-				continue
-			}
-			abstract, ok := eng.OutPortAbstract(t, topology.SwitchID(s), LID(lid))
-			if !ok {
-				continue
-			}
-			if abstract < 0 || abstract >= t.M() {
-				return nil, fmt.Errorf("ib: scheme %s routed LID %d at switch %d to abstract port %d",
-					eng.Name(), lid, s, abstract)
-			}
-			if err := lft.Set(LID(lid), uint8(abstract+1)); err != nil {
-				return nil, err
-			}
-		}
+		eng.FillLFT(t, topology.SwitchID(s), lft.ports)
 		sn.LFTs[s] = lft
 	}
 	if err := sn.Validate(); err != nil {

@@ -11,8 +11,12 @@ import (
 	"mlid/internal/topology"
 )
 
+// configureFabrics are the fabrics both schemes are configured on: the
+// single switch, the paper's networks and a deep FT(4,4).
+var configureFabrics = [][2]int{{4, 1}, {4, 2}, {4, 3}, {4, 4}, {8, 2}, {8, 3}, {16, 2}}
+
 func TestConfigureBothSchemes(t *testing.T) {
-	for _, dims := range [][2]int{{4, 1}, {4, 2}, {4, 3}, {4, 4}, {8, 2}, {8, 3}, {16, 2}} {
+	for _, dims := range configureFabrics {
 		tr := topology.MustNew(dims[0], dims[1])
 		for _, s := range core.Schemes() {
 			sm := &ib.SubnetManager{Tree: tr, Engine: s}
@@ -41,34 +45,31 @@ func TestConfigureBothSchemes(t *testing.T) {
 	}
 }
 
-// TestLFTMatchesEngine checks the programmed tables agree entry-by-entry with
-// the scheme's closed-form forwarding function, modulo the abstract->physical
-// port shift.
+// TestLFTMatchesEngine checks the tables the engines fill a row at a time
+// agree entry by entry with the scheme's per-hop closed form, modulo the
+// abstract->physical port shift, on every configured fabric and FT(32,2).
 func TestLFTMatchesEngine(t *testing.T) {
-	tr := topology.MustNew(8, 2)
-	for _, s := range core.Schemes() {
-		sn, err := (&ib.SubnetManager{Tree: tr, Engine: s}).Configure()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for sw := 0; sw < tr.Switches(); sw++ {
-			for lid := 1; lid < sn.LIDSpace(); lid++ {
-				abstract, ok := s.OutPortAbstract(tr, topology.SwitchID(sw), ib.LID(lid))
-				phys, err := sn.OutPort(topology.SwitchID(sw), ib.LID(lid))
-				if _, owned := sn.OwnerOf(ib.LID(lid)); !owned {
-					if err == nil {
-						t.Fatalf("%s sw%d lid%d: routed unowned LID", s.Name(), sw, lid)
+	for _, dims := range append(configureFabrics, [2]int{32, 2}) {
+		tr := topology.MustNew(dims[0], dims[1])
+		for _, s := range core.Schemes() {
+			sn, err := (&ib.SubnetManager{Tree: tr, Engine: s}).Configure()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for sw := 0; sw < tr.Switches(); sw++ {
+				for lid := 1; lid < sn.LIDSpace(); lid++ {
+					abstract, ok := s.OutPortAbstract(tr, topology.SwitchID(sw), ib.LID(lid))
+					phys := sn.LFTs[sw].Port(ib.LID(lid))
+					if _, owned := sn.OwnerOf(ib.LID(lid)); !owned || !ok {
+						if phys != ib.PortNone {
+							t.Fatalf("%s %s sw%d lid%d: routes to %d what the engine does not (owned %v, engine ok %v)",
+								tr, s.Name(), sw, lid, phys, owned, ok)
+						}
+						continue
 					}
-					continue
-				}
-				if !ok {
-					if err == nil {
-						t.Fatalf("%s sw%d lid%d: table routes what engine refuses", s.Name(), sw, lid)
+					if int(phys) != abstract+1 {
+						t.Fatalf("%s %s sw%d lid%d: table %d, engine abstract %d", tr, s.Name(), sw, lid, phys, abstract)
 					}
-					continue
-				}
-				if err != nil || int(phys) != abstract+1 {
-					t.Fatalf("%s sw%d lid%d: table %d/%v, engine abstract %d", s.Name(), sw, lid, phys, err, abstract)
 				}
 			}
 		}

@@ -25,7 +25,13 @@ type RoutingEngine interface {
 	LIDSpace(t *topology.Tree) int
 	// OutPortAbstract returns the abstract (0-based) output port a switch
 	// uses for the DLID, or ok=false when the scheme does not route that LID.
+	// It is the per-hop form of the rule FillLFT applies to a whole table.
 	OutPortAbstract(t *topology.Tree, sw topology.SwitchID, lid LID) (port int, ok bool)
+	// FillLFT writes the switch's forwarding table into ports, indexed by
+	// LID and LIDSpace(t) long, which arrives all PortNone: every LID the
+	// scheme routes gets its physical port, OutPortAbstract + 1, and the
+	// rest, LID 0 included, stay PortNone.
+	FillLFT(t *topology.Tree, sw topology.SwitchID, ports []uint8)
 	// DLID performs the scheme's path selection: the destination LID a
 	// source uses when sending to dst. src == dst is allowed and returns the
 	// destination's base LID.
@@ -105,7 +111,7 @@ func (s *Subnet) LIDSpace() int { return len(s.lidOwner) }
 // (whose endport ranges assembly already checked): every table spans the
 // LID space, routes every assigned LID, and names only physical ports.
 func (s *Subnet) Validate() error {
-	t := s.Tree
+	m := s.Tree.M()
 	for sw, lft := range s.LFTs {
 		if lft.Size() != s.LIDSpace() {
 			return fmt.Errorf("ib: switch %d table size %d != %d", sw, lft.Size(), s.LIDSpace())
@@ -118,7 +124,7 @@ func (s *Subnet) Validate() error {
 				}
 				continue
 			}
-			if port == 0 || int(port) > t.M() {
+			if port == 0 || int(port) > m {
 				return fmt.Errorf("ib: switch %d LID %d routed to invalid physical port %d", sw, lid, port)
 			}
 		}

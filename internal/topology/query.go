@@ -143,11 +143,11 @@ func (t *Tree) GCPG(prefix []int) ([]NodeID, error) {
 //
 // Rank(id, 0) equals the node's PID, which equals the NodeID itself.
 func (t *Tree) Rank(id NodeID, alpha int) int64 {
-	var r int64
-	for i := alpha; i < t.n; i++ {
-		r += int64(t.NodeDigit(id, i)) * t.nodeWeight[i]
+	if alpha == 0 {
+		return int64(id)
 	}
-	return r
+	// The trailing n-alpha digits, all in [0, h), are the low bits.
+	return int64(id) & (1<<((t.n-alpha)*t.logH) - 1)
 }
 
 // PID returns the processing-node identifier of the node: its rank in

@@ -94,15 +94,16 @@ type Tree struct {
 	n int // tree "dimension"; height is n+1
 	h int // m/2: down-degree of non-root switches
 
+	// h is a power of two, so every label weight h^i is 1<<(i*logH) and
+	// the label arithmetic below is shifts and masks: node digit i has
+	// weight h^(n-1-i) and switch digit i weight h^(n-2-i).
 	logH int // log2(h)
 
-	nodes        int     // 2*h^n
-	switches     int     // (2n-1)*h^(n-1)
-	perLevel     int     // h^(n-1): switches in level 0
-	perMidLevel  int     // 2*h^(n-1): switches in each level >= 1
-	hPow         []int64 // hPow[i] = h^i, i in [0, n]
-	nodeWeight   []int64 // nodeWeight[i] = h^(n-1-i): PID weight of digit i
-	switchWeight []int64 // switchWeight[i] = h^(n-2-i): label weight of digit i (n >= 2)
+	nodes       int     // 2*h^n
+	switches    int     // (2n-1)*h^(n-1)
+	perLevel    int     // h^(n-1): switches in level 0
+	perMidLevel int     // 2*h^(n-1): switches in each level >= 1
+	hPow        []int64 // hPow[i] = h^i, i in [0, n]
 }
 
 // New constructs the FT(m, n) fat-tree description.
@@ -133,16 +134,6 @@ func New(m, n int) (*Tree, error) {
 	t.perMidLevel = 2 * t.perLevel
 	t.nodes = 2 * int(t.hPow[n])
 	t.switches = (2*n - 1) * t.perLevel
-	t.nodeWeight = make([]int64, n)
-	for i := 0; i < n; i++ {
-		t.nodeWeight[i] = t.hPow[n-1-i]
-	}
-	if n >= 2 {
-		t.switchWeight = make([]int64, n-1)
-		for i := 0; i < n-1; i++ {
-			t.switchWeight[i] = t.hPow[n-2-i]
-		}
-	}
 	return t, nil
 }
 
@@ -213,19 +204,18 @@ func (t *Tree) NodeDigits(id NodeID) []int {
 }
 
 func (t *Tree) nodeDigitsInto(id NodeID, d []int) {
-	v := int64(id)
-	for i := 0; i < t.n; i++ {
-		d[i] = int(v / t.nodeWeight[i])
-		v %= t.nodeWeight[i]
+	for i := range d {
+		d[i] = t.NodeDigit(id, i)
 	}
 }
 
 // NodeDigit returns digit i of the node label without allocating.
 func (t *Tree) NodeDigit(id NodeID, i int) int {
+	v := int(id) >> ((t.n - 1 - i) * t.logH)
 	if i == 0 {
-		return int(int64(id) / t.nodeWeight[0])
+		return v // digit 0 ranges over [0, m): no mask
 	}
-	return int(int64(id) / t.nodeWeight[i] % int64(t.h))
+	return v & (t.h - 1)
 }
 
 // NodeFromDigits returns the NodeID with the given label digits.
@@ -237,13 +227,12 @@ func (t *Tree) NodeFromDigits(d []int) (NodeID, error) {
 	if d[0] < 0 || d[0] >= t.m {
 		return 0, fmt.Errorf("topology: node digit 0 out of range [0,%d): %d", t.m, d[0])
 	}
-	var v int64
-	v = int64(d[0]) * t.nodeWeight[0]
+	v := d[0]
 	for i := 1; i < t.n; i++ {
 		if d[i] < 0 || d[i] >= t.h {
 			return 0, fmt.Errorf("topology: node digit %d out of range [0,%d): %d", i, t.h, d[i])
 		}
-		v += int64(d[i]) * t.nodeWeight[i]
+		v = v<<t.logH | d[i]
 	}
 	return NodeID(v), nil
 }
@@ -262,10 +251,8 @@ func (t *Tree) NodeLabel(id NodeID) string {
 
 // SwitchLevel returns the level of the switch, in [0, n).
 func (t *Tree) SwitchLevel(id SwitchID) int {
-	if int(id) < t.perLevel {
-		return 0
-	}
-	return 1 + (int(id)-t.perLevel)/t.perMidLevel
+	level, _ := t.switchIndex(id)
+	return level
 }
 
 // SwitchDigits returns the label digits w0..w[n-2] and the level of a switch.
@@ -276,31 +263,47 @@ func (t *Tree) SwitchDigits(id SwitchID) (digits []int, level int) {
 	return digits, level
 }
 
-// SwitchDigitsInto decodes the label digits into d, which must have length
-// n-1, and returns the level. It is the allocation-free form of SwitchDigits
-// for callers on hot paths (routing-table compilation walks every
-// (switch, LID) pair).
-func (t *Tree) SwitchDigitsInto(id SwitchID, d []int) (level int) {
-	return t.switchDigitsInto(id, d)
-}
-
 func (t *Tree) switchDigitsInto(id SwitchID, d []int) (level int) {
-	idx := int64(id)
-	if idx < int64(t.perLevel) {
-		level = 0
-	} else {
-		idx -= int64(t.perLevel)
-		level = 1 + int(idx/int64(t.perMidLevel))
-		idx %= int64(t.perMidLevel)
-	}
+	level, idx := t.switchIndex(id)
 	// Digit 0 has weight h^(n-2) and range [0, m) at levels >= 1, [0, h) at
-	// level 0; the remaining digits have range [0, h). Both cases decode with
-	// the same mixed-radix division.
-	for i := 0; i < t.n-1; i++ {
-		d[i] = int(idx / t.switchWeight[i])
-		idx %= t.switchWeight[i]
+	// level 0; the remaining digits have range [0, h). Both cases decode
+	// with the same shifts, digit 0 unmasked.
+	for i := range d {
+		v := idx >> ((t.n - 2 - i) * t.logH)
+		if i > 0 {
+			v &= t.h - 1
+		}
+		d[i] = v
 	}
 	return level
+}
+
+// switchIndex returns the switch's level and its label's value within the
+// level, the mixed-radix number of its digits w0..w[n-2].
+func (t *Tree) switchIndex(id SwitchID) (level, idx int) {
+	idx = int(id)
+	if idx < t.perLevel {
+		return 0, idx
+	}
+	idx -= t.perLevel
+	// perMidLevel = 2*h^(n-1) = 1<<((n-1)*logH+1)
+	return 1 + idx>>((t.n-1)*t.logH+1), idx & (t.perMidLevel - 1)
+}
+
+// DownPortToward evaluates Case 1 of the forwarding rule: when dst lies in
+// the switch's downward subtree, that is, when the switch's leading level
+// label digits equal dst's, it returns the abstract down port p_level that
+// leads toward dst. The prefixes compare as whole numbers, since both are
+// mixed-radix values over the same digit ranges.
+func (t *Tree) DownPortToward(sw SwitchID, dst NodeID) (port int, ok bool) {
+	level, idx := t.switchIndex(sw)
+	// The switch's prefix drops its n-1-level trailing digits, dst's its
+	// n-level trailing ones; a root's empty prefix matches every node.
+	shift := (t.n - 1 - level) * t.logH
+	if level > 0 && idx>>shift != int(dst)>>(shift+t.logH) {
+		return 0, false
+	}
+	return t.NodeDigit(dst, level), true
 }
 
 // SwitchFromDigits returns the SwitchID with the given label digits and level.
@@ -315,7 +318,7 @@ func (t *Tree) SwitchFromDigits(d []int, level int) (SwitchID, error) {
 	if level >= 1 {
 		limit0 = t.m
 	}
-	var idx int64
+	idx := 0
 	for i := 0; i < t.n-1; i++ {
 		limit := t.h
 		if i == 0 {
@@ -324,12 +327,12 @@ func (t *Tree) SwitchFromDigits(d []int, level int) (SwitchID, error) {
 		if d[i] < 0 || d[i] >= limit {
 			return 0, fmt.Errorf("topology: switch digit %d out of range [0,%d): %d", i, limit, d[i])
 		}
-		idx += int64(d[i]) * t.switchWeight[i]
+		idx = idx<<t.logH | d[i]
 	}
 	if level == 0 {
 		return SwitchID(idx), nil
 	}
-	return SwitchID(int64(t.perLevel) + int64(level-1)*int64(t.perMidLevel) + idx), nil
+	return SwitchID(t.perLevel + (level-1)*t.perMidLevel + idx), nil
 }
 
 // SwitchLabel renders the switch label as the paper writes it, e.g. "SW<10,1>".
@@ -435,12 +438,11 @@ func (t *Tree) SwitchNeighbor(id SwitchID, port int) PortRef {
 		// Downward.
 		if level == t.n-1 {
 			// Leaf: port k attaches node P(w0..w[n-2] k).
-			pid := int64(0)
-			pid = 0
-			for i := 0; i < t.n-1; i++ {
-				pid += int64(digits[i]) * t.nodeWeight[i]
+			pid := 0
+			for _, v := range digits {
+				pid = pid<<t.logH | v
 			}
-			pid += int64(port)
+			pid = pid<<t.logH | port
 			return PortRef{Kind: KindNode, Node: NodeID(pid), Port: 0}
 		}
 		// Child at level+1 agrees on all digits except position `level`,

@@ -155,6 +155,29 @@ func TestSwitchDigitsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDownPortToward holds Case 1's prefix compare to its definition on
+// every (switch, node) pair: dst lies below SW<w, l> exactly when
+// w0..w[l-1] == p0..p[l-1], compared digit by digit, and the port is p_l.
+func TestDownPortToward(t *testing.T) {
+	for _, tr := range testTrees() {
+		for sw := 0; sw < tr.Switches(); sw++ {
+			w, level := tr.SwitchDigits(SwitchID(sw))
+			for dst := 0; dst < tr.Nodes(); dst++ {
+				p := tr.NodeDigits(NodeID(dst))
+				below := true
+				for i := 0; i < level; i++ {
+					below = below && w[i] == p[i]
+				}
+				port, ok := tr.DownPortToward(SwitchID(sw), NodeID(dst))
+				if ok != below || (ok && port != p[level]) {
+					t.Fatalf("%s: DownPortToward(%s, %s) = %d,%v, want %d,%v",
+						tr, tr.SwitchLabel(SwitchID(sw)), tr.NodeLabel(NodeID(dst)), port, ok, p[level], below)
+				}
+			}
+		}
+	}
+}
+
 func TestSwitchFromDigitsRejects(t *testing.T) {
 	tr := MustNew(4, 3)
 	if _, err := tr.SwitchFromDigits([]int{0}, 0); err == nil {
@@ -430,10 +453,14 @@ func TestQuickPortDirection(t *testing.T) {
 	}
 }
 
+// testTrees spans the label shapes the shift decoders must handle: the
+// single switch, the paper's four networks, FT(32,2) with the widest digit
+// and FT(4,8), the deepest tree.
 func testTrees() []*Tree {
 	return []*Tree{
 		MustNew(4, 1), MustNew(4, 2), MustNew(4, 3), MustNew(4, 4),
-		MustNew(8, 2), MustNew(8, 3), MustNew(16, 2),
+		MustNew(8, 2), MustNew(8, 3), MustNew(16, 2), MustNew(32, 2),
+		MustNew(4, 8),
 	}
 }
 
