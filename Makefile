@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test ci bench bench-check bench-engine vet fmt-check lint race soak
+.PHONY: build test ci bench bench-check bench-engine vet fmt-check lint race soak fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -32,17 +32,19 @@ lint:
 # race runs the race detector over the packages with internal concurrency
 # (the experiment campaign runner, whose concurrent figure and study runs
 # share read-only subnets, and the verifier, whose concurrent Runs share
-# runPool's recycled per-run state) and the packages the
+# recycled per-run state) and the packages the
 # determinism analyzers guard (sim, sm, core), whose order-sensitive paths
 # the race pass exercises twice via the determinism regression tests. The sim suite
 # includes the scenario fixtures (faults, reliable transport, every
 # selector), the fault-injection paths (link death, SM traps, staged table
-# updates, reselection) and the quick recovery study. The second line
-# repeats the recycled-run-state test ten times: concurrent runs share
-# simPool, so a run that leaks state into the next, or two runs that share
+# updates, reselection), the quick recovery study and the allocation tests,
+# which hold under the detector since the arena pools (internal/arena) keep
+# what they are given. The second line
+# repeats the recycled-run-state test ten times: concurrent runs share sim's
+# arena pool, so a run that leaks state into the next, or two runs that share
 # one arena, shows up as a race or a result that depends on run order. The
 # third line does the same for verify.Run, whose concurrent runs share
-# runPool. The fourth repeats the concurrent FaultPlan runs that share one
+# verify's. The fourth repeats the concurrent FaultPlan runs that share one
 # configured subnet's untouched tables and its reverse index, which no run
 # may write.
 race:
@@ -60,6 +62,14 @@ race:
 soak:
 	$(GO) test -run 'TestChaosSoakDeterminism' -count=1 ./internal/experiment/
 
+# fuzz-smoke runs each fuzz target for a bounded time: FuzzMAD checks that
+# every 64-byte SMP payload decodes, re-encodes and decodes again to the same
+# value under each MAD attribute codec, without panicking. Run one longer by
+# hand with `go test -run xxx -fuzz FuzzMAD -fuzztime 5m ./internal/ib/`.
+FUZZ_TIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzMAD -fuzztime $(FUZZ_TIME) ./internal/ib/
+
 # bench-check vets and tests the nested benchmark module (bench/, module
 # mlid/bench), which the root `go test ./...` never builds: renaming an
 # identifier bench/ uses must fail here, not in `bash bench/run.sh`.
@@ -69,9 +79,9 @@ bench-check:
 # ci is the gate for every change: vet, the gofmt check, ibvet, the tier-1
 # tests (which hold every pinned output, command and library, against its
 # golden file through internal/golden), the race pass, the chaos soak, the
-# benchmark module check and one iteration of each layer benchmark, so a
-# benchmark whose body fails is caught.
-ci: build vet fmt-check lint test race soak bench-check bench
+# bounded fuzz run, the benchmark module check and one iteration of each
+# layer benchmark, so a benchmark whose body fails is caught.
+ci: build vet fmt-check lint test race soak fuzz-smoke bench-check bench
 
 # BENCH_TIME / BENCH_COUNT tune the layer benchmarks: the defaults (one
 # iteration, run once) are quick, but single-iteration numbers are noisy —
@@ -83,14 +93,13 @@ ci: build vet fmt-check lint test race soak bench-check bench
 BENCH_TIME ?= 1x
 BENCH_COUNT ?= 1
 
-# bench runs the control-plane layer benchmarks with allocation counts: SM
-# recovery here, subnet configuration beside ib.SubnetManager, route
-# tracing and incremental repair beside core.Trace and core.RepairState,
-# and the static verifier beside verify.Run (the per-epoch pass, healthy
-# and repaired, and the quality pass on the all-to-one matrix).
+# bench runs the control-plane layer benchmarks with allocation counts:
+# subnet configuration beside ib.SubnetManager, route tracing, incremental
+# repair and SM recovery beside core.Trace and core.RepairState, and the
+# static verifier beside verify.Run (the per-epoch pass, healthy and
+# repaired, and the quality pass on the all-to-one matrix).
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkSMRecovery' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) .
-	$(GO) test -run xxx -bench 'BenchmarkSubnetConfigure|BenchmarkTrace|BenchmarkRepairIncremental|BenchmarkVerifyEpoch|BenchmarkLinkLoad' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/ib/ ./internal/core/ ./internal/verify/
+	$(GO) test -run xxx -bench 'BenchmarkSubnetConfigure|BenchmarkTrace|BenchmarkRepairIncremental|BenchmarkSMRecovery|BenchmarkVerifyEpoch|BenchmarkLinkLoad' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/ib/ ./internal/core/ ./internal/verify/
 
 # bench-engine runs the scheduler micro-benchmarks (ns/event, allocs/op).
 bench-engine:

@@ -1,14 +1,15 @@
-// Layer benchmarks over the public facade: the simulator and batch
-// engines, repair and SM recovery. The paper's figures are timed end to end
-// by bench/ (workload figs_quick), Table 1 is pinned by TestTable1, and
-// three layers are benchmarked where they live: route tracing in
-// internal/core (BenchmarkTrace), subnet configuration in internal/ib
-// (BenchmarkSubnetConfigure) and the static link-load analysis in
-// internal/verify (BenchmarkLinkLoad).
+// Benchmarks over the public facade: the simulator and batch engines,
+// repair and fault-aware path selection. The paper's figures are timed end
+// to end by bench/ (workload figs_quick) and Table 1 is pinned by
+// TestTable1. The layer benchmarks live beside the code they measure: route
+// tracing, incremental repair and SM recovery in internal/core
+// (BenchmarkTrace, BenchmarkRepairIncremental, BenchmarkSMRecovery),
+// subnet configuration in internal/ib (BenchmarkSubnetConfigure) and the
+// static verifier in internal/verify (BenchmarkVerifyEpoch,
+// BenchmarkLinkLoad).
 package mlid_test
 
 import (
-	"fmt"
 	"testing"
 
 	"mlid"
@@ -59,91 +60,6 @@ func BenchmarkRepairSubnet(b *testing.B) {
 		if _, _, err := mlid.RepairSubnet(sn, faults); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSMRecovery measures trap-to-staged-delta latency over a realistic
-// SM episode: eight traps arrive one by one (each growing the dead-link
-// set), then the links revive. The incremental variant is the simulator's
-// live path — a persistent RepairState evolved per trap; fullscan replicates
-// the pre-incremental algorithm (clone every table, repair from scratch,
-// diff the whole LID space against the previous shadow), the O(switches x
-// LID-space) cost the rewrite removed.
-func BenchmarkSMRecovery(b *testing.B) {
-	for _, net := range [][2]int{{8, 3}, {16, 2}, {32, 2}} {
-		m, n := net[0], net[1]
-		tree, err := mlid.NewTree(m, n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sn, err := mlid.Configure(tree, mlid.MLID())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Eight links on distinct leaves, failed cumulatively, then all
-		// revived: the dead-set views one episode steps through.
-		links := make([][2]int32, 8)
-		stride := tree.Nodes() / 8
-		for i := range links {
-			leaf, _ := tree.NodeAttachment(mlid.NodeID(i * stride))
-			links[i] = [2]int32{int32(leaf), int32(tree.H())}
-		}
-		views := make([][][2]int32, 0, len(links)+1)
-		for i := 1; i <= len(links); i++ {
-			views = append(views, links[:i])
-		}
-		views = append(views, nil)
-		faultsOf := func(view [][2]int32) *mlid.FaultSet {
-			fs := mlid.NewFaultSet()
-			for _, e := range view {
-				fs.FailLink(tree, mlid.SwitchID(e[0]), int(e[1]))
-			}
-			return fs
-		}
-		name := fmt.Sprintf("%d-port_%d-tree", m, n)
-		b.Run(name+"/incremental", func(b *testing.B) {
-			st := mlid.NewRepairState(sn)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var prev [][2]int32
-				for _, view := range views {
-					if _, err := st.RepairIncremental(faultsOf(view), st.DirtySwitches(prev, view)); err != nil {
-						b.Fatal(err)
-					}
-					prev = view
-				}
-			}
-		})
-		b.Run(name+"/fullscan", func(b *testing.B) {
-			diffs := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				shadow := make([]*mlid.LFT, len(sn.LFTs))
-				copy(shadow, sn.LFTs)
-				for _, view := range views {
-					work := &mlid.Subnet{Tree: sn.Tree, Engine: sn.Engine, Endports: sn.Endports,
-						LFTs: make([]*mlid.LFT, len(sn.LFTs))}
-					for s, l := range sn.LFTs {
-						work.LFTs[s] = l.Clone()
-					}
-					if _, _, err := mlid.RepairSubnet(work, faultsOf(view)); err != nil {
-						b.Fatal(err)
-					}
-					for s, l := range work.LFTs {
-						old := shadow[s]
-						for lid := 1; lid < l.Size(); lid++ {
-							if old.Port(mlid.LID(lid)) != l.Port(mlid.LID(lid)) {
-								diffs++
-							}
-						}
-					}
-					shadow = work.LFTs
-				}
-			}
-			if diffs < 0 {
-				b.Fatal("impossible")
-			}
-		})
 	}
 }
 

@@ -107,13 +107,18 @@ func (t *LFT) Port(lid LID) uint8 {
 	return t.ports[lid]
 }
 
-// Clone returns an independent copy of the table. The live simulator clones
-// the LFT of every switch a fault plan can dirty, so timed table updates
-// never mutate the caller's subnet.
-func (t *LFT) Clone() *LFT {
-	c := &LFT{ports: make([]uint8, len(t.ports))}
-	copy(c.ports, t.ports)
-	return c
+// Clone returns an independent copy of the table.
+func (t *LFT) Clone() *LFT { return t.CloneInto(nil) }
+
+// CloneInto copies the table into dst's storage, growing it only when it is
+// short, and returns dst (a new table when dst is nil). The simulator copies
+// the tables a fault plan can dirty into LFTs it keeps from run to run.
+func (t *LFT) CloneInto(dst *LFT) *LFT {
+	if dst == nil {
+		dst = &LFT{ports: make([]uint8, 0, len(t.ports))}
+	}
+	dst.ports = append(dst.ports[:0], t.ports...)
+	return dst
 }
 
 // Entries returns a copy of the raw table, for inspection and serialization.

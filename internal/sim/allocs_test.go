@@ -1,49 +1,57 @@
-//go:build !race
-
-// The race detector makes sync.Pool drop a random share of the state put
-// back, so allocation counts are only meaningful without it.
-
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"mlid/internal/core"
 	"mlid/internal/traffic"
 )
 
-// TestRunSmallAllocs bounds the steady-state allocations of one small run
-// (BenchmarkRunSmall's configuration). Before run state was recycled, every
-// run rebuilt its arrays, slabs, calendar, per-node generators and two dense
-// latency histograms: 247 allocations. With the arena pooled, what remains is
-// per-run bookkeeping (the fault state's cloned tables are absent here, the
-// latency rows are allocated lazily); the bound is a quarter of the old
-// count, leaving room for a GC that empties the pool mid-measurement.
+// gcTwice runs two garbage collections, enough to empty a sync.Pool: the
+// arena pool must keep its idle arenas through them.
+func gcTwice() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// TestRunSmallAllocs pins the steady-state allocations of one small run
+// (BenchmarkRunSmall's configuration), warm and with two garbage collections
+// before each run. Before run state was recycled, every run rebuilt its
+// arrays, slabs, calendar, per-node generators and two dense latency
+// histograms: 247 allocations. With the arena kept, what remains is the
+// Result's latency octaves: 1. An arena pool that the collections empty
+// costs 94.
 func TestRunSmallAllocs(t *testing.T) {
 	cfg := runSmallConfig(t)
-	allocs := testing.AllocsPerRun(5, func() { // AllocsPerRun warms up with one run first
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
+	for _, gc := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(5, func() { // AllocsPerRun warms up with one run first
+			if gc {
+				gcTwice()
+			}
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const want = 1
+		if allocs > want {
+			t.Errorf("collections between runs %v: %.0f allocations per run, want <= %d", gc, allocs, want)
 		}
-	})
-	const bound = 247 / 4
-	if allocs > bound {
-		t.Errorf("%.0f allocations per run, want <= %d", allocs, bound)
 	}
 }
 
-// TestSaturatedSweepAllocs bounds the allocations of a saturated sweep's
+// TestSaturatedSweepAllocs pins the allocations of a saturated sweep's
 // steady state: two FT(8,2) points under the paper's 50%-centric pattern run
 // back to back on one recycled arena, at different loads and VL counts as a
 // figure sweep's points are, so the hotspot-blocked sources build open-loop
 // backlogs of different depths across a different number of source queues.
 // Queues thread packets through pkt.next and own no storage, and the latency
-// histogram keeps its rows, so a warm pass allocates nothing. Source queues
-// that own append-grown arrays reallocate whenever a point's backlog
-// outgrows the arrays the other point left (96 allocations per pass with
-// grown arrays handed between runs). A pass that finds simPool emptied by a
-// GC costs about 120 allocations; averaged over ten passes the bound leaves
-// room for two.
+// histogram keeps its rows, so a pass allocates only each Result's latency
+// octaves: 2. Source queues that own append-grown arrays reallocate
+// whenever a point's backlog outgrows the arrays the other point left (96
+// allocations per pass with grown arrays handed between runs). The pass
+// also runs with two garbage collections before it: an arena pool that they
+// empty costs about 120.
 func TestSaturatedSweepAllocs(t *testing.T) {
 	sn := mustSubnet(t, 8, 2, core.NewMLID())
 	cfg := Config{
@@ -54,24 +62,29 @@ func TestSaturatedSweepAllocs(t *testing.T) {
 		Seed:      1,
 	}
 	saturated := true
-	allocs := testing.AllocsPerRun(10, func() {
-		for _, pt := range []struct {
-			vls  int
-			load float64
-		}{{2, 0.8}, {1, 0.4}} {
-			cfg.DataVLs, cfg.OfferedLoad = pt.vls, pt.load
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, gc := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if gc {
+				gcTwice()
 			}
-			saturated = saturated && res.Saturated
+			for _, pt := range []struct {
+				vls  int
+				load float64
+			}{{2, 0.8}, {1, 0.4}} {
+				cfg.DataVLs, cfg.OfferedLoad = pt.vls, pt.load
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				saturated = saturated && res.Saturated
+			}
+		})
+		if !saturated {
+			t.Fatal("a point is not saturated: no source backlog to bound")
 		}
-	})
-	if !saturated {
-		t.Fatal("a point is not saturated: no source backlog to bound")
-	}
-	const bound = 24
-	if allocs > bound {
-		t.Errorf("%.0f allocations per pass, want <= %d", allocs, bound)
+		const want = 2
+		if allocs > want {
+			t.Errorf("collections between passes %v: %.0f allocations per pass, want <= %d", gc, allocs, want)
+		}
 	}
 }

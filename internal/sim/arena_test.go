@@ -3,10 +3,16 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mlid/internal/core"
+	"mlid/internal/ib"
+	"mlid/internal/topology"
+	"mlid/internal/traffic"
 )
 
 // cloneResult deep-copies a Result, following the trace pointers, so a later
@@ -25,7 +31,7 @@ func cloneResult(r Result) Result {
 }
 
 // TestRunIndependentOfPriorRuns pins the recycled-arena contract: Run and
-// RunBatch build on state a finished run left in simPool, and the result must
+// RunBatch build on state a finished run left in the pool, and the result must
 // depend on the configuration alone — never on which runs, of which fabric
 // size, VL count or feature set, the state served before. The golden and
 // scenario cases plus a traced run and two batches run forward, then in
@@ -142,4 +148,67 @@ func TestRunIndependentOfPriorRuns(t *testing.T) {
 			t.Errorf("%s: the first pass's Result changed after later runs reused its state", c.name)
 		}
 	}
+}
+
+// TestIdleArenaPinsNothing: the pool keeps idle arenas across garbage
+// collections, so a finished run's arena must hold no reference to what its
+// caller owns or was handed. A fault run (with per-epoch verification, so
+// verify's recycled state is exercised too) and a traced run share one
+// subnet, in both orders, since a run's build overwrites part of what the
+// run before it left. Once the caller drops the subnet and the results, the
+// subnet, each of its tables and every packet trace must be collected.
+func TestIdleArenaPinsNothing(t *testing.T) {
+	for _, faultFirst := range []bool{true, false} {
+		// Finalizers run on their own goroutine and count what they free.
+		var subnets, tables, traces atomic.Int64
+		var want int64
+		func() {
+			sn := mustSubnet(t, 8, 2, core.NewSLID())
+			runtime.SetFinalizer(sn, func(*ib.Subnet) { subnets.Add(1) })
+			for _, lft := range sn.LFTs {
+				runtime.SetFinalizer(lft, func(*ib.LFT) { tables.Add(1) })
+			}
+			want = 1 + int64(len(sn.LFTs))
+			fault := scenarioCases(t)[2].cfg // faults-reselect: an 8x2 SLID fault plan
+			fault.Subnet, fault.Pattern = sn, traffic.Uniform{Nodes: sn.Tree.Nodes()}
+			// A short run that traces every packet, so each packet slot ends
+			// the run holding a trace.
+			traced := fault
+			traced.FaultPlan, traced.VerifyEpochs, traced.TracePackets = nil, false, 1024
+			traced.WarmupNs, traced.MeasureNs = 1_000, 2_000
+			runs := []Config{fault, traced}
+			if !faultFirst {
+				runs = []Config{traced, fault}
+			}
+			for _, cfg := range runs {
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tr := range res.Traces {
+					runtime.SetFinalizer(tr, func(*PacketTrace) { traces.Add(1) })
+					want++
+				}
+			}
+		}()
+		freed := func() int64 { return subnets.Load() + tables.Load() + traces.Load() }
+		// Nothing signals that the last finalizer ran: poll, collecting again
+		// between polls.
+		for i := 0; i < 5 && freed() < want; i++ {
+			runtime.GC()
+			time.Sleep(20 * time.Millisecond)
+		}
+		if n := freed(); n != want {
+			t.Errorf("fault run first %v: %d of %d objects collected (subnet %d, tables %d, traces %d): an idle arena still references the rest",
+				faultFirst, n, want, subnets.Load(), tables.Load(), traces.Load())
+		}
+	}
+}
+
+// writableSwitches returns a fresh array of the switches whose tables the
+// plan can dirty on t (see markWritable).
+func (p *FaultPlan) writableSwitches(t *topology.Tree) []bool {
+	out := make([]bool, t.Switches())
+	p.markWritable(t, out)
+	return out
 }

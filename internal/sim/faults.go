@@ -165,13 +165,12 @@ func (p FaultPlan) withDefaults() FaultPlan {
 	return p
 }
 
-// writableSwitches marks the switches whose live tables the SM may rewrite
-// under the plan: both switch-side ends of every link the plan can kill —
-// each link fault, and every link of a switch fault. A dead-link view only
-// ever holds such links, so core.RepairState.DirtySwitches, and with it
+// markWritable sets out[sw] for the switches whose live tables the SM may
+// rewrite under the plan: both switch-side ends of every link the plan can
+// kill — each link fault, and every link of a switch fault. A dead-link view
+// only ever holds such links, so core.RepairState.DirtySwitches, and with it
 // every staged update, names no other switch.
-func (p *FaultPlan) writableSwitches(t *topology.Tree) []bool {
-	out := make([]bool, t.Switches())
+func (p *FaultPlan) markWritable(t *topology.Tree, out []bool) {
 	mark := func(sw int32, port int) {
 		out[sw] = true
 		if ref := t.SwitchNeighbor(topology.SwitchID(sw), port); ref.Kind == topology.KindSwitch {
@@ -186,7 +185,6 @@ func (p *FaultPlan) writableSwitches(t *topology.Tree) []bool {
 			mark(f.Switch, port)
 		}
 	}
-	return out
 }
 
 // faultIval is one outage interval of a physical link, attributed back to

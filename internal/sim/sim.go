@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"mlid/internal/arena"
 	"mlid/internal/ib"
 	"mlid/internal/stats"
 	"mlid/internal/topology"
@@ -192,6 +193,9 @@ type Sim struct {
 	fwd16   []int16
 	fwd32   []int32
 	lftSize int
+	// lftOwn[sw] is the arena's own copy of a table the plan can dirty.
+	writable []bool
+	lftOwn   []*ib.LFT
 	// warmSink absorbs the hot path's cache-warming reads (swArrive touching
 	// the compiled forwarding entry its evRoute will read, nodeArrive and
 	// deliverIdeal touching the flow-ordering counter their evDeliver will
@@ -430,7 +434,7 @@ func (s *Sim) buildResult(horizon Time, events int64) Result {
 	return res
 }
 
-// build prepares a run of cfg on recycled state from simPool: every buffer
+// build prepares a run of cfg on recycled state from pool: every buffer
 // keeps its backing array when the capacity suffices and is cleared, so a
 // sweep's runs reuse one arena per worker instead of reallocating it. A
 // buffer the run does not use (the transport tables of a run without
@@ -438,7 +442,7 @@ func (s *Sim) buildResult(horizon Time, events int64) Result {
 func build(cfg Config) *Sim {
 	t := cfg.Subnet.Tree
 	S, M, N := t.Switches(), t.M(), t.Nodes()
-	s := simPool.Get().(*Sim)
+	s := pool.Get()
 	prev := *s
 	prev.engine.reset()
 	faults := prev.faults
@@ -477,28 +481,30 @@ func build(cfg Config) *Sim {
 	}
 	s.vls = vls
 	numPorts := S*M + N
-	s.ports = recycle(prev.ports, numPorts)
-	s.cv = recycle(prev.cv, numPorts*vls)
-	s.queues = recycle(prev.queues, numPorts*vls)
-	s.waiting = recycle(prev.waiting, numPorts*vls)
-	s.rrIn = recycle(prev.rrIn, numPorts*vls)
+	s.ports = arena.Recycle(prev.ports, numPorts)
+	s.cv = arena.Recycle(prev.cv, numPorts*vls)
+	s.queues = arena.Recycle(prev.queues, numPorts*vls)
+	s.waiting = arena.Recycle(prev.waiting, numPorts*vls)
+	s.rrIn = arena.Recycle(prev.rrIn, numPorts*vls)
 	for i := range s.cv {
 		s.cv[i].credits = int32(cfg.BufPackets)
 	}
-	s.lfts = recycle(prev.lfts, S)
+	s.lfts = arena.Recycle(prev.lfts, S)
 	// Live tables diverge from the configured subnet once the SM model
 	// starts applying timed updates, but only at the switches the plan's
-	// faults can dirty: those get clones, so the caller's subnet stays
-	// pristine (and serves as the repair baseline); every other switch
+	// faults can dirty: those get copies in lftOwn, so the caller's subnet
+	// stays pristine (and serves as the repair baseline); every other switch
 	// reads the subnet's own table, which nothing writes.
-	var writable []bool
+	s.writable = arena.Recycle(prev.writable, S)
+	s.lftOwn = arena.RecycleKeep(prev.lftOwn, S, func(**ib.LFT) {})
 	if cfg.FaultPlan != nil {
-		writable = cfg.FaultPlan.writableSwitches(t)
+		cfg.FaultPlan.markWritable(t, s.writable)
 	}
 	for sw := 0; sw < S; sw++ {
 		lft := cfg.Subnet.LFTs[sw]
-		if writable != nil && writable[sw] {
-			lft = lft.Clone()
+		if s.writable[sw] {
+			s.lftOwn[sw] = lft.CloneInto(s.lftOwn[sw])
+			lft = s.lftOwn[sw]
 		}
 		s.lfts[sw] = lft
 		if n := lft.Size(); n > s.lftSize {
@@ -519,16 +525,16 @@ func build(cfg Config) *Sim {
 		}
 	}
 	if maxPid := S*M + N - 1; maxPid <= math.MaxInt16 {
-		s.fwd16 = recycle(prev.fwd16, S*s.lftSize)
+		s.fwd16 = arena.Recycle(prev.fwd16, S*s.lftSize)
 	} else {
-		s.fwd32 = recycle(prev.fwd32, S*s.lftSize)
+		s.fwd32 = arena.Recycle(prev.fwd32, S*s.lftSize)
 	}
 	for sw := 0; sw < S; sw++ {
 		s.compileLFT(int32(sw))
 	}
 	// Each node keeps its generator: Seed restarts the stream exactly where
 	// a fresh rand.New(rand.NewSource(seed)) would begin.
-	s.nodes = recycleKeep(prev.nodes, N, func(n *nodeState) { *n = nodeState{rng: n.rng} })
+	s.nodes = arena.RecycleKeep(prev.nodes, N, func(n *nodeState) { *n = nodeState{rng: n.rng} })
 	for p := 0; p < N; p++ {
 		sw, port := t.NodeAttachment(topology.NodeID(p))
 		pt := &s.ports[int(s.srcBase)+p]
@@ -544,8 +550,8 @@ func build(cfg Config) *Sim {
 		}
 	}
 	if N <= 4096 {
-		s.flowSeq = recycle(prev.flowSeq, N*N)
-		s.flowHigh = recycle(prev.flowHigh, N*N)
+		s.flowSeq = arena.Recycle(prev.flowSeq, N*N)
+		s.flowHigh = arena.Recycle(prev.flowHigh, N*N)
 	}
 	s.selector = cfg.PathSelect
 	if s.selector == nil {
@@ -553,11 +559,11 @@ func build(cfg Config) *Sim {
 	}
 	if s.selector.NeedsFlowState() {
 		// validate capped stateful selectors at 4096 nodes.
-		s.selState = recycle(prev.selState, N*N)
+		s.selState = arena.Recycle(prev.selState, N*N)
 	}
 	if plan := cfg.FaultPlan; plan != nil && plan.Reselect && N <= 4096 {
-		s.faults.reselMask = recycle(reselMask, N*N)
-		s.faults.reselEpoch = recycle(reselEpoch, N*N)
+		s.faults.reselMask = arena.Recycle(reselMask, N*N)
+		s.faults.reselEpoch = arena.Recycle(reselEpoch, N*N)
 	}
 	if cfg.Transport != nil {
 		tr := prev.transport

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"mlid/internal/arena"
 	"mlid/internal/sm"
 	"mlid/internal/topology"
 )
@@ -239,17 +240,11 @@ func (t *transportRun) winGrow(f *rxFlow, span uint32) {
 // getWin borrows a zeroed ring of exactly n words (n a power of two) from
 // the pool, allocating only when the pool has nothing large enough.
 func (t *transportRun) getWin(n int) []uint64 {
+	var w []uint64
 	if last := len(t.winFree) - 1; last >= 0 {
-		w := t.winFree[last]
-		t.winFree[last] = nil
-		t.winFree = t.winFree[:last]
-		if cap(w) >= n {
-			w = w[:n]
-			clear(w)
-			return w
-		}
+		w, t.winFree[last], t.winFree = t.winFree[last], nil, t.winFree[:last]
 	}
-	return make([]uint64, n)
+	return arena.Recycle(w, n)
 }
 
 // putWin returns a drained ring to the pool for the next gapped flow.
@@ -276,8 +271,8 @@ type transportRun struct {
 // arrays, and the out-of-order rings receivers still hold join winFree.
 func (t *transportRun) reset(cfg TransportConfig, mgmtVL uint8, flows int) {
 	winFree := t.winFree
-	tx := recycleKeep(t.tx, flows, func(f *txFlow) { *f = txFlow{unacked: f.unacked[:0]} })
-	rx := recycleKeep(t.rx, flows, func(f *rxFlow) {
+	tx := arena.RecycleKeep(t.tx, flows, func(f *txFlow) { *f = txFlow{unacked: f.unacked[:0]} })
+	rx := arena.RecycleKeep(t.rx, flows, func(f *rxFlow) {
 		if f.win != nil {
 			winFree = append(winFree, f.win)
 		}

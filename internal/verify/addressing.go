@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 
+	"mlid/internal/arena"
 	"mlid/internal/ib"
 	"mlid/internal/topology"
 )
@@ -54,7 +55,7 @@ func (f *fabric) checkAddressing(rep *Report) {
 			f.add(rep, fd)
 		}
 	}
-	f.owner = recycle(f.owner, f.space)
+	f.owner = arena.Recycle(f.owner, f.space)
 	for i := range f.owner {
 		f.owner[i] = -1
 	}

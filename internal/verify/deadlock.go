@@ -3,6 +3,8 @@ package verify
 import (
 	"fmt"
 	"slices"
+
+	"mlid/internal/arena"
 )
 
 // depGraph is one lane's channel-dependency graph as the walks build it:
@@ -85,7 +87,7 @@ func (f *fabric) checkDeadlock(rep *Report, graphs []depGraph) {
 func (f *fabric) buildAdjacency(g *depGraph) ([][]int32, int) {
 	numChan := len(f.nbr)
 	to := slices.Grow(f.adjTo[:0], g.edges.count())
-	adj := recycle(f.adj, numChan)
+	adj := arena.Recycle(f.adj, numChan)
 	for a := 0; a < numChan; a++ {
 		start := len(to)
 		base := int32(f.nbr[a].Switch) * int32(f.m)
@@ -127,8 +129,8 @@ func (cs *cycleSearch) shortest(adj [][]int32) []int {
 		return nil
 	}
 	var best []int
-	cs.dist = recycle(cs.dist, numChan)
-	cs.parent = recycle(cs.parent, numChan)
+	cs.dist = arena.Recycle(cs.dist, numChan)
+	cs.parent = arena.Recycle(cs.parent, numChan)
 	// Each BFS enqueues a channel at most once, so the queue never
 	// outgrows numChan.
 	cs.queue = slices.Grow(cs.queue[:0], numChan)
@@ -198,7 +200,7 @@ func (cs *cycleSearch) hasCycle(adj [][]int32) bool {
 	)
 	// A channel turns gray at most once, so the stack never outgrows the
 	// channel count.
-	cs.color = recycle(cs.color, len(adj))
+	cs.color = arena.Recycle(cs.color, len(adj))
 	cs.stack = slices.Grow(cs.stack[:0], len(adj))
 	color, stack := cs.color, cs.stack
 	for start := range adj {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"mlid/internal/arena"
 	"mlid/internal/ib"
 	"mlid/internal/topology"
 	"mlid/internal/traffic"
@@ -22,7 +23,7 @@ func (f *fabric) checkQuality(rep *Report, flows []traffic.Flow) {
 	t := f.t
 	n := t.Nodes()
 	numChan := t.Switches() * f.m
-	f.load = recycle(f.load, numChan)
+	f.load = arena.Recycle(f.load, numChan)
 	f.trace = slices.Grow(f.trace[:0], f.maxSwitches)
 	load := f.load
 	q := QualityReport{Matrix: "all-to-all"}

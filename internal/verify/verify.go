@@ -38,8 +38,8 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
-	"sync"
 
+	"mlid/internal/arena"
 	"mlid/internal/ib"
 	"mlid/internal/topology"
 	"mlid/internal/traffic"
@@ -148,9 +148,8 @@ type fabric struct {
 // fabric at every SM epoch — hundreds of Runs per degraded sweep, each on
 // the same few fabric sizes — and the per-run tables, bitsets, adjacency
 // lists and cycle-search arrays would otherwise be nearly all a clean Run
-// allocates. The pool hands a fabric to one Get at a time, so concurrent
-// Runs never share one.
-var runPool = sync.Pool{New: func() any { return new(fabric) }}
+// allocates. Idle fabrics survive garbage collections (see package arena).
+var runPool arena.Pool[fabric]
 
 // Run executes every analyzer over the input and returns the combined
 // report. The error covers unusable input only (nil tree, mismatched table
@@ -192,7 +191,7 @@ func Run(in Input, opt Options) (*Report, error) {
 		opt.MaxFindings = 64
 	}
 
-	f := runPool.Get().(*fabric)
+	f := runPool.Get()
 	defer f.release()
 	f.reset(in, opt)
 	rep := &Report{}
@@ -219,7 +218,7 @@ func (f *fabric) reset(in Input, opt Options) {
 			f.space = lft.Size()
 		}
 	}
-	f.nbr = recycle(f.nbr, t.Switches()*m)
+	f.nbr = arena.Recycle(f.nbr, t.Switches()*m)
 	f.leaves = f.leaves[:0]
 	for sw := 0; sw < t.Switches(); sw++ {
 		id := topology.SwitchID(sw)
@@ -231,11 +230,11 @@ func (f *fabric) reset(in Input, opt Options) {
 		}
 	}
 	if shape := [2]int{m, t.N()}; f.labelShape != shape {
-		f.chanLabels = recycle(f.chanLabels, t.Switches()*m)
-		f.swLabels = recycle(f.swLabels, t.Switches())
+		f.chanLabels = arena.Recycle(f.chanLabels, t.Switches()*m)
+		f.swLabels = arena.Recycle(f.swLabels, t.Switches())
 		f.labelShape = shape
 	}
-	f.dead = recycle(f.dead, t.Switches()*m)
+	f.dead = arena.Recycle(f.dead, t.Switches()*m)
 	for _, e := range in.DeadLinks {
 		c := int(e[0])*m + int(e[1])
 		f.dead[c] = true
@@ -250,17 +249,6 @@ func (f *fabric) reset(in Input, opt Options) {
 func (f *fabric) release() {
 	f.in, f.t, f.vlOf, f.w.rep = Input{}, nil, nil, nil
 	runPool.Put(f)
-}
-
-// recycle returns buf resized to n zeroed elements, reusing its backing array
-// when the capacity suffices and allocating only when it does not.
-func recycle[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
 }
 
 // deadAt reports whether the link out of (sw, abstract port) is down.
@@ -336,7 +324,7 @@ func (f *fabric) keep(rep *Report) {
 type bitset []uint64
 
 // resize returns an empty set of capacity n, reusing b's words.
-func (b bitset) resize(n int) bitset { return recycle(b, (n+63)/64) }
+func (b bitset) resize(n int) bitset { return arena.Recycle(b, (n+63)/64) }
 
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
