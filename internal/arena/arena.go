@@ -1,8 +1,7 @@
-// Package arena recycles per-run scratch state: Pool holds idle arenas, and
-// Recycle and RecycleKeep resize their buffers in place. Unlike a sync.Pool,
-// a Pool survives garbage collections: it keeps at most GOMAXPROCS idle
-// values, each at its high-water size until exit, so a value put back must
-// hold no reference to its caller's memory.
+// Package arena recycles per-run scratch state. Unlike a sync.Pool, a Pool
+// survives garbage collections: it keeps at most GOMAXPROCS idle values, each
+// at its high-water size until exit, so a value put back must hold nothing of
+// its caller's. Recycle and RecycleKeep resize a value's buffers in place.
 package arena
 
 import (
@@ -18,12 +17,11 @@ type Pool[T any] struct {
 }
 
 // Get returns the most recently put idle value, or a new zero T.
-func (p *Pool[T]) Get() *T {
+func (p *Pool[T]) Get() (v *T) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.idle); n > 0 {
-		v := p.idle[n-1]
-		p.idle[n-1], p.idle = nil, p.idle[:n-1]
+		v, p.idle[n-1], p.idle = p.idle[n-1], nil, p.idle[:n-1]
 		return v
 	}
 	return new(T)
@@ -53,9 +51,8 @@ func Recycle[T any](buf []T, n int) []T {
 // retransmit queue): instead of zeroing, it passes each of the n elements to
 // keep, which resets it in place; elements past n keep theirs for later.
 func RecycleKeep[T any](buf []T, n int, keep func(*T)) []T {
-	buf = buf[:cap(buf)]
-	if len(buf) < n {
-		buf = append(buf, make([]T, n-len(buf))...)
+	if c := cap(buf); c < n {
+		buf = append(buf[:c], make([]T, n-c)...)
 	}
 	buf = buf[:n]
 	for i := range buf {

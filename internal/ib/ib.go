@@ -108,15 +108,11 @@ func (t *LFT) Port(lid LID) uint8 {
 }
 
 // Clone returns an independent copy of the table.
-func (t *LFT) Clone() *LFT { return t.CloneInto(nil) }
+func (t *LFT) Clone() *LFT { return t.CloneInto(&LFT{ports: make([]uint8, 0, len(t.ports))}) }
 
-// CloneInto copies the table into dst's storage, growing it only when it is
-// short, and returns dst (a new table when dst is nil). The simulator copies
-// the tables a fault plan can dirty into LFTs it keeps from run to run.
+// CloneInto copies the table into dst, reusing dst's storage when it is long
+// enough, and returns dst.
 func (t *LFT) CloneInto(dst *LFT) *LFT {
-	if dst == nil {
-		dst = &LFT{ports: make([]uint8, 0, len(t.ports))}
-	}
 	dst.ports = append(dst.ports[:0], t.ports...)
 	return dst
 }

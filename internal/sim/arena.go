@@ -14,17 +14,18 @@ import "mlid/internal/arena"
 // finds nothing to regrow.
 var pool arena.Pool[Sim]
 
-// release returns a finished run's state to pool, first dropping what the
-// caller owns or was handed, since an idle arena lives until exit: the
-// Config, the tree, the subnet's tables, the Result and the packets' pointers
-// into its traces, and the fault state's plan and repair view. No Result
-// aliases arena memory: buildResult builds Series and PortStats fresh, and
-// the traces handed out are never appended to again.
+// release returns a finished run's state to pool. An idle arena stays at its
+// high-water size until exit, so the pool keeps none from a fabric of more
+// than 512 nodes (the paper's largest, FT(32,2)), whose arrays indexed by
+// node pair grow with N², nor from a traced run, whose packets point into the
+// Result's traces. Before keeping an arena it drops what the caller owns or
+// was handed: the Config, the tree, the subnet's tables, the Result, and the
+// fault state's plan and repair view. No Result aliases arena memory:
+// buildResult builds Series and PortStats fresh, and the traces handed out
+// are never appended to again.
 func (s *Sim) release() {
-	if s.cfg.TracePackets > 0 {
-		for i := int32(0); i < s.pktCarved; i++ {
-			s.pktAt(i).trace = nil
-		}
+	if len(s.nodes) > 512 || s.cfg.TracePackets > 0 {
+		return
 	}
 	clear(s.lfts)
 	if f := s.faults; f != nil {

@@ -205,10 +205,33 @@ func TestIdleArenaPinsNothing(t *testing.T) {
 	}
 }
 
+// TestPoolKeepsOnlySmallArenas: an idle arena stays at its high-water size
+// until exit, so a run on more than 512 nodes (FT(16,3), 1,024) must leave no
+// arena of its size in the pool, where its N² arrays would stay for good.
+func TestPoolKeepsOnlySmallArenas(t *testing.T) {
+	cfg := runSmallConfig(t)
+	cfg.Subnet = mustSubnet(t, 16, 3, core.NewSLID())
+	cfg.Pattern = traffic.Uniform{Nodes: cfg.Subnet.Tree.Nodes()}
+	cfg.WarmupNs, cfg.MeasureNs = 1_000, 2_000
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	idle := make([]*Sim, runtime.GOMAXPROCS(0))
+	for i := range idle {
+		idle[i] = pool.Get()
+		if n := cap(idle[i].nodes); n > 512 {
+			t.Errorf("an idle arena holds %d nodes' state", n)
+		}
+	}
+	for _, s := range idle {
+		pool.Put(s)
+	}
+}
+
 // writableSwitches returns a fresh array of the switches whose tables the
 // plan can dirty on t (see markWritable).
 func (p *FaultPlan) writableSwitches(t *topology.Tree) []bool {
 	out := make([]bool, t.Switches())
-	p.markWritable(t, out)
+	p.markWritable(t, func(sw int32) { out[sw] = true })
 	return out
 }

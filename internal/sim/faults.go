@@ -165,24 +165,24 @@ func (p FaultPlan) withDefaults() FaultPlan {
 	return p
 }
 
-// markWritable sets out[sw] for the switches whose live tables the SM may
-// rewrite under the plan: both switch-side ends of every link the plan can
-// kill — each link fault, and every link of a switch fault. A dead-link view
-// only ever holds such links, so core.RepairState.DirtySwitches, and with it
-// every staged update, names no other switch.
-func (p *FaultPlan) markWritable(t *topology.Tree, out []bool) {
-	mark := func(sw int32, port int) {
-		out[sw] = true
+// markWritable calls mark (perhaps repeatedly) for each switch whose live
+// table the SM may rewrite under the plan: both switch-side ends of every
+// link the plan can kill — each link fault, and every link of a switch fault.
+// A dead-link view only holds such links, so core.RepairState.DirtySwitches,
+// and with it every staged update, names no other switch.
+func (p *FaultPlan) markWritable(t *topology.Tree, mark func(sw int32)) {
+	link := func(sw int32, port int) {
+		mark(sw)
 		if ref := t.SwitchNeighbor(topology.SwitchID(sw), port); ref.Kind == topology.KindSwitch {
-			out[ref.Switch] = true
+			mark(int32(ref.Switch))
 		}
 	}
 	for _, f := range p.Faults {
-		mark(f.Switch, f.Port)
+		link(f.Switch, f.Port)
 	}
 	for _, f := range p.SwitchFaults {
 		for port := 0; port < t.M(); port++ {
-			mark(f.Switch, port)
+			link(f.Switch, port)
 		}
 	}
 }

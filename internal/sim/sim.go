@@ -194,8 +194,7 @@ type Sim struct {
 	fwd32   []int32
 	lftSize int
 	// lftOwn[sw] is the arena's own copy of a table the plan can dirty.
-	writable []bool
-	lftOwn   []*ib.LFT
+	lftOwn []ib.LFT
 	// warmSink absorbs the hot path's cache-warming reads (swArrive touching
 	// the compiled forwarding entry its evRoute will read, nodeArrive and
 	// deliverIdeal touching the flow-ordering counter their evDeliver will
@@ -489,25 +488,18 @@ func build(cfg Config) *Sim {
 	for i := range s.cv {
 		s.cv[i].credits = int32(cfg.BufPackets)
 	}
-	s.lfts = arena.Recycle(prev.lfts, S)
 	// Live tables diverge from the configured subnet once the SM model
 	// starts applying timed updates, but only at the switches the plan's
 	// faults can dirty: those get copies in lftOwn, so the caller's subnet
 	// stays pristine (and serves as the repair baseline); every other switch
 	// reads the subnet's own table, which nothing writes.
-	s.writable = arena.Recycle(prev.writable, S)
-	s.lftOwn = arena.RecycleKeep(prev.lftOwn, S, func(**ib.LFT) {})
+	s.lfts = append(prev.lfts[:0], cfg.Subnet.LFTs...)
+	s.lftOwn = arena.RecycleKeep(prev.lftOwn, S, func(*ib.LFT) {})
 	if cfg.FaultPlan != nil {
-		cfg.FaultPlan.markWritable(t, s.writable)
+		cfg.FaultPlan.markWritable(t, func(sw int32) { s.lfts[sw] = cfg.Subnet.LFTs[sw].CloneInto(&s.lftOwn[sw]) })
 	}
 	for sw := 0; sw < S; sw++ {
-		lft := cfg.Subnet.LFTs[sw]
-		if s.writable[sw] {
-			s.lftOwn[sw] = lft.CloneInto(s.lftOwn[sw])
-			lft = s.lftOwn[sw]
-		}
-		s.lfts[sw] = lft
-		if n := lft.Size(); n > s.lftSize {
+		if n := s.lfts[sw].Size(); n > s.lftSize {
 			s.lftSize = n
 		}
 		for k := 0; k < M; k++ {

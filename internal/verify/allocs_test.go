@@ -28,10 +28,10 @@ import (
 // (479 before the same change): the report, its 64 capped warnings and the
 // quality block, never one per traced flow. Its quality finding is
 // formatted by two fmt.Sprintf calls, and fmt keeps its printers in a
-// sync.Pool, which the collections (and, at random, the race detector)
-// empty: a fresh printer and its grown buffer cost up to 9 allocations per
-// call. An arena pool that the collections empty costs a healthy Run 26
-// allocations and a repaired one 132.
+// sync.Pool, which the collections empty (88 after them) and the race
+// detector thins at random; those runs get the bound the case had before
+// the arena pool, 95. An arena pool that the collections empty costs a
+// healthy Run 26 allocations, a repaired one 132 and a static one 154.
 func TestVerifyEpochAllocs(t *testing.T) {
 	healthy, repaired, opt := epochInputs(t)
 	static, staticOpt := staticInput(t)
@@ -40,13 +40,18 @@ func TestVerifyEpochAllocs(t *testing.T) {
 		in   verify.Input
 		opt  verify.Options
 		want float64
+		// fmtWant replaces want when fmt's printer pool may have been
+		// emptied: after the collections or under the race detector.
+		fmtWant float64
 	}{
-		{"healthy", healthy, opt, 1},
-		{"repaired", repaired, opt, 67},
-		{"static-quality", static, staticOpt, 79 + 2*9},
+		{"healthy", healthy, opt, 1, 1},
+		{"repaired", repaired, opt, 67, 67},
+		{"static-quality", static, staticOpt, 79, 95},
 	} {
 		for _, gc := range []bool{false, true} {
-			allocs := testing.AllocsPerRun(5, func() { // AllocsPerRun warms up with one run first
+			// AllocsPerRun warms up with one run first; 20 runs average out
+			// the race detector's random pool drops.
+			allocs := testing.AllocsPerRun(20, func() {
 				if gc {
 					runtime.GC()
 					runtime.GC()
@@ -55,8 +60,12 @@ func TestVerifyEpochAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if allocs > c.want {
-				t.Errorf("%s, collections between Runs %v: %.0f allocations per Run, want <= %.0f", c.name, gc, allocs, c.want)
+			want := c.want
+			if gc || raceEnabled {
+				want = c.fmtWant
+			}
+			if allocs > want {
+				t.Errorf("%s, collections between Runs %v: %.0f allocations per Run, want <= %.0f", c.name, gc, allocs, want)
 			}
 		}
 	}
