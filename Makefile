@@ -64,10 +64,14 @@ soak:
 
 # fuzz-smoke runs each fuzz target for a bounded time: FuzzMAD checks that
 # every 64-byte SMP payload decodes, re-encodes and decodes again to the same
-# value under each MAD attribute codec, without panicking. Run one longer by
-# hand with `go test -run xxx -fuzz FuzzMAD -fuzztime 5m ./internal/ib/`.
+# value under each MAD attribute codec, without panicking; FuzzEpochVerify
+# simulates a random link and switch down/up timeline on a small fat-tree
+# under both schemes and holds every epoch's incremental verification
+# (verify.Epochs) against a full verify.Run. Run one longer by hand with
+# `go test -run xxx -fuzz FuzzMAD -fuzztime 5m ./internal/ib/`.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMAD -fuzztime 10s ./internal/ib/
+	$(GO) test -run xxx -fuzz FuzzEpochVerify -fuzztime 10s ./internal/sim/
 
 # bench-check vets and tests the nested benchmark module (bench/, module
 # mlid/bench), which the root `go test ./...` never builds: renaming an
@@ -96,9 +100,11 @@ BENCH_COUNT ?= 1
 # subnet configuration beside ib.SubnetManager, route tracing, incremental
 # repair and SM recovery beside core.Trace and core.RepairState, and the
 # static verifier beside verify.Run (the per-epoch pass, healthy and
-# repaired, and the quality pass on the all-to-one matrix).
+# repaired, one epoch after a one-link change checked incrementally by
+# verify.Epochs against a full Run, and the quality pass on the all-to-one
+# matrix).
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkSubnetConfigure|BenchmarkTrace|BenchmarkRepairIncremental|BenchmarkSMRecovery|BenchmarkVerifyEpoch|BenchmarkLinkLoad' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/ib/ ./internal/core/ ./internal/verify/
+	$(GO) test -run xxx -bench 'BenchmarkSubnetConfigure|BenchmarkTrace|BenchmarkRepairIncremental|BenchmarkSMRecovery|BenchmarkVerifyEpoch|BenchmarkEpochVerify|BenchmarkLinkLoad' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/ib/ ./internal/core/ ./internal/verify/
 
 # bench-engine runs the scheduler micro-benchmarks (ns/event, allocs/op).
 bench-engine:

@@ -88,3 +88,34 @@ func TestSaturatedSweepAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultRunVerifyAllocs pins the allocations of a warm fault run with
+// per-epoch verification: the faults-reselect scenario (FT(8,2) SLID, two
+// link faults, one revived, reselection on, seven verified epochs), warm
+// and with two garbage collections before each run. While every epoch ran
+// a full verify.Run, and the plan's validation formatted a description of
+// every fault interval through fmt, a run allocated 192 (198 after the
+// collections emptied fmt's printer pool). The incremental epoch check
+// allocates nothing once its arena is warm, and validation formats only
+// the intervals it rejects, so what remains is the SM's repair state and
+// staged updates and the Result: 41, in every mode.
+func TestFaultRunVerifyAllocs(t *testing.T) {
+	cfg := scenarioCases(t)[2].cfg
+	if cfg.FaultPlan == nil || !cfg.VerifyEpochs {
+		t.Fatal("scenario 2 is not a verified fault run")
+	}
+	for _, gc := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(10, func() { // AllocsPerRun warms up with one run first
+			if gc {
+				gcTwice()
+			}
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const want = 41
+		if allocs > want {
+			t.Errorf("collections between runs %v: %.0f allocations per run, want <= %d", gc, allocs, want)
+		}
+	}
+}

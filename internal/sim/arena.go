@@ -19,10 +19,11 @@ var pool arena.Pool[Sim]
 // than 512 nodes (the paper's largest, FT(32,2)), whose arrays indexed by
 // node pair grow with N², nor from a traced run, whose packets point into the
 // Result's traces. Before keeping an arena it drops what the caller owns or
-// was handed: the Config, the tree, the subnet's tables, the Result, and the
-// fault state's plan and repair view. No Result aliases arena memory:
-// buildResult builds Series and PortStats fresh, and the traces handed out
-// are never appended to again.
+// was handed: the Config, the tree, the subnet's tables, the Result, the
+// fault state's plan and repair view, and the epoch verifier's input (its
+// Reset also makes the next run's first verified epoch a full walk). No
+// Result aliases arena memory: buildResult builds Series and PortStats
+// fresh, and the traces handed out are never appended to again.
 func (s *Sim) release() {
 	if len(s.nodes) > 512 || s.cfg.TracePackets > 0 {
 		return
@@ -31,7 +32,10 @@ func (s *Sim) release() {
 	if f := s.faults; f != nil {
 		*f = faultRun{reselMask: f.reselMask, reselEpoch: f.reselEpoch}
 	}
-	s.cfg, s.tree, s.selector, s.selCtx, s.res, s.err = Config{}, nil, nil, SelectContext{}, Result{}, nil
+	if s.epochs != nil {
+		s.epochs.Reset()
+	}
+	s.cfg, s.tree, s.selector, s.selCtx, s.res, s.err, s.verifyHook = Config{}, nil, nil, SelectContext{}, Result{}, nil, nil
 	pool.Put(s)
 }
 

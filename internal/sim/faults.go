@@ -192,10 +192,22 @@ func (p *FaultPlan) markWritable(t *topology.Tree, mark func(sw int32)) {
 type faultIval struct {
 	key      [2]int32 // canonical switch-side endpoint of the link
 	down, up Time     // up == 0 means down forever
-	desc     string   // "Faults[2] (switch 3 port 1)" etc.
-	// outSwitch is the switch a SwitchFaults entry takes out, -1 for a link
-	// fault.
-	outSwitch int32
+	// entry indexes the plan entry, port is the link's port on its switch,
+	// and outSwitch is the switch a SwitchFaults entry takes out, -1 for a
+	// link fault (whose switch is sw).
+	entry, port int
+	sw          int32
+	outSwitch   int32
+}
+
+// desc names the plan entry for an error message: "Faults[2] (switch 3
+// port 1)" or "SwitchFaults[0] (switch 5, its link at port 2)". Only a plan
+// that fails validation formats it.
+func (v faultIval) desc() string {
+	if v.outSwitch < 0 {
+		return fmt.Sprintf("Faults[%d] (switch %d port %d)", v.entry, v.sw, v.port)
+	}
+	return fmt.Sprintf("SwitchFaults[%d] (switch %d, its link at port %d)", v.entry, v.sw, v.port)
 }
 
 // canonicalLink names a physical link by one agreed switch-side endpoint, so
@@ -240,8 +252,7 @@ func (p FaultPlan) validate(t *topology.Tree) error {
 		}
 		ivals = append(ivals, faultIval{
 			key: canonicalLink(t, f.Switch, f.Port), down: f.DownNs, up: f.UpNs,
-			desc:      fmt.Sprintf("Faults[%d] (switch %d port %d)", i, f.Switch, f.Port),
-			outSwitch: -1,
+			entry: i, port: f.Port, sw: f.Switch, outSwitch: -1,
 		})
 	}
 	for i, f := range p.SwitchFaults {
@@ -257,8 +268,7 @@ func (p FaultPlan) validate(t *topology.Tree) error {
 		for port := 0; port < t.M(); port++ {
 			ivals = append(ivals, faultIval{
 				key: canonicalLink(t, f.Switch, port), down: f.DownNs, up: f.UpNs,
-				desc:      fmt.Sprintf("SwitchFaults[%d] (switch %d, its link at port %d)", i, f.Switch, port),
-				outSwitch: f.Switch,
+				entry: i, port: port, sw: f.Switch, outSwitch: f.Switch,
 			})
 		}
 	}
@@ -287,16 +297,16 @@ func (p FaultPlan) validate(t *topology.Tree) error {
 		switch {
 		case prev.down == cur.down:
 			return fmt.Errorf("sim: FaultPlan.%s and %s fail the same link at the same instant %d",
-				prev.desc, cur.desc, cur.down)
+				prev.desc(), cur.desc(), cur.down)
 		case prev.up == 0:
 			return fmt.Errorf("sim: FaultPlan.%s takes the link down forever at %d, but %s touches it again at %d",
-				prev.desc, prev.down, cur.desc, cur.down)
+				prev.desc(), prev.down, cur.desc(), cur.down)
 		case cur.down < prev.up:
 			return fmt.Errorf("sim: FaultPlan.%s (down %d..%d) overlaps %s (down at %d) on the same link",
-				prev.desc, prev.down, prev.up, cur.desc, cur.down)
+				prev.desc(), prev.down, prev.up, cur.desc(), cur.down)
 		case cur.down == prev.up:
 			return fmt.Errorf("sim: FaultPlan.%s revives the link at %d, the same instant %s takes it down",
-				prev.desc, prev.up, cur.desc)
+				prev.desc(), prev.up, cur.desc())
 		}
 	}
 	return nil
@@ -433,8 +443,10 @@ func (s *Sim) linkEnds(sw int32, port int) (a, b int32) {
 // linkDown kills both directions of the link: packets buffered on the dead
 // out-ports are dropped (their held credits return so upstream state stays
 // consistent), and the link is recorded for the next SM sweep: killPort on
-// each transmitter, then markLinkDown once for the link.
+// each transmitter, then markLinkDown once for the link. The epoch verifier
+// first touches the LIDs forwarded over it.
 func (s *Sim) linkDown(sw int32, port int) {
+	s.epochs.TouchLink(sw, port)
 	a, b := s.linkEnds(sw, port)
 	s.killPort(a)
 	s.killPort(b)
@@ -472,6 +484,7 @@ func (s *Sim) markLinkDown(sw int32, port int) {
 // a dead transmitter consumed came back either through normal delivery or
 // through dropPkt's credit return, so the port restarts with full credits.
 func (s *Sim) linkUp(sw int32, port int) {
+	s.epochs.TouchLink(sw, port)
 	a, b := s.linkEnds(sw, port)
 	for _, pid := range [2]int32{a, b} {
 		if pid >= 0 {
@@ -629,7 +642,8 @@ func (s *Sim) smRepair(deadView [][2]int32) (staged []int, ok bool) {
 // overlapping repairs that land out of order converge on the SM's latest
 // target instead of resurrecting a stale remap. Each rewritten entry is
 // recompiled into the fused forwarding row, so the hot path keeps reading
-// the compiled table through fault recovery.
+// the compiled table through fault recovery. The epoch verifier touches
+// each LID before its entry is written.
 func (s *Sim) applyLFTUpdate(idx int) {
 	u := s.faults.staged[idx]
 	lft := s.lfts[u.sw]
@@ -643,6 +657,7 @@ func (s *Sim) applyLFTUpdate(idx int) {
 	fwdBase := int(u.sw) * s.lftSize
 	for _, lid := range u.lids {
 		port := target.TargetPort(topology.SwitchID(u.sw), lid)
+		s.epochs.Touch(lid)
 		if err := lft.Set(lid, port); err != nil {
 			s.fail(fmt.Errorf("sim: applying LFT update to switch %d: %w", u.sw, err))
 			return

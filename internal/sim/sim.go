@@ -10,6 +10,7 @@ import (
 	"mlid/internal/ib"
 	"mlid/internal/stats"
 	"mlid/internal/topology"
+	"mlid/internal/verify"
 )
 
 // noPort is the nil value of a global port id (see Sim.ports): a packet not
@@ -257,6 +258,12 @@ type Sim struct {
 
 	// live-fault state (Config.FaultPlan).
 	faults *faultRun
+
+	// epochs is the incremental per-epoch verifier (Config.VerifyEpochs),
+	// seeded at the run's first verified epoch; verifyHook is run's epoch
+	// hook, nil outside tests.
+	epochs     *verify.Epochs
+	verifyHook epochHook
 }
 
 // seriesBin accumulates one interval of the delivery series: the bytes,
@@ -272,7 +279,15 @@ type seriesBin struct {
 func (s *Sim) nodePid(node int32) int32 { return s.srcBase + node }
 
 // Run executes one simulation and returns its measurements.
-func Run(cfg Config) (Result, error) {
+func Run(cfg Config) (Result, error) { return run(cfg, nil) }
+
+// epochHook sees each verified epoch's input and the incremental check's
+// counts (Sim.verifyEpoch), before any full verify.Run.
+type epochHook func(in verify.Input, opt verify.Options, warnings int, clean bool)
+
+// run is Run with an epoch hook, which tests use to hold the incremental
+// epoch check against the full verifier; Run passes nil.
+func run(cfg Config, hook epochHook) (Result, error) {
 	if len(cfg.Messages) > 0 {
 		return Result{}, fmt.Errorf("sim: Run does not take Config.Messages; run a closed workload with RunBatch")
 	}
@@ -282,6 +297,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	s := build(cfg)
 	defer s.release()
+	s.verifyHook = hook
 	s.end = cfg.WarmupNs + cfg.MeasureNs
 
 	s.scheduleFaults()
@@ -459,6 +475,7 @@ func build(cfg Config) *Sim {
 		serPkt:  Time(cfg.PacketSize) * DefaultNsPerByte,
 		ia:      float64(cfg.PacketSize) * float64(DefaultNsPerByte) / cfg.OfferedLoad,
 		faults:  faults,
+		epochs:  prev.epochs,
 		res:     Result{OfferedLoad: cfg.OfferedLoad},
 		// Packet slabs outlive the run: newPkt carves them again from slot
 		// zero, re-zeroing each packet.

@@ -184,9 +184,20 @@ func (t *Tree) Links() int {
 	return interSwitch + t.nodes
 }
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer. It is built without fmt, whose printer
+// pool does not survive a garbage collection: the verifier's quality
+// finding names the tree by it.
 func (t *Tree) String() string {
-	return fmt.Sprintf("FT(%d,%d): %d nodes, %d switches", t.m, t.n, t.nodes, t.switches)
+	var buf [64]byte
+	b := append(buf[:0], "FT("...)
+	b = strconv.AppendInt(b, int64(t.m), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(t.n), 10)
+	b = append(b, "): "...)
+	b = strconv.AppendInt(b, int64(t.nodes), 10)
+	b = append(b, " nodes, "...)
+	b = strconv.AppendInt(b, int64(t.switches), 10)
+	return string(append(b, " switches"...))
 }
 
 // ValidNode reports whether id names a processing node of the tree.

@@ -107,17 +107,7 @@ func (f *fabric) checkAddressing(rep *Report) {
 		if f.owner[lid] >= 0 {
 			continue
 		}
-		routed := 0
-		var first topology.SwitchID
-		for sw, lft := range f.in.LFTs {
-			if lft.Port(ib.LID(lid)) != ib.PortNone {
-				if routed == 0 {
-					first = topology.SwitchID(sw)
-				}
-				routed++
-			}
-		}
-		if routed > 0 {
+		if first, routed := f.routedOn(lid); routed > 0 {
 			f.add(rep, Finding{
 				Analyzer: "addressing",
 				Severity: Warning,
@@ -126,4 +116,18 @@ func (f *fabric) checkAddressing(rep *Report) {
 			})
 		}
 	}
+}
+
+// routedOn returns how many switches hold a forwarding entry for lid, and
+// the first of them.
+func (f *fabric) routedOn(lid int) (first topology.SwitchID, routed int) {
+	for sw, lft := range f.in.LFTs {
+		if lft.Port(ib.LID(lid)) != ib.PortNone {
+			if routed == 0 {
+				first = topology.SwitchID(sw)
+			}
+			routed++
+		}
+	}
+	return first, routed
 }

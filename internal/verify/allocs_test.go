@@ -26,12 +26,12 @@ import (
 // quality pass on: the same fault repaired by core.RepairState, sources
 // choosing fault-avoiding DLIDs through core.SelectLID. It allocates 79
 // (479 before the same change): the report, its 64 capped warnings and the
-// quality block, never one per traced flow. Its quality finding is
-// formatted by two fmt.Sprintf calls, and fmt keeps its printers in a
-// sync.Pool, which the collections empty (88 after them) and the race
-// detector thins at random; those runs get the bound the case had before
-// the arena pool, 95. An arena pool that the collections empty costs a
-// healthy Run 26 allocations, a repaired one 132 and a static one 154.
+// quality block, never one per traced flow. Its quality finding was once
+// formatted by fmt.Sprintf, whose printer sync.Pool the collections empty
+// and the race detector thins: 88 after them. Built with strconv into a
+// stack buffer, it costs 79 in every mode. An arena pool that the
+// collections empty costs a healthy Run 26 allocations, a repaired one 132
+// and a static one 154.
 func TestVerifyEpochAllocs(t *testing.T) {
 	healthy, repaired, opt := epochInputs(t)
 	static, staticOpt := staticInput(t)
@@ -40,18 +40,13 @@ func TestVerifyEpochAllocs(t *testing.T) {
 		in   verify.Input
 		opt  verify.Options
 		want float64
-		// fmtWant replaces want when fmt's printer pool may have been
-		// emptied: after the collections or under the race detector.
-		fmtWant float64
 	}{
-		{"healthy", healthy, opt, 1, 1},
-		{"repaired", repaired, opt, 67, 67},
-		{"static-quality", static, staticOpt, 79, 95},
+		{"healthy", healthy, opt, 1},
+		{"repaired", repaired, opt, 67},
+		{"static-quality", static, staticOpt, 79},
 	} {
 		for _, gc := range []bool{false, true} {
-			// AllocsPerRun warms up with one run first; 20 runs average out
-			// the race detector's random pool drops.
-			allocs := testing.AllocsPerRun(20, func() {
+			allocs := testing.AllocsPerRun(20, func() { // AllocsPerRun warms up with one run first
 				if gc {
 					runtime.GC()
 					runtime.GC()
@@ -60,12 +55,8 @@ func TestVerifyEpochAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			want := c.want
-			if gc || raceEnabled {
-				want = c.fmtWant
-			}
-			if allocs > want {
-				t.Errorf("%s, collections between Runs %v: %.0f allocations per Run, want <= %.0f", c.name, gc, allocs, want)
+			if allocs > c.want {
+				t.Errorf("%s, collections between Runs %v: %.0f allocations per Run, want <= %.0f", c.name, gc, allocs, c.want)
 			}
 		}
 	}

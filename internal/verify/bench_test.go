@@ -58,3 +58,49 @@ func BenchmarkLinkLoad(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEpochVerify measures one SM epoch's verification after a
+// one-link change on epochInputs' repaired FT(8,3) MLID fabric (2 VLs
+// mapped by DLID): each iteration takes a leaf up-link down, or back up,
+// and verifies the new epoch. incremental reports the change to a seeded
+// verify.Epochs and checks, re-walking only the LIDs the tables at the
+// link's ends forward over it; full runs verify.Run over every route, as
+// each epoch did before.
+func BenchmarkEpochVerify(b *testing.B) {
+	_, repaired, opt := epochInputs(b)
+	tr := repaired.Tree
+	leaf, _ := tr.NodeAttachment(5)
+	link := [2]int32{int32(leaf), int32(tr.H())} // a live up-link
+	base := repaired.DeadLinks
+	toggle := func(i int) verify.Input {
+		in := repaired
+		if i%2 == 0 {
+			in.DeadLinks = append(base[:len(base):len(base)], link)
+		}
+		return in
+	}
+	b.Run("incremental", func(b *testing.B) {
+		var e verify.Epochs
+		if _, _, err := e.Check(repaired, opt); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.TouchLink(link[0], int(link[1]))
+			_, clean, err := e.Check(toggle(i), opt)
+			if err != nil || !clean {
+				b.Fatalf("epoch %d: clean %v, err %v", i, clean, err)
+			}
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rep, err := verify.Run(toggle(i), opt)
+			if err != nil || rep.Errors() != 0 {
+				b.Fatalf("epoch %d: %v errors, err %v", i, rep, err)
+			}
+		}
+	})
+}

@@ -11,26 +11,60 @@ import (
 // the channels some route holds, and an edge set indexed
 // prevChannel*m + nextPort — the next channel's switch is prevChannel's
 // neighbor, so the port alone names it.
+//
+// A counted graph (Epochs') also keeps each edge's route count in refs, so
+// a route can be taken out again: dep adds step (+1 or -1) to the edge's
+// count, an edge is in the set while its count is positive, and grew
+// records that an edge entered the set. It does not track used channels.
 type depGraph struct {
 	m     int
 	used  bitset
 	edges bitset
+	refs  []int32
+	step  int32
+	grew  bool
 }
 
-// reset empties g for f's fabric, reusing its bitsets.
-func (g *depGraph) reset(f *fabric) {
+// reset empties g for f's fabric, reusing its bitsets, and makes it a
+// counted graph when counted is set.
+func (g *depGraph) reset(f *fabric, counted bool) {
 	numChan := f.t.Switches() * f.m
 	g.m = f.m
 	g.used = g.used.resize(numChan)
 	g.edges = g.edges.resize(numChan * f.m)
+	g.step, g.grew = 1, false
+	if counted {
+		g.refs = arena.Recycle(g.refs, numChan*f.m)
+	} else {
+		g.refs = nil
+	}
 }
 
 // dep records that a route holds channel cur, out of port, having arrived
 // holding prev (prev < 0: cur is the route's first channel).
 func (g *depGraph) dep(prev, cur int32, port int) {
+	if g.refs != nil {
+		if prev >= 0 {
+			g.count(int(prev)*g.m + port)
+		}
+		return
+	}
 	g.used.set(int(cur))
 	if prev >= 0 {
 		g.edges.set(int(prev)*g.m + port)
+	}
+}
+
+// count adds g.step to edge e's route count, keeping the edge set in step.
+func (g *depGraph) count(e int) {
+	n := g.refs[e] + g.step
+	g.refs[e] = n
+	switch {
+	case n == 0:
+		g.edges.unset(e)
+	case n == 1 && g.step > 0:
+		g.edges.set(e)
+		g.grew = true
 	}
 }
 

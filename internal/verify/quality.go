@@ -1,8 +1,8 @@
 package verify
 
 import (
-	"fmt"
 	"slices"
+	"strconv"
 
 	"mlid/internal/arena"
 	"mlid/internal/ib"
@@ -133,13 +133,35 @@ func (f *fabric) checkQuality(rep *Report, flows []traffic.Flow) {
 	}
 
 	rep.Stats.Quality = append(rep.Stats.Quality, q)
+	// Built with strconv, not fmt: fmt's printer pool does not survive a
+	// garbage collection, and the finding should cost its two strings.
+	// AppendFloat's 'f' format is fmt's %f, byte for byte.
+	var buf [256]byte
+	b := append(buf[:0], q.Matrix...)
+	b = append(b, ": max inter-switch load "...)
+	b = strconv.AppendFloat(b, q.MaxLoad, 'f', 1, 64)
+	b = append(b, " at "...)
+	b = append(b, q.MaxLink...)
+	b = append(b, " (mean "...)
+	b = strconv.AppendFloat(b, q.MeanLoad, 'f', 1, 64)
+	b = append(b, "), dilation mean "...)
+	b = strconv.AppendFloat(b, q.MeanDilation, 'f', 3, 64)
+	b = append(b, ", root links max/mean/min "...)
+	b = strconv.AppendFloat(b, q.RootLinkMax, 'f', 1, 64)
+	b = append(b, '/')
+	b = strconv.AppendFloat(b, q.RootLinkMean, 'f', 1, 64)
+	b = append(b, '/')
+	b = strconv.AppendFloat(b, q.RootLinkMin, 'f', 1, 64)
+	b = append(b, ", "...)
+	b = strconv.AppendInt(b, int64(q.Unrouted), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(q.Flows), 10)
+	b = append(b, " flows unrouted"...)
 	f.add(rep, Finding{
 		Analyzer: "quality",
 		Severity: Info,
 		Location: t.String(),
-		Message: fmt.Sprintf("%s: max inter-switch load %.1f at %s (mean %.1f), dilation mean %.3f, root links max/mean/min %.1f/%.1f/%.1f, %d/%d flows unrouted",
-			q.Matrix, q.MaxLoad, q.MaxLink, q.MeanLoad, q.MeanDilation,
-			q.RootLinkMax, q.RootLinkMean, q.RootLinkMin, q.Unrouted, q.Flows),
+		Message:  string(b),
 	})
 }
 

@@ -20,7 +20,9 @@ const (
 // run after run: the claim set of flagged (switch, LID) entries, the
 // current route's out-channels, the channel-dependency graph of every lane
 // the walks feed, and the report whose stats the walk counts into. A route
-// that hits no defect allocates nothing.
+// that hits no defect allocates nothing. A walker with no report (Epochs')
+// only follows routes: it claims no entry and builds no finding, and its
+// graphs count each dependency's routes.
 type walker struct {
 	f       *fabric
 	rep     *Report
@@ -39,12 +41,14 @@ func (f *fabric) walker(rep *Report) *walker {
 		lanes = f.vls
 	}
 	w.f, w.rep, w.found = f, rep, 0
-	w.claimed = w.claimed.resize(f.t.Switches() * f.space)
+	if rep != nil {
+		w.claimed = w.claimed.resize(f.t.Switches() * f.space)
+	}
 	w.hops = slices.Grow(w.hops[:0], f.maxSwitches)
 	w.path = slices.Grow(w.path[:0], f.maxSwitches)
 	w.graphs = slices.Grow(w.graphs[:0], lanes)[:lanes]
 	for l := range w.graphs {
-		w.graphs[l].reset(f)
+		w.graphs[l].reset(f, rep == nil)
 	}
 	return w
 }
@@ -62,6 +66,9 @@ func (w *walker) full() bool {
 // dominant cost of a walk over a heavily degraded fabric, so nothing is
 // built that could not reach the report.
 func (w *walker) claim(sw topology.SwitchID, lid int) bool {
+	if w.rep == nil {
+		return false
+	}
 	i := int(sw)*w.f.space + lid
 	if w.claimed.has(i) {
 		return false

@@ -156,41 +156,10 @@ var runPool arena.Pool[fabric]
 // set, a dead link naming no switch port); defects in the forwarding state
 // itself are findings, never errors.
 func Run(in Input, opt Options) (*Report, error) {
-	if in.Tree == nil {
-		return nil, fmt.Errorf("verify: Input.Tree is required")
+	opt, err := prepare(in, opt)
+	if err != nil {
+		return nil, err
 	}
-	t := in.Tree
-	if len(in.Endports) != t.Nodes() {
-		return nil, fmt.Errorf("verify: %d endport ranges for %d nodes", len(in.Endports), t.Nodes())
-	}
-	if len(in.LFTs) != t.Switches() {
-		return nil, fmt.Errorf("verify: %d forwarding tables for %d switches", len(in.LFTs), t.Switches())
-	}
-	for s, lft := range in.LFTs {
-		if lft == nil {
-			return nil, fmt.Errorf("verify: switch %d has no forwarding table", s)
-		}
-	}
-	m := t.M()
-	for i, e := range in.DeadLinks {
-		if !t.ValidSwitch(topology.SwitchID(e[0])) || e[1] < 0 || int(e[1]) >= m {
-			return nil, fmt.Errorf("verify: dead link %d (switch %d, port %d) names no switch port: the fabric has %d switches of %d ports",
-				i, e[0], e[1], t.Switches(), m)
-		}
-	}
-	for i, fl := range opt.Flows {
-		if !t.ValidNode(fl.Src) || !t.ValidNode(fl.Dst) || !(fl.Weight >= 0) {
-			return nil, fmt.Errorf("verify: flow %d (%d->%d, weight %v) needs nodes in [0,%d) and a non-negative weight",
-				i, fl.Src, fl.Dst, fl.Weight, t.Nodes())
-		}
-	}
-	if opt.VLs <= 0 {
-		opt.VLs = 1
-	}
-	if opt.MaxFindings == 0 {
-		opt.MaxFindings = 64
-	}
-
 	f := runPool.Get()
 	defer f.release()
 	f.reset(in, opt)
@@ -204,6 +173,47 @@ func Run(in Input, opt Options) (*Report, error) {
 	}
 	f.keep(rep)
 	return rep, nil
+}
+
+// prepare rejects unusable input — a nil tree, a mismatched table set, a
+// dead link naming no switch port, a flow outside the fabric — and returns
+// opt with its defaults filled in.
+func prepare(in Input, opt Options) (Options, error) {
+	if in.Tree == nil {
+		return opt, fmt.Errorf("verify: Input.Tree is required")
+	}
+	t := in.Tree
+	if len(in.Endports) != t.Nodes() {
+		return opt, fmt.Errorf("verify: %d endport ranges for %d nodes", len(in.Endports), t.Nodes())
+	}
+	if len(in.LFTs) != t.Switches() {
+		return opt, fmt.Errorf("verify: %d forwarding tables for %d switches", len(in.LFTs), t.Switches())
+	}
+	for s, lft := range in.LFTs {
+		if lft == nil {
+			return opt, fmt.Errorf("verify: switch %d has no forwarding table", s)
+		}
+	}
+	m := t.M()
+	for i, e := range in.DeadLinks {
+		if !t.ValidSwitch(topology.SwitchID(e[0])) || e[1] < 0 || int(e[1]) >= m {
+			return opt, fmt.Errorf("verify: dead link %d (switch %d, port %d) names no switch port: the fabric has %d switches of %d ports",
+				i, e[0], e[1], t.Switches(), m)
+		}
+	}
+	for i, fl := range opt.Flows {
+		if !t.ValidNode(fl.Src) || !t.ValidNode(fl.Dst) || !(fl.Weight >= 0) {
+			return opt, fmt.Errorf("verify: flow %d (%d->%d, weight %v) needs nodes in [0,%d) and a non-negative weight",
+				i, fl.Src, fl.Dst, fl.Weight, t.Nodes())
+		}
+	}
+	if opt.VLs <= 0 {
+		opt.VLs = 1
+	}
+	if opt.MaxFindings == 0 {
+		opt.MaxFindings = 64
+	}
+	return opt, nil
 }
 
 // reset resolves in into f, resizing the tables in place.
@@ -234,8 +244,15 @@ func (f *fabric) reset(in Input, opt Options) {
 		f.swLabels = arena.Recycle(f.swLabels, t.Switches())
 		f.labelShape = shape
 	}
-	f.dead = arena.Recycle(f.dead, t.Switches()*m)
-	for _, e := range in.DeadLinks {
+	f.markDead()
+}
+
+// markDead rebuilds the dead-channel table from the input's dead links:
+// both directions of each.
+func (f *fabric) markDead() {
+	m := f.m
+	f.dead = arena.Recycle(f.dead, len(f.nbr))
+	for _, e := range f.in.DeadLinks {
 		c := int(e[0])*m + int(e[1])
 		f.dead[c] = true
 		if ref := f.nbr[c]; ref.Kind == topology.KindSwitch {
@@ -328,6 +345,7 @@ func (b bitset) resize(n int) bitset { return arena.Recycle(b, (n+63)/64) }
 
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b bitset) unset(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 
 // count returns the number of members.
 func (b bitset) count() int {
