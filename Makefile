@@ -67,11 +67,15 @@ soak:
 # value under each MAD attribute codec, without panicking; FuzzEpochVerify
 # simulates a random link and switch down/up timeline on a small fat-tree
 # under both schemes and holds every epoch's incremental verification
-# (verify.Epochs) against a full verify.Run. Run one longer by hand with
+# (verify.Epochs) against a full verify.Run; FuzzRunFindings runs
+# verify.Run over random table corruptions and dead links on small
+# fat-trees and holds its error and warning counts to the rendered
+# findings and its JSON lines to valid JSON. Run one longer by hand with
 # `go test -run xxx -fuzz FuzzMAD -fuzztime 5m ./internal/ib/`.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMAD -fuzztime 10s ./internal/ib/
 	$(GO) test -run xxx -fuzz FuzzEpochVerify -fuzztime 10s ./internal/sim/
+	$(GO) test -run xxx -fuzz FuzzRunFindings -fuzztime 10s ./internal/verify/
 
 # bench-check vets and tests the nested benchmark module (bench/, module
 # mlid/bench), which the root `go test ./...` never builds: renaming an
@@ -99,9 +103,9 @@ BENCH_COUNT ?= 1
 # bench runs the control-plane layer benchmarks with allocation counts:
 # subnet configuration beside ib.SubnetManager, route tracing, incremental
 # repair and SM recovery beside core.Trace and core.RepairState, and the
-# static verifier beside verify.Run (the per-epoch pass, healthy and
-# repaired, one epoch after a one-link change checked incrementally by
-# verify.Epochs against a full Run, and the quality pass on the all-to-one
+# static verifier beside verify.Run (a full safety pass, healthy and
+# repaired; one SM epoch after a one-link change, checked incrementally by
+# verify.Epochs against a full Run; and the quality pass on the all-to-one
 # matrix).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSubnetConfigure|BenchmarkTrace|BenchmarkRepairIncremental|BenchmarkSMRecovery|BenchmarkVerifyEpoch|BenchmarkEpochVerify|BenchmarkLinkLoad' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/ib/ ./internal/core/ ./internal/verify/

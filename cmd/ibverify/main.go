@@ -99,7 +99,7 @@ func runVerify(w io.Writer, m, n int, schemeName string, vls int, faultList, sel
 	// Configure, so a fabric whose plan overflows the 16-bit space (MLID on
 	// FT(16,3) needs 65,537 LIDs) is reported as a finding with the sizing
 	// arithmetic as witness instead of dying on the configuration error.
-	if rep := addressingOnly(tree, eng); rep.Errors() > 0 {
+	if rep := verify.AddressingScheme(tree, eng); rep.Errors() > 0 {
 		return render(w, rep, jsonOut)
 	}
 
@@ -161,14 +161,6 @@ func runVerify(w io.Writer, m, n int, schemeName string, vls int, faultList, sel
 	return render(w, rep, jsonOut)
 }
 
-// addressingOnly wraps the pre-Configure addressing check in a Report so both
-// output modes render it like any other run.
-func addressingOnly(tree *topology.Tree, eng ib.RoutingEngine) *verify.Report {
-	rep := &verify.Report{}
-	rep.Findings = append(rep.Findings, verify.AddressingScheme(tree, eng)...)
-	return rep
-}
-
 // runDegraded is the sweep mode: the experiment's degraded-fabric study plus
 // the static-vs-simulated ordering check the study exists to enforce.
 func runDegraded(w io.Writer, m, n int, maxRate float64, quick, jsonOut bool) error {
@@ -195,7 +187,7 @@ func runDegraded(w io.Writer, m, n int, maxRate float64, quick, jsonOut bool) er
 		return err
 	}
 	for _, eng := range []ib.RoutingEngine{core.NewSLID(), core.NewMLID()} {
-		if rep := addressingOnly(tree, eng); rep.Errors() > 0 {
+		if rep := verify.AddressingScheme(tree, eng); rep.Errors() > 0 {
 			return render(w, rep, jsonOut)
 		}
 	}

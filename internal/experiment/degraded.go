@@ -342,9 +342,9 @@ func degradedStudy(spec DegradedSpec) (study[DegradedRow], error) {
 		if err != nil {
 			return fmt.Errorf("experiment: degraded verify %s at %s: %w", scheme.Name(), sc.label, err)
 		}
-		if n := rep.Errors(); n > 0 {
+		if f, ok := rep.FirstError(); ok {
 			return fmt.Errorf("experiment: degraded verify %s at %s: %d error finding(s); first: %s",
-				scheme.Name(), sc.label, n, firstError(rep))
+				scheme.Name(), sc.label, rep.Errors(), f)
 		}
 		row.StaticWarnings = rep.Warnings()
 		if len(rep.Stats.Quality) == 0 {
@@ -375,16 +375,6 @@ func degradedStudy(spec DegradedSpec) (study[DegradedRow], error) {
 		return nil
 	}
 	return s, nil
-}
-
-// firstError returns the first error-severity finding's rendering.
-func firstError(rep *verify.Report) string {
-	for _, f := range rep.Findings {
-		if f.Severity == verify.Error {
-			return f.String()
-		}
-	}
-	return "(none)"
 }
 
 // DegradedOrderingConsistent checks the study's cross-validation claim: in

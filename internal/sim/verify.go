@@ -66,12 +66,10 @@ func (s *Sim) verifyEpoch() {
 	s.res.VerifiedEpochs++
 	s.res.VerifyWarnings += warnings
 	if rep != nil {
-		for _, f := range rep.Findings {
-			if f.Severity == verify.Error {
-				s.fail(fmt.Errorf("sim: epoch verification at %d ns found %d error(s); first: %s",
-					s.now, rep.Errors(), f.String()))
-				return
-			}
+		if f, ok := rep.FirstError(); ok {
+			s.fail(fmt.Errorf("sim: epoch verification at %d ns found %d error(s); first: %s",
+				s.now, rep.Errors(), f.String()))
+			return
 		}
 	}
 	s.verifyCompiledRows()

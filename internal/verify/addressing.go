@@ -1,8 +1,6 @@
 package verify
 
 import (
-	"fmt"
-
 	"mlid/internal/arena"
 	"mlid/internal/ib"
 	"mlid/internal/topology"
@@ -16,32 +14,19 @@ const lidSpaceLimit = 1 << 16
 // space must fit 16 bits. It is the check cmd/ibverify runs up front, so a
 // scheme that cannot be configured at all (MLID on FT(16,3) needs 65,537
 // LIDs, one past the space) surfaces as a finding instead of a fatal
-// configuration error.
-func AddressingScheme(t *topology.Tree, eng ib.RoutingEngine) []Finding {
-	var out []Finding
-	lmc := eng.LMC(t)
-	if lmc > ib.MaxLMC {
-		out = append(out, Finding{
-			Analyzer: "addressing",
-			Severity: Error,
-			Location: t.String(),
-			Message: fmt.Sprintf("scheme %s requires LMC %d > architectural maximum %d",
-				eng.Name(), lmc, ib.MaxLMC),
-			Witness: []string{fmt.Sprintf("LMC field is 3 bits, max %d", ib.MaxLMC)},
-		}.valid())
+// configuration error. The report carries those findings alone.
+func AddressingScheme(t *topology.Tree, eng ib.RoutingEngine) *Report {
+	return &Report{t: t, eng: eng, recs: schemeRecords(t, eng)}
+}
+
+// schemeRecords returns the scheme-level addressing findings.
+func schemeRecords(t *topology.Tree, eng ib.RoutingEngine) []record {
+	var out []record
+	if lmc := eng.LMC(t); lmc > ib.MaxLMC {
+		out = append(out, record{kind: kindLMC, n: int(lmc)})
 	}
 	if space := eng.LIDSpace(t); space > lidSpaceLimit {
-		out = append(out, Finding{
-			Analyzer: "addressing",
-			Severity: Error,
-			Location: t.String(),
-			Message: fmt.Sprintf("LID-space exhaustion: scheme %s needs %d LIDs, %d past the 16-bit space",
-				eng.Name(), space, space-lidSpaceLimit),
-			Witness: []string{
-				fmt.Sprintf("LIDSpace=%d", space),
-				fmt.Sprintf("16-bit limit=%d", lidSpaceLimit),
-			},
-		}.valid())
+		out = append(out, record{kind: kindLIDSpace, n: space})
 	}
 	return out
 }
@@ -51,8 +36,8 @@ func AddressingScheme(t *topology.Tree, eng ib.RoutingEngine) []Finding {
 // with. A duplicated LID keeps its first owner so the walk stays defined.
 func (f *fabric) checkAddressing(rep *Report) {
 	if f.in.Engine != nil {
-		for _, fd := range AddressingScheme(f.t, f.in.Engine) {
-			f.add(rep, fd)
+		for _, r := range schemeRecords(f.t, f.in.Engine) {
+			f.add(rep, r, nil)
 		}
 	}
 	f.owner = arena.Recycle(f.owner, f.space)
@@ -60,41 +45,20 @@ func (f *fabric) checkAddressing(rep *Report) {
 		f.owner[i] = -1
 	}
 	for p, r := range f.in.Endports {
-		// Labels are built only for findings: a clean plan formats nothing.
-		node := func() string { return f.t.NodeLabel(topology.NodeID(p)) }
+		node := topology.NodeID(p)
 		if r.Base == 0 {
-			f.add(rep, Finding{
-				Analyzer: "addressing",
-				Severity: Error,
-				Location: node(),
-				Message:  "assigned the reserved base LID 0",
-			})
+			f.add(rep, record{kind: kindBaseZero, node: node}, nil)
 			continue
 		}
 		for off := 0; off < r.Count(); off++ {
 			lid := int(r.Base) + off
 			if lid >= f.space {
-				f.add(rep, Finding{
-					Analyzer: "addressing",
-					Severity: Error,
-					Location: node(),
-					Message: fmt.Sprintf("LID %d beyond the forwarding-table size %d (LMC block overflows the table)",
-						lid, f.space),
-					Witness: []string{r.String()},
-				})
+				f.add(rep, record{kind: kindBeyondTable, node: node, lid: int32(lid), n: f.space, ranges: [2]ib.LIDRange{r}}, nil)
 				break
 			}
 			if prev := f.owner[lid]; prev >= 0 {
-				f.add(rep, Finding{
-					Analyzer: "addressing",
-					Severity: Error,
-					Location: node(),
-					Message:  fmt.Sprintf("LID %d already owned by %s (LMC blocks overlap)", lid, f.t.NodeLabel(topology.NodeID(prev))),
-					Witness: []string{
-						fmt.Sprintf("%s owns %s", f.t.NodeLabel(topology.NodeID(prev)), f.in.Endports[prev].String()),
-						fmt.Sprintf("%s owns %s", node(), r.String()),
-					},
-				})
+				f.add(rep, record{kind: kindOverlap, node: node, other: topology.NodeID(prev), lid: int32(lid),
+					ranges: [2]ib.LIDRange{r, f.in.Endports[prev]}}, nil)
 				continue
 			}
 			f.owner[lid] = int32(p)
@@ -108,12 +72,7 @@ func (f *fabric) checkAddressing(rep *Report) {
 			continue
 		}
 		if first, routed := f.routedOn(lid); routed > 0 {
-			f.add(rep, Finding{
-				Analyzer: "addressing",
-				Severity: Warning,
-				Location: f.t.SwitchLabel(first),
-				Message:  fmt.Sprintf("orphaned LID %d routed on %d switches but owned by no endport", lid, routed),
-			})
+			f.add(rep, record{kind: kindOrphan, sw: first, lid: int32(lid), n: routed}, nil)
 		}
 	}
 }

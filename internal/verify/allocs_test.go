@@ -10,28 +10,17 @@ import (
 	"mlid/internal/verify"
 )
 
-// TestVerifyEpochAllocs pins the allocations of one per-epoch Run on
-// BenchmarkVerifyEpoch's inputs, warm and with two garbage collections
-// before each Run. Before Run recycled its state it built the neighbor,
-// dead-link and owner tables, the walk's claim and dependency bitsets, the
-// adjacency lists and the cycle-search arrays afresh: 33 allocations
-// healthy, 512 repaired. With the state kept a healthy Run allocates 1 (the
-// report). A repaired one allocated 466 while each finding formatted its
-// own location and witness labels and the findings slice grew by appending;
-// with the labels read from the recycled fabric's table and the findings
-// and witnesses copied out once at exact size it allocates 67: the report,
-// its 64 warnings' messages, one findings array and one witness array.
-//
-// The third input is the degraded study's static view, the one Run with the
-// quality pass on: the same fault repaired by core.RepairState, sources
-// choosing fault-avoiding DLIDs through core.SelectLID. It allocates 79
-// (479 before the same change): the report, its 64 capped warnings and the
-// quality block, never one per traced flow. Its quality finding was once
-// formatted by fmt.Sprintf, whose printer sync.Pool the collections empty
-// and the race detector thins: 88 after them. Built with strconv into a
-// stack buffer, it costs 79 in every mode. An arena pool that the
-// collections empty costs a healthy Run 26 allocations, a repaired one 132
-// and a static one 154.
+// TestVerifyEpochAllocs pins verify.Run's allocations on three inputs,
+// warm and with two garbage collections before each Run; make race runs
+// it under the race detector too. The per-run state comes from runPool,
+// whose idle fabrics survive collections, and each finding is a typed
+// record, rendered only when the report is read. A healthy FT(8,3) MLID
+// Run (BenchmarkVerifyEpoch's input) allocates its report alone. One over
+// the tables core.RepairSubnet left after a four-link fault, with 64
+// capped warnings, adds the records array and the witness-channel array.
+// The degraded study's static view, the one input with the quality pass
+// on, adds the quality block and its max-link label, never one per traced
+// flow.
 func TestVerifyEpochAllocs(t *testing.T) {
 	healthy, repaired, opt := epochInputs(t)
 	static, staticOpt := staticInput(t)
@@ -42,8 +31,8 @@ func TestVerifyEpochAllocs(t *testing.T) {
 		want float64
 	}{
 		{"healthy", healthy, opt, 1},
-		{"repaired", repaired, opt, 67},
-		{"static-quality", static, staticOpt, 79},
+		{"repaired", repaired, opt, 3},
+		{"static-quality", static, staticOpt, 5},
 	} {
 		for _, gc := range []bool{false, true} {
 			allocs := testing.AllocsPerRun(20, func() { // AllocsPerRun warms up with one run first

@@ -9,9 +9,10 @@ import (
 	"mlid/internal/verify"
 )
 
-// BenchmarkVerifyEpoch measures one per-epoch static verification, the
-// pass sim.Config.VerifyEpochs runs at every SM epoch, on epochInputs:
-// FT(8,3) MLID with 2 VLs mapped by DLID, quality skipped. healthy verifies
+// BenchmarkVerifyEpoch measures one full safety pass of verify.Run — the
+// pass an SM epoch falls back to when verify.Epochs finds the fabric
+// unclean — on epochInputs: FT(8,3) MLID with 2 VLs mapped by DLID,
+// quality skipped. healthy verifies
 // the configured tables; repaired verifies the tables core.RepairSubnet
 // leaves after a fixed four-link fault, whose broken descending entries are
 // warnings. Work is one walk per (leaf, assigned LID) route, reported as

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"fmt"
 	"slices"
 
 	"mlid/internal/arena"
@@ -94,21 +93,11 @@ func (f *fabric) checkDeadlock(rep *Report, graphs []depGraph) {
 		if cycle == nil {
 			continue
 		}
-		witness := make([]string, len(cycle))
-		for i, c := range cycle {
-			witness[i] = f.chanLabel(c)
-		}
-		lane := "every VL (no VL transitions)"
+		lane := -1 // every lane
 		if f.vlOf != nil {
-			lane = fmt.Sprintf("VL %d", vl)
+			lane = vl
 		}
-		f.add(rep, Finding{
-			Analyzer: "deadlock",
-			Severity: Error,
-			Location: witness[0],
-			Message:  fmt.Sprintf("channel-dependency cycle of %d links on %s: credit deadlock possible", len(cycle), lane),
-			Witness:  witness,
-		})
+		f.add(rep, record{kind: kindCycle, n: lane}, cycle)
 	}
 }
 
@@ -157,12 +146,12 @@ type dfsFrame struct {
 // cycle exists does the quadratic shortest-search run (per-node BFS back to
 // itself), so the healthy-fabric path stays linear. The cycle returned is
 // freshly allocated.
-func (cs *cycleSearch) shortest(adj [][]int32) []int {
+func (cs *cycleSearch) shortest(adj [][]int32) []int32 {
 	numChan := len(adj)
 	if !cs.hasCycle(adj) {
 		return nil
 	}
-	var best []int
+	var best []int32
 	cs.dist = arena.Recycle(cs.dist, numChan)
 	cs.parent = arena.Recycle(cs.parent, numChan)
 	// Each BFS enqueues a channel at most once, so the queue never
@@ -179,7 +168,7 @@ func (cs *cycleSearch) shortest(adj [][]int32) []int {
 		// Self-loop: the shortest possible cycle.
 		for _, nb := range adj[start] {
 			if int(nb) == start {
-				return []int{start}
+				return []int32{int32(start)}
 			}
 		}
 		for i := range dist {
@@ -201,9 +190,9 @@ func (cs *cycleSearch) shortest(adj [][]int32) []int {
 			}
 			for _, nb := range adj[v] {
 				if int(nb) == start {
-					cyc := []int{start}
+					cyc := []int32{int32(start)}
 					for u := v; u != int32(start); u = parent[u] {
-						cyc = append(cyc, int(u))
+						cyc = append(cyc, u)
 					}
 					// Reverse into walk order: start -> ... -> v -> start.
 					for i, j := 1, len(cyc)-1; i < j; i, j = i+1, j-1 {

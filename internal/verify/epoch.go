@@ -160,13 +160,11 @@ func (e *Epochs) seed(in Input, opt Options) {
 	var rep Report
 	f.checkAddressing(&rep)
 	e.addrErrors = 0
-	for _, fd := range f.findings {
-		if fd.Severity == Error {
+	for _, r := range f.recs {
+		if kinds[r.kind].severity == Error {
 			e.addrErrors++
 		}
 	}
-	clear(f.findings)
-	f.findings, f.wit = f.findings[:0], f.wit[:0]
 	f.walker(nil)
 	space, nodes := f.space, f.t.Nodes()
 	e.orphan = e.orphan.resize(space)

@@ -4,15 +4,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
+
+	"mlid/internal/ib"
+	"mlid/internal/topology"
 )
 
 // Severity grades a finding. Error findings are violations of properties the
 // schemes guarantee (a loop, a credit cycle, an unexplained dead end);
 // Warning findings are conditions a recorded fault explains (an entry left
 // pointing at a down link drops packets observably, it does not misroute
-// them); Info findings carry metrics with no pass/fail meaning. The zero
-// Severity is none of these: a finding recorded without one panics, so an
-// omitted grade fails the first test that reaches it.
+// them); Info findings carry metrics with no pass/fail meaning. Each
+// finding kind has one fixed severity.
 type Severity int
 
 const (
@@ -61,8 +65,8 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 // Finding is one typed result of a static analyzer: what was found, how bad
 // it is, where in the fabric it sits, and the witness that proves it (a
 // forwarding path for reachability findings, a channel cycle for deadlock
-// findings). Every construction must set Severity: the zero value is
-// invalid and rejected where the finding is recorded.
+// findings). Report.Findings renders them; the type's fields, JSON tags
+// and String are the format ibverify prints.
 type Finding struct {
 	// Analyzer names the family that produced the finding: "reachability",
 	// "deadlock", "addressing" or "quality".
@@ -82,20 +86,9 @@ type Finding struct {
 func (f Finding) String() string {
 	s := fmt.Sprintf("%s: %s: %s: %s", f.Severity, f.Analyzer, f.Location, f.Message)
 	if len(f.Witness) > 0 {
-		s += fmt.Sprintf(" [witness: %s]", joinWitness(f.Witness))
+		s += " [witness: " + strings.Join(f.Witness, " -> ") + "]"
 	}
 	return s
-}
-
-func joinWitness(w []string) string {
-	out := ""
-	for i, h := range w {
-		if i > 0 {
-			out += " -> "
-		}
-		out += h
-	}
-	return out
 }
 
 // QualityReport is the quality analyzer's metric block for one traffic
@@ -146,18 +139,205 @@ type Stats struct {
 	Quality []QualityReport `json:"quality,omitempty"`
 }
 
-// Report collects every analyzer's findings plus run statistics.
+// Report collects every analyzer's findings plus run statistics. Run
+// records each finding as a typed record — its kind and the switch,
+// channel, LID, node and count values it names — and Findings renders the
+// text only when the report is read.
 type Report struct {
-	Findings []Finding `json:"findings"`
-	Stats    Stats     `json:"stats"`
+	Stats Stats `json:"stats"`
+	t     *topology.Tree
+	eng   ib.RoutingEngine
+	recs  []record
+	// chans holds every record's witness channels (sw*m+port); a record's
+	// witness is the sub-slice chans[from:to].
+	chans []int32
 }
 
-// valid returns f, panicking when its Severity is not a grade.
-func (f Finding) valid() Finding {
-	if f.Severity < Info || f.Severity > Error {
-		panic(fmt.Sprintf("verify: %s finding %q recorded with invalid severity %d", f.Analyzer, f.Message, int(f.Severity)))
+// analyzer indexes the four analyzer families.
+type analyzer uint8
+
+const (
+	reachability analyzer = iota
+	deadlock
+	addressing
+	quality
+	numAnalyzers
+)
+
+var analyzerNames = [numAnalyzers]string{"reachability", "deadlock", "addressing", "quality"}
+
+// kind is what a finding reports; kinds gives each kind's analyzer and
+// severity.
+type kind uint8
+
+const (
+	kindLoop kind = iota
+	kindOverlong
+	kindDeadEnd
+	kindBadPort
+	kindDownLink
+	kindFallOff
+	kindMisdelivery
+	kindUnreachable
+	kindCycle
+	kindLMC
+	kindLIDSpace
+	kindBaseZero
+	kindBeyondTable
+	kindOverlap
+	kindOrphan
+	kindQuality
+	numKinds
+)
+
+var kinds = [numKinds]struct {
+	analyzer analyzer
+	severity Severity
+}{
+	kindLoop:        {reachability, Error},
+	kindOverlong:    {reachability, Error},
+	kindDeadEnd:     {reachability, Error},
+	kindBadPort:     {reachability, Error},
+	kindDownLink:    {reachability, Warning},
+	kindFallOff:     {reachability, Error},
+	kindMisdelivery: {reachability, Error},
+	kindUnreachable: {reachability, Warning},
+	kindCycle:       {deadlock, Error},
+	kindLMC:         {addressing, Error},
+	kindLIDSpace:    {addressing, Error},
+	kindBaseZero:    {addressing, Error},
+	kindBeyondTable: {addressing, Error},
+	kindOverlap:     {addressing, Error},
+	kindOrphan:      {addressing, Warning},
+	kindQuality:     {quality, Info},
+}
+
+// record is one finding as a Run collects it. Each kind reads the fields
+// render names for it.
+type record struct {
+	kind  kind
+	lid   int32
+	sw    topology.SwitchID // the switch the finding anchors to
+	ch    int32             // the channel (sw*m+port) it anchors to
+	node  topology.NodeID
+	other topology.NodeID // the node a misdelivery reaches, or a LID's earlier owner
+	// n is the kind's count or value: a switch bound, a port, a route
+	// count, an LMC, a LID space, a lane (-1: every lane) or the index of
+	// the Stats.Quality block.
+	n int
+	// ranges are the LID ranges an addressing witness prints: the node's,
+	// then the earlier owner's.
+	ranges   [2]ib.LIDRange
+	from, to int32 // the witness: Report.chans[from:to]
+}
+
+// render builds record rc's Finding.
+func (r *Report) render(rc record) Finding {
+	t := r.t
+	k := kinds[rc.kind]
+	f := Finding{Analyzer: analyzerNames[k.analyzer], Severity: k.severity}
+	for _, c := range r.chans[rc.from:rc.to] {
+		f.Witness = append(f.Witness, chanLabel(t, c))
+	}
+	switch rc.kind {
+	case kindLoop:
+		f.Location = t.SwitchLabel(rc.sw)
+		f.Message = fmt.Sprintf("forwarding loop for DLID %d (%d switches)", rc.lid, len(f.Witness))
+	case kindOverlong:
+		f.Location = t.SwitchLabel(rc.sw)
+		f.Message = fmt.Sprintf("route for DLID %d exceeds %d switches without delivery", rc.lid, rc.n)
+	case kindDeadEnd:
+		f.Location = t.SwitchLabel(rc.sw)
+		f.Message = fmt.Sprintf("dead end: no forwarding entry for assigned DLID %d", rc.lid)
+	case kindBadPort:
+		f.Location = t.SwitchLabel(rc.sw)
+		f.Message = fmt.Sprintf("DLID %d routed to invalid physical port %d", rc.lid, rc.n)
+	case kindDownLink:
+		f.Location = chanLabel(t, rc.ch)
+		f.Message = fmt.Sprintf("entry for DLID %d points at a down link (packets drop here)", rc.lid)
+	case kindFallOff:
+		f.Location = chanLabel(t, rc.ch)
+		f.Message = fmt.Sprintf("route for DLID %d falls off the fabric (unwired port)", rc.lid)
+	case kindMisdelivery:
+		f.Location = chanLabel(t, rc.ch)
+		f.Message = fmt.Sprintf("misdelivery: DLID %d owned by %s delivered to %s",
+			rc.lid, t.NodeLabel(rc.node), t.NodeLabel(rc.other))
+	case kindUnreachable:
+		f.Location = t.SwitchLabel(rc.sw)
+		f.Message = fmt.Sprintf("destination %s unreachable: all %d of its LIDs hit dead links from this leaf",
+			t.NodeLabel(rc.node), rc.n)
+	case kindCycle:
+		f.Location = f.Witness[0]
+		lane := "every VL (no VL transitions)"
+		if rc.n >= 0 {
+			lane = fmt.Sprintf("VL %d", rc.n)
+		}
+		f.Message = fmt.Sprintf("channel-dependency cycle of %d links on %s: credit deadlock possible", len(f.Witness), lane)
+	case kindLMC:
+		f.Location = t.String()
+		f.Message = fmt.Sprintf("scheme %s requires LMC %d > architectural maximum %d", r.eng.Name(), rc.n, ib.MaxLMC)
+		f.Witness = []string{fmt.Sprintf("LMC field is 3 bits, max %d", ib.MaxLMC)}
+	case kindLIDSpace:
+		f.Location = t.String()
+		f.Message = fmt.Sprintf("LID-space exhaustion: scheme %s needs %d LIDs, %d past the 16-bit space",
+			r.eng.Name(), rc.n, rc.n-lidSpaceLimit)
+		f.Witness = []string{fmt.Sprintf("LIDSpace=%d", rc.n), fmt.Sprintf("16-bit limit=%d", lidSpaceLimit)}
+	case kindBaseZero:
+		f.Location = t.NodeLabel(rc.node)
+		f.Message = "assigned the reserved base LID 0"
+	case kindBeyondTable:
+		f.Location = t.NodeLabel(rc.node)
+		f.Message = fmt.Sprintf("LID %d beyond the forwarding-table size %d (LMC block overflows the table)", rc.lid, rc.n)
+		f.Witness = []string{rc.ranges[0].String()}
+	case kindOverlap:
+		f.Location = t.NodeLabel(rc.node)
+		f.Message = fmt.Sprintf("LID %d already owned by %s (LMC blocks overlap)", rc.lid, t.NodeLabel(rc.other))
+		f.Witness = []string{
+			fmt.Sprintf("%s owns %s", t.NodeLabel(rc.other), rc.ranges[1]),
+			fmt.Sprintf("%s owns %s", f.Location, rc.ranges[0]),
+		}
+	case kindOrphan:
+		f.Location = t.SwitchLabel(rc.sw)
+		f.Message = fmt.Sprintf("orphaned LID %d routed on %d switches but owned by no endport", rc.lid, rc.n)
+	case kindQuality:
+		q := r.Stats.Quality[rc.n]
+		f.Location = t.String()
+		f.Message = fmt.Sprintf("%s: max inter-switch load %.1f at %s (mean %.1f), dilation mean %.3f, root links max/mean/min %.1f/%.1f/%.1f, %d/%d flows unrouted",
+			q.Matrix, q.MaxLoad, q.MaxLink, q.MeanLoad, q.MeanDilation, q.RootLinkMax, q.RootLinkMean, q.RootLinkMin, q.Unrouted, q.Flows)
 	}
 	return f
+}
+
+// chanLabel names channel c (sw*m+port), a directed link, by its
+// transmitting switch endpoint.
+func chanLabel(t *topology.Tree, c int32) string {
+	m := int32(t.M())
+	var buf [64]byte
+	b := append(t.AppendSwitchLabel(buf[:0], topology.SwitchID(c/m)), ':')
+	return string(strconv.AppendInt(b, int64(c%m), 10))
+}
+
+// Findings renders every finding, in the order the analyzers found them:
+// addressing, reachability, deadlock, then quality. Nil when there are none.
+func (r *Report) Findings() []Finding {
+	if len(r.recs) == 0 {
+		return nil
+	}
+	out := make([]Finding, len(r.recs))
+	for i, rc := range r.recs {
+		out[i] = r.render(rc)
+	}
+	return out
+}
+
+// FirstError renders the first error-severity finding, if there is one.
+func (r *Report) FirstError() (Finding, bool) {
+	for _, rc := range r.recs {
+		if kinds[rc.kind].severity == Error {
+			return r.render(rc), true
+		}
+	}
+	return Finding{}, false
 }
 
 // Errors counts error-severity findings.
@@ -168,8 +348,8 @@ func (r *Report) Warnings() int { return r.count(Warning) }
 
 func (r *Report) count(s Severity) int {
 	n := 0
-	for _, f := range r.Findings {
-		if f.Severity == s {
+	for _, rc := range r.recs {
+		if kinds[rc.kind].severity == s {
 			n++
 		}
 	}
@@ -180,8 +360,9 @@ func (r *Report) count(s Severity) int {
 // warnings, then infos, each in discovery order), then a one-line summary
 // and the quality metric blocks.
 func (r *Report) WriteHuman(w io.Writer) {
+	findings := r.Findings()
 	for _, sev := range []Severity{Error, Warning, Info} {
-		for _, f := range r.Findings {
+		for _, f := range findings {
 			if f.Severity == sev {
 				fmt.Fprintln(w, f.String())
 			}
@@ -205,7 +386,7 @@ func (r *Report) WriteHuman(w io.Writer) {
 // followed by one {"stats": ...} trailer object.
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for _, f := range r.Findings {
+	for _, f := range r.Findings() {
 		if err := enc.Encode(f); err != nil {
 			return err
 		}

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"slices"
-	"strconv"
 
 	"mlid/internal/arena"
 	"mlid/internal/ib"
@@ -99,7 +98,7 @@ func (f *fabric) checkQuality(rep *Report, flows []traffic.Flow) {
 		q.MeanLoad = sum / float64(usedLinks)
 	}
 	if maxAt >= 0 {
-		q.MaxLink = f.chanLabel(maxAt)
+		q.MaxLink = chanLabel(t, int32(maxAt))
 	}
 
 	// Root-link balance: the descending links out of root switches, dead
@@ -133,36 +132,7 @@ func (f *fabric) checkQuality(rep *Report, flows []traffic.Flow) {
 	}
 
 	rep.Stats.Quality = append(rep.Stats.Quality, q)
-	// Built with strconv, not fmt: fmt's printer pool does not survive a
-	// garbage collection, and the finding should cost its two strings.
-	// AppendFloat's 'f' format is fmt's %f, byte for byte.
-	var buf [256]byte
-	b := append(buf[:0], q.Matrix...)
-	b = append(b, ": max inter-switch load "...)
-	b = strconv.AppendFloat(b, q.MaxLoad, 'f', 1, 64)
-	b = append(b, " at "...)
-	b = append(b, q.MaxLink...)
-	b = append(b, " (mean "...)
-	b = strconv.AppendFloat(b, q.MeanLoad, 'f', 1, 64)
-	b = append(b, "), dilation mean "...)
-	b = strconv.AppendFloat(b, q.MeanDilation, 'f', 3, 64)
-	b = append(b, ", root links max/mean/min "...)
-	b = strconv.AppendFloat(b, q.RootLinkMax, 'f', 1, 64)
-	b = append(b, '/')
-	b = strconv.AppendFloat(b, q.RootLinkMean, 'f', 1, 64)
-	b = append(b, '/')
-	b = strconv.AppendFloat(b, q.RootLinkMin, 'f', 1, 64)
-	b = append(b, ", "...)
-	b = strconv.AppendInt(b, int64(q.Unrouted), 10)
-	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(q.Flows), 10)
-	b = append(b, " flows unrouted"...)
-	f.add(rep, Finding{
-		Analyzer: "quality",
-		Severity: Info,
-		Location: t.String(),
-		Message:  string(b),
-	})
+	f.add(rep, record{kind: kindQuality, n: len(rep.Stats.Quality) - 1}, nil)
 }
 
 // selectDLID resolves the DLID a source uses toward dst: the explicit

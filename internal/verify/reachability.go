@@ -1,9 +1,7 @@
 package verify
 
 import (
-	"fmt"
 	"slices"
-	"strconv"
 
 	"mlid/internal/ib"
 	"mlid/internal/topology"
@@ -19,14 +17,14 @@ const (
 // walker is the reachability walk's state, reused route after route and
 // run after run: the claim set of flagged (switch, LID) entries, the
 // current route's out-channels, the channel-dependency graph of every lane
-// the walks feed, and the report whose stats the walk counts into. A route
-// that hits no defect allocates nothing. A walker with no report (Epochs')
-// only follows routes: it claims no entry and builds no finding, and its
-// graphs count each dependency's routes.
+// the walks feed, and the report whose stats the walk counts into. Once
+// the pooled scratch has grown, a walk allocates nothing, defects
+// included. A walker with no report (Epochs') only follows routes: it
+// claims no entry and records no finding, and its graphs count each
+// dependency's routes.
 type walker struct {
 	f       *fabric
 	rep     *Report
-	found   int        // reachability findings collected
 	claimed bitset     // switch*space + LID -> entry already flagged
 	hops    []int32    // current route's out-channels (sw*m+port)
 	path    []int32    // the switches hops leave from, for the loop check
@@ -40,7 +38,7 @@ func (f *fabric) walker(rep *Report) *walker {
 	if f.vlOf != nil {
 		lanes = f.vls
 	}
-	w.f, w.rep, w.found = f, rep, 0
+	w.f, w.rep = f, rep
 	if rep != nil {
 		w.claimed = w.claimed.resize(f.t.Switches() * f.space)
 	}
@@ -53,52 +51,21 @@ func (f *fabric) walker(rep *Report) *walker {
 	return w
 }
 
-// full reports whether the finding cap is reached, so the next finding is
-// counted as suppressed instead of formatted.
-func (w *walker) full() bool {
-	return w.f.cap > 0 && w.found >= w.f.cap
-}
-
-// claim reports whether the caller should format a finding for (sw, lid),
-// marking the entry flagged. It returns false when a route already flagged
-// the entry, and when the cap is full — then the entry counts as
-// suppressed, once. Formatting the message and witness strings is the
-// dominant cost of a walk over a heavily degraded fabric, so nothing is
-// built that could not reach the report.
-func (w *walker) claim(sw topology.SwitchID, lid int) bool {
+// flag records finding r for the entry (sw, lid), with the current
+// route's hops from `from` on as its witness, unless a route already
+// flagged the entry: a broken entry is one finding, however many leaves'
+// routes reach it.
+func (w *walker) flag(sw topology.SwitchID, lid int, r record, from int) {
 	if w.rep == nil {
-		return false
+		return
 	}
 	i := int(sw)*w.f.space + lid
 	if w.claimed.has(i) {
-		return false
+		return
 	}
 	w.claimed.set(i)
-	if w.full() {
-		w.rep.Stats.Suppressed++
-		return false
-	}
-	return true
-}
-
-// add collects a finding the cap has room for.
-func (w *walker) add(f Finding) {
-	w.f.findings = append(w.f.findings, f.valid())
-	w.found++
-}
-
-// witness renders the current route's hops into the fabric's witness
-// scratch; keep copies it out. keep leaves an empty witness as it is, so
-// that one must not point into the scratch.
-func (w *walker) witness(from int) []string {
-	if from == len(w.hops) {
-		return []string{}
-	}
-	start := len(w.f.wit)
-	for _, c := range w.hops[from:] {
-		w.f.wit = append(w.f.wit, w.f.chanLabel(int(c)))
-	}
-	return w.f.wit[start:len(w.f.wit):len(w.f.wit)]
+	r.lid = int32(lid)
+	w.f.add(w.rep, r, w.hops[from:])
 }
 
 // checkReachability walks every (leaf switch, assigned LID) route through
@@ -144,22 +111,7 @@ func (w *walker) walkLeaf(leaf topology.SwitchID) {
 		// Aggregate unreachability: only when every failure is
 		// fault-explained (defects already carry their own errors).
 		if routes > 0 && reached == 0 && deadBlocked == routes {
-			if w.full() {
-				w.rep.Stats.Suppressed++
-				continue
-			}
-			var buf [96]byte
-			b := append(buf[:0], "destination "...)
-			b = append(b, t.NodeLabel(topology.NodeID(p))...)
-			b = append(b, " unreachable: all "...)
-			b = strconv.AppendInt(b, int64(routes), 10)
-			b = append(b, " of its LIDs hit dead links from this leaf"...)
-			w.add(Finding{
-				Analyzer: "reachability",
-				Severity: Warning,
-				Location: f.switchLabel(leaf),
-				Message:  string(b),
-			})
+			f.add(w.rep, record{kind: kindUnreachable, sw: leaf, node: topology.NodeID(p), n: routes}, nil)
 		}
 	}
 }
@@ -173,7 +125,6 @@ func (w *walker) walkLeaf(leaf topology.SwitchID) {
 // following the tables for maxSwitches switches would traverse.
 func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 	f := w.f
-	t := f.t
 	m := int32(f.m)
 	g := w.laneGraph(lid)
 	w.hops, w.path = w.hops[:0], w.path[:0]
@@ -189,54 +140,21 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 					c := w.hops[i]
 					g.dep(prev, c, int(c-s*m))
 				}
-				if w.claim(sw, lid) {
-					cyc := w.witness(i)
-					w.add(Finding{
-						Analyzer: "reachability",
-						Severity: Error,
-						Location: f.switchLabel(sw),
-						Message:  fmt.Sprintf("forwarding loop for DLID %d (%d switches)", lid, len(cyc)),
-						Witness:  cyc,
-					})
-				}
+				w.flag(sw, lid, record{kind: kindLoop, sw: sw}, i)
 				return walkDefect
 			}
 		}
 		if len(w.hops) >= f.maxSwitches {
-			if w.claim(sw, lid) {
-				w.add(Finding{
-					Analyzer: "reachability",
-					Severity: Error,
-					Location: f.switchLabel(sw),
-					Message:  fmt.Sprintf("route for DLID %d exceeds %d switches without delivery", lid, f.maxSwitches),
-					Witness:  w.witness(0),
-				})
-			}
+			w.flag(sw, lid, record{kind: kindOverlong, sw: sw, n: f.maxSwitches}, 0)
 			return walkDefect
 		}
 		phys := f.in.LFTs[sw].Port(ib.LID(lid))
 		if phys == ib.PortNone {
-			if w.claim(sw, lid) {
-				w.add(Finding{
-					Analyzer: "reachability",
-					Severity: Error,
-					Location: f.switchLabel(sw),
-					Message:  fmt.Sprintf("dead end: no forwarding entry for assigned DLID %d", lid),
-					Witness:  w.witness(0),
-				})
-			}
+			w.flag(sw, lid, record{kind: kindDeadEnd, sw: sw}, 0)
 			return walkDefect
 		}
 		if phys == 0 || int(phys) > f.m {
-			if w.claim(sw, lid) {
-				w.add(Finding{
-					Analyzer: "reachability",
-					Severity: Error,
-					Location: f.switchLabel(sw),
-					Message:  fmt.Sprintf("DLID %d routed to invalid physical port %d", lid, phys),
-					Witness:  w.witness(0),
-				})
-			}
+			w.flag(sw, lid, record{kind: kindBadPort, sw: sw, n: int(phys)}, 0)
 			return walkDefect
 		}
 		ab := int(phys) - 1
@@ -244,21 +162,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 		w.hops = append(w.hops, cur)
 		w.path = append(w.path, int32(sw))
 		if f.dead[cur] {
-			if w.claim(sw, lid) {
-				// A degraded epoch reports up to the cap of these: the
-				// message costs its one string, no boxed arguments.
-				var buf [80]byte
-				b := append(buf[:0], "entry for DLID "...)
-				b = strconv.AppendInt(b, int64(lid), 10)
-				b = append(b, " points at a down link (packets drop here)"...)
-				w.add(Finding{
-					Analyzer: "reachability",
-					Severity: Warning,
-					Location: f.chanLabel(int(cur)),
-					Message:  string(b),
-					Witness:  w.witness(0),
-				})
-			}
+			w.flag(sw, lid, record{kind: kindDownLink, ch: cur}, 0)
 			return walkDeadLink
 		}
 		if g != nil {
@@ -268,28 +172,11 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 		ref := &f.nbr[cur]
 		switch ref.Kind {
 		case topology.KindNone:
-			if w.claim(sw, lid) {
-				w.add(Finding{
-					Analyzer: "reachability",
-					Severity: Error,
-					Location: f.chanLabel(int(cur)),
-					Message:  fmt.Sprintf("route for DLID %d falls off the fabric (unwired port)", lid),
-					Witness:  w.witness(0),
-				})
-			}
+			w.flag(sw, lid, record{kind: kindFallOff, ch: cur}, 0)
 			return walkDefect
 		case topology.KindNode:
 			if int32(ref.Node) != dst {
-				if w.claim(sw, lid) {
-					w.add(Finding{
-						Analyzer: "reachability",
-						Severity: Error,
-						Location: f.chanLabel(int(cur)),
-						Message: fmt.Sprintf("misdelivery: DLID %d owned by %s delivered to %s",
-							lid, t.NodeLabel(topology.NodeID(dst)), t.NodeLabel(ref.Node)),
-						Witness: w.witness(0),
-					})
-				}
+				w.flag(sw, lid, record{kind: kindMisdelivery, ch: cur, node: topology.NodeID(dst), other: ref.Node}, 0)
 				return walkDefect
 			}
 			return walkReached

@@ -5,8 +5,8 @@
 // addressing is consistent and fits the 16-bit space, and load spreads
 // evenly across root links — without simulating a single packet.
 //
-// Four analyzer families emit typed findings (severity, fabric location,
-// witness path) through a shared reporter:
+// Four analyzer families report typed findings (severity, fabric location,
+// witness path) into one Report:
 //
 //   - reachability: walks every (leaf switch, assigned LID) route through
 //     the live tables; flags forwarding loops (with the cycle as witness),
@@ -32,12 +32,20 @@
 // is an Error. A fabric with no dead links must therefore verify with zero
 // findings above Info, and a mid-repair fabric must verify with zero
 // errors. See DESIGN.md, "Static guarantees".
+//
+// A Run builds no text. It records each finding as a small typed record —
+// its kind, which fixes analyzer and severity, and the switch, channel,
+// LID, node and count values its message names, with witness channels in
+// one shared array — and Report.Findings renders the records into Finding
+// values only when a caller reads them. Errors, Warnings and Stats are
+// counts; FirstError renders one finding. Epochs re-verifies a fabric
+// epoch after epoch for counts alone.
 package verify
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"strconv"
 
 	"mlid/internal/arena"
 	"mlid/internal/ib"
@@ -92,7 +100,7 @@ type Options struct {
 	// simulator's per-epoch hook, where only the safety properties matter.
 	SkipQuality bool
 	// MaxFindings caps findings per analyzer (excess is counted in
-	// Stats.Suppressed, never formatted); zero means 64 and a negative
+	// Stats.Suppressed, never recorded); zero means 64 and a negative
 	// value means unlimited.
 	MaxFindings int
 	// Parallelism has no effect: the reachability walk is serial. It
@@ -104,8 +112,7 @@ type Options struct {
 // fabric is the resolved view of an Input the analyzers share, and the
 // per-run scratch they reuse: a fabric comes from runPool, so every slice
 // here is resized in place run after run (see reset). Nothing a Report
-// holds points into it; a Report's labels are strings the label tables
-// also hold, and strings are never written again.
+// holds points into it: keep copies the findings out.
 type fabric struct {
 	in    Input
 	t     *topology.Tree
@@ -124,17 +131,11 @@ type fabric struct {
 	vls         int
 	vlOf        func(dlid ib.LID, vls int) int
 
-	// findings collects the Run's findings, and wit the witnesses the walk
-	// renders; keep copies both into the Report at exact size.
-	findings []Finding
-	wit      []string
-	// chanLabels[c] and swLabels[sw] name channel c (sw*m+port) and switch
-	// sw, each built on first use. Labels depend on the tree's shape alone,
-	// so they outlive a Run and are dropped only when labelShape, the (m, n)
-	// they were built for, changes.
-	chanLabels []string
-	swLabels   []string
-	labelShape [2]int
+	// recs collects the Run's findings and chans their witness channels;
+	// found counts each analyzer's, for the cap.
+	recs  []record
+	chans []int32
+	found [numAnalyzers]int
 
 	w      walker    // the reachability walk
 	adjTo  []int32   // buildAdjacency's shared successor array
@@ -144,11 +145,10 @@ type fabric struct {
 	trace  []int32   // quality: the traced flow's out-channels
 }
 
-// runPool recycles Run's per-run state. The simulator re-verifies the
-// fabric at every SM epoch — hundreds of Runs per degraded sweep, each on
-// the same few fabric sizes — and the per-run tables, bitsets, adjacency
-// lists and cycle-search arrays would otherwise be nearly all a clean Run
-// allocates. Idle fabrics survive garbage collections (see package arena).
+// runPool recycles Run's per-run state: the per-run tables, bitsets,
+// adjacency lists, cycle-search arrays and finding records would otherwise
+// be nearly all a Run allocates. Idle fabrics survive garbage collections
+// (see package arena).
 var runPool arena.Pool[fabric]
 
 // Run executes every analyzer over the input and returns the combined
@@ -163,7 +163,7 @@ func Run(in Input, opt Options) (*Report, error) {
 	f := runPool.Get()
 	defer f.release()
 	f.reset(in, opt)
-	rep := &Report{}
+	rep := &Report{t: in.Tree, eng: in.Engine}
 	rep.Stats.VLs = opt.VLs
 	f.checkAddressing(rep)
 	graphs := f.checkReachability(rep)
@@ -202,8 +202,8 @@ func prepare(in Input, opt Options) (Options, error) {
 		}
 	}
 	for i, fl := range opt.Flows {
-		if !t.ValidNode(fl.Src) || !t.ValidNode(fl.Dst) || !(fl.Weight >= 0) {
-			return opt, fmt.Errorf("verify: flow %d (%d->%d, weight %v) needs nodes in [0,%d) and a non-negative weight",
+		if !t.ValidNode(fl.Src) || !t.ValidNode(fl.Dst) || !(fl.Weight >= 0) || math.IsInf(fl.Weight, 1) {
+			return opt, fmt.Errorf("verify: flow %d (%d->%d, weight %v) needs nodes in [0,%d) and a finite, non-negative weight",
 				i, fl.Src, fl.Dst, fl.Weight, t.Nodes())
 		}
 	}
@@ -228,6 +228,7 @@ func (f *fabric) reset(in Input, opt Options) {
 			f.space = lft.Size()
 		}
 	}
+	f.recs, f.chans, f.found = f.recs[:0], f.chans[:0], [numAnalyzers]int{}
 	f.nbr = arena.Recycle(f.nbr, t.Switches()*m)
 	f.leaves = f.leaves[:0]
 	for sw := 0; sw < t.Switches(); sw++ {
@@ -238,11 +239,6 @@ func (f *fabric) reset(in Input, opt Options) {
 		for p := 0; p < m; p++ {
 			f.nbr[sw*m+p] = t.SwitchNeighbor(id, p)
 		}
-	}
-	if shape := [2]int{m, t.N()}; f.labelShape != shape {
-		f.chanLabels = arena.Recycle(f.chanLabels, t.Switches()*m)
-		f.swLabels = arena.Recycle(f.swLabels, t.Switches())
-		f.labelShape = shape
 	}
 	f.markDead()
 }
@@ -273,67 +269,36 @@ func (f *fabric) deadAt(sw topology.SwitchID, port int) bool {
 	return f.dead[int(sw)*f.m+port]
 }
 
-// chanLabel names channel c (sw*m+port), a directed link, by its
-// transmitting switch endpoint.
-func (f *fabric) chanLabel(c int) string {
-	if l := f.chanLabels[c]; l != "" {
-		return l
-	}
-	var buf [64]byte
-	b := append(f.t.AppendSwitchLabel(buf[:0], topology.SwitchID(c/f.m)), ':')
-	f.chanLabels[c] = string(strconv.AppendInt(b, int64(c%f.m), 10))
-	return f.chanLabels[c]
-}
-
-// switchLabel names switch sw.
-func (f *fabric) switchLabel(sw topology.SwitchID) string {
-	if f.swLabels[sw] == "" {
-		f.swLabels[sw] = f.t.SwitchLabel(sw)
-	}
-	return f.swLabels[sw]
-}
-
-// add records a finding unless its analyzer's cap is exhausted, in which
-// case it is counted as suppressed.
-func (f *fabric) add(rep *Report, fd Finding) {
-	fd.valid()
-	n := 0
-	for _, g := range f.findings {
-		if g.Analyzer == fd.Analyzer {
-			n++
-		}
-	}
-	if f.cap > 0 && n >= f.cap {
+// add records a finding with witness channels wit unless its analyzer's
+// cap is exhausted, in which case it is counted as suppressed.
+func (f *fabric) add(rep *Report, r record, wit []int32) {
+	a := kinds[r.kind].analyzer
+	if f.cap > 0 && f.found[a] >= f.cap {
 		rep.Stats.Suppressed++
 		return
 	}
-	f.findings = append(f.findings, fd)
+	f.found[a]++
+	r.from = int32(len(f.chans))
+	f.chans = append(f.chans, wit...)
+	r.to = int32(len(f.chans))
+	f.recs = append(f.recs, r)
 }
 
-// keep copies the collected findings into the report at exact size — one
-// array for the findings, one for all their witnesses — and empties the
-// scratch, so the report points into none of it and the pool pins none of
-// the report's strings.
+// keep copies the collected findings and their witness channels into the
+// report at exact size, so the report points into none of the fabric.
 func (f *fabric) keep(rep *Report) {
-	if len(f.findings) > 0 {
-		n := 0
-		for _, fd := range f.findings {
-			n += len(fd.Witness)
-		}
-		rep.Findings = make([]Finding, len(f.findings))
-		copy(rep.Findings, f.findings)
-		wit := make([]string, 0, n)
-		for i := range rep.Findings {
-			if w := rep.Findings[i].Witness; len(w) > 0 {
-				start := len(wit)
-				wit = append(wit, w...)
-				rep.Findings[i].Witness = wit[start:len(wit):len(wit)]
-			}
-		}
+	rep.recs = exact(f.recs)
+	rep.chans = exact(f.chans)
+}
+
+// exact returns a copy of s at exact size, nil when s is empty.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
 	}
-	clear(f.findings)
-	f.findings = f.findings[:0]
-	f.wit = f.wit[:0]
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // bitset is a dense set of small non-negative integers: the walks' claim

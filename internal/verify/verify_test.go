@@ -3,6 +3,7 @@ package verify_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ func portTo(tr *topology.Tree, from, to topology.SwitchID) int {
 // findingWith returns the first finding of the analyzer whose message
 // contains the substring.
 func findingWith(rep *verify.Report, analyzer, substr string) (verify.Finding, bool) {
-	for _, f := range rep.Findings {
+	for _, f := range rep.Findings() {
 		if f.Analyzer == analyzer && strings.Contains(f.Message, substr) {
 			return f, true
 		}
@@ -109,7 +110,7 @@ func TestForwardingLoopFinding(t *testing.T) {
 	}
 	f, ok := findingWith(rep, "reachability", "forwarding loop")
 	if !ok {
-		t.Fatalf("no forwarding-loop finding in %+v", rep.Findings)
+		t.Fatalf("no forwarding-loop finding in %+v", rep.Findings())
 	}
 	if f.Severity != verify.Error || len(f.Witness) < 2 {
 		t.Fatalf("loop finding not an error with cycle witness: %+v", f)
@@ -147,7 +148,7 @@ func TestDeadEndFinding(t *testing.T) {
 	}
 	f, ok := findingWith(rep, "reachability", "dead end")
 	if !ok {
-		t.Fatalf("no dead-end finding in %+v", rep.Findings)
+		t.Fatalf("no dead-end finding in %+v", rep.Findings())
 	}
 	if f.Severity != verify.Error {
 		t.Fatalf("dead end not an error: %+v", f)
@@ -174,7 +175,7 @@ func TestMisdeliveryFinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f, ok := findingWith(rep, "reachability", "misdelivery"); !ok || f.Severity != verify.Error {
-		t.Fatalf("no misdelivery error in %+v", rep.Findings)
+		t.Fatalf("no misdelivery error in %+v", rep.Findings())
 	}
 }
 
@@ -205,14 +206,14 @@ func TestCreditCycleFinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range rep.Findings {
+	for _, f := range rep.Findings() {
 		if f.Analyzer == "reachability" && f.Severity == verify.Error {
 			t.Fatalf("corruption was meant to deliver correctly, got %+v", f)
 		}
 	}
 	f, ok := findingWith(rep, "deadlock", "channel-dependency cycle")
 	if !ok {
-		t.Fatalf("no deadlock finding in %+v", rep.Findings)
+		t.Fatalf("no deadlock finding in %+v", rep.Findings())
 	}
 	if f.Severity != verify.Error {
 		t.Fatalf("deadlock finding not an error: %+v", f)
@@ -272,7 +273,7 @@ func TestLIDOverflowFinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := verify.AddressingScheme(tr, core.NewMLID())
+	fs := verify.AddressingScheme(tr, core.NewMLID()).Findings()
 	if len(fs) == 0 {
 		t.Fatal("no addressing findings for MLID on FT(16,3)")
 	}
@@ -284,7 +285,7 @@ func TestLIDOverflowFinding(t *testing.T) {
 		t.Fatalf("witness should carry the needed LID space: %+v", f.Witness)
 	}
 	// SLID fits the same fabric.
-	if fs := verify.AddressingScheme(tr, core.NewSLID()); len(fs) != 0 {
+	if fs := verify.AddressingScheme(tr, core.NewSLID()).Findings(); len(fs) != 0 {
 		t.Fatalf("SLID on FT(16,3) should be clean, got %+v", fs)
 	}
 }
@@ -303,13 +304,13 @@ func TestDeadLinkEntriesAreWarnings(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Errors() != 0 {
-		t.Fatalf("dead-link entries produced errors: %+v", rep.Findings)
+		t.Fatalf("dead-link entries produced errors: %+v", rep.Findings())
 	}
 	if rep.Warnings() == 0 {
 		t.Fatal("expected down-link warnings for stale entries")
 	}
 	if _, ok := findingWith(rep, "reachability", "down link"); !ok {
-		t.Fatalf("no down-link finding in %+v", rep.Findings)
+		t.Fatalf("no down-link finding in %+v", rep.Findings())
 	}
 }
 
@@ -359,7 +360,7 @@ func TestDuplicateAndOrphanLIDFindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f, ok := findingWith(rep, "addressing", "LMC blocks overlap"); !ok || f.Severity != verify.Error {
-		t.Fatalf("no overlap error in %+v", rep.Findings)
+		t.Fatalf("no overlap error in %+v", rep.Findings())
 	}
 
 	// Orphan: shrink node 0's range so its second LID is routed but unowned.
@@ -372,7 +373,7 @@ func TestDuplicateAndOrphanLIDFindings(t *testing.T) {
 	}
 	f, ok := findingWith(rep2, "addressing", "orphaned LID")
 	if !ok || f.Severity != verify.Warning {
-		t.Fatalf("no orphan warning in %+v", rep2.Findings)
+		t.Fatalf("no orphan warning in %+v", rep2.Findings())
 	}
 }
 
@@ -392,8 +393,8 @@ func TestReportJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(rep.Findings)+1 {
-		t.Fatalf("want %d JSON lines, got %d", len(rep.Findings)+1, len(lines))
+	if len(lines) != len(rep.Findings())+1 {
+		t.Fatalf("want %d JSON lines, got %d", len(rep.Findings())+1, len(lines))
 	}
 	var back verify.Finding
 	if err := json.Unmarshal([]byte(lines[0]), &back); err != nil {
@@ -461,7 +462,7 @@ func TestQualityMatrix(t *testing.T) {
 		t.Fatalf("empty matrix traced flows: %+v", empty)
 	}
 
-	for _, bad := range []traffic.Flow{{Src: 0, Dst: topology.NodeID(n), Weight: 1}, {Src: -1, Dst: 0, Weight: 1}, {Src: 0, Dst: 1, Weight: -1}} {
+	for _, bad := range []traffic.Flow{{Src: 0, Dst: topology.NodeID(n), Weight: 1}, {Src: -1, Dst: 0, Weight: 1}, {Src: 0, Dst: 1, Weight: -1}, {Src: 0, Dst: 1, Weight: math.Inf(1)}} {
 		if _, err := verify.Run(verify.FromSubnet(sn), verify.Options{Flows: []traffic.Flow{bad}}); err == nil {
 			t.Fatalf("flow %+v accepted", bad)
 		}

@@ -259,13 +259,13 @@ func CheckDeadlockFree(sn *Subnet) (*DeadlockReport, error) {
 		return nil, err
 	}
 	out := &DeadlockReport{Channels: rep.Stats.Channels, Dependencies: rep.Stats.Dependencies}
-	for _, f := range rep.Findings {
-		switch {
-		case f.Analyzer == "deadlock":
-			out.Cycle = f.Witness
-		case f.Severity == verify.Error:
+	// The deadlock analyzer runs after every other error source, so the
+	// first error is either a routing defect or the one lane's cycle.
+	if f, ok := rep.FirstError(); ok {
+		if f.Analyzer != "deadlock" {
 			return nil, fmt.Errorf("mlid: deadlock check: %s", f)
 		}
+		out.Cycle = f.Witness
 	}
 	return out, nil
 }
