@@ -68,14 +68,18 @@ soak:
 # simulates a random link and switch down/up timeline on a small fat-tree
 # under both schemes and holds every epoch's incremental verification
 # (verify.Epochs) against a full verify.Run; FuzzRunFindings runs
-# verify.Run over random table corruptions and dead links on small
-# fat-trees and holds its error and warning counts to the rendered
-# findings and its JSON lines to valid JSON. Run one longer by hand with
+# verify.Run over random table corruptions, dead links and traffic
+# matrices on small fat-trees and holds its error and warning counts to
+# the rendered findings and its JSON lines to valid JSON; FuzzLinkSet
+# fails and revives random links and whole switches in the dead-link set
+# and holds Dead, Len, Equal and DirtySwitches to the map and slice
+# implementations it replaced. Run one longer by hand with
 # `go test -run xxx -fuzz FuzzMAD -fuzztime 5m ./internal/ib/`.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMAD -fuzztime 10s ./internal/ib/
 	$(GO) test -run xxx -fuzz FuzzEpochVerify -fuzztime 10s ./internal/sim/
 	$(GO) test -run xxx -fuzz FuzzRunFindings -fuzztime 10s ./internal/verify/
+	$(GO) test -run xxx -fuzz FuzzLinkSet -fuzztime 10s ./internal/core/
 
 # bench-check vets and tests the nested benchmark module (bench/, module
 # mlid/bench), which the root `go test ./...` never builds: renaming an

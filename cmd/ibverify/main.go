@@ -122,7 +122,7 @@ func runVerify(w io.Writer, m, n int, schemeName string, vls int, faultList, sel
 		// The SM's repair path: the incremental repair state evolved from
 		// the pristine tables to the fault set, verified as its target.
 		rs := core.NewRepairState(sn)
-		if _, err := rs.RepairIncremental(fs, rs.DirtySwitches(nil, links)); err != nil {
+		if _, err := rs.RepairIncremental(fs, rs.DirtySwitches(core.NewFaultSet(), fs)); err != nil {
 			return err
 		}
 		if in.LFTs, err = rs.TargetLFTs(); err != nil {

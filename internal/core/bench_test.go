@@ -42,16 +42,15 @@ func BenchmarkRepairIncremental(b *testing.B) {
 			tree := sn.Tree
 			st := NewRepairState(sn)
 			leaf, _ := tree.NodeAttachment(0)
-			down := [][2]int32{{int32(leaf), int32(tree.H())}}
 			fs := NewFaultSet()
 			fs.FailLink(tree, leaf, tree.H())
 			none := NewFaultSet()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := st.RepairIncremental(fs, st.DirtySwitches(nil, down)); err != nil {
+				if _, err := st.RepairIncremental(fs, st.DirtySwitches(none, fs)); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := st.RepairIncremental(none, st.DirtySwitches(down, nil)); err != nil {
+				if _, err := st.RepairIncremental(none, st.DirtySwitches(fs, none)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -96,12 +95,13 @@ func BenchmarkSMRecovery(b *testing.B) {
 			st := NewRepairState(sn)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var prev [][2]int32
+				prev := NewFaultSet()
 				for _, view := range views {
-					if _, err := st.RepairIncremental(faultsOf(view), st.DirtySwitches(prev, view)); err != nil {
+					cur := faultsOf(view)
+					if _, err := st.RepairIncremental(cur, st.DirtySwitches(prev, cur)); err != nil {
 						b.Fatal(err)
 					}
-					prev = view
+					prev = cur
 				}
 			}
 		})

@@ -7,50 +7,14 @@ import (
 	"mlid/internal/topology"
 )
 
-// FaultSet records failed links. A link is named by either of its switch-side
-// endpoints; node attachment links are named by the leaf-switch endpoint.
-// Marking one direction marks the whole bidirectional link, matching how a
-// subnet manager reacts to a dead port pair.
-type FaultSet struct {
-	dead map[linkEnd]bool
-}
-
-type linkEnd struct {
-	sw   topology.SwitchID
-	port int
-}
+// FaultSet records failed links: topology.LinkSet, the one dead-link set the
+// repair, the subnet manager, the simulator and the verifier share. Marking
+// one direction of a link marks the whole bidirectional link, matching how a
+// subnet manager reacts to a dead port pair. The zero value is empty.
+type FaultSet = topology.LinkSet
 
 // NewFaultSet returns an empty fault set.
-func NewFaultSet() *FaultSet { return &FaultSet{dead: make(map[linkEnd]bool)} }
-
-// FailLink marks the bidirectional link at (switch, abstract port) failed,
-// registering both endpoints when the peer is a switch.
-func (f *FaultSet) FailLink(t *topology.Tree, sw topology.SwitchID, port int) {
-	f.dead[linkEnd{sw, port}] = true
-	if ref := t.SwitchNeighbor(sw, port); ref.Kind == topology.KindSwitch {
-		f.dead[linkEnd{ref.Switch, ref.Port}] = true
-	}
-}
-
-// Len returns the number of registered failed endpoints.
-func (f *FaultSet) Len() int { return len(f.dead) }
-
-// Dead reports whether the endpoint at (switch, abstract port) is registered
-// as failed. FailLink registers both switch-side endpoints of a link, so
-// querying either side of an inter-switch link answers the same.
-func (f *FaultSet) Dead(sw topology.SwitchID, port int) bool {
-	return f.dead[linkEnd{sw, port}]
-}
-
-// Blocked reports whether the path crosses a failed link.
-func (f *FaultSet) Blocked(p Path) bool {
-	for _, h := range p.Hops {
-		if f.dead[linkEnd{h.Switch, h.OutPort}] || f.dead[linkEnd{h.Switch, h.InPort}] {
-			return true
-		}
-	}
-	return false
-}
+func NewFaultSet() *FaultSet { return &FaultSet{} }
 
 // SelectLID performs fault-avoiding path selection: the LMC-multipath
 // failover that motivates multiple LIDs in practice. It first tries the
@@ -101,8 +65,8 @@ func SelectDLID(t *topology.Tree, s Scheme, src, dst topology.NodeID, faults *Fa
 }
 
 // usable reports whether dlid's route from src delivers to dst without
-// crossing a failed link: TraceLID succeeding at dst with Blocked false, by
-// the same walk, with no path built.
+// crossing a failed link: TraceLID succeeding at dst with no hop entering or
+// leaving through a failed link, by the same walk, with no path built.
 func usable(t *topology.Tree, s Scheme, src, dst topology.NodeID, dlid ib.LID, faults *FaultSet) bool {
 	end := walkLID(t, s, src, dlid, faults, nil)
 	return end.stop == walkDelivered && end.dst == dst

@@ -68,45 +68,13 @@ func NewRepairState(sn *ib.Subnet) *RepairState {
 }
 
 // DirtySwitches computes which switches' repair decisions can change between
-// two dead-link views: both switch-side endpoints of every link in the
-// symmetric difference, ascending and deduplicated. Views are slices of
-// (switch, abstract port) pairs as the simulator's SM holds them; a repaired
-// table is a pure function of (pristine table, dead ports at that switch),
-// so every switch outside this set keeps its previous target byte for byte.
-//
-// Membership is a linear scan over the views, which are short: cheaper per
-// trap than building two maps.
-func (st *RepairState) DirtySwitches(prev, cur [][2]int32) []topology.SwitchID {
-	t := st.sn.Tree
-	var dirty []topology.SwitchID
-	add := func(e [2]int32) {
-		sw := topology.SwitchID(e[0])
-		dirty = append(dirty, sw)
-		if ref := t.SwitchNeighbor(sw, int(e[1])); ref.Kind == topology.KindSwitch {
-			dirty = append(dirty, ref.Switch)
-		}
-	}
-	for _, e := range cur {
-		if !slices.Contains(prev, e) {
-			add(e)
-		}
-	}
-	for _, e := range prev {
-		if !slices.Contains(cur, e) {
-			add(e)
-		}
-	}
-	if len(dirty) == 0 {
-		return nil
-	}
-	slices.Sort(dirty)
-	out := dirty[:1]
-	for _, sw := range dirty[1:] {
-		if sw != out[len(out)-1] {
-			out = append(out, sw)
-		}
-	}
-	return out
+// two fault sets: the switches with an endpoint dead in exactly one of them,
+// ascending. FailLink registers both switch-side endpoints of a link, so
+// these are both ends of every link that died or revived; a repaired table
+// is a pure function of (pristine table, dead ports at that switch), so
+// every switch outside this set keeps its previous target byte for byte.
+func (st *RepairState) DirtySwitches(prev, cur *FaultSet) []topology.SwitchID {
+	return prev.DiffSwitches(cur)
 }
 
 // RepairIncremental re-derives the repair decisions of the dirty switches

@@ -46,7 +46,7 @@ func faultSetOf(tr *topology.Tree, view [][2]int32) *FaultSet {
 // advance drives st from its previous view to cur and returns the deltas.
 func advance(t *testing.T, st *RepairState, tr *topology.Tree, prev, cur [][2]int32) []SwitchDelta {
 	t.Helper()
-	deltas, err := st.RepairIncremental(faultSetOf(tr, cur), st.DirtySwitches(prev, cur))
+	deltas, err := st.RepairIncremental(faultSetOf(tr, cur), st.DirtySwitches(faultSetOf(tr, prev), faultSetOf(tr, cur)))
 	if err != nil {
 		t.Fatalf("RepairIncremental: %v", err)
 	}

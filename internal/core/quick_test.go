@@ -117,7 +117,7 @@ func TestQuickGroupSelectionBijective(t *testing.T) {
 func refSelectDLID(t *topology.Tree, s Scheme, src, dst topology.NodeID, faults *FaultSet) (ib.LID, bool) {
 	ok := func(lid ib.LID) bool {
 		p, err := TraceLID(t, s, src, lid)
-		return err == nil && p.Dst == dst && !faults.Blocked(p)
+		return err == nil && p.Dst == dst && !blocked(faults, p)
 	}
 	canonical := s.DLID(t, src, dst)
 	if ok(canonical) {
@@ -144,7 +144,7 @@ func refUsableMask(t *topology.Tree, s Scheme, src, dst topology.NodeID, faults 
 	var mask uint64
 	for off := 0; off < count; off++ {
 		p, err := TraceLID(t, s, src, base+ib.LID(off))
-		if err == nil && p.Dst == dst && !faults.Blocked(p) {
+		if err == nil && p.Dst == dst && !blocked(faults, p) {
 			mask |= 1 << uint(off)
 		}
 	}

@@ -104,7 +104,7 @@ func subnetPairServed(sn *ib.Subnet, faults *FaultSet, src, dst topology.NodeID)
 	r := sn.Endports[dst]
 	for off := 0; off < r.Count(); off++ {
 		p, err := TraceSubnet(sn, src, r.Base+ib.LID(off))
-		if err == nil && p.Dst == dst && !faults.Blocked(p) {
+		if err == nil && p.Dst == dst && !blocked(faults, p) {
 			return true
 		}
 	}

@@ -124,13 +124,10 @@ type walkEnd struct {
 // the programmed tables) and the path-free selection checks, so the
 // up*/down* and port rules live here only. It follows the scheme's
 // decisions for dlid from src's leaf, appending each hop to hops when hops
-// is non-nil. With a non-nil fault set it stops at the first hop that
-// enters or leaves through a failed link (walkBlocked) — the hops Blocked
-// would reject — so a check that wants only a verdict allocates nothing.
+// is non-nil. With a non-empty fault set it stops at the first hop that
+// enters or leaves through a failed link (walkBlocked), so a check that
+// wants only a verdict allocates nothing.
 func walkLID(t *topology.Tree, s Scheme, src topology.NodeID, dlid ib.LID, faults *FaultSet, hops *[]Hop) walkEnd {
-	if faults != nil && len(faults.dead) == 0 {
-		faults = nil
-	}
 	sw, inPort := t.NodeAttachment(src)
 	descending := false
 	maxHops := 2*t.N() + 1
@@ -151,7 +148,7 @@ func walkLID(t *topology.Tree, s Scheme, src topology.NodeID, dlid ib.LID, fault
 		} else if descending {
 			return walkEnd{stop: walkUpAfterDown, sw: sw, out: out}
 		}
-		if faults != nil && (faults.Dead(sw, out) || faults.Dead(sw, inPort)) {
+		if faults.Dead(sw, out) || faults.Dead(sw, inPort) {
 			return walkEnd{stop: walkBlocked, sw: sw, out: out}
 		}
 		if hops != nil {

@@ -320,7 +320,7 @@ func degradedStudy(spec DegradedSpec) (study[DegradedRow], error) {
 			fs.FailLink(tr, topology.SwitchID(l[0]), int(l[1]))
 		}
 		rs := core.NewRepairState(sn)
-		if _, err := rs.RepairIncremental(fs, rs.DirtySwitches(nil, sc.links)); err != nil {
+		if _, err := rs.RepairIncremental(fs, rs.DirtySwitches(core.NewFaultSet(), fs)); err != nil {
 			return fmt.Errorf("experiment: degraded repair %s at %s: %w", scheme.Name(), sc.label, err)
 		}
 		lfts, err := rs.TargetLFTs()

@@ -153,8 +153,8 @@ func badSweepRedrive(m *subnetManager, parked map[int]bool) {
 }
 
 // goodSweepDiff is the sanctioned sweep-diff: membership maps are read-only
-// lookups, and both outputs are built by ranging the event-ordered slices —
-// the shape of sm.DiffDeadLinks.
+// lookups, and both outputs are built by ranging the event-ordered slices,
+// never a map.
 func goodSweepDiff(known, discovered [][2]int32) (added, removed [][2]int32) {
 	inKnown := make(map[[2]int32]bool, len(known))
 	for _, e := range known {

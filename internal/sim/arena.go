@@ -29,8 +29,8 @@ func (s *Sim) release() {
 		return
 	}
 	clear(s.lfts)
-	if f := s.faults; f != nil {
-		*f = faultRun{reselMask: f.reselMask, reselEpoch: f.reselEpoch}
+	if s.faults != nil {
+		s.faults.reset()
 	}
 	if s.epochs != nil {
 		s.epochs.Reset()

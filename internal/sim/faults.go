@@ -6,7 +6,6 @@ import (
 
 	"mlid/internal/core"
 	"mlid/internal/ib"
-	"mlid/internal/sm"
 	"mlid/internal/topology"
 )
 
@@ -168,7 +167,7 @@ func (p FaultPlan) withDefaults() FaultPlan {
 // markWritable calls mark (perhaps repeatedly) for each switch whose live
 // table the SM may rewrite under the plan: both switch-side ends of every
 // link the plan can kill — each link fault, and every link of a switch fault.
-// A dead-link view only holds such links, so core.RepairState.DirtySwitches,
+// A dead-link set only holds such links, so core.RepairState.DirtySwitches,
 // and with it every staged update, names no other switch.
 func (p *FaultPlan) markWritable(t *topology.Tree, mark func(sw int32)) {
 	link := func(sw int32, port int) {
@@ -323,10 +322,9 @@ type stagedLFTUpdate struct {
 // faultRun is the live-fault state of one simulation.
 type faultRun struct {
 	plan FaultPlan
-	// deadLinks holds the currently-dead links' canonical switch-side
-	// endpoints in event order (a slice, not a map, so SM sweeps iterate
-	// deterministically).
-	deadLinks [][2]int32
+	// deadLinks is the set of currently-dead links, updated in place as
+	// links fail and revive.
+	deadLinks topology.LinkSet
 	// epoch counts fabric-knowledge changes visible to sources: it bumps at
 	// every trap and every applied table update, invalidating reselection
 	// caches. Zero until the first trap — sources react to the SM's sweep,
@@ -336,9 +334,9 @@ type faultRun struct {
 	// heading: the pristine configuration plus every staged-but-unapplied
 	// delta, evolved per trap by core.RepairIncremental instead of a full
 	// clone-and-rescan. Built lazily at the first trap; smDead is the dead
-	// view of the last recomputation, the memoization key.
+	// set of the last recomputation, the memoization key.
 	repair *core.RepairState
-	smDead [][2]int32
+	smDead topology.LinkSet
 	staged []stagedLFTUpdate
 
 	// reselection caches, indexed src*nodes+dst; reselEpoch holds the epoch
@@ -350,6 +348,17 @@ type faultRun struct {
 
 	// inband is the in-band SM state (insm.go), nil under the oracle.
 	inband *inbandRun
+}
+
+// reset empties f for the next run, keeping the buffers a later run
+// resizes in place: the reselection caches and the dead-link sets' words.
+func (f *faultRun) reset() {
+	*f = faultRun{
+		reselMask: f.reselMask, reselEpoch: f.reselEpoch,
+		deadLinks: f.deadLinks, smDead: f.smDead,
+	}
+	f.deadLinks.Reset()
+	f.smDead.Reset()
 }
 
 // scheduleFaults seeds the plan's link events. Called once from Run.
@@ -463,15 +472,13 @@ func (s *Sim) killPort(pid int32) {
 	s.flushDead(pid)
 }
 
-// markLinkDown records the dead link for the next SM sweep (deduplicated) and
+// markLinkDown records the dead link for the next SM sweep (once) and
 // stamps the first-failure time.
 func (s *Sim) markLinkDown(sw int32, port int) {
-	for _, e := range s.faults.deadLinks {
-		if e == [2]int32{sw, int32(port)} {
-			return
-		}
+	if s.faults.deadLinks.Dead(topology.SwitchID(sw), port) {
+		return
 	}
-	s.faults.deadLinks = append(s.faults.deadLinks, [2]int32{sw, int32(port)})
+	s.faults.deadLinks.FailLink(s.tree, topology.SwitchID(sw), port)
 	if s.res.FirstFaultNs < 0 {
 		s.res.FirstFaultNs = s.now
 	}
@@ -491,12 +498,7 @@ func (s *Sim) linkUp(sw int32, port int) {
 			s.ports[pid].dead = false
 		}
 	}
-	for i, e := range s.faults.deadLinks {
-		if e == [2]int32{sw, int32(port)} {
-			s.faults.deadLinks = append(s.faults.deadLinks[:i], s.faults.deadLinks[i+1:]...)
-			break
-		}
-	}
+	s.faults.deadLinks.Mark(s.tree, topology.SwitchID(sw), port, false)
 	if s.faults.inband != nil {
 		s.emitTrap(sw, int32(port), false)
 	}
@@ -554,13 +556,13 @@ func (s *Sim) dropPkt(p *pkt) {
 }
 
 // smReact is the subnet manager reacting to a change in its view of the dead
-// links — ground truth for the oracle (evTrap), the trap- and sweep-fed
-// knownDead in-band. It recomputes the repair target and delivers staged
-// update i at now + SMProcessNs + i*LFTUpdateNs: by fiat under the oracle (a
-// timed evLFTUpdate), as an LFT-update SMP transaction in-band. Sources learn
-// of the fault from the SM: reselection activates (and caches invalidate)
-// even when no table could be repaired.
-func (s *Sim) smReact(view [][2]int32) {
+// links — ground truth (faultRun.deadLinks) for the oracle (evTrap), the
+// trap- and sweep-fed knownDead in-band. It recomputes the repair target and
+// delivers staged update i at now + SMProcessNs + i*LFTUpdateNs: by fiat
+// under the oracle (a timed evLFTUpdate), as an LFT-update SMP transaction
+// in-band. Sources learn of the fault from the SM: reselection activates
+// (and caches invalidate) even when no table could be repaired.
+func (s *Sim) smReact(view *topology.LinkSet) {
 	staged, ok := s.smRepair(view)
 	if !ok {
 		return
@@ -590,38 +592,33 @@ func (s *Sim) smReact(view [][2]int32) {
 }
 
 // smRepair is the SM's path recomputation: evolve the persistent repair
-// state to deadView and stage one table update per switch whose repair
+// state to the dead set and stage one table update per switch whose repair
 // target changed. The state's port→LIDs reverse index confines the work to
-// the entries actually routed through links in the symmetric difference of
-// the old and new views (core.RepairIncremental — RepairSubnet is its
+// the entries actually routed through links that died or revived since the
+// last recomputation (core.RepairIncremental — RepairSubnet is its
 // equivalence oracle), and the staged update IS the incremental diff, so no
 // shadow tables are cloned or rescanned per event. An unchanged dead set
 // short-circuits entirely. It returns the indices of the newly staged
 // updates and ok=false when the run already failed.
-func (s *Sim) smRepair(deadView [][2]int32) (staged []int, ok bool) {
+func (s *Sim) smRepair(dead *topology.LinkSet) (staged []int, ok bool) {
 	fr := s.faults
 	if fr.repair == nil {
 		// The first trap starts the repair over the pristine
 		// configuration, whose reverse index the subnet builds once and
 		// shares with every run on it; every later trap is delta work only.
 		fr.repair = core.NewRepairState(s.cfg.Subnet)
-	} else if sm.SameDeadLinks(fr.smDead, deadView) {
+	} else if fr.smDead.Equal(dead) {
 		// Memoized early-exit: the repair target is a pure function of the
 		// dead set, so nothing can need staging. smReact still bumps the
 		// epoch, exactly as a recomputation staging zero updates would.
 		return nil, true
 	}
-	fs := core.NewFaultSet()
-	for _, e := range deadView {
-		fs.FailLink(s.tree, topology.SwitchID(e[0]), int(e[1]))
-	}
-	dirty := fr.repair.DirtySwitches(fr.smDead, deadView)
-	deltas, err := fr.repair.RepairIncremental(fs, dirty)
+	deltas, err := fr.repair.RepairIncremental(dead, fr.repair.DirtySwitches(&fr.smDead, dead))
 	if err != nil {
 		s.fail(fmt.Errorf("sim: SM repair at %d ns: %w", s.now, err))
 		return nil, false
 	}
-	fr.smDead = append(fr.smDead[:0:0], deadView...)
+	fr.smDead.Copy(dead)
 	s.res.BrokenEntries = fr.repair.Broken()
 	for _, d := range deltas {
 		lids := make([]ib.LID, len(d.Entries))

@@ -70,10 +70,10 @@ type inbandRun struct {
 	rng  *rand.Rand
 	fo   *sm.Failover
 	txns *sm.TxnManager
-	// knownDead is the SM's view of the dead links (canonical switch-side
-	// endpoints, event order), fed by delivered traps and sweep diffs; it
-	// lags ground truth (faultRun.deadLinks) whenever a trap was lost.
-	knownDead [][2]int32
+	// knownDead is the SM's view of the dead links, fed by delivered traps
+	// and sweeps; it lags ground truth (faultRun.deadLinks) whenever a trap
+	// was lost.
+	knownDead topology.LinkSet
 	// finding is the latest partition verdict over knownDead; partitioned
 	// tracks its Partitioned() state across repairs so transitions into a
 	// partitioned fabric count once.
@@ -140,11 +140,7 @@ func (s *Sim) smpRouteHops(smNode, target int32) (hops int, ok bool) {
 	if !s.smNodeUp(smNode) {
 		return 0, false
 	}
-	ib := s.faults.inband
-	believed := core.NewFaultSet()
-	for _, l := range ib.knownDead {
-		believed.FailLink(s.tree, topology.SwitchID(l[0]), int(l[1]))
-	}
+	believed := &s.faults.inband.knownDead
 	start, _ := s.tree.NodeAttachment(topology.NodeID(smNode))
 	m := s.tree.M()
 	// BFS over the believed-alive switch graph; prev[sw] records the
@@ -222,33 +218,11 @@ func (s *Sim) emitTrap(sw, port int32, down bool) {
 // triggers the SM's reaction. Revival traps remove the link from the view,
 // so the SM re-converges toward the pristine tables.
 func (s *Sim) trapArrive(sw, port int32, down bool) {
-	ib := s.faults.inband
+	known := &s.faults.inband.knownDead
 	s.res.TrapsDelivered++
-	key := [2]int32{sw, port}
-	changed := false
-	if down {
-		known := false
-		for _, e := range ib.knownDead {
-			if e == key {
-				known = true
-				break
-			}
-		}
-		if !known {
-			ib.knownDead = append(ib.knownDead, key)
-			changed = true
-		}
-	} else {
-		for i, e := range ib.knownDead {
-			if e == key {
-				ib.knownDead = append(ib.knownDead[:i], ib.knownDead[i+1:]...)
-				changed = true
-				break
-			}
-		}
-	}
-	if changed {
-		s.smReact(ib.knownDead)
+	if known.Dead(topology.SwitchID(sw), int(port)) != down {
+		known.Mark(s.tree, topology.SwitchID(sw), int(port), down)
+		s.smReact(known)
 	}
 }
 
@@ -322,11 +296,10 @@ func (s *Sim) smSweep() {
 	// transactions (a fresh transaction is never parked, but the slice must
 	// not alias a growing table).
 	redrive := ib.txns.Parked()
-	added, removed := sm.DiffDeadLinks(ib.knownDead, s.faults.deadLinks)
-	if len(added) > 0 || len(removed) > 0 {
+	if !ib.knownDead.Equal(&s.faults.deadLinks) {
 		s.res.SweepDetections++
-		ib.knownDead = append(ib.knownDead[:0:0], s.faults.deadLinks...)
-		s.smReact(ib.knownDead)
+		ib.knownDead.Copy(&s.faults.deadLinks)
+		s.smReact(&ib.knownDead)
 	}
 	for i, idx := range redrive {
 		ib.txns.Reset(idx)
@@ -341,11 +314,7 @@ func (s *Sim) smSweep() {
 // is touched here.
 func (s *Sim) refreshPartition() {
 	ib := s.faults.inband
-	fs := core.NewFaultSet()
-	for _, e := range ib.knownDead {
-		fs.FailLink(s.tree, topology.SwitchID(e[0]), int(e[1]))
-	}
-	ib.finding = core.DetectPartitions(s.tree, fs)
+	ib.finding = core.DetectPartitions(s.tree, &ib.knownDead)
 	if ib.finding.Partitioned() && !ib.partitioned {
 		s.res.PartitionEvents++
 	}

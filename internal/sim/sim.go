@@ -261,9 +261,11 @@ type Sim struct {
 
 	// epochs is the incremental per-epoch verifier (Config.VerifyEpochs),
 	// seeded at the run's first verified epoch; verifyHook is run's epoch
-	// hook, nil outside tests.
+	// hook, nil outside tests. epochDead is the buffer verifyEpoch lists
+	// the dead-link set into for the verifier's input.
 	epochs     *verify.Epochs
 	verifyHook epochHook
+	epochDead  [][2]int32
 }
 
 // seriesBin accumulates one interval of the delivery series: the bytes,
@@ -465,7 +467,8 @@ func build(cfg Config) *Sim {
 		faults = &faultRun{}
 	}
 	reselMask, reselEpoch := faults.reselMask, faults.reselEpoch
-	*faults = faultRun{}
+	faults.reset()
+	faults.reselMask, faults.reselEpoch = nil, nil
 	*s = Sim{
 		engine:  prev.engine,
 		cfg:     cfg,
@@ -486,6 +489,7 @@ func build(cfg Config) *Sim {
 		// The latency histogram keeps the rows earlier runs touched.
 		lat: prev.lat,
 	}
+	s.epochDead = prev.epochDead[:0]
 	s.lat.Reset()
 	s.engine.heapOnly = cfg.HeapOnlyScheduler
 	// The reliable transport claims one management VL for ACK/NAK traffic on
@@ -675,7 +679,7 @@ func (s *Sim) dispatch(ev event) {
 	case evLinkUp:
 		s.linkUp(ev.a, int(ev.b))
 	case evTrap:
-		s.smReact(s.faults.deadLinks)
+		s.smReact(&s.faults.deadLinks)
 	case evLFTUpdate:
 		s.applyLFTUpdate(int(ev.a))
 	case evRexmit:

@@ -33,12 +33,13 @@ func (s *Sim) verifyEpoch() {
 	if s.err != nil {
 		return
 	}
+	s.epochDead = s.faults.deadLinks.AppendPorts(s.epochDead[:0])
 	in := verify.Input{
 		Tree:      s.tree,
 		Endports:  s.cfg.Subnet.Endports,
 		LFTs:      s.lfts,
 		Engine:    s.cfg.Subnet.Engine,
-		DeadLinks: s.faults.deadLinks,
+		DeadLinks: s.epochDead,
 	}
 	opt := verify.Options{VLs: s.cfg.DataVLs, SkipQuality: true}
 	if s.cfg.VLSelect == VLByDLID {

@@ -1,7 +1,6 @@
 // In-band subnet-management state machines: the SMP set-transaction manager
-// (timeout/retransmit with capped exponential backoff and a retry budget),
-// the deterministic master/standby failover automaton, and the sweep's
-// dead-link diff. All three are pure — no clocks, no entropy, no I/O — so the
+// (timeout/retransmit with capped exponential backoff and a retry budget)
+// and the deterministic master/standby failover automaton. Both are pure — no clocks, no entropy, no I/O — so the
 // simulator can drive them from its event loop and stay bit-deterministic
 // across scheduler paths; they live here (not in the simulator) because they
 // are subnet-manager policy, the in-band counterpart of this package's
@@ -167,45 +166,6 @@ func (m *TxnManager) Reset(idx int) {
 	t.parked = false
 	t.attempts = 0
 	t.gen++
-}
-
-// DiffDeadLinks diffs the fabric's discovered dead-link state against the
-// SM's known view: added holds discovered links the SM did not know dead,
-// removed the links the SM believes dead that discovery no longer reports.
-// Both outputs preserve their source slice's order (the inputs are
-// event-ordered slices, not maps), so a sweep acting on the diff stays
-// deterministic.
-func DiffDeadLinks(known, discovered [][2]int32) (added, removed [][2]int32) {
-	inKnown := make(map[[2]int32]bool, len(known))
-	for _, e := range known {
-		inKnown[e] = true
-	}
-	inDisc := make(map[[2]int32]bool, len(discovered))
-	for _, e := range discovered {
-		inDisc[e] = true
-	}
-	for _, e := range discovered {
-		if !inKnown[e] {
-			added = append(added, e)
-		}
-	}
-	for _, e := range known {
-		if !inDisc[e] {
-			removed = append(removed, e)
-		}
-	}
-	return added, removed
-}
-
-// SameDeadLinks reports whether two dead-link views name the same link set,
-// order-insensitively. This is the SM's memoization test: repair targets are
-// a pure function of the dead set, so an unchanged set means the previous
-// recomputation still holds and the whole repair pass can be skipped — the
-// common case when several traps from one fault burst coalesce at the same
-// instant.
-func SameDeadLinks(a, b [][2]int32) bool {
-	added, removed := DiffDeadLinks(a, b)
-	return len(added) == 0 && len(removed) == 0
 }
 
 // Failover is the deterministic master/standby election automaton. Mastership

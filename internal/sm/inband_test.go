@@ -107,23 +107,6 @@ func TestTxnExhaustionAndReset(t *testing.T) {
 	}
 }
 
-func TestDiffDeadLinks(t *testing.T) {
-	known := [][2]int32{{1, 0}, {2, 3}, {5, 1}}
-	discovered := [][2]int32{{2, 3}, {7, 0}, {1, 0}, {9, 2}}
-	added, removed := DiffDeadLinks(known, discovered)
-	// Outputs preserve source order: added in discovery order, removed in
-	// known order.
-	if want := [][2]int32{{7, 0}, {9, 2}}; !reflect.DeepEqual(added, want) {
-		t.Errorf("added = %v, want %v", added, want)
-	}
-	if want := [][2]int32{{5, 1}}; !reflect.DeepEqual(removed, want) {
-		t.Errorf("removed = %v, want %v", removed, want)
-	}
-	if a, r := DiffDeadLinks(nil, nil); a != nil || r != nil {
-		t.Errorf("empty diff = %v, %v", a, r)
-	}
-}
-
 func TestFailoverStickiness(t *testing.T) {
 	f := NewFailover(0, 7)
 	if f.Active() != 0 {

@@ -62,7 +62,7 @@ func staticInput(t *testing.T) (verify.Input, verify.Options) {
 	tr := sn.Tree
 	fs, dead := epochFaults(tr)
 	rs := core.NewRepairState(sn)
-	if _, err := rs.RepairIncremental(fs, rs.DirtySwitches(nil, dead)); err != nil {
+	if _, err := rs.RepairIncremental(fs, rs.DirtySwitches(core.NewFaultSet(), fs)); err != nil {
 		t.Fatal(err)
 	}
 	lfts, err := rs.TargetLFTs()

@@ -4,20 +4,27 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mlid/internal/core"
 	"mlid/internal/ib"
+	"mlid/internal/topology"
+	"mlid/internal/traffic"
 	"mlid/internal/verify"
 )
 
 // FuzzRunFindings runs verify.Run over fuzzed forwarding-table corruptions
 // (entries rewritten to another port, to no port or to a port past the
-// radix) and dead links on FT(4,2) and FT(4,3), under both schemes, with
-// one shared dependency graph and with one per lane. Run must not panic,
-// Errors and Warnings must count the rendered findings by severity, and
-// every WriteJSON line must parse as JSON. Run it longer by hand with
+// radix), dead links and traffic matrices (nil for all-to-all, or a few
+// flows with weights from zero to math.MaxFloat64) on FT(4,2) and FT(4,3),
+// under both schemes, with one shared dependency graph and with one per
+// lane. Run must not panic and may reject only a matrix whose load sums
+// overflow, Errors and Warnings must count the rendered findings by
+// severity, and every WriteJSON line must parse as JSON. Run it longer by
+// hand with
 // `go test -run xxx -fuzz FuzzRunFindings -fuzztime 5m ./internal/verify/`.
 func FuzzRunFindings(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -43,9 +50,23 @@ func FuzzRunFindings(f *testing.F) {
 			for k := rng.Intn(4); k > 0; k-- {
 				in.DeadLinks = append(in.DeadLinks, [2]int32{rng.Int31n(int32(tr.Switches())), rng.Int31n(int32(tr.M()))})
 			}
+			var flows []traffic.Flow
+			if rng.Intn(3) > 0 {
+				flows = []traffic.Flow{}
+				for k := rng.Intn(5); k > 0; k-- {
+					flows = append(flows, traffic.Flow{
+						Src:    topology.NodeID(rng.Intn(tr.Nodes())),
+						Dst:    topology.NodeID(rng.Intn(tr.Nodes())),
+						Weight: []float64{0, 1, rng.Float64() * 1e6, 1e307, math.MaxFloat64}[rng.Intn(5)],
+					})
+				}
+			}
 			for _, vlOf := range []func(ib.LID, int) int{nil, vlByDLID} {
-				opt := verify.Options{VLs: 1 + rng.Intn(3), VLOf: vlOf, MaxFindings: []int{0, 3, -1}[rng.Intn(3)]}
+				opt := verify.Options{VLs: 1 + rng.Intn(3), VLOf: vlOf, MaxFindings: []int{0, 3, -1}[rng.Intn(3)], Flows: flows}
 				rep, err := verify.Run(in, opt)
+				if err != nil && strings.Contains(err.Error(), "overflow") {
+					continue
+				}
 				if err != nil {
 					t.Fatal(err)
 				}

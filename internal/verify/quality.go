@@ -112,7 +112,7 @@ func (f *fabric) checkQuality(rep *Report, flows []traffic.Flow) {
 			continue
 		}
 		for p := 0; p < f.m; p++ {
-			if f.deadAt(topology.SwitchID(sw), p) {
+			if f.dead.Dead(topology.SwitchID(sw), p) {
 				continue
 			}
 			v := load[sw*f.m+p]
@@ -164,7 +164,7 @@ func (f *fabric) tracePath(src, dst topology.NodeID, dlid ib.LID, scratch []int3
 			return path, false
 		}
 		ab := int(phys) - 1
-		if f.deadAt(sw, ab) {
+		if f.dead.Dead(sw, ab) {
 			return path, false
 		}
 		c := int(sw)*f.m + ab

@@ -161,7 +161,7 @@ func (w *walker) walkRoute(leaf topology.SwitchID, lid int, dst int32) int {
 		cur := int32(sw)*m + int32(ab)
 		w.hops = append(w.hops, cur)
 		w.path = append(w.path, int32(sw))
-		if f.dead[cur] {
+		if f.dead.Dead(sw, ab) {
 			w.flag(sw, lid, record{kind: kindDownLink, ch: cur}, 0)
 			return walkDeadLink
 		}

@@ -119,7 +119,8 @@ type fabric struct {
 	m     int
 	space int     // LID table size
 	owner []int32 // LID -> owning node, or -1
-	dead  []bool  // global port id (sw*m+port) -> endpoint of a dead link
+	// dead is the set of dead links, filled from Input.DeadLinks.
+	dead topology.LinkSet
 	// nbr[sw*m+port] is what the port is wired to: the walks' neighbor
 	// table, resolved once per Run instead of per hop.
 	nbr    []topology.PortRef
@@ -176,8 +177,9 @@ func Run(in Input, opt Options) (*Report, error) {
 }
 
 // prepare rejects unusable input — a nil tree, a mismatched table set, a
-// dead link naming no switch port, a flow outside the fabric — and returns
-// opt with its defaults filled in.
+// dead link naming no switch port, a flow outside the fabric, flow weights
+// whose link-load sums overflow — and returns opt with its defaults filled
+// in.
 func prepare(in Input, opt Options) (Options, error) {
 	if in.Tree == nil {
 		return opt, fmt.Errorf("verify: Input.Tree is required")
@@ -201,11 +203,21 @@ func prepare(in Input, opt Options) (Options, error) {
 				i, e[0], e[1], t.Switches(), m)
 		}
 	}
+	var total float64
 	for i, fl := range opt.Flows {
 		if !t.ValidNode(fl.Src) || !t.ValidNode(fl.Dst) || !(fl.Weight >= 0) || math.IsInf(fl.Weight, 1) {
 			return opt, fmt.Errorf("verify: flow %d (%d->%d, weight %v) needs nodes in [0,%d) and a finite, non-negative weight",
 				i, fl.Src, fl.Dst, fl.Weight, t.Nodes())
 		}
+		if fl.Src != fl.Dst {
+			total += fl.Weight
+		}
+	}
+	// A traced route loads fewer than maxSwitches (2n+2) links, so this
+	// product bounds every load sum the quality analyzer forms.
+	if links := 2*t.N() + 1; math.IsInf(total*float64(links), 1) {
+		return opt, fmt.Errorf("verify: flow weights sum to %v: the link-load sums over routes of up to %d links overflow float64",
+			total, links)
 	}
 	if opt.VLs <= 0 {
 		opt.VLs = 1
@@ -243,17 +255,12 @@ func (f *fabric) reset(in Input, opt Options) {
 	f.markDead()
 }
 
-// markDead rebuilds the dead-channel table from the input's dead links:
-// both directions of each.
+// markDead refills the dead-link set from the input's dead links: both
+// directions of each.
 func (f *fabric) markDead() {
-	m := f.m
-	f.dead = arena.Recycle(f.dead, len(f.nbr))
+	f.dead.Reset()
 	for _, e := range f.in.DeadLinks {
-		c := int(e[0])*m + int(e[1])
-		f.dead[c] = true
-		if ref := f.nbr[c]; ref.Kind == topology.KindSwitch {
-			f.dead[int(ref.Switch)*m+ref.Port] = true
-		}
+		f.dead.FailLink(f.t, topology.SwitchID(e[0]), int(e[1]))
 	}
 }
 
@@ -262,11 +269,6 @@ func (f *fabric) markDead() {
 func (f *fabric) release() {
 	f.in, f.t, f.vlOf, f.w.rep = Input{}, nil, nil, nil
 	runPool.Put(f)
-}
-
-// deadAt reports whether the link out of (sw, abstract port) is down.
-func (f *fabric) deadAt(sw topology.SwitchID, port int) bool {
-	return f.dead[int(sw)*f.m+port]
 }
 
 // add records a finding with witness channels wit unless its analyzer's

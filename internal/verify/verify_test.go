@@ -462,9 +462,20 @@ func TestQualityMatrix(t *testing.T) {
 		t.Fatalf("empty matrix traced flows: %+v", empty)
 	}
 
-	for _, bad := range []traffic.Flow{{Src: 0, Dst: topology.NodeID(n), Weight: 1}, {Src: -1, Dst: 0, Weight: 1}, {Src: 0, Dst: 1, Weight: -1}, {Src: 0, Dst: 1, Weight: math.Inf(1)}} {
-		if _, err := verify.Run(verify.FromSubnet(sn), verify.Options{Flows: []traffic.Flow{bad}}); err == nil {
-			t.Fatalf("flow %+v accepted", bad)
+	for _, bad := range [][]traffic.Flow{
+		{{Src: 0, Dst: topology.NodeID(n), Weight: 1}},
+		{{Src: -1, Dst: 0, Weight: 1}},
+		{{Src: 0, Dst: 1, Weight: -1}},
+		{{Src: 0, Dst: 1, Weight: math.Inf(1)}},
+		// Finite weights whose link-load sums overflow: their sum, and one
+		// weight crossing several links.
+		{{Src: 0, Dst: 5, Weight: math.MaxFloat64}, {Src: 1, Dst: 5, Weight: math.MaxFloat64}},
+		{{Src: 0, Dst: topology.NodeID(n - 1), Weight: math.MaxFloat64}},
+	} {
+		if _, err := verify.Run(verify.FromSubnet(sn), verify.Options{Flows: bad}); err == nil {
+			t.Fatalf("flows %+v accepted", bad)
+		} else if bad[0].Weight == math.MaxFloat64 && !strings.Contains(err.Error(), "overflow") {
+			t.Fatalf("flows %+v rejected without naming the overflow: %v", bad, err)
 		}
 	}
 }
