@@ -46,12 +46,14 @@ lint:
 # third line does the same for verify.Run, whose concurrent runs share
 # verify's. The fourth repeats the concurrent FaultPlan runs that share one
 # configured subnet's untouched tables and its reverse index, which no run
-# may write.
+# may write. The fifth repeats the degraded study serially and in parallel,
+# whose points share the static view's pooled repair states.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiment/... ./internal/sm/... ./internal/core/... ./internal/verify/...
 	$(GO) test -race -count=10 -run TestRunIndependentOfPriorRuns ./internal/sim/
 	$(GO) test -race -count=10 -run TestRunIndependentOfPooledRuns ./internal/verify/
 	$(GO) test -race -count=10 -run TestFaultRunLeavesSubnetPristine ./internal/sim/
+	$(GO) test -race -count=10 -run 'TestCampaignSerialParallelIdentity/degraded' ./internal/experiment/
 
 # soak runs the deterministic chaos campaigns: two seeds of link-flap
 # schedules with the reliable transport on, each executed twice per scheduler

@@ -46,3 +46,46 @@ func TestSelectLIDAllocs(t *testing.T) {
 		t.Errorf("served %d, usable %d of %d destinations; want all but the stranded node", served, usable, tr.Nodes()-1)
 	}
 }
+
+// TestRepairIncrementalAllocs: a warm repair state absorbs a fault and its
+// revival without allocating. On FT(8,3) and FT(32,2) MLID, with a leaf
+// up-link (remapped entries at the leaf, broken ones at its peer) and a
+// second link at that peer down, one cycle — the dirty switches, the
+// repair, the repair target's tables, then the same back to pristine —
+// makes 0 allocations: the overlays, broken lists, delta buffer, dirty list
+// and tables are the state's, at their high-water sizes after the first
+// cycle.
+func TestRepairIncrementalAllocs(t *testing.T) {
+	for _, net := range [][2]int{{8, 3}, {32, 2}} {
+		sn := configured(t, net[0], net[1], NewMLID())
+		tr := sn.Tree
+		leaf, _ := tr.NodeAttachment(0)
+		fs, none := NewFaultSet(), NewFaultSet()
+		fs.FailLink(tr, leaf, tr.H())
+		peer := tr.SwitchNeighbor(leaf, tr.H())
+		fs.FailLink(tr, peer.Switch, (peer.Port+1)%tr.M())
+		st := NewRepairState(sn)
+		var changed int
+		step := func(prev, cur *FaultSet) {
+			deltas, err := st.RepairIncremental(cur, st.DirtySwitches(prev, cur))
+			if err != nil {
+				t.Fatal(err)
+			}
+			changed += len(deltas)
+			if _, err := st.TargetLFTs(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			step(none, fs)
+			step(fs, none)
+		})
+		if allocs != 0 {
+			t.Errorf("FT(%d,%d): %.0f allocations per fail/revive cycle, want 0", net[0], net[1], allocs)
+		}
+		if changed == 0 || st.Remapped() != 0 || st.Broken() != 0 {
+			t.Errorf("FT(%d,%d): %d deltas, %d remapped and %d broken after the cycles; want deltas and a pristine end",
+				net[0], net[1], changed, st.Remapped(), st.Broken())
+		}
+	}
+}

@@ -33,7 +33,9 @@ func BenchmarkTrace(b *testing.B) {
 // path: a persistent RepairState absorbing one link failure and its revival
 // per iteration. Work is proportional to the dirtied switches' candidate
 // entries (via the subnet's port-to-LIDs reverse index), not to the LID
-// space — compare the full scan of RepairSubnet.
+// space — compare the full scan of RepairSubnet. The state builds overlays,
+// broken lists, dirty list and deltas in buffers it keeps, so once warm an
+// iteration allocates nothing (TestRepairIncrementalAllocs pins it).
 func BenchmarkRepairIncremental(b *testing.B) {
 	for _, net := range [][2]int{{8, 3}, {16, 2}, {32, 2}} {
 		m, n := net[0], net[1]

@@ -190,3 +190,79 @@ func checkServedMatchesWalk(t *testing.T, tr *topology.Tree, s Scheme, endports 
 	}
 	return rerouted
 }
+
+// switchView names every link of one switch as a dead-link view: its
+// whole-switch outage.
+func switchView(tr *topology.Tree, sw topology.SwitchID) [][2]int32 {
+	view := make([][2]int32, tr.M())
+	for p := range view {
+		view[p] = [2]int32{int32(sw), int32(p)}
+	}
+	return view
+}
+
+// TestExhaustiveSwitchFaultRepair enumerates every single switch outage
+// (every link of one switch dead) on FT(4,2), FT(4,3), FT(8,2) and FT(8,3)
+// under both schemes, through one repair state. Before each outage the
+// state is Reset to the fabric and scheme at hand while it still holds the
+// previous outage's repair, so whatever a Reset failed to clear shows in
+// the next comparison. For each outage:
+//   - RepairIncremental from pristine equals RepairSubnet (checkEquivalence);
+//   - reviving the switch brings the state back to pristine, every switch's
+//     target aliasing its pristine table;
+//   - the repaired tables, with SelectLID choosing each source's DLID,
+//     verify with no error.
+func TestExhaustiveSwitchFaultRepair(t *testing.T) {
+	st := &RepairState{}
+	empty := NewFaultSet()
+	for _, fab := range [][2]int{{4, 2}, {4, 3}, {8, 2}, {8, 3}} {
+		for _, s := range Schemes() {
+			sn := configured(t, fab[0], fab[1], s)
+			tr := sn.Tree
+			for sw := topology.SwitchID(0); int(sw) < tr.Switches(); sw++ {
+				view := switchView(tr, sw)
+				fs := faultSetOf(tr, view)
+				st.Reset(sn)
+				if _, err := st.RepairIncremental(fs, st.DirtySwitches(empty, fs)); err != nil {
+					t.Fatalf("%v %s switch %d out: %v", tr, s.Name(), sw, err)
+				}
+				checkEquivalence(t, st, sn, view)
+				lfts, err := st.TargetLFTs()
+				if err != nil {
+					t.Fatal(err)
+				}
+				in := verify.Input{
+					Tree: tr, Endports: sn.Endports, LFTs: lfts, Engine: s, DeadLinks: view,
+					SelectDLID: func(src, dst topology.NodeID) (ib.LID, bool) { return SelectLID(tr, s, src, dst, fs) },
+				}
+				rep, err := verify.Run(in, verify.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f, ok := rep.FirstError(); ok {
+					t.Fatalf("%v %s switch %d out: repaired tables fail verification: %s", tr, s.Name(), sw, f)
+				}
+
+				if _, err := st.RepairIncremental(empty, st.DirtySwitches(fs, empty)); err != nil {
+					t.Fatalf("%v %s switch %d revived: %v", tr, s.Name(), sw, err)
+				}
+				if st.Remapped() != 0 || st.Broken() != 0 {
+					t.Fatalf("%v %s switch %d revived: %d remapped, %d broken, want pristine", tr, s.Name(), sw, st.Remapped(), st.Broken())
+				}
+				target, err := st.TargetLFTs()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range target {
+					if target[i] != sn.LFTs[i] {
+						t.Fatalf("%v %s switch %d revived: switch %d keeps an overlay", tr, s.Name(), sw, i)
+					}
+				}
+				// Leave the outage repaired for the next Reset to clear.
+				if _, err := st.RepairIncremental(fs, st.DirtySwitches(empty, fs)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"mlid/internal/arena"
 	"mlid/internal/ib"
 	"mlid/internal/topology"
 )
@@ -38,16 +39,38 @@ type SwitchDelta struct {
 // overlay (entries diverging from pristine, i.e. remapped ascending entries)
 // and the broken (irreparable descending) entries under the current fault
 // set. The repair target at any moment is pristine + overlay.
+//
+// A state keeps every buffer it grows: Reset re-targets it to another
+// pristine subnet, and once its buffers have reached a fault sequence's
+// high-water sizes, DirtySwitches, RepairIncremental and TargetLFTs allocate
+// nothing. What they return lives in those buffers, like the bytes of a
+// bufio.Scanner: the dirty list until the next DirtySwitches, the deltas
+// until the next RepairIncremental, the tables until the next TargetLFTs,
+// and all of them until Reset. A caller that keeps a result longer copies
+// it.
 type RepairState struct {
 	sn      *ib.Subnet
 	idx     *ib.PortLIDIndex
 	overlay [][]RepairEntry // per switch, ascending LID
 	broken  [][]BrokenEntry // per switch, ascending LID
+	// spare holds a dirty switch's old overlay for the merge while the new
+	// one is built in the switch's own buffer, so each switch keeps its
+	// buffer at its own high-water size.
+	spare []RepairEntry
 
 	remapped    int
 	brokenCount int
 
-	// scratch reused across RepairIncremental calls.
+	// The last RepairIncremental's deltas, whose entries share one flat
+	// buffer.
+	deltas []SwitchDelta
+	delta  []RepairEntry
+	// TargetLFTs' result and the per-switch tables it clones into.
+	targets []*ib.LFT
+	tables  []ib.LFT
+
+	// scratch reused across calls.
+	dirty  []topology.SwitchID
 	cand   []ib.LID
 	liveUp []int
 }
@@ -58,13 +81,30 @@ type RepairState struct {
 // first state's call and shared by every later one) is read from them. The
 // state itself costs O(switches); the subnet is only ever read.
 func NewRepairState(sn *ib.Subnet) *RepairState {
-	n := sn.Tree.Switches()
-	return &RepairState{
-		sn:      sn,
-		idx:     sn.PortLIDIndex(),
-		overlay: make([][]RepairEntry, n),
-		broken:  make([][]BrokenEntry, n),
+	st := &RepairState{}
+	st.Reset(sn)
+	return st
+}
+
+// Reset empties the state and re-targets it to sn's pristine tables, which
+// may be another subnet's, of another size, exactly as NewRepairState(sn)
+// would start it, but keeping every buffer for the next fault sequence.
+// Results the state returned before are invalid after it. A nil sn drops
+// every reference to the previous subnet and its tables, for a state left
+// idle in a pool; the state is unusable until the next Reset.
+func (st *RepairState) Reset(sn *ib.Subnet) {
+	st.sn, st.idx = sn, nil
+	n := 0
+	if sn != nil {
+		st.idx, n = sn.PortLIDIndex(), sn.Tree.Switches()
 	}
+	st.overlay = arena.RecycleKeep(st.overlay, n, func(o *[]RepairEntry) { *o = (*o)[:0] })
+	st.broken = arena.RecycleKeep(st.broken, n, func(b *[]BrokenEntry) { *b = (*b)[:0] })
+	st.remapped, st.brokenCount = 0, 0
+	st.deltas, st.delta = st.deltas[:0], st.delta[:0]
+	// targets holds pristine table pointers past its length too.
+	clear(st.targets[:cap(st.targets)])
+	st.targets = st.targets[:0]
 }
 
 // DirtySwitches computes which switches' repair decisions can change between
@@ -73,8 +113,10 @@ func NewRepairState(sn *ib.Subnet) *RepairState {
 // these are both ends of every link that died or revived; a repaired table
 // is a pure function of (pristine table, dead ports at that switch), so
 // every switch outside this set keeps its previous target byte for byte.
+// The list is the state's scratch, valid until the next DirtySwitches.
 func (st *RepairState) DirtySwitches(prev, cur *FaultSet) []topology.SwitchID {
-	return prev.DiffSwitches(cur)
+	st.dirty = prev.DiffSwitches(st.dirty[:0], cur)
+	return st.dirty
 }
 
 // RepairIncremental re-derives the repair decisions of the dirty switches
@@ -84,14 +126,16 @@ func (st *RepairState) DirtySwitches(prev, cur *FaultSet) []topology.SwitchID {
 // as RepairSubnet leaves them in place). Deltas come out in ascending
 // (switch, LID) order; dirty must be ascending (as DirtySwitches returns).
 // Switches outside dirty are assumed unaffected by the fault-set change.
+// The deltas and their entries are the state's, valid until its next
+// RepairIncremental or Reset.
 func (st *RepairState) RepairIncremental(faults *FaultSet, dirty []topology.SwitchID) ([]SwitchDelta, error) {
 	t := st.sn.Tree
 	m := t.M()
-	var deltas []SwitchDelta
+	st.deltas, st.delta = st.deltas[:0], st.delta[:0]
 	for _, sw := range dirty {
 		s := int(sw)
 		if s < 0 || s >= len(st.overlay) {
-			return deltas, fmt.Errorf("core: incremental repair: switch %d out of range", s)
+			return st.deltas, fmt.Errorf("core: incremental repair: switch %d out of range", s)
 		}
 		down := t.DownPorts(sw)
 		// Live up-ports under the current fault set, ascending — the same
@@ -113,89 +157,56 @@ func (st *RepairState) RepairIncremental(faults *FaultSet, dirty []topology.Swit
 		// Each LID has one pristine port, so candidates are disjoint across
 		// ports; a sort restores the ascending scan order of the oracle.
 		slices.Sort(st.cand)
-		// The new overlay and broken list outlive this call, so a counting
-		// pass sizes each exactly before the filling pass.
 		lft := st.sn.LFTs[s]
-		// An entry breaks when it descends or no up-port survives.
-		broken := func(lid ib.LID) bool { return int(lft.Port(lid))-1 < down || len(liveUp) == 0 }
-		nBroken := 0
+		st.spare = append(st.spare[:0], st.overlay[s]...)
+		old, neu, brk := st.spare, st.overlay[s][:0], st.broken[s][:0]
 		for _, lid := range st.cand {
-			if broken(lid) {
-				nBroken++
-			}
-		}
-		var neu []RepairEntry
-		var brk []BrokenEntry
-		if n := len(st.cand) - nBroken; n > 0 {
-			neu = make([]RepairEntry, 0, n)
-		}
-		if nBroken > 0 {
-			brk = make([]BrokenEntry, 0, nBroken)
-		}
-		for _, lid := range st.cand {
-			if broken(lid) {
+			// An entry breaks when it descends or no up-port survives.
+			if int(lft.Port(lid))-1 < down || len(liveUp) == 0 {
 				brk = append(brk, BrokenEntry{Switch: sw, DLID: lid})
 				continue
 			}
 			alt := liveUp[int(lid)%len(liveUp)]
 			neu = append(neu, RepairEntry{LID: lid, Port: uint8(alt + 1)})
 		}
-		old := st.overlay[s]
 		st.remapped += len(neu) - len(old)
 		st.brokenCount += len(brk) - len(st.broken[s])
 		st.broken[s] = brk
+		start := len(st.delta)
+		st.delta = appendOverlayDiff(st.delta, old, neu, lft)
+		if end := len(st.delta); end > start {
+			// A later append may move st.delta; these entries stay put in
+			// the array they were written to, which nothing writes again.
+			st.deltas = append(st.deltas, SwitchDelta{Switch: sw, Entries: st.delta[start:end:end]})
+		}
 		st.overlay[s] = neu
-		if d := diffOverlays(old, neu, lft); len(d) > 0 {
-			deltas = append(deltas, SwitchDelta{Switch: sw, Entries: d})
-		}
 	}
-	return deltas, nil
+	return st.deltas, nil
 }
 
-// diffOverlays merge-diffs two ascending overlays into the delta that turns
-// (pristine + old) into (pristine + neu): entries only in old revert to
-// their pristine port, entries only in neu (or remapped differently) take
-// the new port. A counting merge sizes the delta exactly before the filling
-// one; an empty delta is nil.
-func diffOverlays(old, neu []RepairEntry, pristine *ib.LFT) []RepairEntry {
-	n := mergeOverlays(old, neu, pristine, nil)
-	if n == 0 {
-		return nil
-	}
-	out := make([]RepairEntry, n)
-	mergeOverlays(old, neu, pristine, out)
-	return out
-}
-
-// mergeOverlays is diffOverlays' merge: it writes the delta's entries into
-// out, which must have room for them, or only counts them when out is nil,
-// and returns their number.
-func mergeOverlays(old, neu []RepairEntry, pristine *ib.LFT, out []RepairEntry) int {
-	n := 0
-	put := func(e RepairEntry) {
-		if out != nil {
-			out[n] = e
-		}
-		n++
-	}
+// appendOverlayDiff merge-diffs two ascending overlays and appends to dst the
+// delta that turns (pristine + old) into (pristine + neu): entries only in
+// old revert to their pristine port, entries only in neu (or remapped
+// differently) take the new port.
+func appendOverlayDiff(dst, old, neu []RepairEntry, pristine *ib.LFT) []RepairEntry {
 	i, j := 0, 0
 	for i < len(old) || j < len(neu) {
 		switch {
 		case j >= len(neu) || (i < len(old) && old[i].LID < neu[j].LID):
-			put(RepairEntry{LID: old[i].LID, Port: pristine.Port(old[i].LID)})
+			dst = append(dst, RepairEntry{LID: old[i].LID, Port: pristine.Port(old[i].LID)})
 			i++
 		case i >= len(old) || neu[j].LID < old[i].LID:
-			put(neu[j])
+			dst = append(dst, neu[j])
 			j++
 		default:
 			if old[i].Port != neu[j].Port {
-				put(neu[j])
+				dst = append(dst, neu[j])
 			}
 			i++
 			j++
 		}
 	}
-	return n
+	return dst
 }
 
 // TargetPort returns the current repair target's entry for (sw, lid):
@@ -239,23 +250,26 @@ func (st *RepairState) BrokenEntries() []BrokenEntry {
 }
 
 // TargetLFTs materializes the current repair target (pristine + overlay):
-// a clone for each switch with a non-empty overlay, the pristine table
-// itself for every other switch. The result is read-only — writing to an
-// entry would write to the pristine subnet — which suits its callers, the
-// static verification of a repair and the equivalence tests.
+// for each switch with a non-empty overlay, a copy of its pristine table in
+// the state's own storage; for every other switch, the pristine table
+// itself. The result is read-only — writing to an aliased entry would write
+// to the pristine subnet — which suits its callers, the static verification
+// of a repair and the equivalence tests. The slice and the copies are the
+// state's, valid until its next TargetLFTs or Reset.
 func (st *RepairState) TargetLFTs() ([]*ib.LFT, error) {
-	out := make([]*ib.LFT, len(st.sn.LFTs))
-	for i, lft := range st.sn.LFTs {
-		if len(st.overlay[i]) == 0 {
-			out[i] = lft
+	st.targets = append(st.targets[:0], st.sn.LFTs...)
+	st.tables = arena.RecycleKeep(st.tables, len(st.targets), func(*ib.LFT) {})
+	for i, ov := range st.overlay {
+		if len(ov) == 0 {
 			continue
 		}
-		out[i] = lft.Clone()
-		for _, e := range st.overlay[i] {
-			if err := out[i].Set(e.LID, e.Port); err != nil {
+		lft := st.sn.LFTs[i].CloneInto(&st.tables[i])
+		for _, e := range ov {
+			if err := lft.Set(e.LID, e.Port); err != nil {
 				return nil, fmt.Errorf("core: materializing repair target for switch %d: %w", i, err)
 			}
 		}
+		st.targets[i] = lft
 	}
-	return out, nil
+	return st.targets, nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -245,5 +247,68 @@ func TestRepairStatesShareIndex(t *testing.T) {
 	if perSwitch > 128 {
 		t.Errorf("a second RepairState allocated %d bytes per switch, want O(switches) (<= 128 per switch); the LID space is %d",
 			perSwitch, sn.LIDSpace())
+	}
+}
+
+// TestRepairStateResetMatchesFresh: one state, Reset from fabric to fabric
+// and scheme to scheme — FT(8,3) MLID, FT(4,2) SLID, FT(32,2) MLID, FT(8,3)
+// SLID, so its buffers shrink and grow — walks a random sequence of link
+// failures and revivals beside a fresh state on the same subnet. After
+// every step the two return the same deltas and agree on Remapped,
+// BrokenEntries, TargetPort over every entry and TargetLFTs.
+func TestRepairStateResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	reused := &RepairState{}
+	fabrics := []struct {
+		m, n   int
+		scheme Scheme
+	}{{8, 3, NewMLID()}, {4, 2, NewSLID()}, {32, 2, NewMLID()}, {8, 3, NewSLID()}}
+	for _, fab := range fabrics {
+		sn := configured(t, fab.m, fab.n, fab.scheme)
+		tr := sn.Tree
+		reused.Reset(sn)
+		fresh := NewRepairState(sn)
+		var view [][2]int32
+		for step := 0; step < 16; step++ {
+			prev := slices.Clone(view)
+			if i := rng.Intn(len(view) + 1); i < len(view) && rng.Intn(3) == 0 {
+				view = slices.Delete(view, i, i+1)
+			} else {
+				view = append(view, randomLinks(tr, []uint16{uint16(rng.Intn(1 << 16))})...)
+			}
+			where := func() string {
+				return fmt.Sprintf("FT(%d,%d) %s step %d, view %v", fab.m, fab.n, fab.scheme.Name(), step, view)
+			}
+			got, want := advance(t, reused, tr, prev, view), advance(t, fresh, tr, prev, view)
+			if !slices.EqualFunc(got, want, func(a, b SwitchDelta) bool {
+				return a.Switch == b.Switch && slices.Equal(a.Entries, b.Entries)
+			}) {
+				t.Fatalf("%s: deltas %v, a fresh state's %v", where(), got, want)
+			}
+			if reused.Remapped() != fresh.Remapped() || !slices.Equal(reused.BrokenEntries(), fresh.BrokenEntries()) {
+				t.Fatalf("%s: %d remapped, broken %v; a fresh state's %d, %v",
+					where(), reused.Remapped(), reused.BrokenEntries(), fresh.Remapped(), fresh.BrokenEntries())
+			}
+			gotLFTs, err := reused.TargetLFTs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLFTs, err := fresh.TargetLFTs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for sw := range wantLFTs {
+				if (gotLFTs[sw] == sn.LFTs[sw]) != (wantLFTs[sw] == sn.LFTs[sw]) ||
+					!slices.Equal(gotLFTs[sw].Entries(), wantLFTs[sw].Entries()) {
+					t.Fatalf("%s: switch %d's target table differs from a fresh state's", where(), sw)
+				}
+				for lid := 1; lid < sn.LFTs[sw].Size(); lid++ {
+					id := topology.SwitchID(sw)
+					if p, q := reused.TargetPort(id, ib.LID(lid)), fresh.TargetPort(id, ib.LID(lid)); p != q {
+						t.Fatalf("%s: TargetPort(%d, %d) = %d, a fresh state's %d", where(), sw, lid, p, q)
+					}
+				}
+			}
+		}
 	}
 }

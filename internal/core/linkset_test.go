@@ -144,7 +144,9 @@ func FuzzLinkSet(f *testing.F) {
 				t.Fatalf("step %d, view %v: Equal to the empty set %v", step, view, set.Equal(empty))
 			}
 			wantDirty := symDiffSwitches(tr, prevView, view)
-			for _, got := range [][]topology.SwitchID{st.DirtySwitches(prevSet, set), st.DirtySwitches(set, prevSet)} {
+			// The dirty list is the state's scratch: the first is copied
+			// before the second call reuses it.
+			for _, got := range [][]topology.SwitchID{slices.Clone(st.DirtySwitches(prevSet, set)), st.DirtySwitches(set, prevSet)} {
 				if !slices.Equal(got, wantDirty) {
 					t.Fatalf("step %d, views %v -> %v: DirtySwitches %v, symmetric difference %v", step, prevView, view, got, wantDirty)
 				}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"mlid/internal/arena"
 	"mlid/internal/core"
 	"mlid/internal/ib"
 	"mlid/internal/sim"
@@ -190,6 +191,11 @@ func DegradedStudy(spec DegradedSpec) ([]DegradedRow, error) {
 	return runStudy(degradedStudy(spec))
 }
 
+// repairPool recycles the static view's repair states: a point's state
+// grows to its fault set's overlays, delta and repair-target tables, and
+// keeps them for the next point (see package arena).
+var repairPool arena.Pool[core.RepairState]
+
 // degradedStudy has one point per (scenario, scheme), scenario-major. A
 // point's static step repairs and verifies the degraded tables on the
 // point's worker before its simulation runs.
@@ -319,7 +325,14 @@ func degradedStudy(spec DegradedSpec) (study[DegradedRow], error) {
 		for _, l := range sc.links {
 			fs.FailLink(tr, topology.SwitchID(l[0]), int(l[1]))
 		}
-		rs := core.NewRepairState(sn)
+		rs := repairPool.Get()
+		rs.Reset(sn)
+		// The repair target's tables are the state's until it goes back,
+		// after the verifier has read them; it drops the subnet first.
+		defer func() {
+			rs.Reset(nil)
+			repairPool.Put(rs)
+		}()
 		if _, err := rs.RepairIncremental(fs, rs.DirtySwitches(core.NewFaultSet(), fs)); err != nil {
 			return fmt.Errorf("experiment: degraded repair %s at %s: %w", scheme.Name(), sc.label, err)
 		}

@@ -81,23 +81,26 @@ func runHeapOnly[R any](s study[R], err error) ([]R, error) {
 // whether its points run on one worker or the full pool. The chaos and SM
 // studies are additionally soaked run-to-run elsewhere; this test pins the
 // serial/parallel axis specifically by capping the pool to one worker.
+// Each study is a subtest, so one can be repeated alone (`make race` runs
+// the degraded study's, whose concurrent points share pooled repair
+// states, ten times under the race detector).
 func TestCampaignSerialParallelIdentity(t *testing.T) {
-	runCapped := func(cap int, f func() (any, error)) any {
-		t.Helper()
-		campaignWorkerCap = cap
-		defer func() { campaignWorkerCap = 0 }()
-		out, err := f()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
 	check := func(name string, f func() (any, error)) {
-		serial := runCapped(1, f)
-		parallel := runCapped(0, f)
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("%s: serial and parallel campaign outputs differ", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			runCapped := func(cap int) any {
+				t.Helper()
+				campaignWorkerCap = cap
+				defer func() { campaignWorkerCap = 0 }()
+				out, err := f()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			if serial, parallel := runCapped(1), runCapped(0); !reflect.DeepEqual(serial, parallel) {
+				t.Errorf("%s: serial and parallel campaign outputs differ", name)
+			}
+		})
 	}
 
 	dspec := QuickDegradedSpec()

@@ -20,7 +20,8 @@ var pool arena.Pool[Sim]
 // node pair grow with N², nor from a traced run, whose packets point into the
 // Result's traces. Before keeping an arena it drops what the caller owns or
 // was handed: the Config, the tree, the subnet's tables, the Result, the
-// fault state's plan and repair view, and the epoch verifier's input (its
+// fault state's plan and its repair state's subnet (the state itself and
+// its buffers stay), and the epoch verifier's input (its
 // Reset also makes the next run's first verified epoch a full walk). No
 // Result aliases arena memory: buildResult builds Series and PortStats
 // fresh, and the traces handed out are never appended to again.

@@ -312,11 +312,11 @@ func (p FaultPlan) validate(t *topology.Tree) error {
 }
 
 // stagedLFTUpdate is one switch's pending table update: the LIDs whose
-// repair target changed when it was staged. applyLFTUpdate writes their
-// target ports as of delivery, not as of staging.
+// repair target changed when it was staged, faultRun.stagedLIDs[first:
+// first+count]. applyLFTUpdate writes their target ports as of delivery,
+// not as of staging.
 type stagedLFTUpdate struct {
-	sw   int32
-	lids []ib.LID
+	sw, first, count int32
 }
 
 // faultRun is the live-fault state of one simulation.
@@ -333,11 +333,15 @@ type faultRun struct {
 	// repair is the SM's incremental view of where each switch's table is
 	// heading: the pristine configuration plus every staged-but-unapplied
 	// delta, evolved per trap by core.RepairIncremental instead of a full
-	// clone-and-rescan. Built lazily at the first trap; smDead is the dead
-	// set of the last recomputation, the memoization key.
-	repair *core.RepairState
-	smDead topology.LinkSet
-	staged []stagedLFTUpdate
+	// clone-and-rescan. Reset to the configured subnet at the first trap
+	// (repairing), and kept with its buffers across pooled runs; smDead is
+	// the dead set of the last recomputation, the memoization key.
+	repair    core.RepairState
+	repairing bool
+	smDead    topology.LinkSet
+	// staged holds every update staged so far, each a range of stagedLIDs.
+	staged     []stagedLFTUpdate
+	stagedLIDs []ib.LID
 
 	// reselection caches, indexed src*nodes+dst; reselEpoch holds the epoch
 	// the cached mask was computed at (0 = unset; valid epochs are >= 1).
@@ -351,11 +355,14 @@ type faultRun struct {
 }
 
 // reset empties f for the next run, keeping the buffers a later run
-// resizes in place: the reselection caches and the dead-link sets' words.
+// resizes in place: the reselection caches, the dead-link sets' words, the
+// repair state's buffers (it drops the subnet) and the staged updates.
 func (f *faultRun) reset() {
+	f.repair.Reset(nil)
 	*f = faultRun{
 		reselMask: f.reselMask, reselEpoch: f.reselEpoch,
-		deadLinks: f.deadLinks, smDead: f.smDead,
+		deadLinks: f.deadLinks, smDead: f.smDead, repair: f.repair,
+		staged: f.staged[:0], stagedLIDs: f.stagedLIDs[:0],
 	}
 	f.deadLinks.Reset()
 	f.smDead.Reset()
@@ -563,12 +570,13 @@ func (s *Sim) dropPkt(p *pkt) {
 // in-band. Sources learn of the fault from the SM: reselection activates
 // (and caches invalidate) even when no table could be repaired.
 func (s *Sim) smReact(view *topology.LinkSet) {
-	staged, ok := s.smRepair(view)
+	first, count, ok := s.smRepair(view)
 	if !ok {
 		return
 	}
 	inband := s.faults.inband
-	for i, idx := range staged {
+	for i := 0; i < count; i++ {
+		idx := first + i
 		at := s.now + SMProcessNs + Time(i)*LFTUpdateNs
 		if inband == nil {
 			s.schedule(at, event{kind: evLFTUpdate, a: int32(idx)})
@@ -598,37 +606,38 @@ func (s *Sim) smReact(view *topology.LinkSet) {
 // last recomputation (core.RepairIncremental — RepairSubnet is its
 // equivalence oracle), and the staged update IS the incremental diff, so no
 // shadow tables are cloned or rescanned per event. An unchanged dead set
-// short-circuits entirely. It returns the indices of the newly staged
-// updates and ok=false when the run already failed.
-func (s *Sim) smRepair(dead *topology.LinkSet) (staged []int, ok bool) {
+// short-circuits entirely. It returns the newly staged updates as the
+// index range [first, first+count) and ok=false when the run already failed.
+func (s *Sim) smRepair(dead *topology.LinkSet) (first, count int, ok bool) {
 	fr := s.faults
-	if fr.repair == nil {
+	if !fr.repairing {
 		// The first trap starts the repair over the pristine
 		// configuration, whose reverse index the subnet builds once and
 		// shares with every run on it; every later trap is delta work only.
-		fr.repair = core.NewRepairState(s.cfg.Subnet)
+		fr.repair.Reset(s.cfg.Subnet)
+		fr.repairing = true
 	} else if fr.smDead.Equal(dead) {
 		// Memoized early-exit: the repair target is a pure function of the
 		// dead set, so nothing can need staging. smReact still bumps the
 		// epoch, exactly as a recomputation staging zero updates would.
-		return nil, true
+		return 0, 0, true
 	}
 	deltas, err := fr.repair.RepairIncremental(dead, fr.repair.DirtySwitches(&fr.smDead, dead))
 	if err != nil {
 		s.fail(fmt.Errorf("sim: SM repair at %d ns: %w", s.now, err))
-		return nil, false
+		return 0, 0, false
 	}
 	fr.smDead.Copy(dead)
 	s.res.BrokenEntries = fr.repair.Broken()
+	first = len(fr.staged)
 	for _, d := range deltas {
-		lids := make([]ib.LID, len(d.Entries))
-		for i, e := range d.Entries {
-			lids[i] = e.LID
+		at := len(fr.stagedLIDs)
+		for _, e := range d.Entries {
+			fr.stagedLIDs = append(fr.stagedLIDs, e.LID)
 		}
-		staged = append(staged, len(fr.staged))
-		fr.staged = append(fr.staged, stagedLFTUpdate{sw: int32(d.Switch), lids: lids})
+		fr.staged = append(fr.staged, stagedLFTUpdate{sw: int32(d.Switch), first: int32(at), count: int32(len(d.Entries))})
 	}
-	return staged, true
+	return first, len(deltas), true
 }
 
 // applyLFTUpdate rewrites one switch's live forwarding table for the LIDs of
@@ -650,9 +659,10 @@ func (s *Sim) applyLFTUpdate(idx int) {
 		s.fail(fmt.Errorf("sim: LFT update to switch %d, whose table is shared with the configured subnet (model bug)", u.sw))
 		return
 	}
-	target := s.faults.repair
+	target := &s.faults.repair
+	lids := s.faults.stagedLIDs[u.first : u.first+u.count]
 	fwdBase := int(u.sw) * s.lftSize
-	for _, lid := range u.lids {
+	for _, lid := range lids {
 		port := target.TargetPort(topology.SwitchID(u.sw), lid)
 		s.epochs.Touch(lid)
 		if err := lft.Set(lid, port); err != nil {
@@ -662,7 +672,7 @@ func (s *Sim) applyLFTUpdate(idx int) {
 		s.setFwd(fwdBase+int(lid), s.compileEntry(u.sw, port))
 	}
 	s.res.LFTUpdates++
-	s.res.LFTEntriesRewritten += int64(len(u.lids))
+	s.res.LFTEntriesRewritten += int64(len(lids))
 	s.res.RecoveryNs = s.now // the last update's time until buildResult
 	s.faults.epoch++
 	if s.cfg.VerifyEpochs {

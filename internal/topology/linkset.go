@@ -91,30 +91,30 @@ func (s *LinkSet) Reset() {
 	s.m, s.n, s.words = 0, 0, s.words[:0]
 }
 
-// DiffSwitches returns, ascending and once each, the switches with an
+// DiffSwitches appends to dst, ascending and once each, the switches with an
 // endpoint registered in exactly one of s and o: a word-wise XOR whose set
-// bits, divided by m, are already in order. It is nil when the sets are
-// equal.
-func (s *LinkSet) DiffSwitches(o *LinkSet) []SwitchID {
+// bits, divided by m, are already in order. It appends nothing when the sets
+// are equal.
+func (s *LinkSet) DiffSwitches(dst []SwitchID, o *LinkSet) []SwitchID {
 	if s.Len() == 0 {
 		s, o = o, s
 	}
 	if s.Len() == 0 {
-		return nil
+		return dst
 	}
-	var out []SwitchID
+	start := len(dst)
 	for i, w := range s.words {
 		if o.Len() > 0 {
 			w ^= o.words[i]
 		}
 		for ; w != 0; w &= w - 1 {
 			sw := SwitchID((i<<6 + bits.TrailingZeros64(w)) / s.m)
-			if len(out) == 0 || out[len(out)-1] != sw {
-				out = append(out, sw)
+			if len(dst) == start || dst[len(dst)-1] != sw {
+				dst = append(dst, sw)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // AppendPorts appends every registered endpoint to dst as a (switch,

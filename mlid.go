@@ -213,7 +213,8 @@ func RepairSubnet(sn *Subnet, faults *FaultSet) (remapped int, broken []BrokenEn
 // RepairEntry is one remapped forwarding entry of an incremental repair.
 type RepairEntry = core.RepairEntry
 
-// SwitchDelta is one switch's forwarding-table delta from RepairIncremental.
+// SwitchDelta is one switch's forwarding-table delta from RepairIncremental,
+// valid until the state's next RepairIncremental or Reset.
 type SwitchDelta = core.SwitchDelta
 
 // RepairState is the persistent incremental-repair state over one subnet:
@@ -222,7 +223,12 @@ type SwitchDelta = core.SwitchDelta
 // RepairIncremental recomputes only the switches a fault-set change dirties
 // and returns the exact entry deltas, making per-event repair proportional
 // to the change rather than to the LID space — the control-plane hot path
-// the simulator's subnet managers run on.
+// the simulator's subnet managers run on. Reset re-targets a state to
+// another pristine subnet and keeps its buffers, so a warm state repairs
+// without allocating. What the state returns lives in those buffers: the
+// deltas of RepairIncremental until its next call, the tables of TargetLFTs
+// (pristine ones aliased wherever nothing changed) until their next call,
+// and both until Reset. Copy a result to keep it longer.
 type RepairState = core.RepairState
 
 // NewRepairState starts incremental-repair state over a configured subnet's
